@@ -22,7 +22,8 @@ Pattern characters: ``+`` ``-`` ``0`` per form, ``*`` for wildcard.
 the on-line offset ``delta``; ``[check]`` holds ``checks = ...`` drawn from
 {residual, s2, proper, hypothesis-h, boundary, initial}.
 
-Exit codes: 0 success, 1 check failure, 2 parse error, 3 math-domain error,
+Exit codes: 0 success, 1 check failure, 2 parse error (including a branch
+table that leaves a non-empty region uncovered), 3 math-domain error,
 4 solver precondition failure.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,13 +42,15 @@ from .expr import (
     ExprError,
     ParseError,
     as_affine,
-    eval_expr,
     normalize_affine,
     free_vars,
     parse,
 )
 from .piecewise import (
+    BranchLookupError,
+    CoverageError,
     PiecewiseFn,
+    a_combine,
     classify_continuity,
     from_branches,
     from_expression,
@@ -56,16 +59,20 @@ from .piecewise import (
 from .specular import partial_field, s2_membership, semi_derivatives, specular_partial
 from .tangent2d import CenterMismatch, TangentError, tangent_data
 from .waves import (
+    FORM_T,
     SolutionField,
     SolverPrecondition,
     boundary_residual,
+    first_partial_fields,
     hypothesis_h_check,
     initial_conditions_residual,
     solve_transport,
     solve_wave_halfline,
     solve_wave_homogeneous,
     solve_wave_nonhomogeneous,
+    transport_residual,
     wave_operator_fields,
+    wave_residual,
 )
 
 EXIT_OK = 0
@@ -298,8 +305,6 @@ def load_problem(path: str) -> Problem:
             f = _resolve_data(sections, prob_sec.values["f"], ("x", "t"))
             # the force lives on t > 0; restrict so classification and
             # properness are judged on the physical domain
-            from dataclasses import replace
-            from .waves import FORM_T
             prob.f = replace(f, domain=((FORM_T, 1),))
     elif kind is None and prob.u is None:
         raise ProblemFileError("[problem] needs either kind = ... or u = ...")
@@ -366,7 +371,7 @@ def cmd_deriv(path: str, point_str: str, axis: str, out=sys.stdout) -> int:
         raise ProblemFileError(f"axis {axis!r} not among variables {u.vars}")
     k = u.vars.index(axis)
     pair = semi_derivatives(u, point, k)
-    value = specular_partial(u, point, k)
+    value = a_combine(pair.right, pair.left)
     print(f"point = {', '.join(fmt(c) for c in point)}", file=out)
     print(f"axis = {axis}", file=out)
     print(f"alpha = {fmt(pair.right)}", file=out)
@@ -406,8 +411,6 @@ def _linspace(a: float, b: float, n: int):
 def _safe_eval(field: PiecewiseFn, p) -> float:
     """Evaluate, falling back to the one-sided limit at points where the
     other side lies outside the domain (grid corners of half-line problems)."""
-    from .piecewise import BranchLookupError
-
     try:
         return field.evaluate(p)
     except BranchLookupError:
@@ -422,19 +425,28 @@ def _safe_eval(field: PiecewiseFn, p) -> float:
         raise
 
 
+def _line_frame(form):
+    """(unit normal, point nearest the origin, unit direction) of the zero
+    line of a 2D form."""
+    a = np.array(form.coeffs, dtype=float)
+    norm = float(np.hypot(a[0], a[1]))
+    nhat = a / norm
+    return nhat, nhat * (form.offset / norm), np.array([-nhat[1], nhat[0]])
+
+
 def _solution_rows(sol: SolutionField, prob: Problem):
     """Grid rows (t outer, x inner) then on-line supplements sorted by
     (form index, parameter, side in -1, 0, +1)."""
     u = sol.u
-    ux = partial_field(u, 0)
-    ut = partial_field(u, 1)
-    wtt, wxx, W = wave_operator_fields(sol)
+    ux, ut = first_partial_fields(u)
     f = prob.f
 
     if prob.kind == "transport":
         def residual_at(p):
             return specular_partial(u, p, 1) + specular_partial(u, p, 0)
     else:
+        W = wave_operator_fields(ux, ut)[2]
+
         def residual_at(p):
             r = _safe_eval(W, p)
             if f is not None:
@@ -458,11 +470,7 @@ def _solution_rows(sol: SolutionField, prob: Problem):
     # its zero line inside the grid box, each with a straddling +-delta pair
     ns = max(g.nx, g.nt)
     for form in u.forms:
-        a = np.array(form.coeffs, dtype=float)
-        norm = float(np.hypot(a[0], a[1]))
-        nhat = a / norm
-        p0 = nhat * (form.offset / norm)
-        d = np.array([-nhat[1], nhat[0]])
+        nhat, p0, d = _line_frame(form)
         lo, hi = -math.inf, math.inf
         for k, (c0, c1) in enumerate((g.x_range, g.t_range)):
             if abs(d[k]) < 1e-15:
@@ -531,11 +539,7 @@ def _check_points(sol: SolutionField, prob: Problem):
     pts = [(x, t) for t in ts for x in xs if sol.u.in_domain((x, t))]
     # on-line points too: mid-box parameter sweep along each singular line
     for form in sol.u.forms:
-        a = np.array(form.coeffs, dtype=float)
-        norm = float(np.hypot(a[0], a[1]))
-        nhat = a / norm
-        p0 = nhat * (form.offset / norm)
-        d = np.array([-nhat[1], nhat[0]])
+        _, p0, d = _line_frame(form)
         for s in _linspace(-3.0, 3.0, 7):
             p = tuple(p0 + s * d)
             if (g.x_range[0] <= p[0] <= g.x_range[1]
@@ -555,10 +559,8 @@ def _run_checks(prob: Problem, out) -> int:
         if name == "residual":
             pts = _check_points(sol, prob)
             if prob.kind == "transport":
-                from .waves import transport_residual
                 rep = transport_residual(sol, pts)
             else:
-                from .waves import wave_residual
                 rep = wave_residual(sol, prob.f, pts)
             ok = rep.max_abs <= 1e-8
             print(f"residual.max = {fmt(rep.max_abs)}", file=out)
@@ -674,7 +676,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(args.file, args.out)
         return cmd_check(args.file)
-    except (ProblemFileError, ParseError) as exc:
+    except (ProblemFileError, ParseError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EvalDomainError as exc:

@@ -205,12 +205,6 @@ def powi(base: Expr, n: int) -> Expr:
     return Pow(base, n)
 
 
-def call(func: str, arg: Expr) -> Expr:
-    if func not in FUNCTIONS:
-        raise ExprError(f"unknown function {func!r}")
-    return Call(func, arg)
-
-
 # ---------------------------------------------------------------------------
 # Parser
 

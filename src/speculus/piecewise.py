@@ -13,29 +13,31 @@ form policy:
                  the antisymmetric case), which makes the function proper
                  by construction
 * ``branch``   - the table carries explicit 0-patterns
+
+The non-empty regions of a sign-pattern arrangement are listed by
+``regions``, which decides each pattern with the LP of ``interior_point``.
+The A-combination ``a_combine`` and the proper on-line value
+``proper_value`` live here so that every layer uses the same rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .expr import (
     AffineForm,
-    EvalDomainError,
     Expr,
-    ExprError,
     add,
     affine_arguments,
-    as_affine,
-    diff,
     eval_expr,
     find_form,
     mul,
+    normalize_affine,
     pin_signs,
     subst,
     Const,
@@ -87,6 +89,21 @@ class ProperReport:
 
 def tol_jump(left: float, right: float) -> float:
     return 1e-9 * (1.0 + abs(left) + abs(right))
+
+
+def a_combine(alpha: float, beta: float) -> float:
+    """A(alpha, beta) = tan((arctan alpha + arctan beta) / 2) (the F2 form);
+    arguments sorted so the result is bitwise symmetric."""
+    lo, hi = (alpha, beta) if alpha <= beta else (beta, alpha)
+    half = 0.5 * (math.atan(lo) + math.atan(hi))
+    return math.tan(half)
+
+
+def proper_value(left: float, right: float) -> float:
+    """The value a proper function must take between one-sided values."""
+    if abs(left + right) <= TOL_ZERO:
+        return 0.0
+    return a_combine(left, right)
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ class PiecewiseFn:
         if "specular" in pols:
             axis = self.forms[next(k for k in zeros if self.policies[k] == "specular")].primary_axis()
             lim = self.one_sided_limits(p, axis)
-            return _proper_value(lim.left, lim.right)
+            return proper_value(lim.left, lim.right)
         rhs = self.match(s)
         if rhs is not None:
             return self.eval_rhs(rhs, p)
@@ -189,7 +206,7 @@ class PiecewiseFn:
                 cross = f.primary_axis()
                 left = self._adjacent_value(p, sv, cross, -1)
                 right = self._adjacent_value(p, sv, cross, +1)
-                return _proper_value(left, right)
+                return proper_value(left, right)
         raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
 
     def adjacent_rhs(self, p, axis: int, direction: int) -> Rhs:
@@ -204,14 +221,6 @@ class PiecewiseFn:
             assignment = [(f, sv[k]) for k, f in enumerate(self.forms) if sv[k] != 0]
             return pin_signs(self.source, self.vars, assignment, partial=True)
         raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
-
-
-def _proper_value(left: float, right: float) -> float:
-    from .specular import a_combine
-
-    if abs(left + right) <= TOL_ZERO:
-        return 0.0
-    return a_combine(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -269,55 +278,53 @@ def from_branches(
     return u
 
 
-def feasible_pattern(forms: Sequence[AffineForm], pattern: Pattern, domain: Sequence, d: int) -> bool:
-    """True when some point satisfies sign(l_k(p)) = pattern_k (0 entries as
-    equalities) along with the strict domain constraints.  Solved as a small
-    LP maximizing the common margin."""
+def interior_point(forms: Sequence[AffineForm], pattern: Pattern, domain: Sequence, d: int):
+    """A point with sign(l_k(p)) = pattern_k (0 entries as equalities, None
+    entries free) that also meets the strict domain constraints, plus the
+    margin it keeps from the strict constraints; None when there is none.
+    Solved as a small LP maximizing the common margin, capped at 1."""
     from scipy.optimize import linprog
 
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for f, s in list(zip(forms, pattern)) + [(f, s) for f, s in domain]:
+    for f, s in list(zip(forms, pattern)) + list(domain):
         if s is None:
             continue
-        row = list(f.coeffs)
         if s == 0:
-            A_eq.append(row + [0.0])
+            A_eq.append(list(f.coeffs) + [0.0])
             b_eq.append(f.offset)
         else:
-            A_ub.append([-s * c for c in row] + [1.0])
+            A_ub.append([-s * c for c in f.coeffs] + [1.0])
             b_ub.append(-s * f.offset)
-    c = [0.0] * d + [-1.0]
-    bounds = [(-1e4, 1e4)] * d + [(None, 1.0)]
     res = linprog(
-        c,
+        [0.0] * d + [-1.0],
         A_ub=np.array(A_ub) if A_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.array(A_eq) if A_eq else None,
         b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        bounds=[(-1e4, 1e4)] * d + [(None, 1.0)],
         method="highs",
     )
-    return bool(res.success) and -res.fun > 1e-7
-
-
-def interior_point(forms, pattern, domain, d):
-    """A point well inside the open region of the given sign pattern, plus
-    the achieved margin; None when infeasible."""
-    from scipy.optimize import linprog
-
-    A_ub, b_ub = [], []
-    for f, s in list(zip(forms, pattern)) + list(domain):
-        if s in (None, 0):
-            continue
-        A_ub.append([-s * c for c in f.coeffs] + [1.0])
-        b_ub.append(-s * f.offset)
-    c = [0.0] * d + [-1.0]
-    bounds = [(-1e4, 1e4)] * d + [(None, 1.0)]
-    res = linprog(c, A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None, bounds=bounds, method="highs")
     if not res.success or -res.fun <= 1e-7:
         return None
     return tuple(res.x[:d]), -res.fun
+
+
+def feasible_pattern(forms: Sequence[AffineForm], pattern: Pattern, domain: Sequence, d: int) -> bool:
+    """True when the region of the sign pattern is non-empty."""
+    return interior_point(forms, pattern, domain, d) is not None
+
+
+def regions(forms: Sequence[AffineForm], domain: Sequence, d: int,
+            fixed: Pattern = (), values: tuple = (1, -1)):
+    """The sign patterns of the non-empty regions, lazily and in
+    ``itertools.product`` order.  Nonzero entries of ``fixed`` are held; the
+    other entries range over ``values`` (pass (1, 0, -1) to list the on-line
+    faces too)."""
+    fixed = tuple(fixed) or (0,) * len(forms)
+    choices = [(s,) if s else values for s in fixed]
+    for pat in itertools.product(*choices):
+        if feasible_pattern(forms, pat, domain, d):
+            yield pat
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +430,7 @@ def is_proper(
             stored = u.evaluate(p)
             for axis in range(u.d):
                 lim = u.one_sided_limits(p, axis)
-                expected = _proper_value(lim.left, lim.right)
+                expected = proper_value(lim.left, lim.right)
                 if abs(stored - expected) > 1e-9 * (1.0 + abs(lim.left) + abs(lim.right)):
                     violations.append((k, p, axis, stored, expected))
     ok = cont.verdict != "not-piecewise-continuous" and not violations
@@ -474,11 +481,10 @@ def pw_add(u: PiecewiseFn, v: PiecewiseFn, cv: float = 1.0) -> PiecewiseFn:
         raise PiecewiseError("variable mismatch in pw_add")
     forms = merge_forms([u.forms, v.forms])
     domain = _merge_domain(u.domain, v.domain)
-    branches = []
-    for pat in itertools.product((1, -1), repeat=len(forms)):
-        if not feasible_pattern(forms, pat, domain, u.d):
-            continue
-        branches.append((pat, _combine_rhs(_branch_for(u, forms, pat), _branch_for(v, forms, pat), u, cv)))
+    branches = [
+        (pat, _combine_rhs(_branch_for(u, forms, pat), _branch_for(v, forms, pat), u, cv))
+        for pat in regions(forms, domain, u.d)
+    ]
     return PiecewiseFn(u.vars, tuple(forms), tuple(branches),
                        ("specular",) * len(forms), domain=domain)
 
@@ -524,8 +530,6 @@ def pw_compose_affine(
     comp_forms, scales = [], []
     for f in h.forms:
         root = f.offset / f.coeffs[0]
-        from .expr import normalize_affine
-
         form, scale = normalize_affine(tuple(coeffs), const - root)
         comp_forms.append(form)
         scales.append(1 if scale > 0 else -1)
@@ -559,11 +563,9 @@ def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn,
     forms = merge_forms([[form], pos.forms, neg.forms])
     domain = _merge_domain(pos.domain, neg.domain)
     sel = find_form(forms, form)
-    branches = []
-    for pat in itertools.product((1, -1), repeat=len(forms)):
-        if not feasible_pattern(forms, pat, domain, pos.d):
-            continue
-        side = pos if pat[sel] > 0 else neg
-        branches.append((pat, _branch_for(side, forms, pat)))
+    branches = [
+        (pat, _branch_for(pos if pat[sel] > 0 else neg, forms, pat))
+        for pat in regions(forms, domain, pos.d)
+    ]
     return PiecewiseFn(pos.vars, tuple(forms), tuple(branches),
                        (policies_hint,) * len(forms), domain=domain)

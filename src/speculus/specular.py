@@ -14,18 +14,18 @@ the bisector direction between the two tangent rays.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .expr import Const, Expr, diff, eval_expr, free_vars, pin_signs
 from .piecewise import (
     PiecewiseFn,
-    TOL_ZERO,
+    a_combine,
     classify_continuity,
-    feasible_pattern,
     is_proper,
     line_samples,
+    proper_value,
+    regions,
 )
 
 
@@ -34,14 +34,7 @@ class SpecularError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# A-combination
-
-def a_combine(alpha: float, beta: float) -> float:
-    """F2 evaluation; arguments sorted so the result is bitwise symmetric."""
-    lo, hi = (alpha, beta) if alpha <= beta else (beta, alpha)
-    half = 0.5 * (math.atan(lo) + math.atan(hi))
-    return math.tan(half)
-
+# A-combination (F2 is ``piecewise.a_combine``)
 
 def a_combine_f1(alpha: float, beta: float) -> float:
     """F1 evaluation.  The printed numerator cancels catastrophically when
@@ -57,13 +50,6 @@ def a_combine_f1(alpha: float, beta: float) -> float:
     if alpha * beta < 1.0:
         return s / (root + 1.0 - alpha * beta)
     return (alpha * beta - 1.0 + root) / s
-
-
-def proper_value(left: float, right: float) -> float:
-    """The value a proper function must take between one-sided values."""
-    if abs(left + right) <= TOL_ZERO:
-        return 0.0
-    return a_combine(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +129,10 @@ def _resolve_parallel_zeros(u: PiecewiseFn, sv):
     """For a sign vector with leftover zeros (forms parallel to the traversal
     axis): if every feasible completion selects the same branch expression,
     the on-line restriction is governed by that common branch exactly."""
-    zeros = [k for k, s in enumerate(sv) if s == 0]
-    if not zeros:
+    if 0 not in sv:
         return None
     common = None
-    for signs in itertools.product((1, -1), repeat=len(zeros)):
-        full = list(sv)
-        for k, s in zip(zeros, signs):
-            full[k] = s
-        full = tuple(full)
-        if not feasible_pattern(u.forms, full, u.domain, u.d):
-            continue
+    for full in regions(u.forms, u.domain, u.d, fixed=sv):
         rhs = _rhs_for_pattern(u, full)
         if rhs is None or not isinstance(rhs, Expr):
             return None
@@ -178,12 +157,9 @@ def specular_field(u: PiecewiseFn, axis: int, numeric: bool = False) -> Piecewis
     patterns carry A(alpha, beta) of the adjacent branch derivatives, folded
     to an exact constant when both are constant and kept as a pointwise
     closure otherwise."""
-    var = u.vars[axis]
     m = len(u.forms)
     branches = []
-    for pat in itertools.product((1, 0, -1), repeat=m):
-        if not feasible_pattern(u.forms, pat, u.domain, u.d):
-            continue
+    for pat in regions(u.forms, u.domain, u.d, values=(1, 0, -1)):
         if 0 not in pat:
             rhs = _rhs_for_pattern(u, pat)
             if rhs is None:
@@ -219,10 +195,7 @@ def specular_field(u: PiecewiseFn, axis: int, numeric: bool = False) -> Piecewis
         dp = _diff_rhs(u, rp, axis, numeric) if rp is not None else None
         dm = _diff_rhs(u, rm, axis, numeric) if rm is not None else None
         if dp is not None and dm is not None and not free_vars(dp) and not free_vars(dm):
-            alpha = eval_expr(dp, {})
-            beta = eval_expr(dm, {})
-            val = 0.0 if abs(alpha + beta) <= TOL_ZERO else a_combine(alpha, beta)
-            branches.append((pat, Const(val)))
+            branches.append((pat, Const(proper_value(eval_expr(dp, {}), eval_expr(dm, {})))))
         else:
             branches.append((pat, _combine_closure(u, axis, dp, dm)))
     return PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain)
@@ -247,9 +220,7 @@ def _combine_closure(u: PiecewiseFn, axis: int, dp, dm):
             if dm is not None
             else _fd_one_sided(u, p, axis, -1)
         )
-        if abs(alpha + beta) <= TOL_ZERO:
-            return 0.0
-        return a_combine(alpha, beta)
+        return proper_value(alpha, beta)
 
     return closure
 
@@ -260,9 +231,7 @@ def partial_field(u: PiecewiseFn, axis: int, numeric: bool = False) -> Piecewise
     proper extension); this is the u_x/u_y object of the 2D S^2 check."""
     m = len(u.forms)
     branches = []
-    for pat in itertools.product((1, -1), repeat=m):
-        if not feasible_pattern(u.forms, pat, u.domain, u.d):
-            continue
+    for pat in regions(u.forms, u.domain, u.d):
         rhs = _rhs_for_pattern(u, pat)
         if rhs is None:
             raise SpecularError(f"no branch for open pattern {pat}")

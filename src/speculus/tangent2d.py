@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .piecewise import PiecewiseFn
-from .specular import SemiDerivativePair, a_combine, semi_derivatives
+from .specular import a_combine, semi_derivatives
 
 
 class TangentError(Exception):
@@ -70,10 +69,7 @@ def _center_and_pairs(u: PiecewiseFn, a):
     return (a[0], a[1], lim1.mid), pair1, pair2
 
 
-def sphere_points(u: PiecewiseFn, a):
-    """The four unit-sphere intersection points of the two phototangents,
-    translated by the anchor a_bar."""
-    anchor, pair1, pair2 = _center_and_pairs(u, a)
+def _sphere_points(anchor, pair1, pair2):
     a1, b1 = pair1.right, pair1.left
     a2, b2 = pair2.right, pair2.left
     c = np.array(anchor)
@@ -84,13 +80,25 @@ def sphere_points(u: PiecewiseFn, a):
     return p1, q1, p2, q2
 
 
-def strong_criterion_residual(u: PiecewiseFn, a) -> float:
-    _, pair1, pair2 = _center_and_pairs(u, a)
+def _criterion(pair1, pair2) -> tuple:
+    """The strong criterion residual and its tolerance."""
     a1, b1 = pair1.right, pair1.left
     a2, b2 = pair2.right, pair2.left
-    return (a1 - b1) * (math.sqrt(1.0 + a2 * a2) + math.sqrt(1.0 + b2 * b2)) - (
+    res = (a1 - b1) * (math.sqrt(1.0 + a2 * a2) + math.sqrt(1.0 + b2 * b2)) - (
         a2 - b2
     ) * (math.sqrt(1.0 + a1 * a1) + math.sqrt(1.0 + b1 * b1))
+    return res, tol_crit(a1, b1, a2, b2)
+
+
+def sphere_points(u: PiecewiseFn, a):
+    """The four unit-sphere intersection points of the two phototangents,
+    translated by the anchor a_bar."""
+    return _sphere_points(*_center_and_pairs(u, a))
+
+
+def strong_criterion_residual(u: PiecewiseFn, a) -> float:
+    _, pair1, pair2 = _center_and_pairs(u, a)
+    return _criterion(pair1, pair2)[0]
 
 
 def _line_directions(points):
@@ -99,15 +107,11 @@ def _line_directions(points):
     return p1 - q1, p2 - q2
 
 
-def specular_normal(u: PiecewiseFn, a):
-    """(dS_x u, dS_y u, -1) when the strong tangent plane exists; verified
-    against the cross product of the l1/l2 directions."""
-    _, pair1, pair2 = _center_and_pairs(u, a)
-    res = strong_criterion_residual(u, a)
+def _normal(pair1, pair2, points):
+    res, tol = _criterion(pair1, pair2)
     n = (a_combine(pair1.right, pair1.left), a_combine(pair2.right, pair2.left), -1.0)
-    if abs(res) > tol_crit(pair1.right, pair1.left, pair2.right, pair2.left):
+    if abs(res) > tol:
         raise NoStrongTangent(res, n)
-    points = sphere_points(u, a)
     d1, d2 = _line_directions(points)
     cross = np.cross(d1, d2)
     nv = np.array(n)
@@ -116,6 +120,13 @@ def specular_normal(u: PiecewiseFn, a):
     if mism > 1e-9:
         raise TangentError(f"normal not parallel to l1 x l2 (mismatch {mism:.3e})")
     return n
+
+
+def specular_normal(u: PiecewiseFn, a):
+    """(dS_x u, dS_y u, -1) when the strong tangent plane exists; verified
+    against the cross product of the l1/l2 directions."""
+    anchor, pair1, pair2 = _center_and_pairs(u, a)
+    return _normal(pair1, pair2, _sphere_points(anchor, pair1, pair2))
 
 
 def _plane_through(points3):
@@ -130,14 +141,8 @@ def _plane_through(points3):
     return (float(c[0]), float(c[1]), float(c[2]))
 
 
-def weak_tangent_planes(u: PiecewiseFn, a):
-    """One plane per 3-element subset of {p1, q1, p2, q2} (the plane that
-    omits each point in turn), deduplicated; all four coincide exactly when
-    the strong criterion holds."""
-    points = sphere_points(u, a)
-    _, pair1, pair2 = _center_and_pairs(u, a)
-    res = strong_criterion_residual(u, a)
-    tol = tol_crit(pair1.right, pair1.left, pair2.right, pair2.left)
+def _weak_planes(pair1, pair2, points):
+    res, tol = _criterion(pair1, pair2)
     planes, degenerate = [], []
     for omit in range(4):
         triple = [points[k] for k in range(4) if k != omit]
@@ -152,13 +157,18 @@ def weak_tangent_planes(u: PiecewiseFn, a):
     return planes, degenerate
 
 
+def weak_tangent_planes(u: PiecewiseFn, a):
+    """One plane per 3-element subset of {p1, q1, p2, q2} (the plane that
+    omits each point in turn), deduplicated; all four coincide exactly when
+    the strong criterion holds."""
+    anchor, pair1, pair2 = _center_and_pairs(u, a)
+    return _weak_planes(pair1, pair2, _sphere_points(anchor, pair1, pair2))
+
+
 def tangent_data(u: PiecewiseFn, a) -> TangentData:
     anchor, pair1, pair2 = _center_and_pairs(u, a)
-    points = sphere_points(u, a)
-    res = strong_criterion_residual(u, a)
-    tol = tol_crit(pair1.right, pair1.left, pair2.right, pair2.left)
-    normal = None
-    if abs(res) <= tol:
-        normal = specular_normal(u, a)
-    planes, degenerate = weak_tangent_planes(u, a)
+    points = _sphere_points(anchor, pair1, pair2)
+    res, tol = _criterion(pair1, pair2)
+    normal = _normal(pair1, pair2, points) if abs(res) <= tol else None
+    planes, degenerate = _weak_planes(pair1, pair2, points)
     return TangentData(anchor, (pair1, pair2), points, res, normal, planes, degenerate)

@@ -15,7 +15,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,14 +28,11 @@ from .expr import (
     eval_expr,
     free_vars,
     mul,
-    normalize_affine,
 )
 from .piecewise import (
-    BranchLookupError,
     PiecewiseFn,
     classify_continuity,
     feasible_pattern,
-    from_expression,
     interior_point,
     is_proper,
     line_samples,
@@ -47,7 +44,6 @@ from .piecewise import (
 from .quad import integrate_1d, integrate_triangle
 from .specular import (
     partial_field,
-    phototangent,
     semi_derivative_one_sided,
     semi_derivatives,
     specular_field,
@@ -63,15 +59,6 @@ FORM_X_MINUS_T = AffineForm((1.0, -1.0), 0.0)
 
 class SolverPrecondition(Exception):
     """A data-class hypothesis of a solver is violated."""
-
-
-@dataclass(frozen=True)
-class WaveProblem:
-    kind: str                      # transport | wave | wave-halfline | wave-nonhomogeneous
-    phi: Optional[PiecewiseFn] = None
-    psi: Optional[PiecewiseFn] = None
-    f: Optional[PiecewiseFn] = None
-    h: Optional[PiecewiseFn] = None
 
 
 @dataclass(frozen=True)
@@ -256,9 +243,13 @@ def _characteristic_constants(f: PiecewiseFn):
 
 
 def _piecewise_constant_values(f: PiecewiseFn):
+    """Sign pattern -> constant value of every non-empty open region of f;
+    None when some such region has no constant branch."""
     vals = {}
     for pat in itertools.product((1, -1), repeat=len(f.forms)):
         rhs = f.match(pat)
+        if rhs is None and not feasible_pattern(f.forms, pat, f.domain, f.d):
+            continue  # an empty region needs no branch (as in from_branches)
         if rhs is None or not isinstance(rhs, Expr) or free_vars(rhs):
             return None
         vals[pat] = eval_expr(rhs, {})
@@ -448,15 +439,18 @@ class ResidualReport:
     max_abs: float
 
 
-def wave_operator_fields(sol: SolutionField):
-    """(dS_t u_t, dS_x u_x, their difference) as piecewise fields."""
-    u = sol.u
-    ut = partial_field(u, 1, numeric=True)
-    ux = partial_field(u, 0, numeric=True)
+def first_partial_fields(u: PiecewiseFn):
+    """(u_x, u_t) as piecewise fields; closure branches are differentiated
+    by finite differences."""
+    return partial_field(u, 0, numeric=True), partial_field(u, 1, numeric=True)
+
+
+def wave_operator_fields(ux: PiecewiseFn, ut: PiecewiseFn):
+    """(dS_t u_t, dS_x u_x, their difference) as piecewise fields, from the
+    first-partial fields of ``first_partial_fields``."""
     wtt = specular_field(ut, 1, numeric=True)
     wxx = specular_field(ux, 0, numeric=True)
-    W = pw_add(wtt, wxx, -1.0)
-    return wtt, wxx, W
+    return wtt, wxx, pw_add(wtt, wxx, -1.0)
 
 
 def wave_residual(sol: SolutionField, f: Optional[PiecewiseFn], points) -> ResidualReport:
@@ -467,7 +461,7 @@ def wave_residual(sol: SolutionField, f: Optional[PiecewiseFn], points) -> Resid
     its one-sided values (matching how the force stores its own on-line
     values); the per-axis operator values are also reported so on-line
     diagonal entries like A(2, 0) are visible."""
-    wtt, wxx, W = wave_operator_fields(sol)
+    wtt, wxx, W = wave_operator_fields(*first_partial_fields(sol.u))
     rows = []
     worst = 0.0
     for p in points:
@@ -502,9 +496,7 @@ def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int 
     samples; hypothesis (H) demands a strong specular tangent there."""
     from .tangent2d import CenterMismatch, strong_criterion_residual, tol_crit
 
-    u = sol.u
-    ut = partial_field(u, 1, numeric=True)
-    ux = partial_field(u, 0, numeric=True)
+    ux, ut = first_partial_fields(sol.u)
     v = pw_add(ut, ux, -1.0)
     if points is None:
         points = []

@@ -1,7 +1,9 @@
 """CLI front end: problem-file parsing, deriv/solve/check commands, CSV
 format, exit codes, determinism."""
 
+import hashlib
 import io
+import json
 import math
 import os
 import shutil
@@ -29,6 +31,8 @@ from speculus.cli import (
 
 REPO = Path(__file__).resolve().parents[1]
 PROBLEMS = REPO / "problems"
+# fixture outputs recorded by perfbench/make_reference.py
+REFERENCE = json.loads((REPO / "perfbench" / "reference.json").read_text(encoding="utf-8"))
 
 
 def run(argv):
@@ -80,6 +84,18 @@ class TestProblemFileParsing:
         p.write_text("[problem]\nu = x^2/(x+1\nvars = x\n")
         code, _ = run(["check", str(p)])
         assert code == EXIT_PARSE
+
+    def test_uncovered_region_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "gap.prob"
+        p.write_text(
+            "[problem]\nu = @g\n"
+            "[g]\nvars = x, y\nforms = x; y\n"
+            "branch = ++ : 1\nbranch = +- : 2\nbranch = -+ : 3\n"
+        )
+        code, _ = run(["check", str(p)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exit_2(self):
         code, _ = run(["check", "no/such/file.prob"])
@@ -289,6 +305,28 @@ class TestDeterminism:
                 cmd_check(path, out=out)
                 reports.append(out.getvalue())
             assert reports[0] == reports[1], name
+
+
+class TestReference:
+    """Fixture reports and CSVs against the recorded reference, byte for
+    byte (the 101 x 101 grid entries are left to the benchmark)."""
+
+    @pytest.mark.parametrize(
+        "ref", sorted(k for k in REFERENCE if k.split(":")[0] in ("check", "solve"))
+    )
+    def test_matches_reference(self, ref, tmp_path):
+        command, name = ref.split(":")
+        want = REFERENCE[ref]
+        path = str(PROBLEMS / f"{name}.prob")
+        out = io.StringIO()
+        if command == "check":
+            assert cmd_check(path, out=out) == want["exit"]
+            assert out.getvalue() == want["stdout"]
+            return
+        csv = tmp_path / "out.csv"
+        assert cmd_solve(path, str(csv), out=out) == want["exit"]
+        assert out.getvalue().replace(str(csv), "<out>") == want["stdout"]
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == want["csv_sha256"]
 
 
 def declared_scripts():

@@ -21,6 +21,7 @@ from speculus.piecewise import (
     pw_compose_affine,
     pw_scale,
     pw_select,
+    regions,
 )
 from speculus.specular import a_combine
 
@@ -169,6 +170,24 @@ class TestPatternGeometry:
         assert found is not None
         center, margin = found
         assert center[0] > 0 and margin > 1e-7
+
+    def test_interior_point_zero_entry_is_equality(self):
+        forms = (AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, 1.0), 0.0))
+        center, margin = interior_point(forms, (0, 1), (), 2)
+        assert forms[0].value(center) == pytest.approx(0.0, abs=1e-9)
+        assert forms[1].value(center) >= margin > 1e-7
+        # x = t and x < -t cannot both hold with t > 0
+        dom = ((AffineForm((0.0, 1.0), 0.0), 1),)
+        assert interior_point(forms, (0, -1), dom, 2) is None
+
+    def test_regions_order_fixed_and_values(self):
+        forms = (AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, 1.0), 0.0))
+        dom = ((AffineForm((0.0, 1.0), 0.0), 1),)  # t > 0
+        assert list(regions(forms, dom, 2)) == [(1, 1), (-1, 1), (-1, -1)]
+        assert list(regions(forms, dom, 2, fixed=(-1, 0))) == [(-1, 1), (-1, -1)]
+        assert list(regions(forms, dom, 2, values=(1, 0, -1))) == [
+            (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)
+        ]
 
     def test_line_samples_avoid_intersections(self, table_fn):
         pts = line_samples(table_fn, 0)

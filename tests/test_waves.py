@@ -13,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from speculus.expr import affine_arguments, parse
+from speculus.expr import Const, Expr, affine_arguments, parse
 from speculus.piecewise import from_branches, from_expression
 from speculus.quad import integrate_triangle
 from speculus.specular import a_combine
 from speculus.waves import (
     FORM_T,
+    _duhamel_exact,
     SolutionField,
     SolverPrecondition,
     antiderivative_pw,
@@ -229,6 +230,33 @@ class TestDuhamel:
         for x0, t0 in ((2.0, 1.0), (0.4, 1.0), (-0.7, 1.3), (-2.0, 0.5), (0.9, 2.0)):
             want = 0.5 * integrate_triangle(f, x0, t0)
             assert d.evaluate((x0, t0)) == pytest.approx(want, abs=1e-10)
+
+    def test_constant_force_listing_only_nonempty_regions(self):
+        # x - t > 2 with x - t < 0 is empty, so the table lists 6 of the 8
+        # sign patterns; the term must still fold to exact quadratics
+        forms = affine_arguments(
+            parse("abs(x-t) + abs(x-t-2) + abs(x+t)", VARS_XT), VARS_XT
+        )
+        values = {
+            (1, 1, 1): 2.0,
+            (1, 1, -1): -3.0,
+            (1, -1, 1): 1.0,
+            (1, -1, -1): 0.5,
+            (-1, -1, 1): -1.0,
+            (-1, -1, -1): 4.0,
+        }
+        f = from_branches(
+            forms,
+            [(pat, Const(v)) for pat, v in values.items()],
+            VARS_XT,
+            domain=((FORM_T, 1),),
+        )
+        d = duhamel_term(f)
+        assert all(isinstance(rhs, Expr) for _, rhs in d.branches)
+        rng = np.random.default_rng(41)
+        for x, t in rng.uniform([-4, 0.1], [6, 3], size=(40, 2)):
+            want = _duhamel_exact(f, values, x, t)
+            assert d.evaluate((x, t)) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.xfail(
         strict=True,
