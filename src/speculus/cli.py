@@ -23,8 +23,9 @@ the on-line offset ``delta``; ``[check]`` holds ``checks = ...`` drawn from
 {residual, s2, proper, hypothesis-h, boundary, initial}.
 
 Exit codes: 0 success, 1 check failure, 2 parse error (including a branch
-table that leaves a non-empty region uncovered), 3 math-domain error,
-4 solver precondition failure.
+table that leaves a non-empty region uncovered), 3 math-domain error
+(including a point outside the function's domain and a non-finite or
+overflowing value), 4 solver precondition failure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
-    EvalDomainError,
     ExprError,
     ParseError,
     as_affine,
@@ -56,14 +56,19 @@ from .piecewise import (
     from_expression,
     is_proper,
 )
-from .specular import partial_field, s2_membership, semi_derivatives, specular_partial
+from .specular import (
+    SpecularError,
+    partial_field,
+    s2_membership,
+    semi_derivatives,
+    specular_partial,
+)
 from .tangent2d import CenterMismatch, TangentError, tangent_data
 from .waves import (
     FORM_T,
     SolutionField,
     SolverPrecondition,
     boundary_residual,
-    first_partial_fields,
     hypothesis_h_check,
     initial_conditions_residual,
     solve_transport,
@@ -438,14 +443,14 @@ def _solution_rows(sol: SolutionField, prob: Problem):
     """Grid rows (t outer, x inner) then on-line supplements sorted by
     (form index, parameter, side in -1, 0, +1)."""
     u = sol.u
-    ux, ut = first_partial_fields(u)
+    ux, ut = partial_field(u, 0), partial_field(u, 1)
     f = prob.f
 
     if prob.kind == "transport":
         def residual_at(p):
             return specular_partial(u, p, 1) + specular_partial(u, p, 0)
     else:
-        W = wave_operator_fields(ux, ut)[2]
+        W = wave_operator_fields(u)[2]
 
         def residual_at(p):
             r = _safe_eval(W, p)
@@ -679,13 +684,10 @@ def main(argv=None) -> int:
     except (ProblemFileError, ParseError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except EvalDomainError as exc:
-        print(f"math-domain error: {exc}", file=sys.stderr)
-        return EXIT_MATH_DOMAIN
     except SolverPrecondition as exc:
         print(f"solver precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (TangentError, ExprError) as exc:
+    except (ExprError, BranchLookupError, SpecularError, TangentError) as exc:
         print(f"math-domain error: {exc}", file=sys.stderr)
         return EXIT_MATH_DOMAIN
 

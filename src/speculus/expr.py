@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class ExprError(Exception):
@@ -404,7 +404,11 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
     if isinstance(e, Neg):
         return -eval_expr(e.operand, bindings)
     if isinstance(e, Pow):
-        return eval_expr(e.base, bindings) ** e.exponent
+        v = eval_expr(e.base, bindings)
+        try:
+            return v ** e.exponent
+        except OverflowError:
+            raise EvalDomainError(f"overflow in {v}^{e.exponent}") from None
     if isinstance(e, BinOp):
         a = eval_expr(e.left, bindings)
         b = eval_expr(e.right, bindings)
@@ -424,7 +428,10 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
         if e.func == "sgn":
             return float((v > 0.0) - (v < 0.0))
         if e.func == "exp":
-            return math.exp(v)
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise EvalDomainError(f"overflow in exp({v})") from None
         if e.func == "sqrt":
             if v < 0.0:
                 raise EvalDomainError(f"sqrt of negative value {v}")
@@ -811,11 +818,3 @@ def antiderivative(e: Expr, var: str):
         result = add(result, mul(Const(sign), anti_term))
     return result
 
-
-def expr_to_callable(e: Expr, vars: Sequence[str]) -> Callable[..., float]:
-    names = tuple(vars)
-
-    def f(*args: float) -> float:
-        return eval_expr(e, dict(zip(names, args)))
-
-    return f

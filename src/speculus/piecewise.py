@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -114,6 +114,9 @@ class PiecewiseFn:
     policies: tuple              # per-form, in {'direct', 'specular', 'branch'}
     source: Optional[Expr] = None
     domain: tuple = ()           # ((AffineForm, sign), ...): sign*l(p) > 0 required
+    # derivative fields built from this function, keyed by (kind, axis); a
+    # copy made by ``replace`` starts empty, equality and hashing ignore it
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -425,8 +428,8 @@ def is_proper(
 ):
     cont = classify_continuity(u, box=box, K=K, delta=delta)
     violations = []
-    for k in range(len(u.forms)):
-        for p in line_samples(u, k, K=K, box=box, delta=delta):
+    for k, rows in cont.samples.items():
+        for p, _, _ in rows:
             stored = u.evaluate(p)
             for axis in range(u.d):
                 lim = u.one_sided_limits(p, axis)

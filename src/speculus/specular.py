@@ -62,22 +62,6 @@ class SemiDerivativePair:
     axis: int
 
 
-def _side_slope(u: PiecewiseFn, p, axis: int, direction: int, numeric: bool) -> float:
-    rhs = u.adjacent_rhs(p, axis, direction)
-    if isinstance(rhs, Expr):
-        val = eval_expr(diff(rhs, u.vars[axis]), dict(zip(u.vars, p)))
-    elif numeric:
-        val = _fd_one_sided(u, p, axis, direction)
-    else:
-        raise SpecularError(
-            "adjacent branch is a numeric closure; pass numeric=True for the "
-            "finite-difference fallback"
-        )
-    if not math.isfinite(val):
-        raise SpecularError(f"non-finite semi-derivative at {tuple(p)} axis {axis}")
-    return val
-
-
 def _fd_one_sided(u: PiecewiseFn, p, axis: int, direction: int, h: float = 1e-6) -> float:
     # second-order one-sided stencil anchored at the one-sided limit value
     lim = u.one_sided_limits(p, axis)
@@ -91,24 +75,30 @@ def _fd_one_sided(u: PiecewiseFn, p, axis: int, direction: int, h: float = 1e-6)
     return direction * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
 
 
-def semi_derivative_one_sided(
-    u: PiecewiseFn, p, axis: int, direction: int, numeric: bool = False
-) -> float:
+def semi_derivative_one_sided(u: PiecewiseFn, p, axis: int, direction: int) -> float:
     """Just one of alpha/beta; usable at domain-boundary points where the
-    other side has no branch."""
-    return _side_slope(u, p, axis, direction, numeric)
+    other side has no branch.  A closure branch is differentiated by a
+    one-sided finite difference."""
+    rhs = u.adjacent_rhs(p, axis, direction)
+    if isinstance(rhs, Expr):
+        val = eval_expr(diff(rhs, u.vars[axis]), dict(zip(u.vars, p)))
+    else:
+        val = _fd_one_sided(u, p, axis, direction)
+    if not math.isfinite(val):
+        raise SpecularError(f"non-finite semi-derivative at {tuple(p)} axis {axis}")
+    return val
 
 
-def semi_derivatives(u: PiecewiseFn, p, axis: int, numeric: bool = False) -> SemiDerivativePair:
+def semi_derivatives(u: PiecewiseFn, p, axis: int) -> SemiDerivativePair:
     return SemiDerivativePair(
-        right=_side_slope(u, p, axis, +1, numeric),
-        left=_side_slope(u, p, axis, -1, numeric),
+        right=semi_derivative_one_sided(u, p, axis, +1),
+        left=semi_derivative_one_sided(u, p, axis, -1),
         axis=axis,
     )
 
 
-def specular_partial(u: PiecewiseFn, p, axis: int, numeric: bool = False) -> float:
-    pair = semi_derivatives(u, p, axis, numeric=numeric)
+def specular_partial(u: PiecewiseFn, p, axis: int) -> float:
+    pair = semi_derivatives(u, p, axis)
     return a_combine(pair.right, pair.left)
 
 
@@ -143,20 +133,23 @@ def _resolve_parallel_zeros(u: PiecewiseFn, sv):
     return common
 
 
-def _diff_rhs(u: PiecewiseFn, rhs, axis: int, numeric: bool):
-    if isinstance(rhs, Expr):
-        return diff(rhs, u.vars[axis])
-    if not numeric:
-        raise SpecularError("cannot differentiate a closure branch symbolically")
-    return None  # caller builds a finite-difference closure
+def _diff_rhs(u: PiecewiseFn, rhs, axis: int):
+    """The symbolic derivative of a branch; None for a closure branch (or no
+    branch), which the caller differentiates by finite differences."""
+    return diff(rhs, u.vars[axis]) if isinstance(rhs, Expr) else None
 
 
-def specular_field(u: PiecewiseFn, axis: int, numeric: bool = False) -> PiecewiseFn:
+def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The field p -> specular partial of u along the axis, as a PiecewiseFn
     on the same forms.  Open regions carry the branch derivative; on-line
     patterns carry A(alpha, beta) of the adjacent branch derivatives, folded
     to an exact constant when both are constant and kept as a pointwise
-    closure otherwise."""
+    closure otherwise.  Closure branches are differentiated by finite
+    differences.  Built once per function: the field is kept in
+    ``u.derived``."""
+    key = ("specular", axis)
+    if key in u.derived:
+        return u.derived[key]
     m = len(u.forms)
     branches = []
     for pat in regions(u.forms, u.domain, u.d, values=(1, 0, -1)):
@@ -164,11 +157,8 @@ def specular_field(u: PiecewiseFn, axis: int, numeric: bool = False) -> Piecewis
             rhs = _rhs_for_pattern(u, pat)
             if rhs is None:
                 raise SpecularError(f"no branch for open pattern {pat}")
-            d = _diff_rhs(u, rhs, axis, numeric)
-            if d is None:
-                branches.append((pat, _fd_closure(u, axis)))
-            else:
-                branches.append((pat, d))
+            d = _diff_rhs(u, rhs, axis)
+            branches.append((pat, d if d is not None else _fd_closure(u, axis)))
             continue
         sp = u.adjacent_sign_vector(pat, axis, +1)
         sm = u.adjacent_sign_vector(pat, axis, -1)
@@ -192,18 +182,18 @@ def specular_field(u: PiecewiseFn, axis: int, numeric: bool = False) -> Piecewis
             raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
         if rm is None and not _resolvable(sm):
             raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
-        dp = _diff_rhs(u, rp, axis, numeric) if rp is not None else None
-        dm = _diff_rhs(u, rm, axis, numeric) if rm is not None else None
+        dp, dm = _diff_rhs(u, rp, axis), _diff_rhs(u, rm, axis)
         if dp is not None and dm is not None and not free_vars(dp) and not free_vars(dm):
             branches.append((pat, Const(proper_value(eval_expr(dp, {}), eval_expr(dm, {})))))
         else:
             branches.append((pat, _combine_closure(u, axis, dp, dm)))
-    return PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain)
+    return u.derived.setdefault(
+        key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain))
 
 
 def _fd_closure(u: PiecewiseFn, axis: int):
     def closure(*p):
-        return specular_partial(u, p, axis, numeric=True)
+        return specular_partial(u, p, axis)
 
     return closure
 
@@ -225,19 +215,25 @@ def _combine_closure(u: PiecewiseFn, axis: int, dp, dm):
     return closure
 
 
-def partial_field(u: PiecewiseFn, axis: int, numeric: bool = False) -> PiecewiseFn:
+def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The a.e. classical partial-derivative field, with the specular
     combination of its own one-sided limits supplying on-line values (the
-    proper extension); this is the u_x/u_y object of the 2D S^2 check."""
+    proper extension); this is the u_x/u_y object of the 2D S^2 check.
+    Closure branches are differentiated by finite differences.  Built once
+    per function: the field is kept in ``u.derived``."""
+    key = ("partial", axis)
+    if key in u.derived:
+        return u.derived[key]
     m = len(u.forms)
     branches = []
     for pat in regions(u.forms, u.domain, u.d):
         rhs = _rhs_for_pattern(u, pat)
         if rhs is None:
             raise SpecularError(f"no branch for open pattern {pat}")
-        d = _diff_rhs(u, rhs, axis, numeric)
+        d = _diff_rhs(u, rhs, axis)
         branches.append((pat, d if d is not None else _fd_closure(u, axis)))
-    return PiecewiseFn(u.vars, u.forms, tuple(branches), ("specular",) * m, domain=u.domain)
+    return u.derived.setdefault(
+        key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("specular",) * m, domain=u.domain))
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,16 @@ def specular_normal(u: PiecewiseFn, a):
 
 
 def _plane_through(points3):
-    """(c1, c2, c0) with z = c1 x + c2 y + c0, or None when vertical."""
+    """(c1, c2, c0) with z = c1 x + c2 y + c0, or None when vertical.
+
+    Degeneracy is decided on the points taken relative to the first: the
+    determinant is translation-invariant, and the sphere points lie within
+    distance 2 of each other, so the threshold needs no coordinate scale."""
+    (x0, y0), (x1, y1), (x2, y2) = ((p[0], p[1]) for p in points3)
+    if abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) < 1e-12:
+        return None
     M = np.array([[p[0], p[1], 1.0] for p in points3])
     z = np.array([p[2] for p in points3])
-    det = np.linalg.det(M)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if abs(det) < 1e-12 * scale ** 3:
-        return None
     c = np.linalg.solve(M, z)
     return (float(c[0]), float(c[1]), float(c[2]))
 

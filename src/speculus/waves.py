@@ -439,17 +439,10 @@ class ResidualReport:
     max_abs: float
 
 
-def first_partial_fields(u: PiecewiseFn):
-    """(u_x, u_t) as piecewise fields; closure branches are differentiated
-    by finite differences."""
-    return partial_field(u, 0, numeric=True), partial_field(u, 1, numeric=True)
-
-
-def wave_operator_fields(ux: PiecewiseFn, ut: PiecewiseFn):
-    """(dS_t u_t, dS_x u_x, their difference) as piecewise fields, from the
-    first-partial fields of ``first_partial_fields``."""
-    wtt = specular_field(ut, 1, numeric=True)
-    wxx = specular_field(ux, 0, numeric=True)
+def wave_operator_fields(u: PiecewiseFn):
+    """(dS_t u_t, dS_x u_x, their difference) as piecewise fields."""
+    wtt = specular_field(partial_field(u, 1), 1)
+    wxx = specular_field(partial_field(u, 0), 0)
     return wtt, wxx, pw_add(wtt, wxx, -1.0)
 
 
@@ -461,7 +454,7 @@ def wave_residual(sol: SolutionField, f: Optional[PiecewiseFn], points) -> Resid
     its one-sided values (matching how the force stores its own on-line
     values); the per-axis operator values are also reported so on-line
     diagonal entries like A(2, 0) are visible."""
-    wtt, wxx, W = wave_operator_fields(*first_partial_fields(sol.u))
+    wtt, wxx, W = wave_operator_fields(sol.u)
     rows = []
     worst = 0.0
     for p in points:
@@ -477,9 +470,7 @@ def transport_residual(sol: SolutionField, points) -> ResidualReport:
     rows = []
     worst = 0.0
     for p in points:
-        val = specular_partial(sol.u, p, 1, numeric=True) + specular_partial(
-            sol.u, p, 0, numeric=True
-        )
+        val = specular_partial(sol.u, p, 1) + specular_partial(sol.u, p, 0)
         rows.append((tuple(p), val, 0.0, val, math.nan, math.nan))
         worst = max(worst, abs(val))
     return ResidualReport(rows, worst)
@@ -496,8 +487,7 @@ def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int 
     samples; hypothesis (H) demands a strong specular tangent there."""
     from .tangent2d import CenterMismatch, strong_criterion_residual, tol_crit
 
-    ux, ut = first_partial_fields(sol.u)
-    v = pw_add(ut, ux, -1.0)
+    v = pw_add(partial_field(sol.u, 1), partial_field(sol.u, 0), -1.0)
     if points is None:
         points = []
         for k in range(len(v.forms)):
@@ -510,8 +500,8 @@ def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int 
             rows.append((tuple(p), None, f"center mismatch: {e}"))
             failures.append(tuple(p))
             continue
-        pair1 = semi_derivatives(v, p, 0, numeric=True)
-        pair2 = semi_derivatives(v, p, 1, numeric=True)
+        pair1 = semi_derivatives(v, p, 0)
+        pair2 = semi_derivatives(v, p, 1)
         tol = tol_crit(pair1.right, pair1.left, pair2.right, pair2.left)
         rows.append((tuple(p), res, ""))
         if abs(res) > tol:
@@ -525,7 +515,7 @@ def initial_conditions_residual(sol: SolutionField, phi: PiecewiseFn, psi: Piece
     for x in xs:
         p = (float(x), 0.0)
         worst_u = max(worst_u, abs(sol.u.evaluate(p) - phi.evaluate((float(x),))))
-        alpha = semi_derivative_one_sided(sol.u, p, 1, +1, numeric=True)
+        alpha = semi_derivative_one_sided(sol.u, p, 1, +1)
         worst_v = max(worst_v, abs(alpha - psi.evaluate((float(x),))))
     return worst_u, worst_v
 

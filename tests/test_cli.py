@@ -143,6 +143,28 @@ class TestDeriv:
         code, _ = run(["deriv", str(p), "--point", "-4", "--axis", "x"])
         assert code == EXIT_MATH_DOMAIN
 
+    def test_point_outside_domain_exit_3(self, capsys):
+        # the half-line solution lives on x > 0
+        code, _ = run(["deriv", str(PROBLEMS / "halfline.prob"), "--point=-1,1", "--axis", "x"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MATH_DOMAIN
+        assert err.startswith("math-domain error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "u, point",
+        [
+            ("exp(700*x)*exp(700*x)*abs(x-1)", "1"),  # non-finite semi-derivative
+            ("(x^2)^200*abs(x-1)", "1e100"),  # a power overflows
+        ],
+    )
+    def test_overflow_exit_3(self, u, point, tmp_path, capsys):
+        p = tmp_path / "big.prob"
+        p.write_text(f"[problem]\nu = {u}\nvars = x\n")
+        code, _ = run(["deriv", str(p), f"--point={point}", "--axis", "x"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MATH_DOMAIN
+        assert err.startswith("math-domain error: ") and err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def halfline_csv(tmp_path_factory):
@@ -274,6 +296,57 @@ class TestCheck:
         pairs = kv(out.getvalue())
         assert code == EXIT_OK
         assert pairs["continuity.verdict"] == "continuous"
+
+
+class TestClosureSolution:
+    """psi = exp(x^2) has no symbolic antiderivative, so the solution's
+    velocity term is a quadrature closure, differentiated by finite
+    differences."""
+
+    TEXT = "[problem]\nkind = wave\nphi = 0\npsi = exp(x^2)\n[grid]\nnx = 3\nnt = 3\n"
+
+    def test_solve(self, tmp_path):
+        p = tmp_path / "expsq.prob"
+        p.write_text(self.TEXT)
+        out = io.StringIO()
+        assert cmd_solve(str(p), str(tmp_path / "o.csv"), out=out) == EXIT_OK
+        assert out.getvalue().startswith("wrote 9 rows")
+        assert "not S2" not in out.getvalue()
+
+    def test_deriv(self, tmp_path):
+        p = tmp_path / "expsq.prob"
+        p.write_text(self.TEXT)
+        out = io.StringIO()
+        assert cmd_deriv(str(p), "0.5,0.5", "x", out=out) == EXIT_OK
+        # u_x = (psi(x + t) - psi(x - t)) / 2
+        want = 0.5 * (math.e - 1.0)
+        pairs = kv(out.getvalue())
+        assert float(pairs["alpha"]) == pytest.approx(want, abs=1e-6)
+        assert float(pairs["beta"]) == pytest.approx(want, abs=1e-6)
+
+
+class TestLinprogCount:
+    """Each derivative field of the solution is built once per command."""
+
+    @pytest.mark.parametrize("command, bound", [("solve", 417), ("check", 271)])
+    def test_halfline(self, command, bound, monkeypatch, tmp_path):
+        import scipy.optimize
+
+        calls = []
+        real = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        path = str(PROBLEMS / "halfline.prob")
+        out = io.StringIO()
+        if command == "solve":
+            assert cmd_solve(path, str(tmp_path / "o.csv"), out=out) == EXIT_OK
+        else:
+            assert cmd_check(path, out=out) == EXIT_OK
+        assert 0 < len(calls) <= bound
 
 
 class TestDeterminism:

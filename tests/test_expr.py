@@ -17,7 +17,6 @@ from speculus.expr import (
     as_affine,
     diff,
     eval_expr,
-    expr_to_callable,
     format_expr,
     free_vars,
     normalize_affine,
@@ -242,7 +241,3 @@ class TestMisc:
         assert free_vars(e) == {"x", "y"}
         e2 = subst(e, {"y": parse("x - 1", X)})
         assert eval_expr(e2, {"x": 2.0}) == 2.0 + 2.0 * 1.0
-
-    def test_expr_to_callable(self):
-        f = expr_to_callable(parse("x^2 + y", XY), XY)
-        assert f(3.0, 1.0) == 10.0

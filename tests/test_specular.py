@@ -2,12 +2,13 @@
 phototangents, S2 membership."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speculus.expr import parse
+from speculus.expr import AffineForm, parse
 from speculus.piecewise import classify_continuity, from_expression, is_proper
 from speculus.specular import (
     a_combine,
@@ -127,6 +128,23 @@ class TestSpecularField:
         assert d2.evaluate((0.0,)) == 0.0
         ok, _ = is_proper(d2)
         assert ok
+
+    def test_field_built_once_per_function(self):
+        u = from_expression(parse("abs(x - y) + x*y", XY), XY)
+        ux = partial_field(u, 0)
+        assert partial_field(u, 0) is ux
+        assert partial_field(u, 1) is not ux
+        assert specular_field(ux, 1) is specular_field(ux, 1)
+        assert specular_field(ux, 1) is not specular_field(ux, 0)
+
+    def test_replace_does_not_share_fields(self):
+        u = from_expression(parse("abs(x - y) + x*y", XY), XY)
+        ux = partial_field(u, 0)
+        assert replace(u) == u and ux not in replace(u).derived.values()
+        half = replace(u, domain=((AffineForm((0.0, 1.0), 0.0), 1),))
+        assert half.derived == {}
+        assert partial_field(half, 0) is not ux
+        assert partial_field(half, 0).domain == half.domain
 
     def test_elu_chain(self):
         elu = from_expression(parse("elu(x)", X), X)

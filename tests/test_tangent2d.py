@@ -142,6 +142,18 @@ class TestWeakPlanes:
         assert c2 == pytest.approx(2.0, abs=1e-9)
         assert c0 == pytest.approx(-3.0 - 4.0 * 1.0 - 2.0 * (-2.0), abs=1e-9)
 
+    def test_translation_keeps_all_four(self):
+        # |x - X| + |y| at (X, 1): the same four slopes wherever the kink is
+        slopes = []
+        for X in (0.0, 5000.0, 20000.0):
+            u = from_expression(parse(f"abs(x - {X!r}) + abs(y)", XY), XY)
+            planes, degenerate = weak_tangent_planes(u, (X, 1.0))
+            assert not degenerate and len(planes) == 4, X
+            slopes.append([(c1, c2) for c1, c2, _c0 in planes])
+        for other in slopes[1:]:
+            for got, want in zip(other, slopes[0]):
+                assert_close_vec(got, want, 1e-6)
+
 
 class TestTangentData:
     def test_corner_summary(self, corner_fn):
