@@ -424,7 +424,7 @@ def _safe_eval(field: PiecewiseFn, p) -> float:
         axis = field.forms[zeros[0]].primary_axis() if zeros else 0
         for direction in (1, -1):
             try:
-                return field._adjacent_value(p, s, axis, direction)
+                return field.one_sided_value(p, s, axis, direction)
             except BranchLookupError:
                 continue
         raise

@@ -5,13 +5,19 @@ set {abs, sgn, exp, sqrt, sin, cos}.  ``elu`` is accepted by the parser as
 sugar for ``g*(1+sgn(g))/2 + (exp(g)-1)*(1-sgn(g))/2``.  All nonsmoothness
 must enter through abs/sgn of affine arguments; that restriction is what
 lets the rest of the package enumerate singular hyperplanes exactly.
+
+An ``Opaque`` leaf stands for a value with no closed form (a quadrature or
+a finite difference): a Python function applied to the values of its
+argument expressions.  It evaluates, substitutes and formats like any
+node; ``diff`` raises ``NotSymbolic`` on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class ExprError(Exception):
@@ -38,6 +44,10 @@ class NonAffineSingularity(ExprError):
 
 class UnassignedForm(ExprError):
     """pin_signs met an abs/sgn argument with no sign assignment."""
+
+
+class NotSymbolic(ExprError):
+    """diff met an Opaque leaf, which has no symbolic derivative."""
 
 
 FUNCTIONS = ("abs", "sgn", "exp", "sqrt", "sin", "cos")
@@ -108,6 +118,12 @@ class Neg(Expr):
 class Call(Expr):
     func: str
     arg: Expr
+
+
+@dataclass(frozen=True)
+class Opaque(Expr):
+    fn: Callable[..., float]  # called with the values of args
+    args: tuple               # tuple[Expr, ...]
 
 
 ZERO = Const(0.0)
@@ -190,6 +206,15 @@ def neg(a: Expr) -> Expr:
     if isinstance(a, Neg):
         return a.operand
     return Neg(a)
+
+
+def opaque(fn: Callable[..., float], args: Sequence[Expr]) -> Expr:
+    """fn of the argument values; folded to a Const when no argument has a
+    free variable."""
+    args = tuple(args)
+    if any(free_vars(a) for a in args):
+        return Opaque(fn, args)
+    return Const(float(fn(*(eval_expr(a, {}) for a in args))))
 
 
 def powi(base: Expr, n: int) -> Expr:
@@ -363,6 +388,10 @@ def _fmt(e: Expr) -> tuple[str, int]:
     if isinstance(e, Call):
         s, _ = _fmt(e.arg)
         return (f"{e.func}({s})", _PREC["atom"])
+    if isinstance(e, Opaque):
+        fn = e.fn.func if isinstance(e.fn, functools.partial) else e.fn
+        args = ", ".join(_fmt(a)[0] for a in e.args)
+        return (f"{getattr(fn, '__name__', 'opaque')}({args})", _PREC["atom"])
     if isinstance(e, Neg):
         s, p = _fmt(e.operand)
         if p < _PREC["neg"]:
@@ -387,6 +416,8 @@ def _fmt(e: Expr) -> tuple[str, int]:
 
 
 def format_expr(e: Expr) -> str:
+    """The text of e; an Opaque leaf prints as its function's name applied
+    to its arguments, which ``parse`` does not accept."""
     return _fmt(e)[0]
 
 
@@ -439,6 +470,8 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
         if e.func == "sin":
             return math.sin(v)
         return math.cos(v)
+    if isinstance(e, Opaque):
+        return float(e.fn(*(eval_expr(a, bindings) for a in e.args)))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -455,6 +488,8 @@ def free_vars(e: Expr) -> set[str]:
         return free_vars(e.left) | free_vars(e.right)
     if isinstance(e, Call):
         return free_vars(e.arg)
+    if isinstance(e, Opaque):
+        return set().union(*(free_vars(a) for a in e.args))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -473,6 +508,8 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         return {"+": add, "-": sub, "*": mul, "/": div}[e.op](a, b)
     if isinstance(e, Call):
         return Call(e.func, subst(e.arg, mapping))
+    if isinstance(e, Opaque):
+        return opaque(e.fn, (subst(a, mapping) for a in e.args))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -512,6 +549,8 @@ def diff(e: Expr, var: str) -> Expr:
         if e.func == "sin":
             return mul(Call("cos", e.arg), dg)
         return neg(mul(Call("sin", e.arg), dg))
+    if isinstance(e, Opaque):
+        raise NotSymbolic(f"no symbolic derivative of {format_expr(e)}")
     raise TypeError(f"not an Expr node: {e!r}")
 
 

@@ -2,8 +2,9 @@
 
 A PiecewiseFn is a list of normalized AffineForms (candidate singular
 hyperplanes) plus a branch table keyed by sign vectors.  Branch right-hand
-sides are Expr trees or plain callables; tables are looked up by
-deterministic first match, with None acting as a wildcard entry.
+sides are Expr trees (a value with no closed form is an ``Opaque`` leaf);
+tables are looked up by deterministic first match, with None acting as a
+wildcard entry, and ``branch`` falls back to the source expression.
 
 On-line values (points where some form vanishes) are controlled by a per-
 form policy:
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .expr import (
 TOL_ZERO = 1e-9
 GOLDEN = 0.6180339887498949
 
-Rhs = Union[Expr, Callable[..., float]]
 Pattern = tuple  # entries in {-1, 0, +1, None}
 
 
@@ -110,7 +110,7 @@ def proper_value(left: float, right: float) -> float:
 class PiecewiseFn:
     vars: tuple
     forms: tuple                 # tuple[AffineForm, ...]
-    branches: tuple              # tuple[(Pattern, Rhs), ...]
+    branches: tuple              # tuple[(Pattern, Expr), ...]
     policies: tuple              # per-form, in {'direct', 'specular', 'branch'}
     source: Optional[Expr] = None
     domain: tuple = ()           # ((AffineForm, sign), ...): sign*l(p) > 0 required
@@ -132,16 +132,25 @@ class PiecewiseFn:
             out.append(0 if abs(v) <= scale else (1 if v > 0 else -1))
         return tuple(out)
 
-    def match(self, s: Pattern) -> Optional[Rhs]:
+    def match(self, s: Pattern) -> Optional[Expr]:
         for pat, rhs in self.branches:
             if all(q is None or q == t for q, t in zip(pat, s)):
                 return rhs
         return None
 
-    def eval_rhs(self, rhs: Rhs, p: Sequence[float]) -> float:
-        if isinstance(rhs, Expr):
-            return eval_expr(rhs, dict(zip(self.vars, p)))
-        return float(rhs(*p))
+    def branch(self, s: Pattern) -> Optional[Expr]:
+        """The table branch for the sign vector, else the source with the
+        nonzero signs pinned; None when there is neither.  Zero entries
+        (forms the point stays on) keep their abs/sgn nodes for the
+        sgn(0)=0 evaluation."""
+        rhs = self.match(s)
+        if rhs is not None or self.source is None:
+            return rhs
+        assignment = [(f, s[k]) for k, f in enumerate(self.forms) if s[k] != 0]
+        return pin_signs(self.source, self.vars, assignment, partial=True)
+
+    def eval_rhs(self, rhs: Expr, p: Sequence[float]) -> float:
+        return eval_expr(rhs, dict(zip(self.vars, p)))
 
     def in_domain(self, p: Sequence[float], margin: float = 0.0) -> bool:
         return all(s * f.value(p) > margin for f, s in self.domain)
@@ -175,8 +184,8 @@ class PiecewiseFn:
 
     def one_sided_limits(self, p: Sequence[float], axis: int) -> OneSidedLimits:
         s = self.sign_vector(p)
-        left = self._adjacent_value(p, s, axis, -1)
-        right = self._adjacent_value(p, s, axis, +1)
+        left = self.one_sided_value(p, s, axis, -1)
+        right = self.one_sided_value(p, s, axis, +1)
         return OneSidedLimits(left, right, 0.5 * (left + right), axis)
 
     def adjacent_sign_vector(self, s: Pattern, axis: int, direction: int) -> Pattern:
@@ -188,18 +197,13 @@ class PiecewiseFn:
                 out[k] = direction * (1 if f.coeffs[axis] > 0 else -1)
         return tuple(out)
 
-    def _adjacent_value(self, p, s, axis, direction) -> float:
+    def one_sided_value(self, p, s, axis: int, direction: int) -> float:
+        """The limit of u at p (sign vector s) approached along the axis from
+        the given side."""
         sv = self.adjacent_sign_vector(s, axis, direction)
-        rhs = self.match(sv)
+        rhs = self.branch(sv)
         if rhs is not None:
             return self.eval_rhs(rhs, p)
-        if self.source is not None:
-            # Forms parallel to the axis stay on-line while we approach p,
-            # so leave their abs/sgn nodes for the sgn(0)=0 evaluation and
-            # pin only the crossing forms.
-            assignment = [(f, sv[k]) for k, f in enumerate(self.forms) if sv[k] != 0]
-            pinned = pin_signs(self.source, self.vars, assignment, partial=True)
-            return eval_expr(pinned, dict(zip(self.vars, p)))
         # The approach path can stay on a parallel form (entry still 0).
         # If that form's on-line values are the proper A-combination, the
         # limit along this axis is the A-combination of the limits across
@@ -207,22 +211,9 @@ class PiecewiseFn:
         for k, f in enumerate(self.forms):
             if sv[k] == 0 and self.policies[k] == "specular":
                 cross = f.primary_axis()
-                left = self._adjacent_value(p, sv, cross, -1)
-                right = self._adjacent_value(p, sv, cross, +1)
+                left = self.one_sided_value(p, sv, cross, -1)
+                right = self.one_sided_value(p, sv, cross, +1)
                 return proper_value(left, right)
-        raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
-
-    def adjacent_rhs(self, p, axis: int, direction: int) -> Rhs:
-        """Branch expression (or callable) governing u just off p in the
-        given direction along the axis; used for semi-derivatives."""
-        s = self.sign_vector(p)
-        sv = self.adjacent_sign_vector(s, axis, direction)
-        rhs = self.match(sv)
-        if rhs is not None:
-            return rhs
-        if self.source is not None:
-            assignment = [(f, sv[k]) for k, f in enumerate(self.forms) if sv[k] != 0]
-            return pin_signs(self.source, self.vars, assignment, partial=True)
         raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
 
 
@@ -460,22 +451,12 @@ def restrict_pattern(u: PiecewiseFn, union_forms: Sequence[AffineForm], pattern:
     return tuple(out)
 
 
-def _branch_for(u: PiecewiseFn, union_forms, pattern) -> Rhs:
+def _branch_for(u: PiecewiseFn, union_forms, pattern) -> Expr:
     s = restrict_pattern(u, union_forms, pattern)
     rhs = u.match(s)
     if rhs is None:
         raise BranchLookupError(f"no branch of summand for restricted pattern {s}")
     return rhs
-
-
-def _combine_rhs(ra: Rhs, rb: Rhs, u: PiecewiseFn, cb: float = 1.0) -> Rhs:
-    if isinstance(ra, Expr) and isinstance(rb, Expr):
-        return add(ra, mul(Const(cb), rb))
-
-    def closure(*p):
-        return u.eval_rhs(ra, p) + cb * u.eval_rhs(rb, p)
-
-    return closure
 
 
 def pw_add(u: PiecewiseFn, v: PiecewiseFn, cv: float = 1.0) -> PiecewiseFn:
@@ -485,7 +466,7 @@ def pw_add(u: PiecewiseFn, v: PiecewiseFn, cv: float = 1.0) -> PiecewiseFn:
     forms = merge_forms([u.forms, v.forms])
     domain = _merge_domain(u.domain, v.domain)
     branches = [
-        (pat, _combine_rhs(_branch_for(u, forms, pat), _branch_for(v, forms, pat), u, cv))
+        (pat, add(_branch_for(u, forms, pat), mul(Const(cv), _branch_for(v, forms, pat))))
         for pat in regions(forms, domain, u.d)
     ]
     return PiecewiseFn(u.vars, tuple(forms), tuple(branches),
@@ -493,13 +474,8 @@ def pw_add(u: PiecewiseFn, v: PiecewiseFn, cv: float = 1.0) -> PiecewiseFn:
 
 
 def pw_scale(c: float, u: PiecewiseFn) -> PiecewiseFn:
-    def scale_rhs(rhs: Rhs) -> Rhs:
-        if isinstance(rhs, Expr):
-            return mul(Const(c), rhs)
-        return lambda *p, _r=rhs: c * u.eval_rhs(_r, p)
-
-    branches = tuple((pat, scale_rhs(rhs)) for pat, rhs in u.branches)
-    src = mul(Const(c), u.source) if isinstance(u.source, Expr) else None
+    branches = tuple((pat, mul(Const(c), rhs)) for pat, rhs in u.branches)
+    src = mul(Const(c), u.source) if u.source is not None else None
     return replace(u, branches=branches, source=src)
 
 
@@ -523,12 +499,10 @@ def pw_compose_affine(
     if h.d != 1:
         raise PiecewiseError("pw_compose_affine expects 1D h")
     vars2 = tuple(vars2)
-    arg_expr = None
-    if all(isinstance(rhs, Expr) for _, rhs in h.branches):
-        arg_expr = add(
-            add(mul(Const(coeffs[0]), Var(vars2[0])), mul(Const(coeffs[1]), Var(vars2[1]))),
-            Const(const),
-        )
+    arg_expr = add(
+        add(mul(Const(coeffs[0]), Var(vars2[0])), mul(Const(coeffs[1]), Var(vars2[1]))),
+        Const(const),
+    )
 
     comp_forms, scales = [], []
     for f in h.forms:
@@ -545,15 +519,7 @@ def pw_compose_affine(
             if not feasible_pattern(h.forms, s1d, h.domain, 1):
                 continue  # empty 1D sector; its pullback is empty too
             raise BranchLookupError(f"1D branch missing for sign vector {s1d}")
-        if isinstance(rhs, Expr) and arg_expr is not None:
-            branches.append((pat, subst(rhs, {h.vars[0]: arg_expr})))
-        else:
-            a0, a1, c0 = coeffs[0], coeffs[1], const
-
-            def closure(*p, _r=rhs):
-                return h.eval_rhs(_r, (a0 * p[0] + a1 * p[1] + c0,))
-
-            branches.append((pat, closure))
+        branches.append((pat, subst(rhs, {h.vars[0]: arg_expr})))
     return PiecewiseFn(vars2, tuple(comp_forms), tuple(branches),
                        ("specular",) * len(comp_forms), domain=tuple(domain))
 

@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .piecewise import PiecewiseFn
+from .piecewise import PiecewiseFn, is_proper, merge_forms
+from .specular import specular_field, specular_partial
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -72,8 +73,8 @@ def singular_points_1d(f: PiecewiseFn, a: float, b: float) -> list:
 
 
 def integrate_1d(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
-    """Integral of f over [a, b]; f is a 1D PiecewiseFn or a plain callable
-    (optionally paired with explicit breakpoints via ``breaks``)."""
+    """Integral of f over [a, b]; f is a 1D PiecewiseFn, split at its
+    singular points, or a plain callable, integrated over [a, b] whole."""
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
@@ -94,8 +95,6 @@ def integrate_1d(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
 def antiderivative_check(f: PiecewiseFn, F: PiecewiseFn, a: float, b: float) -> float:
     """|int_a^b f - (F(b)-F(a))| plus the worst mismatch between the
     specular derivative of F and f at the singular points of f."""
-    from .specular import specular_partial
-
     res = abs(integrate_1d(f, a, b) - (F.evaluate((b,)) - F.evaluate((a,))))
     for form in f.forms:
         s = form.offset / form.coeffs[0]
@@ -248,9 +247,6 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
     curl form).  Returns (lhs, rhs, gap, class_ok) where class_ok records
     whether the specular fields of P and Q are proper (the S^1 hypothesis);
     the computation proceeds either way."""
-    from .piecewise import is_proper, merge_forms
-    from .specular import specular_field
-
     FP = specular_field(P, 0)
     FQ = specular_field(Q, 1)
     ok_p, _ = is_proper(FP)

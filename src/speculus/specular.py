@@ -16,9 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .expr import Const, Expr, diff, eval_expr, free_vars, pin_signs
+from .expr import (
+    Neg,
+    NotSymbolic,
+    Var,
+    diff,
+    eval_expr,
+    normalize_affine,
+    opaque,
+    subst,
+)
 from .piecewise import (
+    BranchLookupError,
     PiecewiseFn,
     a_combine,
     classify_continuity,
@@ -62,8 +73,9 @@ class SemiDerivativePair:
     axis: int
 
 
-def _fd_one_sided(u: PiecewiseFn, p, axis: int, direction: int, h: float = 1e-6) -> float:
+def _fd_one_sided(u: PiecewiseFn, axis: int, direction: int, *p: float) -> float:
     # second-order one-sided stencil anchored at the one-sided limit value
+    h = 1e-6
     lim = u.one_sided_limits(p, axis)
     f0 = lim.right if direction > 0 else lim.left
     q1 = list(p)
@@ -77,13 +89,17 @@ def _fd_one_sided(u: PiecewiseFn, p, axis: int, direction: int, h: float = 1e-6)
 
 def semi_derivative_one_sided(u: PiecewiseFn, p, axis: int, direction: int) -> float:
     """Just one of alpha/beta; usable at domain-boundary points where the
-    other side has no branch.  A closure branch is differentiated by a
-    one-sided finite difference."""
-    rhs = u.adjacent_rhs(p, axis, direction)
-    if isinstance(rhs, Expr):
-        val = eval_expr(diff(rhs, u.vars[axis]), dict(zip(u.vars, p)))
+    other side has no branch.  A branch with an Opaque leaf is
+    differentiated by a one-sided finite difference."""
+    sv = u.adjacent_sign_vector(u.sign_vector(p), axis, direction)
+    rhs = u.branch(sv)
+    if rhs is None:
+        raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
+    d = _diff_rhs(u, rhs, axis)
+    if d is not None:
+        val = eval_expr(d, dict(zip(u.vars, p)))
     else:
-        val = _fd_one_sided(u, p, axis, direction)
+        val = _fd_one_sided(u, axis, direction, *p)
     if not math.isfinite(val):
         raise SpecularError(f"non-finite semi-derivative at {tuple(p)} axis {axis}")
     return val
@@ -105,16 +121,6 @@ def specular_partial(u: PiecewiseFn, p, axis: int) -> float:
 # ---------------------------------------------------------------------------
 # Derivative fields
 
-def _rhs_for_pattern(u: PiecewiseFn, sv):
-    rhs = u.match(sv)
-    if rhs is not None:
-        return rhs
-    if u.source is not None:
-        assignment = [(f, sv[k]) for k, f in enumerate(u.forms) if sv[k] != 0]
-        return pin_signs(u.source, u.vars, assignment, partial=True)
-    return None
-
-
 def _resolve_parallel_zeros(u: PiecewiseFn, sv):
     """For a sign vector with leftover zeros (forms parallel to the traversal
     axis): if every feasible completion selects the same branch expression,
@@ -123,8 +129,8 @@ def _resolve_parallel_zeros(u: PiecewiseFn, sv):
         return None
     common = None
     for full in regions(u.forms, u.domain, u.d, fixed=sv):
-        rhs = _rhs_for_pattern(u, full)
-        if rhs is None or not isinstance(rhs, Expr):
+        rhs = u.branch(full)
+        if rhs is None:
             return None
         if common is None:
             common = rhs
@@ -134,17 +140,34 @@ def _resolve_parallel_zeros(u: PiecewiseFn, sv):
 
 
 def _diff_rhs(u: PiecewiseFn, rhs, axis: int):
-    """The symbolic derivative of a branch; None for a closure branch (or no
-    branch), which the caller differentiates by finite differences."""
-    return diff(rhs, u.vars[axis]) if isinstance(rhs, Expr) else None
+    """The symbolic derivative of a branch; None for a branch with an Opaque
+    leaf (or no branch), which the caller differentiates by finite
+    differences."""
+    if rhs is None:
+        return None
+    try:
+        return diff(rhs, u.vars[axis])
+    except NotSymbolic:
+        return None
+
+
+def _fd_partial(u: PiecewiseFn, axis: int, *p: float) -> float:
+    return specular_partial(u, p, axis)
+
+
+def _slope(u: PiecewiseFn, rhs, axis: int, fd):
+    """The branch derivative, else the Opaque leaf fd(*p) of a finite
+    difference."""
+    d = _diff_rhs(u, rhs, axis)
+    return d if d is not None else opaque(fd, tuple(Var(v) for v in u.vars))
 
 
 def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The field p -> specular partial of u along the axis, as a PiecewiseFn
     on the same forms.  Open regions carry the branch derivative; on-line
-    patterns carry A(alpha, beta) of the adjacent branch derivatives, folded
-    to an exact constant when both are constant and kept as a pointwise
-    closure otherwise.  Closure branches are differentiated by finite
+    patterns carry the Opaque leaf proper_value(alpha, beta) of the adjacent
+    branch derivatives, which folds to an exact constant when both are
+    constant.  Branches with an Opaque leaf are differentiated by finite
     differences.  Built once per function: the field is kept in
     ``u.derived``."""
     key = ("specular", axis)
@@ -154,15 +177,14 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     branches = []
     for pat in regions(u.forms, u.domain, u.d, values=(1, 0, -1)):
         if 0 not in pat:
-            rhs = _rhs_for_pattern(u, pat)
+            rhs = u.branch(pat)
             if rhs is None:
                 raise SpecularError(f"no branch for open pattern {pat}")
-            d = _diff_rhs(u, rhs, axis)
-            branches.append((pat, d if d is not None else _fd_closure(u, axis)))
+            branches.append((pat, _slope(u, rhs, axis, partial(_fd_partial, u, axis))))
             continue
         sp = u.adjacent_sign_vector(pat, axis, +1)
         sm = u.adjacent_sign_vector(pat, axis, -1)
-        rp, rm = _rhs_for_pattern(u, sp), _rhs_for_pattern(u, sm)
+        rp, rm = u.branch(sp), u.branch(sm)
         if rp is None:
             rp = _resolve_parallel_zeros(u, sp)
         if rm is None:
@@ -171,8 +193,8 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
         def _resolvable(sv):
             # Forms parallel to the axis keep their 0 entry; if their
             # on-line values are the proper extension, the one-sided slope
-            # is well defined pointwise and a finite-difference closure
-            # along the line is sound.
+            # is well defined pointwise and a finite difference along the
+            # line is sound.
             return any(
                 sv[k] == 0 and u.policies[k] == "specular"
                 for k in range(len(u.forms))
@@ -182,56 +204,29 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
             raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
         if rm is None and not _resolvable(sm):
             raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
-        dp, dm = _diff_rhs(u, rp, axis), _diff_rhs(u, rm, axis)
-        if dp is not None and dm is not None and not free_vars(dp) and not free_vars(dm):
-            branches.append((pat, Const(proper_value(eval_expr(dp, {}), eval_expr(dm, {})))))
-        else:
-            branches.append((pat, _combine_closure(u, axis, dp, dm)))
+        dp = _slope(u, rp, axis, partial(_fd_one_sided, u, axis, +1))
+        dm = _slope(u, rm, axis, partial(_fd_one_sided, u, axis, -1))
+        branches.append((pat, opaque(proper_value, (dp, dm))))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain))
-
-
-def _fd_closure(u: PiecewiseFn, axis: int):
-    def closure(*p):
-        return specular_partial(u, p, axis)
-
-    return closure
-
-
-def _combine_closure(u: PiecewiseFn, axis: int, dp, dm):
-    def closure(*p):
-        alpha = (
-            eval_expr(dp, dict(zip(u.vars, p)))
-            if dp is not None
-            else _fd_one_sided(u, p, axis, +1)
-        )
-        beta = (
-            eval_expr(dm, dict(zip(u.vars, p)))
-            if dm is not None
-            else _fd_one_sided(u, p, axis, -1)
-        )
-        return proper_value(alpha, beta)
-
-    return closure
 
 
 def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The a.e. classical partial-derivative field, with the specular
     combination of its own one-sided limits supplying on-line values (the
     proper extension); this is the u_x/u_y object of the 2D S^2 check.
-    Closure branches are differentiated by finite differences.  Built once
-    per function: the field is kept in ``u.derived``."""
+    Branches with an Opaque leaf are differentiated by finite differences.
+    Built once per function: the field is kept in ``u.derived``."""
     key = ("partial", axis)
     if key in u.derived:
         return u.derived[key]
     m = len(u.forms)
     branches = []
     for pat in regions(u.forms, u.domain, u.d):
-        rhs = _rhs_for_pattern(u, pat)
+        rhs = u.branch(pat)
         if rhs is None:
             raise SpecularError(f"no branch for open pattern {pat}")
-        d = _diff_rhs(u, rhs, axis)
-        branches.append((pat, d if d is not None else _fd_closure(u, axis)))
+        branches.append((pat, _slope(u, rhs, axis, partial(_fd_partial, u, axis))))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("specular",) * m, domain=u.domain))
 
@@ -241,8 +236,6 @@ def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
 
 def reflect_axis(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The function p -> u(p with the given coordinate negated)."""
-    from .expr import Neg, Var, normalize_affine, subst
-
     var = u.vars[axis]
     mapping = {var: Neg(Var(var))}
     new_forms, orient = [], []
@@ -252,29 +245,18 @@ def reflect_axis(u: PiecewiseFn, axis: int) -> PiecewiseFn:
         new_forms.append(form)
         orient.append(1 if scale > 0 else -1)
 
-    def map_rhs(rhs):
-        if isinstance(rhs, Expr):
-            return subst(rhs, mapping)
-
-        def closure(*p, _r=rhs):
-            q = list(p)
-            q[axis] = -q[axis]
-            return u.eval_rhs(_r, q)
-
-        return closure
-
     branches = []
     for pat, rhs in u.branches:
         new_pat = tuple(
             None if q is None else q * orient[k] for k, q in enumerate(pat)
         )
-        branches.append((new_pat, map_rhs(rhs)))
+        branches.append((new_pat, subst(rhs, mapping)))
     new_domain = []
     for f, s in u.domain:
         coeffs = tuple(-c if i == axis else c for i, c in enumerate(f.coeffs))
         form, scale = normalize_affine(coeffs, -f.offset)
         new_domain.append((form, s * (1 if scale > 0 else -1)))
-    src = subst(u.source, mapping) if isinstance(u.source, Expr) else None
+    src = subst(u.source, mapping) if u.source is not None else None
     return PiecewiseFn(u.vars, tuple(new_forms), tuple(branches), u.policies,
                        source=src, domain=tuple(new_domain))
 

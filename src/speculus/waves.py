@@ -5,8 +5,9 @@ data branches are composed with the characteristic substitutions x +/- t,
 the velocity integral uses a continuous symbolic antiderivative anchored
 at 0, and the nonhomogeneous Duhamel term is folded to exact per-region
 quadratics whenever the force is piecewise constant between characteristic
-lines (verified by an exact polygon-clipping integral); otherwise it stays
-a quadrature-backed closure.
+lines (verified by an exact polygon-clipping integral).  Where no closed
+form exists (a velocity without a symbolic antiderivative, other forces)
+the branch is an ``Opaque`` leaf evaluated by quadrature.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -22,12 +24,15 @@ import numpy as np
 from .expr import (
     AffineForm,
     Const,
-    Expr,
+    Var,
     add,
     antiderivative,
     eval_expr,
     free_vars,
     mul,
+    opaque,
+    powi,
+    sub,
 )
 from .piecewise import (
     PiecewiseFn,
@@ -50,6 +55,7 @@ from .specular import (
     specular_partial,
     specularly_differentiable_1d,
 )
+from .tangent2d import CenterMismatch, strong_criterion_residual, tol_crit
 
 VARS_XT = ("x", "t")
 FORM_X = AffineForm((1.0, 0.0), 0.0)
@@ -126,21 +132,12 @@ def antiderivative_pw(psi: PiecewiseFn) -> PiecewiseFn:
     branch_exprs = []
     for k in range(n + 1):
         rhs = psi.match(region_pattern(k))
-        if rhs is None or not isinstance(rhs, Expr):
-            branch_exprs = None
-            break
-        anti = antiderivative(rhs, var)
+        anti = antiderivative(rhs, var) if rhs is not None else None
         if anti is None:
-            branch_exprs = None
-            break
+            quad = opaque(partial(integrate_1d, psi, 0.0), (Var(var),))
+            table = tuple((region_pattern(k), quad) for k in range(n + 1))
+            return PiecewiseFn(psi.vars, psi.forms, table, ("specular",) * n)
         branch_exprs.append(anti)
-
-    if branch_exprs is None:
-        def closure(x):
-            return integrate_1d(psi, 0.0, x)
-
-        table = tuple((region_pattern(k), lambda x, _c=closure: _c(x)) for k in range(n + 1))
-        return PiecewiseFn(psi.vars, psi.forms, table, ("specular",) * n)
 
     # continuity constants, anchored so the antiderivative vanishes at 0
     k0 = bisect.bisect_left(roots, 0.0)
@@ -250,7 +247,7 @@ def _piecewise_constant_values(f: PiecewiseFn):
         rhs = f.match(pat)
         if rhs is None and not feasible_pattern(f.forms, pat, f.domain, f.d):
             continue  # an empty region needs no branch (as in from_branches)
-        if rhs is None or not isinstance(rhs, Expr) or free_vars(rhs):
+        if rhs is None or free_vars(rhs):
             return None
         vals[pat] = eval_expr(rhs, {})
     return vals
@@ -328,6 +325,10 @@ def _duhamel_exact(f: PiecewiseFn, values, x0: float, t0: float) -> float:
     return 0.5 * total
 
 
+def _duhamel_quadrature(f: PiecewiseFn, x: float, t: float) -> float:
+    return 0.5 * integrate_triangle(f, x, t) if t > 0 else 0.0
+
+
 def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
     """The field (x, t) -> 0.5 * iint_{triangle(x,t)} f, with domain t > 0.
 
@@ -348,15 +349,11 @@ def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
             if not any(form.same_as(g) for g in folded):
                 folded.append(form)
 
+    quad = opaque(partial(_duhamel_quadrature, f), (Var("x"), Var("t")))
     if values is None:
-        def closure(x, t):
-            return 0.5 * integrate_triangle(f, x, t) if t > 0 else 0.0
-
-        table = (((None,) * len(folded), lambda x, t, _c=closure: _c(x, t)),)
+        table = (((None,) * len(folded), quad),)
         return PiecewiseFn(VARS_XT, tuple(folded), table,
                            ("specular",) * len(folded), domain=dom)
-
-    from .expr import Var, powi, sub as esub
 
     branches = []
     for pat in itertools.product((1, -1), repeat=len(folded)):
@@ -409,15 +406,12 @@ def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
                     ok = False
                     break
         if not ok:
-            def closure(x, t):
-                return 0.5 * integrate_triangle(f, x, t) if t > 0 else 0.0
-
-            branches.append((pat, lambda x, t, _c=closure: _c(x, t)))
+            branches.append((pat, quad))
             continue
         dust = 1e-15 * (1.0 + max(abs(v) for v in grid.values())) / (h * h)
         coef = np.where(np.abs(coef) < dust, 0.0, coef)
-        X = esub(Var("x"), Const(center[0]))
-        T = esub(Var("t"), Const(center[1]))
+        X = sub(Var("x"), Const(center[0]))
+        T = sub(Var("t"), Const(center[1]))
         expr = add(
             add(
                 add(Const(float(coef[0])), mul(Const(float(coef[1])), X)),
@@ -485,8 +479,6 @@ class HypothesisHReport:
 def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int = 9) -> HypothesisHReport:
     """Evaluate the strong-tangent criterion of v = u_t - u_x at on-line
     samples; hypothesis (H) demands a strong specular tangent there."""
-    from .tangent2d import CenterMismatch, strong_criterion_residual, tol_crit
-
     v = pw_add(partial_field(sol.u, 1), partial_field(sol.u, 0), -1.0)
     if points is None:
         points = []

@@ -10,6 +10,8 @@ from speculus.expr import (
     Call,
     Const,
     EvalDomainError,
+    NotSymbolic,
+    Opaque,
     ParseError,
     UnknownIdentifier,
     affine_arguments,
@@ -20,11 +22,13 @@ from speculus.expr import (
     format_expr,
     free_vars,
     normalize_affine,
+    opaque,
     parse,
     pin_signs,
     poly_coeffs,
     poly_to_expr,
     subst,
+    Var,
 )
 from speculus.expr import NonAffineSingularity
 
@@ -241,3 +245,56 @@ class TestMisc:
         assert free_vars(e) == {"x", "y"}
         e2 = subst(e, {"y": parse("x - 1", X)})
         assert eval_expr(e2, {"x": 2.0}) == 2.0 + 2.0 * 1.0
+
+
+class TestOpaque:
+    """An Opaque leaf is a function applied to its argument expressions."""
+
+    def leaf(self):
+        return opaque(math.hypot, (parse("x - 1", XY), Var("y")))
+
+    def test_eval(self):
+        assert eval_expr(self.leaf(), {"x": 4.0, "y": 4.0}) == 5.0
+        assert eval_expr(2 * self.leaf() + 1, {"x": 1.0, "y": -3.0}) == 7.0
+
+    def test_free_vars(self):
+        assert free_vars(self.leaf()) == {"x", "y"}
+        assert free_vars(opaque(math.hypot, (Var("x"), Const(2.0)))) == {"x"}
+
+    def test_subst(self):
+        e = subst(self.leaf(), {"x": parse("2*y + 1", XY)})
+        assert isinstance(e, Opaque)
+        assert free_vars(e) == {"y"}
+        assert eval_expr(e, {"y": 3.0}) == math.hypot(6.0, 3.0)
+
+    def test_subst_to_constant_folds(self):
+        e = subst(self.leaf(), {"x": Const(4.0), "y": Const(-4.0)})
+        assert e == Const(5.0)
+
+    def test_format(self):
+        assert format_expr(self.leaf()) == "hypot(x - 1, y)"
+        assert format_expr(-self.leaf()) == "-hypot(x - 1, y)"
+
+    def test_diff_raises(self):
+        with pytest.raises(NotSymbolic):
+            diff(self.leaf(), "x")
+        # also when the leaf sits inside a larger tree
+        with pytest.raises(NotSymbolic):
+            diff(parse("x^2", XY) + 3 * self.leaf(), "y")
+
+    def test_opaque_folds_constant_arguments(self):
+        calls = []
+
+        def fn(a, b):
+            calls.append((a, b))
+            return a * b
+
+        assert opaque(fn, (Const(3.0), parse("2 - 4", XY))) == Const(-6.0)
+        assert calls == [(3.0, -2.0)]
+        assert isinstance(opaque(fn, (Const(3.0), Var("x"))), Opaque)
+
+    def test_no_antiderivative_or_polynomial(self):
+        leaf = opaque(math.exp, (Var("x"),))
+        assert poly_coeffs(leaf, "x") is None
+        assert antiderivative(leaf, "x") is None
+        assert antiderivative(parse("x", X) + leaf, "x") is None

@@ -13,10 +13,16 @@ import math
 import numpy as np
 import pytest
 
-from speculus.expr import Const, Expr, affine_arguments, parse
-from speculus.piecewise import from_branches, from_expression
-from speculus.quad import integrate_triangle
-from speculus.specular import a_combine
+from speculus.expr import Const, NotSymbolic, affine_arguments, diff, parse
+from speculus.piecewise import (
+    from_branches,
+    from_expression,
+    pw_add,
+    pw_compose_affine,
+    pw_scale,
+)
+from speculus.quad import integrate_1d, integrate_triangle
+from speculus.specular import a_combine, reflect_axis
 from speculus.waves import (
     FORM_T,
     _duhamel_exact,
@@ -87,6 +93,49 @@ class TestAntiderivative:
         for r in (0.0, 2.0):
             lim = Psi.one_sided_limits((r,), 0)
             assert lim.left == pytest.approx(lim.right, abs=1e-12)
+
+
+class TestQuadratureAntiderivative:
+    """exp(x^2) has no symbolic antiderivative: its branches are Opaque
+    quadrature leaves, and the field algebra on them must agree with
+    evaluating the composition directly."""
+
+    @pytest.fixture(scope="class")
+    def Psi(self):
+        psi = from_expression(parse("exp(x^2)", VARS_X), VARS_X)
+        Psi = antiderivative_pw(psi)
+        for _, rhs in Psi.branches:
+            with pytest.raises(NotSymbolic):
+                diff(rhs, "x")
+        return Psi
+
+    XS = (-1.3, -0.4, 0.25, 0.9)
+
+    def test_values(self, Psi):
+        psi = from_expression(parse("exp(x^2)", VARS_X), VARS_X)
+        for x in self.XS:
+            assert Psi.evaluate((x,)) == integrate_1d(psi, 0.0, x)
+
+    def test_pw_scale(self, Psi):
+        scaled = pw_scale(0.5, Psi)
+        for x in self.XS:
+            assert scaled.evaluate((x,)) == 0.5 * Psi.evaluate((x,))
+
+    def test_pw_add(self, Psi):
+        g = from_expression(parse("abs(x - 0.5)", VARS_X), VARS_X)
+        w = pw_add(Psi, g, -1.0)
+        for x in self.XS:
+            assert w.evaluate((x,)) == Psi.evaluate((x,)) - abs(x - 0.5)
+
+    def test_reflect_axis(self, Psi):
+        r = reflect_axis(Psi, 0)
+        for x in self.XS:
+            assert r.evaluate((x,)) == Psi.evaluate((-x,))
+
+    def test_pw_compose_affine(self, Psi):
+        u = pw_compose_affine(Psi, (1.0, -1.0), 0.0, VARS_XT)
+        for x, t in ((0.3, 0.8), (-0.5, 0.2), (1.1, 1.4)):
+            assert u.evaluate((x, t)) == Psi.evaluate((x - t,))
 
 
 class TestDataChecks:
@@ -252,7 +301,8 @@ class TestDuhamel:
             domain=((FORM_T, 1),),
         )
         d = duhamel_term(f)
-        assert all(isinstance(rhs, Expr) for _, rhs in d.branches)
+        for _, rhs in d.branches:
+            diff(rhs, "x")  # raises NotSymbolic on a quadrature leaf
         rng = np.random.default_rng(41)
         for x, t in rng.uniform([-4, 0.1], [6, 3], size=(40, 2)):
             want = _duhamel_exact(f, values, x, t)
