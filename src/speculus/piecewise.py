@@ -15,14 +15,16 @@ form policy:
                  by construction
 * ``branch``   - the table carries explicit 0-patterns
 
-The non-empty regions of a sign-pattern arrangement are listed by
-``regions``, which decides each pattern with the LP of ``interior_point``.
+The non-empty faces of a line arrangement are enumerated exactly by
+``_faces`` (roots in 1D, line crossings and the points between them in 2D),
+and ``regions`` lists their sign patterns.
 The A-combination ``a_combine`` and the proper on-line value
 ``proper_value`` live here so that every layer uses the same rule.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -87,6 +89,13 @@ class ProperReport:
     violations: list       # (form index, point, axis, stored, expected)
 
 
+def _sign(f: AffineForm, p: Sequence[float]) -> int:
+    """The sign of l(p); 0 within 1e-12 of the size of the terms of l(p)."""
+    v = f.value(p)
+    scale = 1e-12 * (1.0 + abs(f.offset) + sum(abs(c * x) for c, x in zip(f.coeffs, p)))
+    return 0 if abs(v) <= scale else (1 if v > 0 else -1)
+
+
 def tol_jump(left: float, right: float) -> float:
     return 1e-9 * (1.0 + abs(left) + abs(right))
 
@@ -125,12 +134,7 @@ class PiecewiseFn:
     # -- basic queries ------------------------------------------------------
 
     def sign_vector(self, p: Sequence[float]) -> Pattern:
-        out = []
-        for f in self.forms:
-            v = f.value(p)
-            scale = 1e-12 * (1.0 + abs(f.offset) + sum(abs(c * x) for c, x in zip(f.coeffs, p)))
-            out.append(0 if abs(v) <= scale else (1 if v > 0 else -1))
-        return tuple(out)
+        return tuple([_sign(f, p) for f in self.forms])
 
     def match(self, s: Pattern) -> Optional[Expr]:
         for pat, rhs in self.branches:
@@ -266,59 +270,76 @@ def from_branches(
         source=source,
         domain=tuple(domain),
     )
-    for pat in itertools.product((1, -1), repeat=len(forms)):
-        if u.match(pat) is None and feasible_pattern(forms, pat, u.domain, len(vars)):
+    for pat in regions(forms, u.domain, len(vars)):
+        if u.match(pat) is None:
             raise CoverageError(f"no branch covers open-region sign vector {pat}")
     return u
 
 
-def interior_point(forms: Sequence[AffineForm], pattern: Pattern, domain: Sequence, d: int):
-    """A point with sign(l_k(p)) = pattern_k (0 entries as equalities, None
-    entries free) that also meets the strict domain constraints, plus the
-    margin it keeps from the strict constraints; None when there is none.
-    Solved as a small LP maximizing the common margin, capped at 1."""
-    from scipy.optimize import linprog
-
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for f, s in list(zip(forms, pattern)) + list(domain):
-        if s is None:
-            continue
-        if s == 0:
-            A_eq.append(list(f.coeffs) + [0.0])
-            b_eq.append(f.offset)
-        else:
-            A_ub.append([-s * c for c in f.coeffs] + [1.0])
-            b_ub.append(-s * f.offset)
-    res = linprog(
-        [0.0] * d + [-1.0],
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(-1e4, 1e4)] * d + [(None, 1.0)],
-        method="highs",
-    )
-    if not res.success or -res.fun <= 1e-7:
+def _meet(f: AffineForm, g: AffineForm):
+    """The crossing point of two lines in the plane; None when parallel."""
+    (a, b), (c, d) = f.coeffs, g.coeffs
+    det = a * d - b * c
+    if abs(det) <= 1e-12 * (abs(a * d) + abs(b * c)):
         return None
-    return tuple(res.x[:d]), -res.fun
+    return ((f.offset * d - b * g.offset) / det, (a * g.offset - f.offset * c) / det)
 
 
-def feasible_pattern(forms: Sequence[AffineForm], pattern: Pattern, domain: Sequence, d: int) -> bool:
-    """True when the region of the sign pattern is non-empty."""
-    return interior_point(forms, pattern, domain, d) is not None
+def _between(ts: list) -> list:
+    """A point below the sorted values, their midpoints, a point above; [0.0] for none."""
+    if not ts:
+        return [0.0]
+    step = 1.0 + (ts[-1] - ts[0])
+    return [ts[0] - step] + [0.5 * (a + b) for a, b in zip(ts, ts[1:])] + [ts[-1] + step]
+
+
+def _plane_witnesses(lines: list) -> list:
+    """A point in every face of the arrangement of the lines.  The
+    abscissae of all crossings and vertical lines split the plane into
+    vertical slabs; on the vertical line through each such abscissa and
+    through each slab's middle, take the points on the non-vertical lines
+    and those between them.  Every vertex, edge and cell meets one of
+    these vertical lines, and there the points between lines reach it."""
+    xs = {p[0] for f, g in itertools.combinations(lines, 2) if (p := _meet(f, g))}
+    xs = sorted(xs.union(f.offset / f.coeffs[0] for f in lines if f.coeffs[1] == 0.0))
+    points = []
+    for x in xs + _between(xs):
+        ys = sorted({(f.offset - f.coeffs[0] * x) / f.coeffs[1]
+                     for f in lines if f.coeffs[1] != 0.0})
+        points += [(x, y) for y in ys + _between(ys)]
+    return points
+
+
+@functools.lru_cache(maxsize=1024)
+def _faces(forms: tuple, domain: tuple, d: int) -> dict:
+    """{sign pattern: witness point} for every non-empty face (cell, edge or
+    vertex) of the arrangement of the forms inside the open domain; callers
+    share the cached dict and must not change it.  The domain's lines take
+    part in the arrangement, and a witness counts only when it meets the
+    domain strictly."""
+    lines = list(forms) + [f for f, _ in domain]
+    if d == 1:
+        roots = sorted({f.offset / f.coeffs[0] for f in lines})
+        points = [(x,) for x in roots + _between(roots)]
+    else:
+        points = _plane_witnesses(lines)
+    faces: dict = {}
+    for p in points:
+        if all(_sign(f, p) == s for f, s in domain):
+            faces.setdefault(tuple(_sign(f, p) for f in forms), p)
+    return faces
 
 
 def regions(forms: Sequence[AffineForm], domain: Sequence, d: int,
-            fixed: Pattern = (), values: tuple = (1, -1)):
-    """The sign patterns of the non-empty regions, lazily and in
-    ``itertools.product`` order.  Nonzero entries of ``fixed`` are held; the
-    other entries range over ``values`` (pass (1, 0, -1) to list the on-line
-    faces too)."""
+            fixed: Pattern = (), values: tuple = (1, -1)) -> list:
+    """The sign patterns of the non-empty regions, in ``itertools.product``
+    order.  Nonzero entries of ``fixed`` are held; the other entries range
+    over ``values`` (pass (1, 0, -1) to list the on-line faces too)."""
     fixed = tuple(fixed) or (0,) * len(forms)
-    choices = [(s,) if s else values for s in fixed]
-    for pat in itertools.product(*choices):
-        if feasible_pattern(forms, pat, domain, d):
-            yield pat
+    rank = {s: i for i, s in enumerate(values)}
+    found = [pat for pat in _faces(tuple(forms), tuple(domain), d)
+             if all(s == q if q else s in rank for s, q in zip(pat, fixed))]
+    return sorted(found, key=lambda pat: [rank.get(s, 0) for s in pat])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +446,7 @@ def is_proper(
             for axis in range(u.d):
                 lim = u.one_sided_limits(p, axis)
                 expected = proper_value(lim.left, lim.right)
-                if abs(stored - expected) > 1e-9 * (1.0 + abs(lim.left) + abs(lim.right)):
+                if abs(stored - expected) > tol_jump(lim.left, lim.right):
                     violations.append((k, p, axis, stored, expected))
     ok = cont.verdict != "not-piecewise-continuous" and not violations
     return ok, ProperReport(ok, cont, violations)
@@ -504,23 +525,22 @@ def pw_compose_affine(
         Const(const),
     )
 
-    comp_forms, scales = [], []
-    for f in h.forms:
-        root = f.offset / f.coeffs[0]
-        form, scale = normalize_affine(tuple(coeffs), const - root)
-        comp_forms.append(form)
-        scales.append(1 if scale > 0 else -1)
+    def pull(f: AffineForm):
+        # the line of a.p + c = root, and the sign of l(a.p + c) across it
+        form, scale = normalize_affine(tuple(coeffs), const - f.offset / f.coeffs[0])
+        return form, (1 if scale > 0 else -1)
 
+    comp = [pull(f) for f in h.forms]
+    comp_forms = tuple(g for g, _ in comp)
+    pulled_domain = tuple((g, s * t) for f, s in h.domain for g, t in [pull(f)])
     branches = []
-    for pat in itertools.product((1, -1), repeat=len(comp_forms)):
-        s1d = tuple(q * s for q, s in zip(pat, scales))
+    for pat in regions(comp_forms, tuple(domain) + pulled_domain, 2):
+        s1d = tuple(q * t for q, (_, t) in zip(pat, comp))
         rhs = h.match(s1d)
         if rhs is None:
-            if not feasible_pattern(h.forms, s1d, h.domain, 1):
-                continue  # empty 1D sector; its pullback is empty too
             raise BranchLookupError(f"1D branch missing for sign vector {s1d}")
         branches.append((pat, subst(rhs, {h.vars[0]: arg_expr})))
-    return PiecewiseFn(vars2, tuple(comp_forms), tuple(branches),
+    return PiecewiseFn(vars2, comp_forms, tuple(branches),
                        ("specular",) * len(comp_forms), domain=tuple(domain))
 
 

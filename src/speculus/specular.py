@@ -35,8 +35,10 @@ from .piecewise import (
     classify_continuity,
     is_proper,
     line_samples,
+    merge_forms,
     proper_value,
     regions,
+    tol_jump,
 )
 
 
@@ -123,20 +125,12 @@ def specular_partial(u: PiecewiseFn, p, axis: int) -> float:
 
 def _resolve_parallel_zeros(u: PiecewiseFn, sv):
     """For a sign vector with leftover zeros (forms parallel to the traversal
-    axis): if every feasible completion selects the same branch expression,
+    axis): if every non-empty completion selects the same branch expression,
     the on-line restriction is governed by that common branch exactly."""
     if 0 not in sv:
         return None
-    common = None
-    for full in regions(u.forms, u.domain, u.d, fixed=sv):
-        rhs = u.branch(full)
-        if rhs is None:
-            return None
-        if common is None:
-            common = rhs
-        elif rhs != common:
-            return None
-    return common
+    found = {u.branch(full) for full in regions(u.forms, u.domain, u.d, fixed=sv)}
+    return found.pop() if len(found) == 1 else None
 
 
 def _diff_rhs(u: PiecewiseFn, rhs, axis: int):
@@ -238,27 +232,23 @@ def reflect_axis(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The function p -> u(p with the given coordinate negated)."""
     var = u.vars[axis]
     mapping = {var: Neg(Var(var))}
-    new_forms, orient = [], []
-    for f in u.forms:
-        coeffs = tuple(-c if i == axis else c for i, c in enumerate(f.coeffs))
-        form, scale = normalize_affine(coeffs, -f.offset)
-        new_forms.append(form)
-        orient.append(1 if scale > 0 else -1)
 
-    branches = []
-    for pat, rhs in u.branches:
-        new_pat = tuple(
-            None if q is None else q * orient[k] for k, q in enumerate(pat)
-        )
-        branches.append((new_pat, subst(rhs, mapping)))
-    new_domain = []
-    for f, s in u.domain:
+    def flip(f):
+        # the reflected line, and the sign of l(reflected p) across it
         coeffs = tuple(-c if i == axis else c for i, c in enumerate(f.coeffs))
         form, scale = normalize_affine(coeffs, -f.offset)
-        new_domain.append((form, s * (1 if scale > 0 else -1)))
+        return form, (1 if scale > 0 else -1)
+
+    flipped = [flip(f) for f in u.forms]
+    branches = tuple(
+        (tuple(None if q is None else q * t for q, (_, t) in zip(pat, flipped)),
+         subst(rhs, mapping))
+        for pat, rhs in u.branches
+    )
+    domain = tuple((g, s * t) for f, s in u.domain for g, t in [flip(f)])
     src = subst(u.source, mapping) if u.source is not None else None
-    return PiecewiseFn(u.vars, tuple(new_forms), tuple(branches), u.policies,
-                       source=src, domain=tuple(new_domain))
+    return PiecewiseFn(u.vars, tuple(g for g, _ in flipped), branches, u.policies,
+                       source=src, domain=domain)
 
 
 def odd_reflection_check(u: PiecewiseFn, p, axis: int) -> float:
@@ -295,7 +285,7 @@ def phototangent(u: PiecewiseFn, x: float) -> Phototangent:
         raise SpecularError("phototangent is defined for 1D functions")
     pair = semi_derivatives(u, (x,), 0)
     lim = u.one_sided_limits((x,), 0)
-    tol = 1e-9 * (1.0 + abs(lim.left) + abs(lim.right))
+    tol = tol_jump(lim.left, lim.right)
     cont = abs(lim.left - lim.right) <= tol and abs(lim.mid - lim.left) <= tol
     return Phototangent(x, pair.right, pair.left, lim.left, lim.right, lim.mid, cont)
 
@@ -322,7 +312,7 @@ def ftc_condition_check(f: PiecewiseFn) -> bool:
         lim = f.one_sided_limits((x,), 0)
         expected = proper_value(lim.left, lim.right)
         stored = f.evaluate((x,))
-        if abs(stored - expected) > 1e-9 * (1.0 + abs(lim.left) + abs(lim.right)):
+        if abs(stored - expected) > tol_jump(lim.left, lim.right):
             return False
     return True
 
@@ -404,9 +394,5 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
     else:
         ok_u, _ = is_proper(u, box=box, K=K)
         verdict = "S0-only" if ok_u else "fails"
-    dedup = []
-    for f in failure_forms:
-        if not any(f.same_as(g) for g in dedup):
-            dedup.append(f)
     return S2Report(verdict, cont.verdict, first_proper, second_proper,
-                    mixed_continuous, residual, dedup, notes)
+                    mixed_continuous, residual, merge_forms([failure_forms]), notes)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .piecewise import PiecewiseFn
+from .piecewise import PiecewiseFn, tol_jump
 from .specular import a_combine, semi_derivatives
 
 
@@ -62,7 +62,7 @@ def _center_and_pairs(u: PiecewiseFn, a):
     pair2 = semi_derivatives(u, a, 1)
     lim1 = u.one_sided_limits(a, 0)
     lim2 = u.one_sided_limits(a, 1)
-    if abs(lim1.mid - lim2.mid) > 1e-9 * (1.0 + abs(lim1.mid) + abs(lim2.mid)):
+    if abs(lim1.mid - lim2.mid) > tol_jump(lim1.mid, lim2.mid):
         raise CenterMismatch(
             f"u[a]_(1) = {lim1.mid} differs from u[a]_(2) = {lim2.mid}"
         )

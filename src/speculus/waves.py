@@ -36,15 +36,18 @@ from .expr import (
 )
 from .piecewise import (
     PiecewiseFn,
+    _meet,
+    _sign,
     classify_continuity,
-    feasible_pattern,
-    interior_point,
     is_proper,
     line_samples,
+    merge_forms,
     pw_add,
     pw_compose_affine,
     pw_scale,
     pw_select,
+    regions,
+    tol_jump,
 )
 from .quad import integrate_1d, integrate_triangle
 from .specular import (
@@ -94,7 +97,7 @@ def check_displacement(phi: PiecewiseFn) -> list:
         return problems
     for r in _roots(phi):
         pair = semi_derivatives(phi, (r,), 0)
-        if abs(pair.right - pair.left) > 1e-9 * (1 + abs(pair.right) + abs(pair.left)):
+        if abs(pair.right - pair.left) > tol_jump(pair.right, pair.left):
             problems.append(f"displacement derivative jumps at x={r}")
     d1 = partial_field(phi, 0)
     ok, _ = is_proper(specular_field(d1, 0))
@@ -243,10 +246,8 @@ def _piecewise_constant_values(f: PiecewiseFn):
     """Sign pattern -> constant value of every non-empty open region of f;
     None when some such region has no constant branch."""
     vals = {}
-    for pat in itertools.product((1, -1), repeat=len(f.forms)):
+    for pat in regions(f.forms, f.domain, f.d):
         rhs = f.match(pat)
-        if rhs is None and not feasible_pattern(f.forms, pat, f.domain, f.d):
-            continue  # an empty region needs no branch (as in from_branches)
         if rhs is None or free_vars(rhs):
             return None
         vals[pat] = eval_expr(rhs, {})
@@ -283,30 +284,36 @@ def _area(poly) -> float:
     )
 
 
-def _nearest_region_point(forms, pat, domain, mu: float):
-    """The point of minimum l1-norm satisfying s * l(p) >= mu for every
-    signed form (region plus domain constraints); None when the LP fails."""
-    from scipy.optimize import linprog
+def _shrunk_candidates(cons, mu: float) -> list:
+    """The crossings of the edge lines of the polygon sign * l(p) >= mu (over
+    the signed forms) with each other and with the axes that lie in it.  The
+    polygon is non-empty exactly when one does, and the least |x| + |t| over
+    it is attained at one of them."""
+    lines = [AffineForm(f.coeffs, f.offset + s * mu) for f, s in cons]
+    points = [_meet(g, h) for g, h in itertools.combinations(lines + [FORM_X, FORM_T], 2)]
+    return [p for p in points
+            if p is not None and all(_sign(g, p) != -s for g, (_, s) in zip(lines, cons))]
 
-    # variables: x, t, ax >= |x|, at >= |t|
-    A_ub, b_ub = [], []
-    for g, s in list(zip(forms, pat)) + list(domain):
-        if s in (None, 0):
-            continue
-        A_ub.append([-s * c for c in g.coeffs] + [0.0, 0.0])
-        b_ub.append(-s * g.offset - mu)
-    for k in (0, 1):
-        row = [0.0, 0.0, 0.0, 0.0]
-        row[k], row[2 + k] = 1.0, -1.0
-        A_ub.append(list(row))
-        row[k] = -1.0
-        A_ub.append(list(row))
-        b_ub.extend([0.0, 0.0])
-    res = linprog([0.0, 0.0, 1.0, 1.0], A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                  bounds=[(-1e4, 1e4)] * 2 + [(0.0, None)] * 2, method="highs")
-    if not res.success:
-        return None
-    return (float(res.x[0]), float(res.x[1]))
+
+def _fit_center(cons):
+    """(center, mu) of the quadratic fit on the region of the signed forms.
+    mu = 0.9 * min(margin, 1), where the margin is the largest common value
+    of sign * l(p); below 1 it is reached where three forms are equally
+    tight.  The center is the point of least |x| + |t| of the region shrunk
+    by mu (the largest x among ties): near the origin the fitted values stay
+    O(1), so round-off in the recovered coefficients does not amplify when
+    an unbounded region's quadratic is extrapolated."""
+    margin = 1.0 if _shrunk_candidates(cons, 1.0) else 0.0
+    for tight in itertools.combinations(cons if margin < 1.0 else (), 3):
+        a = [[s * c for c in f.coeffs] + [-1.0] for f, s in tight]
+        if abs(np.linalg.det(a)) > 1e-12:
+            *p, m = np.linalg.solve(a, [s * f.offset for f, s in tight])
+            if all(s * f.value(p) >= m - 1e-12 for f, s in cons):
+                margin = max(margin, float(m))
+    points = _shrunk_candidates(cons, 0.9 * margin)
+    norm = min(abs(x) + abs(t) for x, t in points)
+    near = [p for p in points if abs(p[0]) + abs(p[1]) <= norm + 1e-12 * (1.0 + norm)]
+    return max(near, key=lambda p: p[0]), 0.9 * margin
 
 
 def _duhamel_exact(f: PiecewiseFn, values, x0: float, t0: float) -> float:
@@ -335,19 +342,16 @@ def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
     For forces that are piecewise constant between characteristic lines the
     term is an exact per-region quadratic: the folded region structure is
     the arrangement of the apex lines x-t = c, x+t = c over all data
-    offsets c, and each region's quadratic is fitted from exact clipped
-    areas and re-verified before being accepted."""
+    offsets c.  Each region's quadratic is fitted from exact clipped areas
+    on a small grid around the region's point nearest the origin
+    (``_fit_center``) and re-verified before being accepted."""
     dom = ((FORM_T, 1),)
     chars = _characteristic_constants(f)
     values = _piecewise_constant_values(f) if chars is not None else None
 
     offsets = sorted({c for _, c in chars}) if chars else []
-    folded = []
-    for c in offsets:
-        for coeffs in ((1.0, -1.0), (1.0, 1.0)):
-            form = AffineForm(coeffs, c)
-            if not any(form.same_as(g) for g in folded):
-                folded.append(form)
+    folded = merge_forms([[AffineForm((1.0, -1.0), c), AffineForm((1.0, 1.0), c)]
+                          for c in offsets])
 
     quad = opaque(partial(_duhamel_quadrature, f), (Var("x"), Var("t")))
     if values is None:
@@ -356,19 +360,8 @@ def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
                            ("specular",) * len(folded), domain=dom)
 
     branches = []
-    for pat in itertools.product((1, -1), repeat=len(folded)):
-        found = interior_point(folded, pat, dom, 2)
-        if found is None:
-            continue
-        center, margin = found
-        # Unbounded regions can place the max-margin point very far out;
-        # re-solve for the region point nearest the origin at a modest
-        # margin so the fitted values stay O(1) and round-off in the
-        # recovered coefficients does not amplify under extrapolation.
-        mu = 0.9 * min(margin, 1.0)
-        near = _nearest_region_point(folded, pat, dom, mu)
-        if near is not None:
-            center = near
+    for pat in regions(folded, dom, 2):
+        center, mu = _fit_center(list(zip(folded, pat)) + list(dom))
         # Stepping by h*sqrt(2) moves each form value by at most 2h, so the
         # whole 3x3 grid stays strictly inside the region for h = mu / 4.
         h = mu / 4.0

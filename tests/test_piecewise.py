@@ -2,19 +2,19 @@
 field algebra."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speculus.expr import AffineForm, Const, parse
+from speculus.expr import AffineForm, Const, normalize_affine, parse
 from speculus.piecewise import (
     BranchLookupError,
     CoverageError,
+    _faces,
     classify_continuity,
-    feasible_pattern,
     from_branches,
     from_expression,
-    interior_point,
     is_proper,
     line_samples,
     pw_add,
@@ -36,6 +36,49 @@ def heaviside(value_at_zero: float):
         X,
         policies=("branch",),
     )
+
+
+COORD = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def arrangement(draw):
+    """Up to four small-integer lines a*x + b*y = c through integer anchor
+    points, integer points on and off them, and whether the domain y > 0
+    applies."""
+    anchors = draw(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=3))
+    lines, points = [], list(anchors)
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        qx, qy = draw(st.sampled_from(anchors))
+        lines.append((a, b, a * qx + b * qy))
+        for j in draw(st.lists(st.integers(-10**5, 10**5), max_size=3)) + [1, -1]:
+            points.append((qx - j * b, qy + j * a))
+    return lines, points, draw(st.booleans())
+
+
+def exact_signs(lines, p):
+    """Sign of each normalized form at an integer point, exactly: the sign
+    of a*x + b*y - c times the sign of the leading coefficient."""
+    out = []
+    for a, b, c in lines:
+        lead = a if a else b
+        v = (a * p[0] + b * p[1] - c) * (1 if lead > 0 else -1)
+        out.append((v > 0) - (v < 0))
+    return tuple(out)
+
+
+def tolerant_signs(forms, p):
+    """Sign of each form at a float point in exact rational arithmetic, 0
+    within 1e-12 of the size of its terms."""
+    x, y = map(Fraction, p)
+    out = []
+    for f in forms:
+        c0, c1, off = map(Fraction, (*f.coeffs, f.offset))
+        v = c0 * x + c1 * y - off
+        tol = Fraction(1e-12) * (1 + abs(off) + abs(c0 * x) + abs(c1 * y))
+        out.append(0 if abs(v) <= tol else (1 if v > 0 else -1))
+    return tuple(out)
 
 
 class TestConstruction:
@@ -157,28 +200,49 @@ class TestProper:
 
 
 class TestPatternGeometry:
-    def test_feasible_pattern(self):
+    def test_empty_pattern_under_domain(self):
         forms = (AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, 1.0), 0.0))
         dom = ((AffineForm((0.0, 1.0), 0.0), 1),)  # t > 0
-        assert feasible_pattern(forms, (1, 1), dom, 2)
+        assert (1, 1) in regions(forms, dom, 2)
         # x > t and x < -t is impossible for t > 0
-        assert not feasible_pattern(forms, (1, -1), dom, 2)
+        assert (1, -1) not in regions(forms, dom, 2)
+        assert (1, -1) in regions(forms, (), 2)
 
-    def test_interior_point_margin(self):
+    def test_half_plane_cell(self):
         forms = (AffineForm((1.0, 0.0), 0.0),)
-        found = interior_point(forms, (1,), (), 2)
-        assert found is not None
-        center, margin = found
-        assert center[0] > 0 and margin > 1e-7
+        assert regions(forms, (), 2) == [(1,), (-1,)]
+        assert _faces(forms, (), 2)[(1,)][0] > 0
 
-    def test_interior_point_zero_entry_is_equality(self):
+    def test_zero_entry_is_on_the_line(self):
         forms = (AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, 1.0), 0.0))
-        center, margin = interior_point(forms, (0, 1), (), 2)
-        assert forms[0].value(center) == pytest.approx(0.0, abs=1e-9)
-        assert forms[1].value(center) >= margin > 1e-7
+        assert (0, 1) in regions(forms, (), 2, values=(1, 0, -1))
+        p = _faces(forms, (), 2)[(0, 1)]
+        assert forms[0].value(p) == pytest.approx(0.0, abs=1e-9)
+        assert forms[1].value(p) > 0
         # x = t and x < -t cannot both hold with t > 0
         dom = ((AffineForm((0.0, 1.0), 0.0), 1),)
-        assert interior_point(forms, (0, -1), dom, 2) is None
+        assert (0, -1) not in regions(forms, dom, 2, values=(1, 0, -1))
+
+    def test_region_far_from_origin(self):
+        forms = (AffineForm((1.0,), 20000.0),)
+        assert regions(forms, (), 1) == [(1,), (-1,)]
+        with pytest.raises(CoverageError):
+            from_branches(forms, [((-1,), Const(0.0))], X)
+
+    @given(arrangement(), st.lists(st.tuples(COORD, COORD), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_faces_against_exact_signs(self, arr, extra):
+        lines, points, upper = arr
+        forms = tuple(normalize_affine((a, b), -c)[0] for a, b, c in lines)
+        dom = ((AffineForm((0.0, 1.0), 0.0), 1),) if upper else ()
+        listed = set(regions(forms, dom, 2, values=(1, 0, -1)))
+        for p in points + extra:
+            if not upper or p[1] > 0:
+                assert exact_signs(lines, p) in listed
+        for pat, w in _faces(forms, dom, 2).items():
+            assert pat in listed
+            assert tolerant_signs(forms, w) == pat
+            assert not upper or Fraction(w[1]) > 0
 
     def test_regions_order_fixed_and_values(self):
         forms = (AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, 1.0), 0.0))

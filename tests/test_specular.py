@@ -112,6 +112,12 @@ class TestSpecularField:
         assert rep.verdict == "piecewise-continuous"
         assert sorted(rep.jump_forms) == [0, 1]
 
+    def test_partial_field_far_from_origin(self):
+        u = from_expression(parse("abs(x-20000)+abs(y)", XY), XY)
+        f = partial_field(u, 0)
+        assert len(f.branches) == 4
+        assert f.evaluate((20001.0, 1.0)) == 1.0
+
     def test_smooth_field_single_branch(self):
         u = from_expression(parse("x^3 - x*y", XY), XY)
         f = specular_field(u, 0)

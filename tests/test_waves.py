@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from speculus.expr import Const, NotSymbolic, affine_arguments, diff, parse
+from speculus.expr import AffineForm, Const, NotSymbolic, affine_arguments, diff, parse
 from speculus.piecewise import (
     from_branches,
     from_expression,
@@ -26,6 +26,7 @@ from speculus.specular import a_combine, reflect_axis
 from speculus.waves import (
     FORM_T,
     _duhamel_exact,
+    _fit_center,
     SolutionField,
     SolverPrecondition,
     antiderivative_pw,
@@ -307,6 +308,23 @@ class TestDuhamel:
         for x, t in rng.uniform([-4, 0.1], [6, 3], size=(40, 2)):
             want = _duhamel_exact(f, values, x, t)
             assert d.evaluate((x, t)) == pytest.approx(want, abs=1e-9)
+
+    def test_fit_center(self):
+        # hand-solved: mu = 0.9 * min(max common margin, 1), center = least
+        # |x| + |t| on the region shrunk by mu
+        xt, xpt = AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, 1.0), 0.0)
+        dom = [(FORM_T, 1)]
+        for pat, want in (((1, 1), (1.8, 0.9)), ((-1, 1), (0.0, 0.9)),
+                          ((-1, -1), (-1.8, 0.9))):
+            center, mu = _fit_center(list(zip((xt, xpt), pat)) + dom)
+            assert mu == 0.9 and center == pytest.approx(want)
+        # 0 < x - t < 0.5 keeps a margin of 0.25 at most
+        strip = [(xt, 1), (AffineForm((1.0, -1.0), 0.5), -1), (xpt, 1)] + dom
+        center, mu = _fit_center(strip)
+        assert mu == pytest.approx(0.225) and center == pytest.approx((0.45, 0.225))
+        # (0.5, 0.9) and (0, 1.4) tie on x + t = 1.4; the larger x wins
+        cone = [(AffineForm((1.0, -1.0), 0.5), -1), (AffineForm((1.0, 1.0), 0.5), 1)] + dom
+        assert _fit_center(cone)[0] == pytest.approx((0.5, 0.9))
 
     @pytest.mark.xfail(
         strict=True,
