@@ -31,6 +31,7 @@ overflowing value), 4 solver precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -61,7 +62,6 @@ from .specular import (
     partial_field,
     s2_membership,
     semi_derivatives,
-    specular_partial,
 )
 from .tangent2d import CenterMismatch, TangentError, tangent_data
 from .waves import (
@@ -75,6 +75,8 @@ from .waves import (
     solve_wave_halfline,
     solve_wave_homogeneous,
     solve_wave_nonhomogeneous,
+    transport_operator,
+    transport_operator_many,
     transport_residual,
     wave_operator_fields,
     wave_residual,
@@ -441,35 +443,17 @@ def _line_frame(form):
 
 def _solution_rows(sol: SolutionField, prob: Problem):
     """Grid rows (t outer, x inner) then on-line supplements sorted by
-    (form index, parameter, side in -1, 0, +1)."""
+    (form index, parameter, side in -1, 0, +1).  Every column is evaluated
+    over all points at once; an entry the batch does not cover is evaluated
+    point by point, row by row, so errors surface as in a scalar pass."""
     u = sol.u
     ux, ut = partial_field(u, 0), partial_field(u, 1)
     f = prob.f
 
-    if prob.kind == "transport":
-        def residual_at(p):
-            return specular_partial(u, p, 1) + specular_partial(u, p, 0)
-    else:
-        W = wave_operator_fields(u)[2]
-
-        def residual_at(p):
-            r = _safe_eval(W, p)
-            if f is not None:
-                r -= _safe_eval(f, p)
-            return r
-
     g = prob.grid
     xs = _linspace(*g.x_range, g.nx)
     ts = _linspace(*g.t_range, g.nt)
-    rows = []
-
-    def emit(p):
-        rows.append((p[0], p[1], _safe_eval(u, p), _safe_eval(ux, p),
-                     _safe_eval(ut, p), residual_at(p)))
-
-    for t in ts:
-        for x in xs:
-            emit((x, t))
+    points = [(x, t) for t in ts for x in xs]
 
     # on-line supplements: for each singular form, points along the part of
     # its zero line inside the grid box, each with a straddling +-delta pair
@@ -499,8 +483,31 @@ def _solution_rows(sol: SolutionField, prob: Problem):
             ):
                 continue
             for side in (-1, 0, 1):
-                emit(tuple(base + side * g.delta * nhat))
-    return rows
+                points.append(tuple(base + side * g.delta * nhat))
+
+    cols = np.reshape(points, (-1, 2)).T
+    columns = [(*fld.evaluate_many(cols), functools.partial(_safe_eval, fld))
+               for fld in (u, ux, ut)]
+    if prob.kind == "transport":
+        columns.append((*transport_operator_many(u, cols),
+                        functools.partial(transport_operator, u)))
+    else:
+        W = wave_operator_fields(u)[2]
+
+        def residual_at(p):
+            r = _safe_eval(W, p)
+            if f is not None:
+                r -= _safe_eval(f, p)
+            return r
+
+        values, covered = W.evaluate_many(cols)
+        if f is not None:
+            fv, fc = f.evaluate_many(cols)
+            values, covered = values - fv, covered & fc
+        columns.append((values, covered, residual_at))
+    columns = [(v.tolist(), c.tolist(), fn) for v, c, fn in columns]
+    return [(p[0], p[1], *(v[i] if c[i] else fn(p) for v, c, fn in columns))
+            for i, p in enumerate(points)]
 
 
 def write_csv(rows, out_path: str) -> None:

@@ -24,9 +24,12 @@ import numpy as np
 from .expr import (
     AffineForm,
     Const,
+    ExprError,
     Var,
     add,
     antiderivative,
+    diff,
+    eval_array,
     eval_expr,
     free_vars,
     mul,
@@ -38,6 +41,7 @@ from .piecewise import (
     PiecewiseFn,
     _meet,
     _sign,
+    a_combine,
     classify_continuity,
     is_proper,
     line_samples,
@@ -453,12 +457,46 @@ def wave_residual(sol: SolutionField, f: Optional[PiecewiseFn], points) -> Resid
     return ResidualReport(rows, worst)
 
 
+def transport_operator(u: PiecewiseFn, p) -> float:
+    """dS_t u + dS_x u at one point."""
+    return specular_partial(u, p, 1) + specular_partial(u, p, 0)
+
+
+def transport_operator_many(u: PiecewiseFn, cols) -> tuple:
+    """``transport_operator`` at many points, as (values, covered) with the
+    contract of ``PiecewiseFn.evaluate_many``.  Off the lines both one-sided
+    slopes along an axis are the derivative d of the point's branch, so the
+    specular partial is A(d, d); d is built once per pattern and axis, and
+    A runs per point through ``math``.  A branch with no symbolic derivative
+    or a non-finite slope is left to ``transport_operator``."""
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    values = np.zeros(len(cols[0]))
+    covered = np.zeros(len(cols[0]), dtype=bool)
+    for pat, idx in u.off_line_groups(cols):
+        rhs = u.branch(pat)
+        if rhs is None:
+            continue
+        try:
+            slopes = [diff(rhs, u.vars[axis]) for axis in (1, 0)]
+        except ExprError:
+            continue
+        bad = np.zeros(len(idx), dtype=bool)
+        sub_cols = dict(zip(u.vars, (c[idx] for c in cols)))
+        dt, dx = (eval_array(d, sub_cols, bad) for d in slopes)
+        values[idx] = [a_combine(a, a) + a_combine(b, b) for a, b in zip(dt.tolist(), dx.tolist())]
+        covered[idx] = ~bad & np.isfinite(dt) & np.isfinite(dx)
+    return values, covered
+
+
 def transport_residual(sol: SolutionField, points) -> ResidualReport:
+    points = [tuple(p) for p in points]
+    values, covered = transport_operator_many(sol.u, np.reshape(points, (-1, 2)).T)
     rows = []
     worst = 0.0
-    for p in points:
-        val = specular_partial(sol.u, p, 1) + specular_partial(sol.u, p, 0)
-        rows.append((tuple(p), val, 0.0, val, math.nan, math.nan))
+    for p, val, ok in zip(points, values.tolist(), covered.tolist()):
+        if not ok:
+            val = transport_operator(sol.u, p)
+        rows.append((p, val, 0.0, val, math.nan, math.nan))
         worst = max(worst, abs(val))
     return ResidualReport(rows, worst)
 

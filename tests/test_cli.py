@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -248,6 +249,25 @@ class TestSolveCSV:
             x, t, u, ux, ut, r = map(float, ln.split(","))
             assert u == 0.0 and ux == 0.0 and ut == 0.0 and r == 0.0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[problem]\nkind = transport\nh = sqrt(x + 1)\n"
+                         "[grid]\nx_range = -3, 3\nnx = 5\nnt = 3\n",
+                         "sqrt of negative value -2.0", id="transport-sqrt"),
+            pytest.param("[problem]\nkind = wave\nphi = 1/(x - 1.5)\npsi = 0\n",
+                         "division by zero", id="wave-division"),
+        ],
+    )
+    def test_math_domain_error_writes_no_csv(self, text, message, tmp_path, capsys):
+        p = tmp_path / "dom.prob"
+        p.write_text(text)
+        csv = tmp_path / "o.csv"
+        code, _ = run(["solve", str(p), "--out", str(csv)])
+        assert code == EXIT_MATH_DOMAIN
+        assert capsys.readouterr().err == f"math-domain error: {message}\n"
+        assert not csv.exists()
+
     def test_precondition_exit_4(self, tmp_path):
         p = tmp_path / "bad.prob"
         # phi(0) != 0 violates half-line compatibility
@@ -471,15 +491,21 @@ class TestDeterminism:
 
 class TestReference:
     """Fixture reports and CSVs against the recorded reference, byte for
-    byte (the 101 x 101 grid entries are left to the benchmark)."""
+    byte; a ``solve101`` entry solves the fixture with its grid set to
+    101 x 101."""
 
     @pytest.mark.parametrize(
-        "ref", sorted(k for k in REFERENCE if k.split(":")[0] in ("check", "solve"))
+        "ref", sorted(k for k in REFERENCE if k.split(":")[0] in ("check", "solve", "solve101"))
     )
     def test_matches_reference(self, ref, tmp_path):
         command, name = ref.split(":")
         want = REFERENCE[ref]
         path = str(PROBLEMS / f"{name}.prob")
+        if command == "solve101":
+            text = (PROBLEMS / f"{name}.prob").read_text(encoding="utf-8")
+            text = re.sub(r"(?m)^(nx|nt) = \d+$", r"\1 = 101", text)
+            path = str(tmp_path / f"{name}.prob")
+            Path(path).write_text(text, encoding="utf-8")
         out = io.StringIO()
         if command == "check":
             assert cmd_check(path, out=out) == want["exit"]

@@ -1,16 +1,31 @@
 """Piecewise layer: branch tables, one-sided limits, continuity, properness,
 field algebra."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speculus.expr import AffineForm, Const, normalize_affine, parse
+from speculus.expr import (
+    FUNCTIONS,
+    AffineForm,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Opaque,
+    Pow,
+    Var,
+    normalize_affine,
+    parse,
+)
 from speculus.piecewise import (
     BranchLookupError,
     CoverageError,
+    PiecewiseFn,
     _faces,
     classify_continuity,
     from_branches,
@@ -321,3 +336,113 @@ class TestDomain:
         )
         with pytest.raises(BranchLookupError):
             u.evaluate((-1.0,))
+
+
+def _log_abs(a: float) -> float:
+    return math.log(abs(a))  # raises ValueError at 0, as an Opaque leaf may
+
+
+LEAF = st.one_of(
+    st.sampled_from([Var("x"), Var("y")]),
+    st.floats(-3, 3).map(Const),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: BinOp(*a)),
+        st.tuples(children, st.integers(2, 5)).map(lambda a: Pow(*a)),
+        children.map(Neg),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda a: Call(*a)),
+        children.map(lambda c: Opaque(_log_abs, (c,))),
+    )
+
+
+EXPRS = st.recursive(LEAF, _grow, max_leaves=10)
+ANCHORS = [(0, 0), (3, -1), (20000, 0)]
+
+
+@st.composite
+def batch_case(draw):
+    """A branch table over up to three lines through integer anchors (one
+    near (2e4, 0)), with random expressions as branches, some patterns
+    missing and some wildcards, and points: random ones, exact on-line
+    ones, ones within about 1e-12 relative of a line (at the edge of the
+    sign tolerance), and ones near the far anchor."""
+    lines, points = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        qx, qy = draw(st.sampled_from(ANCHORS))
+        f = normalize_affine((a, b), -(a * qx + b * qy))[0]
+        lines.append(f)
+        axis = f.primary_axis()  # moving along it changes l by the same step
+        for j in draw(st.lists(st.integers(-50, 50), min_size=1, max_size=3)):
+            on = [float(qx - j * b), float(qy + j * a)]
+            points.append(tuple(on))
+            # steps of about the tolerance of _sign, straddling its edge
+            tol = 1e-12 * (1 + abs(f.offset) + sum(abs(c * x) for c, x in zip(f.coeffs, on)))
+            edge = (0.5, 1 - 2**-40, 1 - 2**-48, 1.0, 1 + 2**-48, 1 + 2**-40, 10.0)
+            for k in draw(st.lists(st.sampled_from(edge), max_size=6)):
+                q = list(on)
+                q[axis] += draw(st.sampled_from((1.0, -1.0))) * k * tol
+                points.append(tuple(q))
+    points += draw(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), max_size=8))
+    points += draw(st.lists(st.tuples(st.floats(19999, 20001), st.floats(-1, 1)), max_size=4))
+    table = []
+    for pat in itertools.product((1, -1), repeat=len(lines)):
+        if draw(st.integers(0, 5)) == 0:
+            continue  # no branch: the pattern is not covered
+        if draw(st.integers(0, 5)) == 0:
+            pat = (None,) + pat[1:]
+        table.append((pat, draw(EXPRS)))
+    u = PiecewiseFn(XY, tuple(lines), tuple(table), ("direct",) * len(lines))
+    return u, points
+
+
+class TestBatchEvaluation:
+    @given(batch_case())
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate_many_matches_scalar(self, case):
+        u, points = case
+        cols = np.array(points, dtype=float).T
+        for row, p in zip(u.sign_matrix(cols).tolist(), points):
+            assert tuple(row) == u.sign_vector(p), p
+        values, covered = u.evaluate_many(cols)
+        for p, v, ok in zip(points, values.tolist(), covered.tolist()):
+            s = u.sign_vector(p)
+            try:
+                want = u.evaluate(p)
+            except Exception:
+                want = None
+            if ok:
+                assert want is not None, p
+                assert repr(v) == repr(want), p  # bit for bit, -0.0 included
+            elif 0 not in s and u.match(s) is not None:
+                assert want is None, p  # only a failing point is left over
+
+    def test_transcendentals_are_libm(self):
+        """exp and integer powers go through math and Python **: at points
+        where numpy's exp and power disagree with libm, the batch still
+        equals the scalar path bit for bit."""
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-20.0, 20.0, 20000)
+        libm = np.array([math.exp(x) + x ** 3 for x in xs.tolist()])
+        xs = xs[np.exp(xs) + np.power(xs, 3) != libm]
+        assert len(xs) > 10
+        u = from_expression(parse("exp(x) + x^3 + 0*abs(y)", XY), XY)
+        values, covered = u.evaluate_many([xs, np.ones(len(xs))])
+        assert covered.all()
+        assert values.tolist() == [u.evaluate((x, 1.0)) for x in xs.tolist()]
+
+    def test_errors_are_not_covered(self):
+        u = from_expression(parse("sqrt(x) + 1/(y - 2) + exp(x) + abs(y)", XY), XY)
+        values, covered = u.evaluate_many([[4.0, -1.0, 4.0, 800.0], [1.0, 1.0, 2.0, 1.0]])
+        assert covered.tolist() == [True, False, False, False]
+        assert values[0] == u.evaluate((4.0, 1.0))
+
+    def test_no_forms_and_no_points(self, table_fn):
+        u = from_expression(parse("x*y", XY), XY)
+        values, covered = u.evaluate_many([[2.0], [3.0]])
+        assert values.tolist() == [6.0] and covered.all()
+        values, covered = table_fn.evaluate_many([[], []])
+        assert len(values) == len(covered) == 0

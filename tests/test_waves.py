@@ -22,7 +22,7 @@ from speculus.piecewise import (
     pw_scale,
 )
 from speculus.quad import integrate_1d, integrate_triangle
-from speculus.specular import a_combine, reflect_axis
+from speculus.specular import a_combine, reflect_axis, semi_derivatives
 from speculus.waves import (
     FORM_T,
     _duhamel_exact,
@@ -39,6 +39,8 @@ from speculus.waves import (
     solve_wave_halfline,
     solve_wave_homogeneous,
     solve_wave_nonhomogeneous,
+    transport_operator,
+    transport_operator_many,
     transport_residual,
     wave_residual,
 )
@@ -76,6 +78,27 @@ class TestTransport:
         h = from_expression(parse("sgn(x)", VARS_X), VARS_X)
         with pytest.raises(SolverPrecondition):
             solve_transport(h)
+
+    def test_batched_operator_is_libm(self):
+        """The batched operator runs arctan and tan through math: at points
+        where numpy's arctan and tan of the slopes give another sum, it
+        still equals the scalar operator bit for bit.  (On a transport
+        solution u_t = -u_x and the sum is 0 either way, so the field here
+        is not one.)"""
+        u = from_expression(parse("x^3/3 + x*t^2 + abs(x - t)", VARS_XT), VARS_XT)
+        rng = np.random.default_rng(11)
+        pts = [tuple(p) for p in rng.uniform((-3.0, 0.0), (3.0, 2.0), (3000, 2)).tolist()]
+
+        def differs(p):
+            dt, dx = (semi_derivatives(u, p, axis).right for axis in (1, 0))
+            with_numpy = np.tan(np.arctan(dt)) + np.tan(np.arctan(dx))
+            return with_numpy != a_combine(dt, dt) + a_combine(dx, dx)
+
+        pts = [p for p in pts if differs(p)]
+        assert len(pts) > 10
+        values, covered = transport_operator_many(u, np.array(pts).T)
+        assert covered.all()
+        assert values.tolist() == [transport_operator(u, p) for p in pts]
 
 
 class TestAntiderivative:
