@@ -475,9 +475,10 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
             if v < 0.0:
                 raise EvalDomainError(f"sqrt of negative value {v}")
             return math.sqrt(v)
-        if e.func == "sin":
-            return math.sin(v)
-        return math.cos(v)
+        try:
+            return math.sin(v) if e.func == "sin" else math.cos(v)
+        except ValueError:
+            raise EvalDomainError(f"{e.func} of infinite value {v}") from None
     if isinstance(e, Opaque):
         return float(e.fn(*(eval_expr(a, bindings) for a in e.args)))
     raise TypeError(f"not an Expr node: {e!r}")

@@ -5,6 +5,16 @@ smooth closed piece with adaptive 15-point Gauss-Legendre panels (dyadic
 refinement, absolute+relative tolerance 1e-10, depth cap 30).  The
 dependence-triangle integral and the Green's-identity verifier split their
 iterated integrals at the closed-form crossings of the singular lines.
+
+``adaptive_panel`` refines breadth first: each round evaluates the two
+halves of every live panel with one call of a batch integrand, which for
+a ``PiecewiseFn`` is ``evaluate_many`` plus ``evaluate`` at the points it
+leaves uncovered.  An iterated integral runs its outer and inner
+integrals in lockstep: the 30 outer nodes of a round give all their inner
+pieces, which go through one engine call.  The result is bitwise that of
+depth-first refinement: every panel sum is ``half * fsum(w * f)``, a
+split panel's value is ``left + right`` in the same tree, and an error is
+the one depth-first evaluation meets first.
 """
 
 from __future__ import annotations
@@ -22,6 +32,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 QUAD_TOL = 1e-10
 MAX_DEPTH = 30
+# panels refined per round, leftmost first: an integrand that converges
+# nowhere fails after about MAX_DEPTH rounds instead of doubling its live
+# panels every round
+ROUND_PANELS = 1024
 
 
 class QuadratureError(Exception):
@@ -30,36 +44,191 @@ class QuadratureError(Exception):
         self.panel = panel
 
 
-def _gl15(f: Callable[[float], float], a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * math.fsum(
-        w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS)
-    )
+def _lazy_fsum(values, failure=None):
+    """What ``math.fsum`` returns or raises over a generator that yields
+    values and then raises failure (None: it yields them all).  fsum takes
+    one term at a time, so only an intermediate overflow among values comes
+    before failure; inf - inf is reported at the end of a sum."""
+    if failure is None:
+        return math.fsum(values)
+    try:
+        math.fsum(values)
+    except ValueError:
+        pass
+    raise failure
 
 
-def adaptive_panel(f: Callable[[float], float], a: float, b: float,
-                   tol: float = QUAD_TOL, max_depth: int = MAX_DEPTH) -> float:
-    """Adaptive GL15 over [a, b]; assumes f smooth in the open interval."""
-    if a == b:
-        return 0.0
+def _point_values(fns, cols):
+    """fns[0] - fns[1] - ... at every point, for PiecewiseFns of one or two
+    variables; cols holds one (n, 15) array or one number per variable.
+    ``evaluate_many`` covers what it can, and ``evaluate`` takes the other
+    points in row order, each function in turn at a point.  Returns
+    (values, failure): failure is None, or (flat index, exception) at the
+    first point where ``evaluate`` raises, whatever it raises (the engine
+    raises it again in depth-first order); later points are left out."""
+    shape = next(np.shape(c) for c in cols if np.ndim(c))
+    parts = [f.evaluate_many([np.broadcast_to(c, shape).ravel() for c in cols]) for f in fns]
+    failure = None
+    for i in np.flatnonzero(~np.logical_and.reduce([c for _, c in parts])).tolist():
+        p = tuple(c.flat[i] if np.ndim(c) else c for c in cols)
+        try:
+            for f, (values, covered) in zip(fns, parts):
+                if not covered[i]:
+                    values[i] = f.evaluate(p)
+        except Exception as exc:
+            failure = (i, exc)
+            break
+    total = parts[0][0]
+    for values, _ in parts[1:]:
+        total = total - values
+    return total.reshape(shape), failure
 
-    def rec(lo, hi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        left = _gl15(f, lo, mid)
-        right = _gl15(f, mid, hi)
-        better = left + right
-        if abs(better - whole) <= tol * (1.0 + abs(better)):
-            return better
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature panel [{lo}, {hi}] failed to converge "
-                f"(estimate gap {abs(better - whole):.3e})",
-                panel=(lo, hi),
-            )
-        return rec(lo, mid, left, depth + 1) + rec(mid, hi, right, depth + 1)
 
-    return rec(a, b, _gl15(f, a, b), 0)
+def _callable_values(f, X):
+    """f at every entry of X in row order, as ``_point_values`` returns."""
+    values = np.zeros(X.shape)
+    for i, x in enumerate(X.flat):
+        try:
+            values.flat[i] = f(x)
+        except Exception as exc:
+            return values, (i, exc)
+    return values, None
+
+
+def _row_sums(values, half, failure):
+    """half[r] * fsum(w * values[r]) for each row up to the first that
+    raises, as (sums, exception or None).  A failing point (flat index,
+    exception) ends its row's sum there."""
+    stop, exc = failure if failure is not None else (values.size, None)
+    last = stop // values.shape[1]
+    terms = (_GL_WEIGHTS * values[:last + 1]).tolist()
+    sums = []
+    for r, h in enumerate(half.tolist()):
+        try:
+            if r == last:
+                _lazy_fsum(terms[r][:stop % values.shape[1]], exc)
+            sums.append(h * math.fsum(terms[r]))
+        except Exception as raised:
+            return sums, raised
+    return sums, None
+
+
+def _integrate(g, nodes, tol: float) -> float:
+    """The fsum of the engine's integrals of g over the pieces between nodes."""
+    return _lazy_fsum(*adaptive_panel(g, list(zip(nodes, nodes[1:])), tol))
+
+
+def _iterated(h, outer_nodes, inner_nodes, tol: float) -> float:
+    """Iterated integral of h(y, s): outer over the pieces between
+    outer_nodes, inner over the pieces between inner_nodes(s).  h(Y, S)
+    takes (n, 15) arrays of inner and outer coordinates and returns
+    (values, failure) as ``_point_values`` does.  The inner pieces of all
+    nodes of an outer round go through one engine call."""
+
+    def outer(S, _):
+        s_nodes = S.ravel()
+        pieces, first = [], []
+        for s in s_nodes:
+            first.append(len(pieces))
+            nodes = inner_nodes(s)
+            pieces += zip(nodes, nodes[1:])
+        first.append(len(pieces))
+        at = np.repeat(s_nodes, np.diff(first))
+        values, exc = adaptive_panel(
+            lambda Y, own: h(Y, np.broadcast_to(at[own][:, None], Y.shape)), pieces, tol)
+        out = np.zeros(len(s_nodes))
+        for i, (p, q) in enumerate(zip(first, first[1:])):
+            try:
+                out[i] = _lazy_fsum(values[p:q], exc if len(values) < q else None)
+            except Exception as raised:
+                return out.reshape(S.shape), (i, raised)
+        return out.reshape(S.shape), None
+
+    return _integrate(outer, outer_nodes, tol)
+
+
+def adaptive_panel(g, panels, tol: float = QUAD_TOL, max_depth: int = MAX_DEPTH):
+    """Adaptive GL15 over each (lo, hi) in panels; assumes the integrand is
+    smooth in each open interval.
+
+    g(X, owner) is the batch integrand: X is an (n, 15) array of nodes, one
+    panel or panel half per row, and owner[r] the index in panels of the
+    panel row r refines.  It returns (values, failure) as
+    ``_point_values`` does.  Each round takes the live panels in
+    depth-first order (at most ROUND_PANELS of them), sums each row as
+    ``half * fsum(w * v)``, and tests every panel as depth-first recursion
+    does: a panel whose halves agree with its whole to tol keeps their
+    sum, one at max_depth fails, any other splits in two.  Values are then
+    rebuilt bottom up as left + right.
+
+    Returns (values, failure): failure is None, or the exception that
+    depth-first refinement of the panels in order raises first, and values
+    then holds the panels before the one that raised."""
+    # one entry per tree node; kid is the index of the left child (the
+    # right one follows it) or -1, and whole is None until evaluated
+    lo, hi, whole, depth, owner, kid = [], [], [], [], [], []
+
+    def node(a, b, w, d, j):
+        lo.append(a)
+        hi.append(b)
+        whole.append(w)
+        depth.append(d)
+        owner.append(j)
+        kid.append(-1)
+        return len(lo) - 1
+
+    roots = [node(a, b, None, 0, j) if a != b else None for j, (a, b) in enumerate(panels)]
+    live = [n for n in roots if n is not None]
+    failure = None
+    while live:
+        batch, rest = live[:ROUND_PANELS], live[ROUND_PANELS:]
+        rows = []
+        for n in batch:
+            if whole[n] is None:
+                rows.append((lo[n], hi[n], owner[n]))
+            else:
+                mid = 0.5 * (lo[n] + hi[n])
+                rows += [(lo[n], mid, owner[n]), (mid, hi[n], owner[n])]
+        a, b, row_owner = (np.array(c) for c in zip(*rows))
+        half = 0.5 * (b - a)
+        values, bad = g((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES, row_owner)
+        sums, exc = _row_sums(values, half, bad)
+        live, r = [], 0
+        for n in batch:
+            need = 1 if whole[n] is None else 2
+            if r + need > len(sums):
+                failure = (owner[n], exc)
+                break
+            if need == 1:
+                whole[n] = sums[r]
+                live.append(n)
+                r += 1
+                continue
+            left, right = sums[r], sums[r + 1]
+            r += 2
+            better = left + right
+            if abs(better - whole[n]) <= tol * (1.0 + abs(better)):
+                whole[n] = better
+            elif depth[n] >= max_depth:
+                failure = (owner[n], QuadratureError(
+                    f"quadrature panel [{lo[n]}, {hi[n]}] failed to converge "
+                    f"(estimate gap {abs(better - whole[n]):.3e})",
+                    panel=(lo[n], hi[n]),
+                ))
+                break
+            else:
+                mid = 0.5 * (lo[n] + hi[n])
+                kid[n] = node(lo[n], mid, left, depth[n] + 1, owner[n])
+                node(mid, hi[n], right, depth[n] + 1, owner[n])
+                live += [kid[n], kid[n] + 1]
+        else:
+            live += rest
+    for n in reversed(range(len(lo))):
+        if kid[n] >= 0:
+            whole[n] = whole[kid[n]] + whole[kid[n] + 1]
+    count = len(panels) if failure is None else failure[0]
+    values = [0.0 if roots[j] is None else whole[roots[j]] for j in range(count)]
+    return values, None if failure is None else failure[1]
 
 
 def singular_points_1d(f: PiecewiseFn, a: float, b: float) -> list:
@@ -81,15 +250,12 @@ def integrate_1d(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
     if isinstance(f, PiecewiseFn):
         if f.d != 1:
             raise QuadratureError("integrate_1d expects a 1D function")
-        breaks = singular_points_1d(f, a, b)
-        g = lambda x: f.evaluate((x,))
+        nodes = [a] + singular_points_1d(f, a, b) + [b]
+        g = lambda X, _: _point_values([f], [X])
     else:
-        breaks = []
-        g = f
-    nodes = [a] + breaks + [b]
-    return sign * math.fsum(
-        adaptive_panel(g, lo, hi, tol=tol) for lo, hi in zip(nodes, nodes[1:])
-    )
+        nodes = [a, b]
+        g = lambda X, _: _callable_values(f, X)
+    return sign * _integrate(g, nodes, tol)
 
 
 def antiderivative_check(f: PiecewiseFn, F: PiecewiseFn, a: float, b: float) -> float:
@@ -123,14 +289,13 @@ class DependenceTriangle:
         return (x0 - t0 + s, x0 + t0 - s)
 
 
-def integrate_triangle(f: PiecewiseFn, x0: float, t0: float, tol: float = QUAD_TOL) -> float:
-    """Iterated integral of f over the dependence triangle of (x0, t0):
-    outer s in [0, t0], inner y in [x0-t0+s, x0+t0-s].  The outer interval
-    is split wherever a singular line of f enters or leaves the inner
-    interval (all closed-form roots of linear equations); the inner
-    interval is split at the line crossings themselves."""
-    if f.d != 2:
-        raise QuadratureError("integrate_triangle expects a 2D function")
+def triangle_nodes(f: PiecewiseFn, x0: float, t0: float) -> tuple:
+    """The split points of the iterated integral over the dependence
+    triangle of (x0, t0), as (outer, inner_nodes): outer s in [0, t0] is
+    split wherever a singular line of f enters or leaves the inner
+    interval (all closed-form roots of linear equations), and
+    inner_nodes(s) splits the inner interval [x0-t0+s, x0+t0-s] at the
+    line crossings themselves."""
     tri = DependenceTriangle((x0, t0))
 
     events = {0.0, t0}
@@ -152,9 +317,8 @@ def integrate_triangle(f: PiecewiseFn, x0: float, t0: float, tol: float = QUAD_T
             s = b / a2
             if 0.0 < s < t0:
                 events.add(s)
-    splits = sorted(events)
 
-    def inner(s: float) -> float:
+    def inner_nodes(s: float) -> list:
         ylo, yhi = tri.inner_interval(s)
         cuts = []
         for form in f.forms:
@@ -163,16 +327,18 @@ def integrate_triangle(f: PiecewiseFn, x0: float, t0: float, tol: float = QUAD_T
                 y = (form.offset - a2 * s) / a1
                 if ylo < y < yhi and not any(abs(y - q) < 1e-12 for q in cuts):
                     cuts.append(y)
-        nodes = [ylo] + sorted(cuts) + [yhi]
-        return math.fsum(
-            adaptive_panel(lambda y: f.evaluate((y, s)), lo, hi, tol=tol)
-            for lo, hi in zip(nodes, nodes[1:])
-        )
+        return [ylo] + sorted(cuts) + [yhi]
 
-    return math.fsum(
-        adaptive_panel(inner, lo, hi, tol=tol)
-        for lo, hi in zip(splits, splits[1:])
-    )
+    return sorted(events), inner_nodes
+
+
+def integrate_triangle(f: PiecewiseFn, x0: float, t0: float, tol: float = QUAD_TOL) -> float:
+    """Iterated integral of f over the dependence triangle of (x0, t0):
+    outer s in [0, t0], inner y in [x0-t0+s, x0+t0-s], split at
+    ``triangle_nodes``."""
+    if f.d != 2:
+        raise QuadratureError("integrate_triangle expects a 2D function")
+    return _iterated(lambda Y, S: _point_values([f], [Y, S]), *triangle_nodes(f, x0, t0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +393,10 @@ def _edge_breaks(f: PiecewiseFn, fixed_axis: int, fixed_val: float,
 
 def _edge_integral(f: PiecewiseFn, fixed_axis: int, fixed_val: float,
                    lo: float, hi: float, tol: float) -> float:
-    if lo == hi:
-        return 0.0
-    if fixed_axis == 1:
-        g = lambda x: f.evaluate((x, fixed_val))
-    else:
-        g = lambda y: f.evaluate((fixed_val, y))
-    nodes = [lo] + _edge_breaks(f, fixed_axis, fixed_val, lo, hi) + [hi]
-    return math.fsum(adaptive_panel(g, p, q, tol=tol) for p, q in zip(nodes, nodes[1:]))
+    def g(X, _):
+        return _point_values([f], [X, fixed_val] if fixed_axis == 1 else [fixed_val, X])
+
+    return _integrate(g, [lo] + _edge_breaks(f, fixed_axis, fixed_val, lo, hi) + [hi], tol)
 
 
 def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
@@ -255,9 +417,6 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
 
     forms = merge_forms([P.forms, Q.forms])
 
-    def integrand(x: float, y: float) -> float:
-        return FP.evaluate((x, y)) - FQ.evaluate((x, y))
-
     # lhs: type I iterated integral with x-splits where lines cross the strip
     xcuts = {R.a, R.b}
     for form in forms:
@@ -273,7 +432,7 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
                 if R.a < x < R.b:
                     xcuts.add(x)
 
-    def column(x: float) -> float:
+    def column_nodes(x: float) -> list:
         ylo, yhi = R.omega1(x), R.omega2(x)
         cuts = []
         for form in forms:
@@ -282,14 +441,10 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
                 y = (form.offset - a1 * x) / a2
                 if ylo < y < yhi and not any(abs(y - q) < 1e-12 for q in cuts):
                     cuts.append(y)
-        nodes = [ylo] + sorted(cuts) + [yhi]
-        return math.fsum(
-            adaptive_panel(lambda y: integrand(x, y), lo, hi, tol=tol)
-            for lo, hi in zip(nodes, nodes[1:])
-        )
+        return [ylo] + sorted(cuts) + [yhi]
 
-    xs = sorted(xcuts)
-    lhs = math.fsum(adaptive_panel(column, lo, hi, tol=tol) for lo, hi in zip(xs, xs[1:]))
+    lhs = _iterated(lambda Y, X: _point_values([FP, FQ], [X, Y]), sorted(xcuts),
+                    column_nodes, tol)
 
     # rhs: counterclockwise boundary integral of P dy + Q dx
     if R.rectangle is not None:
@@ -316,9 +471,16 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
             y = R.omega2(x)
             return Q.evaluate((x, y)) + P.evaluate((x, y)) * om_d(R.omega2, x)
 
+        def graph_integral(fn):
+            values, exc = adaptive_panel(
+                lambda X, _: _callable_values(fn, X), [(R.a, R.b)], tol=1e-8)
+            if exc is not None:
+                raise exc
+            return values[0]
+
         rhs = (
-            adaptive_panel(bottom, R.a, R.b, tol=1e-8)
-            - adaptive_panel(top, R.a, R.b, tol=1e-8)
+            graph_integral(bottom)
+            - graph_integral(top)
             + _edge_integral(P, 0, R.b, R.omega1(R.b), R.omega2(R.b), tol)
             - _edge_integral(P, 0, R.a, R.omega1(R.a), R.omega2(R.a), tol)
         )

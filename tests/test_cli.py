@@ -31,7 +31,6 @@ from speculus.cli import (
     parse_problem_file,
 )
 from speculus.expr import Expr
-from speculus.specular import S2Report
 
 REPO = Path(__file__).resolve().parents[1]
 PROBLEMS = REPO / "problems"
@@ -160,6 +159,17 @@ class TestDeriv:
         err = capsys.readouterr().err
         assert code == EXIT_MATH_DOMAIN
         assert err.startswith("math-domain error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("func, message", [
+        ("sin", "cos of infinite value inf"), ("cos", "sin of infinite value inf")])
+    def test_trig_of_infinity_exit_3(self, func, message, tmp_path, capsys):
+        # 10^300*10^300 overflows to inf without raising; the first value
+        # deriv needs is the x-partial, where sin' = cos and cos' = -sin
+        p = tmp_path / "trig.prob"
+        p.write_text(f"[problem]\nu = {func}(10^300*10^300*x) + abs(y)\nvars = x, y\n")
+        code, _ = run(["deriv", str(p), "--point=1,1", "--axis", "y"])
+        assert code == EXIT_MATH_DOMAIN
+        assert capsys.readouterr().err == f"math-domain error: {message}\n"
 
     @pytest.mark.parametrize(
         "u, point",
@@ -401,17 +411,14 @@ class TestDuhamelFallback:
             "[grid]\nnx = 3\nnt = 3\n")
     CSV_SHA256 = "578cd7020a59ea8209d07abed31ce36964186063bc7826bdc3fef151f4fba424"
 
-    def test_solve(self, tmp_path, monkeypatch):
-        # The S^2 warning comes after the CSV is written and here takes
-        # about 90 s (second differences of the quadrature leaf); it is
-        # replaced by an S2 verdict.  TestClosureSolution runs it on Opaque
-        # fields.
-        monkeypatch.setattr(cli, "s2_membership",
-                            lambda u: S2Report("S2", "continuous", {}, {}, {}, 0.0, [], []))
+    def test_solve(self, tmp_path, monkeypatch, capsys):
+        # includes the real S^2 check of the solution (second differences
+        # of the quadrature leaf), which finds no failure
         p = tmp_path / "duhamel.prob"
         p.write_text(self.TEXT)
         text, data, fields = solve_fields(p, tmp_path / "o.csv", monkeypatch)
         assert text == f"wrote 9 rows to {tmp_path / 'o.csv'}\n"
+        assert capsys.readouterr().err == ""
         assert hashlib.sha256(data).hexdigest() == self.CSV_SHA256
         assert_expression_branches(fields)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from speculus.expr import (
     antiderivative,
     as_affine,
     diff,
+    eval_array,
     eval_expr,
     format_expr,
     free_vars,
@@ -88,6 +90,15 @@ class TestEval:
     def test_sqrt_negative(self):
         with pytest.raises(EvalDomainError):
             eval_expr(parse("sqrt(x)", X), {"x": -1.0})
+
+    @pytest.mark.parametrize("func", ["sin", "cos"])
+    def test_trig_of_infinity(self, func):
+        e = parse(f"{func}(x)", X)
+        with pytest.raises(EvalDomainError, match=f"{func} of infinite value -inf"):
+            eval_expr(e, {"x": -math.inf})
+        bad = np.zeros(2, dtype=bool)
+        eval_array(e, {"x": np.array([-math.inf, 1.0])}, bad)
+        assert bad.tolist() == [True, False]  # the batch leaves it to eval_expr
 
     def test_q_function(self):
         e = parse("(1/2)*x*abs(x)", X)
