@@ -502,7 +502,6 @@ def _each(fn: Callable[[float], float], v: np.ndarray, bad: np.ndarray) -> np.nd
 _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
-@np.errstate(all="ignore")
 def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.ndarray:
     """eval_expr at many points at once: cols maps each variable to a float
     array, and the result is bitwise what eval_expr gives point by point.
@@ -514,7 +513,13 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
     leaf is called point by point.  Where eval_expr would raise (a zero
     divisor, a negative sqrt argument, an overflow, an exception in an
     Opaque leaf) the point is set in bad instead, and its value is
-    meaningless; nothing raises."""
+    meaningless; nothing raises.  numpy's error state is set once, around
+    the whole walk."""
+    with np.errstate(all="ignore"):
+        return _eval_array(e, cols, bad)
+
+
+def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.ndarray:
     n = len(bad)
     if isinstance(e, Const):
         return np.full(n, e.value, dtype=float)
@@ -524,12 +529,12 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
             return np.zeros(n)
         return np.asarray(cols[e.name], dtype=float)
     if isinstance(e, Neg):
-        return -eval_array(e.operand, cols, bad)
+        return -_eval_array(e.operand, cols, bad)
     if isinstance(e, Pow):
-        return _each(lambda a: a ** e.exponent, eval_array(e.base, cols, bad), bad)
+        return _each(lambda a: a ** e.exponent, _eval_array(e.base, cols, bad), bad)
     if isinstance(e, BinOp):
-        a = eval_array(e.left, cols, bad)
-        b = eval_array(e.right, cols, bad)
+        a = _eval_array(e.left, cols, bad)
+        b = _eval_array(e.right, cols, bad)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -540,7 +545,7 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
         bad |= zero
         return a / np.where(zero, 1.0, b)
     if isinstance(e, Call):
-        v = eval_array(e.arg, cols, bad)
+        v = _eval_array(e.arg, cols, bad)
         if e.func == "abs":
             return np.abs(v)
         if e.func == "sgn":
@@ -551,7 +556,7 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
             return np.sqrt(np.where(negative, 0.0, v))
         return _each(_MATH[e.func], v, bad)
     if isinstance(e, Opaque):
-        args = [eval_array(a, cols, bad).tolist() for a in e.args]
+        args = [_eval_array(a, cols, bad).tolist() for a in e.args]
         out = np.zeros(n)
         for i in np.flatnonzero(~bad).tolist():
             try:

@@ -21,10 +21,12 @@ and ``regions`` lists their sign patterns.
 The A-combination ``a_combine`` and the proper on-line value
 ``proper_value`` live here so that every layer uses the same rule.
 
-``evaluate`` defines the value at a point.  ``evaluate_many`` computes it
-at many points at once and reports which points it covered: those off all
-lines whose branch evaluates without error.  Covered values are bitwise
-those of ``evaluate``; the caller sends every other point to ``evaluate``.
+``evaluate`` defines the value at a point and ``one_sided_value`` a limit
+along an axis.  ``evaluate_many`` and ``one_sided_many`` compute them at
+many points, on lines too, with one ``eval_array`` pass per sign pattern,
+and report the points they covered, bitwise as the scalar methods; the
+others go to the scalar methods in point order (``evaluate_at``,
+``limits_at``), so that the first error is the one a scalar pass raises.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ class PiecewiseFn:
     # derivative fields built from this function, keyed by (kind, axis); a
     # copy made by ``replace`` starts empty, equality and hashing ignore it
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # symbolic branch derivatives keyed by (sign vector, axis), kept the same way
+    _slopes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -142,18 +146,20 @@ class PiecewiseFn:
     def sign_vector(self, p: Sequence[float]) -> Pattern:
         return tuple([_sign(f, p) for f in self.forms])
 
-    def sign_matrix(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+    def sign_matrix(self, cols: Sequence[np.ndarray], bad: Optional[np.ndarray] = None) -> np.ndarray:
         """The sign_vector of every point as the rows of an int8 matrix;
         cols holds one coordinate array per variable.  Each l(p) and the
         scale of ``_sign`` are summed left to right from elementwise
         products, which for one or two terms is bitwise the correctly
         rounded ``fsum`` of ``AffineForm.value`` (``A @ P`` may fuse or
         reorder the sums).  An entry is 0 where l(p) is not finite, and
-        every entry is 0 for more than two variables, so that those points
-        take the scalar path."""
+        every entry is 0 for more than two variables; those rows are set in
+        bad, if given, so that those points take the scalar path."""
         cols = [np.asarray(c, dtype=float) for c in cols]
         out = np.zeros((len(cols[0]) if cols else 0, len(self.forms)), dtype=np.int8)
+        bad = np.zeros(len(out), dtype=bool) if bad is None else bad
         if self.d > 2:
+            bad[:] = True
             return out
         with np.errstate(all="ignore"):
             for k, f in enumerate(self.forms):
@@ -161,22 +167,24 @@ class PiecewiseFn:
                 v = sum(terms[1:], terms[0]) - f.offset
                 scale = 1e-12 * (1.0 + abs(f.offset) + sum(np.abs(t) for t in terms))
                 out[:, k] = (v > scale).astype(np.int8) - (v < -scale)
+                bad |= ~np.isfinite(v)
         return out
 
-    def off_line_groups(self, cols: Sequence[np.ndarray]):
-        """(pattern, point indices) for each sign pattern with no zero
-        entry among the points, each pattern once."""
-        signs = self.sign_matrix(cols)
+    def pattern_groups(self, cols: Sequence[np.ndarray]):
+        """(pattern, point indices) for each sign pattern among the points,
+        each pattern once; the bad points of ``sign_matrix`` are left out."""
+        bad = np.zeros(len(cols[0]), dtype=bool)
+        signs = self.sign_matrix(cols, bad)
         if not self.forms:
-            yield (), np.arange(len(signs))
+            yield (), np.flatnonzero(~bad)
             return
         # a row's bytes as one key: ten times faster than np.unique(axis=0)
         keys = signs.view(np.dtype((np.void, len(self.forms)))).ravel()
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         for k, i in enumerate(first.tolist()):
-            pat = tuple(signs[i].tolist())
-            if 0 not in pat:
-                yield pat, np.flatnonzero(inv == k)
+            idx = np.flatnonzero((inv == k) & ~bad)
+            if len(idx):
+                yield tuple(signs[i].tolist()), idx
 
     def match(self, s: Pattern) -> Optional[Expr]:
         for pat, rhs in self.branches:
@@ -203,49 +211,74 @@ class PiecewiseFn:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _rule(self, s: Pattern) -> tuple:
+        """How a point with sign vector s takes its value: (axis, None) for
+        the A-combination of the limits along the axis, else (None, the
+        table branch, or the source under a ``direct`` zero, or None)."""
+        zeros = [k for k, t in enumerate(s) if t == 0]
+        spec = [k for k in zeros if self.policies[k] == "specular"]
+        if spec:
+            return self.forms[spec[0]].primary_axis(), None
+        rhs = self.match(s)
+        if rhs is None and any(self.policies[k] == "direct" for k in zeros):
+            rhs = self.source
+        return None, rhs
+
     def evaluate(self, p: Sequence[float]) -> float:
         s = self.sign_vector(p)
-        zeros = [k for k, t in enumerate(s) if t == 0]
-        if not zeros:
-            rhs = self.match(s)
-            if rhs is None:
-                raise BranchLookupError(f"no branch for sign vector {s} at {tuple(p)}")
-            return self.eval_rhs(rhs, p)
-        pols = {self.policies[k] for k in zeros}
-        if pols == {"branch"}:
-            rhs = self.match(s)
-            if rhs is None:
-                raise BranchLookupError(f"no on-line branch for sign vector {s} at {tuple(p)}")
-            return self.eval_rhs(rhs, p)
-        if "specular" in pols:
-            axis = self.forms[next(k for k in zeros if self.policies[k] == "specular")].primary_axis()
+        axis, rhs = self._rule(s)
+        if axis is not None:
             lim = self.one_sided_limits(p, axis)
             return proper_value(lim.left, lim.right)
-        rhs = self.match(s)
-        if rhs is not None:
-            return self.eval_rhs(rhs, p)
-        if self.source is not None:
-            return eval_expr(self.source, dict(zip(self.vars, p)))
-        raise BranchLookupError(f"no branch or source for sign vector {s} at {tuple(p)}")
+        if rhs is None:
+            what = ("branch or source" if any(t == 0 and q == "direct" for t, q in zip(s, self.policies))
+                    else "on-line branch" if 0 in s else "branch")
+            raise BranchLookupError(f"no {what} for sign vector {s} at {tuple(p)}")
+        return self.eval_rhs(rhs, p)
 
     def evaluate_many(self, cols: Sequence[np.ndarray]) -> tuple:
         """``evaluate`` at many points (cols: one coordinate array per
-        variable), as (values, covered).  A covered point lies on no line,
-        its pattern has a table branch, and that branch evaluates there
-        without error; its value is bitwise what ``evaluate`` returns.  Each
-        pattern's branch is evaluated once over its points by
-        ``eval_array``.  Every other point is left to ``evaluate``, which
-        alone defines on-line values and raises the errors."""
+        variable), as (values, covered).  Each sign pattern takes its
+        ``_rule`` once: one ``eval_array`` pass of its branch, or the
+        A-combination, per point through ``math``, of two batched limits.
+        A covered point has finite l(p) and a value bitwise that of
+        ``evaluate``; ``evaluate`` takes the others and raises the errors."""
         cols = [np.asarray(c, dtype=float) for c in cols]
-        values = np.zeros(len(cols[0]))
-        covered = np.zeros(len(cols[0]), dtype=bool)
-        for pat, idx in self.off_line_groups(cols):
-            rhs = self.match(pat)
-            if rhs is not None:
-                bad = np.zeros(len(idx), dtype=bool)
-                values[idx] = eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad)
-                covered[idx] = ~bad
+        values, covered = np.zeros(len(cols[0])), np.zeros(len(cols[0]), dtype=bool)
+        for s, idx in self.pattern_groups(cols):
+            sub = [c[idx] for c in cols]
+            axis, rhs = self._rule(s)
+            if axis is None:
+                values[idx], covered[idx] = self._eval_group(rhs, sub)
+                continue
+            (left, lc), (right, rc) = (self._one_sided_group(s, sub, axis, d) for d in (-1, 1))
+            values[idx] = [proper_value(a, b) for a, b in zip(left.tolist(), right.tolist())]
+            covered[idx] = lc & rc
         return values, covered
+
+    def one_sided_many(self, cols: Sequence[np.ndarray], axis: int, direction: int) -> tuple:
+        """``one_sided_value`` at many points, as ``evaluate_many`` does.  A
+        point is left over when its adjacent pattern keeps a 0 (a form
+        parallel to the axis), has no branch, or its branch fails there."""
+        cols = [np.asarray(c, dtype=float) for c in cols]
+        values, covered = np.zeros(len(cols[0])), np.zeros(len(cols[0]), dtype=bool)
+        for s, idx in self.pattern_groups(cols):
+            values[idx], covered[idx] = self._one_sided_group(s, [c[idx] for c in cols], axis, direction)
+        return values, covered
+
+    def _one_sided_group(self, s: Pattern, sub: list, axis: int, direction: int) -> tuple:
+        sv = self.adjacent_sign_vector(s, axis, direction)
+        try:
+            rhs = None if 0 in sv else self.branch(sv)
+        except Exception:  # pinning the source failed: the scalar path raises it again
+            rhs = None
+        return self._eval_group(rhs, sub)
+
+    def _eval_group(self, rhs: Optional[Expr], sub: list) -> tuple:
+        """(values, ok) of a branch, or of None, over the columns sub."""
+        bad = np.full(len(sub[0]), rhs is None)
+        values = np.zeros(len(bad)) if rhs is None else eval_array(rhs, dict(zip(self.vars, sub)), bad)
+        return values, ~bad
 
     def one_sided_limits(self, p: Sequence[float], axis: int) -> OneSidedLimits:
         s = self.sign_vector(p)
@@ -455,6 +488,25 @@ def _admissible(u: PiecewiseFn, k: int, p, delta: float) -> bool:
     return u.in_domain(p, margin=delta)
 
 
+def evaluate_at(u: PiecewiseFn, pts: list):
+    """u.evaluate at each point, in order: one ``evaluate_many`` batch, and
+    ``evaluate`` at a point it leaves, once the iteration reaches it."""
+    values, covered = u.evaluate_many(np.array(pts, dtype=float).reshape(-1, u.d).T)
+    for p, v, ok in zip(pts, values.tolist(), covered.tolist()):
+        yield v if ok else u.evaluate(p)
+
+
+def limits_at(u: PiecewiseFn, pts: list, axis: int):
+    """(left, right) along the axis at each point, as ``evaluate_at`` does."""
+    cols = np.array(pts, dtype=float).reshape(-1, u.d).T
+    (lv, lc), (rv, rc) = (u.one_sided_many(cols, axis, d) for d in (-1, 1))
+    for p, a, b, ok in zip(pts, lv.tolist(), rv.tolist(), (lc & rc).tolist()):
+        if not ok:
+            lim = u.one_sided_limits(p, axis)
+            a, b = lim.left, lim.right
+        yield a, b
+
+
 # ---------------------------------------------------------------------------
 # Continuity and properness
 
@@ -463,21 +515,21 @@ def classify_continuity(
     box: tuple = (-10.0, 10.0),
     K: int = 17,
     delta: float = 1e-6,
+    lines: Optional[list] = None,  # the line_samples of each form, if known
 ) -> ContinuityReport:
     jump, indet, unsampled = [], [], []
     samples: dict = {}
-    for k, f in enumerate(u.forms):
-        pts = line_samples(u, k, K=K, box=box, delta=delta)
+    if lines is None:
+        lines = [line_samples(u, k, K=K, box=box, delta=delta) for k in range(len(u.forms))]
+    for k, pts in enumerate(lines):
         if not pts:
             unsampled.append(k)
             continue
-        axis = f.primary_axis()
         rows = []
         n_jump = 0
-        for p in pts:
-            lim = u.one_sided_limits(p, axis)
-            rows.append((p, lim.left, lim.right))
-            if abs(lim.left - lim.right) > tol_jump(lim.left, lim.right):
+        for p, (left, right) in zip(pts, limits_at(u, pts, u.forms[k].primary_axis())):
+            rows.append((p, left, right))
+            if abs(left - right) > tol_jump(left, right):
                 n_jump += 1
         samples[k] = rows
         if n_jump == len(rows):
@@ -498,16 +550,22 @@ def is_proper(
     box: tuple = (-10.0, 10.0),
     K: int = 17,
     delta: float = 1e-6,
+    lines: Optional[list] = None,
 ):
-    cont = classify_continuity(u, box=box, K=K, delta=delta)
+    """Stored values at the line samples against the A-combination of the
+    limits along each axis (along the primary one, those of the report)."""
+    cont = classify_continuity(u, box=box, K=K, delta=delta, lines=lines)
     violations = []
     for k, rows in cont.samples.items():
-        for p, _, _ in rows:
-            stored = u.evaluate(p)
-            for axis in range(u.d):
-                lim = u.one_sided_limits(p, axis)
-                expected = proper_value(lim.left, lim.right)
-                if abs(stored - expected) > tol_jump(lim.left, lim.right):
+        pts = [p for p, _, _ in rows]
+        primary = u.forms[k].primary_axis()
+        lims = [((a, b) for _, a, b in rows) if axis == primary else limits_at(u, pts, axis)
+                for axis in range(u.d)]
+        for p, stored in zip(pts, evaluate_at(u, pts)):
+            for axis, it in enumerate(lims):
+                left, right = next(it)
+                expected = proper_value(left, right)
+                if abs(stored - expected) > tol_jump(left, right):
                     violations.append((k, p, axis, stored, expected))
     ok = cont.verdict != "not-piecewise-continuous" and not violations
     return ok, ProperReport(ok, cont, violations)

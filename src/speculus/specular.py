@@ -33,6 +33,7 @@ from .piecewise import (
     PiecewiseFn,
     a_combine,
     classify_continuity,
+    evaluate_at,
     is_proper,
     line_samples,
     merge_forms,
@@ -97,7 +98,7 @@ def semi_derivative_one_sided(u: PiecewiseFn, p, axis: int, direction: int) -> f
     rhs = u.branch(sv)
     if rhs is None:
         raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
-    d = _diff_rhs(u, rhs, axis)
+    d = _diff_rhs(u, sv, rhs, axis)
     if d is not None:
         val = eval_expr(d, dict(zip(u.vars, p)))
     else:
@@ -133,26 +134,27 @@ def _resolve_parallel_zeros(u: PiecewiseFn, sv):
     return found.pop() if len(found) == 1 else None
 
 
-def _diff_rhs(u: PiecewiseFn, rhs, axis: int):
-    """The symbolic derivative of a branch; None for a branch with an Opaque
-    leaf (or no branch), which the caller differentiates by finite
-    differences."""
-    if rhs is None:
-        return None
-    try:
-        return diff(rhs, u.vars[axis])
-    except NotSymbolic:
-        return None
+def _diff_rhs(u: PiecewiseFn, s, rhs, axis: int):
+    """The derivative of rhs, the branch of u for the sign vector s; None
+    for an Opaque leaf (or no branch), which the caller differentiates by
+    finite differences.  Built once per (s, axis), kept in ``u._slopes``."""
+    key = (s, axis)
+    if key not in u._slopes:
+        try:
+            u._slopes[key] = None if rhs is None else diff(rhs, u.vars[axis])
+        except NotSymbolic:
+            u._slopes[key] = None
+    return u._slopes[key]
 
 
 def _fd_partial(u: PiecewiseFn, axis: int, *p: float) -> float:
     return specular_partial(u, p, axis)
 
 
-def _slope(u: PiecewiseFn, rhs, axis: int, fd):
-    """The branch derivative, else the Opaque leaf fd(*p) of a finite
-    difference."""
-    d = _diff_rhs(u, rhs, axis)
+def _slope(u: PiecewiseFn, s, rhs, axis: int, fd):
+    """The derivative of the branch rhs for the sign vector s, else the
+    Opaque leaf fd(*p) of a finite difference."""
+    d = _diff_rhs(u, s, rhs, axis)
     return d if d is not None else opaque(fd, tuple(Var(v) for v in u.vars))
 
 
@@ -174,7 +176,7 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
             rhs = u.branch(pat)
             if rhs is None:
                 raise SpecularError(f"no branch for open pattern {pat}")
-            branches.append((pat, _slope(u, rhs, axis, partial(_fd_partial, u, axis))))
+            branches.append((pat, _slope(u, pat, rhs, axis, partial(_fd_partial, u, axis))))
             continue
         sp = u.adjacent_sign_vector(pat, axis, +1)
         sm = u.adjacent_sign_vector(pat, axis, -1)
@@ -198,8 +200,8 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
             raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
         if rm is None and not _resolvable(sm):
             raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
-        dp = _slope(u, rp, axis, partial(_fd_one_sided, u, axis, +1))
-        dm = _slope(u, rm, axis, partial(_fd_one_sided, u, axis, -1))
+        dp = _slope(u, sp, rp, axis, partial(_fd_one_sided, u, axis, +1))
+        dm = _slope(u, sm, rm, axis, partial(_fd_one_sided, u, axis, -1))
         branches.append((pat, opaque(proper_value, (dp, dm))))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain))
@@ -220,7 +222,7 @@ def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
         rhs = u.branch(pat)
         if rhs is None:
             raise SpecularError(f"no branch for open pattern {pat}")
-        branches.append((pat, _slope(u, rhs, axis, partial(_fd_partial, u, axis))))
+        branches.append((pat, _slope(u, pat, rhs, axis, partial(_fd_partial, u, axis))))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("specular",) * m, domain=u.domain))
 
@@ -336,9 +338,11 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
     if u.d != 2:
         raise SpecularError("s2_membership expects a 2D function")
     notes: list = []
-    cont = classify_continuity(u, box=box, K=K)
+    # every field below has the forms and domain of u, so one sampling serves all
+    lines = [line_samples(u, k, K=K, box=box) for k in range(len(u.forms))]
+    cont = classify_continuity(u, box=box, K=K, lines=lines)
     if cont.verdict != "continuous":
-        ok, _ = is_proper(u, box=box, K=K)
+        ok, _ = is_proper(u, box=box, K=K, lines=lines)
         bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
         verdict = "S0-only" if ok else "fails"
         notes.append("u itself is not continuous")
@@ -347,30 +351,28 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
     fields = {0: partial_field(u, 0), 1: partial_field(u, 1)}
     first_proper, failure_forms = {}, []
     for axis, fld in fields.items():
-        ok, rep = is_proper(fld, box=box, K=K)
+        ok, rep = is_proper(fld, box=box, K=K, lines=lines)
         first_proper[axis] = ok
         if not ok:
             failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
 
     second = {(i, j): specular_field(fields[j], i) for i in (0, 1) for j in (0, 1)}
-    second_proper = {}
+    second_proper, second_cont = {}, {}
     for key, fld in second.items():
-        ok, rep = is_proper(fld, box=box, K=K)
-        second_proper[key] = ok
+        ok, rep = is_proper(fld, box=box, K=K, lines=lines)
+        second_proper[key], second_cont[key] = ok, rep.continuity
         if not ok:
             failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
 
     mixed_continuous = {}
     for key in ((0, 1), (1, 0)):
-        rep = classify_continuity(second[key], box=box, K=K)
+        rep = second_cont[key]
         mixed_continuous[key] = rep.verdict == "continuous"
         if not mixed_continuous[key]:
             failure_forms.extend(second[key].forms[k] for k in rep.jump_forms + rep.indeterminate)
 
     # symmetry residual dS_x u_y vs dS_y u_x over on-line and grid samples
-    pts = []
-    for k in range(len(u.forms)):
-        pts.extend(line_samples(u, k, K=K, box=box))
+    pts = [p for line in lines for p in line]
     lo, hi = box
     j = 1
     while len(pts) < len(u.forms) * K + 25 and j < 2000:
@@ -382,8 +384,8 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
             pts.append(p)
         j += 1
     residual = 0.0
-    for p in pts:
-        residual = max(residual, abs(second[(0, 1)].evaluate(p) - second[(1, 0)].evaluate(p)))
+    for a, b in zip(evaluate_at(second[(0, 1)], pts), evaluate_at(second[(1, 0)], pts)):
+        residual = max(residual, abs(a - b))
 
     firsts_ok = all(first_proper.values())
     seconds_ok = all(second_proper.values()) and all(mixed_continuous.values())
@@ -392,7 +394,7 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
     elif firsts_ok:
         verdict = "S1-only"
     else:
-        ok_u, _ = is_proper(u, box=box, K=K)
+        ok_u, _ = is_proper(u, box=box, K=K, lines=lines)
         verdict = "S0-only" if ok_u else "fails"
     return S2Report(verdict, cont.verdict, first_proper, second_proper,
                     mixed_continuous, residual, merge_forms([failure_forms]), notes)

@@ -472,8 +472,8 @@ def transport_operator_many(u: PiecewiseFn, cols) -> tuple:
     cols = [np.asarray(c, dtype=float) for c in cols]
     values = np.zeros(len(cols[0]))
     covered = np.zeros(len(cols[0]), dtype=bool)
-    for pat, idx in u.off_line_groups(cols):
-        rhs = u.branch(pat)
+    for pat, idx in u.pattern_groups(cols):
+        rhs = None if 0 in pat else u.branch(pat)
         if rhs is None:
             continue
         try:

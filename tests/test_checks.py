@@ -1,0 +1,316 @@
+"""The on-line checks (continuity, properness, S^2) against the scalar
+point-by-point versions they replaced, which this file keeps as oracles:
+equal reports bit for bit, the same first exception, and counters of the
+scalar work that is left."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import speculus.specular as specular
+from speculus.cli import load_problem, solve_problem
+from speculus.expr import AffineForm, Call, Const, Opaque, Var, affine_arguments, parse
+from speculus.piecewise import (
+    ContinuityReport,
+    PiecewiseFn,
+    ProperReport,
+    classify_continuity,
+    from_branches,
+    from_expression,
+    is_proper,
+    line_samples,
+    merge_forms,
+    proper_value,
+    tol_jump,
+)
+from speculus.specular import S2Report, partial_field, s2_membership, specular_field
+from speculus.waves import (
+    FORM_T,
+    solve_transport,
+    solve_wave_halfline,
+    solve_wave_homogeneous,
+    solve_wave_nonhomogeneous,
+)
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+X, XY, XT = ("x",), ("x", "y"), ("x", "t")
+
+
+# ---------------------------------------------------------------------------
+# The scalar oracles: every sample point through one_sided_limits/evaluate
+
+def classify_scalar(u, box=(-10.0, 10.0), K=17, delta=1e-6):
+    jump, indet, unsampled = [], [], []
+    samples = {}
+    for k, f in enumerate(u.forms):
+        pts = line_samples(u, k, K=K, box=box, delta=delta)
+        if not pts:
+            unsampled.append(k)
+            continue
+        axis = f.primary_axis()
+        rows = []
+        n_jump = 0
+        for p in pts:
+            lim = u.one_sided_limits(p, axis)
+            rows.append((p, lim.left, lim.right))
+            if abs(lim.left - lim.right) > tol_jump(lim.left, lim.right):
+                n_jump += 1
+        samples[k] = rows
+        if n_jump == len(rows):
+            jump.append(k)
+        elif n_jump > 0:
+            indet.append(k)
+    if indet:
+        verdict = "not-piecewise-continuous"
+    elif jump:
+        verdict = "piecewise-continuous"
+    else:
+        verdict = "continuous"
+    return ContinuityReport(jump, indet, verdict, samples, unsampled)
+
+
+def is_proper_scalar(u, box=(-10.0, 10.0), K=17, delta=1e-6):
+    cont = classify_scalar(u, box=box, K=K, delta=delta)
+    violations = []
+    for k, rows in cont.samples.items():
+        for p, _, _ in rows:
+            stored = u.evaluate(p)
+            for axis in range(u.d):
+                lim = u.one_sided_limits(p, axis)
+                expected = proper_value(lim.left, lim.right)
+                if abs(stored - expected) > tol_jump(lim.left, lim.right):
+                    violations.append((k, p, axis, stored, expected))
+    ok = cont.verdict != "not-piecewise-continuous" and not violations
+    return ok, ProperReport(ok, cont, violations)
+
+
+def s2_scalar(u, box=(-10.0, 10.0), K=17):
+    notes = []
+    cont = classify_scalar(u, box=box, K=K)
+    if cont.verdict != "continuous":
+        ok, _ = is_proper_scalar(u, box=box, K=K)
+        bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
+        verdict = "S0-only" if ok else "fails"
+        notes.append("u itself is not continuous")
+        return S2Report(verdict, cont.verdict, {}, {}, {}, math.inf, bad, notes)
+
+    fields = {0: partial_field(u, 0), 1: partial_field(u, 1)}
+    first_proper, failure_forms = {}, []
+    for axis, fld in fields.items():
+        ok, rep = is_proper_scalar(fld, box=box, K=K)
+        first_proper[axis] = ok
+        if not ok:
+            failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
+
+    second = {(i, j): specular_field(fields[j], i) for i in (0, 1) for j in (0, 1)}
+    second_proper = {}
+    for key, fld in second.items():
+        ok, rep = is_proper_scalar(fld, box=box, K=K)
+        second_proper[key] = ok
+        if not ok:
+            failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
+
+    mixed_continuous = {}
+    for key in ((0, 1), (1, 0)):
+        rep = classify_scalar(second[key], box=box, K=K)
+        mixed_continuous[key] = rep.verdict == "continuous"
+        if not mixed_continuous[key]:
+            failure_forms.extend(second[key].forms[k] for k in rep.jump_forms + rep.indeterminate)
+
+    pts = []
+    for k in range(len(u.forms)):
+        pts.extend(line_samples(u, k, K=K, box=box))
+    lo, hi = box
+    j = 1
+    while len(pts) < len(u.forms) * K + 25 and j < 2000:
+        p = (
+            lo + (hi - lo) * math.modf(j * 0.7548776662466927)[0],
+            lo + (hi - lo) * math.modf(j * 0.5698402909980532)[0],
+        )
+        if u.in_domain(p, margin=1e-6):
+            pts.append(p)
+        j += 1
+    residual = 0.0
+    for p in pts:
+        residual = max(residual, abs(second[(0, 1)].evaluate(p) - second[(1, 0)].evaluate(p)))
+
+    firsts_ok = all(first_proper.values())
+    seconds_ok = all(second_proper.values()) and all(mixed_continuous.values())
+    if firsts_ok and seconds_ok:
+        verdict = "S2"
+    elif firsts_ok:
+        verdict = "S1-only"
+    else:
+        ok_u, _ = is_proper_scalar(u, box=box, K=K)
+        verdict = "S0-only" if ok_u else "fails"
+    return S2Report(verdict, cont.verdict, first_proper, second_proper,
+                    mixed_continuous, residual, merge_forms([failure_forms]), notes)
+
+
+def outcome(fn, *args):
+    """repr of the result (floats bit for bit, -0.0 included), or the
+    exception's type and message."""
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:
+        return "raises", type(exc).__name__, str(exc)
+
+
+def assert_checks_match(u):
+    """classify_continuity, is_proper and (in 2D) s2_membership equal their
+    oracles on u and on its partial fields."""
+    fields = [u] + [partial_field(u, axis) for axis in range(u.d)]
+    for fld in fields:
+        assert outcome(classify_continuity, fld) == outcome(classify_scalar, fld)
+        assert outcome(is_proper, fld) == outcome(is_proper_scalar, fld)
+    if u.d == 2:
+        assert outcome(s2_membership, u) == outcome(s2_scalar, u)
+
+
+# ---------------------------------------------------------------------------
+# Fixture problems and generated wave, half-line and forced problems
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.prob")))
+def test_fixture_reports_match_oracle(name):
+    prob = load_problem(str(PROBLEMS / f"{name}.prob"))
+    u = prob.u if prob.kind is None else solve_problem(prob).u
+    assert_checks_match(u)
+    for data in (prob.phi, prob.psi, prob.h, prob.f):
+        if data is not None:
+            assert_checks_match(data)
+
+
+KINK = st.sampled_from((-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5))
+COEF = st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+
+
+@given(st.sampled_from(("wave", "halfline", "transport")), COEF, KINK, COEF, KINK, COEF)
+@settings(max_examples=12, deadline=None)
+def test_generated_solutions_match_oracle(kind, a, c, b, d, p1):
+    """Solutions with a C^1 kink of phi at c and a kink of psi at d (moved
+    to the right half-line, with phi(0) = psi(0) = 0, for the half-line)."""
+    if kind == "halfline":
+        c, d = abs(c) + 0.5, abs(d) + 0.75
+        phi = f"{a / 2}*(x - {c})*abs(x - {c}) + {a / 2 * c * c} + {p1}*x"
+        psi = f"{b}*abs(x - {d}) - {b * d} + {p1}*x"
+    else:
+        phi = f"{a / 2}*(x - {c})*abs(x - {c}) + {p1}*x^2 + 1"
+        psi = f"{b}*abs(x - {d}) + {p1}*x"
+    phi, psi = (from_expression(parse(text, X), X) for text in (phi, psi))
+    if kind == "transport":
+        sol = solve_transport(from_expression(parse(f"{b}*abs(x - {d}) + {a}*abs(x - {c})", X), X))
+    else:
+        sol = (solve_wave_halfline if kind == "halfline" else solve_wave_homogeneous)(phi, psi)
+    assert_checks_match(sol.u)
+
+
+@given(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+       st.lists(st.sampled_from((-2.0, -1.0, 0.0, 1.0, 2.0)), min_size=4, max_size=4),
+       COEF, KINK)
+@settings(max_examples=8, deadline=None)
+def test_forced_solutions_match_oracle(a, values, b, d):
+    """A force constant between the characteristic lines x - t = a and
+    x + t = a, and a kink of psi at d."""
+    forms = affine_arguments(parse(f"abs(x - t - {a}) + abs(x + t - {a})", XT), XT)
+    table = [(s, Const(v)) for s, v in zip(((1, 1), (-1, 1), (-1, -1), (1, -1)), values)]
+    f = from_branches(forms, table, XT, domain=((FORM_T, 1),))
+    phi = from_expression(parse("(1/2)*x^2 + x", X), X)
+    psi = from_expression(parse(f"{b}*abs(x - {d})", X), X)
+    assert_checks_match(solve_wave_nonhomogeneous(phi, psi, f).u)
+    assert_checks_match(f)
+
+
+# ---------------------------------------------------------------------------
+# Branches that raise at on-line samples
+
+LINE_X = AffineForm((1.0, 0.0), 0.0)
+LINE_XY = AffineForm((1.0, -1.0), 1.0)
+
+
+def _raising_fields():
+    y = Var("y")
+    sqrt_y = Call("sqrt", parse("y - 3", XY))
+    root = Opaque(math.sqrt, (y,))  # ValueError below y = 0, as an Opaque leaf may raise
+    return [
+        # an adjacent branch fails on part of the line
+        from_branches((LINE_X,), [((1,), sqrt_y), ((-1,), Const(0.0))], XY),
+        # an Opaque leaf fails on part of the line
+        from_branches((LINE_X,), [((1,), root), ((-1,), y)], XY),
+        # the stored on-line branch fails where the limits do not
+        from_branches((LINE_X,), [((1,), y), ((0,), sqrt_y), ((-1,), y)], XY,
+                      policies=("branch",)),
+        # a slanted line, and a vertical one whose limits along y recurse
+        from_branches((LINE_X, LINE_XY),
+                      [((1, 1), sqrt_y), ((1, -1), y), ((-1, None), Const(1.0))], XY),
+        # the table misses a side: no adjacent branch
+        PiecewiseFn(XY, (LINE_X,), (((1,), y),), ("specular",)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_raising_branch_raises_as_scalar(index):
+    u = _raising_fields()[index]
+    got = [outcome(fn, u) for fn in (classify_continuity, is_proper, s2_membership)]
+    assert got == [outcome(fn, u) for fn in (classify_scalar, is_proper_scalar, s2_scalar)]
+    assert any(out[0] == "raises" for out in got[:2])
+
+
+# ---------------------------------------------------------------------------
+# Counters (independent of wall time)
+
+@pytest.mark.parametrize("name, scalar_calls", [("halfline", 0), ("corner2d", 408)])
+def test_s2_scalar_work_counters(name, scalar_calls, monkeypatch):
+    """s2_membership calls the scalar evaluate and one_sided_value only at
+    points that a batch left uncovered (calls nested in a batch or in a
+    scalar call, as an Opaque leaf's finite difference makes them, are not
+    counted), and differentiates each branch at most once per (pattern,
+    axis) of each field.  The scalar checks made 3450 and 1750 such calls,
+    and 92 and 52 diff calls; the lines of corner2d are parallel to the
+    axes, so its limits along a line stay scalar."""
+    prob = load_problem(str(PROBLEMS / f"{name}.prob"))
+    u = prob.u if prob.kind is None else solve_problem(prob).u
+    depth, uncovered, scalar_points, diffs = [0], set(), [], []
+
+    def spy(name, record):
+        real = getattr(PiecewiseFn, name)
+
+        def wrapped(self, *args):
+            top = depth[0] == 0
+            depth[0] += 1
+            try:
+                out = real(self, *args)
+            finally:
+                depth[0] -= 1
+            if top:
+                record(*args, out)
+            return out
+        monkeypatch.setattr(PiecewiseFn, name, wrapped)
+
+    def batch(cols, *args):
+        values, covered = args[-1]
+        pts = np.asarray(cols, dtype=float).T.tolist()
+        uncovered.update(tuple(p) for p, ok in zip(pts, covered.tolist()) if not ok)
+
+    spy("evaluate_many", batch)
+    spy("one_sided_many", batch)
+    spy("evaluate", lambda p, out: scalar_points.append(tuple(p)))
+    spy("one_sided_value", lambda p, *args: scalar_points.append(tuple(p)))
+    real_diff = specular.diff
+
+    def diff(e, var):
+        diffs.append((e, var))
+        return real_diff(e, var)
+
+    monkeypatch.setattr(specular, "diff", diff)
+    s2_membership(u)
+    assert len(scalar_points) == scalar_calls
+    assert set(scalar_points) <= uncovered
+    fields, stack = [], [u]
+    while stack:
+        fields.append(stack.pop())
+        stack.extend(fields[-1].derived.values())
+    assert len(fields) == 7
+    assert 0 < len(diffs) <= sum(len(f._slopes) for f in fields)

@@ -1,6 +1,7 @@
 """Piecewise layer: branch tables, one-sided limits, continuity, properness,
 field algebra."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -399,7 +400,130 @@ def batch_case(draw):
     return u, points
 
 
+def _exprs(names):
+    leaf = st.one_of(st.sampled_from([Var(n) for n in names]), st.floats(-3, 3).map(Const))
+    return st.recursive(leaf, _grow, max_leaves=8)
+
+
+def _form_expr(f: AffineForm, names) -> BinOp:
+    terms = [BinOp("*", Const(c), Var(n)) for c, n in zip(f.coeffs, names)]
+    return BinOp("-", functools.reduce(lambda a, b: BinOp("+", a, b), terms), Const(f.offset))
+
+
+@st.composite
+def online_case(draw):
+    """A function of one variable (one or two singular points) or two
+    (one to three lines through two anchors, some axis-parallel, so some
+    adjacent patterns keep a 0) with a policy per form; a table over the
+    on-line patterns too, some missing, some wildcards, and, for a domain
+    edge, none where the first form is negative; maybe a source built
+    from abs/sgn of the forms.  Points lie on the lines, at crossings and
+    off them."""
+    d = draw(st.sampled_from((1, 2)))
+    names = XY[:d]
+    exprs = _exprs(names)
+    lines, points = [], []
+    if d == 1:
+        for c in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2, unique=True)):
+            lines.append(AffineForm((1.0,), float(c)))
+            points += [(float(c),), (c + 0.5,), (c - 0.25,)]
+        points += [(math.inf,), (math.nan,)]
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.one_of(st.sampled_from(((1, 0), (0, 1))),
+                                  st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)))
+            qx, qy = draw(st.sampled_from(ANCHORS[:2]))
+            f = normalize_affine((a, b), -(a * qx + b * qy))[0]
+            if any(g.same_as(f) for g in lines):
+                continue
+            lines.append(f)
+            for j in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)) + [0]:
+                points.append((float(qx - j * b), float(qy + j * a)))
+        points += draw(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), max_size=4))
+        # l(p) may overflow or be no number: only the scalar path judges those
+        points += [(1e308, -1e308), (math.inf, 1.0), (math.nan, 0.0)]
+    policies = tuple(draw(st.sampled_from(("direct", "specular", "branch"))) for _ in lines)
+    half = draw(st.booleans())
+    table = []
+    for pat in itertools.product((1, 0, -1), repeat=len(lines)):
+        if (half and pat[0] < 0) or draw(st.integers(0, 5)) == 0:
+            continue
+        if draw(st.integers(0, 5)) == 0:
+            pat = (None,) + pat[1:]
+        table.append((pat, draw(exprs)))
+    source = None
+    if draw(st.booleans()):
+        source = functools.reduce(lambda a, b: BinOp("+", a, b), [
+            BinOp("*", Call(draw(st.sampled_from(("abs", "sgn"))), _form_expr(f, names)), draw(exprs))
+            for f in lines])
+    u = PiecewiseFn(names, tuple(lines), tuple(table), policies, source=source,
+                    domain=((lines[0], 1),) if half else ())
+    return u, points
+
+
+def _scalar(fn, *args):
+    """repr of the scalar result, None when it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception:
+        return None
+
+
 class TestBatchEvaluation:
+    @given(online_case())
+    @settings(max_examples=300, deadline=None)
+    def test_on_line_batches_match_scalar(self, case):
+        """one_sided_many and evaluate_many equal one_sided_value and
+        evaluate bit for bit (-0.0 included) wherever they cover a point,
+        leave a point only where the scalar path raises or must resolve a
+        0 left in an adjacent pattern, and never cover such a point."""
+        u, points = case
+        cols = np.array(points, dtype=float).T
+        finite = [max(map(abs, p)) < 1e300 for p in points]
+        for axis in range(u.d):
+            for direction in (-1, 1):
+                values, covered = u.one_sided_many(cols, axis, direction)
+                for p, v, ok, fin in zip(points, values.tolist(), covered.tolist(), finite):
+                    try:
+                        s = u.sign_vector(p)
+                    except (OverflowError, ValueError):  # fsum of an overflow or of inf - inf
+                        assert not ok, p
+                        continue
+                    want = _scalar(u.one_sided_value, p, s, axis, direction)
+                    parallel = 0 in u.adjacent_sign_vector(s, axis, direction)
+                    if ok:
+                        assert not parallel and repr(v) == want, p
+                    elif fin and not parallel:
+                        assert want is None, p
+        values, covered = u.evaluate_many(cols)
+        for p, v, ok, fin in zip(points, values.tolist(), covered.tolist(), finite):
+            want = _scalar(u.evaluate, p)
+            if not fin:
+                assert not ok or repr(v) == want, p
+                continue
+            s = u.sign_vector(p)
+            spec = [k for k, t in enumerate(s) if t == 0 and u.policies[k] == "specular"]
+            axis = u.forms[spec[0]].primary_axis() if spec else None
+            if ok:
+                assert repr(v) == want, p
+            elif not spec or all(0 not in u.adjacent_sign_vector(s, axis, d) for d in (-1, 1)):
+                assert want is None, p
+
+    def test_on_line_points_are_covered(self, table_fn):
+        """On-line points of every policy take the batch."""
+        from speculus.specular import partial_field
+
+        pts = np.array([[3.0, 3.0, 1.0, 0.0], [6.0, 1.0, 2.0, 7.0]])  # on a line, or both
+        for u in (table_fn, partial_field(table_fn, 0), partial_field(table_fn, 1)):
+            values, covered = u.evaluate_many(pts)
+            assert covered.all(), u.policies
+            assert values.tolist() == [u.evaluate(p) for p in pts.T.tolist()]
+        h = heaviside(0.25)
+        values, covered = h.evaluate_many([[0.0, 1.0]])
+        assert covered.all() and values.tolist() == [0.25, 1.0]
+        values, covered = h.one_sided_many([[0.0, 1.0]], 0, -1)
+        assert covered.all() and values.tolist() == [0.0, 1.0]
+
     @given(batch_case())
     @settings(max_examples=200, deadline=None)
     def test_evaluate_many_matches_scalar(self, case):
