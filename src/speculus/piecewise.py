@@ -49,8 +49,8 @@ from .expr import (
     find_form,
     mul,
     normalize_affine,
-    pin_signs,
     subst,
+    SignPinner,
     Const,
     Var,
 )
@@ -136,6 +136,9 @@ class PiecewiseFn:
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # symbolic branch derivatives keyed by (sign vector, axis), kept the same way
     _slopes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the source's sign pinner, built on first use or handed over by
+    # ``from_expression``; ``replace`` starts it afresh, equality ignores it
+    _pinner: Optional[SignPinner] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -200,8 +203,10 @@ class PiecewiseFn:
         rhs = self.match(s)
         if rhs is not None or self.source is None:
             return rhs
-        assignment = [(f, s[k]) for k, f in enumerate(self.forms) if s[k] != 0]
-        return pin_signs(self.source, self.vars, assignment, partial=True)
+        if self._pinner is None:
+            object.__setattr__(self, "_pinner", SignPinner(self.source, self.vars))
+        keep = [k for k, t in enumerate(s) if t != 0]
+        return self._pinner([self.forms[k] for k in keep], [s[k] for k in keep], partial=True)
 
     def eval_rhs(self, rhs: Expr, p: Sequence[float]) -> float:
         return eval_expr(rhs, dict(zip(self.vars, p)))
@@ -323,18 +328,12 @@ def from_expression(e: Expr, vars: Sequence[str], domain: Sequence = ()) -> Piec
     forms = tuple(affine_arguments(e, vars))
     if not forms:
         return PiecewiseFn(vars, (), (((), e),), (), source=e, domain=tuple(domain))
-    branches = []
-    for pat in itertools.product((1, -1), repeat=len(forms)):
-        assignment = list(zip(forms, pat))
-        branches.append((tuple(pat), pin_signs(e, vars, assignment)))
-    return PiecewiseFn(
-        vars,
-        forms,
-        tuple(branches),
-        ("direct",) * len(forms),
-        source=e,
-        domain=tuple(domain),
-    )
+    pin = SignPinner(e, vars)
+    branches = tuple((pat, pin(forms, pat))
+                     for pat in itertools.product((1, -1), repeat=len(forms)))
+    u = PiecewiseFn(vars, forms, branches, ("direct",) * len(forms), source=e, domain=tuple(domain))
+    object.__setattr__(u, "_pinner", pin)
+    return u
 
 
 def from_branches(

@@ -43,6 +43,7 @@ from .piecewise import (
     _sign,
     a_combine,
     classify_continuity,
+    evaluate_at,
     is_proper,
     line_samples,
     merge_forms,
@@ -446,13 +447,14 @@ def wave_residual(sol: SolutionField, f: Optional[PiecewiseFn], points) -> Resid
     values); the per-axis operator values are also reported so on-line
     diagonal entries like A(2, 0) are visible."""
     wtt, wxx, W = wave_operator_fields(sol.u)
+    points = [tuple(p) for p in points]
+    forces = evaluate_at(f, points) if f is not None else itertools.repeat(0.0)
     rows = []
     worst = 0.0
-    for p in points:
-        val = W.evaluate(p)
-        fval = f.evaluate(p) if f is not None else 0.0
+    for p, val, fval, tt, xx in zip(points, evaluate_at(W, points), forces,
+                                    evaluate_at(wtt, points), evaluate_at(wxx, points)):
         resid = val - fval
-        rows.append((tuple(p), val, fval, resid, wtt.evaluate(p), wxx.evaluate(p)))
+        rows.append((p, val, fval, resid, tt, xx))
         worst = max(worst, abs(resid))
     return ResidualReport(rows, worst)
 
@@ -534,12 +536,14 @@ def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int 
 
 def initial_conditions_residual(sol: SolutionField, phi: PiecewiseFn, psi: PiecewiseFn, xs) -> tuple:
     """Max |u(x,0) - phi(x)| and |right t-slope at (x,0) - psi(x)|."""
+    xs = [(float(x),) for x in xs]
+    points = [(x, 0.0) for (x,) in xs]
+    psis = evaluate_at(psi, xs)
     worst_u = worst_v = 0.0
-    for x in xs:
-        p = (float(x), 0.0)
-        worst_u = max(worst_u, abs(sol.u.evaluate(p) - phi.evaluate((float(x),))))
+    for p, u0, phi0 in zip(points, evaluate_at(sol.u, points), evaluate_at(phi, xs)):
+        worst_u = max(worst_u, abs(u0 - phi0))
         alpha = semi_derivative_one_sided(sol.u, p, 1, +1)
-        worst_v = max(worst_v, abs(alpha - psi.evaluate((float(x),))))
+        worst_v = max(worst_v, abs(alpha - next(psis)))
     return worst_u, worst_v
 
 

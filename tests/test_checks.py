@@ -1,7 +1,8 @@
-"""The on-line checks (continuity, properness, S^2) against the scalar
-point-by-point versions they replaced, which this file keeps as oracles:
-equal reports bit for bit, the same first exception, and counters of the
-scalar work that is left."""
+"""The on-line checks (continuity, properness, S^2) and the wave residual
+and initial-condition checks against the scalar point-by-point versions
+they replaced, which this file keeps as oracles: equal reports bit for
+bit, the same first exception, and counters of the scalar work that is
+left."""
 
 import math
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speculus.specular as specular
-from speculus.cli import load_problem, solve_problem
+from speculus.cli import _check_points, load_problem, solve_problem
 from speculus.expr import AffineForm, Call, Const, Opaque, Var, affine_arguments, parse
 from speculus.piecewise import (
     ContinuityReport,
@@ -27,12 +28,17 @@ from speculus.piecewise import (
     tol_jump,
 )
 from speculus.specular import S2Report, partial_field, s2_membership, specular_field
+from speculus.specular import semi_derivative_one_sided
 from speculus.waves import (
     FORM_T,
+    ResidualReport,
+    initial_conditions_residual,
     solve_transport,
     solve_wave_halfline,
     solve_wave_homogeneous,
     solve_wave_nonhomogeneous,
+    wave_operator_fields,
+    wave_residual,
 )
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -150,6 +156,29 @@ def s2_scalar(u, box=(-10.0, 10.0), K=17):
                     mixed_continuous, residual, merge_forms([failure_forms]), notes)
 
 
+def wave_residual_scalar(sol, f, points):
+    wtt, wxx, W = wave_operator_fields(sol.u)
+    rows = []
+    worst = 0.0
+    for p in points:
+        val = W.evaluate(p)
+        fval = f.evaluate(p) if f is not None else 0.0
+        resid = val - fval
+        rows.append((tuple(p), val, fval, resid, wtt.evaluate(p), wxx.evaluate(p)))
+        worst = max(worst, abs(resid))
+    return ResidualReport(rows, worst)
+
+
+def initial_scalar(sol, phi, psi, xs):
+    worst_u = worst_v = 0.0
+    for x in xs:
+        p = (float(x), 0.0)
+        worst_u = max(worst_u, abs(sol.u.evaluate(p) - phi.evaluate((float(x),))))
+        alpha = semi_derivative_one_sided(sol.u, p, 1, +1)
+        worst_v = max(worst_v, abs(alpha - psi.evaluate((float(x),))))
+    return worst_u, worst_v
+
+
 def outcome(fn, *args):
     """repr of the result (floats bit for bit, -0.0 included), or the
     exception's type and message."""
@@ -170,14 +199,30 @@ def assert_checks_match(u):
         assert outcome(s2_membership, u) == outcome(s2_scalar, u)
 
 
+def assert_residuals_match(sol, phi, psi, f, points, xs):
+    """wave_residual and initial_conditions_residual equal their oracles."""
+    assert outcome(wave_residual, sol, f, points) == outcome(wave_residual_scalar, sol, f, points)
+    assert (outcome(initial_conditions_residual, sol, phi, psi, xs)
+            == outcome(initial_scalar, sol, phi, psi, xs))
+
+
+# grid points, many of them on the lines x +/- t = c of the generated kinks
+GRID = [(x, t) for t in (0.0, 0.5, 1.0, 1.5) for x in np.arange(-2.0, 2.25, 0.25).tolist()]
+XS = np.arange(0.0, 2.25, 0.25).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Fixture problems and generated wave, half-line and forced problems
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.prob")))
 def test_fixture_reports_match_oracle(name):
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
-    u = prob.u if prob.kind is None else solve_problem(prob).u
+    sol = None if prob.kind is None else solve_problem(prob)
+    u = prob.u if sol is None else sol.u
     assert_checks_match(u)
+    if prob.kind is not None and prob.kind.startswith("wave"):
+        xs = np.linspace(max(prob.grid.x_range[0], 0.0), prob.grid.x_range[1], 33).tolist()
+        assert_residuals_match(sol, prob.phi, prob.psi, prob.f, _check_points(sol, prob), xs)
     for data in (prob.phi, prob.psi, prob.h, prob.f):
         if data is not None:
             assert_checks_match(data)
@@ -204,6 +249,7 @@ def test_generated_solutions_match_oracle(kind, a, c, b, d, p1):
         sol = solve_transport(from_expression(parse(f"{b}*abs(x - {d}) + {a}*abs(x - {c})", X), X))
     else:
         sol = (solve_wave_halfline if kind == "halfline" else solve_wave_homogeneous)(phi, psi)
+        assert_residuals_match(sol, phi, psi, None, [p for p in GRID if sol.u.in_domain(p)], XS)
     assert_checks_match(sol.u)
 
 
@@ -219,8 +265,10 @@ def test_forced_solutions_match_oracle(a, values, b, d):
     f = from_branches(forms, table, XT, domain=((FORM_T, 1),))
     phi = from_expression(parse("(1/2)*x^2 + x", X), X)
     psi = from_expression(parse(f"{b}*abs(x - {d})", X), X)
-    assert_checks_match(solve_wave_nonhomogeneous(phi, psi, f).u)
+    sol = solve_wave_nonhomogeneous(phi, psi, f)
+    assert_checks_match(sol.u)
     assert_checks_match(f)
+    assert_residuals_match(sol, phi, psi, f, [p for p in GRID if sol.u.in_domain(p)], XS)
 
 
 # ---------------------------------------------------------------------------

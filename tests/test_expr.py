@@ -1,16 +1,26 @@
-"""Expression layer: grammar, evaluation, differentiation, affine analysis."""
+"""Expression layer: grammar, evaluation, differentiation, affine analysis.
 
+Sign pinning is checked against the per-assignment recursion that
+``SignPinner`` replaced, which this file keeps as its oracle."""
+
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import speculus.cli as cli
+import speculus.expr as expr
 from speculus.expr import (
     AffineForm,
+    BinOp,
     Call,
     Const,
     EvalDomainError,
+    ExprError,
+    Neg,
     NotSymbolic,
     Opaque,
     ParseError,
@@ -29,14 +39,25 @@ from speculus.expr import (
     pin_signs,
     poly_coeffs,
     poly_to_expr,
-    subst,
+    Pow,
+    SignPinner,
+    UnassignedForm,
     Var,
+    add,
+    div,
+    mul,
+    neg,
+    powi,
+    sub,
+    subst,
 )
 from speculus.expr import NonAffineSingularity
+from speculus.piecewise import from_expression
 
 
 XY = ("x", "y")
 X = ("x",)
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 class TestParse:
@@ -309,3 +330,214 @@ class TestOpaque:
         assert poly_coeffs(leaf, "x") is None
         assert antiderivative(leaf, "x") is None
         assert antiderivative(parse("x", X) + leaf, "x") is None
+
+
+# ---------------------------------------------------------------------------
+# Sign pinning against the per-assignment recursion it replaced
+
+def pin_signs_oracle(e, vars, assignment, partial=False):
+    """One walk of e per assignment: every abs/sgn argument is pinned, then
+    resolved through as_affine/normalize_affine, then looked up."""
+
+    def rec(node):
+        if isinstance(node, (Const, Var)):
+            return node
+        if isinstance(node, Neg):
+            return neg(rec(node.operand))
+        if isinstance(node, Pow):
+            return powi(rec(node.base), node.exponent)
+        if isinstance(node, BinOp):
+            return {"+": add, "-": sub, "*": mul, "/": div}[node.op](rec(node.left), rec(node.right))
+        if isinstance(node, Call):
+            arg = rec(node.arg)
+            if node.func not in ("abs", "sgn"):
+                return Call(node.func, arg)
+            aff = as_affine(arg, vars)
+            if aff is None:
+                raise NonAffineSingularity(
+                    f"abs/sgn argument {format_expr(arg)!r} is not affine in {list(vars)}"
+                )
+            if not any(c != 0.0 for c in aff[0]):
+                v = aff[1]
+                s = float((v > 0.0) - (v < 0.0))
+                return Const(s) if node.func == "sgn" else Const(abs(v))
+            form, scale = normalize_affine(*aff)
+            sigma = None
+            for g, s in assignment:
+                if g.same_as(form):
+                    sigma = s if scale > 0 else -s
+                    break
+            if sigma is None:
+                if partial:
+                    return Call(node.func, arg)
+                raise UnassignedForm(f"no sign assigned for form of {format_expr(arg)!r}")
+            if node.func == "sgn":
+                return Const(float(sigma))
+            return mul(Const(float(sigma)), arg)
+        raise TypeError(f"not an Expr node: {node!r}")
+
+    return rec(e)
+
+
+def outcome(pin):
+    """The pinned tree's repr (which shows -0.0), or the error raised."""
+    try:
+        return repr(pin())
+    except (ExprError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# abs/sgn arguments: flipped orientation, constants, forms within the 1e-9
+# same_as tolerance of each other, and arguments that are not affine
+AFFINE = st.one_of(
+    st.sampled_from([
+        "x", "1 - x", "2*x - y", "x - 3", "-x + y", "x - 1", "x - 1.0000000005",
+        "x/2 - 0.5", "-2", "0", "3 - 1", "0*x", "(x + y)*2", "x*y", "abs(x) - 1", "1/0",
+        "y - 0.0000000001",
+    ]),
+    st.builds("{}*x + {}*y - {}".format, *[st.sampled_from(["0", "1", "2", "0.5"])] * 3),
+)
+SINGULAR = st.builds("{}({})".format, st.sampled_from(["abs", "sgn", "elu"]), AFFINE)
+FORMULAS = st.recursive(
+    st.sampled_from(["x", "y", "2", "0", "0.5"]) | SINGULAR,
+    lambda kids: st.one_of(
+        st.builds("({}) {} ({})".format, kids, st.sampled_from("+-*/"), kids),
+        st.builds("{}({})".format, st.sampled_from(["exp", "sin", "cos", "sqrt", "abs", "sgn"]), kids),
+        st.builds("({})^{}".format, kids, st.integers(0, 3)),
+        st.builds("-({})".format, kids),
+    ),
+    max_leaves=8,
+)
+EXTRA_FORMS = [AffineForm((1.0, 0.0), 1.0), AffineForm((1.0, -0.5), 0.0),
+               AffineForm((0.0, 1.0), 0.0), AffineForm((1.0, 0.0), 1.0 + 4e-10)]
+
+
+def _forms_of(e):
+    try:
+        return affine_arguments(e, XY)
+    except NonAffineSingularity:
+        return []
+
+
+class TestSignPinner:
+    @given(FORMULAS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_assignment_recursion(self, text, data):
+        e = parse(text, XY)
+        pool = _forms_of(e) + EXTRA_FORMS
+        pinner = SignPinner(e, XY)
+        for _ in range(4):
+            forms = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+            for _ in range(3):  # the same forms object again, with other signs
+                signs = data.draw(st.lists(st.sampled_from([1, -1, 0]), min_size=len(forms),
+                                           max_size=len(forms)))
+                partial = data.draw(st.booleans())
+                want = outcome(lambda: pin_signs_oracle(e, XY, list(zip(forms, signs)), partial))
+                assert outcome(lambda: pinner(forms, signs, partial)) == want
+                assert outcome(lambda: pin_signs(e, XY, list(zip(forms, signs)), partial)) == want
+
+    @pytest.mark.parametrize("text", [
+        "abs(1 - x)*x", "abs(-2)*x", "sgn(0)", "sgn(3 - 1)*y", "elu(x - 3)",
+        "exp(abs(x))*sin(sgn(y - 1)) + sqrt(abs(x - y))^3", "abs(x - 1) + abs(x - 1.0000000005)",
+        "-abs(-x) - sgn(-y)", "abs(x)*(0*y)", "sgn(abs(x) - 1)",
+    ])
+    def test_listed_cases(self, text):
+        e = parse(text, XY)
+        forms = _forms_of(e) or [AffineForm((1.0, 0.0), 0.0), AffineForm((1.0, 0.0), 1.0)]
+        pinner = SignPinner(e, XY)
+        for signs in itertools.product((1, 0, -1), repeat=len(forms)):
+            for partial in (False, True):
+                # partial pins leave a 0 out, as PiecewiseFn.branch does
+                assignment = [(f, s) for f, s in zip(forms, signs) if s or not partial]
+                got = outcome(lambda: pinner([f for f, _ in assignment], [s for _, s in assignment], partial))
+                assert got == outcome(lambda: pin_signs_oracle(e, XY, assignment, partial))
+
+    @pytest.mark.parametrize("text, error", [
+        ("abs(x) + abs(x*y)", NonAffineSingularity),
+        ("abs(y - 1) + abs(x*y)", UnassignedForm),  # the first error in walk order
+        ("abs(x) * abs(y - 1)", UnassignedForm),
+        ("x/(0*y + 0) + abs(x*y)", EvalDomainError),
+        ("abs(x*y) + x/(0*y)", NonAffineSingularity),
+        ("2^2000*abs(x)", OverflowError),
+    ])
+    def test_raises_as_the_recursion(self, text, error):
+        e = parse(text, XY)
+        assignment = [(AffineForm((1.0, 0.0), 0.0), 1)]
+        with pytest.raises(error) as want:
+            pin_signs_oracle(e, XY, assignment)
+        with pytest.raises(error) as got:
+            pin_signs(e, XY, assignment)
+        assert str(got.value) == str(want.value)
+
+    def test_opaque_leaf_is_not_pinned(self):
+        e = opaque(math.hypot, (Var("x"), Var("y"))) + Call("abs", Var("x"))
+        with pytest.raises(TypeError, match="not an Expr node"):
+            pin_signs(e, XY, [(AffineForm((1.0, 0.0), 0.0), 1)])
+
+
+def fixture_formulas():
+    """(expression, vars) of every formula the problem files hold, and of
+    the worked examples of the suite."""
+    found = []
+
+    def record(e, vars, *args):
+        found.append((e, tuple(vars)))
+        return from_expression(e, vars, *args)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(cli, "from_expression", record)
+    try:
+        for path in sorted(PROBLEMS.glob("*.prob")):
+            cli.load_problem(str(path))
+    finally:
+        mp.undo()
+    for text in ("abs(2*x - y) + abs(x - 3)", "abs(x) - abs(y) - x - y", "sgn(x) + sgn(y)"):
+        found.append((parse(text, XY), XY))
+    found.append((parse("elu(x - 3)", X), X))
+    return found
+
+
+@pytest.mark.parametrize("e, vars", fixture_formulas())
+def test_fixture_branches_match_oracle(e, vars):
+    u = from_expression(e, vars)
+    forms = affine_arguments(e, vars)
+    if not forms:
+        assert u.branches == (((), e),)
+        return
+    assert [(pat, repr(rhs)) for pat, rhs in u.branches] == [
+        (pat, repr(pin_signs_oracle(e, vars, list(zip(forms, pat)))))
+        for pat in itertools.product((1, -1), repeat=len(forms))
+    ]
+    for s in itertools.product((1, 0, -1), repeat=len(forms)):
+        assignment = [(f, t) for f, t in zip(forms, s) if t != 0]
+        assert repr(u.branch(s)) == repr(pin_signs_oracle(e, vars, assignment, partial=True))
+
+
+def test_from_expression_resolves_each_argument_once(monkeypatch):
+    """as_affine calls, counted at the outermost level: affine_arguments
+    resolves each of the 4 abs/sgn arguments once and the pinner once
+    more, for all 16 sign patterns and for the on-line patterns that
+    branch() pins later.  One pin walk per pattern made 4 + 16*4 = 68."""
+    e = parse("1.5*abs(x - y - 0.5)*sqrt(1 + (x/2)^2) - sgn(2*x + y - 1)"
+              " + abs(x + 2*y + 0.5)*exp(x/2) - 2*abs(y - 1)", XY)
+    depth, calls = [0], []
+    real = expr.as_affine
+
+    def counted(arg, vars):
+        if depth[0] == 0:
+            calls.append(arg)
+        depth[0] += 1
+        try:
+            return real(arg, vars)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "as_affine", counted)
+    u = from_expression(e, XY)
+    assert len(u.branches) == 16
+    assert len(calls) == 8
+    for s in itertools.product((1, 0, -1), repeat=4):
+        u.branch(s)
+    assert len(calls) == 8
+    from_expression(e, XY)
+    assert len(calls) == 16
