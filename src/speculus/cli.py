@@ -52,7 +52,6 @@ from .piecewise import (
     CoverageError,
     PiecewiseFn,
     a_combine,
-    classify_continuity,
     from_branches,
     from_expression,
     is_proper,
@@ -645,11 +644,10 @@ def cmd_check(path: str, out=sys.stdout) -> int:
     prob = load_problem(path)
     if prob.kind is None:
         # bare function file: report continuity / proper status
-        rep = classify_continuity(prob.u)
-        good, _ = is_proper(prob.u)
-        print(f"continuity.verdict = {rep.verdict}", file=out)
+        good, rep = is_proper(prob.u)
+        print(f"continuity.verdict = {rep.continuity.verdict}", file=out)
         print(f"proper.u = {str(good).lower()}", file=out)
-        ok = rep.verdict != "not-piecewise-continuous"
+        ok = rep.continuity.verdict != "not-piecewise-continuous"
         print(f"all.pass = {str(ok).lower()}", file=out)
         return EXIT_OK if ok else EXIT_CHECK_FAIL
     return _run_checks(prob, out)

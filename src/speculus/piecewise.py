@@ -22,11 +22,14 @@ The A-combination ``a_combine`` and the proper on-line value
 ``proper_value`` live here so that every layer uses the same rule.
 
 ``evaluate`` defines the value at a point and ``one_sided_value`` a limit
-along an axis.  ``evaluate_many`` and ``one_sided_many`` compute them at
-many points, on lines too, with one ``eval_array`` pass per sign pattern,
-and report the points they covered, bitwise as the scalar methods; the
-others go to the scalar methods in point order (``evaluate_at``,
-``limits_at``), so that the first error is the one a scalar pass raises.
+along an axis, each through a node of sign patterns: a branch tree, a pair
+of limits to A-combine, or an error.  ``evaluate_batch`` gives the value and
+the limits along given axes at many points, on lines too, from one
+``pattern_groups`` call and one ``eval_array`` pass per distinct tree, and
+reports the points it covered, bitwise as the scalar methods.  It never
+raises: the checks call the scalar methods at the other points in the order
+of a scalar pass (line by line; per point the value, then each axis), so
+the first error is the one a scalar pass raises.
 """
 
 from __future__ import annotations
@@ -179,7 +182,8 @@ class PiecewiseFn:
         bad = np.zeros(len(cols[0]), dtype=bool)
         signs = self.sign_matrix(cols, bad)
         if not self.forms:
-            yield (), np.flatnonzero(~bad)
+            if not bad.all():
+                yield (), np.flatnonzero(~bad)
             return
         # a row's bytes as one key: ten times faster than np.unique(axis=0)
         keys = signs.view(np.dtype((np.void, len(self.forms)))).ravel()
@@ -208,82 +212,90 @@ class PiecewiseFn:
         keep = [k for k, t in enumerate(s) if t != 0]
         return self._pinner([self.forms[k] for k in keep], [s[k] for k in keep], partial=True)
 
-    def eval_rhs(self, rhs: Expr, p: Sequence[float]) -> float:
-        return eval_expr(rhs, dict(zip(self.vars, p)))
-
     def in_domain(self, p: Sequence[float], margin: float = 0.0) -> bool:
         return all(s * f.value(p) > margin for f, s in self.domain)
 
     # -- evaluation ---------------------------------------------------------
 
-    def _rule(self, s: Pattern) -> tuple:
-        """How a point with sign vector s takes its value: (axis, None) for
-        the A-combination of the limits along the axis, else (None, the
-        table branch, or the source under a ``direct`` zero, or None)."""
+    def _value_node(self, s: Pattern):
+        """How a point with sign vector s takes its value: the pair of limits
+        along the primary axis of its first ``specular`` zero, else the table
+        branch, or the source under a ``direct`` zero, or None."""
         zeros = [k for k, t in enumerate(s) if t == 0]
         spec = [k for k in zeros if self.policies[k] == "specular"]
         if spec:
-            return self.forms[spec[0]].primary_axis(), None
+            return tuple(self._limit_node(s, self.forms[spec[0]].primary_axis(), d) for d in (-1, 1))
         rhs = self.match(s)
         if rhs is None and any(self.policies[k] == "direct" for k in zeros):
             rhs = self.source
-        return None, rhs
+        return rhs
+
+    def _limit_node(self, s: Pattern, axis: int, direction: int):
+        """How the limit along the axis from the given side takes its value
+        at sign vector s: the adjacent pattern's branch; else, when the path
+        stays on a parallel ``specular`` form (entry still 0), the pair of
+        limits across it; else the error that the scalar path raises."""
+        sv = self.adjacent_sign_vector(s, axis, direction)
+        try:
+            rhs = self.branch(sv)
+        except Exception as exc:  # pinning the source failed: raised when evaluated
+            return exc
+        if rhs is not None:
+            return rhs
+        for k, f in enumerate(self.forms):
+            if sv[k] == 0 and self.policies[k] == "specular":
+                return tuple(self._limit_node(sv, f.primary_axis(), d) for d in (-1, 1))
+        return BranchLookupError(f"no adjacent branch for sign vector {sv}")
+
+    def _node_value(self, node, p: Sequence[float]) -> float:
+        """A node at p: its branch, ``proper_value`` of a pair, or its error."""
+        if isinstance(node, Exception):
+            raise node
+        if isinstance(node, tuple):
+            return proper_value(*(self._node_value(m, p) for m in node))
+        return eval_expr(node, dict(zip(self.vars, p)))
 
     def evaluate(self, p: Sequence[float]) -> float:
         s = self.sign_vector(p)
-        axis, rhs = self._rule(s)
-        if axis is not None:
-            lim = self.one_sided_limits(p, axis)
-            return proper_value(lim.left, lim.right)
-        if rhs is None:
+        node = self._value_node(s)
+        if node is None:
             what = ("branch or source" if any(t == 0 and q == "direct" for t, q in zip(s, self.policies))
                     else "on-line branch" if 0 in s else "branch")
             raise BranchLookupError(f"no {what} for sign vector {s} at {tuple(p)}")
-        return self.eval_rhs(rhs, p)
+        return self._node_value(node, p)
 
     def evaluate_many(self, cols: Sequence[np.ndarray]) -> tuple:
-        """``evaluate`` at many points (cols: one coordinate array per
-        variable), as (values, covered).  Each sign pattern takes its
-        ``_rule`` once: one ``eval_array`` pass of its branch, or the
-        A-combination, per point through ``math``, of two batched limits.
-        A covered point has finite l(p) and a value bitwise that of
-        ``evaluate``; ``evaluate`` takes the others and raises the errors."""
+        """``evaluate`` at many points: the (values, covered) of ``evaluate_batch``."""
+        return self.evaluate_batch(cols)[None]
+
+    def evaluate_batch(self, cols: Sequence[np.ndarray], axes: Sequence[int] = ()) -> dict:
+        """The value (key None) and the left and right limits along each
+        axis (keys (axis, -1) and (axis, +1)) at many points (cols: one
+        coordinate array per variable), each as (values, covered).  One
+        ``pattern_groups`` call routes every request of a sign pattern to its
+        node, each distinct branch tree takes one ``eval_array`` pass over
+        all the points routed to it, and a pair takes ``proper_value`` per
+        point through ``math``.  A covered point has finite l(p) and a value
+        bitwise that of ``evaluate``/``one_sided_value``; the scalar methods
+        take the others and raise the errors.  Nothing here raises."""
         cols = [np.asarray(c, dtype=float) for c in cols]
-        values, covered = np.zeros(len(cols[0])), np.zeros(len(cols[0]), dtype=bool)
+        keys = [None] + [(axis, d) for axis in axes for d in (-1, 1)]
+        plan, trees = [], {}
         for s, idx in self.pattern_groups(cols):
-            sub = [c[idx] for c in cols]
-            axis, rhs = self._rule(s)
-            if axis is None:
-                values[idx], covered[idx] = self._eval_group(rhs, sub)
-                continue
-            (left, lc), (right, rc) = (self._one_sided_group(s, sub, axis, d) for d in (-1, 1))
-            values[idx] = [proper_value(a, b) for a, b in zip(left.tolist(), right.tolist())]
-            covered[idx] = lc & rc
-        return values, covered
-
-    def one_sided_many(self, cols: Sequence[np.ndarray], axis: int, direction: int) -> tuple:
-        """``one_sided_value`` at many points, as ``evaluate_many`` does.  A
-        point is left over when its adjacent pattern keeps a 0 (a form
-        parallel to the axis), has no branch, or its branch fails there."""
-        cols = [np.asarray(c, dtype=float) for c in cols]
-        values, covered = np.zeros(len(cols[0])), np.zeros(len(cols[0]), dtype=bool)
-        for s, idx in self.pattern_groups(cols):
-            values[idx], covered[idx] = self._one_sided_group(s, [c[idx] for c in cols], axis, direction)
-        return values, covered
-
-    def _one_sided_group(self, s: Pattern, sub: list, axis: int, direction: int) -> tuple:
-        sv = self.adjacent_sign_vector(s, axis, direction)
-        try:
-            rhs = None if 0 in sv else self.branch(sv)
-        except Exception:  # pinning the source failed: the scalar path raises it again
-            rhs = None
-        return self._eval_group(rhs, sub)
-
-    def _eval_group(self, rhs: Optional[Expr], sub: list) -> tuple:
-        """(values, ok) of a branch, or of None, over the columns sub."""
-        bad = np.full(len(sub[0]), rhs is None)
-        values = np.zeros(len(bad)) if rhs is None else eval_array(rhs, dict(zip(self.vars, sub)), bad)
-        return values, ~bad
+            for key in keys:
+                node = self._value_node(s) if key is None else self._limit_node(s, *key)
+                plan.append((key, idx, node))
+                _route(node, idx, trees)
+        done = {}
+        for k, (rhs, parts) in trees.items():
+            idx = parts[0] if len(parts) == 1 else np.flatnonzero(np.bincount(np.concatenate(parts)))
+            bad = np.zeros(len(idx), dtype=bool)
+            done[k] = idx, eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad), bad
+        n = len(cols[0])
+        out = {key: (np.zeros(n), np.zeros(n, dtype=bool)) for key in keys}
+        for key, idx, node in plan:
+            out[key][0][idx], out[key][1][idx] = _node_values(node, idx, done)
+        return out
 
     def one_sided_limits(self, p: Sequence[float], axis: int) -> OneSidedLimits:
         s = self.sign_vector(p)
@@ -303,21 +315,28 @@ class PiecewiseFn:
     def one_sided_value(self, p, s, axis: int, direction: int) -> float:
         """The limit of u at p (sign vector s) approached along the axis from
         the given side."""
-        sv = self.adjacent_sign_vector(s, axis, direction)
-        rhs = self.branch(sv)
-        if rhs is not None:
-            return self.eval_rhs(rhs, p)
-        # The approach path can stay on a parallel form (entry still 0).
-        # If that form's on-line values are the proper A-combination, the
-        # limit along this axis is the A-combination of the limits across
-        # the parallel form, resolved recursively.
-        for k, f in enumerate(self.forms):
-            if sv[k] == 0 and self.policies[k] == "specular":
-                cross = f.primary_axis()
-                left = self.one_sided_value(p, sv, cross, -1)
-                right = self.one_sided_value(p, sv, cross, +1)
-                return proper_value(left, right)
-        raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
+        return self._node_value(self._limit_node(s, axis, direction), p)
+
+
+def _route(node, idx: np.ndarray, trees: dict) -> None:
+    """Add the point indices to each branch tree of the node, keyed by id."""
+    if isinstance(node, tuple):
+        for m in node:
+            _route(m, idx, trees)
+    elif isinstance(node, Expr):
+        trees.setdefault(id(node), (node, []))[1].append(idx)
+
+
+def _node_values(node, idx: np.ndarray, done: dict) -> tuple:
+    """(values, covered) of a node at the point indices, from the evaluated trees."""
+    if isinstance(node, tuple):
+        (a, oa), (b, ob) = (_node_values(m, idx, done) for m in node)
+        return np.array([proper_value(x, y) for x, y in zip(a.tolist(), b.tolist())]), oa & ob
+    if not isinstance(node, Expr):
+        return np.zeros(len(idx)), np.zeros(len(idx), dtype=bool)
+    at, values, bad = done[id(node)]  # the tree's sorted point indices, values, failures
+    pos = slice(None) if idx is at else np.searchsorted(at, idx)
+    return values[pos], ~bad[pos]
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +514,19 @@ def evaluate_at(u: PiecewiseFn, pts: list):
         yield v if ok else u.evaluate(p)
 
 
-def limits_at(u: PiecewiseFn, pts: list, axis: int):
-    """(left, right) along the axis at each point, as ``evaluate_at`` does."""
-    cols = np.array(pts, dtype=float).reshape(-1, u.d).T
-    (lv, lc), (rv, rc) = (u.one_sided_many(cols, axis, d) for d in (-1, 1))
-    for p, a, b, ok in zip(pts, lv.tolist(), rv.tolist(), (lc & rc).tolist()):
-        if not ok:
-            lim = u.one_sided_limits(p, axis)
-            a, b = lim.left, lim.right
-        yield a, b
+def _line_batch(u: PiecewiseFn, lines: list, axes) -> dict:
+    """``evaluate_batch`` at the points of all lines, as Python lists."""
+    cols = np.array([p for pts in lines for p in pts], dtype=float).reshape(-1, u.d).T
+    return {key: (v.tolist(), ok.tolist()) for key, (v, ok) in u.evaluate_batch(cols, axes).items()}
+
+
+def _limits(u: PiecewiseFn, batch: dict, i: int, p, axis: int) -> tuple:
+    """(left, right) along the axis at the batch's i-th point p, else ``one_sided_limits``."""
+    (left, lc), (right, rc) = batch[axis, -1], batch[axis, 1]
+    if lc[i] and rc[i]:
+        return left[i], right[i]
+    lim = u.one_sided_limits(p, axis)
+    return lim.left, lim.right
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +539,24 @@ def classify_continuity(
     delta: float = 1e-6,
     lines: Optional[list] = None,  # the line_samples of each form, if known
 ) -> ContinuityReport:
-    jump, indet, unsampled = [], [], []
-    samples: dict = {}
     if lines is None:
         lines = [line_samples(u, k, K=K, box=box, delta=delta) for k in range(len(u.forms))]
+    axes = sorted({u.forms[k].primary_axis() for k, pts in enumerate(lines) if pts})
+    return _continuity(u, lines, _line_batch(u, lines, axes))
+
+
+def _continuity(u: PiecewiseFn, lines: list, batch: dict) -> ContinuityReport:
+    """The report from the limits along each form's primary axis at its samples."""
+    jump, indet, unsampled = [], [], []
+    samples: dict = {}
+    at = itertools.count()
     for k, pts in enumerate(lines):
         if not pts:
             unsampled.append(k)
             continue
-        rows = []
-        n_jump = 0
-        for p, (left, right) in zip(pts, limits_at(u, pts, u.forms[k].primary_axis())):
-            rows.append((p, left, right))
-            if abs(left - right) > tol_jump(left, right):
-                n_jump += 1
+        axis = u.forms[k].primary_axis()
+        rows = [(p, *_limits(u, batch, next(at), p, axis)) for p in pts]
+        n_jump = sum(abs(left - right) > tol_jump(left, right) for _, left, right in rows)
         samples[k] = rows
         if n_jump == len(rows):
             jump.append(k)
@@ -552,17 +579,22 @@ def is_proper(
     lines: Optional[list] = None,
 ):
     """Stored values at the line samples against the A-combination of the
-    limits along each axis (along the primary one, those of the report)."""
-    cont = classify_continuity(u, box=box, K=K, delta=delta, lines=lines)
+    limits along each axis (along the primary one, those of the report),
+    from one batch for the whole check; the scalar methods take what it
+    left, per point the value first, then each other axis."""
+    if lines is None:
+        lines = [line_samples(u, k, K=K, box=box, delta=delta) for k in range(len(u.forms))]
+    batch = _line_batch(u, lines, range(u.d))
+    cont = _continuity(u, lines, batch)
+    (stored_values, covered), at = batch[None], itertools.count()
     violations = []
     for k, rows in cont.samples.items():
-        pts = [p for p, _, _ in rows]
         primary = u.forms[k].primary_axis()
-        lims = [((a, b) for _, a, b in rows) if axis == primary else limits_at(u, pts, axis)
-                for axis in range(u.d)]
-        for p, stored in zip(pts, evaluate_at(u, pts)):
-            for axis, it in enumerate(lims):
-                left, right = next(it)
+        for p, a, b in rows:
+            i = next(at)
+            stored = stored_values[i] if covered[i] else u.evaluate(p)
+            for axis in range(u.d):
+                left, right = (a, b) if axis == primary else _limits(u, batch, i, p, axis)
                 expected = proper_value(left, right)
                 if abs(stored - expected) > tol_jump(left, right):
                     violations.append((k, p, axis, stored, expected))

@@ -473,16 +473,17 @@ class TestBatchEvaluation:
     @given(online_case())
     @settings(max_examples=300, deadline=None)
     def test_on_line_batches_match_scalar(self, case):
-        """one_sided_many and evaluate_many equal one_sided_value and
-        evaluate bit for bit (-0.0 included) wherever they cover a point,
-        leave a point only where the scalar path raises or must resolve a
-        0 left in an adjacent pattern, and never cover such a point."""
+        """The limits of evaluate_batch and evaluate_many equal
+        one_sided_value and evaluate bit for bit (-0.0 included) wherever
+        they cover a point, a 0 left in an adjacent pattern included, and
+        leave a finite point only where the scalar path raises."""
         u, points = case
         cols = np.array(points, dtype=float).T
         finite = [max(map(abs, p)) < 1e300 for p in points]
+        batch = u.evaluate_batch(cols, range(u.d))
         for axis in range(u.d):
             for direction in (-1, 1):
-                values, covered = u.one_sided_many(cols, axis, direction)
+                values, covered = batch[axis, direction]
                 for p, v, ok, fin in zip(points, values.tolist(), covered.tolist(), finite):
                     try:
                         s = u.sign_vector(p)
@@ -490,10 +491,9 @@ class TestBatchEvaluation:
                         assert not ok, p
                         continue
                     want = _scalar(u.one_sided_value, p, s, axis, direction)
-                    parallel = 0 in u.adjacent_sign_vector(s, axis, direction)
                     if ok:
-                        assert not parallel and repr(v) == want, p
-                    elif fin and not parallel:
+                        assert repr(v) == want, p
+                    elif fin:
                         assert want is None, p
         values, covered = u.evaluate_many(cols)
         for p, v, ok, fin in zip(points, values.tolist(), covered.tolist(), finite):
@@ -501,12 +501,9 @@ class TestBatchEvaluation:
             if not fin:
                 assert not ok or repr(v) == want, p
                 continue
-            s = u.sign_vector(p)
-            spec = [k for k, t in enumerate(s) if t == 0 and u.policies[k] == "specular"]
-            axis = u.forms[spec[0]].primary_axis() if spec else None
             if ok:
                 assert repr(v) == want, p
-            elif not spec or all(0 not in u.adjacent_sign_vector(s, axis, d) for d in (-1, 1)):
+            else:
                 assert want is None, p
 
     def test_on_line_points_are_covered(self, table_fn):
@@ -521,7 +518,7 @@ class TestBatchEvaluation:
         h = heaviside(0.25)
         values, covered = h.evaluate_many([[0.0, 1.0]])
         assert covered.all() and values.tolist() == [0.25, 1.0]
-        values, covered = h.one_sided_many([[0.0, 1.0]], 0, -1)
+        values, covered = h.evaluate_batch([[0.0, 1.0]], [0])[0, -1]
         assert covered.all() and values.tolist() == [0.0, 1.0]
 
     @given(batch_case())
