@@ -384,8 +384,9 @@ def cmd_deriv(path: str, point_str: str, axis: str, out=sys.stdout) -> int:
     print(f"beta = {fmt(pair.left)}", file=out)
     print(f"specular = {fmt(value)}", file=out)
     if u.d == 2:
+        pairs = [pair if j == k else semi_derivatives(u, point, j) for j in (0, 1)]
         try:
-            data = tangent_data(u, point)
+            data = tangent_data(u, point, pairs)
         except CenterMismatch as exc:
             print(f"tangent = none ({exc})", file=out)
             return EXIT_OK
@@ -440,22 +441,24 @@ def _line_frame(form):
     return nhat, nhat * (form.offset / norm), np.array([-nhat[1], nhat[0]])
 
 
-def _solution_rows(sol: SolutionField, prob: Problem):
-    """Grid rows (t outer, x inner) then on-line supplements sorted by
-    (form index, parameter, side in -1, 0, +1).  Every column is evaluated
-    over all points at once; an entry the batch does not cover is evaluated
-    point by point, row by row, so errors surface as in a scalar pass."""
+def _solution_rows(sol: SolutionField, prob: Problem) -> np.ndarray:
+    """The (n, 6) sample table x, t, u, ux, ut, residual: grid rows (t
+    outer, x inner) then on-line supplements sorted by (form index,
+    parameter, side in -1, 0, +1).  Each column is evaluated over all points
+    at once and copied in whole; the entries the batch does not cover are
+    then evaluated point by point, row by row and within a row column by
+    column, so errors surface as in a scalar pass."""
     u = sol.u
     ux, ut = partial_field(u, 0), partial_field(u, 1)
     f = prob.f
 
     g = prob.grid
-    xs = _linspace(*g.x_range, g.nx)
-    ts = _linspace(*g.t_range, g.nt)
-    points = [(x, t) for t in ts for x in xs]
+    xs = np.array(_linspace(*g.x_range, g.nx))
+    ts = np.array(_linspace(*g.t_range, g.nt))
 
     # on-line supplements: for each singular form, points along the part of
     # its zero line inside the grid box, each with a straddling +-delta pair
+    online = []
     ns = max(g.nx, g.nt)
     for form in u.forms:
         nhat, p0, d = _line_frame(form)
@@ -482,9 +485,10 @@ def _solution_rows(sol: SolutionField, prob: Problem):
             ):
                 continue
             for side in (-1, 0, 1):
-                points.append(tuple(base + side * g.delta * nhat))
+                online.append(base + side * g.delta * nhat)
 
-    cols = np.reshape(points, (-1, 2)).T
+    grid = (np.tile(xs, len(ts)), np.repeat(ts, len(xs)))
+    cols = [np.concatenate(c) for c in zip(grid, np.reshape(online, (-1, 2)).T)]
     columns = [(*fld.evaluate_many(cols), functools.partial(_safe_eval, fld))
                for fld in (u, ux, ut)]
     if prob.kind == "transport":
@@ -504,18 +508,28 @@ def _solution_rows(sol: SolutionField, prob: Problem):
             fv, fc = f.evaluate_many(cols)
             values, covered = values - fv, covered & fc
         columns.append((values, covered, residual_at))
-    columns = [(v.tolist(), c.tolist(), fn) for v, c, fn in columns]
-    return [(p[0], p[1], *(v[i] if c[i] else fn(p) for v, c, fn in columns))
-            for i, p in enumerate(points)]
+
+    table = np.column_stack([*cols, *(values for values, _, _ in columns)])
+    holes = ~np.column_stack([covered for _, covered, _ in columns])
+    for i in np.flatnonzero(holes.any(axis=1)).tolist():
+        p = tuple(table[i, :2].tolist())
+        for j in np.flatnonzero(holes[i]).tolist():
+            table[i, 2 + j] = columns[j][2](p)
+    return table
 
 
-def write_csv(rows, out_path: str) -> None:
-    lines = ["x,t,u,ux,ut,residual"]
-    for row in rows:
-        for v in row:
-            if not math.isfinite(v):
-                raise ProblemFileError("non-finite value in sample table")
-        lines.append(",".join(fmt(v) for v in row))
+def write_csv(table: np.ndarray, out_path: str) -> None:
+    """Write the sample table as CSV: ``fmt`` runs once per distinct bit
+    pattern of a column (-0.0 and 0.0 stay apart), and its text is indexed
+    back into every cell that holds it."""
+    if not np.isfinite(table).all():
+        raise ProblemFileError("non-finite value in sample table")
+    columns = []
+    for col in table.T:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        columns.append(texts[inverse].tolist())
+    lines = ["x,t,u,ux,ut,residual", *map(",".join, zip(*columns))]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -525,9 +539,9 @@ def cmd_solve(path: str, out_csv: str, out=sys.stdout) -> int:
     if prob.kind is None:
         raise ProblemFileError("solve needs a problem with kind = ...")
     sol = solve_problem(prob)
-    rows = _solution_rows(sol, prob)
-    write_csv(rows, out_csv)
-    print(f"wrote {len(rows)} rows to {out_csv}", file=out)
+    table = _solution_rows(sol, prob)
+    write_csv(table, out_csv)
+    print(f"wrote {len(table)} rows to {out_csv}", file=out)
     rep = s2_membership(sol.u)
     if rep.verdict != "S2":
         names = ", ".join(form_str(g, sol.u.vars) for g in rep.failure_forms)

@@ -55,11 +55,11 @@ class TangentData:
     degenerate_triples: list
 
 
-def _center_and_pairs(u: PiecewiseFn, a):
+def _center_and_pairs(u: PiecewiseFn, a, pairs=None):
+    """The anchor and the semi-derivative pairs along both axes at a (or the given pairs)."""
     if u.d != 2:
         raise TangentError("tangent geometry is 2D only")
-    pair1 = semi_derivatives(u, a, 0)
-    pair2 = semi_derivatives(u, a, 1)
+    pair1, pair2 = pairs or (semi_derivatives(u, a, 0), semi_derivatives(u, a, 1))
     lim1 = u.one_sided_limits(a, 0)
     lim2 = u.one_sided_limits(a, 1)
     if abs(lim1.mid - lim2.mid) > tol_jump(lim1.mid, lim2.mid):
@@ -168,8 +168,8 @@ def weak_tangent_planes(u: PiecewiseFn, a):
     return _weak_planes(pair1, pair2, _sphere_points(anchor, pair1, pair2))
 
 
-def tangent_data(u: PiecewiseFn, a) -> TangentData:
-    anchor, pair1, pair2 = _center_and_pairs(u, a)
+def tangent_data(u: PiecewiseFn, a, pairs=None) -> TangentData:
+    anchor, pair1, pair2 = _center_and_pairs(u, a, pairs)
     points = _sphere_points(anchor, pair1, pair2)
     res, tol = _criterion(pair1, pair2)
     normal = _normal(pair1, pair2, points) if abs(res) <= tol else None

@@ -63,7 +63,7 @@ from .specular import (
     specular_partial,
     specularly_differentiable_1d,
 )
-from .tangent2d import CenterMismatch, strong_criterion_residual, tol_crit
+from .tangent2d import CenterMismatch, _center_and_pairs, _criterion
 
 VARS_XT = ("x", "t")
 FORM_X = AffineForm((1.0, 0.0), 0.0)
@@ -520,14 +520,12 @@ def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int 
     rows, failures = [], []
     for p in points:
         try:
-            res = strong_criterion_residual(v, p)
+            _, pair1, pair2 = _center_and_pairs(v, p)
         except CenterMismatch as e:
             rows.append((tuple(p), None, f"center mismatch: {e}"))
             failures.append(tuple(p))
             continue
-        pair1 = semi_derivatives(v, p, 0)
-        pair2 = semi_derivatives(v, p, 1)
-        tol = tol_crit(pair1.right, pair1.left, pair2.right, pair2.left)
+        res, tol = _criterion(pair1, pair2)
         rows.append((tuple(p), res, ""))
         if abs(res) > tol:
             failures.append(tuple(p))

@@ -10,9 +10,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speculus.cli as cli
 from speculus.cli import (
@@ -30,7 +33,10 @@ from speculus.cli import (
     main,
     parse_problem_file,
 )
-from speculus.expr import Expr
+import speculus.specular as specular
+from speculus.expr import Expr, ExprError
+from speculus.specular import partial_field
+from speculus.waves import hypothesis_h_check, transport_operator, transport_operator_many
 
 REPO = Path(__file__).resolve().parents[1]
 PROBLEMS = REPO / "problems"
@@ -187,6 +193,56 @@ class TestDeriv:
         assert err.startswith("math-domain error: ") and err.count("\n") == 1
 
 
+def count_semi_derivatives(monkeypatch):
+    """A list whose length is the number of ``semi_derivative_one_sided``
+    calls made from now on."""
+    calls = []
+    real = specular.semi_derivative_one_sided
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specular, "semi_derivative_one_sided", spy)
+    return calls
+
+
+class TestSemiDerivativeWork:
+    """Each semi-derivative pair is computed once per point and axis."""
+
+    @pytest.mark.parametrize("name, point", [("table2d", "3,6"), ("corner2d", "0,0")])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_deriv_2d(self, name, point, axis, monkeypatch):
+        calls = count_semi_derivatives(monkeypatch)
+        assert cmd_deriv(str(PROBLEMS / f"{name}.prob"), point, axis, out=io.StringIO()) == EXIT_OK
+        assert len(calls) == 4  # 6 when the tangent code recomputed both pairs
+
+    @pytest.mark.parametrize("name, count", [
+        pytest.param("halfline", 144, id="halfline-288"),
+        pytest.param("wave_fullline", 72, id="wave_fullline-144"),
+        pytest.param("counterexample", 72, id="counterexample-144"),
+    ])
+    def test_hypothesis_h_check(self, name, count, monkeypatch):
+        sol = cli.solve_problem(load_problem(str(PROBLEMS / f"{name}.prob")))
+        calls = count_semi_derivatives(monkeypatch)
+        rep = hypothesis_h_check(sol)
+        assert len(calls) == count  # the id holds the count with the pairs computed twice
+        assert len(calls) == 4 * len(rep.rows)
+
+    def test_other_axis_raises_after_the_report(self, tmp_path, capsys):
+        # the x pair exists at (1, 0); the right y slope of y*sqrt(y) divides by 0
+        p = tmp_path / "dy.prob"
+        p.write_text("[problem]\nu = abs(x) + y*sqrt(y)\nvars = x, y\n")
+        for axis, report in (("x", "point = 1.0, 0.0\naxis = x\nalpha = 1.0\nbeta = 1.0\n"
+                                   "specular = 0.9999999999999999\n"), ("y", "")):
+            out = io.StringIO()
+            with pytest.raises(ExprError, match="^division by zero$"):
+                cmd_deriv(str(p), "1,0", axis, out=out)
+            assert out.getvalue() == report
+            assert run(["deriv", str(p), "--point", "1,0", "--axis", axis])[0] == EXIT_MATH_DOMAIN
+            assert capsys.readouterr().err == "math-domain error: division by zero\n"
+
+
 @pytest.fixture(scope="module")
 def halfline_csv(tmp_path_factory):
     out_path = tmp_path_factory.mktemp("csv") / "halfline.csv"
@@ -336,6 +392,152 @@ class TestCheck:
         pairs = kv(out.getvalue())
         assert code == EXIT_OK
         assert pairs["continuity.verdict"] == "continuous"
+
+
+def write_csv_rowwise(rows, out_path):
+    """The row-by-row CSV writer that ``write_csv`` replaced: one ``fmt``
+    per cell."""
+    lines = ["x,t,u,ux,ut,residual"]
+    for row in rows:
+        for v in row:
+            if not math.isfinite(v):
+                raise ProblemFileError("non-finite value in sample table")
+        lines.append(",".join(fmt(v) for v in row))
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e-300, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0, -1.0]
+CELL = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sample_tables(draw):
+    """(n, 6) float tables whose columns are all equal, all distinct (by bit
+    pattern) or drawn freely from values that include -0.0 and 0.0,
+    subnormals, +-1e308 and 1e-300."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(6):
+        kind = draw(st.sampled_from(["equal", "distinct", "free"]))
+        if kind == "equal":
+            columns.append([draw(CELL)] * n)
+        else:
+            columns.append(draw(st.lists(CELL, min_size=n, max_size=n,
+                                         unique_by=(lambda v: np.float64(v).view(np.int64).item())
+                                         if kind == "distinct" else None)))
+    return np.array(columns, dtype=float).T
+
+
+def csv_bytes(writer, table):
+    """The bytes ``writer`` writes for table, or the message it raises and
+    whether a file was left behind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "o.csv"
+        try:
+            writer(table, str(path))
+        except ProblemFileError as exc:
+            return str(exc), path.exists()
+        return path.read_bytes()
+
+
+class TestWriteCsv:
+    """``write_csv`` formats each distinct value of a column once; its bytes
+    must be those of the row-by-row writer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sample_tables())
+    def test_matches_rowwise_writer(self, table):
+        assert csv_bytes(cli.write_csv, table) == csv_bytes(write_csv_rowwise, table.tolist())
+
+    @settings(max_examples=50, deadline=None)
+    @given(sample_tables(), st.sampled_from([math.inf, -math.inf, math.nan]), st.data())
+    def test_non_finite_raises_and_writes_nothing(self, table, bad, data):
+        i = data.draw(st.integers(0, len(table) - 1))
+        j = data.draw(st.integers(0, 5))
+        table[i, j] = bad
+        want = ("non-finite value in sample table", False)
+        assert csv_bytes(cli.write_csv, table) == want
+        assert csv_bytes(write_csv_rowwise, table.tolist()) == want
+
+    def test_zero_and_negative_zero_stay_apart(self, tmp_path):
+        table = np.array([[0.0, -0.0, 0.0, -0.0, 5e-324, 1e308]] * 2)
+        table[1] *= -1
+        cli.write_csv(table, str(tmp_path / "o.csv"))
+        assert (tmp_path / "o.csv").read_text().splitlines()[1:] == [
+            "0.0,-0.0,0.0,-0.0,5e-324,1e+308",
+            "-0.0,0.0,-0.0,0.0,-5e-324,-1e+308",
+        ]
+
+    def test_zero_101_formats_each_distinct_value_once(self, tmp_path, monkeypatch):
+        text = (PROBLEMS / "zero.prob").read_text(encoding="utf-8")
+        path = tmp_path / "zero.prob"
+        path.write_text(re.sub(r"(?m)^(nx|nt) = \d+$", r"\1 = 101", text), encoding="utf-8")
+        calls = []
+        real = cli.fmt
+        monkeypatch.setattr(cli, "fmt", lambda v: calls.append(v) or real(v))
+        out = io.StringIO()
+        assert cmd_solve(str(path), str(tmp_path / "o.csv"), out=out) == EXIT_OK
+        assert out.getvalue().startswith("wrote 10201 rows")
+        # 101 x values, 101 t values and one 0.0 in each of the four fields;
+        # the row-by-row writer formatted all 61 206 cells
+        assert len(calls) == 206
+
+
+class TestHoleOrder:
+    """Entries the batch leaves uncovered are evaluated row by row, and
+    within a row column by column, so ``solve`` fails with the error a
+    row-major scalar pass meets first."""
+
+    # h is undefined left of x = -1.  At (0, 1), x - t = -1: u is covered,
+    # and ux, ut and the residual are holes whose scalar path divides by 0.
+    # Further down, at (0, 2), u itself raises.
+    TEXT = ("[problem]\nkind = transport\nh = abs(x) + sqrt(x + 1)\n"
+            "[grid]\nx_range = 0, 2\nt_range = 0, 2\nnx = 5\nnt = 3\n")
+
+    @staticmethod
+    def scalar_pass(path, row_major):
+        """The first error of the scalar callables over the grid points,
+        taken row-major or column-major."""
+        prob = load_problem(path)
+        u, g = cli.solve_problem(prob).u, prob.grid
+        points = [(x, t) for t in cli._linspace(*g.t_range, g.nt)
+                  for x in cli._linspace(*g.x_range, g.nx)]
+        columns = [lambda p, fld=fld: cli._safe_eval(fld, p)
+                   for fld in (u, partial_field(u, 0), partial_field(u, 1))]
+        columns.append(lambda p: transport_operator(u, p))
+        cells = ([(p, fn) for p in points for fn in columns] if row_major
+                 else [(p, fn) for fn in columns for p in points])
+        for p, fn in cells:
+            try:
+                fn(p)
+            except ExprError as exc:
+                return p, f"math-domain error: {exc}\n"
+        raise AssertionError("the scalar pass raised nothing")
+
+    def test_first_error_is_row_major(self, tmp_path, capsys):
+        path = tmp_path / "holes.prob"
+        path.write_text(self.TEXT)
+        point, want = self.scalar_pass(str(path), row_major=True)
+        assert point == (0.0, 1.0)
+        # the case tells the orders apart
+        assert self.scalar_pass(str(path), row_major=False) == (
+            (0.0, 2.0), "math-domain error: sqrt of negative value -1.0\n")
+        csv = tmp_path / "o.csv"
+        code, _ = run(["solve", str(path), "--out", str(csv)])
+        assert code == EXIT_MATH_DOMAIN
+        assert capsys.readouterr().err == want == "math-domain error: division by zero\n"
+        assert not csv.exists()
+
+    def test_row_has_holes_in_several_columns(self, tmp_path):
+        path = tmp_path / "holes.prob"
+        path.write_text(self.TEXT)
+        u = cli.solve_problem(load_problem(str(path))).u
+        cols = [np.array([0.0]), np.array([1.0])]
+        covered = [fld.evaluate_many(cols)[1][0] for fld in (u, partial_field(u, 0), partial_field(u, 1))]
+        covered.append(transport_operator_many(u, cols)[1][0])
+        assert covered == [True, False, False, False]
 
 
 def solve_fields(path, csv, monkeypatch):
