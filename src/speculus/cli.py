@@ -492,7 +492,8 @@ def _solution_rows(sol: SolutionField, prob: Problem) -> np.ndarray:
     columns = [(*fld.evaluate_many(cols), functools.partial(_safe_eval, fld))
                for fld in (u, ux, ut)]
     if prob.kind == "transport":
-        columns.append((*transport_operator_many(u, cols),
+        partials = [(values, covered) for values, covered, _ in columns[1:]]
+        columns.append((*transport_operator_many(u, cols, partials),
                         functools.partial(transport_operator, u)))
     else:
         W = wave_operator_fields(u)[2]
@@ -692,8 +693,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: in-process callers run main() many times
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "deriv":
             return cmd_deriv(args.file, args.point, args.axis)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -256,115 +257,94 @@ def powi(base: Expr, n: int) -> Expr:
 _ELU_SUGAR = "g*(1+sgn(g))/2 + (exp(g)-1)*(1-sgn(g))/2"
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One token after optional white space: a number (decimal digits, the ones
+# float accepts, with at most one dot), a run of word characters (a name if
+# it starts with a letter), an operator, any other character, or the end.
+_TOKEN = re.compile(r"\s*(?:(?P<number>\d+\.?\d*|\.\d*)|(?P<ident>\w+)|(?P<op>[-+*/^()])|(?P<char>.)|(?P<end>\Z))")
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        c = self.text[self.pos]
-        start = self.pos
-        if c.isdigit() or c == ".":
-            j = start
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit() or (self.text[j] == "." and not seen_dot)):
-                if self.text[j] == ".":
-                    seen_dot = True
-                j += 1
-            lit = self.text[start:j]
-            if lit == ".":
-                raise ParseError("malformed number", start)
-            return ("number", lit, start)
-        if c.isalpha():
-            j = start
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("ident", self.text[start:j], start)
-        if c in "+-*/^()":
-            return (c, c, start)
-        raise ParseError(f"unexpected character {c!r}", start)
-
-    def next(self):
-        tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
-        return tok
+def _tokens(text: str) -> list:
+    """The tokens of text as (kind, text, offset) from one scan, ending with
+    ("end", "", offset) or with the ParseError of the first character that
+    starts no token, which the parser raises if it gets there."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        lit, start = m[kind], m.start(kind)
+        if kind == "char" or lit == "." or kind == "ident" and not lit[0].isalpha():
+            message = "malformed number" if lit == "." else f"unexpected character {lit[0]!r}"
+            return out + [ParseError(message, start)]
+        out.append((lit if kind == "op" else kind, lit, start))
+        if kind == "end":
+            return out
 
 
 class _Parser:
     def __init__(self, text: str, vars: Sequence[str]):
-        self.lex = _Lexer(text)
+        self.toks = _tokens(text)
+        self.i = 0
         self.vars = tuple(vars)
+
+    def peek(self):
+        tok = self.toks[self.i]
+        if isinstance(tok, ParseError):
+            raise tok
+        return tok
+
+    def take(self, *kinds):
+        """The next token, consumed, if its kind is one of kinds; else None."""
+        tok = self.peek()
+        if tok[0] not in kinds:
+            return None
+        self.i += 1
+        return tok
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, val, off = self.lex.peek()
+        kind, val, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", off)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            kind, _, _ = self.lex.peek()
-            if kind in ("+", "-"):
-                self.lex.next()
-                rhs = self.term()
-                e = BinOp(kind, e, rhs)
-            else:
-                return e
+        while op := self.take("+", "-"):
+            e = BinOp(op[0], e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            kind, _, _ = self.lex.peek()
-            if kind in ("*", "/"):
-                self.lex.next()
-                rhs = self.factor()
-                e = BinOp(kind, e, rhs)
-            else:
-                return e
+        while op := self.take("*", "/"):
+            e = BinOp(op[0], e, self.factor())
+        return e
 
     def factor(self) -> Expr:
         e = self.base()
-        kind, _, _ = self.lex.peek()
-        if kind == "^":
-            self.lex.next()
+        if self.take("^"):
             e = Pow(e, self._uint())
         return e
 
     def _uint(self) -> int:
-        kind, val, off = self.lex.peek()
+        kind, val, off = self.peek()
         if kind != "number" or "." in val:
             raise ParseError("exponent must be a nonnegative integer", off)
-        self.lex.next()
+        self.i += 1
         return int(val)
 
     def base(self) -> Expr:
-        kind, val, off = self.lex.peek()
+        kind, val, off = self.peek()
+        self.i += 1
         if kind == "number":
-            self.lex.next()
             return Const(float(val))
         if kind == "-":
-            self.lex.next()
             # '^' binds tighter than an outer unary minus: -x^2 == -(x^2)
             return Neg(self.factor())
         if kind == "(":
-            self.lex.next()
             e = self.expr()
             self._expect(")")
             return e
         if kind == "ident":
-            self.lex.next()
-            nkind, _, _ = self.lex.peek()
-            if nkind == "(":
-                self.lex.next()
+            if self.take("("):
                 arg = self.expr()
                 self._expect(")")
                 if val == "elu":
@@ -378,10 +358,10 @@ class _Parser:
         raise ParseError(f"expected expression, found {val or 'end of input'!r}", off)
 
     def _expect(self, kind: str):
-        got, val, off = self.lex.peek()
+        got, val, off = self.peek()
         if got != kind:
             raise ParseError(f"expected {kind!r}, found {val or 'end of input'!r}", off)
-        self.lex.next()
+        self.i += 1
 
 
 def parse(text: str, vars: Sequence[str]) -> Expr:
@@ -676,11 +656,11 @@ class AffineForm:
     def value(self, point: Sequence[float]) -> float:
         return math.fsum(c * p for c, p in zip(self.coeffs, point)) - self.offset
 
-    def same_as(self, other: "AffineForm", tol: float = 1e-9) -> bool:
+    def same_as(self, other: "AffineForm") -> bool:
         return (
             len(self.coeffs) == len(other.coeffs)
-            and all(abs(a - b) <= tol for a, b in zip(self.coeffs, other.coeffs))
-            and abs(self.offset - other.offset) <= tol
+            and all(abs(a - b) <= 1e-9 for a, b in zip(self.coeffs, other.coeffs))
+            and abs(self.offset - other.offset) <= 1e-9
         )
 
     def primary_axis(self) -> int:
@@ -958,8 +938,12 @@ def _choose(func: str, arg: Expr, scale: float, s, partial: bool) -> Expr:
 # Term-wise symbolic antiderivatives (enough for the solver fixtures:
 # piecewise polynomials plus c*exp/sin/cos of affine arguments)
 
-def poly_coeffs(e: Expr, var: str, max_degree: int = 24):
-    """Coefficient list [c0, c1, ...] of e as a polynomial in var, or None."""
+_MAX_DEGREE = 24
+
+
+def poly_coeffs(e: Expr, var: str):
+    """Coefficient list [c0, c1, ...] of e as a polynomial in var, or None
+    (also when its degree would pass _MAX_DEGREE)."""
     if isinstance(e, Const):
         return [e.value]
     if isinstance(e, Var):
@@ -967,19 +951,19 @@ def poly_coeffs(e: Expr, var: str, max_degree: int = 24):
             return [0.0, 1.0]
         return None
     if isinstance(e, Neg):
-        r = poly_coeffs(e.operand, var, max_degree)
+        r = poly_coeffs(e.operand, var)
         return None if r is None else [-c for c in r]
     if isinstance(e, Pow):
-        r = poly_coeffs(e.base, var, max_degree)
-        if r is None or (len(r) - 1) * e.exponent > max_degree:
+        r = poly_coeffs(e.base, var)
+        if r is None or (len(r) - 1) * e.exponent > _MAX_DEGREE:
             return None
         out = [1.0]
         for _ in range(e.exponent):
             out = _poly_mul(out, r)
         return out
     if isinstance(e, BinOp):
-        ra = poly_coeffs(e.left, var, max_degree)
-        rb = poly_coeffs(e.right, var, max_degree)
+        ra = poly_coeffs(e.left, var)
+        rb = poly_coeffs(e.right, var)
         if ra is None or rb is None:
             return None
         if e.op == "+":
@@ -987,7 +971,7 @@ def poly_coeffs(e: Expr, var: str, max_degree: int = 24):
         if e.op == "-":
             return _poly_add(ra, [-c for c in rb])
         if e.op == "*":
-            if len(ra) + len(rb) - 2 > max_degree:
+            if len(ra) + len(rb) - 2 > _MAX_DEGREE:
                 return None
             return _poly_mul(ra, rb)
         if len(rb) == 1 and rb[0] != 0.0:

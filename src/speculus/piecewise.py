@@ -694,8 +694,7 @@ def pw_compose_affine(
                        ("specular",) * len(comp_forms), domain=tuple(domain))
 
 
-def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn,
-              policies_hint: str = "specular") -> PiecewiseFn:
+def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn) -> PiecewiseFn:
     """Glue two fields along a hyperplane: pos where form > 0, neg below."""
     if pos.vars != neg.vars:
         raise PiecewiseError("variable mismatch in pw_select")
@@ -707,4 +706,4 @@ def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn,
         for pat in regions(forms, domain, pos.d)
     ]
     return PiecewiseFn(pos.vars, tuple(forms), tuple(branches),
-                       (policies_hint,) * len(forms), domain=domain)
+                       ("specular",) * len(forms), domain=domain)

@@ -319,15 +319,7 @@ def triangle_nodes(f: PiecewiseFn, x0: float, t0: float) -> tuple:
                 events.add(s)
 
     def inner_nodes(s: float) -> list:
-        ylo, yhi = tri.inner_interval(s)
-        cuts = []
-        for form in f.forms:
-            a1, a2 = form.coeffs
-            if a1 != 0.0:
-                y = (form.offset - a2 * s) / a1
-                if ylo < y < yhi and not any(abs(y - q) < 1e-12 for q in cuts):
-                    cuts.append(y)
-        return [ylo] + sorted(cuts) + [yhi]
+        return _edge_breaks(f.forms, 1, s, *tri.inner_interval(s))
 
     return sorted(events), inner_nodes
 
@@ -377,18 +369,19 @@ class TypeIIIRegion:
         return True
 
 
-def _edge_breaks(f: PiecewiseFn, fixed_axis: int, fixed_val: float,
+def _edge_breaks(forms, fixed_axis: int, fixed_val: float,
                  lo: float, hi: float) -> list:
-    """Breakpoints of f restricted to a segment parallel to the other axis."""
+    """lo, the crossings of the 2D forms' zero lines strictly inside the
+    segment lo..hi where the fixed axis is fixed_val (sorted, 1e-12 apart), hi."""
     free_axis = 1 - fixed_axis
     cuts = []
-    for form in f.forms:
+    for form in forms:
         cf = form.coeffs[free_axis]
         if cf != 0.0:
             r = (form.offset - form.coeffs[fixed_axis] * fixed_val) / cf
             if lo < r < hi and not any(abs(r - q) < 1e-12 for q in cuts):
                 cuts.append(r)
-    return sorted(cuts)
+    return [lo] + sorted(cuts) + [hi]
 
 
 def _edge_integral(f: PiecewiseFn, fixed_axis: int, fixed_val: float,
@@ -396,7 +389,7 @@ def _edge_integral(f: PiecewiseFn, fixed_axis: int, fixed_val: float,
     def g(X, _):
         return _point_values([f], [X, fixed_val] if fixed_axis == 1 else [fixed_val, X])
 
-    return _integrate(g, [lo] + _edge_breaks(f, fixed_axis, fixed_val, lo, hi) + [hi], tol)
+    return _integrate(g, _edge_breaks(f.forms, fixed_axis, fixed_val, lo, hi), tol)
 
 
 def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
@@ -433,15 +426,7 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
                     xcuts.add(x)
 
     def column_nodes(x: float) -> list:
-        ylo, yhi = R.omega1(x), R.omega2(x)
-        cuts = []
-        for form in forms:
-            a1, a2 = form.coeffs
-            if a2 != 0.0:
-                y = (form.offset - a1 * x) / a2
-                if ylo < y < yhi and not any(abs(y - q) < 1e-12 for q in cuts):
-                    cuts.append(y)
-        return [ylo] + sorted(cuts) + [yhi]
+        return _edge_breaks(forms, 0, x, R.omega1(x), R.omega2(x))
 
     lhs = _iterated(lambda Y, X: _point_values([FP, FQ], [X, Y]), sorted(xcuts),
                     column_nodes, tol)

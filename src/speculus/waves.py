@@ -24,12 +24,9 @@ import numpy as np
 from .expr import (
     AffineForm,
     Const,
-    ExprError,
     Var,
     add,
     antiderivative,
-    diff,
-    eval_array,
     eval_expr,
     free_vars,
     mul,
@@ -78,8 +75,6 @@ class SolverPrecondition(Exception):
 @dataclass(frozen=True)
 class SolutionField:
     u: PiecewiseFn
-    provenance: str                # transport | dalembert | halfline | duhamel
-    characteristics: tuple         # AffineForms carried by the solution
 
     def evaluate(self, p):
         return self.u.evaluate(p)
@@ -176,15 +171,15 @@ def solve_transport(h: PiecewiseFn) -> SolutionField:
     if not specularly_differentiable_1d(h):
         raise SolverPrecondition("transport data is not specularly differentiable")
     u = pw_compose_affine(h, (1.0, -1.0), 0.0, VARS_XT)
-    return SolutionField(u, "transport", tuple(u.forms))
+    return SolutionField(u)
 
 
-def _dalembert_field(phi: PiecewiseFn, psi: PiecewiseFn, domain=()) -> PiecewiseFn:
+def _dalembert_field(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
     Psi = antiderivative_pw(psi)
-    A = pw_compose_affine(phi, (1.0, 1.0), 0.0, VARS_XT, domain=domain)
-    B = pw_compose_affine(phi, (1.0, -1.0), 0.0, VARS_XT, domain=domain)
-    C = pw_compose_affine(Psi, (1.0, 1.0), 0.0, VARS_XT, domain=domain)
-    D = pw_compose_affine(Psi, (1.0, -1.0), 0.0, VARS_XT, domain=domain)
+    A = pw_compose_affine(phi, (1.0, 1.0), 0.0, VARS_XT)
+    B = pw_compose_affine(phi, (1.0, -1.0), 0.0, VARS_XT)
+    C = pw_compose_affine(Psi, (1.0, 1.0), 0.0, VARS_XT)
+    D = pw_compose_affine(Psi, (1.0, -1.0), 0.0, VARS_XT)
     return pw_scale(0.5, pw_add(pw_add(A, B), pw_add(C, D, -1.0)))
 
 
@@ -193,7 +188,7 @@ def solve_wave_homogeneous(phi: PiecewiseFn, psi: PiecewiseFn) -> SolutionField:
     if bad:
         raise SolverPrecondition("; ".join(bad))
     u = _dalembert_field(phi, psi)
-    return SolutionField(u, "dalembert", tuple(u.forms))
+    return SolutionField(u)
 
 
 def solve_wave_halfline(phi: PiecewiseFn, psi: PiecewiseFn) -> SolutionField:
@@ -213,7 +208,7 @@ def solve_wave_halfline(phi: PiecewiseFn, psi: PiecewiseFn) -> SolutionField:
     u_right = pw_scale(0.5, pw_add(pw_add(A, B), pw_add(C, D, -1.0)))
     u_left = pw_scale(0.5, pw_add(pw_add(A, Arf, -1.0), pw_add(C, Crf, -1.0)))
     u = pw_select(FORM_X_MINUS_T, u_right, u_left)
-    return SolutionField(u, "halfline", tuple(u.forms))
+    return SolutionField(u)
 
 
 def solve_wave_nonhomogeneous(
@@ -228,7 +223,7 @@ def solve_wave_nonhomogeneous(
     base = _dalembert_field(phi, psi)
     dh = duhamel_term(f)
     u = pw_add(base, dh)
-    return SolutionField(u, "duhamel", tuple(u.forms))
+    return SolutionField(u)
 
 
 # ---------------------------------------------------------------------------
@@ -464,30 +459,19 @@ def transport_operator(u: PiecewiseFn, p) -> float:
     return specular_partial(u, p, 1) + specular_partial(u, p, 0)
 
 
-def transport_operator_many(u: PiecewiseFn, cols) -> tuple:
+def transport_operator_many(u: PiecewiseFn, cols, partials=None) -> tuple:
     """``transport_operator`` at many points, as (values, covered) with the
     contract of ``PiecewiseFn.evaluate_many``.  Off the lines both one-sided
-    slopes along an axis are the derivative d of the point's branch, so the
-    specular partial is A(d, d); d is built once per pattern and axis, and
-    A runs per point through ``math``.  A branch with no symbolic derivative
-    or a non-finite slope is left to ``transport_operator``."""
-    cols = [np.asarray(c, dtype=float) for c in cols]
-    values = np.zeros(len(cols[0]))
-    covered = np.zeros(len(cols[0]), dtype=bool)
-    for pat, idx in u.pattern_groups(cols):
-        rhs = None if 0 in pat else u.branch(pat)
-        if rhs is None:
-            continue
-        try:
-            slopes = [diff(rhs, u.vars[axis]) for axis in (1, 0)]
-        except ExprError:
-            continue
-        bad = np.zeros(len(idx), dtype=bool)
-        sub_cols = dict(zip(u.vars, (c[idx] for c in cols)))
-        dt, dx = (eval_array(d, sub_cols, bad) for d in slopes)
-        values[idx] = [a_combine(a, a) + a_combine(b, b) for a, b in zip(dt.tolist(), dx.tolist())]
-        covered[idx] = ~bad & np.isfinite(dt) & np.isfinite(dx)
-    return values, covered
+    slopes along an axis are the partial field's value d there, so the
+    specular partial is A(d, d), run per point through ``math``.  partials:
+    the (values, covered) of ``partial_field(u, 0)`` and ``(u, 1)`` at
+    cols, if the caller has them."""
+    if partials is None:
+        partials = [partial_field(u, axis).evaluate_many(cols) for axis in (0, 1)]
+    (dx, cx), (dt, ct) = partials
+    values = np.array([a_combine(a, a) + a_combine(b, b) for a, b in zip(dt.tolist(), dx.tolist())])
+    off_lines = (u.sign_matrix(cols) != 0).all(axis=1)
+    return values, cx & ct & np.isfinite(dx) & np.isfinite(dt) & off_lines
 
 
 def transport_residual(sol: SolutionField, points) -> ResidualReport:

@@ -183,9 +183,7 @@ def test_criterion_06_nonhomogeneous_counterexample(
     assert abs(lim.right - lim.left) == pytest.approx(0.5, abs=1e-12)
     # residual of the printed form against the printed force: five cases
     pts = [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-2.0, 1.0)]
-    printed_sol = SolutionField(
-        printed_counterexample_u, "duhamel", printed_counterexample_u.forms
-    )
+    printed_sol = SolutionField(printed_counterexample_u)
     assert wave_residual(printed_sol, f, pts).max_abs <= 1e-9
     assert wave_residual(counterexample_sol, f, pts).max_abs <= 1e-9
     # S2 membership fails with both characteristic lines named

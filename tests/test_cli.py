@@ -1,6 +1,7 @@
 """CLI front end: problem-file parsing, deriv/solve/check commands, CSV
 format, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -35,6 +36,7 @@ from speculus.cli import (
 )
 import speculus.specular as specular
 from speculus.expr import Expr, ExprError
+from speculus.piecewise import PiecewiseFn
 from speculus.specular import partial_field
 from speculus.waves import hypothesis_h_check, transport_operator, transport_operator_many
 
@@ -93,6 +95,14 @@ class TestProblemFileParsing:
         p.write_text("[problem]\nu = x^2/(x+1\nvars = x\n")
         code, _ = run(["check", str(p)])
         assert code == EXIT_PARSE
+
+    def test_superscript_digit_exit_2(self, tmp_path, capsys):
+        """'²' is a digit to str.isdigit but not to float: it is no number."""
+        p = tmp_path / "sup.prob"
+        p.write_text("[problem]\nu = 2²*abs(x)\nvars = x, y\n", encoding="utf-8")
+        code, _ = run(["check", str(p)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: unexpected character '²' (offset 1)\n"
 
     def test_uncovered_region_exit_2(self, tmp_path, capsys):
         p = tmp_path / "gap.prob"
@@ -538,6 +548,36 @@ class TestHoleOrder:
         covered = [fld.evaluate_many(cols)[1][0] for fld in (u, partial_field(u, 0), partial_field(u, 1))]
         covered.append(transport_operator_many(u, cols)[1][0])
         assert covered == [True, False, False, False]
+
+
+def test_transport_solve_evaluates_each_field_once(monkeypatch):
+    """The residual column reuses the ux and ut columns of the table."""
+    prob = load_problem(str(PROBLEMS / "transport_abs.prob"))
+    sol = cli.solve_problem(prob)
+    calls = []
+    real = PiecewiseFn.evaluate_batch
+
+    def counted(self, cols, axes=()):
+        calls.append(id(self))
+        return real(self, cols, axes)
+
+    monkeypatch.setattr(PiecewiseFn, "evaluate_batch", counted)
+    cli._solution_rows(sol, prob)
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_main_builds_the_argument_parser_once(monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert run(["check", str(PROBLEMS / "zero.prob")])[0] == EXIT_OK
+    assert built == []
 
 
 def solve_fields(path, csv, monkeypatch):

@@ -58,6 +58,9 @@ from speculus.piecewise import from_expression
 XY = ("x", "y")
 X = ("x",)
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+PARSE_ALPHABET = "".join(map(chr, range(32, 127))) + "é²½٣Ⅻ\t\n"
+PARSE_FRAGMENTS = ["x", "y", "z", "abs", "sgn", "elu", "exp", "foo", "(", ")", "^", "2",
+                   "3.5", ".", "٣", "²", " ", "+", "-", "*", "/"]
 
 
 class TestParse:
@@ -98,6 +101,224 @@ class TestParse:
     def test_paper_table_function_parses(self):
         e = parse("abs(2*x - y) + abs(x - 3)", XY)
         assert eval_expr(e, {"x": 3.0, "y": 6.0}) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The parser against the lexer it replaced, which re-scanned the current
+# token on every peek.  One change is carried over: a number takes only
+# decimal digits (str.isdecimal, the digits float accepts).  With
+# str.isdigit, "2²" lexed as a number and float() raised ValueError.
+
+class OracleLexer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            return ("end", "", self.pos)
+        c = self.text[self.pos]
+        start = self.pos
+        if c.isdecimal() or c == ".":
+            j = start
+            seen_dot = False
+            while j < len(self.text) and (self.text[j].isdecimal() or (self.text[j] == "." and not seen_dot)):
+                if self.text[j] == ".":
+                    seen_dot = True
+                j += 1
+            lit = self.text[start:j]
+            if lit == ".":
+                raise ParseError("malformed number", start)
+            return ("number", lit, start)
+        if c.isalpha():
+            j = start
+            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
+                j += 1
+            return ("ident", self.text[start:j], start)
+        if c in "+-*/^()":
+            return (c, c, start)
+        raise ParseError(f"unexpected character {c!r}", start)
+
+    def next(self):
+        tok = self.peek()
+        self.pos = tok[2] + len(tok[1])
+        return tok
+
+
+class OracleParser:
+    def __init__(self, text, vars):
+        self.lex = OracleLexer(text)
+        self.vars = tuple(vars)
+
+    def parse(self):
+        e = self.expr()
+        kind, val, off = self.lex.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {val!r}", off)
+        return e
+
+    def expr(self):
+        e = self.term()
+        while True:
+            kind, _, _ = self.lex.peek()
+            if kind in ("+", "-"):
+                self.lex.next()
+                rhs = self.term()
+                e = BinOp(kind, e, rhs)
+            else:
+                return e
+
+    def term(self):
+        e = self.factor()
+        while True:
+            kind, _, _ = self.lex.peek()
+            if kind in ("*", "/"):
+                self.lex.next()
+                rhs = self.factor()
+                e = BinOp(kind, e, rhs)
+            else:
+                return e
+
+    def factor(self):
+        e = self.base()
+        kind, _, _ = self.lex.peek()
+        if kind == "^":
+            self.lex.next()
+            e = Pow(e, self._uint())
+        return e
+
+    def _uint(self):
+        kind, val, off = self.lex.peek()
+        if kind != "number" or "." in val:
+            raise ParseError("exponent must be a nonnegative integer", off)
+        self.lex.next()
+        return int(val)
+
+    def base(self):
+        kind, val, off = self.lex.peek()
+        if kind == "number":
+            self.lex.next()
+            return Const(float(val))
+        if kind == "-":
+            self.lex.next()
+            return Neg(self.factor())
+        if kind == "(":
+            self.lex.next()
+            e = self.expr()
+            self._expect(")")
+            return e
+        if kind == "ident":
+            self.lex.next()
+            nkind, _, _ = self.lex.peek()
+            if nkind == "(":
+                self.lex.next()
+                arg = self.expr()
+                self._expect(")")
+                if val == "elu":
+                    return subst(OracleParser(expr._ELU_SUGAR, ["g"]).parse(), {"g": arg})
+                if val not in expr.FUNCTIONS:
+                    raise UnknownIdentifier(f"unknown function {val!r}", off)
+                return Call(val, arg)
+            if val not in self.vars:
+                raise UnknownIdentifier(f"unknown identifier {val!r}", off)
+            return Var(val)
+        raise ParseError(f"expected expression, found {val or 'end of input'!r}", off)
+
+    def _expect(self, kind):
+        got, val, off = self.lex.peek()
+        if got != kind:
+            raise ParseError(f"expected {kind!r}, found {val or 'end of input'!r}", off)
+        self.lex.next()
+
+
+def parse_outcome(parser, text):
+    """The tree's repr, or the ParseError's type, message and offset."""
+    try:
+        return repr(parser(text, XY))
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.offset
+
+
+PARSE_ERRORS = [
+    ("x) $", "ParseError", "unexpected token ')'", 1),
+    ("x $", "ParseError", "unexpected character '$'", 2),
+    ("1.2.3", "ParseError", "unexpected token '.3'", 3),
+    ("..", "ParseError", "malformed number", 0),
+    (".", "ParseError", "malformed number", 0),
+    ("2 3", "ParseError", "unexpected token '3'", 2),
+    ("x^2.5", "ParseError", "exponent must be a nonnegative integer", 2),
+    ("x^(-2)", "ParseError", "exponent must be a nonnegative integer", 2),
+    ("abs(x", "ParseError", "expected ')', found 'end of input'", 5),
+    ("foo(x)", "UnknownIdentifier", "unknown function 'foo'", 0),
+    ("z", "UnknownIdentifier", "unknown identifier 'z'", 0),
+    ("", "ParseError", "expected expression, found 'end of input'", 0),
+    ("  ", "ParseError", "expected expression, found 'end of input'", 2),
+    ("x +", "ParseError", "expected expression, found 'end of input'", 3),
+    (".5x", "ParseError", "unexpected token 'x'", 2),
+    ("x_1", "UnknownIdentifier", "unknown identifier 'x_1'", 0),
+    ("1e3", "ParseError", "unexpected token 'e3'", 1),
+    ("x ^ 2 ^ 3", "ParseError", "unexpected token '^'", 6),
+    ("(x))", "ParseError", "unexpected token ')'", 3),
+    ("é", "UnknownIdentifier", "unknown identifier 'é'", 0),
+    ("½", "ParseError", "unexpected character '½'", 0),
+    ("Ⅻ", "ParseError", "unexpected character 'Ⅻ'", 0),
+    # a superscript digit is no number: these raised ValueError from float/int
+    ("2²*abs(x)", "ParseError", "unexpected character '²'", 1),
+    ("x^²", "ParseError", "unexpected character '²'", 2),
+    ("x²", "UnknownIdentifier", "unknown identifier 'x²'", 0),
+]
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("text, kind, message, offset", PARSE_ERRORS)
+    def test_error_type_message_offset(self, text, kind, message, offset):
+        want = (kind, f"{message} (offset {offset})", offset)
+        assert parse_outcome(parse, text) == want
+        assert parse_outcome(lambda t, v: OracleParser(t, v).parse(), text) == want
+
+    @pytest.mark.parametrize("text, tree", [
+        ("3.", Const(3.0)),
+        ("x\t+\n1", BinOp("+", Var("x"), Const(1.0))),
+        ("x^٣", Pow(Var("x"), 3)),
+    ])
+    def test_accepted(self, text, tree):
+        assert repr(parse(text, XY)) == repr(tree)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(PARSE_ALPHABET, max_size=12),
+        st.lists(st.sampled_from(PARSE_FRAGMENTS) | st.text(PARSE_ALPHABET, max_size=2),
+                 max_size=10).map("".join),
+    ))
+    def test_matches_oracle(self, text):
+        try:
+            want = parse_outcome(lambda t, v: OracleParser(t, v).parse(), text)
+        except Exception:  # not a ParseError: the oracle decides nothing
+            return
+        assert parse_outcome(parse, text) == want
+
+    def test_one_scan_per_token(self, monkeypatch):
+        """Each token, and the end, is matched once per parse."""
+        text = "(1/2)*(x + abs(x)) + (1/2)*y + (3/2)*abs(y)"  # corner2d.prob
+        lex, tokens = OracleLexer(text), 0
+        while lex.next()[0] != "end":
+            tokens += 1
+        real, scans = expr._TOKEN, []
+
+        class Counted:
+            def finditer(self, s):
+                for m in real.finditer(s):
+                    scans.append(m)
+                    yield m
+
+        monkeypatch.setattr(expr, "_TOKEN", Counted())
+        parse(text, XY)
+        assert tokens == 33 and len(scans) == tokens + 1
 
 
 class TestEval:

@@ -9,6 +9,7 @@ those printed values.  The adjacent passing tests pin the corrected values.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from speculus.piecewise import (
     pw_scale,
 )
 from speculus.quad import integrate_1d, integrate_triangle
-from speculus.specular import a_combine, reflect_axis, semi_derivatives
+from speculus.specular import a_combine, partial_field, reflect_axis, semi_derivatives
 from speculus.waves import (
     FORM_T,
     _duhamel_exact,
@@ -99,6 +100,24 @@ class TestTransport:
         values, covered = transport_operator_many(u, np.array(pts).T)
         assert covered.all()
         assert values.tolist() == [transport_operator(u, p) for p in pts]
+
+    def test_batch_differentiates_nothing_once_partials_exist(self, monkeypatch):
+        u = solve_transport(from_expression(parse("abs(x) + x^3", VARS_X), VARS_X)).u
+        partial_field(u, 0), partial_field(u, 1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return diff(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("speculus") and getattr(mod, "diff", None) is diff:
+                monkeypatch.setattr(mod, "diff", counted)
+        values, covered = transport_operator_many(u, np.array([[-1.0, 0.5, 2.0], [0.5, 0.5, 1.0]]))
+        assert calls == []
+        assert covered.tolist() == [True, False, True]  # (0.5, 0.5) is on x = t
+        assert values[covered].tolist() == [transport_operator(u, (-1.0, 0.5)),
+                                             transport_operator(u, (2.0, 1.0))]
 
 
 class TestAntiderivative:
@@ -427,9 +446,7 @@ class TestCounterexampleSolution:
         # xt/2 restricted to the middle sector is invisible to the on-line
         # combination semantics (a uniqueness failure of the formulation)
         _, _, f = counterexample_data
-        sol = SolutionField(
-            printed_counterexample_u, "duhamel", printed_counterexample_u.forms
-        )
+        sol = SolutionField(printed_counterexample_u)
         rep = wave_residual(sol, f, self._five_case_points())
         assert rep.max_abs <= 1e-9
 
