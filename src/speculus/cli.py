@@ -65,7 +65,6 @@ from .specular import (
 from .tangent2d import CenterMismatch, TangentError, tangent_data
 from .waves import (
     FORM_T,
-    SolutionField,
     SolverPrecondition,
     boundary_residual,
     hypothesis_h_check,
@@ -317,7 +316,7 @@ def load_problem(path: str) -> Problem:
     return prob
 
 
-def solve_problem(prob: Problem) -> SolutionField:
+def solve_problem(prob: Problem) -> PiecewiseFn:
     if prob.kind == "transport":
         return solve_transport(prob.h)
     if prob.kind == "wave":
@@ -363,11 +362,7 @@ def form_str(form, vars) -> str:
 
 def cmd_deriv(path: str, point_str: str, axis: str, out=sys.stdout) -> int:
     prob = load_problem(path)
-    if prob.u is not None:
-        u = prob.u
-    else:
-        sol = solve_problem(prob)
-        u = sol.u
+    u = prob.u if prob.u is not None else solve_problem(prob)
     point = tuple(float(p.strip()) for p in point_str.split(","))
     if len(point) != u.d:
         raise ProblemFileError(
@@ -432,23 +427,36 @@ def _safe_eval(field: PiecewiseFn, p) -> float:
         raise
 
 
-def _line_frame(form):
-    """(unit normal, point nearest the origin, unit direction) of the zero
-    line of a 2D form."""
+def _grid_segment(form, g: Grid):
+    """(unit normal, point p0 nearest the origin, unit direction d, lo, hi)
+    of the zero line of a 2D form, where p0 + s * d for s in [lo, hi] is
+    its part inside the grid box, shrunk by a relative 1e-9 at both ends;
+    None when the line misses the box."""
     a = np.array(form.coeffs, dtype=float)
     norm = float(np.hypot(a[0], a[1]))
     nhat = a / norm
-    return nhat, nhat * (form.offset / norm), np.array([-nhat[1], nhat[0]])
+    p0, d = nhat * (form.offset / norm), np.array([-nhat[1], nhat[0]])
+    lo, hi = -math.inf, math.inf
+    for k, (c0, c1) in enumerate((g.x_range, g.t_range)):
+        if abs(d[k]) < 1e-15:
+            if not (c0 - 1e-12 <= p0[k] <= c1 + 1e-12):
+                lo, hi = math.inf, -math.inf
+            continue
+        s0, s1 = (c0 - p0[k]) / d[k], (c1 - p0[k]) / d[k]
+        lo, hi = max(lo, min(s0, s1)), min(hi, max(s0, s1))
+    if not lo < hi:
+        return None
+    shrink = 1e-9 * (1.0 + abs(lo) + abs(hi))
+    return nhat, p0, d, lo + shrink, hi - shrink
 
 
-def _solution_rows(sol: SolutionField, prob: Problem) -> np.ndarray:
+def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     """The (n, 6) sample table x, t, u, ux, ut, residual: grid rows (t
     outer, x inner) then on-line supplements sorted by (form index,
     parameter, side in -1, 0, +1).  Each column is evaluated over all points
     at once and copied in whole; the entries the batch does not cover are
     then evaluated point by point, row by row and within a row column by
     column, so errors surface as in a scalar pass."""
-    u = sol.u
     ux, ut = partial_field(u, 0), partial_field(u, 1)
     f = prob.f
 
@@ -461,19 +469,10 @@ def _solution_rows(sol: SolutionField, prob: Problem) -> np.ndarray:
     online = []
     ns = max(g.nx, g.nt)
     for form in u.forms:
-        nhat, p0, d = _line_frame(form)
-        lo, hi = -math.inf, math.inf
-        for k, (c0, c1) in enumerate((g.x_range, g.t_range)):
-            if abs(d[k]) < 1e-15:
-                if not (c0 - 1e-12 <= p0[k] <= c1 + 1e-12):
-                    lo, hi = math.inf, -math.inf
-                continue
-            s0, s1 = (c0 - p0[k]) / d[k], (c1 - p0[k]) / d[k]
-            lo, hi = max(lo, min(s0, s1)), min(hi, max(s0, s1))
-        if not lo < hi:
+        if (segment := _grid_segment(form, g)) is None:
             continue
-        shrink = 1e-9 * (1.0 + abs(lo) + abs(hi))
-        for s in _linspace(lo + shrink, hi - shrink, ns):
+        nhat, p0, d, lo, hi = segment
+        for s in _linspace(lo, hi, ns):
             base = p0 + s * d
             # skip parameters whose straddling pair would leave the domain
             # or land within delta of another singular line
@@ -539,13 +538,13 @@ def cmd_solve(path: str, out_csv: str, out=sys.stdout) -> int:
     prob = load_problem(path)
     if prob.kind is None:
         raise ProblemFileError("solve needs a problem with kind = ...")
-    sol = solve_problem(prob)
-    table = _solution_rows(sol, prob)
+    u = solve_problem(prob)
+    table = _solution_rows(u, prob)
     write_csv(table, out_csv)
     print(f"wrote {len(table)} rows to {out_csv}", file=out)
-    rep = s2_membership(sol.u)
+    rep = s2_membership(u)
     if rep.verdict != "S2":
-        names = ", ".join(form_str(g, sol.u.vars) for g in rep.failure_forms)
+        names = ", ".join(form_str(g, u.vars) for g in rep.failure_forms)
         print(
             f"warning: solution is not S2 (verdict {rep.verdict}"
             + (f"; failing on {names}" if names else "")
@@ -558,60 +557,58 @@ def cmd_solve(path: str, out_csv: str, out=sys.stdout) -> int:
 # ---------------------------------------------------------------------------
 # check
 
-def _check_points(sol: SolutionField, prob: Problem):
+def _check_points(u: PiecewiseFn, prob: Problem):
     g = prob.grid
     xs = _linspace(*g.x_range, min(g.nx, 9))
     ts = _linspace(*g.t_range, min(g.nt, 9))
-    pts = [(x, t) for t in ts for x in xs if sol.u.in_domain((x, t))]
-    # on-line points too: mid-box parameter sweep along each singular line
-    for form in sol.u.forms:
-        _, p0, d = _line_frame(form)
-        for s in _linspace(-3.0, 3.0, 7):
-            p = tuple(p0 + s * d)
-            if (g.x_range[0] <= p[0] <= g.x_range[1]
-                    and g.t_range[0] <= p[1] <= g.t_range[1]
-                    and sol.u.in_domain(p)):
-                pts.append(p)
+    pts = [(x, t) for t in ts for x in xs if u.in_domain((x, t))]
+    # on-line points too: a sweep along the in-grid part of each singular line
+    for form in u.forms:
+        if (segment := _grid_segment(form, g)) is None:
+            continue
+        _, p0, d, lo, hi = segment
+        sweep = [tuple(p0 + s * d) for s in _linspace(lo, hi, 7)]
+        pts += [p for p in sweep if u.in_domain(p)]
     return pts
 
 
 def _run_checks(prob: Problem, out) -> int:
-    sol = solve_problem(prob)
+    u = solve_problem(prob)
     checks = prob.checks or ["residual"]
     all_ok = True
     g = prob.grid
 
     for name in checks:
         if name == "residual":
-            pts = _check_points(sol, prob)
+            pts = _check_points(u, prob)
             if prob.kind == "transport":
-                rep = transport_residual(sol, pts)
+                rep = transport_residual(u, pts)
             else:
-                rep = wave_residual(sol, prob.f, pts)
+                rep = wave_residual(u, prob.f, pts)
             ok = rep.max_abs <= 1e-8
             print(f"residual.max = {fmt(rep.max_abs)}", file=out)
             print(f"residual.pass = {str(ok).lower()}", file=out)
         elif name == "s2":
-            rep = s2_membership(sol.u)
+            rep = s2_membership(u)
             ok = rep.verdict == "S2"
             print(f"s2.verdict = {rep.verdict}", file=out)
             if rep.failure_forms:
-                names = "; ".join(form_str(q, sol.u.vars) for q in rep.failure_forms)
+                names = "; ".join(form_str(q, u.vars) for q in rep.failure_forms)
                 print(f"s2.failure_forms = {names}", file=out)
             print(f"s2.pass = {str(ok).lower()}", file=out)
         elif name == "proper":
             ok = True
             for label, fld in (
-                ("u", sol.u),
-                ("ux", partial_field(sol.u, 0)),
-                ("ut", partial_field(sol.u, 1)),
+                ("u", u),
+                ("ux", partial_field(u, 0)),
+                ("ut", partial_field(u, 1)),
             ):
                 good, rep = is_proper(fld)
                 ok = ok and good
                 print(f"proper.{label} = {str(good).lower()}", file=out)
             print(f"proper.pass = {str(ok).lower()}", file=out)
         elif name == "hypothesis-h":
-            rep = hypothesis_h_check(sol)
+            rep = hypothesis_h_check(u)
             ok = not rep.failures
             worst = max((abs(r[1]) for r in rep.rows if r[1] is not None), default=0.0)
             print(f"hypothesis-h.max = {fmt(worst)}", file=out)
@@ -623,7 +620,7 @@ def _run_checks(prob: Problem, out) -> int:
                 print("boundary.pass = true  # not applicable", file=out)
                 continue
             ts = _linspace(max(g.t_range[0], 1e-6), g.t_range[1], 33)
-            worst = boundary_residual(sol, ts)
+            worst = boundary_residual(u, ts)
             ok = worst <= 1e-10
             print(f"boundary.max = {fmt(worst)}", file=out)
             print(f"boundary.pass = {str(ok).lower()}", file=out)
@@ -638,12 +635,12 @@ def _run_checks(prob: Problem, out) -> int:
             xs = _linspace(lo, g.x_range[1], 33)
             if psi is None:
                 worst = max(
-                    abs(sol.u.evaluate((x, 0.0)) - phi.evaluate((x,))) for x in xs
+                    abs(u.evaluate((x, 0.0)) - phi.evaluate((x,))) for x in xs
                 )
                 ok = worst <= 1e-10
                 print(f"initial.value = {fmt(worst)}", file=out)
             else:
-                val, slope = initial_conditions_residual(sol, phi, psi, xs)
+                val, slope = initial_conditions_residual(u, phi, psi, xs)
                 ok = val <= 1e-10 and slope <= 1e-8
                 print(f"initial.value = {fmt(val)}", file=out)
                 print(f"initial.velocity = {fmt(slope)}", file=out)

@@ -17,7 +17,10 @@ form policy:
 
 The non-empty faces of a line arrangement are enumerated exactly by
 ``_faces`` (roots in 1D, line crossings and the points between them in 2D),
-and ``regions`` lists their sign patterns.
+and ``regions`` lists their sign patterns.  The checks (continuity,
+properness, and through them the S^2 and wave checks) sample every edge
+of the same arrangement (``_edge_samples``), with no bounding box, so a
+verdict does not move when a problem is translated or rescaled.
 The A-combination ``a_combine`` and the proper on-line value
 ``proper_value`` live here so that every layer uses the same rule.
 
@@ -59,7 +62,7 @@ from .expr import (
 )
 
 TOL_ZERO = 1e-9
-GOLDEN = 0.6180339887498949
+EDGE_POINTS = 3  # sample points per edge of a line in the checks
 
 Pattern = tuple  # entries in {-1, 0, +1, None}
 
@@ -90,7 +93,7 @@ class ContinuityReport:
     indeterminate: list    # indices where samples disagree about jumping
     verdict: str           # continuous | piecewise-continuous | not-piecewise-continuous
     samples: dict          # form index -> list of (point, left, right)
-    unsampled: list        # forms with no admissible sample point in the box
+    unsampled: list        # forms whose line has no edge inside the domain
 
 
 @dataclass
@@ -200,17 +203,16 @@ class PiecewiseFn:
         return None
 
     def branch(self, s: Pattern) -> Optional[Expr]:
-        """The table branch for the sign vector, else the source with the
-        nonzero signs pinned; None when there is neither.  Zero entries
-        (forms the point stays on) keep their abs/sgn nodes for the
-        sgn(0)=0 evaluation."""
+        """The table branch for the sign vector, else the source with every
+        sign pinned; None when there is neither.  A zero entry (a form the
+        point stays on) pins sgn(l) and abs(l) to 0, so sgn(0) = 0 holds
+        exactly where rounding leaves l(p) off 0."""
         rhs = self.match(s)
         if rhs is not None or self.source is None:
             return rhs
         if self._pinner is None:
             object.__setattr__(self, "_pinner", SignPinner(self.source, self.vars))
-        keep = [k for k, t in enumerate(s) if t != 0]
-        return self._pinner([self.forms[k] for k in keep], [s[k] for k in keep], partial=True)
+        return self._pinner(self.forms, s, partial=True)
 
     def in_domain(self, p: Sequence[float], margin: float = 0.0) -> bool:
         return all(s * f.value(p) > margin for f, s in self.domain)
@@ -220,15 +222,18 @@ class PiecewiseFn:
     def _value_node(self, s: Pattern):
         """How a point with sign vector s takes its value: the pair of limits
         along the primary axis of its first ``specular`` zero, else the table
-        branch, or the source under a ``direct`` zero, or None."""
+        branch, which under a ``direct`` zero falls back to the pinned source
+        of ``branch``, or None."""
         zeros = [k for k, t in enumerate(s) if t == 0]
         spec = [k for k in zeros if self.policies[k] == "specular"]
         if spec:
             return tuple(self._limit_node(s, self.forms[spec[0]].primary_axis(), d) for d in (-1, 1))
-        rhs = self.match(s)
-        if rhs is None and any(self.policies[k] == "direct" for k in zeros):
-            rhs = self.source
-        return rhs
+        if not any(self.policies[k] == "direct" for k in zeros):
+            return self.match(s)
+        try:
+            return self.branch(s)
+        except Exception as exc:  # pinning the source failed: raised when evaluated
+            return exc
 
     def _limit_node(self, s: Pattern, axis: int, direction: int):
         """How the limit along the axis from the given side takes its value
@@ -268,10 +273,12 @@ class PiecewiseFn:
         """``evaluate`` at many points: the (values, covered) of ``evaluate_batch``."""
         return self.evaluate_batch(cols)[None]
 
-    def evaluate_batch(self, cols: Sequence[np.ndarray], axes: Sequence[int] = ()) -> dict:
-        """The value (key None) and the left and right limits along each
-        axis (keys (axis, -1) and (axis, +1)) at many points (cols: one
-        coordinate array per variable), each as (values, covered).  One
+    def evaluate_batch(self, cols: Sequence[np.ndarray], axes: Sequence[int] = (),
+                       value: bool = True) -> dict:
+        """The value (key None, unless value is false) and the left and
+        right limits along each axis (keys (axis, -1) and (axis, +1)) at
+        many points (cols: one coordinate array per variable), each as
+        (values, covered).  One
         ``pattern_groups`` call routes every request of a sign pattern to its
         node, each distinct branch tree takes one ``eval_array`` pass over
         all the points routed to it, and a pair takes ``proper_value`` per
@@ -279,7 +286,7 @@ class PiecewiseFn:
         bitwise that of ``evaluate``/``one_sided_value``; the scalar methods
         take the others and raise the errors.  Nothing here raises."""
         cols = [np.asarray(c, dtype=float) for c in cols]
-        keys = [None] + [(axis, d) for axis in axes for d in (-1, 1)]
+        keys = ([None] if value else []) + [(axis, d) for axis in axes for d in (-1, 1)]
         plan, trees = [], {}
         for s, idx in self.pattern_groups(cols):
             for key in keys:
@@ -454,56 +461,38 @@ def regions(forms: Sequence[AffineForm], domain: Sequence, d: int,
     return sorted(found, key=lambda pat: [rank.get(s, 0) for s in pat])
 
 
-# ---------------------------------------------------------------------------
-# Line sampling (deterministic low-discrepancy)
-
-def line_samples(
-    u: PiecewiseFn,
-    k: int,
-    K: int = 17,
-    box: tuple = (-10.0, 10.0),
-    delta: float = 1e-6,
-) -> list:
-    """Up to K points on form k inside the box, excluding delta-neighborhoods
-    of the other forms and respecting the domain constraints."""
-    f = u.forms[k]
-    lo, hi = box
-    if u.d == 1:
-        p = (f.offset / f.coeffs[0],)
-        if lo <= p[0] <= hi and _admissible(u, k, p, delta):
-            return [p]
-        return []
-    a = np.array(f.coeffs)
-    p0 = f.offset * a / float(a @ a)
-    direction = np.array([-a[1], a[0]]) / float(np.hypot(a[0], a[1]))
-    # parameter range keeping both coordinates inside the box
-    tlo, thi = -np.inf, np.inf
-    for i in range(2):
-        if direction[i] != 0.0:
-            t1 = (lo - p0[i]) / direction[i]
-            t2 = (hi - p0[i]) / direction[i]
-            tlo = max(tlo, min(t1, t2))
-            thi = min(thi, max(t1, t2))
-        elif not (lo <= p0[i] <= hi):
-            return []
-    if not (tlo < thi):
-        return []
+@functools.lru_cache(maxsize=1024)
+def _edge_samples(forms: tuple, domain: tuple, d: int) -> tuple:
+    """The sample points on each form's line, one tuple per form.  The
+    other forms and the domain lines cut the line into edges; each edge
+    gets ``EDGE_POINTS`` points, at equal fractions of a bounded edge and
+    at steps of the line's span (1 + the distance between its outer cuts)
+    past the last cut of a ray.  A line nothing cuts is cut at its point
+    nearest the origin.  A point is kept when it meets the domain strictly
+    and lies off every other line.  In 1D the sample is the root.  Callers
+    share the cached tuple, as with ``_faces``."""
+    lines = list(forms) + [g for g, _ in domain]
+    steps = range(1, EDGE_POINTS + 1)
     out = []
-    j = 1
-    while len(out) < K and j <= 60 * K:
-        tau = tlo + (thi - tlo) * math.modf(j * GOLDEN)[0]
-        p = tuple(p0 + tau * direction)
-        if _admissible(u, k, p, delta):
-            out.append(p)
-        j += 1
-    return out
-
-
-def _admissible(u: PiecewiseFn, k: int, p, delta: float) -> bool:
-    for m, g in enumerate(u.forms):
-        if m != k and abs(g.value(p)) <= delta:
-            return False
-    return u.in_domain(p, margin=delta)
+    for k, f in enumerate(forms):
+        if d == 1:
+            pts = [(f.offset / f.coeffs[0],)]
+        else:
+            # p(t) = foot + t * (-b, a), foot the point nearest the origin
+            (a, b), n2 = f.coeffs, f.coeffs[0] ** 2 + f.coeffs[1] ** 2
+            foot = (f.offset * a / n2, f.offset * b / n2)
+            ts = sorted({(b * (foot[0] - q[0]) + a * (q[1] - foot[1])) / n2
+                         for g in lines if g is not f and (q := _meet(f, g))}) or [0.0]
+            span = 1.0 + (ts[-1] - ts[0])
+            params = [ts[0] - j * span for j in reversed(steps)]
+            for lo, hi in zip(ts, ts[1:]):
+                params += [lo + (hi - lo) * j / (EDGE_POINTS + 1) for j in steps]
+            params += [ts[-1] + j * span for j in steps]
+            pts = [(foot[0] - t * b, foot[1] + t * a) for t in params]
+        out.append(tuple(p for p in pts
+                         if all(_sign(g, p) == s for g, s in domain)
+                         and all(_sign(g, p) for m, g in enumerate(forms) if m != k)))
+    return tuple(out)
 
 
 def evaluate_at(u: PiecewiseFn, pts: list):
@@ -514,10 +503,11 @@ def evaluate_at(u: PiecewiseFn, pts: list):
         yield v if ok else u.evaluate(p)
 
 
-def _line_batch(u: PiecewiseFn, lines: list, axes) -> dict:
+def _line_batch(u: PiecewiseFn, lines: list, axes, value: bool = True) -> dict:
     """``evaluate_batch`` at the points of all lines, as Python lists."""
     cols = np.array([p for pts in lines for p in pts], dtype=float).reshape(-1, u.d).T
-    return {key: (v.tolist(), ok.tolist()) for key, (v, ok) in u.evaluate_batch(cols, axes).items()}
+    return {key: (v.tolist(), ok.tolist())
+            for key, (v, ok) in u.evaluate_batch(cols, axes, value).items()}
 
 
 def _limits(u: PiecewiseFn, batch: dict, i: int, p, axis: int) -> tuple:
@@ -532,17 +522,10 @@ def _limits(u: PiecewiseFn, batch: dict, i: int, p, axis: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Continuity and properness
 
-def classify_continuity(
-    u: PiecewiseFn,
-    box: tuple = (-10.0, 10.0),
-    K: int = 17,
-    delta: float = 1e-6,
-    lines: Optional[list] = None,  # the line_samples of each form, if known
-) -> ContinuityReport:
-    if lines is None:
-        lines = [line_samples(u, k, K=K, box=box, delta=delta) for k in range(len(u.forms))]
+def classify_continuity(u: PiecewiseFn) -> ContinuityReport:
+    lines = _edge_samples(u.forms, u.domain, u.d)
     axes = sorted({u.forms[k].primary_axis() for k, pts in enumerate(lines) if pts})
-    return _continuity(u, lines, _line_batch(u, lines, axes))
+    return _continuity(u, lines, _line_batch(u, lines, axes, value=False))
 
 
 def _continuity(u: PiecewiseFn, lines: list, batch: dict) -> ContinuityReport:
@@ -571,19 +554,12 @@ def _continuity(u: PiecewiseFn, lines: list, batch: dict) -> ContinuityReport:
     return ContinuityReport(jump, indet, verdict, samples, unsampled)
 
 
-def is_proper(
-    u: PiecewiseFn,
-    box: tuple = (-10.0, 10.0),
-    K: int = 17,
-    delta: float = 1e-6,
-    lines: Optional[list] = None,
-):
-    """Stored values at the line samples against the A-combination of the
+def is_proper(u: PiecewiseFn):
+    """Stored values at the edge samples against the A-combination of the
     limits along each axis (along the primary one, those of the report),
     from one batch for the whole check; the scalar methods take what it
     left, per point the value first, then each other axis."""
-    if lines is None:
-        lines = [line_samples(u, k, K=K, box=box, delta=delta) for k in range(len(u.forms))]
+    lines = _edge_samples(u.forms, u.domain, u.d)
     batch = _line_batch(u, lines, range(u.d))
     cont = _continuity(u, lines, batch)
     (stored_values, covered), at = batch[None], itertools.count()

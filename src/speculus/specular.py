@@ -31,11 +31,12 @@ from .expr import (
 from .piecewise import (
     BranchLookupError,
     PiecewiseFn,
+    _edge_samples,
+    _faces,
     a_combine,
     classify_continuity,
     evaluate_at,
     is_proper,
-    line_samples,
     merge_forms,
     proper_value,
     regions,
@@ -334,15 +335,13 @@ class S2Report:
     notes: list
 
 
-def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
+def s2_membership(u: PiecewiseFn) -> S2Report:
     if u.d != 2:
         raise SpecularError("s2_membership expects a 2D function")
     notes: list = []
-    # every field below has the forms and domain of u, so one sampling serves all
-    lines = [line_samples(u, k, K=K, box=box) for k in range(len(u.forms))]
-    cont = classify_continuity(u, box=box, K=K, lines=lines)
+    cont = classify_continuity(u)
     if cont.verdict != "continuous":
-        ok, _ = is_proper(u, box=box, K=K, lines=lines)
+        ok, _ = is_proper(u)
         bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
         verdict = "S0-only" if ok else "fails"
         notes.append("u itself is not continuous")
@@ -351,7 +350,7 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
     fields = {0: partial_field(u, 0), 1: partial_field(u, 1)}
     first_proper, failure_forms = {}, []
     for axis, fld in fields.items():
-        ok, rep = is_proper(fld, box=box, K=K, lines=lines)
+        ok, rep = is_proper(fld)
         first_proper[axis] = ok
         if not ok:
             failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
@@ -359,7 +358,7 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
     second = {(i, j): specular_field(fields[j], i) for i in (0, 1) for j in (0, 1)}
     second_proper, second_cont = {}, {}
     for key, fld in second.items():
-        ok, rep = is_proper(fld, box=box, K=K, lines=lines)
+        ok, rep = is_proper(fld)
         second_proper[key], second_cont[key] = ok, rep.continuity
         if not ok:
             failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
@@ -371,18 +370,10 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
         if not mixed_continuous[key]:
             failure_forms.extend(second[key].forms[k] for k in rep.jump_forms + rep.indeterminate)
 
-    # symmetry residual dS_x u_y vs dS_y u_x over on-line and grid samples
-    pts = [p for line in lines for p in line]
-    lo, hi = box
-    j = 1
-    while len(pts) < len(u.forms) * K + 25 and j < 2000:
-        p = (
-            lo + (hi - lo) * math.modf(j * 0.7548776662466927)[0],
-            lo + (hi - lo) * math.modf(j * 0.5698402909980532)[0],
-        )
-        if u.in_domain(p, margin=1e-6):
-            pts.append(p)
-        j += 1
+    # symmetry residual dS_x u_y vs dS_y u_x at the edge samples and one
+    # witness per cell; every field has the forms and domain of u
+    pts = [p for line in _edge_samples(u.forms, u.domain, 2) for p in line]
+    pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
     residual = 0.0
     for a, b in zip(evaluate_at(second[(0, 1)], pts), evaluate_at(second[(1, 0)], pts)):
         residual = max(residual, abs(a - b))
@@ -394,7 +385,7 @@ def s2_membership(u: PiecewiseFn, box=(-10.0, 10.0), K: int = 17) -> S2Report:
     elif firsts_ok:
         verdict = "S1-only"
     else:
-        ok_u, _ = is_proper(u, box=box, K=K, lines=lines)
+        ok_u, _ = is_proper(u)
         verdict = "S0-only" if ok_u else "fails"
     return S2Report(verdict, cont.verdict, first_proper, second_proper,
                     mixed_continuous, residual, merge_forms([failure_forms]), notes)

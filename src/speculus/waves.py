@@ -36,13 +36,13 @@ from .expr import (
 )
 from .piecewise import (
     PiecewiseFn,
+    _edge_samples,
     _meet,
     _sign,
     a_combine,
     classify_continuity,
     evaluate_at,
     is_proper,
-    line_samples,
     merge_forms,
     pw_add,
     pw_compose_affine,
@@ -70,14 +70,6 @@ FORM_X_MINUS_T = AffineForm((1.0, -1.0), 0.0)
 
 class SolverPrecondition(Exception):
     """A data-class hypothesis of a solver is violated."""
-
-
-@dataclass(frozen=True)
-class SolutionField:
-    u: PiecewiseFn
-
-    def evaluate(self, p):
-        return self.u.evaluate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +157,12 @@ def antiderivative_pw(psi: PiecewiseFn) -> PiecewiseFn:
 # ---------------------------------------------------------------------------
 # Solvers
 
-def solve_transport(h: PiecewiseFn) -> SolutionField:
+def solve_transport(h: PiecewiseFn) -> PiecewiseFn:
     if h.d != 1:
         raise SolverPrecondition("transport data must be 1D")
     if not specularly_differentiable_1d(h):
         raise SolverPrecondition("transport data is not specularly differentiable")
-    u = pw_compose_affine(h, (1.0, -1.0), 0.0, VARS_XT)
-    return SolutionField(u)
+    return pw_compose_affine(h, (1.0, -1.0), 0.0, VARS_XT)
 
 
 def _dalembert_field(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
@@ -183,15 +174,14 @@ def _dalembert_field(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
     return pw_scale(0.5, pw_add(pw_add(A, B), pw_add(C, D, -1.0)))
 
 
-def solve_wave_homogeneous(phi: PiecewiseFn, psi: PiecewiseFn) -> SolutionField:
+def solve_wave_homogeneous(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
     bad = check_displacement(phi) + check_velocity(psi)
     if bad:
         raise SolverPrecondition("; ".join(bad))
-    u = _dalembert_field(phi, psi)
-    return SolutionField(u)
+    return _dalembert_field(phi, psi)
 
 
-def solve_wave_halfline(phi: PiecewiseFn, psi: PiecewiseFn) -> SolutionField:
+def solve_wave_halfline(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
     bad = check_displacement(phi) + check_velocity(psi)
     if abs(phi.evaluate((0.0,))) > 1e-12 or abs(psi.evaluate((0.0,))) > 1e-12:
         bad.append("half-line compatibility phi(0) = psi(0) = 0 fails")
@@ -207,23 +197,19 @@ def solve_wave_halfline(phi: PiecewiseFn, psi: PiecewiseFn) -> SolutionField:
     Crf = pw_compose_affine(Psi, (-1.0, 1.0), 0.0, VARS_XT, domain=dom)  # Psi(t-x)
     u_right = pw_scale(0.5, pw_add(pw_add(A, B), pw_add(C, D, -1.0)))
     u_left = pw_scale(0.5, pw_add(pw_add(A, Arf, -1.0), pw_add(C, Crf, -1.0)))
-    u = pw_select(FORM_X_MINUS_T, u_right, u_left)
-    return SolutionField(u)
+    return pw_select(FORM_X_MINUS_T, u_right, u_left)
 
 
 def solve_wave_nonhomogeneous(
     phi: PiecewiseFn, psi: PiecewiseFn, f: PiecewiseFn
-) -> SolutionField:
+) -> PiecewiseFn:
     bad = check_displacement(phi) + check_velocity(psi)
-    ok, _ = is_proper(f, box=(-8.0, 8.0))
+    ok, _ = is_proper(f)
     if not ok:
         bad.append("force is not proper")
     if bad:
         raise SolverPrecondition("; ".join(bad))
-    base = _dalembert_field(phi, psi)
-    dh = duhamel_term(f)
-    u = pw_add(base, dh)
-    return SolutionField(u)
+    return pw_add(_dalembert_field(phi, psi), duhamel_term(f))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +419,7 @@ def wave_operator_fields(u: PiecewiseFn):
     return wtt, wxx, pw_add(wtt, wxx, -1.0)
 
 
-def wave_residual(sol: SolutionField, f: Optional[PiecewiseFn], points) -> ResidualReport:
+def wave_residual(u: PiecewiseFn, f: Optional[PiecewiseFn], points) -> ResidualReport:
     """PDE residual dS_t u_t - dS_x u_x - f at the given points.
 
     Off the singular lines the operator is evaluated branchwise.  On a
@@ -441,7 +427,7 @@ def wave_residual(sol: SolutionField, f: Optional[PiecewiseFn], points) -> Resid
     its one-sided values (matching how the force stores its own on-line
     values); the per-axis operator values are also reported so on-line
     diagonal entries like A(2, 0) are visible."""
-    wtt, wxx, W = wave_operator_fields(sol.u)
+    wtt, wxx, W = wave_operator_fields(u)
     points = [tuple(p) for p in points]
     forces = evaluate_at(f, points) if f is not None else itertools.repeat(0.0)
     rows = []
@@ -474,14 +460,14 @@ def transport_operator_many(u: PiecewiseFn, cols, partials=None) -> tuple:
     return values, cx & ct & np.isfinite(dx) & np.isfinite(dt) & off_lines
 
 
-def transport_residual(sol: SolutionField, points) -> ResidualReport:
+def transport_residual(u: PiecewiseFn, points) -> ResidualReport:
     points = [tuple(p) for p in points]
-    values, covered = transport_operator_many(sol.u, np.reshape(points, (-1, 2)).T)
+    values, covered = transport_operator_many(u, np.reshape(points, (-1, 2)).T)
     rows = []
     worst = 0.0
     for p, val, ok in zip(points, values.tolist(), covered.tolist()):
         if not ok:
-            val = transport_operator(sol.u, p)
+            val = transport_operator(u, p)
         rows.append((p, val, 0.0, val, math.nan, math.nan))
         worst = max(worst, abs(val))
     return ResidualReport(rows, worst)
@@ -493,16 +479,13 @@ class HypothesisHReport:
     failures: list
 
 
-def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int = 9) -> HypothesisHReport:
-    """Evaluate the strong-tangent criterion of v = u_t - u_x at on-line
-    samples; hypothesis (H) demands a strong specular tangent there."""
-    v = pw_add(partial_field(sol.u, 1), partial_field(sol.u, 0), -1.0)
-    if points is None:
-        points = []
-        for k in range(len(v.forms)):
-            points.extend(line_samples(v, k, K=K, box=box))
+def hypothesis_h_check(u: PiecewiseFn) -> HypothesisHReport:
+    """Evaluate the strong-tangent criterion of v = u_t - u_x at the edge
+    samples of its lines; hypothesis (H) demands a strong specular tangent
+    there."""
+    v = pw_add(partial_field(u, 1), partial_field(u, 0), -1.0)
     rows, failures = [], []
-    for p in points:
+    for p in (p for line in _edge_samples(v.forms, v.domain, v.d) for p in line):
         try:
             _, pair1, pair2 = _center_and_pairs(v, p)
         except CenterMismatch as e:
@@ -516,18 +499,18 @@ def hypothesis_h_check(sol: SolutionField, points=None, box=(-6.0, 6.0), K: int 
     return HypothesisHReport(rows, failures)
 
 
-def initial_conditions_residual(sol: SolutionField, phi: PiecewiseFn, psi: PiecewiseFn, xs) -> tuple:
+def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: PiecewiseFn, xs) -> tuple:
     """Max |u(x,0) - phi(x)| and |right t-slope at (x,0) - psi(x)|."""
     xs = [(float(x),) for x in xs]
     points = [(x, 0.0) for (x,) in xs]
     psis = evaluate_at(psi, xs)
     worst_u = worst_v = 0.0
-    for p, u0, phi0 in zip(points, evaluate_at(sol.u, points), evaluate_at(phi, xs)):
+    for p, u0, phi0 in zip(points, evaluate_at(u, points), evaluate_at(phi, xs)):
         worst_u = max(worst_u, abs(u0 - phi0))
-        alpha = semi_derivative_one_sided(sol.u, p, 1, +1)
+        alpha = semi_derivative_one_sided(u, p, 1, +1)
         worst_v = max(worst_v, abs(alpha - next(psis)))
     return worst_u, worst_v
 
 
-def boundary_residual(sol: SolutionField, ts) -> float:
-    return max(abs(sol.u.evaluate((0.0, float(t)))) for t in ts)
+def boundary_residual(u: PiecewiseFn, ts) -> float:
+    return max(abs(u.evaluate((0.0, float(t)))) for t in ts)

@@ -38,7 +38,6 @@ from speculus.tangent2d import (
     weak_tangent_planes,
 )
 from speculus.waves import (
-    SolutionField,
     boundary_residual,
     duhamel_term,
     initial_conditions_residual,
@@ -183,11 +182,10 @@ def test_criterion_06_nonhomogeneous_counterexample(
     assert abs(lim.right - lim.left) == pytest.approx(0.5, abs=1e-12)
     # residual of the printed form against the printed force: five cases
     pts = [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-2.0, 1.0)]
-    printed_sol = SolutionField(printed_counterexample_u)
-    assert wave_residual(printed_sol, f, pts).max_abs <= 1e-9
+    assert wave_residual(printed_counterexample_u, f, pts).max_abs <= 1e-9
     assert wave_residual(counterexample_sol, f, pts).max_abs <= 1e-9
     # S2 membership fails with both characteristic lines named
-    for u in (printed_counterexample_u, counterexample_sol.u):
+    for u in (printed_counterexample_u, counterexample_sol):
         rep = s2_membership(u)
         assert rep.verdict != "S2"
         named = {(g.coeffs, g.offset) for g in rep.failure_forms}

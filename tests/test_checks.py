@@ -19,11 +19,12 @@ from speculus.piecewise import (
     ContinuityReport,
     PiecewiseFn,
     ProperReport,
+    _edge_samples,
+    _faces,
     classify_continuity,
     from_branches,
     from_expression,
     is_proper,
-    line_samples,
     merge_forms,
     proper_value,
     tol_jump,
@@ -49,11 +50,14 @@ X, XY, XT = ("x",), ("x", "y"), ("x", "t")
 # ---------------------------------------------------------------------------
 # The scalar oracles: every sample point through one_sided_limits/evaluate
 
-def classify_scalar(u, box=(-10.0, 10.0), K=17, delta=1e-6):
+def edge_samples(u):
+    return _edge_samples(u.forms, u.domain, u.d)
+
+
+def classify_scalar(u):
     jump, indet, unsampled = [], [], []
     samples = {}
-    for k, f in enumerate(u.forms):
-        pts = line_samples(u, k, K=K, box=box, delta=delta)
+    for (k, f), pts in zip(enumerate(u.forms), edge_samples(u)):
         if not pts:
             unsampled.append(k)
             continue
@@ -79,8 +83,8 @@ def classify_scalar(u, box=(-10.0, 10.0), K=17, delta=1e-6):
     return ContinuityReport(jump, indet, verdict, samples, unsampled)
 
 
-def is_proper_scalar(u, box=(-10.0, 10.0), K=17, delta=1e-6):
-    cont = classify_scalar(u, box=box, K=K, delta=delta)
+def is_proper_scalar(u):
+    cont = classify_scalar(u)
     violations = []
     for k, rows in cont.samples.items():
         for p, _, _ in rows:
@@ -94,11 +98,11 @@ def is_proper_scalar(u, box=(-10.0, 10.0), K=17, delta=1e-6):
     return ok, ProperReport(ok, cont, violations)
 
 
-def s2_scalar(u, box=(-10.0, 10.0), K=17):
+def s2_scalar(u):
     notes = []
-    cont = classify_scalar(u, box=box, K=K)
+    cont = classify_scalar(u)
     if cont.verdict != "continuous":
-        ok, _ = is_proper_scalar(u, box=box, K=K)
+        ok, _ = is_proper_scalar(u)
         bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
         verdict = "S0-only" if ok else "fails"
         notes.append("u itself is not continuous")
@@ -107,7 +111,7 @@ def s2_scalar(u, box=(-10.0, 10.0), K=17):
     fields = {0: partial_field(u, 0), 1: partial_field(u, 1)}
     first_proper, failure_forms = {}, []
     for axis, fld in fields.items():
-        ok, rep = is_proper_scalar(fld, box=box, K=K)
+        ok, rep = is_proper_scalar(fld)
         first_proper[axis] = ok
         if not ok:
             failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
@@ -115,31 +119,20 @@ def s2_scalar(u, box=(-10.0, 10.0), K=17):
     second = {(i, j): specular_field(fields[j], i) for i in (0, 1) for j in (0, 1)}
     second_proper = {}
     for key, fld in second.items():
-        ok, rep = is_proper_scalar(fld, box=box, K=K)
+        ok, rep = is_proper_scalar(fld)
         second_proper[key] = ok
         if not ok:
             failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
 
     mixed_continuous = {}
     for key in ((0, 1), (1, 0)):
-        rep = classify_scalar(second[key], box=box, K=K)
+        rep = classify_scalar(second[key])
         mixed_continuous[key] = rep.verdict == "continuous"
         if not mixed_continuous[key]:
             failure_forms.extend(second[key].forms[k] for k in rep.jump_forms + rep.indeterminate)
 
-    pts = []
-    for k in range(len(u.forms)):
-        pts.extend(line_samples(u, k, K=K, box=box))
-    lo, hi = box
-    j = 1
-    while len(pts) < len(u.forms) * K + 25 and j < 2000:
-        p = (
-            lo + (hi - lo) * math.modf(j * 0.7548776662466927)[0],
-            lo + (hi - lo) * math.modf(j * 0.5698402909980532)[0],
-        )
-        if u.in_domain(p, margin=1e-6):
-            pts.append(p)
-        j += 1
+    pts = [p for line in edge_samples(u) for p in line]
+    pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
     residual = 0.0
     for p in pts:
         residual = max(residual, abs(second[(0, 1)].evaluate(p) - second[(1, 0)].evaluate(p)))
@@ -151,14 +144,14 @@ def s2_scalar(u, box=(-10.0, 10.0), K=17):
     elif firsts_ok:
         verdict = "S1-only"
     else:
-        ok_u, _ = is_proper_scalar(u, box=box, K=K)
+        ok_u, _ = is_proper_scalar(u)
         verdict = "S0-only" if ok_u else "fails"
     return S2Report(verdict, cont.verdict, first_proper, second_proper,
                     mixed_continuous, residual, merge_forms([failure_forms]), notes)
 
 
-def wave_residual_scalar(sol, f, points):
-    wtt, wxx, W = wave_operator_fields(sol.u)
+def wave_residual_scalar(u, f, points):
+    wtt, wxx, W = wave_operator_fields(u)
     rows = []
     worst = 0.0
     for p in points:
@@ -170,12 +163,12 @@ def wave_residual_scalar(sol, f, points):
     return ResidualReport(rows, worst)
 
 
-def initial_scalar(sol, phi, psi, xs):
+def initial_scalar(u, phi, psi, xs):
     worst_u = worst_v = 0.0
     for x in xs:
         p = (float(x), 0.0)
-        worst_u = max(worst_u, abs(sol.u.evaluate(p) - phi.evaluate((float(x),))))
-        alpha = semi_derivative_one_sided(sol.u, p, 1, +1)
+        worst_u = max(worst_u, abs(u.evaluate(p) - phi.evaluate((float(x),))))
+        alpha = semi_derivative_one_sided(u, p, 1, +1)
         worst_v = max(worst_v, abs(alpha - psi.evaluate((float(x),))))
     return worst_u, worst_v
 
@@ -200,11 +193,11 @@ def assert_checks_match(u):
         assert outcome(s2_membership, u) == outcome(s2_scalar, u)
 
 
-def assert_residuals_match(sol, phi, psi, f, points, xs):
+def assert_residuals_match(u, phi, psi, f, points, xs):
     """wave_residual and initial_conditions_residual equal their oracles."""
-    assert outcome(wave_residual, sol, f, points) == outcome(wave_residual_scalar, sol, f, points)
-    assert (outcome(initial_conditions_residual, sol, phi, psi, xs)
-            == outcome(initial_scalar, sol, phi, psi, xs))
+    assert outcome(wave_residual, u, f, points) == outcome(wave_residual_scalar, u, f, points)
+    assert (outcome(initial_conditions_residual, u, phi, psi, xs)
+            == outcome(initial_scalar, u, phi, psi, xs))
 
 
 # grid points, many of them on the lines x +/- t = c of the generated kinks
@@ -218,12 +211,11 @@ XS = np.arange(0.0, 2.25, 0.25).tolist()
 @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.prob")))
 def test_fixture_reports_match_oracle(name):
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
-    sol = None if prob.kind is None else solve_problem(prob)
-    u = prob.u if sol is None else sol.u
+    u = prob.u if prob.kind is None else solve_problem(prob)
     assert_checks_match(u)
     if prob.kind is not None and prob.kind.startswith("wave"):
         xs = np.linspace(max(prob.grid.x_range[0], 0.0), prob.grid.x_range[1], 33).tolist()
-        assert_residuals_match(sol, prob.phi, prob.psi, prob.f, _check_points(sol, prob), xs)
+        assert_residuals_match(u, prob.phi, prob.psi, prob.f, _check_points(u, prob), xs)
     for data in (prob.phi, prob.psi, prob.h, prob.f):
         if data is not None:
             assert_checks_match(data)
@@ -250,8 +242,8 @@ def test_generated_solutions_match_oracle(kind, a, c, b, d, p1):
         sol = solve_transport(from_expression(parse(f"{b}*abs(x - {d}) + {a}*abs(x - {c})", X), X))
     else:
         sol = (solve_wave_halfline if kind == "halfline" else solve_wave_homogeneous)(phi, psi)
-        assert_residuals_match(sol, phi, psi, None, [p for p in GRID if sol.u.in_domain(p)], XS)
-    assert_checks_match(sol.u)
+        assert_residuals_match(sol, phi, psi, None, [p for p in GRID if sol.in_domain(p)], XS)
+    assert_checks_match(sol)
 
 
 @given(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
@@ -267,9 +259,9 @@ def test_forced_solutions_match_oracle(a, values, b, d):
     phi = from_expression(parse("(1/2)*x^2 + x", X), X)
     psi = from_expression(parse(f"{b}*abs(x - {d})", X), X)
     sol = solve_wave_nonhomogeneous(phi, psi, f)
-    assert_checks_match(sol.u)
+    assert_checks_match(sol)
     assert_checks_match(f)
-    assert_residuals_match(sol, phi, psi, f, [p for p in GRID if sol.u.in_domain(p)], XS)
+    assert_residuals_match(sol, phi, psi, f, [p for p in GRID if sol.in_domain(p)], XS)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +294,11 @@ def _raising_fields():
 
 def _two_line_fields():
     """Fields whose samples on x = 0 (line 0) raise EvalDomainError below
-    y = -3, with the value in the message, and whose samples on y = 1/2
-    (line 1) raise ValueError left of x = -3."""
+    y = -1, with the value in the message, and whose samples on y = 1/2
+    (line 1) raise ValueError from x = -1 leftwards."""
     y = Var("y")
-    sqrt_y = Call("sqrt", parse("y + 3", XY))
-    log_x = Opaque(math.log, (parse("x + 3", XY),))
+    sqrt_y = Call("sqrt", parse("y + 1", XY))
+    log_x = Opaque(math.log, (parse("x + 1", XY),))
     return [
         # both lines fail in their limits: line 0 raises first
         from_branches((LINE_X, LINE_Y),
@@ -338,8 +330,7 @@ def test_two_line_first_error(index, error):
     """In the two-line fields each line has a raising sample point, and
     is_proper raises the error of the line the scalar pass reaches first."""
     u = _raising_fields()[index]
-    for k in range(len(u.forms)):
-        pts = line_samples(u, k)
+    for k, pts in enumerate(edge_samples(u)):
         stored = [outcome(u.evaluate, p) for p in pts]
         limits = [outcome(u.one_sided_limits, p, axis) for p in pts for axis in range(2)]
         assert any(out[0] == "raises" for out in stored + limits), k
@@ -360,7 +351,7 @@ def test_s2_scalar_work_counters(name, scalar_calls, monkeypatch):
     axes, so its limits along a line resolve a 0 of the other line, which
     the batch does too."""
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
-    u = prob.u if prob.kind is None else solve_problem(prob).u
+    u = prob.u if prob.kind is None else solve_problem(prob)
     depth, uncovered, scalar_points, diffs = [0], set(), [], []
 
     def spy(name, record):
@@ -429,7 +420,7 @@ def test_is_proper_is_one_batch(name, monkeypatch):
     its points by sign pattern once and evaluates each branch tree it
     touches at most once."""
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
-    u = prob.u if prob.kind is None else solve_problem(prob).u
+    u = prob.u if prob.kind is None else solve_problem(prob)
     fields = [u] + [partial_field(u, axis) for axis in range(u.d)]
     fields += [specular_field(fields[1 + j], i) for i in range(u.d) for j in range(u.d)]
     work = _count_batch_work(monkeypatch)
@@ -446,7 +437,32 @@ def test_s2_eval_array_counters(name, calls, monkeypatch):
     (one batch per field per check; 104 and 2 with one batch per line,
     axis and side)."""
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
-    u = prob.u if prob.kind is None else solve_problem(prob).u
+    u = prob.u if prob.kind is None else solve_problem(prob)
     work = _count_batch_work(monkeypatch)
     s2_membership(u)
     assert len(work["eval_array"]) <= calls
+
+
+@pytest.mark.parametrize("name, batches", [
+    ("counterexample", [6] * 7 + [9, 9]),
+    ("halfline", [18] * 7 + [24, 24]),
+])
+def test_s2_sample_counts(name, batches, monkeypatch):
+    """s2_membership batches its checks of u and of the six derivative
+    fields at the edge samples (3 on each edge of a line inside t > 0:
+    counterexample has two lines with one edge each, halfline four lines
+    with two, two, one and one), then the symmetry residual of the two
+    mixed fields there and at one witness per cell (3 and 6 cells).  The
+    box sampler took 34 and 68 points per field and 59 and 93 for the
+    residual."""
+    prob = load_problem(str(PROBLEMS / f"{name}.prob"))
+    u = solve_problem(prob)
+    sizes, real = [], PiecewiseFn.evaluate_batch
+
+    def counted(self, cols, *args):
+        sizes.append(len(cols[0]))
+        return real(self, cols, *args)
+
+    monkeypatch.setattr(PiecewiseFn, "evaluate_batch", counted)
+    s2_membership(u)
+    assert sizes == batches

@@ -730,7 +730,7 @@ def test_fixture_branches_match_oracle(e, vars):
         for pat in itertools.product((1, -1), repeat=len(forms))
     ]
     for s in itertools.product((1, 0, -1), repeat=len(forms)):
-        assignment = [(f, t) for f, t in zip(forms, s) if t != 0]
+        assignment = list(zip(forms, s))  # a 0 pins sgn(l) and abs(l) to 0
         assert repr(u.branch(s)) == repr(pin_signs_oracle(e, vars, assignment, partial=True))
 
 

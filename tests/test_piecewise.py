@@ -26,13 +26,14 @@ from speculus.expr import (
 from speculus.piecewise import (
     BranchLookupError,
     CoverageError,
+    EDGE_POINTS,
     PiecewiseFn,
+    _edge_samples,
     _faces,
     classify_continuity,
     from_branches,
     from_expression,
     is_proper,
-    line_samples,
     pw_add,
     pw_compose_affine,
     pw_scale,
@@ -269,12 +270,28 @@ class TestPatternGeometry:
             (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)
         ]
 
-    def test_line_samples_avoid_intersections(self, table_fn):
-        pts = line_samples(table_fn, 0)
-        assert len(pts) == 17
-        for p in pts:
-            assert abs(table_fn.forms[0].value(p)) < 1e-9
-            assert abs(table_fn.forms[1].value(p)) > 1e-6
+    def test_edge_samples_cover_every_edge(self):
+        """Lines x = 0, y = 0 and x - y = 1 with the domain x + y > -3: each
+        line has two crossings, one clipped end and one ray, and every one
+        of the nine edges (a pattern with one 0 among ``_faces``) gets
+        EDGE_POINTS samples of its line, none on another line or outside
+        the domain."""
+        forms = (AffineForm((1.0, 0.0), 0.0), AffineForm((0.0, 1.0), 0.0),
+                 AffineForm((1.0, -1.0), 1.0))
+        dom = ((AffineForm((1.0, 1.0), -3.0), 1),)
+        edges = [pat for pat in _faces(forms, dom, 2) if pat.count(0) == 1]
+        assert len(edges) == 9
+        samples = _edge_samples(forms, dom, 2)
+        hit = []
+        for k, pts in enumerate(samples):
+            for p in pts:
+                signs = tolerant_signs(forms, p)
+                assert [t == 0 for t in signs] == [m == k for m in range(3)]
+                assert tolerant_signs([dom[0][0]], p) == (1,)
+                hit.append(signs)
+        assert sorted(hit) == sorted(pat for pat in edges for _ in range(EDGE_POINTS))
+        assert _edge_samples(forms, (), 2) is _edge_samples(forms, (), 2)
+        assert [len(pts) for pts in _edge_samples(forms, (), 2)] == [3 * EDGE_POINTS] * 3
 
 
 class TestAlgebra:

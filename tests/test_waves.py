@@ -28,7 +28,6 @@ from speculus.waves import (
     FORM_T,
     _duhamel_exact,
     _fit_center,
-    SolutionField,
     SolverPrecondition,
     antiderivative_pw,
     boundary_residual,
@@ -102,7 +101,7 @@ class TestTransport:
         assert values.tolist() == [transport_operator(u, p) for p in pts]
 
     def test_batch_differentiates_nothing_once_partials_exist(self, monkeypatch):
-        u = solve_transport(from_expression(parse("abs(x) + x^3", VARS_X), VARS_X)).u
+        u = solve_transport(from_expression(parse("abs(x) + x^3", VARS_X), VARS_X))
         partial_field(u, 0), partial_field(u, 1)
         calls = []
 
@@ -246,7 +245,7 @@ class TestHalflineExample:
         assert wv <= 1e-8
 
     def test_hypothesis_h(self, halfline_sol):
-        rep = hypothesis_h_check(halfline_sol, box=(0.05, 4.0))
+        rep = hypothesis_h_check(halfline_sol)
         assert rep.rows
         assert rep.failures == []
 
@@ -401,7 +400,7 @@ class TestCounterexampleSolution:
         assert lim.right - lim.left == pytest.approx(-0.5, abs=1e-12)
 
     def test_solver_output_is_continuous_across_gamma1(self, counterexample_sol):
-        lim = counterexample_sol.u.one_sided_limits((1.0, 1.0), 0)
+        lim = counterexample_sol.one_sided_limits((1.0, 1.0), 0)
         assert lim.left == pytest.approx(2.5, abs=1e-10)
         assert lim.right == pytest.approx(2.5, abs=1e-10)
 
@@ -446,8 +445,7 @@ class TestCounterexampleSolution:
         # xt/2 restricted to the middle sector is invisible to the on-line
         # combination semantics (a uniqueness failure of the formulation)
         _, _, f = counterexample_data
-        sol = SolutionField(printed_counterexample_u)
-        rep = wave_residual(sol, f, self._five_case_points())
+        rep = wave_residual(printed_counterexample_u, f, self._five_case_points())
         assert rep.max_abs <= 1e-9
 
 
