@@ -27,6 +27,11 @@ they are rebuilt per assignment; everything else, and the form and
 orientation of each such node, is computed once, by the same calls in the
 same order, so each tree is the one ``pin_signs`` builds, down to the
 sign of a zero.
+
+``diff`` with a memo (id(node) -> (node, derivative); holding the node
+keeps its id from being reused) differentiates each node object once.  A
+piecewise function keeps one memo per axis, so its branches, which share
+most of their subtrees, share their derivatives too, as equal trees.
 """
 
 from __future__ import annotations
@@ -600,42 +605,49 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # Differentiation (classical rules; d|g| = sgn(g) dg, d sgn(g) = 0)
 
-def diff(e: Expr, var: str) -> Expr:
-    if isinstance(e, (Const,)):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Neg):
-        return neg(diff(e.operand, var))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        return mul(mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), diff(e.base, var))
-    if isinstance(e, BinOp):
-        da, db = diff(e.left, var), diff(e.right, var)
+def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
+    if memo is not None and id(e) in memo:
+        return memo[id(e)][1]
+    if isinstance(e, Const):
+        d = ZERO
+    elif isinstance(e, Var):
+        d = ONE if e.name == var else ZERO
+    elif isinstance(e, Neg):
+        d = neg(diff(e.operand, var, memo))
+    elif isinstance(e, Pow):
+        d = ZERO if e.exponent == 0 else mul(
+            mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), diff(e.base, var, memo))
+    elif isinstance(e, BinOp):
+        da, db = diff(e.left, var, memo), diff(e.right, var, memo)
         if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.right), mul(e.left, db))
-        return div(sub(mul(da, e.right), mul(e.left, db)), powi(e.right, 2))
-    if isinstance(e, Call):
-        dg = diff(e.arg, var)
+            d = add(da, db)
+        elif e.op == "-":
+            d = sub(da, db)
+        elif e.op == "*":
+            d = add(mul(da, e.right), mul(e.left, db))
+        else:
+            d = div(sub(mul(da, e.right), mul(e.left, db)), powi(e.right, 2))
+    elif isinstance(e, Call):
+        dg = diff(e.arg, var, memo)
         if e.func == "abs":
-            return mul(Call("sgn", e.arg), dg)
-        if e.func == "sgn":
-            return ZERO
-        if e.func == "exp":
-            return mul(e, dg)
-        if e.func == "sqrt":
-            return div(dg, mul(Const(2.0), e))
-        if e.func == "sin":
-            return mul(Call("cos", e.arg), dg)
-        return neg(mul(Call("sin", e.arg), dg))
-    if isinstance(e, Opaque):
+            d = mul(Call("sgn", e.arg), dg)
+        elif e.func == "sgn":
+            d = ZERO
+        elif e.func == "exp":
+            d = mul(e, dg)
+        elif e.func == "sqrt":
+            d = div(dg, mul(Const(2.0), e))
+        elif e.func == "sin":
+            d = mul(Call("cos", e.arg), dg)
+        else:
+            d = neg(mul(Call("sin", e.arg), dg))
+    elif isinstance(e, Opaque):
         raise NotSymbolic(f"no symbolic derivative of {format_expr(e)}")
-    raise TypeError(f"not an Expr node: {e!r}")
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    if memo is not None:
+        memo[id(e)] = (e, d)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A PiecewiseFn is a list of normalized AffineForms (candidate singular
 hyperplanes) plus a branch table keyed by sign vectors.  Branch right-hand
 sides are Expr trees (a value with no closed form is an ``Opaque`` leaf);
 tables are looked up by deterministic first match, with None acting as a
-wildcard entry, and ``branch`` falls back to the source expression.
+wildcard entry, and ``branch`` falls back to the source expression.  A
+table without a wildcard is looked up in a dict built on first use (the
+first of duplicate patterns kept); a table with one is scanned in order.
 
 On-line values (points where some form vanishes) are controlled by a per-
 form policy:
@@ -140,8 +142,13 @@ class PiecewiseFn:
     # derivative fields built from this function, keyed by (kind, axis); a
     # copy made by ``replace`` starts empty, equality and hashing ignore it
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # symbolic branch derivatives keyed by (sign vector, axis), kept the same way
+    # kept the same way: symbolic branch derivatives keyed by (sign vector,
+    # axis), the ``diff`` memo of each axis, the result of ``is_proper``, and
+    # the branch table as a dict (False when a pattern has a wildcard)
     _slopes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memos: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _proper: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _index: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
     # the source's sign pinner, built on first use or handed over by
     # ``from_expression``; ``replace`` starts it afresh, equality ignores it
     _pinner: Optional[SignPinner] = field(default=None, init=False, compare=False, repr=False)
@@ -197,6 +204,11 @@ class PiecewiseFn:
                 yield tuple(signs[i].tolist()), idx
 
     def match(self, s: Pattern) -> Optional[Expr]:
+        if self._index is None:  # reversed, so the first of duplicate patterns wins
+            index = dict(reversed(self.branches))
+            object.__setattr__(self, "_index", False if any(None in pat for pat in index) else index)
+        if self._index is not False:
+            return self._index.get(s)
         for pat, rhs in self.branches:
             if all(q is None or q == t for q, t in zip(pat, s)):
                 return rhs
@@ -558,7 +570,10 @@ def is_proper(u: PiecewiseFn):
     """Stored values at the edge samples against the A-combination of the
     limits along each axis (along the primary one, those of the report),
     from one batch for the whole check; the scalar methods take what it
-    left, per point the value first, then each other axis."""
+    left, per point the value first, then each other axis.  Run once per
+    function: the (ok, report) pair is kept, and callers only read it."""
+    if u._proper is not None:
+        return u._proper
     lines = _edge_samples(u.forms, u.domain, u.d)
     batch = _line_batch(u, lines, range(u.d))
     cont = _continuity(u, lines, batch)
@@ -575,7 +590,8 @@ def is_proper(u: PiecewiseFn):
                 if abs(stored - expected) > tol_jump(left, right):
                     violations.append((k, p, axis, stored, expected))
     ok = cont.verdict != "not-piecewise-continuous" and not violations
-    return ok, ProperReport(ok, cont, violations)
+    object.__setattr__(u, "_proper", (ok, ProperReport(ok, cont, violations)))
+    return u._proper
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +607,7 @@ def merge_forms(groups: Sequence[Sequence[AffineForm]]) -> list:
 
 
 def restrict_pattern(u: PiecewiseFn, union_forms: Sequence[AffineForm], pattern: Pattern) -> Pattern:
-    out = []
-    for f in u.forms:
-        i = find_form(union_forms, f)
-        out.append(pattern[i])
-    return tuple(out)
+    return tuple(pattern[find_form(union_forms, f)] for f in u.forms)
 
 
 def _branch_for(u: PiecewiseFn, union_forms, pattern) -> Expr:

@@ -18,11 +18,14 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .expr import (
     Neg,
     NotSymbolic,
     Var,
     diff,
+    eval_array,
     eval_expr,
     normalize_affine,
     opaque,
@@ -109,6 +112,30 @@ def semi_derivative_one_sided(u: PiecewiseFn, p, axis: int, direction: int) -> f
     return val
 
 
+def semi_derivative_many(u: PiecewiseFn, cols, axis: int, direction: int) -> tuple:
+    """``semi_derivative_one_sided`` at many points (cols: one float array
+    per variable) as (values, covered), one ``eval_array`` pass per
+    adjacent sign vector.  A point is left to the scalar call, which raises
+    the error, where the branch is missing, fails to pin or has an Opaque
+    leaf, or where its value is flagged or not finite."""
+    values, covered = np.zeros(len(cols[0])), np.zeros(len(cols[0]), dtype=bool)
+    groups: dict = {}
+    for s, idx in u.pattern_groups(cols):
+        groups.setdefault(u.adjacent_sign_vector(s, axis, direction), []).append(idx)
+    for sv, parts in groups.items():
+        try:
+            rhs = u.branch(sv)
+            d = None if rhs is None else _diff_rhs(u, sv, rhs, axis)
+        except Exception:  # the scalar call raises it again
+            continue
+        if d is not None:
+            idx = np.concatenate(parts)
+            bad = np.zeros(len(idx), dtype=bool)
+            v = eval_array(d, dict(zip(u.vars, (c[idx] for c in cols))), bad)
+            values[idx], covered[idx] = v, ~bad & np.isfinite(v)
+    return values, covered
+
+
 def semi_derivatives(u: PiecewiseFn, p, axis: int) -> SemiDerivativePair:
     return SemiDerivativePair(
         right=semi_derivative_one_sided(u, p, axis, +1),
@@ -138,11 +165,14 @@ def _resolve_parallel_zeros(u: PiecewiseFn, sv):
 def _diff_rhs(u: PiecewiseFn, s, rhs, axis: int):
     """The derivative of rhs, the branch of u for the sign vector s; None
     for an Opaque leaf (or no branch), which the caller differentiates by
-    finite differences.  Built once per (s, axis), kept in ``u._slopes``."""
+    finite differences.  Built once per (s, axis), kept in ``u._slopes``,
+    through the one ``diff`` memo of u for the axis, so the branches of
+    every pattern share the derivatives of their shared subtrees."""
     key = (s, axis)
     if key not in u._slopes:
         try:
-            u._slopes[key] = None if rhs is None else diff(rhs, u.vars[axis])
+            memo = u._memos.setdefault(axis, {})
+            u._slopes[key] = None if rhs is None else diff(rhs, u.vars[axis], memo)
         except NotSymbolic:
             u._slopes[key] = None
     return u._slopes[key]
@@ -186,21 +216,12 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
             rp = _resolve_parallel_zeros(u, sp)
         if rm is None:
             rm = _resolve_parallel_zeros(u, sm)
-
-        def _resolvable(sv):
-            # Forms parallel to the axis keep their 0 entry; if their
-            # on-line values are the proper extension, the one-sided slope
-            # is well defined pointwise and a finite difference along the
-            # line is sound.
-            return any(
-                sv[k] == 0 and u.policies[k] == "specular"
-                for k in range(len(u.forms))
-            )
-
-        if rp is None and not _resolvable(sp):
-            raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
-        if rm is None and not _resolvable(sm):
-            raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
+        # Forms parallel to the axis keep their 0 entry; if their on-line
+        # values are the proper extension, the one-sided slope is well
+        # defined pointwise and a finite difference along the line is sound.
+        for r, sv in ((rp, sp), (rm, sm)):
+            if r is None and not any(t == 0 and q == "specular" for t, q in zip(sv, u.policies)):
+                raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
         dp = _slope(u, sp, rp, axis, partial(_fd_one_sided, u, axis, +1))
         dm = _slope(u, sm, rm, axis, partial(_fd_one_sided, u, axis, -1))
         branches.append((pat, opaque(proper_value, (dp, dm))))
@@ -295,11 +316,7 @@ def phototangent(u: PiecewiseFn, x: float) -> Phototangent:
 
 def specularly_differentiable_1d(u: PiecewiseFn) -> bool:
     """Phototangent continuity at every singular point (the Lemma's test)."""
-    for k, f in enumerate(u.forms):
-        x = f.offset / f.coeffs[0]
-        if not phototangent(u, x).continuous:
-            return False
-    return True
+    return all(phototangent(u, f.offset / f.coeffs[0]).continuous for f in u.forms)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from .piecewise import (
 from .quad import integrate_1d, integrate_triangle
 from .specular import (
     partial_field,
+    semi_derivative_many,
     semi_derivative_one_sided,
     semi_derivatives,
     specular_field,
@@ -99,11 +100,7 @@ def check_displacement(phi: PiecewiseFn) -> list:
 
 
 def check_velocity(psi: PiecewiseFn) -> list:
-    problems = []
-    ok, _ = is_proper(psi)
-    if not ok:
-        problems.append("initial velocity is not proper")
-    return problems
+    return [] if is_proper(psi)[0] else ["initial velocity is not proper"]
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +501,12 @@ def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: Piecewise
     xs = [(float(x),) for x in xs]
     points = [(x, 0.0) for (x,) in xs]
     psis = evaluate_at(psi, xs)
+    slopes, covered = semi_derivative_many(u, np.reshape(points, (-1, 2)).T, 1, +1)
     worst_u = worst_v = 0.0
-    for p, u0, phi0 in zip(points, evaluate_at(u, points), evaluate_at(phi, xs)):
+    for p, u0, phi0, slope, ok in zip(points, evaluate_at(u, points), evaluate_at(phi, xs),
+                                      slopes.tolist(), covered.tolist()):
         worst_u = max(worst_u, abs(u0 - phi0))
-        alpha = semi_derivative_one_sided(u, p, 1, +1)
+        alpha = slope if ok else semi_derivative_one_sided(u, p, 1, +1)
         worst_v = max(worst_v, abs(alpha - next(psis)))
     return worst_u, worst_v
 

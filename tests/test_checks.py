@@ -4,6 +4,7 @@ they replaced, which this file keeps as oracles: equal reports bit for
 bit, the same first exception, and counters of the scalar work that is
 left."""
 
+import io
 import math
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import speculus.piecewise as piecewise
 import speculus.specular as specular
-from speculus.cli import _check_points, load_problem, solve_problem
+import speculus.waves as waves
+from speculus.cli import _check_points, cmd_check, load_problem, solve_problem
 from speculus.expr import AffineForm, Call, Const, Opaque, Var, affine_arguments, parse
 from speculus.piecewise import (
     ContinuityReport,
@@ -379,9 +381,9 @@ def test_s2_scalar_work_counters(name, scalar_calls, monkeypatch):
     spy("one_sided_value", lambda p, *args: scalar_points.append(tuple(p)))
     real_diff = specular.diff
 
-    def diff(e, var):
+    def diff(e, var, *rest):
         diffs.append((e, var))
-        return real_diff(e, var)
+        return real_diff(e, var, *rest)
 
     monkeypatch.setattr(specular, "diff", diff)
     s2_membership(u)
@@ -393,6 +395,21 @@ def test_s2_scalar_work_counters(name, scalar_calls, monkeypatch):
         stack.extend(fields[-1].derived.values())
     assert len(fields) == 7
     assert 0 < len(diffs) <= sum(len(f._slopes) for f in fields)
+
+
+@pytest.mark.parametrize("name, reports", [("halfline", 2), ("wave_fullline", 5), ("zero", 9)])
+def test_check_work_counters(name, reports, monkeypatch):
+    """check takes the initial velocity at its 33 points from one batch,
+    with no scalar semi_derivative_one_sided call, and builds one
+    properness report per field: zero lists both s2 and proper, which
+    made 11 reports when each check ran is_proper on its own."""
+    scalar, built = [], []
+    real_slope, real_report = waves.semi_derivative_one_sided, piecewise.ProperReport
+    monkeypatch.setattr(waves, "semi_derivative_one_sided",
+                        lambda *args: scalar.append(args) or real_slope(*args))
+    monkeypatch.setattr(piecewise, "ProperReport", lambda *args: built.append(args) or real_report(*args))
+    cmd_check(str(PROBLEMS / f"{name}.prob"), out=io.StringIO())
+    assert scalar == [] and len(built) == reports
 
 
 def _count_batch_work(monkeypatch) -> dict:

@@ -4,6 +4,7 @@ field algebra."""
 import functools
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,45 @@ class TestConstruction:
                 [((1, 1), Const(1.0)), ((-1,), Const(0.0))],
                 X,
             )
+
+
+def scan_match(u, s):
+    """The first branch whose pattern agrees with s, None a wildcard."""
+    return next((rhs for pat, rhs in u.branches
+                 if all(q is None or q == t for q, t in zip(pat, s))), None)
+
+
+@st.composite
+def branch_table(draw, m):
+    """A table over m forms: duplicate patterns and 0 entries, and None
+    wildcards in about half the tables; each branch a distinct object."""
+    entry = st.sampled_from((-1, 0, 1, None) if draw(st.booleans()) else (-1, 0, 1))
+    pool = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=5))
+    pats = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return tuple((pat, Var(f"b{i}")) for i, pat in enumerate(pats))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_branch_index_matches_scan(data):
+    """match returns the object the first-match scan returns, for random
+    sign vectors with 0 entries and for the patterns of the table, and a
+    copy made by replace with other branches does not keep the index."""
+    m = data.draw(st.integers(1, 3))
+    forms = tuple(AffineForm((1.0,), float(k)) for k in range(m))
+    u = PiecewiseFn(X, forms, data.draw(branch_table(m)), ("branch",) * m)
+    signs = st.tuples(*[st.sampled_from((-1, 0, 1))] * m)
+    queries = data.draw(st.lists(signs, min_size=1, max_size=10))
+
+    def check(w):
+        for s in queries + [pat for pat, _ in w.branches if None not in pat]:
+            assert w.match(s) is scan_match(w, s), (w.branches, s)
+
+    check(u)
+    v = replace(u, branches=data.draw(branch_table(m)))
+    check(v)
+    check(u)
+    assert v._index is False or v._index is not u._index
 
 
 class TestEvaluation:

@@ -1,15 +1,41 @@
 """Specular calculus: A-combination, semi/specular derivatives, fields,
 phototangents, S2 membership."""
 
+import functools
 import math
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speculus.expr import AffineForm, parse
-from speculus.piecewise import classify_continuity, from_expression, is_proper
+import speculus.expr as expr
+import speculus.specular as specular
+from speculus.cli import _check_points, load_problem, solve_problem
+from speculus.expr import (
+    ONE,
+    ZERO,
+    AffineForm,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    NotSymbolic,
+    Opaque,
+    Pow,
+    Var,
+    add,
+    div,
+    format_expr,
+    mul,
+    neg,
+    parse,
+    powi,
+    sub,
+)
+from speculus.piecewise import PiecewiseFn, classify_continuity, from_expression, is_proper
 from speculus.specular import (
     a_combine,
     a_combine_f1,
@@ -23,9 +49,11 @@ from speculus.specular import (
     specular_partial,
     specularly_differentiable_1d,
 )
+from speculus.waves import wave_residual
 
 X = ("x",)
 XY = ("x", "y")
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 finite_slopes = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -233,3 +261,131 @@ class TestS2Membership:
         named = {(f.coeffs, f.offset) for f in rep.failure_forms}
         assert ((1.0, -1.0), 0.0) in named or ((1.0, -1.0), -0.0) in named
         assert ((1.0, 1.0), 0.0) in named or ((1.0, 1.0), -0.0) in named
+
+
+# ---------------------------------------------------------------------------
+# The diff memo against the memo-free recursion
+
+def diff_oracle(e, var, *memo):
+    """expr.diff without a memo (one passed is ignored): every visit of a
+    node differentiates it again."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.name == var else ZERO
+    if isinstance(e, Neg):
+        return neg(diff_oracle(e.operand, var))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return ZERO
+        return mul(mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), diff_oracle(e.base, var))
+    if isinstance(e, BinOp):
+        da, db = diff_oracle(e.left, var), diff_oracle(e.right, var)
+        if e.op == "+":
+            return add(da, db)
+        if e.op == "-":
+            return sub(da, db)
+        if e.op == "*":
+            return add(mul(da, e.right), mul(e.left, db))
+        return div(sub(mul(da, e.right), mul(e.left, db)), powi(e.right, 2))
+    if isinstance(e, Call):
+        dg = diff_oracle(e.arg, var)
+        if e.func == "abs":
+            return mul(Call("sgn", e.arg), dg)
+        if e.func == "sgn":
+            return ZERO
+        if e.func == "exp":
+            return mul(e, dg)
+        if e.func == "sqrt":
+            return div(dg, mul(Const(2.0), e))
+        if e.func == "sin":
+            return mul(Call("cos", e.arg), dg)
+        return neg(mul(Call("sin", e.arg), dg))
+    if isinstance(e, Opaque):
+        raise NotSymbolic(f"no symbolic derivative of {format_expr(e)}")
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+class EqPartial(functools.partial):
+    """A partial equal to another with the same function and arguments, so
+    that two builds of a field with finite-difference leaves compare."""
+
+    def __eq__(self, other):
+        return (isinstance(other, functools.partial)
+                and (self.func, self.args, self.keywords) == (other.func, other.args, other.keywords))
+
+    def __hash__(self):
+        return hash(self.func)
+
+
+def derivative_fields(u, depth=2):
+    """{path: field, or the (type, message) it raised} for the partial and
+    specular fields of u along each axis, and in turn of each partial field."""
+    out = {}
+    for axis in range(u.d):
+        for make in (partial_field, specular_field):
+            key = (make.__name__, axis)
+            try:
+                out[key] = fld = make(u, axis)
+            except Exception as exc:
+                out[key] = (type(exc).__name__, str(exc))
+                continue
+            if make is partial_field and depth > 1:
+                out.update({key + k: v for k, v in derivative_fields(fld, depth - 1).items()})
+    return out
+
+
+FIXTURES = sorted(p.stem for p in PROBLEMS.glob("*.prob"))
+
+
+def fixture_function(name):
+    prob = load_problem(str(PROBLEMS / f"{name}.prob"))
+    return prob, (prob.u if prob.kind is None else solve_problem(prob))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_memoised_diff_matches_oracle(name, monkeypatch):
+    """Every branch of the first- and second-level partial and specular
+    fields is equal, and has the same repr, whether the branches are
+    differentiated through the memo or by the memo-free recursion."""
+    _, u = fixture_function(name)
+    monkeypatch.setattr(specular, "partial", EqPartial)
+    monkeypatch.setattr(specular, "diff", diff_oracle)
+    want = derivative_fields(u)
+    for cache in (u.derived, u._slopes, u._memos):
+        cache.clear()
+    monkeypatch.setattr(specular, "diff", expr.diff)
+    got = derivative_fields(u)
+    assert got.keys() == want.keys()
+    assert any(isinstance(fld, PiecewiseFn) for fld in got.values())
+    for key, fld in got.items():
+        assert fld == want[key], key
+        if isinstance(fld, PiecewiseFn):
+            assert [(pat, repr(rhs)) for pat, rhs in fld.branches] == [
+                (pat, repr(rhs)) for pat, rhs in want[key].branches]
+
+
+def test_diff_visits_each_node_once_per_field(monkeypatch):
+    """s2_membership and wave_residual on fixture halfline differentiate
+    each node object at most once per field and variable: 1134 node visits,
+    where the memo-free recursion made 3376."""
+    prob, u = fixture_function("halfline")
+    visits, real = [], expr.diff
+
+    def counted(e, var, memo=None):
+        if memo is None or id(e) not in memo:
+            visits.append((memo, e, var))
+        return real(e, var, memo)
+
+    monkeypatch.setattr(expr, "diff", counted)
+    monkeypatch.setattr(specular, "diff", counted)
+    s2_membership(u)
+    wave_residual(u, prob.f, _check_points(u, prob))
+    owner, stack = {}, [u]
+    while stack:
+        fld = stack.pop()
+        owner.update((id(memo), fld) for memo in fld._memos.values())
+        stack.extend(fld.derived.values())
+    assert visits and all(memo is not None for memo, _, _ in visits)
+    per_field = Counter((id(owner[id(memo)]), id(e), var) for memo, e, var in visits)
+    assert max(per_field.values()) == 1
