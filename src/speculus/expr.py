@@ -20,13 +20,13 @@ on some inputs.
 ``pin_signs`` defines the branch of a formula for one sign assignment: the
 tree rebuilt bottom-up through the smart constructors, each abs/sgn node
 replaced by its sign (times its argument) once its pinned argument is
-resolved to a normalized affine form.  ``SignPinner`` gives the same trees
-for many assignments from one walk.  Only the nodes on a path down to an
-abs/sgn node with a non-constant argument depend on the signs, and so only
-they are rebuilt per assignment; everything else, and the form and
-orientation of each such node, is computed once, by the same calls in the
-same order, so each tree is the one ``pin_signs`` builds, down to the
-sign of a zero.
+resolved to a normalized affine form.  Only the nodes on a path down to an
+abs/sgn node with a non-constant argument depend on the signs.  With a
+memo (id(node) -> (node, entry)) shared across assignments, everything
+else, and the form and orientation of each such node, is computed once,
+so a formula is resolved once and each further pin rebuilds only the nodes
+above its abs/sgn nodes; the trees are the ones a pin without the memo
+builds, down to the sign of a zero.
 
 ``diff`` with a memo (id(node) -> (node, derivative); holding the node
 keeps its id from being reused) differentiates each node object once.  A
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -781,169 +780,84 @@ def find_form(forms: Sequence[AffineForm], f: AffineForm) -> int:
     return -1
 
 
+_BINOPS = {"+": add, "-": sub, "*": mul, "/": div}
+
+
 def pin_signs(
     e: Expr,
     vars: Sequence[str],
     assignment: Sequence[tuple[AffineForm, int]],
     partial: bool = False,
+    memo: dict | None = None,
 ) -> Expr:
     """Replace sgn(l) by the assigned sign and abs(l) by sign*l.
 
-    ``assignment`` maps normalized forms to signs in {-1,+1}; an argument
-    stored with flipped orientation gets its sign flipped back.  With
-    ``partial=True`` unassigned abs/sgn nodes are left in place (used for
-    limits along a form that stays identically zero)."""
-    pin = SignPinner(e, vars)
-    return pin([g for g, _ in assignment], [s for _, s in assignment], partial)
+    The tree is rebuilt bottom-up through the smart constructors, and each
+    abs/sgn argument is pinned, then resolved through as_affine and
+    normalize_affine: a constant one folds, any other takes the sign of the
+    first assigned form ``same_as`` its form (flipped back when stored with
+    flipped orientation).  With ``partial=True`` unassigned abs/sgn nodes
+    are left in place (used for limits along a form that stays identically
+    zero).
 
+    ``memo`` (id(node) -> (node, entry), for one ``vars``) keeps what
+    depends on no sign: each such subtree pinned, and the pinned argument,
+    form and scale of each abs/sgn node whose argument is such a subtree.
+    Pins sharing it rebuild only the nodes above those abs/sgn nodes; the
+    trees are the ones a pin without it builds, and a node that raises is
+    not kept, so it raises again at its turn."""
+    vars = tuple(vars)
+    memo = {} if memo is None else memo
 
-_BINOPS = {"+": add, "-": sub, "*": mul, "/": div}
+    def signed(func: str, arg: Expr, form: AffineForm, scale: float) -> Expr:
+        for g, s in assignment:
+            if g.same_as(form):
+                sigma = float(s if scale > 0 else -s)
+                return Const(sigma) if func == "sgn" else mul(Const(sigma), arg)
+        if partial:
+            return Call(func, arg)
+        raise UnassignedForm(f"no sign assigned for form of {format_expr(arg)!r}")
 
-
-class SignPinner:
-    """``pin_signs`` of one expression for many assignments: pin(forms,
-    signs, partial=False) is pin_signs(e, vars, list(zip(forms, signs)),
-    partial), and the tree of e is walked once, when the pinner is made.
-
-    That walk builds every subtree that depends on no sign through the
-    smart constructors, and resolves each abs/sgn node whose pinned
-    argument depends on no sign: a constant argument folds, any other makes
-    a leaf with its normalized form and orientation.  A call finds each
-    leaf's form among its forms (once per forms object, so forms must not
-    change between calls) and rebuilds only the nodes above the leaves,
-    with the constructors and in the order of pin_signs, so the tree is the
-    same.  Each node keeps its tree for every combination of its leaves'
-    signs that a call meets.  A node whose construction raises in the walk
-    raises again in each call, at its turn."""
-
-    def __init__(self, e: Expr, vars: Sequence[str]):
-        self.vars = tuple(vars)
-        self._leaf_forms: list = []
-        self._lookup = (None, [])  # (forms of the last call, index of each leaf's form in them)
-        self._plan = self._build(e)
-
-    def __call__(self, forms: Sequence[AffineForm], signs: Sequence[int], partial: bool = False) -> Expr:
-        if isinstance(self._plan, Expr):
-            return self._plan
-        last, where = self._lookup
-        if last is not forms:
-            where = [find_form(forms, f) for f in self._leaf_forms]
-            self._lookup = (forms, where)
-        leaf_signs = [signs[k] if k >= 0 else None for k in where]
-        return self._plan((forms, signs, bool(partial), leaf_signs))
-
-    def _build(self, n: Expr):
-        """n pinned (an Expr), or a _Pinned that pins it per call."""
+    def pin(n: Expr) -> tuple:
+        """(n pinned, whether that depends on no sign, and so is kept)."""
         if isinstance(n, (Const, Var)):
-            return n
+            return n, True
+        kept = memo.get(id(n))
+        if kept is not None:
+            return (kept[1], True) if isinstance(kept[1], Expr) else (signed(n.func, *kept[1]), False)
         if isinstance(n, Neg):
-            return self._node(neg, self._build(n.operand))
-        if isinstance(n, Pow):
-            return self._node(lambda b: powi(b, n.exponent), self._build(n.base))
-        if isinstance(n, BinOp):
-            return self._node(_BINOPS[n.op], self._build(n.left), self._build(n.right))
-        if isinstance(n, Call):
-            arg = self._build(n.arg)
-            if n.func in ("abs", "sgn"):
-                return self._singular(n.func, arg)
-            return self._node(lambda a: Call(n.func, a), arg)
-
-        def unknown(ctx):
+            a, free = pin(n.operand)
+            out = neg(a)
+        elif isinstance(n, Pow):
+            a, free = pin(n.base)
+            out = powi(a, n.exponent)
+        elif isinstance(n, BinOp):
+            (a, fa), (b, fb) = pin(n.left), pin(n.right)
+            out, free = _BINOPS[n.op](a, b), fa and fb
+        elif isinstance(n, Call) and n.func in ("abs", "sgn"):
+            a, free = pin(n.arg)
+            aff = as_affine(a, vars)
+            if aff is None:
+                raise NonAffineSingularity(
+                    f"abs/sgn argument {format_expr(a)!r} is not affine in {list(vars)}"
+                )
+            if any(c != 0.0 for c in aff[0]):
+                resolved = (a, *normalize_affine(*aff))
+                if free:
+                    memo[id(n)] = (n, resolved)
+                return signed(n.func, *resolved), False
+            v = aff[1]
+            out = Const(float((v > 0.0) - (v < 0.0))) if n.func == "sgn" else Const(abs(v))
+        elif isinstance(n, Call):
+            a, free = pin(n.arg)
+            out = Call(n.func, a)
+        else:
             raise TypeError(f"not an Expr node: {n!r}")
-        return _Pinned(unknown, None)
+        if free:
+            memo[id(n)] = (n, out)
+        return out, free
 
-    @staticmethod
-    def _node(ctor, a, b=None):
-        """ctor(a) or ctor(a, b) of pinned kids; built now when no kid is a
-        _Pinned."""
-        kids = (a,) if b is None else (a, b)
-        pa, pb = isinstance(a, _Pinned), isinstance(b, _Pinned)
-        if not (pa or pb):
-            try:
-                return ctor(*kids)
-            except (ExprError, ArithmeticError):
-                return _Pinned(lambda ctx: ctor(*kids), None)  # raises again
-        if b is None:
-            return _Pinned(lambda ctx: ctor(a(ctx)), a.deps)
-        if not pa:
-            return _Pinned(lambda ctx: ctor(a, b(ctx)), b.deps)
-        if not pb:
-            return _Pinned(lambda ctx: ctor(a(ctx), b), a.deps)
-        deps = None if a.deps is None or b.deps is None else tuple(sorted({*a.deps, *b.deps}))
-        return _Pinned(lambda ctx: ctor(a(ctx), b(ctx)), deps)
-
-    def _singular(self, func: str, arg):
-        vars = self.vars
-        if isinstance(arg, _Pinned):  # an abs/sgn node inside the argument
-            def nested(ctx):
-                pinned = arg(ctx)
-                r = _resolve(func, pinned, vars)
-                if isinstance(r, Expr):
-                    return r
-                form, scale = r
-                k = find_form(ctx[0], form)
-                return _choose(func, pinned, scale, ctx[1][k] if k >= 0 else None, ctx[2])
-            return _Pinned(nested, None)
-        try:
-            r = _resolve(func, arg, vars)
-        except NonAffineSingularity:
-            return _Pinned(lambda ctx: _resolve(func, arg, vars), None)  # raises again
-        if isinstance(r, Expr):
-            return r
-        form, scale = r
-        j = len(self._leaf_forms)
-        self._leaf_forms.append(form)
-        return _Pinned(lambda ctx: _choose(func, arg, scale, ctx[3][j], ctx[2]), (j,))
-
-
-class _Pinned:
-    """A plan node of a SignPinner whose tree depends on the signs of the
-    leaves numbered in deps: build(ctx) makes it, ctx being (forms, signs,
-    partial, the sign of each leaf or None).  Each combination of those
-    signs is built once.  deps is None when the node holds one resolved in
-    each call (an abs/sgn inside an abs/sgn, or one that raises); then
-    nothing is kept."""
-
-    __slots__ = ("build", "deps", "key", "kept")
-
-    def __init__(self, build: Callable, deps):
-        self.build = build
-        self.deps = deps
-        self.key = None if deps is None else operator.itemgetter(*deps)
-        self.kept = ({}, {})  # by partial, since an unassigned leaf raises only without it
-
-    def __call__(self, ctx) -> Expr:
-        if self.key is None:
-            return self.build(ctx)
-        kept = self.kept[ctx[2]]
-        k = self.key(ctx[3])
-        tree = kept.get(k)
-        if tree is None:
-            tree = kept[k] = self.build(ctx)
-        return tree
-
-
-def _resolve(func: str, arg: Expr, vars: tuple):
-    """abs/sgn of a constant arg as a Const, else (form, scale) of arg."""
-    aff = as_affine(arg, vars)
-    if aff is None:
-        raise NonAffineSingularity(
-            f"abs/sgn argument {format_expr(arg)!r} is not affine in {list(vars)}"
-        )
-    if not any(c != 0.0 for c in aff[0]):
-        v = aff[1]
-        return Const(float((v > 0.0) - (v < 0.0))) if func == "sgn" else Const(abs(v))
-    return normalize_affine(*aff)
-
-
-def _choose(func: str, arg: Expr, scale: float, s, partial: bool) -> Expr:
-    """abs/sgn(arg) under the sign s of its form (None: not assigned)."""
-    if s is not None:
-        sigma = float(s if scale > 0 else -s)
-        return Const(sigma) if func == "sgn" else mul(Const(sigma), arg)
-    if partial:
-        return Call(func, arg)
-    raise UnassignedForm(f"no sign assigned for form of {format_expr(arg)!r}")
+    return pin(e)[0]
 
 
 # ---------------------------------------------------------------------------

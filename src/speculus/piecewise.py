@@ -7,6 +7,9 @@ tables are looked up by deterministic first match, with None acting as a
 wildcard entry, and ``branch`` falls back to the source expression.  A
 table without a wildcard is looked up in a dict built on first use (the
 first of duplicate patterns kept); a table with one is scanned in order.
+A function parsed from a formula keeps no table: its branch for a sign
+vector is the source with those signs pinned (``pin_signs``), made the
+first time ``match`` or ``branch`` asks for it and kept.
 
 On-line values (points where some form vanishes) are controlled by a per-
 form policy:
@@ -57,8 +60,8 @@ from .expr import (
     find_form,
     mul,
     normalize_affine,
+    pin_signs,
     subst,
-    SignPinner,
     Const,
     Var,
 )
@@ -149,9 +152,10 @@ class PiecewiseFn:
     _memos: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _proper: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _index: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
-    # the source's sign pinner, built on first use or handed over by
-    # ``from_expression``; ``replace`` starts it afresh, equality ignores it
-    _pinner: Optional[SignPinner] = field(default=None, init=False, compare=False, repr=False)
+    # the source pinned at each sign vector asked for, and the ``pin_signs``
+    # memo those pins share
+    _pins: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _pin_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -204,6 +208,8 @@ class PiecewiseFn:
                 yield tuple(signs[i].tolist()), idx
 
     def match(self, s: Pattern) -> Optional[Expr]:
+        if not self.branches and self.source is not None:  # a formula: no table
+            return None if 0 in s else self._pin(s, partial=False)
         if self._index is None:  # reversed, so the first of duplicate patterns wins
             index = dict(reversed(self.branches))
             object.__setattr__(self, "_index", False if any(None in pat for pat in index) else index)
@@ -222,9 +228,15 @@ class PiecewiseFn:
         rhs = self.match(s)
         if rhs is not None or self.source is None:
             return rhs
-        if self._pinner is None:
-            object.__setattr__(self, "_pinner", SignPinner(self.source, self.vars))
-        return self._pinner(self.forms, s, partial=True)
+        return self._pin(s, partial=True)
+
+    def _pin(self, s: Pattern, partial: bool) -> Expr:
+        """The source pinned at s, made on first request and kept; a sign
+        vector is pinned by ``match`` or by ``branch``, never by both."""
+        if s not in self._pins:
+            self._pins[s] = pin_signs(self.source, self.vars, list(zip(self.forms, s)),
+                                      partial, self._pin_memo)
+        return self._pins[s]
 
     def in_domain(self, p: Sequence[float], margin: float = 0.0) -> bool:
         return all(s * f.value(p) > margin for f, s in self.domain)
@@ -240,10 +252,9 @@ class PiecewiseFn:
         spec = [k for k in zeros if self.policies[k] == "specular"]
         if spec:
             return tuple(self._limit_node(s, self.forms[spec[0]].primary_axis(), d) for d in (-1, 1))
-        if not any(self.policies[k] == "direct" for k in zeros):
-            return self.match(s)
+        direct = any(self.policies[k] == "direct" for k in zeros)
         try:
-            return self.branch(s)
+            return self.branch(s) if direct else self.match(s)
         except Exception as exc:  # pinning the source failed: raised when evaluated
             return exc
 
@@ -362,16 +373,13 @@ def _node_values(node, idx: np.ndarray, done: dict) -> tuple:
 # Construction
 
 def from_expression(e: Expr, vars: Sequence[str], domain: Sequence = ()) -> PiecewiseFn:
+    """The function of a formula.  With abs/sgn forms it keeps no table:
+    ``match`` and ``branch`` pin the source at a sign vector when first
+    asked.  Without, its one branch is the formula as parsed."""
     vars = tuple(vars)
     forms = tuple(affine_arguments(e, vars))
-    if not forms:
-        return PiecewiseFn(vars, (), (((), e),), (), source=e, domain=tuple(domain))
-    pin = SignPinner(e, vars)
-    branches = tuple((pat, pin(forms, pat))
-                     for pat in itertools.product((1, -1), repeat=len(forms)))
-    u = PiecewiseFn(vars, forms, branches, ("direct",) * len(forms), source=e, domain=tuple(domain))
-    object.__setattr__(u, "_pinner", pin)
-    return u
+    branches = () if forms else (((), e),)
+    return PiecewiseFn(vars, forms, branches, ("direct",) * len(forms), source=e, domain=tuple(domain))
 
 
 def from_branches(

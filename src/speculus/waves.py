@@ -512,4 +512,4 @@ def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: Piecewise
 
 
 def boundary_residual(u: PiecewiseFn, ts) -> float:
-    return max(abs(u.evaluate((0.0, float(t)))) for t in ts)
+    return max(abs(v) for v in evaluate_at(u, [(0.0, float(t)) for t in ts]))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import speculus.cli as cli
 import speculus.piecewise as piecewise
 import speculus.specular as specular
 import speculus.waves as waves
@@ -410,6 +411,36 @@ def test_check_work_counters(name, reports, monkeypatch):
     monkeypatch.setattr(piecewise, "ProperReport", lambda *args: built.append(args) or real_report(*args))
     cmd_check(str(PROBLEMS / f"{name}.prob"), out=io.StringIO())
     assert scalar == [] and len(built) == reports
+
+
+def test_boundary_check_makes_no_scalar_evaluate(monkeypatch):
+    """The boundary check of halfline takes its 33 values from one batch:
+    no top-level scalar evaluate call while it runs (it made 33)."""
+    calls, depth, inside = [], [0], [False]
+    real_evaluate, real_boundary = PiecewiseFn.evaluate, cli.boundary_residual
+
+    def evaluate(self, p):
+        if inside[0] and depth[0] == 0:
+            calls.append(tuple(p))
+        depth[0] += 1
+        try:
+            return real_evaluate(self, p)
+        finally:
+            depth[0] -= 1
+
+    def boundary(u, ts):
+        inside[0] = True
+        try:
+            return real_boundary(u, ts)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(PiecewiseFn, "evaluate", evaluate)
+    monkeypatch.setattr(cli, "boundary_residual", boundary)
+    out = io.StringIO()
+    cmd_check(str(PROBLEMS / "halfline.prob"), out=out)
+    assert "boundary.pass = true\n" in out.getvalue()
+    assert calls == []
 
 
 def _count_batch_work(monkeypatch) -> dict:

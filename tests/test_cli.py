@@ -34,6 +34,7 @@ from speculus.cli import (
     main,
     parse_problem_file,
 )
+import speculus.piecewise as piecewise
 import speculus.specular as specular
 from speculus.expr import Expr, ExprError
 from speculus.piecewise import PiecewiseFn
@@ -44,6 +45,10 @@ REPO = Path(__file__).resolve().parents[1]
 PROBLEMS = REPO / "problems"
 # fixture outputs recorded by perfbench/make_reference.py
 REFERENCE = json.loads((REPO / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+# full deriv stdout, both axes, at off-line points, on-line points and line
+# crossings of corner2d and table2d, recorded while from_expression still
+# pinned every sign pattern at construction
+DERIV_REFERENCE = json.loads((REPO / "tests" / "deriv_reference.json").read_text(encoding="utf-8"))
 
 
 def run(argv):
@@ -253,6 +258,49 @@ class TestSemiDerivativeWork:
             assert out.getvalue() == report
             assert run(["deriv", str(p), "--point", "1,0", "--axis", axis])[0] == EXIT_MATH_DOMAIN
             assert capsys.readouterr().err == "math-domain error: division by zero\n"
+
+
+@pytest.mark.parametrize("case", sorted(DERIV_REFERENCE))
+def test_deriv_report_is_line_identical(case):
+    name, point, axis = case.split()
+    out = io.StringIO()
+    assert cmd_deriv(str(PROBLEMS / f"{name}.prob"), point, axis, out=out) == EXIT_OK
+    assert out.getvalue() == DERIV_REFERENCE[case]
+
+
+class TestLazyPins:
+    """A formula function pins a sign vector when first asked for it."""
+
+    FOUR_LINES = ("1.5*abs(x - y - 0.5)*sqrt(1 + (x/2)^2) - sgn(2*x + y - 1)"
+                  " + abs(x + 2*y + 0.5)*exp(x/2) - 2*abs(y - 1)")
+
+    @pytest.mark.parametrize("point, pins", [
+        ("2,3", 1),    # off every line: its one pattern
+        ("1,1", 3),    # on y = 1: the pattern a step along x keeps, and one per side
+        ("0.5,0", 4),  # where x - y = 0.5 crosses 2x + y = 1: the four cells
+    ])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_deriv_pins_only_what_it_reads(self, point, pins, axis, tmp_path, monkeypatch):
+        """All 16 open patterns were pinned at construction before."""
+        p = tmp_path / "four.prob"
+        p.write_text(f"[problem]\nu = {self.FOUR_LINES}\nvars = x, y\n")
+        calls, real = [], piecewise.pin_signs
+        monkeypatch.setattr(piecewise, "pin_signs", lambda *args: calls.append(args) or real(*args))
+        assert cmd_deriv(str(p), point, axis, out=io.StringIO()) == EXIT_OK
+        assert len(calls) == pins
+
+    def test_failing_pattern_is_met_only_where_read(self, tmp_path, capsys):
+        """1/(sgn(x) + 1) divides by a constant zero where x < 0: deriv off
+        that half-plane succeeds, and deriv and check there give the
+        one-line error (at construction, before)."""
+        p = tmp_path / "half.prob"
+        p.write_text("[problem]\nu = 1/(sgn(x) + 1) + abs(y)\nvars = x, y\n")
+        out = io.StringIO()
+        assert cmd_deriv(str(p), "1,1", "x", out=out) == EXIT_OK
+        assert kv(out.getvalue())["specular"] == "0.0"
+        for argv in (["deriv", str(p), "--point=-1,1", "--axis", "x"], ["check", str(p)]):
+            assert run(argv)[0] == EXIT_MATH_DOMAIN
+            assert capsys.readouterr().err == "math-domain error: division by constant zero\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Expression layer: grammar, evaluation, differentiation, affine analysis.
 
-Sign pinning is checked against the per-assignment recursion that
-``SignPinner`` replaced, which this file keeps as its oracle."""
+Sign pinning is checked against a per-assignment recursion with no memo,
+which this file keeps as its oracle."""
 
 import itertools
 import math
@@ -40,7 +40,6 @@ from speculus.expr import (
     poly_coeffs,
     poly_to_expr,
     Pow,
-    SignPinner,
     UnassignedForm,
     Var,
     add,
@@ -554,7 +553,7 @@ class TestOpaque:
 
 
 # ---------------------------------------------------------------------------
-# Sign pinning against the per-assignment recursion it replaced
+# Sign pinning, with a memo shared across assignments, against a plain recursion
 
 def pin_signs_oracle(e, vars, assignment, partial=False):
     """One walk of e per assignment: every abs/sgn argument is pinned, then
@@ -640,22 +639,44 @@ def _forms_of(e):
         return []
 
 
+def count_outer_as_affine(monkeypatch):
+    """A list of the arguments of the outermost ``as_affine`` calls made
+    from now on (its own recursion is not counted)."""
+    depth, calls = [0], []
+    real = expr.as_affine
+
+    def counted(arg, vars):
+        if depth[0] == 0:
+            calls.append(arg)
+        depth[0] += 1
+        try:
+            return real(arg, vars)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "as_affine", counted)
+    return calls
+
+
 class TestSignPinner:
+    """pin_signs, with one memo shared across assignments where given."""
+
     @given(FORMULAS, st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_assignment_recursion(self, text, data):
         e = parse(text, XY)
         pool = _forms_of(e) + EXTRA_FORMS
-        pinner = SignPinner(e, XY)
+        memo = {}  # one memo across every assignment, forms and partial flag
         for _ in range(4):
             forms = data.draw(st.lists(st.sampled_from(pool), max_size=6))
-            for _ in range(3):  # the same forms object again, with other signs
+            for _ in range(3):
                 signs = data.draw(st.lists(st.sampled_from([1, -1, 0]), min_size=len(forms),
                                            max_size=len(forms)))
                 partial = data.draw(st.booleans())
-                want = outcome(lambda: pin_signs_oracle(e, XY, list(zip(forms, signs)), partial))
-                assert outcome(lambda: pinner(forms, signs, partial)) == want
-                assert outcome(lambda: pin_signs(e, XY, list(zip(forms, signs)), partial)) == want
+                assignment = list(zip(forms, signs))
+                want = outcome(lambda: pin_signs_oracle(e, XY, assignment, partial))
+                assert outcome(lambda: pin_signs(e, XY, assignment, partial, memo)) == want
+                assert outcome(lambda: pin_signs(e, XY, assignment, partial)) == want
 
     @pytest.mark.parametrize("text", [
         "abs(1 - x)*x", "abs(-2)*x", "sgn(0)", "sgn(3 - 1)*y", "elu(x - 3)",
@@ -665,13 +686,28 @@ class TestSignPinner:
     def test_listed_cases(self, text):
         e = parse(text, XY)
         forms = _forms_of(e) or [AffineForm((1.0, 0.0), 0.0), AffineForm((1.0, 0.0), 1.0)]
-        pinner = SignPinner(e, XY)
+        memo = {}
         for signs in itertools.product((1, 0, -1), repeat=len(forms)):
             for partial in (False, True):
-                # partial pins leave a 0 out, as PiecewiseFn.branch does
+                # partial pins leave a 0 out here
                 assignment = [(f, s) for f, s in zip(forms, signs) if s or not partial]
-                got = outcome(lambda: pinner([f for f, _ in assignment], [s for _, s in assignment], partial))
+                got = outcome(lambda: pin_signs(e, XY, assignment, partial, memo))
                 assert got == outcome(lambda: pin_signs_oracle(e, XY, assignment, partial))
+
+    def test_memo_keeps_the_sign_free_work(self, monkeypatch):
+        """Each abs/sgn argument that depends on no sign is resolved once
+        per memo, and each subtree that depends on none is built once and
+        shared by the pinned trees."""
+        e = parse("exp(x*y)*abs(x - 1) + sgn(y)*cos(x) - abs(2 - 1)", XY)
+        forms = affine_arguments(e, XY)
+        calls = count_outer_as_affine(monkeypatch)
+        memo = {}
+        trees = [pin_signs(e, XY, list(zip(forms, s)), memo=memo)
+                 for s in itertools.product((1, -1), repeat=2)]
+        assert len(calls) == 3
+        assert len({id(t.left.left.left) for t in trees}) == 1  # exp(x*y), built once
+        for t, s in zip(trees, itertools.product((1, -1), repeat=2)):
+            assert repr(t) == repr(pin_signs_oracle(e, XY, list(zip(forms, s))))
 
     @pytest.mark.parametrize("text, error", [
         ("abs(x) + abs(x*y)", NonAffineSingularity),
@@ -725,40 +761,31 @@ def test_fixture_branches_match_oracle(e, vars):
     if not forms:
         assert u.branches == (((), e),)
         return
-    assert [(pat, repr(rhs)) for pat, rhs in u.branches] == [
-        (pat, repr(pin_signs_oracle(e, vars, list(zip(forms, pat)))))
-        for pat in itertools.product((1, -1), repeat=len(forms))
-    ]
+    assert u.branches == ()
     for s in itertools.product((1, 0, -1), repeat=len(forms)):
         assignment = list(zip(forms, s))  # a 0 pins sgn(l) and abs(l) to 0
+        if 0 in s:
+            assert u.match(s) is None
+        else:
+            assert repr(u.match(s)) == repr(pin_signs_oracle(e, vars, assignment))
         assert repr(u.branch(s)) == repr(pin_signs_oracle(e, vars, assignment, partial=True))
 
 
 def test_from_expression_resolves_each_argument_once(monkeypatch):
     """as_affine calls, counted at the outermost level: affine_arguments
-    resolves each of the 4 abs/sgn arguments once and the pinner once
-    more, for all 16 sign patterns and for the on-line patterns that
-    branch() pins later.  One pin walk per pattern made 4 + 16*4 = 68."""
+    resolves each of the 4 abs/sgn arguments once at construction, and the
+    first pin once more, through the function's ``pin_signs`` memo; the
+    other 80 sign vectors that branch() pins reuse it.  One pin walk per
+    pattern would make 4 + 81*4 = 328."""
     e = parse("1.5*abs(x - y - 0.5)*sqrt(1 + (x/2)^2) - sgn(2*x + y - 1)"
               " + abs(x + 2*y + 0.5)*exp(x/2) - 2*abs(y - 1)", XY)
-    depth, calls = [0], []
-    real = expr.as_affine
-
-    def counted(arg, vars):
-        if depth[0] == 0:
-            calls.append(arg)
-        depth[0] += 1
-        try:
-            return real(arg, vars)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(expr, "as_affine", counted)
+    calls = count_outer_as_affine(monkeypatch)
     u = from_expression(e, XY)
-    assert len(u.branches) == 16
+    assert len(calls) == 4
+    u.branch((1, 1, 1, 1))
     assert len(calls) == 8
     for s in itertools.product((1, 0, -1), repeat=4):
         u.branch(s)
     assert len(calls) == 8
     from_expression(e, XY)
-    assert len(calls) == 16
+    assert len(calls) == 12

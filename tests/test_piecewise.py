@@ -101,9 +101,15 @@ def tolerant_signs(forms, p):
 
 class TestConstruction:
     def test_from_expression_branch_count(self):
+        """A formula function keeps no table; each of its 4 sign vectors off
+        the lines has its own branch, pinned when first asked for and kept."""
         u = from_expression(parse("abs(2*x - y) + abs(x - 3)", XY), XY)
-        full = [b for b in u.branches if all(s in (1, -1) for s in b[0])]
-        assert len(full) == 4
+        assert u.branches == ()
+        full = list(itertools.product((1, -1), repeat=2))
+        trees = [u.match(s) for s in full]
+        assert len({repr(t) for t in trees}) == 4
+        assert all(u.match(s) is t for s, t in zip(full, trees))
+        assert u.match((0, 1)) is None and u.branch((0, 1)) is not None
 
     def test_smooth_single_branch(self):
         u = from_expression(parse("x^2 + y", XY), XY)
