@@ -6,10 +6,13 @@ sugar for ``g*(1+sgn(g))/2 + (exp(g)-1)*(1-sgn(g))/2``.  All nonsmoothness
 must enter through abs/sgn of affine arguments; that restriction is what
 lets the rest of the package enumerate singular hyperplanes exactly.
 
-An ``Opaque`` leaf stands for a value with no closed form (a quadrature or
-a finite difference): a Python function applied to the values of its
-argument expressions.  It evaluates, substitutes and formats like any
-node; ``diff`` raises ``NotSymbolic`` on it.
+An ``Opaque`` leaf stands for a value with no closed form (a quadrature,
+or the A-combination of two slopes): a Python function applied to the
+values of its argument expressions.  It evaluates, substitutes and formats
+like any node.  It may carry its partials, a function of the argument
+expressions that returns the derivative of the function in each argument
+as an ``Expr``; ``diff`` then applies the chain rule, and raises
+``NotSymbolic`` on a leaf without them.
 
 ``eval_expr`` evaluates at one point and is the definition; ``eval_array``
 evaluates at many points and is bitwise the same wherever it does not flag
@@ -39,8 +42,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +75,7 @@ class UnassignedForm(ExprError):
 
 
 class NotSymbolic(ExprError):
-    """diff met an Opaque leaf, which has no symbolic derivative."""
+    """diff met an Opaque leaf that carries no partials."""
 
 
 FUNCTIONS = ("abs", "sgn", "exp", "sqrt", "sin", "cos")
@@ -149,6 +152,9 @@ class Call(Expr):
 class Opaque(Expr):
     fn: Callable[..., float]  # called with the values of args
     args: tuple               # tuple[Expr, ...]
+    # called with args: the partial of fn in each argument, as Exprs; None
+    # when the leaf has none.  Equality, hashing and repr ignore it.
+    grads: Optional[Callable[..., tuple]] = field(default=None, compare=False, repr=False)
 
 
 ZERO = Const(0.0)
@@ -233,12 +239,12 @@ def neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def opaque(fn: Callable[..., float], args: Sequence[Expr]) -> Expr:
-    """fn of the argument values; folded to a Const when no argument has a
-    free variable."""
+def opaque(fn: Callable[..., float], args: Sequence[Expr], grads=None) -> Expr:
+    """fn of the argument values, with the partials grads; folded to a
+    Const when no argument has a free variable."""
     args = tuple(args)
     if any(free_vars(a) for a in args):
-        return Opaque(fn, args)
+        return Opaque(fn, args, grads)
     return Const(float(fn(*(eval_expr(a, {}) for a in args))))
 
 
@@ -597,12 +603,13 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if isinstance(e, Call):
         return Call(e.func, subst(e.arg, mapping))
     if isinstance(e, Opaque):
-        return opaque(e.fn, (subst(a, mapping) for a in e.args))
+        return opaque(e.fn, (subst(a, mapping) for a in e.args), e.grads)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
-# Differentiation (classical rules; d|g| = sgn(g) dg, d sgn(g) = 0)
+# Differentiation (classical rules; d|g| = sgn(g) dg, d sgn(g) = 0, and the
+# chain rule through the partials of an Opaque leaf)
 
 def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     if memo is not None and id(e) in memo:
@@ -641,7 +648,11 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
         else:
             d = neg(mul(Call("sin", e.arg), dg))
     elif isinstance(e, Opaque):
-        raise NotSymbolic(f"no symbolic derivative of {format_expr(e)}")
+        if e.grads is None:
+            raise NotSymbolic(f"no symbolic derivative of {format_expr(e)}")
+        d = ZERO
+        for g, a in zip(e.grads(*e.args), e.args):
+            d = add(d, mul(g, diff(a, var, memo)))
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     if memo is not None:

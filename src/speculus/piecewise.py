@@ -26,8 +26,10 @@ and ``regions`` lists their sign patterns.  The checks (continuity,
 properness, and through them the S^2 and wave checks) sample every edge
 of the same arrangement (``_edge_samples``), with no bounding box, so a
 verdict does not move when a problem is translated or rescaled.
-The A-combination ``a_combine`` and the proper on-line value
-``proper_value`` live here so that every layer uses the same rule.
+The A-combination ``a_combine``, the proper on-line value ``proper_value``
+and ``proper_leaf``, the same value of two expressions as an ``Opaque``
+leaf that carries its partials, live here so that every layer uses the
+same rule.
 
 ``evaluate`` defines the value at a point and ``one_sided_value`` a limit
 along an axis, each through a node of sign patterns: a branch tree, a pair
@@ -51,16 +53,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expr import (
+    ONE,
     AffineForm,
     Expr,
     add,
     affine_arguments,
+    div,
     eval_array,
     eval_expr,
     find_form,
     mul,
     normalize_affine,
+    opaque,
     pin_signs,
+    powi,
     subst,
     Const,
     Var,
@@ -132,6 +138,18 @@ def proper_value(left: float, right: float) -> float:
     if abs(left + right) <= TOL_ZERO:
         return 0.0
     return a_combine(left, right)
+
+
+def proper_leaf(left: Expr, right: Expr) -> Expr:
+    """``proper_value`` of two expressions as an Opaque leaf (a Const when
+    neither has a free variable) with the partials of A = tan((arctan a +
+    arctan b) / 2): dA/da = (1 + A^2) / (2 (1 + a^2)), and the same in b."""
+    return opaque(proper_value, (left, right), _proper_partials)
+
+
+def _proper_partials(left: Expr, right: Expr) -> tuple:
+    lift = add(ONE, powi(proper_leaf(left, right), 2))
+    return tuple(div(lift, mul(Const(2.0), add(ONE, powi(a, 2)))) for a in (left, right))
 
 
 @dataclass(frozen=True)
@@ -283,8 +301,10 @@ class PiecewiseFn:
             return proper_value(*(self._node_value(m, p) for m in node))
         return eval_expr(node, dict(zip(self.vars, p)))
 
-    def evaluate(self, p: Sequence[float]) -> float:
-        s = self.sign_vector(p)
+    def evaluate(self, p: Sequence[float], s: Optional[Pattern] = None) -> float:
+        """The value at p; s, if given, is taken for the sign vector of p
+        (to take the value on one side of a line through p)."""
+        s = self.sign_vector(p) if s is None else s
         node = self._value_node(s)
         if node is None:
             what = ("branch or source" if any(t == 0 and q == "direct" for t, q in zip(s, self.policies))

@@ -3,8 +3,10 @@
 1D integrals split the interval at singular points and integrate each
 smooth closed piece with adaptive 15-point Gauss-Legendre panels (dyadic
 refinement, absolute+relative tolerance 1e-10, depth cap 30).  The
-dependence-triangle integral and the Green's-identity verifier split their
-iterated integrals at the closed-form crossings of the singular lines.
+dependence-triangle integral, the integral along one of its characteristic
+edges and the Green's-identity verifier split at the closed-form crossings
+of the singular lines.  A curved boundary of the Green verifier is
+integrated along its graphs, with no derivative of them.
 
 ``adaptive_panel`` refines breadth first: each round evaluates the two
 halves of every live panel with one call of a batch integrand, which for
@@ -289,39 +291,48 @@ class DependenceTriangle:
         return (x0 - t0 + s, x0 + t0 - s)
 
 
+def path_crossings(forms, x0: float, t0: float, sigma: float) -> list:
+    """(s, k) for each 2D form k whose line the characteristic y = x0 +
+    sigma * (t0 - s) crosses at a time 0 < s < t0: where a1*(x0 + sigma*(t0
+    - s)) + a2*s = b.  A line parallel to the path is never crossed."""
+    out = []
+    for k, form in enumerate(forms):
+        (a1, a2), b = form.coeffs, form.offset
+        denom = a2 - a1 * sigma
+        if denom != 0.0:
+            s = (b - a1 * (x0 + sigma * t0)) / denom
+            if 0.0 < s < t0:
+                out.append((s, k))
+    return out
+
+
 def triangle_nodes(f: PiecewiseFn, x0: float, t0: float) -> tuple:
     """The split points of the iterated integral over the dependence
     triangle of (x0, t0), as (outer, inner_nodes): outer s in [0, t0] is
     split wherever a singular line of f enters or leaves the inner
-    interval (all closed-form roots of linear equations), and
+    interval, that is where it crosses one of the two characteristic edges
+    (``path_crossings``; a horizontal line crosses both at once), and
     inner_nodes(s) splits the inner interval [x0-t0+s, x0+t0-s] at the
     line crossings themselves."""
     tri = DependenceTriangle((x0, t0))
-
-    events = {0.0, t0}
-    for form in f.forms:
-        a1, a2 = form.coeffs
-        b = form.offset
-        # crossing of the line with the left/right characteristic edges
-        for edge_sign in (+1, -1):
-            # y*(s) edge: y = x0 + edge_sign*(t0 - s)... inner bound as a
-            # function of s; line a1*y + a2*s = b crosses it where
-            # a1*(x0 + edge_sign*(t0 - s)) + a2*s = b
-            denom = a2 - a1 * edge_sign
-            if denom != 0.0:
-                s = (b - a1 * (x0 + edge_sign * t0)) / denom
-                if 0.0 < s < t0:
-                    events.add(s)
-        # horizontal line (a1 == 0): constant-s crossing
-        if a1 == 0.0 and a2 != 0.0:
-            s = b / a2
-            if 0.0 < s < t0:
-                events.add(s)
+    events = {0.0, t0}.union(s for sigma in (1.0, -1.0)
+                             for s, _ in path_crossings(f.forms, x0, t0, sigma))
 
     def inner_nodes(s: float) -> list:
         return _edge_breaks(f.forms, 1, s, *tri.inner_interval(s))
 
     return sorted(events), inner_nodes
+
+
+def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float,
+                            tol: float = QUAD_TOL) -> float:
+    """int_0^t0 f(x0 + sigma * (t0 - s), s) ds for 2D f, along the
+    characteristic edge of the dependence triangle of (x0, t0), split at
+    its ``path_crossings``; 0 for t0 <= 0."""
+    if t0 <= 0.0:
+        return 0.0
+    nodes = [0.0] + sorted({s for s, _ in path_crossings(f.forms, x0, t0, sigma)}) + [t0]
+    return _integrate(lambda S, _: _point_values([f], [x0 + sigma * (t0 - S), S]), nodes, tol)
 
 
 def integrate_triangle(f: PiecewiseFn, x0: float, t0: float, tol: float = QUAD_TOL) -> float:
@@ -441,32 +452,20 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
             -_edge_integral(P, 0, a, c, d, tol),       # left, downward
         ])
     else:
-        # general type III boundary via the type I graphs; requires smooth
-        # omega boundaries, differentiated by central differences
-        h = 1e-6
-
-        def om_d(om, x):
-            return (om(x + h) - om(x - h)) / (2.0 * h)
-
-        def bottom(x):
-            y = R.omega1(x)
-            return Q.evaluate((x, y)) + P.evaluate((x, y)) * om_d(R.omega1, x)
-
-        def top(x):
-            y = R.omega2(x)
-            return Q.evaluate((x, y)) + P.evaluate((x, y)) * om_d(R.omega2, x)
-
-        def graph_integral(fn):
+        # general type III boundary: Q dx along the type I graphs (the
+        # sides x = a, b add nothing to it) and P dy along the type II
+        # graphs (nor do y = c, d)
+        def graph_integral(fn, lo, hi):
             values, exc = adaptive_panel(
-                lambda X, _: _callable_values(fn, X), [(R.a, R.b)], tol=1e-8)
+                lambda X, _: _callable_values(fn, X), [(lo, hi)], tol=1e-8)
             if exc is not None:
                 raise exc
             return values[0]
 
         rhs = (
-            graph_integral(bottom)
-            - graph_integral(top)
-            + _edge_integral(P, 0, R.b, R.omega1(R.b), R.omega2(R.b), tol)
-            - _edge_integral(P, 0, R.a, R.omega1(R.a), R.omega2(R.a), tol)
+            graph_integral(lambda x: Q.evaluate((x, R.omega1(x))), R.a, R.b)
+            - graph_integral(lambda x: Q.evaluate((x, R.omega2(x))), R.a, R.b)
+            + graph_integral(lambda y: P.evaluate((R.omega4(y), y)), R.c, R.d)
+            - graph_integral(lambda y: P.evaluate((R.omega3(y), y)), R.c, R.d)
         )
     return lhs, rhs, abs(lhs - rhs), class_ok

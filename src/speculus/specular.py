@@ -10,29 +10,19 @@ slopes alpha, beta through
 F2 is total (returns 0 when b = -a) and is the computational definition;
 F1 is retained as a cross-check oracle.  Geometrically A is the slope of
 the bisector direction between the two tangent rays.
+
+Every one-sided slope is the ``diff`` of what ``PiecewiseFn._limit_node``
+gives on that side: the adjacent branch, or the ``proper_leaf`` of the
+limits across a parallel ``specular`` line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
-import numpy as np
-
-from .expr import (
-    Neg,
-    NotSymbolic,
-    Var,
-    diff,
-    eval_array,
-    eval_expr,
-    normalize_affine,
-    opaque,
-    subst,
-)
+from .expr import Neg, Var, diff, eval_expr, normalize_affine, subst
 from .piecewise import (
-    BranchLookupError,
     PiecewiseFn,
     _edge_samples,
     _faces,
@@ -41,6 +31,7 @@ from .piecewise import (
     evaluate_at,
     is_proper,
     merge_forms,
+    proper_leaf,
     proper_value,
     regions,
     tol_jump,
@@ -80,60 +71,13 @@ class SemiDerivativePair:
     axis: int
 
 
-def _fd_one_sided(u: PiecewiseFn, axis: int, direction: int, *p: float) -> float:
-    # second-order one-sided stencil anchored at the one-sided limit value
-    h = 1e-6
-    lim = u.one_sided_limits(p, axis)
-    f0 = lim.right if direction > 0 else lim.left
-    q1 = list(p)
-    q1[axis] += direction * h
-    q2 = list(p)
-    q2[axis] += direction * 2 * h
-    f1 = u.evaluate(tuple(q1))
-    f2 = u.evaluate(tuple(q2))
-    return direction * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-
-
 def semi_derivative_one_sided(u: PiecewiseFn, p, axis: int, direction: int) -> float:
-    """Just one of alpha/beta; usable at domain-boundary points where the
-    other side has no branch.  A branch with an Opaque leaf is
-    differentiated by a one-sided finite difference."""
-    sv = u.adjacent_sign_vector(u.sign_vector(p), axis, direction)
-    rhs = u.branch(sv)
-    if rhs is None:
-        raise BranchLookupError(f"no adjacent branch for sign vector {sv}")
-    d = _diff_rhs(u, sv, rhs, axis)
-    if d is not None:
-        val = eval_expr(d, dict(zip(u.vars, p)))
-    else:
-        val = _fd_one_sided(u, axis, direction, *p)
+    """Just one of alpha/beta: the slope (``_slope``) of that side at p;
+    usable at domain-boundary points where the other side has no branch."""
+    val = eval_expr(_slope(u, u.sign_vector(p), axis, direction), dict(zip(u.vars, p)))
     if not math.isfinite(val):
         raise SpecularError(f"non-finite semi-derivative at {tuple(p)} axis {axis}")
     return val
-
-
-def semi_derivative_many(u: PiecewiseFn, cols, axis: int, direction: int) -> tuple:
-    """``semi_derivative_one_sided`` at many points (cols: one float array
-    per variable) as (values, covered), one ``eval_array`` pass per
-    adjacent sign vector.  A point is left to the scalar call, which raises
-    the error, where the branch is missing, fails to pin or has an Opaque
-    leaf, or where its value is flagged or not finite."""
-    values, covered = np.zeros(len(cols[0])), np.zeros(len(cols[0]), dtype=bool)
-    groups: dict = {}
-    for s, idx in u.pattern_groups(cols):
-        groups.setdefault(u.adjacent_sign_vector(s, axis, direction), []).append(idx)
-    for sv, parts in groups.items():
-        try:
-            rhs = u.branch(sv)
-            d = None if rhs is None else _diff_rhs(u, sv, rhs, axis)
-        except Exception:  # the scalar call raises it again
-            continue
-        if d is not None:
-            idx = np.concatenate(parts)
-            bad = np.zeros(len(idx), dtype=bool)
-            v = eval_array(d, dict(zip(u.vars, (c[idx] for c in cols))), bad)
-            values[idx], covered[idx] = v, ~bad & np.isfinite(v)
-    return values, covered
 
 
 def semi_derivatives(u: PiecewiseFn, p, axis: int) -> SemiDerivativePair:
@@ -152,79 +96,45 @@ def specular_partial(u: PiecewiseFn, p, axis: int) -> float:
 # ---------------------------------------------------------------------------
 # Derivative fields
 
-def _resolve_parallel_zeros(u: PiecewiseFn, sv):
-    """For a sign vector with leftover zeros (forms parallel to the traversal
-    axis): if every non-empty completion selects the same branch expression,
-    the on-line restriction is governed by that common branch exactly."""
-    if 0 not in sv:
-        return None
-    found = {u.branch(full) for full in regions(u.forms, u.domain, u.d, fixed=sv)}
-    return found.pop() if len(found) == 1 else None
+def _node_expr(node):
+    """The expression of a ``PiecewiseFn._limit_node``: its branch, or the
+    ``proper_leaf`` of a pair of limits; raises the node's error."""
+    if isinstance(node, Exception):
+        raise node
+    if isinstance(node, tuple):
+        return proper_leaf(*(_node_expr(m) for m in node))
+    return node
 
 
-def _diff_rhs(u: PiecewiseFn, s, rhs, axis: int):
-    """The derivative of rhs, the branch of u for the sign vector s; None
-    for an Opaque leaf (or no branch), which the caller differentiates by
-    finite differences.  Built once per (s, axis), kept in ``u._slopes``,
-    through the one ``diff`` memo of u for the axis, so the branches of
-    every pattern share the derivatives of their shared subtrees."""
-    key = (s, axis)
+def _slope(u: PiecewiseFn, s, axis: int, direction: int):
+    """The derivative along the axis of what u takes on the given side of a
+    point with sign vector s (``_node_expr``), which depends only on the
+    adjacent sign vector.  Built once per (adjacent sign vector, axis),
+    kept in ``u._slopes``, through the one ``diff`` memo of u for the axis,
+    so the branches of every pattern share the derivatives of their shared
+    subtrees.  Raises the node's error, or NotSymbolic for an Opaque leaf
+    without partials."""
+    key = (u.adjacent_sign_vector(s, axis, direction), axis)
     if key not in u._slopes:
-        try:
-            memo = u._memos.setdefault(axis, {})
-            u._slopes[key] = None if rhs is None else diff(rhs, u.vars[axis], memo)
-        except NotSymbolic:
-            u._slopes[key] = None
+        rhs = _node_expr(u._limit_node(s, axis, direction))
+        u._slopes[key] = diff(rhs, u.vars[axis], u._memos.setdefault(axis, {}))
     return u._slopes[key]
-
-
-def _fd_partial(u: PiecewiseFn, axis: int, *p: float) -> float:
-    return specular_partial(u, p, axis)
-
-
-def _slope(u: PiecewiseFn, s, rhs, axis: int, fd):
-    """The derivative of the branch rhs for the sign vector s, else the
-    Opaque leaf fd(*p) of a finite difference."""
-    d = _diff_rhs(u, s, rhs, axis)
-    return d if d is not None else opaque(fd, tuple(Var(v) for v in u.vars))
 
 
 def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The field p -> specular partial of u along the axis, as a PiecewiseFn
     on the same forms.  Open regions carry the branch derivative; on-line
-    patterns carry the Opaque leaf proper_value(alpha, beta) of the adjacent
-    branch derivatives, which folds to an exact constant when both are
-    constant.  Branches with an Opaque leaf are differentiated by finite
-    differences.  Built once per function: the field is kept in
-    ``u.derived``."""
+    patterns carry the ``proper_leaf`` of the slopes on either side, which
+    folds to an exact constant when both are constant.  Built once per
+    function: the field is kept in ``u.derived``."""
     key = ("specular", axis)
     if key in u.derived:
         return u.derived[key]
     m = len(u.forms)
     branches = []
     for pat in regions(u.forms, u.domain, u.d, values=(1, 0, -1)):
-        if 0 not in pat:
-            rhs = u.branch(pat)
-            if rhs is None:
-                raise SpecularError(f"no branch for open pattern {pat}")
-            branches.append((pat, _slope(u, pat, rhs, axis, partial(_fd_partial, u, axis))))
-            continue
-        sp = u.adjacent_sign_vector(pat, axis, +1)
-        sm = u.adjacent_sign_vector(pat, axis, -1)
-        rp, rm = u.branch(sp), u.branch(sm)
-        if rp is None:
-            rp = _resolve_parallel_zeros(u, sp)
-        if rm is None:
-            rm = _resolve_parallel_zeros(u, sm)
-        # Forms parallel to the axis keep their 0 entry; if their on-line
-        # values are the proper extension, the one-sided slope is well
-        # defined pointwise and a finite difference along the line is sound.
-        for r, sv in ((rp, sp), (rm, sm)):
-            if r is None and not any(t == 0 and q == "specular" for t, q in zip(sv, u.policies)):
-                raise SpecularError(f"missing adjacent branch for on-line pattern {pat}")
-        dp = _slope(u, sp, rp, axis, partial(_fd_one_sided, u, axis, +1))
-        dm = _slope(u, sm, rm, axis, partial(_fd_one_sided, u, axis, -1))
-        branches.append((pat, opaque(proper_value, (dp, dm))))
+        slope = _slope(u, pat, axis, +1)
+        branches.append((pat, slope if 0 not in pat else proper_leaf(slope, _slope(u, pat, axis, -1))))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain))
 
@@ -233,20 +143,14 @@ def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The a.e. classical partial-derivative field, with the specular
     combination of its own one-sided limits supplying on-line values (the
     proper extension); this is the u_x/u_y object of the 2D S^2 check.
-    Branches with an Opaque leaf are differentiated by finite differences.
     Built once per function: the field is kept in ``u.derived``."""
     key = ("partial", axis)
     if key in u.derived:
         return u.derived[key]
     m = len(u.forms)
-    branches = []
-    for pat in regions(u.forms, u.domain, u.d):
-        rhs = u.branch(pat)
-        if rhs is None:
-            raise SpecularError(f"no branch for open pattern {pat}")
-        branches.append((pat, _slope(u, pat, rhs, axis, partial(_fd_partial, u, axis))))
+    branches = tuple((pat, _slope(u, pat, axis, +1)) for pat in regions(u.forms, u.domain, u.d))
     return u.derived.setdefault(
-        key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("specular",) * m, domain=u.domain))
+        key, PiecewiseFn(u.vars, u.forms, branches, ("specular",) * m, domain=u.domain))
 
 
 # ---------------------------------------------------------------------------

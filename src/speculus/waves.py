@@ -7,7 +7,9 @@ at 0, and the nonhomogeneous Duhamel term is folded to exact per-region
 quadratics whenever the force is piecewise constant between characteristic
 lines (verified by an exact polygon-clipping integral).  Where no closed
 form exists (a velocity without a symbolic antiderivative, other forces)
-the branch is an ``Opaque`` leaf evaluated by quadrature.
+the branch is an ``Opaque`` leaf evaluated by quadrature, whose partials
+(the velocity's branch; the Leibniz rule for the Duhamel term) make the
+derivative fields of every solution exact expressions to second order.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .expr import (
     opaque,
     powi,
     sub,
+    subst,
 )
 from .piecewise import (
     PiecewiseFn,
@@ -51,10 +54,9 @@ from .piecewise import (
     regions,
     tol_jump,
 )
-from .quad import integrate_1d, integrate_triangle
+from .quad import characteristic_integral, integrate_1d, integrate_triangle, path_crossings
 from .specular import (
     partial_field,
-    semi_derivative_many,
     semi_derivative_one_sided,
     semi_derivatives,
     specular_field,
@@ -126,9 +128,13 @@ def antiderivative_pw(psi: PiecewiseFn) -> PiecewiseFn:
         rhs = psi.match(region_pattern(k))
         anti = antiderivative(rhs, var) if rhs is not None else None
         if anti is None:
-            quad = opaque(partial(integrate_1d, psi, 0.0), (Var(var),))
-            table = tuple((region_pattern(k), quad) for k in range(n + 1))
-            return PiecewiseFn(psi.vars, psi.forms, table, ("specular",) * n)
+            # one quadrature leaf per region, whose partial is the region's branch
+            quad, table = partial(integrate_1d, psi, 0.0), []
+            for pat in map(region_pattern, range(n + 1)):
+                rhs = psi.match(pat)
+                grads = None if rhs is None else lambda y, rhs=rhs: (subst(rhs, {var: y}),)
+                table.append((pat, opaque(quad, (Var(var),), grads)))
+            return PiecewiseFn(psi.vars, psi.forms, tuple(table), ("specular",) * n)
         branch_exprs.append(anti)
 
     # continuity constants, anchored so the antiderivative vanishes at 0
@@ -319,6 +325,50 @@ def _duhamel_quadrature(f: PiecewiseFn, x: float, t: float) -> float:
     return 0.5 * integrate_triangle(f, x, t) if t > 0 else 0.0
 
 
+def _characteristic_slope(f: PiecewiseFn, sigma: float, x: float, t: float) -> float:
+    """Q_sigma, the x-derivative of P_sigma(x, t) = int_0^t f(x + sigma (t -
+    s), s) ds: the same integral of f_y (``partial_field(f, 0)``), plus, at
+    each line a y + b s = e of f that the path crosses at s_k, (f just
+    before s_k - f just after) * ds_k/dx, with ds_k/dx = -a / (b - sigma a).
+    0 for t <= 0."""
+    if t <= 0.0:
+        return 0.0
+    terms = [characteristic_integral(partial_field(f, 0), sigma, x, t)]
+    for s, k in path_crossings(f.forms, x, t, sigma):
+        (a, b), q = f.forms[k].coeffs, (x + sigma * (t - s), s)
+        rate = b - sigma * a  # dl/ds along the path: l has its sign after s_k
+        signs, values = list(f.sign_vector(q)), []
+        for side in (-rate, rate):
+            signs[k] = 1 if side > 0 else -1
+            values.append(f.evaluate(q, tuple(signs)))
+        terms.append((values[0] - values[1]) * (-a / rate))
+    return math.fsum(terms)
+
+
+def _duhamel_leaf(f: PiecewiseFn):
+    """0.5 * iint_{triangle(x,t)} f as a quadrature leaf with the Leibniz
+    partials w_x = (P+ - P-)/2 and w_t = (P+ + P-)/2.  P_sigma, the
+    integral of f along a characteristic edge (``characteristic_integral``),
+    is a leaf with the partials (Q_sigma, f(x, t) + sigma Q_sigma); Q_sigma
+    (``_characteristic_slope``) and f(x, t) are leaves without partials."""
+    def value(*p):
+        return f.evaluate(p)
+
+    along = {sigma: (partial(characteristic_integral, f, sigma),
+                     partial(_characteristic_slope, f, sigma)) for sigma in (1.0, -1.0)}
+
+    def along_partials(sigma, x, t):
+        q = opaque(along[sigma][1], (x, t))
+        return q, add(opaque(value, (x, t)), mul(Const(sigma), q))
+
+    def partials(x, t):
+        plus, minus = (opaque(along[sigma][0], (x, t), partial(along_partials, sigma))
+                       for sigma in (1.0, -1.0))
+        return mul(Const(0.5), sub(plus, minus)), mul(Const(0.5), add(plus, minus))
+
+    return opaque(partial(_duhamel_quadrature, f), (Var("x"), Var("t")), partials)
+
+
 def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
     """The field (x, t) -> 0.5 * iint_{triangle(x,t)} f, with domain t > 0.
 
@@ -336,7 +386,7 @@ def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
     folded = merge_forms([[AffineForm((1.0, -1.0), c), AffineForm((1.0, 1.0), c)]
                           for c in offsets])
 
-    quad = opaque(partial(_duhamel_quadrature, f), (Var("x"), Var("t")))
+    quad = _duhamel_leaf(f)
     if values is None:
         table = (((None,) * len(folded), quad),)
         return PiecewiseFn(VARS_XT, tuple(folded), table,
@@ -497,11 +547,16 @@ def hypothesis_h_check(u: PiecewiseFn) -> HypothesisHReport:
 
 
 def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: PiecewiseFn, xs) -> tuple:
-    """Max |u(x,0) - phi(x)| and |right t-slope at (x,0) - psi(x)|."""
+    """Max |u(x,0) - phi(x)| and |right t-slope at (x,0) - psi(x)|.  The
+    slopes are the right t-limits of ``partial_field(u, 1)`` from one batch;
+    ``semi_derivative_one_sided`` takes the points it leaves or finds not
+    finite, and raises their errors."""
     xs = [(float(x),) for x in xs]
     points = [(x, 0.0) for (x,) in xs]
     psis = evaluate_at(psi, xs)
-    slopes, covered = semi_derivative_many(u, np.reshape(points, (-1, 2)).T, 1, +1)
+    batch = partial_field(u, 1).evaluate_batch(np.reshape(points, (-1, 2)).T, (1,), value=False)
+    slopes, covered = batch[1, 1]
+    covered &= np.isfinite(slopes)
     worst_u = worst_v = 0.0
     for p, u0, phi0, slope, ok in zip(points, evaluate_at(u, points), evaluate_at(phi, xs),
                                       slopes.tolist(), covered.tolist()):

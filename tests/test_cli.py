@@ -666,13 +666,22 @@ class TestBranchesAreExpressions:
         assert_expression_branches(fields)
 
 
+def csv_rows(data: bytes) -> list:
+    return [tuple(map(float, line.split(","))) for line in data.decode().splitlines()[1:]]
+
+
+def erfi_integral(z: float) -> float:
+    """int_0^z exp(y^2) dy from its power series sum z^(2n+1) / (n! (2n+1))."""
+    return math.fsum(z ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1)) for n in range(120))
+
+
 class TestClosureSolution:
     """psi = exp(x^2) has no symbolic antiderivative, so the solution's
-    velocity term is an Opaque quadrature leaf, differentiated by finite
-    differences."""
+    velocity term is an Opaque quadrature leaf; its partial is psi, so
+    u_x = (psi(x + t) - psi(x - t)) / 2 and u_t = (psi(x + t) + psi(x - t)) / 2
+    are exact expressions."""
 
     TEXT = "[problem]\nkind = wave\nphi = 0\npsi = exp(x^2)\n[grid]\nnx = 3\nnt = 3\n"
-    CSV_SHA256 = "963a8fe05ba4689958a8143144726a57f63e59141f7e7338b3e586508221c8d5"
 
     def test_solve(self, tmp_path, monkeypatch):
         p = tmp_path / "expsq.prob"
@@ -680,8 +689,26 @@ class TestClosureSolution:
         text, data, fields = solve_fields(p, tmp_path / "o.csv", monkeypatch)
         assert text.startswith("wrote 9 rows")
         assert "not S2" not in text
-        assert hashlib.sha256(data).hexdigest() == self.CSV_SHA256
+        rows = csv_rows(data)
+        assert len(rows) == 9
+        for x, t, u, ux, ut, residual in rows:
+            a, b = math.exp((x + t) ** 2), math.exp((x - t) ** 2)
+            assert u == pytest.approx(0.5 * (erfi_integral(x + t) - erfi_integral(x - t)), rel=1e-10)
+            assert ux == pytest.approx(0.5 * (a - b), rel=1e-14)
+            assert ut == pytest.approx(0.5 * (a + b), rel=1e-14)
+            assert residual == 0.0
         assert_expression_branches(fields)
+
+    def test_check(self, tmp_path):
+        # failed with residual.max = 15.99 (u_tt about 3.6e7) and
+        # initial.velocity = 1.1e-8 while the slopes were finite differences
+        p = tmp_path / "expsq.prob"
+        p.write_text(self.TEXT + "[check]\nchecks = residual, initial\n")
+        out = io.StringIO()
+        assert cmd_check(str(p), out=out) == EXIT_OK
+        pairs = kv(out.getvalue())
+        assert float(pairs["residual.max"]) <= 1e-8 and float(pairs["initial.velocity"]) <= 1e-8
+        assert pairs["all.pass"] == "true"
 
     def test_deriv(self, tmp_path):
         p = tmp_path / "expsq.prob"
@@ -691,39 +718,104 @@ class TestClosureSolution:
         # u_x = (psi(x + t) - psi(x - t)) / 2
         want = 0.5 * (math.e - 1.0)
         pairs = kv(out.getvalue())
-        assert float(pairs["alpha"]) == pytest.approx(want, abs=1e-6)
-        assert float(pairs["beta"]) == pytest.approx(want, abs=1e-6)
+        assert float(pairs["alpha"]) == pytest.approx(want, rel=1e-14)
+        assert float(pairs["beta"]) == pytest.approx(want, rel=1e-14)
 
 
 class TestDuhamelFallback:
     """A force that is not piecewise constant between characteristic lines
-    gives a Duhamel term with an Opaque quadrature leaf."""
+    gives a Duhamel term with an Opaque quadrature leaf, differentiated
+    through its Leibniz partials.  The oracle is sympy's closed form of
+    w = 0.5 * iint |y| s over the dependence triangle: X t^3 / 6 for
+    X = |x| >= t, split at s = t - X below."""
 
     TEXT = ("[problem]\nkind = wave-nonhomogeneous\nphi = 0\npsi = 0\nf = abs(x)*t\n"
             "[grid]\nnx = 3\nnt = 3\n")
-    CSV_SHA256 = "578cd7020a59ea8209d07abed31ce36964186063bc7826bdc3fef151f4fba424"
+
+    @staticmethod
+    def oracle(x, t):
+        """(w, w_x, w_t) at (x, t)."""
+        sympy = pytest.importorskip("sympy")
+        X, T, s = sympy.symbols("X T s", nonnegative=True)
+        if abs(x) >= t:
+            w = X * T ** 3 / 6
+        else:
+            w = (sympy.integrate(s * (X ** 2 + (T - s) ** 2), (s, 0, T - X))
+                 + sympy.integrate(s * 2 * X * (T - s), (s, T - X, T))) / 2
+        at = {X: abs(x), T: t}
+        sign = math.copysign(1.0, x) if x else 0.0
+        return float(w.subs(at)), sign * float(w.diff(X).subs(at)), float(w.diff(T).subs(at))
 
     def test_solve(self, tmp_path, monkeypatch, capsys):
-        # includes the real S^2 check of the solution (second differences
-        # of the quadrature leaf), which finds no failure
+        # includes the S^2 check of the solution, which finds no failure
         p = tmp_path / "duhamel.prob"
         p.write_text(self.TEXT)
         text, data, fields = solve_fields(p, tmp_path / "o.csv", monkeypatch)
         assert text == f"wrote 9 rows to {tmp_path / 'o.csv'}\n"
         assert capsys.readouterr().err == ""
-        assert hashlib.sha256(data).hexdigest() == self.CSV_SHA256
+        rows = csv_rows(data)
+        assert len(rows) == 9
+        for x, t, u, ux, ut, residual in rows:
+            assert (u, ux, ut) == pytest.approx(self.oracle(x, t), abs=1e-10)
+            assert abs(residual) <= 1e-10
         assert_expression_branches(fields)
 
     def test_check(self, tmp_path):
+        # failed with residual.max = 0.0009939720267855279 while u_tt and
+        # u_xx were nested finite differences of the quadrature leaf
         p = tmp_path / "duhamel.prob"
         p.write_text(self.TEXT)
         out = io.StringIO()
-        assert cmd_check(str(p), out=out) == EXIT_CHECK_FAIL
-        # the residual is the error of nested finite differences of the
-        # quadrature leaf; the exact residual is 0
-        assert out.getvalue() == (
-            "residual.max = 0.0009939720267855279\nresidual.pass = false\nall.pass = false\n"
-        )
+        assert cmd_check(str(p), out=out) == EXIT_OK
+        pairs = kv(out.getvalue())
+        assert float(pairs["residual.max"]) <= 1e-10
+        assert pairs["all.pass"] == "true"
+
+
+class TestHalflineQuadratureVelocity:
+    """The halfline fixture's phi with psi = sqrt(x + 1) - 1, which has no
+    symbolic antiderivative: the solve exited 3 where the slope of the
+    velocity leaf was a stencil that stepped below t = 0.  The oracle is the
+    reflection formula with Psi(y) = (2/3)((y + 1)^(3/2) - 1) - y."""
+
+    TEXT = ("[problem]\nkind = wave-halfline\n"
+            "phi = (1/2)*(x - 1)*abs(x - 1) + (1/2)*x^2 + 1/2\npsi = sqrt(x + 1) - 1\n"
+            "[grid]\nx_range = 0, 4\nt_range = 0, 2\nnx = 9\nnt = 5\n"
+            "[check]\nchecks = residual, boundary, initial\n")
+
+    @staticmethod
+    def oracle(x, t):
+        """(u, u_x, u_t) at (x, t) from the odd reflection of the data."""
+        phi = lambda y: 0.5 * (y - 1) * abs(y - 1) + 0.5 * y * y + 0.5
+        dphi = lambda y: abs(y - 1) + y
+        Psi = lambda y: (2.0 / 3.0) * ((y + 1) ** 1.5 - 1) - y
+        psi = lambda y: math.sqrt(y + 1) - 1
+        a = x + t
+        if x >= t:
+            b = x - t
+            return (0.5 * (phi(a) + phi(b)) + 0.5 * (Psi(a) - Psi(b)),
+                    0.5 * (dphi(a) + dphi(b)) + 0.5 * (psi(a) - psi(b)),
+                    0.5 * (dphi(a) - dphi(b)) + 0.5 * (psi(a) + psi(b)))
+        b = t - x
+        return (0.5 * (phi(a) - phi(b)) + 0.5 * (Psi(a) - Psi(b)),
+                0.5 * (dphi(a) + dphi(b)) + 0.5 * (psi(a) + psi(b)),
+                0.5 * (dphi(a) - dphi(b)) + 0.5 * (psi(a) - psi(b)))
+
+    def test_solve(self, tmp_path):
+        p = tmp_path / "halfsqrt.prob"
+        p.write_text(self.TEXT)
+        csv = tmp_path / "o.csv"
+        assert cmd_solve(str(p), str(csv), out=io.StringIO()) == EXIT_OK
+        rows = csv_rows(csv.read_bytes())
+        assert len(rows) > 45
+        for x, t, u, ux, ut, _ in rows:
+            assert (u, ux, ut) == pytest.approx(self.oracle(x, t), abs=1e-9), (x, t)
+
+    def test_check(self, tmp_path):
+        p = tmp_path / "halfsqrt.prob"
+        p.write_text(self.TEXT)
+        out = io.StringIO()
+        assert cmd_check(str(p), out=out) == EXIT_OK, out.getvalue()
 
 
 class TestLinprogCount:

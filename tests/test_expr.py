@@ -534,6 +534,25 @@ class TestOpaque:
         with pytest.raises(NotSymbolic):
             diff(parse("x^2", XY) + 3 * self.leaf(), "y")
 
+    @staticmethod
+    def hypot_partials(a, b):
+        h = opaque(math.hypot, (a, b), TestOpaque.hypot_partials)
+        return a / h, b / h
+
+    def test_diff_chain_rule_through_partials(self):
+        # d/dx hypot(x - 1, x*y) = ((x - 1) + x*y*y) / hypot
+        leaf = opaque(math.hypot, (parse("x - 1", XY), parse("x*y", XY)), self.hypot_partials)
+        for x, y in ((4.0, 0.5), (-1.0, 2.0)):
+            h = math.hypot(x - 1, x * y)
+            assert eval_expr(diff(leaf, "x"), {"x": x, "y": y}) == pytest.approx(((x - 1) + x * y * y) / h)
+            assert eval_expr(diff(leaf, "y"), {"x": x, "y": y}) == pytest.approx(x * x * y / h)
+
+    def test_partials_survive_subst_and_are_ignored_by_equality(self):
+        leaf = opaque(math.hypot, (parse("x - 1", XY), Var("y")), self.hypot_partials)
+        assert leaf == self.leaf() and hash(leaf) == hash(self.leaf()) and repr(leaf) == repr(self.leaf())
+        e = subst(leaf, {"x": parse("2*y + 1", XY)})  # hypot(2y, y) = sqrt(5) |y|
+        assert eval_expr(diff(e, "y"), {"y": 3.0}) == pytest.approx(math.sqrt(5.0))
+
     def test_opaque_folds_constant_arguments(self):
         calls = []
 

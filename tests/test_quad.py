@@ -190,6 +190,25 @@ class TestGreenCheck:
         assert lhs == pytest.approx(0.8, abs=1e-8)
         assert class_ok
 
+    def test_parabolic_region_both_boundary_terms(self):
+        # between y = x^2 and y = 1: oint P dy = iint |x| dA = 1/2 along the
+        # graphs x = -+sqrt(y), and oint Q dx = iint y dA = 4/5 along the
+        # graphs y = x^2 and y = 1
+        P = _pw("(1/2)*x*abs(x) + 0*y")
+        Q = _pw("-(1/2)*y^2 + 0*x")
+        zero = _pw("0*x + 0*y")
+        R = TypeIIIRegion(
+            -1.0, 1.0,
+            lambda x: x * x, lambda x: 1.0,
+            0.0, 1.0,
+            lambda y: -math.sqrt(y), lambda y: math.sqrt(y),
+        )
+        for p, q, want in ((P, zero, 0.5), (zero, Q, 0.8), (P, Q, 1.3)):
+            lhs, rhs, gap, class_ok = green_check(p, q, R)
+            assert lhs == pytest.approx(want, abs=1e-8)
+            assert rhs == pytest.approx(want, abs=1e-8)
+            assert gap <= 1e-8 and class_ok
+
     def test_region_spot_check_rejects_mismatch(self):
         R = TypeIIIRegion(
             -1.0, 1.0,

@@ -1,7 +1,6 @@
 """Specular calculus: A-combination, semi/specular derivatives, fields,
 phototangents, S2 membership."""
 
-import functools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -35,7 +34,14 @@ from speculus.expr import (
     powi,
     sub,
 )
-from speculus.piecewise import PiecewiseFn, classify_continuity, from_expression, is_proper
+from speculus.piecewise import (
+    PiecewiseFn,
+    classify_continuity,
+    from_branches,
+    from_expression,
+    is_proper,
+    proper_leaf,
+)
 from speculus.specular import (
     a_combine,
     a_combine_f1,
@@ -49,7 +55,7 @@ from speculus.specular import (
     specular_partial,
     specularly_differentiable_1d,
 )
-from speculus.waves import wave_residual
+from speculus.waves import solve_wave_homogeneous, wave_residual
 
 X = ("x",)
 XY = ("x", "y")
@@ -302,20 +308,13 @@ def diff_oracle(e, var, *memo):
             return mul(Call("cos", e.arg), dg)
         return neg(mul(Call("sin", e.arg), dg))
     if isinstance(e, Opaque):
-        raise NotSymbolic(f"no symbolic derivative of {format_expr(e)}")
+        if e.grads is None:
+            raise NotSymbolic(f"no symbolic derivative of {format_expr(e)}")
+        d = ZERO
+        for g, a in zip(e.grads(*e.args), e.args):
+            d = add(d, mul(g, diff_oracle(a, var)))
+        return d
     raise TypeError(f"not an Expr node: {e!r}")
-
-
-class EqPartial(functools.partial):
-    """A partial equal to another with the same function and arguments, so
-    that two builds of a field with finite-difference leaves compare."""
-
-    def __eq__(self, other):
-        return (isinstance(other, functools.partial)
-                and (self.func, self.args, self.keywords) == (other.func, other.args, other.keywords))
-
-    def __hash__(self):
-        return hash(self.func)
 
 
 def derivative_fields(u, depth=2):
@@ -349,7 +348,10 @@ def test_memoised_diff_matches_oracle(name, monkeypatch):
     fields is equal, and has the same repr, whether the branches are
     differentiated through the memo or by the memo-free recursion."""
     _, u = fixture_function(name)
-    monkeypatch.setattr(specular, "partial", EqPartial)
+    assert_memoised_diff_matches_oracle(u, monkeypatch)
+
+
+def assert_memoised_diff_matches_oracle(u, monkeypatch):
     monkeypatch.setattr(specular, "diff", diff_oracle)
     want = derivative_fields(u)
     for cache in (u.derived, u._slopes, u._memos):
@@ -363,6 +365,37 @@ def test_memoised_diff_matches_oracle(name, monkeypatch):
         if isinstance(fld, PiecewiseFn):
             assert [(pat, repr(rhs)) for pat, rhs in fld.branches] == [
                 (pat, repr(rhs)) for pat, rhs in want[key].branches]
+
+
+def test_memoised_diff_matches_oracle_through_leaves(monkeypatch):
+    """The same through Opaque leaves that carry partials: the solution for
+    a velocity with no symbolic antiderivative (one quadrature leaf per
+    region), and a table whose on-line slopes along a vertical specular
+    line are derivatives of the proper_leaf of non-constant limits."""
+    psi = from_expression(parse("exp(x^2)", X), X)
+    line = AffineForm((1.0, 0.0), 0.0)
+    table = from_branches((line,), [((1,), parse("x*y^2", XY)), ((-1,), parse("y^3 - x*y", XY))], XY)
+    for u in (solve_wave_homogeneous(from_expression(parse("0", X), X), psi), table):
+        assert_memoised_diff_matches_oracle(u, monkeypatch)
+    # d/dy A(-y, y^2) on x = 0, which proper_leaf builds from the limits
+    # across the line
+    want = diff_oracle(proper_leaf(parse("-y", XY), parse("y^2", XY)), "y")
+    for y in (-1.5, 0.3, 2.0):
+        pair = semi_derivatives(partial_field(table, 0), (0.0, y), 1)
+        assert pair.right == pair.left == expr.eval_expr(want, {"x": 0.0, "y": y})
+
+
+@pytest.mark.parametrize("a, b", [(0.3, -1.7), (2.0, 5.0), (-0.5, 0.25), (1e-3, 4.0), (-3.0, -0.1)])
+def test_proper_leaf_partials_match_sympy(a, b):
+    """The partials of proper_leaf are those of tan((atan a + atan b) / 2)."""
+    sympy = pytest.importorskip("sympy")
+    sa, sb = sympy.symbols("a b")
+    A = sympy.tan((sympy.atan(sa) + sympy.atan(sb)) / 2)
+    leaf = proper_leaf(Var("a"), Var("b"))
+    for var, sym in (("a", sa), ("b", sb)):
+        want = float(sympy.diff(A, sym).subs({sa: a, sb: b}))
+        got = expr.eval_expr(expr.diff(leaf, var), {"a": a, "b": b})
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_diff_visits_each_node_once_per_field(monkeypatch):

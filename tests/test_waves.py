@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from speculus.expr import AffineForm, Const, NotSymbolic, affine_arguments, diff, parse
+from speculus.expr import AffineForm, Const, Opaque, affine_arguments, diff, eval_expr, parse
 from speculus.piecewise import (
     from_branches,
     from_expression,
@@ -23,7 +23,7 @@ from speculus.piecewise import (
     pw_scale,
 )
 from speculus.quad import integrate_1d, integrate_triangle
-from speculus.specular import a_combine, partial_field, reflect_axis, semi_derivatives
+from speculus.specular import a_combine, partial_field, reflect_axis, semi_derivatives, specular_field
 from speculus.waves import (
     FORM_T,
     _duhamel_exact,
@@ -139,19 +139,31 @@ class TestAntiderivative:
 
 class TestQuadratureAntiderivative:
     """exp(x^2) has no symbolic antiderivative: its branches are Opaque
-    quadrature leaves, and the field algebra on them must agree with
-    evaluating the composition directly."""
+    quadrature leaves whose partial is the velocity, and the field algebra
+    on them must agree with evaluating the composition directly."""
 
     @pytest.fixture(scope="class")
     def Psi(self):
         psi = from_expression(parse("exp(x^2)", VARS_X), VARS_X)
         Psi = antiderivative_pw(psi)
         for _, rhs in Psi.branches:
-            with pytest.raises(NotSymbolic):
-                diff(rhs, "x")
+            for x in self.XS:
+                assert eval_expr(diff(rhs, "x"), {"x": x}) == math.exp(x * x)
         return Psi
 
     XS = (-1.3, -0.4, 0.25, 0.9)
+
+    def test_partials_are_the_region_branches(self):
+        # one leaf per region, differentiated to psi's branch there, also
+        # after the characteristic substitution x -> x - t
+        psi = from_expression(parse("exp(x^2) + abs(x - 1)", VARS_X), VARS_X)
+        Psi = antiderivative_pw(psi)
+        u = pw_compose_affine(Psi, (1.0, -1.0), 0.0, VARS_XT)
+        for x in (-0.5, 0.4, 1.6, 2.5):
+            rhs = Psi.match(Psi.sign_vector((x,)))
+            assert eval_expr(diff(rhs, "x"), {"x": x}) == psi.evaluate((x,))
+            ut = partial_field(u, 1).evaluate((x + 0.25, 0.25))
+            assert ut == -psi.evaluate((x,))
 
     def test_values(self, Psi):
         psi = from_expression(parse("exp(x^2)", VARS_X), VARS_X)
@@ -344,11 +356,38 @@ class TestDuhamel:
         )
         d = duhamel_term(f)
         for _, rhs in d.branches:
-            diff(rhs, "x")  # raises NotSymbolic on a quadrature leaf
+            assert not isinstance(rhs, Opaque)  # no region fell back to quadrature
         rng = np.random.default_rng(41)
         for x, t in rng.uniform([-4, 0.1], [6, 3], size=(40, 2)):
             want = _duhamel_exact(f, values, x, t)
             assert d.evaluate((x, t)) == pytest.approx(want, abs=1e-9)
+
+    def test_fallback_partials_match_closed_form(self):
+        """A force with a jump off the characteristics gives a quadrature
+        leaf whose Leibniz partials yield every first and second derivative
+        of w.  The oracle is sympy's closed form of 0.5 * iint f over the
+        dependence triangle, split where the line x = 3/10 crosses it
+        (valid for x > 3/10 > x - t); the path of P- crosses that line, so
+        Q- has a jump term."""
+        sympy = pytest.importorskip("sympy")
+        x, t, y, s = sympy.symbols("x t y s", real=True)
+        c = sympy.Rational(3, 10)
+        lo, hi, cut = x - (t - s), x + (t - s), t - (x - c)
+        g = y ** 2 * s
+        w = (sympy.integrate(sympy.integrate(g - s, (y, lo, c)) + sympy.integrate(g + s, (y, c, hi)),
+                             (s, 0, cut))
+             + sympy.integrate(sympy.integrate(g + s, (y, lo, hi)), (s, cut, t))) / 2
+        f = from_expression(parse("sgn(x - 0.3)*t + x^2*t", VARS_XT), VARS_XT, domain=((FORM_T, 1),))
+        d = duhamel_term(f)
+        assert d.forms == () and isinstance(d.branches[0][1], Opaque)
+        wx, wt = partial_field(d, 0), partial_field(d, 1)
+        fields = {(): d, (x,): wx, (t,): wt, (x, x): specular_field(wx, 0),
+                  (t, t): specular_field(wt, 1), (x, t): specular_field(wx, 1),
+                  (t, x): specular_field(wt, 0)}
+        for p in ((0.4, 0.7), (0.5, 0.35)):
+            for by, fld in fields.items():
+                want = float((w.diff(*by) if by else w).subs({x: p[0], t: p[1]}))
+                assert fld.evaluate(p) == pytest.approx(want, abs=1e-9), by
 
     def test_fit_center(self):
         # hand-solved: mu = 0.9 * min(max common margin, 1), center = least
