@@ -33,7 +33,8 @@ same rule.
 
 ``evaluate`` defines the value at a point and ``one_sided_value`` a limit
 along an axis, each through a node of sign patterns: a branch tree, a pair
-of limits to A-combine, or an error.  ``evaluate_batch`` gives the value and
+of limits to A-combine, or an error; ``limit_slope`` differentiates the
+node of a limit, and is every one-sided slope of ``specular``.  ``evaluate_batch`` gives the value and
 the limits along given axes at many points, on lines too, from one
 ``pattern_groups`` call and one ``eval_array`` pass per distinct tree, and
 reports the points it covered, bitwise as the scalar methods.  It never
@@ -58,6 +59,7 @@ from .expr import (
     Expr,
     add,
     affine_arguments,
+    diff,
     div,
     eval_array,
     eval_expr,
@@ -163,7 +165,7 @@ class PiecewiseFn:
     # derivative fields built from this function, keyed by (kind, axis); a
     # copy made by ``replace`` starts empty, equality and hashing ignore it
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # kept the same way: symbolic branch derivatives keyed by (sign vector,
+    # kept the same way: the ``limit_slope`` of each (adjacent sign vector,
     # axis), the ``diff`` memo of each axis, the result of ``is_proper``, and
     # the branch table as a dict (False when a pattern has a wildcard)
     _slopes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -301,10 +303,25 @@ class PiecewiseFn:
             return proper_value(*(self._node_value(m, p) for m in node))
         return eval_expr(node, dict(zip(self.vars, p)))
 
-    def evaluate(self, p: Sequence[float], s: Optional[Pattern] = None) -> float:
-        """The value at p; s, if given, is taken for the sign vector of p
-        (to take the value on one side of a line through p)."""
-        s = self.sign_vector(p) if s is None else s
+    def limit_slope(self, s: Pattern, axis: int, direction: int) -> Expr:
+        """The derivative along the axis of what u takes on the given side at
+        sign vector s (``_limit_node``: the adjacent branch, or the
+        ``proper_leaf`` of a pair of limits), built once per (adjacent sign
+        vector, axis) through the axis's one ``diff`` memo.  Raises the
+        node's error, or NotSymbolic for an Opaque leaf without partials."""
+        def expr(node):
+            if isinstance(node, Exception):
+                raise node
+            return proper_leaf(*map(expr, node)) if isinstance(node, tuple) else node
+
+        key = (self.adjacent_sign_vector(s, axis, direction), axis)
+        if key not in self._slopes:
+            rhs = expr(self._limit_node(s, axis, direction))
+            self._slopes[key] = diff(rhs, self.vars[axis], self._memos.setdefault(axis, {}))
+        return self._slopes[key]
+
+    def evaluate(self, p: Sequence[float]) -> float:
+        s = self.sign_vector(p)
         node = self._value_node(s)
         if node is None:
             what = ("branch or source" if any(t == 0 and q == "direct" for t, q in zip(s, self.policies))
@@ -723,3 +740,17 @@ def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn) -> Piecewise
     ]
     return PiecewiseFn(pos.vars, tuple(forms), tuple(branches),
                        ("specular",) * len(forms), domain=domain)
+
+
+def pw_hold(u: PiecewiseFn, held: dict) -> PiecewiseFn:
+    """u with the lines of held (form index -> +1/-1) dropped and their signs
+    held, so that it keeps that side's branches on those lines too."""
+    if not held:
+        return u
+    keep = [k for k in range(len(u.forms)) if k not in held]
+    branches = tuple((tuple(pat[k] for k in keep), rhs) for pat, rhs in u.branches
+                     if all(pat[k] in (None, r) for k, r in held.items()))
+    source = None if u.source is None else pin_signs(
+        u.source, u.vars, [(u.forms[k], r) for k, r in held.items()], partial=True)
+    return PiecewiseFn(u.vars, tuple(u.forms[k] for k in keep), branches,
+                       tuple(u.policies[k] for k in keep), source=source, domain=u.domain)

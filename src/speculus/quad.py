@@ -455,17 +455,10 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
         # general type III boundary: Q dx along the type I graphs (the
         # sides x = a, b add nothing to it) and P dy along the type II
         # graphs (nor do y = c, d)
-        def graph_integral(fn, lo, hi):
-            values, exc = adaptive_panel(
-                lambda X, _: _callable_values(fn, X), [(lo, hi)], tol=1e-8)
-            if exc is not None:
-                raise exc
-            return values[0]
-
         rhs = (
-            graph_integral(lambda x: Q.evaluate((x, R.omega1(x))), R.a, R.b)
-            - graph_integral(lambda x: Q.evaluate((x, R.omega2(x))), R.a, R.b)
-            + graph_integral(lambda y: P.evaluate((R.omega4(y), y)), R.c, R.d)
-            - graph_integral(lambda y: P.evaluate((R.omega3(y), y)), R.c, R.d)
+            integrate_1d(lambda x: Q.evaluate((x, R.omega1(x))), R.a, R.b, 1e-8)
+            - integrate_1d(lambda x: Q.evaluate((x, R.omega2(x))), R.a, R.b, 1e-8)
+            + integrate_1d(lambda y: P.evaluate((R.omega4(y), y)), R.c, R.d, 1e-8)
+            - integrate_1d(lambda y: P.evaluate((R.omega3(y), y)), R.c, R.d, 1e-8)
         )
     return lhs, rhs, abs(lhs - rhs), class_ok

@@ -11,8 +11,8 @@ F2 is total (returns 0 when b = -a) and is the computational definition;
 F1 is retained as a cross-check oracle.  Geometrically A is the slope of
 the bisector direction between the two tangent rays.
 
-Every one-sided slope is the ``diff`` of what ``PiecewiseFn._limit_node``
-gives on that side: the adjacent branch, or the ``proper_leaf`` of the
+Every one-sided slope is ``PiecewiseFn.limit_slope``: the ``diff`` of what
+u takes on that side, the adjacent branch or the ``proper_leaf`` of the
 limits across a parallel ``specular`` line.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import Neg, Var, diff, eval_expr, normalize_affine, subst
+from .expr import Neg, Var, eval_expr, normalize_affine, subst
 from .piecewise import (
     PiecewiseFn,
     _edge_samples,
@@ -72,9 +72,9 @@ class SemiDerivativePair:
 
 
 def semi_derivative_one_sided(u: PiecewiseFn, p, axis: int, direction: int) -> float:
-    """Just one of alpha/beta: the slope (``_slope``) of that side at p;
+    """Just one of alpha/beta: the slope (``limit_slope``) of that side at p;
     usable at domain-boundary points where the other side has no branch."""
-    val = eval_expr(_slope(u, u.sign_vector(p), axis, direction), dict(zip(u.vars, p)))
+    val = eval_expr(u.limit_slope(u.sign_vector(p), axis, direction), dict(zip(u.vars, p)))
     if not math.isfinite(val):
         raise SpecularError(f"non-finite semi-derivative at {tuple(p)} axis {axis}")
     return val
@@ -96,31 +96,6 @@ def specular_partial(u: PiecewiseFn, p, axis: int) -> float:
 # ---------------------------------------------------------------------------
 # Derivative fields
 
-def _node_expr(node):
-    """The expression of a ``PiecewiseFn._limit_node``: its branch, or the
-    ``proper_leaf`` of a pair of limits; raises the node's error."""
-    if isinstance(node, Exception):
-        raise node
-    if isinstance(node, tuple):
-        return proper_leaf(*(_node_expr(m) for m in node))
-    return node
-
-
-def _slope(u: PiecewiseFn, s, axis: int, direction: int):
-    """The derivative along the axis of what u takes on the given side of a
-    point with sign vector s (``_node_expr``), which depends only on the
-    adjacent sign vector.  Built once per (adjacent sign vector, axis),
-    kept in ``u._slopes``, through the one ``diff`` memo of u for the axis,
-    so the branches of every pattern share the derivatives of their shared
-    subtrees.  Raises the node's error, or NotSymbolic for an Opaque leaf
-    without partials."""
-    key = (u.adjacent_sign_vector(s, axis, direction), axis)
-    if key not in u._slopes:
-        rhs = _node_expr(u._limit_node(s, axis, direction))
-        u._slopes[key] = diff(rhs, u.vars[axis], u._memos.setdefault(axis, {}))
-    return u._slopes[key]
-
-
 def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     """The field p -> specular partial of u along the axis, as a PiecewiseFn
     on the same forms.  Open regions carry the branch derivative; on-line
@@ -133,8 +108,8 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     m = len(u.forms)
     branches = []
     for pat in regions(u.forms, u.domain, u.d, values=(1, 0, -1)):
-        slope = _slope(u, pat, axis, +1)
-        branches.append((pat, slope if 0 not in pat else proper_leaf(slope, _slope(u, pat, axis, -1))))
+        slope = u.limit_slope(pat, axis, +1)
+        branches.append((pat, slope if 0 not in pat else proper_leaf(slope, u.limit_slope(pat, axis, -1))))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain))
 
@@ -148,7 +123,7 @@ def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     if key in u.derived:
         return u.derived[key]
     m = len(u.forms)
-    branches = tuple((pat, _slope(u, pat, axis, +1)) for pat in regions(u.forms, u.domain, u.d))
+    branches = tuple((pat, u.limit_slope(pat, axis, +1)) for pat in regions(u.forms, u.domain, u.d))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, branches, ("specular",) * m, domain=u.domain))
 

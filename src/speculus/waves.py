@@ -7,9 +7,11 @@ at 0, and the nonhomogeneous Duhamel term is folded to exact per-region
 quadratics whenever the force is piecewise constant between characteristic
 lines (verified by an exact polygon-clipping integral).  Where no closed
 form exists (a velocity without a symbolic antiderivative, other forces)
-the branch is an ``Opaque`` leaf evaluated by quadrature, whose partials
-(the velocity's branch; the Leibniz rule for the Duhamel term) make the
-derivative fields of every solution exact expressions to second order.
+each region's branch is an ``Opaque`` leaf evaluated by quadrature, whose
+partials (the velocity's branch; the Leibniz rule for the Duhamel term,
+taken on a line as the limit from the region) make the derivative fields
+of every solution expressions to second order, with no difference
+quotient.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ import numpy as np
 from .expr import (
     AffineForm,
     Const,
+    Expr,
     Var,
     add,
     antiderivative,
     eval_expr,
+    find_form,
     free_vars,
     mul,
     opaque,
@@ -38,6 +42,7 @@ from .expr import (
     subst,
 )
 from .piecewise import (
+    BranchLookupError,
     PiecewiseFn,
     _edge_samples,
     _meet,
@@ -49,12 +54,13 @@ from .piecewise import (
     merge_forms,
     pw_add,
     pw_compose_affine,
+    pw_hold,
     pw_scale,
     pw_select,
     regions,
     tol_jump,
 )
-from .quad import characteristic_integral, integrate_1d, integrate_triangle, path_crossings
+from .quad import characteristic_integral, integrate_1d, integrate_triangle
 from .specular import (
     partial_field,
     semi_derivative_one_sided,
@@ -218,17 +224,14 @@ def solve_wave_nonhomogeneous(
 # ---------------------------------------------------------------------------
 # Duhamel term
 
-def _characteristic_constants(f: PiecewiseFn):
-    """Offsets of f's forms when every form is parallel to x - t or x + t;
-    None otherwise."""
-    out = []
-    for form in f.forms:
-        c1, c2 = form.coeffs  # normalized, c1 = 1 for any form involving x
-        if c1 == 1.0 and abs(abs(c2) - 1.0) <= 1e-12:
-            out.append((1.0 if c2 > 0 else -1.0, form.offset))
-        else:
-            return None
-    return out
+def _duhamel_lines(f: PiecewiseFn) -> list:
+    """The characteristics x -+ t = c through each point in t >= 0 where two
+    lines of f, or one and t = 0, meet (on t = 0 first, left to right), then
+    f's lines: for characteristic f, x -+ t = c over its offsets c."""
+    points = {p for g, h in itertools.combinations(list(f.forms) + [FORM_T], 2)
+              if (p := _meet(g, h)) is not None and p[1] >= 0.0}
+    return merge_forms([[AffineForm((1.0, -1.0), y - s), AffineForm((1.0, 1.0), y + s)]
+                        for y, s in sorted(points, key=lambda p: (p[1] > 0.0, p))] + [f.forms])
 
 
 def _piecewise_constant_values(f: PiecewiseFn):
@@ -325,41 +328,67 @@ def _duhamel_quadrature(f: PiecewiseFn, x: float, t: float) -> float:
     return 0.5 * integrate_triangle(f, x, t) if t > 0 else 0.0
 
 
-def _characteristic_slope(f: PiecewiseFn, sigma: float, x: float, t: float) -> float:
-    """Q_sigma, the x-derivative of P_sigma(x, t) = int_0^t f(x + sigma (t -
-    s), s) ds: the same integral of f_y (``partial_field(f, 0)``), plus, at
-    each line a y + b s = e of f that the path crosses at s_k, (f just
-    before s_k - f just after) * ds_k/dx, with ds_k/dx = -a / (b - sigma a).
-    0 for t <= 0."""
+def _sgn(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _characteristic_slope(g: PiecewiseFn, sigma: float, side, x: float, t: float) -> float:
+    """Q_sigma = dP_sigma/dx: the integral of g_y along the path, plus (g
+    just before - g just after) * ds_k/du at each line a y + b s = e of g
+    that it crosses at s_k(u) = (e - a u) / (b - sigma a), u = x + sigma t.
+    These are the crossings of the paths of the region's points near (x,
+    t), side(form) being its side of a line: a path end on line k lies on
+    the region's side of k or of the characteristic through the start, and
+    lines met at one point are crossed in the order of s_k on the region's
+    side of the characteristic through it.  0 for t <= 0."""
     if t <= 0.0:
         return 0.0
-    terms = [characteristic_integral(partial_field(f, 0), sigma, x, t)]
-    for s, k in path_crossings(f.forms, x, t, sigma):
-        (a, b), q = f.forms[k].coeffs, (x + sigma * (t - s), s)
-        rate = b - sigma * a  # dl/ds along the path: l has its sign after s_k
-        signs, values = list(f.sign_vector(q)), []
-        for side in (-rate, rate):
-            signs[k] = 1 if side > 0 else -1
-            values.append(f.evaluate(q, tuple(signs)))
-        terms.append((values[0] - values[1]) * (-a / rate))
+    u = x + sigma * t
+    rates = [b - sigma * a for a, b in (form.coeffs for form in g.forms)]
+
+    def tie() -> int:  # the sign of u' - u in the region
+        return side(AffineForm((1.0, sigma), u))
+
+    terms = [characteristic_integral(partial_field(g, 0), sigma, x, t)]
+    for k, (form, rate) in enumerate(zip(g.forms, rates)):
+        a = form.coeffs[0]  # a line with a = 0 is crossed at an s that x does not move
+        if a == 0.0 or (_sign(form, (u, 0.0)) or _sgn(a) * tie()) == (_sign(form, (x, t)) or side(form)):
+            continue
+        s = min(max((form.offset - a * u) / rate, 0.0), t)
+        q = (u - sigma * s, s)
+        signs = [_sign(other, q) or (m != k and -_sgn(rates[m]) * tie()
+                                     * _sgn(a / rate - other.coeffs[0] / rates[m]))
+                 for m, other in enumerate(g.forms)]
+        before, after = (eval_expr(g.branch(tuple(signs[:k] + [r] + signs[k + 1:])), dict(zip(g.vars, q)))
+                         for r in (-_sgn(rate), _sgn(rate)))
+        terms.append((before - after) * (-a / rate))
     return math.fsum(terms)
 
 
-def _duhamel_leaf(f: PiecewiseFn):
-    """0.5 * iint_{triangle(x,t)} f as a quadrature leaf with the Leibniz
-    partials w_x = (P+ - P-)/2 and w_t = (P+ + P-)/2.  P_sigma, the
-    integral of f along a characteristic edge (``characteristic_integral``),
-    is a leaf with the partials (Q_sigma, f(x, t) + sigma Q_sigma); Q_sigma
-    (``_characteristic_slope``) and f(x, t) are leaves without partials."""
-    def value(*p):
-        return f.evaluate(p)
+def _duhamel_leaf(f: PiecewiseFn, lines: list, pat) -> Expr:
+    """0.5 * iint_{triangle(x,t)} f on the region of the lines with sign
+    pattern pat: a quadrature leaf with the Leibniz partials w_x = (P+ -
+    P-)/2, w_t = (P+ + P-)/2.  P_sigma (``characteristic_integral``) is a
+    leaf with the partials (Q_sigma, f + sigma Q_sigma), f the region's
+    branch of f and Q_sigma (``_characteristic_slope``) a leaf without
+    partials.  On the region's boundary each is its limit from the region:
+    the lines of f parallel to a path are held on the region's side."""
+    def side(form: AffineForm) -> int:
+        return pat[find_form(lines, form)]
 
-    along = {sigma: (partial(characteristic_integral, f, sigma),
-                     partial(_characteristic_slope, f, sigma)) for sigma in (1.0, -1.0)}
+    f_rhs = f.branch(tuple(map(side, f.forms)))
+    along = {}
+    for sigma in (1.0, -1.0):
+        g = pw_hold(f, {k: side(form) for k, form in enumerate(f.forms)
+                        if abs(form.coeffs[1] - sigma * form.coeffs[0]) <= 1e-12})
+        along[sigma] = (partial(characteristic_integral, g, sigma),
+                        partial(_characteristic_slope, g, sigma, side))
 
     def along_partials(sigma, x, t):
+        if f_rhs is None:
+            raise BranchLookupError(f"no branch of the force on the region {pat}")
         q = opaque(along[sigma][1], (x, t))
-        return q, add(opaque(value, (x, t)), mul(Const(sigma), q))
+        return q, add(subst(f_rhs, dict(zip(f.vars, (x, t)))), mul(Const(sigma), q))
 
     def partials(x, t):
         plus, minus = (opaque(along[sigma][0], (x, t), partial(along_partials, sigma))
@@ -369,83 +398,60 @@ def _duhamel_leaf(f: PiecewiseFn):
     return opaque(partial(_duhamel_quadrature, f), (Var("x"), Var("t")), partials)
 
 
+def _fit_quadratic(f: PiecewiseFn, values, lines: list, pat) -> Optional[Expr]:
+    """The Duhamel term of a piecewise-constant f on the region of the lines
+    with sign pattern pat as a quadratic, fitted from exact clipped areas on
+    a small grid around the region's point nearest the origin
+    (``_fit_center``) and re-verified; None for a region too thin to fit."""
+    center, mu = _fit_center(list(zip(lines, pat)) + [(FORM_T, 1)])
+    # Stepping by h*sqrt(2) moves each form value by at most 2h, so the
+    # whole 3x3 grid stays strictly inside the region for h = mu / 4.
+    h = mu / 4.0
+    cells = {(i, j): (center[0] + i * h, center[1] + j * h) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    # sliver regions (h < 1e-3): differencing would lose precision
+    if h < 1e-3 or not all(p[1] > 0 and all(s * g.value(p) > 0 for g, s in zip(lines, pat))
+                           for p in cells.values()):
+        return None
+    grid = {ij: _duhamel_exact(f, values, *p) for ij, p in cells.items()}
+    # Finite differences are exact on quadratics.
+    coef = np.array([
+        grid[(0, 0)],
+        (grid[(1, 0)] - grid[(-1, 0)]) / (2 * h),
+        (grid[(0, 1)] - grid[(0, -1)]) / (2 * h),
+        (grid[(1, 0)] - 2 * grid[(0, 0)] + grid[(-1, 0)]) / (2 * h * h),
+        (grid[(1, 1)] - grid[(1, -1)] - grid[(-1, 1)] + grid[(-1, -1)])
+        / (4 * h * h),
+        (grid[(0, 1)] - 2 * grid[(0, 0)] + grid[(0, -1)]) / (2 * h * h),
+    ])
+    # re-verify at off-grid points before accepting the quadratic
+    scale = 1.0 + max(abs(v) for v in grid.values())
+    for u, v in ((0.37 * h, -0.61 * h), (-0.53 * h, 0.29 * h)):
+        pred = (coef[0] + coef[1] * u + coef[2] * v
+                + coef[3] * u * u + coef[4] * u * v + coef[5] * v * v)
+        if abs(pred - _duhamel_exact(f, values, center[0] + u, center[1] + v)) > 1e-7 * scale:
+            return None
+    dust = 1e-15 * (1.0 + max(abs(v) for v in grid.values())) / (h * h)
+    coef = np.where(np.abs(coef) < dust, 0.0, coef)
+    X, T = sub(Var("x"), Const(center[0])), sub(Var("t"), Const(center[1]))
+    c = [Const(float(v)) for v in coef]
+    return add(add(add(c[0], mul(c[1], X)), add(mul(c[2], T), mul(c[3], powi(X, 2)))),
+               add(mul(c[4], mul(X, T)), mul(c[5], powi(T, 2))))
+
+
 def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
-    """The field (x, t) -> 0.5 * iint_{triangle(x,t)} f, with domain t > 0.
-
-    For forces that are piecewise constant between characteristic lines the
-    term is an exact per-region quadratic: the folded region structure is
-    the arrangement of the apex lines x-t = c, x+t = c over all data
-    offsets c.  Each region's quadratic is fitted from exact clipped areas
-    on a small grid around the region's point nearest the origin
-    (``_fit_center``) and re-verified before being accepted."""
+    """The field (x, t) -> 0.5 * iint_{triangle(x,t)} f, with domain t > 0,
+    on the lines ``_duhamel_lines``.  Where the force is piecewise constant
+    between characteristic lines each region's branch is an exact quadratic
+    (``_fit_quadratic``); elsewhere, and on a region too thin to fit, it is
+    a quadrature leaf (``_duhamel_leaf``)."""
     dom = ((FORM_T, 1),)
-    chars = _characteristic_constants(f)
-    values = _piecewise_constant_values(f) if chars is not None else None
-
-    offsets = sorted({c for _, c in chars}) if chars else []
-    folded = merge_forms([[AffineForm((1.0, -1.0), c), AffineForm((1.0, 1.0), c)]
-                          for c in offsets])
-
-    quad = _duhamel_leaf(f)
-    if values is None:
-        table = (((None,) * len(folded), quad),)
-        return PiecewiseFn(VARS_XT, tuple(folded), table,
-                           ("specular",) * len(folded), domain=dom)
-
+    folded = _duhamel_lines(f)
+    chars = all(g.coeffs[0] == 1.0 and abs(abs(g.coeffs[1]) - 1.0) <= 1e-12 for g in f.forms)
+    values = _piecewise_constant_values(f) if chars else None
     branches = []
     for pat in regions(folded, dom, 2):
-        center, mu = _fit_center(list(zip(folded, pat)) + list(dom))
-        # Stepping by h*sqrt(2) moves each form value by at most 2h, so the
-        # whole 3x3 grid stays strictly inside the region for h = mu / 4.
-        h = mu / 4.0
-        grid = {}
-        ok = h >= 1e-3  # sliver regions: differencing would lose precision
-        for i in (-1, 0, 1) if ok else ():
-            for j in (-1, 0, 1):
-                p = (center[0] + i * h, center[1] + j * h)
-                if p[1] <= 0 or not all(
-                    s * g.value(p) > 0 for g, s in zip(folded, pat)
-                ):
-                    ok = False
-                    break
-                grid[(i, j)] = _duhamel_exact(f, values, *p)
-            if not ok:
-                break
-        if ok:
-            # Finite differences are exact on quadratics.
-            coef = np.array([
-                grid[(0, 0)],
-                (grid[(1, 0)] - grid[(-1, 0)]) / (2 * h),
-                (grid[(0, 1)] - grid[(0, -1)]) / (2 * h),
-                (grid[(1, 0)] - 2 * grid[(0, 0)] + grid[(-1, 0)]) / (2 * h * h),
-                (grid[(1, 1)] - grid[(1, -1)] - grid[(-1, 1)] + grid[(-1, -1)])
-                / (4 * h * h),
-                (grid[(0, 1)] - 2 * grid[(0, 0)] + grid[(0, -1)]) / (2 * h * h),
-            ])
-            # re-verify at off-grid points before accepting the quadratic
-            scale = 1.0 + max(abs(v) for v in grid.values())
-            for u, v in ((0.37 * h, -0.61 * h), (-0.53 * h, 0.29 * h)):
-                p = (center[0] + u, center[1] + v)
-                pred = (coef[0] + coef[1] * u + coef[2] * v
-                        + coef[3] * u * u + coef[4] * u * v + coef[5] * v * v)
-                if abs(pred - _duhamel_exact(f, values, *p)) > 1e-7 * scale:
-                    ok = False
-                    break
-        if not ok:
-            branches.append((pat, quad))
-            continue
-        dust = 1e-15 * (1.0 + max(abs(v) for v in grid.values())) / (h * h)
-        coef = np.where(np.abs(coef) < dust, 0.0, coef)
-        X = sub(Var("x"), Const(center[0]))
-        T = sub(Var("t"), Const(center[1]))
-        expr = add(
-            add(
-                add(Const(float(coef[0])), mul(Const(float(coef[1])), X)),
-                add(mul(Const(float(coef[2])), T), mul(Const(float(coef[3])), powi(X, 2))),
-            ),
-            add(mul(Const(float(coef[4])), mul(X, T)), mul(Const(float(coef[5])), powi(T, 2))),
-        )
-        branches.append((pat, expr))
+        quadratic = None if values is None else _fit_quadratic(f, values, folded, pat)
+        branches.append((pat, quadratic if quadratic is not None else _duhamel_leaf(f, folded, pat)))
     return PiecewiseFn(VARS_XT, tuple(folded), tuple(branches),
                        ("specular",) * len(folded), domain=dom)
 

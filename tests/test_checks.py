@@ -386,13 +386,13 @@ def test_s2_scalar_work_counters(name, scalar_calls, monkeypatch):
     spy("evaluate_batch", lambda cols, *args: [uncover(cols, c) for _, c in args[-1].values()])
     spy("evaluate", lambda p, out: scalar_points.append(tuple(p)))
     spy("one_sided_value", lambda p, *args: scalar_points.append(tuple(p)))
-    real_diff = specular.diff
+    real_diff = piecewise.diff
 
     def diff(e, var, *rest):
         diffs.append((e, var))
         return real_diff(e, var, *rest)
 
-    monkeypatch.setattr(specular, "diff", diff)
+    monkeypatch.setattr(piecewise, "diff", diff)
     s2_membership(u)
     assert len(scalar_points) == scalar_calls
     assert set(scalar_points) <= uncovered

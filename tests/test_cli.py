@@ -751,10 +751,10 @@ class TestDuhamelFallback:
         p = tmp_path / "duhamel.prob"
         p.write_text(self.TEXT)
         text, data, fields = solve_fields(p, tmp_path / "o.csv", monkeypatch)
-        assert text == f"wrote 9 rows to {tmp_path / 'o.csv'}\n"
+        assert text == f"wrote 27 rows to {tmp_path / 'o.csv'}\n"
         assert capsys.readouterr().err == ""
         rows = csv_rows(data)
-        assert len(rows) == 9
+        assert len(rows) == 27  # the grid, then the on-line rows of x = 0 and x -+ t = 0
         for x, t, u, ux, ut, residual in rows:
             assert (u, ux, ut) == pytest.approx(self.oracle(x, t), abs=1e-10)
             assert abs(residual) <= 1e-10

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speculus.expr as expr
-import speculus.specular as specular
+import speculus.piecewise as piecewise
 from speculus.cli import _check_points, load_problem, solve_problem
 from speculus.expr import (
     ONE,
@@ -352,11 +352,11 @@ def test_memoised_diff_matches_oracle(name, monkeypatch):
 
 
 def assert_memoised_diff_matches_oracle(u, monkeypatch):
-    monkeypatch.setattr(specular, "diff", diff_oracle)
+    monkeypatch.setattr(piecewise, "diff", diff_oracle)
     want = derivative_fields(u)
     for cache in (u.derived, u._slopes, u._memos):
         cache.clear()
-    monkeypatch.setattr(specular, "diff", expr.diff)
+    monkeypatch.setattr(piecewise, "diff", expr.diff)
     got = derivative_fields(u)
     assert got.keys() == want.keys()
     assert any(isinstance(fld, PiecewiseFn) for fld in got.values())
@@ -411,7 +411,7 @@ def test_diff_visits_each_node_once_per_field(monkeypatch):
         return real(e, var, memo)
 
     monkeypatch.setattr(expr, "diff", counted)
-    monkeypatch.setattr(specular, "diff", counted)
+    monkeypatch.setattr(piecewise, "diff", counted)
     s2_membership(u)
     wave_residual(u, prob.f, _check_points(u, prob))
     owner, stack = {}, [u]

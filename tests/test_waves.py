@@ -23,7 +23,14 @@ from speculus.piecewise import (
     pw_scale,
 )
 from speculus.quad import integrate_1d, integrate_triangle
-from speculus.specular import a_combine, partial_field, reflect_axis, semi_derivatives, specular_field
+from speculus.specular import (
+    a_combine,
+    partial_field,
+    reflect_axis,
+    semi_derivative_one_sided,
+    semi_derivatives,
+    specular_field,
+)
 from speculus.waves import (
     FORM_T,
     _duhamel_exact,
@@ -363,8 +370,8 @@ class TestDuhamel:
             assert d.evaluate((x, t)) == pytest.approx(want, abs=1e-9)
 
     def test_fallback_partials_match_closed_form(self):
-        """A force with a jump off the characteristics gives a quadrature
-        leaf whose Leibniz partials yield every first and second derivative
+        """A force with a jump off the characteristics gives quadrature
+        leaves whose Leibniz partials yield every first and second derivative
         of w.  The oracle is sympy's closed form of 0.5 * iint f over the
         dependence triangle, split where the line x = 3/10 crosses it
         (valid for x > 3/10 > x - t); the path of P- crosses that line, so
@@ -379,7 +386,9 @@ class TestDuhamel:
              + sympy.integrate(sympy.integrate(g + s, (y, lo, hi)), (s, cut, t))) / 2
         f = from_expression(parse("sgn(x - 0.3)*t + x^2*t", VARS_XT), VARS_XT, domain=((FORM_T, 1),))
         d = duhamel_term(f)
-        assert d.forms == () and isinstance(d.branches[0][1], Opaque)
+        assert d.forms == (AffineForm((1.0, -1.0), 0.3), AffineForm((1.0, 1.0), 0.3),
+                           AffineForm((1.0, 0.0), 0.3))
+        assert all(isinstance(rhs, Opaque) for _, rhs in d.branches)
         wx, wt = partial_field(d, 0), partial_field(d, 1)
         fields = {(): d, (x,): wx, (t,): wt, (x, x): specular_field(wx, 0),
                   (t, t): specular_field(wt, 1), (x, t): specular_field(wx, 1),
@@ -388,6 +397,41 @@ class TestDuhamel:
             for by, fld in fields.items():
                 want = float((w.diff(*by) if by else w).subs({x: p[0], t: p[1]}))
                 assert fld.evaluate(p) == pytest.approx(want, abs=1e-9), by
+
+    def test_fallback_on_a_characteristic_line(self):
+        """f = t*sgn(x - t) jumps along the characteristic x = t, where the
+        path of P- lies on f's line; each region's leaf holds f on its own
+        side there, so every one-sided derivative to second order on x = t
+        and x = -t is the adjacent region's, and u_x at (1, 1) is A of the
+        limits 0 and 1/2.  The oracle is sympy's closed form of 0.5 * iint
+        f: t^3/6 on x >= t, -t^3/6 on x <= -t, and between them the
+        integral over s of s times the length of the inner interval above
+        y = s minus the length below it, split at s = (x + t)/2."""
+        sympy = pytest.importorskip("sympy")
+        x, t, s = sympy.symbols("x t s", real=True)
+        m = (x + t) / 2
+        middle = (sympy.integrate(s * (2 * x - 2 * s), (s, 0, m))
+                  - sympy.integrate(2 * s * (t - s), (s, m, t))) / 2
+        closed = {"right": t ** 3 / 6, "middle": middle, "left": -t ** 3 / 6}
+
+        def region(p):
+            return "right" if p[0] > p[1] else "middle" if p[0] > -p[1] else "left"
+
+        d = duhamel_term(from_expression(parse("t*sgn(x - t)", VARS_XT), VARS_XT))
+        wx, wt = partial_field(d, 0), partial_field(d, 1)
+        at = {x: 1, t: 1}
+        limits = [float(closed[side].diff(x).subs(at)) for side in ("middle", "right")]
+        assert limits == [0.5, 0.0]
+        assert wx.evaluate((1.0, 1.0)) == pytest.approx(a_combine(*limits), abs=1e-12)
+        assert a_combine(*limits) == pytest.approx(math.tan(math.atan(0.5) / 2), abs=1e-15)
+        for p in ((1.0, 1.0), (2.0, 2.0), (-1.0, 1.0), (-0.5, 0.5)):
+            for axis in (0, 1):
+                for direction in (1, -1):
+                    w = closed[region([c + 0.25 * direction * (i == axis) for i, c in enumerate(p)])]
+                    for fld, e in ((d, w), (wx, w.diff(x)), (wt, w.diff(t))):
+                        want = float(e.diff((x, t)[axis]).subs({x: p[0], t: p[1]}))
+                        got = semi_derivative_one_sided(fld, p, axis, direction)
+                        assert got == pytest.approx(want, abs=1e-9), (p, axis, direction)
 
     def test_fit_center(self):
         # hand-solved: mu = 0.9 * min(max common margin, 1), center = least
