@@ -40,6 +40,7 @@ most of their subtrees, share their derivatives too, as equal trees.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -486,16 +487,19 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _each(fn: Callable[[float], float], v: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """fn applied to every entry as a Python float; an entry where fn raises
-    OverflowError or ValueError is set in bad."""
+def _each(fn: Callable[..., float], v, bad: np.ndarray, *extra) -> np.ndarray:
+    """fn(a, *extra) for every entry a of v (an array, or a scalar taken at
+    every point) as a Python float; fn is mapped directly, so a C callable
+    such as ``pow`` runs with no Python frame per entry.  An entry where fn
+    raises OverflowError or ValueError is set in bad."""
+    vals = np.broadcast_to(v, bad.shape).tolist()
     try:
-        return np.fromiter(map(fn, v.tolist()), float, count=len(v))
+        return np.fromiter(map(fn, vals, *map(itertools.repeat, extra)), float, count=len(vals))
     except (OverflowError, ValueError):
-        out = np.zeros(len(v))
-        for i, a in enumerate(v.tolist()):
+        out = np.zeros(len(vals))
+        for i, a in enumerate(vals):
             try:
-                out[i] = fn(a)
+                out[i] = fn(a, *extra)
             except (OverflowError, ValueError):
                 bad[i] = True
         return out
@@ -511,20 +515,25 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
     + - * /, abs, sgn and sqrt are single IEEE operations, the same in
     numpy as in Python.  exp, sin, cos and integer powers run entry by
     entry through ``math`` and Python ``**``, because numpy's own versions
-    differ from libm in the last bit on a few percent of inputs.  An Opaque
-    leaf is called point by point.  Where eval_expr would raise (a zero
-    divisor, a negative sqrt argument, an overflow, an exception in an
-    Opaque leaf) the point is set in bad instead, and its value is
-    meaningless; nothing raises.  numpy's error state is set once, around
-    the whole walk."""
+    differ from libm in the last bit on a few percent of inputs.  A Const
+    takes part as its Python float, which numpy broadcasts; values are
+    spread to one per point only at the root and for the arguments of an
+    Opaque leaf, which is called point by point.  Where eval_expr would
+    raise (a zero divisor, a negative sqrt argument, an overflow, an
+    exception in an Opaque leaf) the point is set in bad instead, and its
+    value is meaningless; nothing raises.  numpy's error state is set once,
+    around the whole walk."""
     with np.errstate(all="ignore"):
-        return _eval_array(e, cols, bad)
+        out = _eval_array(e, cols, bad)
+    return np.full(len(bad), out) if np.ndim(out) == 0 else out
 
 
-def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.ndarray:
+def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray):
+    """The values of e as an array, or as a scalar where e depends on no
+    column (a Const is its Python float, and numpy broadcasts it)."""
     n = len(bad)
     if isinstance(e, Const):
-        return np.full(n, e.value, dtype=float)
+        return e.value
     if isinstance(e, Var):
         if e.name not in cols:
             bad[:] = True
@@ -533,7 +542,7 @@ def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.
     if isinstance(e, Neg):
         return -_eval_array(e.operand, cols, bad)
     if isinstance(e, Pow):
-        return _each(lambda a: a ** e.exponent, _eval_array(e.base, cols, bad), bad)
+        return _each(pow, _eval_array(e.base, cols, bad), bad, e.exponent)
     if isinstance(e, BinOp):
         a = _eval_array(e.left, cols, bad)
         b = _eval_array(e.right, cols, bad)
@@ -551,14 +560,14 @@ def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.
         if e.func == "abs":
             return np.abs(v)
         if e.func == "sgn":
-            return (v > 0.0).astype(float) - (v < 0.0)
+            return np.greater(v, 0.0).astype(float) - np.less(v, 0.0)
         if e.func == "sqrt":
             negative = v < 0.0
             bad |= negative
             return np.sqrt(np.where(negative, 0.0, v))
         return _each(_MATH[e.func], v, bad)
     if isinstance(e, Opaque):
-        args = [_eval_array(a, cols, bad).tolist() for a in e.args]
+        args = [np.broadcast_to(_eval_array(a, cols, bad), n).tolist() for a in e.args]
         out = np.zeros(n)
         for i in np.flatnonzero(~bad).tolist():
             try:

@@ -502,13 +502,19 @@ def transport_operator_many(u: PiecewiseFn, cols, partials=None) -> tuple:
     """``transport_operator`` at many points, as (values, covered) with the
     contract of ``PiecewiseFn.evaluate_many``.  Off the lines both one-sided
     slopes along an axis are the partial field's value d there, so the
-    specular partial is A(d, d), run per point through ``math``.  partials:
-    the (values, covered) of ``partial_field(u, 0)`` and ``(u, 1)`` at
-    cols, if the caller has them."""
+    specular partial is A(d, d), run through ``math`` once per distinct bit
+    pattern of the (d_t, d_x) pair (-0.0 and 0.0 stay apart) and indexed
+    back into every point that holds it.  partials: the (values, covered)
+    of ``partial_field(u, 0)`` and ``(u, 1)`` at cols, if the caller has
+    them."""
     if partials is None:
         partials = [partial_field(u, axis).evaluate_many(cols) for axis in (0, 1)]
     (dx, cx), (dt, ct) = partials
-    values = np.array([a_combine(a, a) + a_combine(b, b) for a, b in zip(dt.tolist(), dx.tolist())])
+    pairs = np.column_stack([dt, dx])
+    _, first, inverse = np.unique(pairs.view(np.dtype((np.void, 16))).ravel(),
+                                  return_index=True, return_inverse=True)
+    distinct = [a_combine(a, a) + a_combine(b, b) for a, b in pairs[first].tolist()]
+    values = np.array(distinct, dtype=float)[inverse]
     off_lines = (u.sign_matrix(cols) != 0).all(axis=1)
     return values, cx & ct & np.isfinite(dx) & np.isfinite(dt) & off_lines
 

@@ -36,6 +36,7 @@ from speculus.cli import (
 )
 import speculus.piecewise as piecewise
 import speculus.specular as specular
+import speculus.waves as waves
 from speculus.expr import Expr, ExprError
 from speculus.piecewise import PiecewiseFn
 from speculus.specular import partial_field
@@ -614,6 +615,33 @@ def test_transport_solve_evaluates_each_field_once(monkeypatch):
     monkeypatch.setattr(PiecewiseFn, "evaluate_batch", counted)
     cli._solution_rows(sol, prob)
     assert len(calls) == len(set(calls)) == 3
+
+
+def test_transport_101_a_combines_each_distinct_pair_once(tmp_path, monkeypatch):
+    """On a seeded transport problem at 101 x 101, the residual column runs
+    ``a_combine`` twice (A(d_t, d_t) and A(d_x, d_x)) per distinct bit
+    pattern of the (d_t, d_x) pair, not per row."""
+    rng = np.random.default_rng(11)
+    kinks = " + ".join(f"{c}*abs(x - {a})" for c, a in zip(rng.choice([-1.5, 0.5, 2.0], 2),
+                                                           rng.choice([-1.0, 0.0, 1.5], 2, replace=False)))
+    path = tmp_path / "transport.prob"
+    path.write_text(f"[problem]\nkind = transport\nh = {kinks} + 0.25*x^2 - 0.5*x\n"
+                    "[grid]\nx_range = -3, 3\nt_range = 0, 2\nnx = 101\nnt = 101\n")
+    pairs, calls = set(), []
+    real_many, real_combine = cli.transport_operator_many, waves.a_combine
+
+    def spied(u, cols, partials):
+        (dx, _), (dt, _) = partials
+        pairs.update(zip(dt.view(np.int64).tolist(), dx.view(np.int64).tolist()))
+        return real_many(u, cols, partials)
+
+    monkeypatch.setattr(cli, "transport_operator_many", spied)
+    monkeypatch.setattr(waves, "a_combine", lambda a, b: calls.append((a, b)) or real_combine(a, b))
+    out = io.StringIO()
+    assert cmd_solve(str(path), str(tmp_path / "o.csv"), out=out) == EXIT_OK
+    rows = int(out.getvalue().split()[1])
+    assert rows > 101 * 101 > 5 * len(pairs)
+    assert len(calls) == 2 * len(pairs)
 
 
 def test_main_builds_the_argument_parser_once(monkeypatch):

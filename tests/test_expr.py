@@ -345,6 +345,37 @@ class TestEval:
         e = parse("(1/2)*x*abs(x)", X)
         assert eval_expr(e, {"x": -2.0}) == -2.0
 
+    @staticmethod
+    def assert_batch_is_scalar(e, xs):
+        """eval_array over xs has length len(xs), sets bad exactly where
+        eval_expr raises, and equals it bit for bit elsewhere."""
+        bad = np.zeros(len(xs), dtype=bool)
+        values = eval_array(e, {"x": np.array(xs)}, bad)
+        assert values.shape == (len(xs),)
+        for x, v, failed in zip(xs, values.tolist(), bad.tolist()):
+            try:
+                want = eval_expr(e, {"x": x})
+            except EvalDomainError:
+                assert failed, x
+                continue
+            assert not failed and np.float64(v).view(np.int64) == np.float64(want).view(np.int64), x
+
+    @pytest.mark.parametrize("e", [Const(2.5), Const(-0.0), parse("2^3 + exp(1) - sgn(-3)", X),
+                                   parse("1/0", X)])
+    def test_constant_tree_has_one_value_per_point(self, e):
+        self.assert_batch_is_scalar(e, [0.0, -1.0, 7.5])
+
+    def test_opaque_with_constant_argument(self):
+        leaf = opaque(math.hypot, (Var("x"), Const(-2.0)))
+        assert isinstance(leaf, Opaque)
+        self.assert_batch_is_scalar(leaf * parse("sgn(3)", X), [0.0, -1.5, 3.0, -0.0])
+
+    def test_power_overflow_sets_bad(self):
+        e = parse("x^2 - 2^3*x", X)
+        with pytest.raises(EvalDomainError, match="overflow"):
+            eval_expr(e, {"x": 1e200})
+        self.assert_batch_is_scalar(e, [1e200, 3.0, -1e200, 1e-200, -0.0])
+
 
 class TestFormatRoundTrip:
     CASES = [

@@ -630,3 +630,55 @@ class TestBatchEvaluation:
         assert values.tolist() == [6.0] and covered.all()
         values, covered = table_fn.evaluate_many([[], []])
         assert len(values) == len(covered) == 0
+
+
+def group_oracle(signs, bad):
+    """Rows grouped by sign pattern with a dict, bad rows left out."""
+    groups = {}
+    for i, row in enumerate(signs.tolist()):
+        if not bad[i]:
+            groups.setdefault(tuple(row), []).append(i)
+    return groups
+
+
+class TestPatternGroups:
+    """``pattern_groups`` equals a dict grouping of the sign rows: each
+    pattern once, its indices ascending, and the bad rows left out."""
+
+    @staticmethod
+    def check(u, cols, signs, bad):
+        groups = [(s, idx.tolist()) for s, idx in u.pattern_groups(cols)]
+        assert len({s for s, _ in groups}) == len(groups)
+        assert all(idx == sorted(idx) for _, idx in groups)
+        assert dict(groups) == group_oracle(signs, bad)
+
+    @pytest.mark.parametrize("m", range(7))
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 10000])
+    def test_random_sign_matrices(self, m, n, monkeypatch):
+        rng = np.random.default_rng(100 * m + n)
+        # few distinct rows, so that groups have many members
+        signs = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
+        if n > 2:
+            signs = signs[rng.integers(0, max(1, n // 50), n)]
+        bad = rng.random(n) < 0.2  # rows whose l(p) is not finite
+
+        def sign_matrix(self, cols, into=None):
+            if into is not None:
+                into |= bad
+            return signs.copy()
+
+        monkeypatch.setattr(PiecewiseFn, "sign_matrix", sign_matrix)
+        forms = tuple(AffineForm((1.0, float(k)), 0.0) for k in range(m))
+        u = from_branches(forms, [((None,) * m, Const(0.0))], XY)
+        self.check(u, [np.zeros(n), np.zeros(n)], signs, bad)
+
+    def test_non_finite_points_are_left_out(self, table_fn):
+        rng = np.random.default_rng(3)
+        # integer points, so many lie on the lines; some are not finite
+        cols = [rng.integers(-4, 5, 2000).astype(float) for _ in range(2)]
+        for c in cols:
+            c[rng.random(2000) < 0.1] = rng.choice([math.inf, -math.inf, math.nan])
+        bad = np.zeros(2000, dtype=bool)
+        signs = table_fn.sign_matrix(cols, bad)
+        assert 0 < bad.sum() < 2000 and (signs == 0).any()
+        self.check(table_fn, cols, signs, bad)

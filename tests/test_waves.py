@@ -107,6 +107,23 @@ class TestTransport:
         assert covered.all()
         assert values.tolist() == [transport_operator(u, p) for p in pts]
 
+    def test_batched_operator_keeps_every_bit_of_each_pair(self):
+        """The A-combination runs once per distinct (d_t, d_x) bit pattern:
+        -0.0 next to 0.0, repeated pairs, infinities and nan still give the
+        per-point sum bit for bit."""
+        u = solve_transport(from_expression(parse("abs(x)", VARS_X), VARS_X))
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5]
+        pairs = [(a, b) for a in special for b in special] * 3
+        pairs += [(-0.0, -0.0), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)] * 2
+        dt, dx = (np.array(c) for c in zip(*pairs))
+        ok = np.ones(len(pairs), dtype=bool)
+        cols = np.zeros((2, len(pairs)))
+        values, _ = transport_operator_many(u, cols, [(dx, ok), (dt, ok)])
+        want = np.array([a_combine(a, a) + a_combine(b, b) for a, b in pairs])
+        assert values.view(np.int64).tolist() == want.view(np.int64).tolist()
+        # the zero pairs tell -0.0 and 0.0 apart
+        assert {repr(v) for v in values[-4:].tolist()} == {"-0.0", "0.0"}
+
     def test_batch_differentiates_nothing_once_partials_exist(self, monkeypatch):
         u = solve_transport(from_expression(parse("abs(x) + x^3", VARS_X), VARS_X))
         partial_field(u, 0), partial_field(u, 1)
