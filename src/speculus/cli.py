@@ -24,8 +24,9 @@ the on-line offset ``delta``; ``[check]`` holds ``checks = ...`` drawn from
 
 Exit codes: 0 success, 1 check failure, 2 parse error (including a branch
 table that leaves a non-empty region uncovered), 3 math-domain error
-(including a point outside the function's domain and a non-finite or
-overflowing value), 4 solver precondition failure.
+(including a point outside the function's domain, a non-finite or
+overflowing value and a quadrature panel that fails to converge), 4 solver
+precondition failure.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ from .piecewise import (
     CoverageError,
     PiecewiseFn,
     a_combine,
+    evaluate_at,
     from_branches,
     from_expression,
     is_proper,
 )
+from .quad import QuadratureError
 from .specular import (
     SpecularError,
     partial_field,
@@ -188,7 +191,7 @@ def _build_branch_table(sec: Section) -> PiecewiseFn:
     policy = sec.values.get("policy", "specular")
     if policy not in ("specular", "direct", "branch"):
         raise ProblemFileError(f"[{sec.name}] unknown policy {policy!r}")
-    return from_branches(forms, table, vars, policies=(policy,) * len(forms))
+    return from_branches(forms, table, vars, policy=policy)
 
 
 def _resolve_data(sections: dict, value: str, default_vars: tuple) -> PiecewiseFn:
@@ -634,9 +637,8 @@ def _run_checks(prob: Problem, out) -> int:
                 lo = max(lo, 0.0)
             xs = _linspace(lo, g.x_range[1], 33)
             if psi is None:
-                worst = max(
-                    abs(u.evaluate((x, 0.0)) - phi.evaluate((x,))) for x in xs
-                )
+                pairs = zip(evaluate_at(u, [(x, 0.0) for x in xs]), evaluate_at(phi, [(x,) for x in xs]))
+                worst = max(abs(a - b) for a, b in pairs)
                 ok = worst <= 1e-10
                 print(f"initial.value = {fmt(worst)}", file=out)
             else:
@@ -708,7 +710,7 @@ def main(argv=None) -> int:
     except SolverPrecondition as exc:
         print(f"solver precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ExprError, BranchLookupError, SpecularError, TangentError) as exc:
+    except (ExprError, BranchLookupError, SpecularError, TangentError, QuadratureError) as exc:
         print(f"math-domain error: {exc}", file=sys.stderr)
         return EXIT_MATH_DOMAIN
 

@@ -388,12 +388,12 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
 def _fmt(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
         v = e.value
-        if v >= 0 and v == int(v) and abs(v) < 1e16:
-            return (str(int(v)), _PREC["atom"])
         if v < 0:
             s, _ = _fmt(Const(-v))
             return ("-" + s, _PREC["neg"])
-        return (repr(v), _PREC["atom"])
+        # the shortest round-trip digits, positional (the grammar reads no
+        # exponent) and without a trailing "."; -0.0 prints as 0
+        return (np.format_float_positional(abs(v), unique=True, trim="-"), _PREC["atom"])
     if isinstance(e, Var):
         return (e.name, _PREC["atom"])
     if isinstance(e, Call):
@@ -427,8 +427,9 @@ def _fmt(e: Expr) -> tuple[str, int]:
 
 
 def format_expr(e: Expr) -> str:
-    """The text of e; an Opaque leaf prints as its function's name applied
-    to its arguments, which ``parse`` does not accept."""
+    """The text of e, which ``parse`` reads back to a tree of equal values
+    when every constant is finite; an Opaque leaf prints as its function's
+    name applied to its arguments, which ``parse`` does not accept."""
     return _fmt(e)[0]
 
 

@@ -11,8 +11,8 @@ A function parsed from a formula keeps no table: its branch for a sign
 vector is the source with those signs pinned (``pin_signs``), made the
 first time ``match`` or ``branch`` asks for it and kept.
 
-On-line values (points where some form vanishes) are controlled by a per-
-form policy:
+On-line values (points where some form vanishes) follow one policy per
+function:
 
 * ``direct``   - evaluate the source expression with the sgn(0)=0 convention
 * ``specular`` - return the A-combination of the one-sided limits (or 0 in
@@ -125,8 +125,9 @@ def _sign(f: AffineForm, p: Sequence[float]) -> int:
     return 0 if abs(v) <= scale else (1 if v > 0 else -1)
 
 
-def tol_jump(left: float, right: float) -> float:
-    return 1e-9 * (1.0 + abs(left) + abs(right))
+def tol_jump(*values: float) -> float:
+    """The tolerance within which values count as agreeing."""
+    return 1e-9 * sum(map(abs, values), 1.0)
 
 
 def a_combine(alpha: float, beta: float) -> float:
@@ -161,7 +162,7 @@ class PiecewiseFn:
     vars: tuple
     forms: tuple                 # tuple[AffineForm, ...]
     branches: tuple              # tuple[(Pattern, Expr), ...]
-    policies: tuple              # per-form, in {'direct', 'specular', 'branch'}
+    policy: str                  # on-line values: 'direct', 'specular' or 'branch'
     source: Optional[Expr] = None
     domain: tuple = ()           # ((AffineForm, sign), ...): sign*l(p) > 0 required
     # derivative fields built from this function, keyed by (kind, axis); a
@@ -265,25 +266,24 @@ class PiecewiseFn:
     # -- evaluation ---------------------------------------------------------
 
     def _value_node(self, s: Pattern):
-        """How a point with sign vector s takes its value: the pair of limits
-        along the primary axis of its first ``specular`` zero, else the table
-        branch, which under a ``direct`` zero falls back to the pinned source
-        of ``branch``, or None."""
-        zeros = [k for k, t in enumerate(s) if t == 0]
-        spec = [k for k in zeros if self.policies[k] == "specular"]
-        if spec:
-            return tuple(self._limit_node(s, self.forms[spec[0]].primary_axis(), d) for d in (-1, 1))
-        direct = any(self.policies[k] == "direct" for k in zeros)
+        """How a point with sign vector s takes its value: under ``specular``
+        on a line, the pair of limits along the primary axis of its first
+        zero; else the table branch, which under ``direct`` on a line falls
+        back to the pinned source of ``branch``; or None."""
+        if 0 in s and self.policy == "specular":
+            axis = self.forms[s.index(0)].primary_axis()
+            return tuple(self._limit_node(s, axis, d) for d in (-1, 1))
         try:
-            return self.branch(s) if direct else self.match(s)
+            return self.branch(s) if 0 in s and self.policy == "direct" else self.match(s)
         except Exception as exc:  # pinning the source failed: raised when evaluated
             return exc
 
     def _limit_node(self, s: Pattern, axis: int, direction: int):
         """How the limit along the axis from the given side takes its value
-        at sign vector s: the adjacent pattern's branch; else, when the path
-        stays on a parallel ``specular`` form (entry still 0), the pair of
-        limits across it; else the error that the scalar path raises."""
+        at sign vector s: the adjacent pattern's branch; else, when u is
+        ``specular`` and the path stays on a parallel line (entry still 0),
+        the pair of limits across it; else the error that the scalar path
+        raises."""
         sv = self.adjacent_sign_vector(s, axis, direction)
         try:
             rhs = self.branch(sv)
@@ -291,9 +291,9 @@ class PiecewiseFn:
             return exc
         if rhs is not None:
             return rhs
-        for k, f in enumerate(self.forms):
-            if sv[k] == 0 and self.policies[k] == "specular":
-                return tuple(self._limit_node(sv, f.primary_axis(), d) for d in (-1, 1))
+        if 0 in sv and self.policy == "specular":
+            axis = self.forms[sv.index(0)].primary_axis()
+            return tuple(self._limit_node(sv, axis, d) for d in (-1, 1))
         return BranchLookupError(f"no adjacent branch for sign vector {sv}")
 
     def _node_value(self, node, p: Sequence[float]) -> float:
@@ -325,8 +325,8 @@ class PiecewiseFn:
         s = self.sign_vector(p)
         node = self._value_node(s)
         if node is None:
-            what = ("branch or source" if any(t == 0 and q == "direct" for t, q in zip(s, self.policies))
-                    else "on-line branch" if 0 in s else "branch")
+            what = ("branch" if 0 not in s else "branch or source" if self.policy == "direct"
+                    else "on-line branch")
             raise BranchLookupError(f"no {what} for sign vector {s} at {tuple(p)}")
         return self._node_value(node, p)
 
@@ -417,14 +417,14 @@ def from_expression(e: Expr, vars: Sequence[str], domain: Sequence = ()) -> Piec
     vars = tuple(vars)
     forms = tuple(affine_arguments(e, vars))
     branches = () if forms else (((), e),)
-    return PiecewiseFn(vars, forms, branches, ("direct",) * len(forms), source=e, domain=tuple(domain))
+    return PiecewiseFn(vars, forms, branches, "direct", source=e, domain=tuple(domain))
 
 
 def from_branches(
     forms: Sequence[AffineForm],
     table: Sequence,
     vars: Sequence[str],
-    policies: Optional[Sequence[str]] = None,
+    policy: str = "specular",
     domain: Sequence = (),
     source: Optional[Expr] = None,
 ) -> PiecewiseFn:
@@ -443,7 +443,7 @@ def from_branches(
         vars,
         forms,
         tuple(branches),
-        tuple(policies) if policies is not None else ("specular",) * len(forms),
+        policy,
         source=source,
         domain=tuple(domain),
     )
@@ -508,14 +508,12 @@ def _faces(forms: tuple, domain: tuple, d: int) -> dict:
 
 
 def regions(forms: Sequence[AffineForm], domain: Sequence, d: int,
-            fixed: Pattern = (), values: tuple = (1, -1)) -> list:
+            values: tuple = (1, -1)) -> list:
     """The sign patterns of the non-empty regions, in ``itertools.product``
-    order.  Nonzero entries of ``fixed`` are held; the other entries range
-    over ``values`` (pass (1, 0, -1) to list the on-line faces too)."""
-    fixed = tuple(fixed) or (0,) * len(forms)
+    order; the entries range over ``values`` (pass (1, 0, -1) to list the
+    on-line faces too)."""
     rank = {s: i for i, s in enumerate(values)}
-    found = [pat for pat in _faces(tuple(forms), tuple(domain), d)
-             if all(s == q if q else s in rank for s, q in zip(pat, fixed))]
+    found = [pat for pat in _faces(tuple(forms), tuple(domain), d) if all(s in rank for s in pat)]
     return sorted(found, key=lambda pat: [rank.get(s, 0) for s in pat])
 
 
@@ -674,8 +672,7 @@ def pw_add(u: PiecewiseFn, v: PiecewiseFn, cv: float = 1.0) -> PiecewiseFn:
         (pat, add(_branch_for(u, forms, pat), mul(Const(cv), _branch_for(v, forms, pat))))
         for pat in regions(forms, domain, u.d)
     ]
-    return PiecewiseFn(u.vars, tuple(forms), tuple(branches),
-                       ("specular",) * len(forms), domain=domain)
+    return PiecewiseFn(u.vars, tuple(forms), tuple(branches), "specular", domain=domain)
 
 
 def pw_scale(c: float, u: PiecewiseFn) -> PiecewiseFn:
@@ -724,8 +721,7 @@ def pw_compose_affine(
         if rhs is None:
             raise BranchLookupError(f"1D branch missing for sign vector {s1d}")
         branches.append((pat, subst(rhs, {h.vars[0]: arg_expr})))
-    return PiecewiseFn(vars2, comp_forms, tuple(branches),
-                       ("specular",) * len(comp_forms), domain=tuple(domain))
+    return PiecewiseFn(vars2, comp_forms, tuple(branches), "specular", domain=tuple(domain))
 
 
 def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn) -> PiecewiseFn:
@@ -739,8 +735,7 @@ def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn) -> Piecewise
         (pat, _branch_for(pos if pat[sel] > 0 else neg, forms, pat))
         for pat in regions(forms, domain, pos.d)
     ]
-    return PiecewiseFn(pos.vars, tuple(forms), tuple(branches),
-                       ("specular",) * len(forms), domain=domain)
+    return PiecewiseFn(pos.vars, tuple(forms), tuple(branches), "specular", domain=domain)
 
 
 def pw_hold(u: PiecewiseFn, held: dict) -> PiecewiseFn:
@@ -753,5 +748,5 @@ def pw_hold(u: PiecewiseFn, held: dict) -> PiecewiseFn:
                      if all(pat[k] in (None, r) for k, r in held.items()))
     source = None if u.source is None else pin_signs(
         u.source, u.vars, [(u.forms[k], r) for k, r in held.items()], partial=True)
-    return PiecewiseFn(u.vars, tuple(u.forms[k] for k in keep), branches,
-                       tuple(u.policies[k] for k in keep), source=source, domain=u.domain)
+    return PiecewiseFn(u.vars, tuple(u.forms[k] for k in keep), branches, u.policy,
+                       source=source, domain=u.domain)

@@ -2,11 +2,13 @@
 
 1D integrals split the interval at singular points and integrate each
 smooth closed piece with adaptive 15-point Gauss-Legendre panels (dyadic
-refinement, absolute+relative tolerance 1e-10, depth cap 30).  The
-dependence-triangle integral, the integral along one of its characteristic
-edges and the Green's-identity verifier split at the closed-form crossings
-of the singular lines.  A curved boundary of the Green verifier is
-integrated along its graphs, with no derivative of them.
+refinement to the one tolerance ``QUAD_TOL``, absolute+relative, within
+``MAX_DEPTH`` halvings; no call overrides them).  The dependence-triangle
+integral, the integral along one of its characteristic edges and the
+Green's-identity verifier split at the closed-form crossings of the
+singular lines (``_edge_breaks``, on the real line too).  A curved boundary
+of the Green verifier is integrated along its graphs, with no derivative
+of them.
 
 ``adaptive_panel`` refines breadth first: each round evaluates the two
 halves of every live panel with one call of a batch integrand, which for
@@ -115,12 +117,12 @@ def _row_sums(values, half, failure):
     return sums, None
 
 
-def _integrate(g, nodes, tol: float) -> float:
+def _integrate(g, nodes) -> float:
     """The fsum of the engine's integrals of g over the pieces between nodes."""
-    return _lazy_fsum(*adaptive_panel(g, list(zip(nodes, nodes[1:])), tol))
+    return _lazy_fsum(*adaptive_panel(g, list(zip(nodes, nodes[1:]))))
 
 
-def _iterated(h, outer_nodes, inner_nodes, tol: float) -> float:
+def _iterated(h, outer_nodes, inner_nodes) -> float:
     """Iterated integral of h(y, s): outer over the pieces between
     outer_nodes, inner over the pieces between inner_nodes(s).  h(Y, S)
     takes (n, 15) arrays of inner and outer coordinates and returns
@@ -137,7 +139,7 @@ def _iterated(h, outer_nodes, inner_nodes, tol: float) -> float:
         first.append(len(pieces))
         at = np.repeat(s_nodes, np.diff(first))
         values, exc = adaptive_panel(
-            lambda Y, own: h(Y, np.broadcast_to(at[own][:, None], Y.shape)), pieces, tol)
+            lambda Y, own: h(Y, np.broadcast_to(at[own][:, None], Y.shape)), pieces)
         out = np.zeros(len(s_nodes))
         for i, (p, q) in enumerate(zip(first, first[1:])):
             try:
@@ -146,10 +148,10 @@ def _iterated(h, outer_nodes, inner_nodes, tol: float) -> float:
                 return out.reshape(S.shape), (i, raised)
         return out.reshape(S.shape), None
 
-    return _integrate(outer, outer_nodes, tol)
+    return _integrate(outer, outer_nodes)
 
 
-def adaptive_panel(g, panels, tol: float = QUAD_TOL, max_depth: int = MAX_DEPTH):
+def adaptive_panel(g, panels):
     """Adaptive GL15 over each (lo, hi) in panels; assumes the integrand is
     smooth in each open interval.
 
@@ -159,9 +161,9 @@ def adaptive_panel(g, panels, tol: float = QUAD_TOL, max_depth: int = MAX_DEPTH)
     ``_point_values`` does.  Each round takes the live panels in
     depth-first order (at most ROUND_PANELS of them), sums each row as
     ``half * fsum(w * v)``, and tests every panel as depth-first recursion
-    does: a panel whose halves agree with its whole to tol keeps their
-    sum, one at max_depth fails, any other splits in two.  Values are then
-    rebuilt bottom up as left + right.
+    does: a panel whose halves agree with its whole to QUAD_TOL keeps
+    their sum, one at MAX_DEPTH fails, any other splits in two.  Values
+    are then rebuilt bottom up as left + right.
 
     Returns (values, failure): failure is None, or the exception that
     depth-first refinement of the panels in order raises first, and values
@@ -179,6 +181,7 @@ def adaptive_panel(g, panels, tol: float = QUAD_TOL, max_depth: int = MAX_DEPTH)
         kid.append(-1)
         return len(lo) - 1
 
+    tol, max_depth = QUAD_TOL, MAX_DEPTH  # read once, not per panel
     roots = [node(a, b, None, 0, j) if a != b else None for j, (a, b) in enumerate(panels)]
     live = [n for n in roots if n is not None]
     failure = None
@@ -233,17 +236,7 @@ def adaptive_panel(g, panels, tol: float = QUAD_TOL, max_depth: int = MAX_DEPTH)
     return values, None if failure is None else failure[1]
 
 
-def singular_points_1d(f: PiecewiseFn, a: float, b: float) -> list:
-    lo, hi = min(a, b), max(a, b)
-    pts = []
-    for form in f.forms:
-        r = form.offset / form.coeffs[0]
-        if lo < r < hi and not any(abs(r - q) < 1e-12 for q in pts):
-            pts.append(r)
-    return sorted(pts)
-
-
-def integrate_1d(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
+def integrate_1d(f, a: float, b: float) -> float:
     """Integral of f over [a, b]; f is a 1D PiecewiseFn, split at its
     singular points, or a plain callable, integrated over [a, b] whole."""
     sign = 1.0
@@ -252,12 +245,12 @@ def integrate_1d(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
     if isinstance(f, PiecewiseFn):
         if f.d != 1:
             raise QuadratureError("integrate_1d expects a 1D function")
-        nodes = [a] + singular_points_1d(f, a, b) + [b]
+        nodes = _edge_breaks(f.forms, (None,), a, b)
         g = lambda X, _: _point_values([f], [X])
     else:
         nodes = [a, b]
         g = lambda X, _: _callable_values(f, X)
-    return sign * _integrate(g, nodes, tol)
+    return sign * _integrate(g, nodes)
 
 
 def antiderivative_check(f: PiecewiseFn, F: PiecewiseFn, a: float, b: float) -> float:
@@ -319,29 +312,28 @@ def triangle_nodes(f: PiecewiseFn, x0: float, t0: float) -> tuple:
                              for s, _ in path_crossings(f.forms, x0, t0, sigma))
 
     def inner_nodes(s: float) -> list:
-        return _edge_breaks(f.forms, 1, s, *tri.inner_interval(s))
+        return _edge_breaks(f.forms, (None, s), *tri.inner_interval(s))
 
     return sorted(events), inner_nodes
 
 
-def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float,
-                            tol: float = QUAD_TOL) -> float:
+def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float) -> float:
     """int_0^t0 f(x0 + sigma * (t0 - s), s) ds for 2D f, along the
     characteristic edge of the dependence triangle of (x0, t0), split at
     its ``path_crossings``; 0 for t0 <= 0."""
     if t0 <= 0.0:
         return 0.0
     nodes = [0.0] + sorted({s for s, _ in path_crossings(f.forms, x0, t0, sigma)}) + [t0]
-    return _integrate(lambda S, _: _point_values([f], [x0 + sigma * (t0 - S), S]), nodes, tol)
+    return _integrate(lambda S, _: _point_values([f], [x0 + sigma * (t0 - S), S]), nodes)
 
 
-def integrate_triangle(f: PiecewiseFn, x0: float, t0: float, tol: float = QUAD_TOL) -> float:
+def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
     """Iterated integral of f over the dependence triangle of (x0, t0):
     outer s in [0, t0], inner y in [x0-t0+s, x0+t0-s], split at
     ``triangle_nodes``."""
     if f.d != 2:
         raise QuadratureError("integrate_triangle expects a 2D function")
-    return _iterated(lambda Y, S: _point_values([f], [Y, S]), *triangle_nodes(f, x0, t0), tol)
+    return _iterated(lambda Y, S: _point_values([f], [Y, S]), *triangle_nodes(f, x0, t0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +359,9 @@ class TypeIIIRegion:
         return cls(a, b, lambda x: c, lambda x: d, c, d,
                    lambda y: a, lambda y: b, rectangle=(a, b, c, d))
 
-    def spot_check(self, n: int = 7, tol: float = 1e-9) -> bool:
-        """The two views describe the same set on a sample grid."""
+    def spot_check(self) -> bool:
+        """The two views describe the same set, to 1e-9, on a 7 x 7 sample grid."""
+        n, tol = 7, 1e-9
         for i in range(1, n + 1):
             x = self.a + (self.b - self.a) * i / (n + 1)
             for j in range(1, n + 1):
@@ -380,31 +373,33 @@ class TypeIIIRegion:
         return True
 
 
-def _edge_breaks(forms, fixed_axis: int, fixed_val: float,
-                 lo: float, hi: float) -> list:
-    """lo, the crossings of the 2D forms' zero lines strictly inside the
-    segment lo..hi where the fixed axis is fixed_val (sorted, 1e-12 apart), hi."""
-    free_axis = 1 - fixed_axis
-    cuts = []
+def _edge_breaks(forms, at: tuple, lo: float, hi: float) -> list:
+    """lo, the crossings of the forms' zero lines strictly inside the
+    segment lo..hi of the line through the coordinates at, whose one None
+    is the free coordinate (sorted, 1e-12 apart), hi."""
+    free, cuts = at.index(None), []
+    fixed = [(k, v) for k, v in enumerate(at) if v is not None]
     for form in forms:
-        cf = form.coeffs[free_axis]
+        cf = form.coeffs[free]
         if cf != 0.0:
-            r = (form.offset - form.coeffs[fixed_axis] * fixed_val) / cf
+            r = form.offset
+            for k, v in fixed:
+                r -= form.coeffs[k] * v
+            r /= cf
             if lo < r < hi and not any(abs(r - q) < 1e-12 for q in cuts):
                 cuts.append(r)
     return [lo] + sorted(cuts) + [hi]
 
 
-def _edge_integral(f: PiecewiseFn, fixed_axis: int, fixed_val: float,
-                   lo: float, hi: float, tol: float) -> float:
+def _edge_integral(f: PiecewiseFn, at: tuple, lo: float, hi: float) -> float:
+    """The integral of f from lo to hi along the free coordinate of at."""
     def g(X, _):
-        return _point_values([f], [X, fixed_val] if fixed_axis == 1 else [fixed_val, X])
+        return _point_values([f], [X if v is None else v for v in at])
 
-    return _integrate(g, _edge_breaks(f.forms, fixed_axis, fixed_val, lo, hi), tol)
+    return _integrate(g, _edge_breaks(f.forms, at, lo, hi))
 
 
-def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
-                tol: float = QUAD_TOL):
+def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion):
     """Verify the specular Green identity
 
         iint_R (dS_x P - dS_y Q) dx dy  =  oint_{dR} P dy + Q dx
@@ -437,28 +432,27 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion,
                     xcuts.add(x)
 
     def column_nodes(x: float) -> list:
-        return _edge_breaks(forms, 0, x, R.omega1(x), R.omega2(x))
+        return _edge_breaks(forms, (x, None), R.omega1(x), R.omega2(x))
 
-    lhs = _iterated(lambda Y, X: _point_values([FP, FQ], [X, Y]), sorted(xcuts),
-                    column_nodes, tol)
+    lhs = _iterated(lambda Y, X: _point_values([FP, FQ], [X, Y]), sorted(xcuts), column_nodes)
 
     # rhs: counterclockwise boundary integral of P dy + Q dx
     if R.rectangle is not None:
         a, b, c, d = R.rectangle
         rhs = math.fsum([
-            _edge_integral(Q, 1, c, a, b, tol),        # bottom, left to right
-            _edge_integral(P, 0, b, c, d, tol),        # right, upward
-            -_edge_integral(Q, 1, d, a, b, tol),       # top, right to left
-            -_edge_integral(P, 0, a, c, d, tol),       # left, downward
+            _edge_integral(Q, (None, c), a, b),        # bottom, left to right
+            _edge_integral(P, (b, None), c, d),        # right, upward
+            -_edge_integral(Q, (None, d), a, b),       # top, right to left
+            -_edge_integral(P, (a, None), c, d),       # left, downward
         ])
     else:
         # general type III boundary: Q dx along the type I graphs (the
         # sides x = a, b add nothing to it) and P dy along the type II
         # graphs (nor do y = c, d)
         rhs = (
-            integrate_1d(lambda x: Q.evaluate((x, R.omega1(x))), R.a, R.b, 1e-8)
-            - integrate_1d(lambda x: Q.evaluate((x, R.omega2(x))), R.a, R.b, 1e-8)
-            + integrate_1d(lambda y: P.evaluate((R.omega4(y), y)), R.c, R.d, 1e-8)
-            - integrate_1d(lambda y: P.evaluate((R.omega3(y), y)), R.c, R.d, 1e-8)
+            integrate_1d(lambda x: Q.evaluate((x, R.omega1(x))), R.a, R.b)
+            - integrate_1d(lambda x: Q.evaluate((x, R.omega2(x))), R.a, R.b)
+            + integrate_1d(lambda y: P.evaluate((R.omega4(y), y)), R.c, R.d)
+            - integrate_1d(lambda y: P.evaluate((R.omega3(y), y)), R.c, R.d)
         )
     return lhs, rhs, abs(lhs - rhs), class_ok

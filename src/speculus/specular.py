@@ -13,7 +13,7 @@ the bisector direction between the two tangent rays.
 
 Every one-sided slope is ``PiecewiseFn.limit_slope``: the ``diff`` of what
 u takes on that side, the adjacent branch or the ``proper_leaf`` of the
-limits across a parallel ``specular`` line.
+limits across a parallel line of a ``specular`` function.
 """
 
 from __future__ import annotations
@@ -105,13 +105,12 @@ def specular_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     key = ("specular", axis)
     if key in u.derived:
         return u.derived[key]
-    m = len(u.forms)
     branches = []
     for pat in regions(u.forms, u.domain, u.d, values=(1, 0, -1)):
         slope = u.limit_slope(pat, axis, +1)
         branches.append((pat, slope if 0 not in pat else proper_leaf(slope, u.limit_slope(pat, axis, -1))))
     return u.derived.setdefault(
-        key, PiecewiseFn(u.vars, u.forms, tuple(branches), ("branch",) * m, domain=u.domain))
+        key, PiecewiseFn(u.vars, u.forms, tuple(branches), "branch", domain=u.domain))
 
 
 def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
@@ -122,10 +121,9 @@ def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     key = ("partial", axis)
     if key in u.derived:
         return u.derived[key]
-    m = len(u.forms)
     branches = tuple((pat, u.limit_slope(pat, axis, +1)) for pat in regions(u.forms, u.domain, u.d))
     return u.derived.setdefault(
-        key, PiecewiseFn(u.vars, u.forms, branches, ("specular",) * m, domain=u.domain))
+        key, PiecewiseFn(u.vars, u.forms, branches, "specular", domain=u.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ def reflect_axis(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     )
     domain = tuple((g, s * t) for f, s in u.domain for g, t in [flip(f)])
     src = subst(u.source, mapping) if u.source is not None else None
-    return PiecewiseFn(u.vars, tuple(g for g, _ in flipped), branches, u.policies,
+    return PiecewiseFn(u.vars, tuple(g for g, _ in flipped), branches, u.policy,
                        source=src, domain=domain)
 
 

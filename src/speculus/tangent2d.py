@@ -40,10 +40,6 @@ class NoStrongTangent(TangentError):
         self.would_be_normal = would_be_normal
 
 
-def tol_crit(a1: float, b1: float, a2: float, b2: float) -> float:
-    return 1e-9 * (1.0 + abs(a1) + abs(b1) + abs(a2) + abs(b2))
-
-
 @dataclass
 class TangentData:
     anchor: tuple                 # (a1, a2, u[a])
@@ -87,7 +83,7 @@ def _criterion(pair1, pair2) -> tuple:
     res = (a1 - b1) * (math.sqrt(1.0 + a2 * a2) + math.sqrt(1.0 + b2 * b2)) - (
         a2 - b2
     ) * (math.sqrt(1.0 + a1 * a1) + math.sqrt(1.0 + b1 * b1))
-    return res, tol_crit(a1, b1, a2, b2)
+    return res, tol_jump(a1, b1, a2, b2)
 
 
 def sphere_points(u: PiecewiseFn, a):
@@ -153,7 +149,7 @@ def _weak_planes(pair1, pair2, points):
         if pl is None:
             degenerate.append(omit)
             continue
-        if not any(all(abs(x - y) <= 1e-9 * (1 + abs(x)) for x, y in zip(pl, q)) for q in planes):
+        if not any(all(abs(x - y) <= tol_jump(x) for x, y in zip(pl, q)) for q in planes):
             planes.append(pl)
     if abs(res) <= tol and len(planes) > 1:
         planes = planes[:1]

@@ -140,7 +140,7 @@ def antiderivative_pw(psi: PiecewiseFn) -> PiecewiseFn:
                 rhs = psi.match(pat)
                 grads = None if rhs is None else lambda y, rhs=rhs: (subst(rhs, {var: y}),)
                 table.append((pat, opaque(quad, (Var(var),), grads)))
-            return PiecewiseFn(psi.vars, psi.forms, tuple(table), ("specular",) * n)
+            return PiecewiseFn(psi.vars, psi.forms, tuple(table), "specular")
         branch_exprs.append(anti)
 
     # continuity constants, anchored so the antiderivative vanishes at 0
@@ -160,7 +160,7 @@ def antiderivative_pw(psi: PiecewiseFn) -> PiecewiseFn:
         (region_pattern(k), add(branch_exprs[k], Const(consts[k])))
         for k in range(n + 1)
     )
-    return PiecewiseFn(psi.vars, psi.forms, table, ("specular",) * len(psi.forms))
+    return PiecewiseFn(psi.vars, psi.forms, table, "specular")
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +452,7 @@ def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
     for pat in regions(folded, dom, 2):
         quadratic = None if values is None else _fit_quadratic(f, values, folded, pat)
         branches.append((pat, quadratic if quadratic is not None else _duhamel_leaf(f, folded, pat)))
-    return PiecewiseFn(VARS_XT, tuple(folded), tuple(branches),
-                       ("specular",) * len(folded), domain=dom)
+    return PiecewiseFn(VARS_XT, tuple(folded), tuple(branches), "specular", domain=dom)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,6 @@ def printed_counterexample_u():
             ((-1, -1), omega3),
         ],
         VARS_XT,
-        policies=("branch", "branch"),
+        policy="branch",
         domain=((FORM_T, 1),),
     )

@@ -296,13 +296,12 @@ def _raising_fields():
         # an Opaque leaf fails on part of the line
         from_branches((LINE_X,), [((1,), root), ((-1,), y)], XY),
         # the stored on-line branch fails where the limits do not
-        from_branches((LINE_X,), [((1,), y), ((0,), sqrt_y), ((-1,), y)], XY,
-                      policies=("branch",)),
+        from_branches((LINE_X,), [((1,), y), ((0,), sqrt_y), ((-1,), y)], XY, policy="branch"),
         # a slanted line, and a vertical one whose limits along y recurse
         from_branches((LINE_X, LINE_XY),
                       [((1, 1), sqrt_y), ((1, -1), y), ((-1, None), Const(1.0))], XY),
         # the table misses a side: no adjacent branch
-        PiecewiseFn(XY, (LINE_X,), (((1,), y),), ("specular",)),
+        PiecewiseFn(XY, (LINE_X,), (((1,), y),), "specular"),
     ] + _two_line_fields()
 
 
@@ -317,16 +316,18 @@ def _two_line_fields():
         # both lines fail in their limits: line 0 raises first
         from_branches((LINE_X, LINE_Y),
                       [((1, None), sqrt_y), ((-1, 1), log_x), ((-1, -1), Const(0.0))], XY),
-        # line 0 fails only in its stored values, line 1 in its limits: the
+        # line 0 fails only in its stored values, line 1 in its limits (and
+        # in its stored values left of x = 0, which have no branch): the
         # continuity pass over line 1 raises before any value is checked
         from_branches((LINE_X, LINE_Y),
                       [((1, None), y), ((-1, 1), log_x), ((-1, -1), Const(0.0)), ((0, None), sqrt_y)],
-                      XY, policies=("branch", "specular")),
-        # line 0 fails in its limits along y (a parallel 0), line 1 in its
-        # stored values: the properness pass over line 0 raises first
+                      XY, policy="branch"),
+        # line 0 fails in its stored values below y = -1 (and in its limits
+        # along y above y = 1/2, which have no branch), line 1 in its stored
+        # values: the properness pass over line 0 raises first
         from_branches((LINE_X, LINE_Y),
                       [((None, 0), log_x), ((0, -1), sqrt_y), ((1, None), y), ((-1, None), Const(0.0))],
-                      XY, policies=("specular", "branch")),
+                      XY, policy="branch"),
     ]
 
 
@@ -447,6 +448,38 @@ def test_boundary_check_makes_no_scalar_evaluate(monkeypatch):
     cmd_check(str(PROBLEMS / "halfline.prob"), out=out)
     assert "boundary.pass = true\n" in out.getvalue()
     assert calls == []
+
+
+def test_initial_check_makes_no_scalar_evaluate(monkeypatch, tmp_path):
+    """The initial check of transport_abs takes the values of u and h at
+    its 33 points from one batch each: no top-level scalar evaluate call
+    after the solve (it made 66, 33 of u and 33 of h)."""
+    calls, depth, solved = [], [0], [False]
+    real_evaluate, real_solve = PiecewiseFn.evaluate, cli.solve_problem
+
+    def evaluate(self, p):
+        if solved[0] and depth[0] == 0:
+            calls.append(tuple(p))
+        depth[0] += 1
+        try:
+            return real_evaluate(self, p)
+        finally:
+            depth[0] -= 1
+
+    def solve(prob):
+        u = real_solve(prob)
+        solved[0] = True
+        return u
+
+    monkeypatch.setattr(PiecewiseFn, "evaluate", evaluate)
+    monkeypatch.setattr(cli, "solve_problem", solve)
+    text = (PROBLEMS / "transport_abs.prob").read_text(encoding="utf-8")
+    path = tmp_path / "initial.prob"
+    path.write_text(text.replace("checks = residual, initial", "checks = initial"), encoding="utf-8")
+    out = io.StringIO()
+    cmd_check(str(path), out=out)
+    assert out.getvalue() == "initial.value = 0.0\ninitial.pass = true\nall.pass = true\n"
+    assert solved[0] and calls == []
 
 
 def _count_batch_work(monkeypatch) -> dict:

@@ -395,6 +395,24 @@ class TestSolveCSV:
         assert capsys.readouterr().err == f"math-domain error: {message}\n"
         assert not csv.exists()
 
+    def test_quadrature_failure_exit_3(self, tmp_path, capsys):
+        # sin(1/x) has no symbolic antiderivative, and its quadrature from 0
+        # does not converge near 0
+        p = tmp_path / "osc.prob"
+        p.write_text("[problem]\nkind = wave\nphi = 0\npsi = sin(1/x)\n"
+                     "[grid]\nx_range = 0.5, 1\nt_range = 0, 1\nnx = 2\nnt = 2\n")
+        code, _ = run(["solve", str(p), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_MATH_DOMAIN
+        assert err.startswith("math-domain error: quadrature panel") and err.count("\n") == 1
+
+    def test_discontinuous_displacement_exit_4(self, tmp_path, capsys):
+        p = tmp_path / "jump.prob"
+        p.write_text("[problem]\nkind = wave\nphi = sgn(x)\npsi = 0\n")
+        assert run(["check", str(p)])[0] == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "solver precondition failed: initial displacement is discontinuous\n")
+
     def test_precondition_exit_4(self, tmp_path):
         p = tmp_path / "bad.prob"
         # phi(0) != 0 violates half-line compatibility

@@ -396,6 +396,35 @@ class TestFormatRoundTrip:
                     e2, {"x": x, "y": y}
                 )
 
+    @pytest.mark.parametrize("value, text", [(1e-05, "0.00001"), (1e16, "10000000000000000"),
+                                             (2.5e-07, "0.00000025"), (-0.0, "0"), (3.0, "3")])
+    def test_constant_digits(self, value, text):
+        assert format_expr(Const(value)) == text
+
+    @given(st.recursive(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(Const),
+                  st.sampled_from((Const(1e-300), Const(1e300), Var("x"), Var("y")))),
+        lambda kids: st.one_of(
+            st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+            st.builds(Neg, kids),
+            st.builds(Call, st.sampled_from(("abs", "sgn", "exp", "sqrt", "sin", "cos")), kids),
+            st.builds(Pow, kids, st.integers(0, 3))),
+        max_leaves=8))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_fuzz(self, e):
+        """Every tree with finite constants prints as text that parses
+        back to a tree of equal values (== : -0.0 prints as 0)."""
+        def value(tree, p):  # the value, or the type of the error raised
+            try:
+                return eval_expr(tree, dict(zip(XY, p)))
+            except ExprError as exc:
+                return type(exc)
+
+        e2 = parse(format_expr(e), XY)
+        for p in ((-2.0, 0.5), (0.3, -1.7), (1e-3, 4.0)):
+            got = [value(tree, p) for tree in (e, e2)]
+            assert got[0] == got[1] or all(v != v for v in got), got  # nan: inf - inf
+
 
 class TestDiff:
     def test_q_prime_is_abs(self):

@@ -52,7 +52,7 @@ def heaviside(value_at_zero: float):
         (AffineForm((1.0,), 0.0),),
         [((1,), Const(1.0)), ((0,), Const(value_at_zero)), ((-1,), Const(0.0))],
         X,
-        policies=("branch",),
+        policy="branch",
     )
 
 
@@ -163,7 +163,7 @@ def test_branch_index_matches_scan(data):
     copy made by replace with other branches does not keep the index."""
     m = data.draw(st.integers(1, 3))
     forms = tuple(AffineForm((1.0,), float(k)) for k in range(m))
-    u = PiecewiseFn(X, forms, data.draw(branch_table(m)), ("branch",) * m)
+    u = PiecewiseFn(X, forms, data.draw(branch_table(m)), "branch")
     signs = st.tuples(*[st.sampled_from((-1, 0, 1))] * m)
     queries = data.draw(st.lists(signs, min_size=1, max_size=10))
 
@@ -198,14 +198,14 @@ class TestEvaluation:
             (AffineForm((1.0,), 0.0),),
             [((1,), Const(1.0)), ((-1,), Const(0.0))],
             X,
-            policies=("specular",),
+            policy="specular",
         )
         assert f.evaluate((0.0,)) == pytest.approx(a_combine(1.0, 0.0))
 
     def test_specular_policy_zero_sum(self):
         f = from_expression(parse("sgn(x)", X), X)
         g = from_branches(
-            f.forms, [(b[0], b[1]) for b in f.branches], X, policies=("specular",),
+            f.forms, [(b[0], b[1]) for b in f.branches], X, policy="specular",
             source=f.source,
         )
         assert g.evaluate((0.0,)) == 0.0
@@ -244,6 +244,15 @@ class TestContinuity:
         rep = classify_continuity(printed_counterexample_u)
         assert rep.verdict == "piecewise-continuous"
         assert sorted(rep.jump_forms) == [0, 1]
+
+    def test_line_outside_the_domain_is_unsampled(self):
+        # x = -1 lies outside the domain x > 0, so no edge of it is sampled
+        lines = (AffineForm((1.0, 0.0), -1.0), AffineForm((0.0, 1.0), 0.0))
+        u = from_branches(lines, [((1, 1), Var("y")), ((1, -1), Const(0.0))], XY,
+                          domain=((AffineForm((1.0, 0.0), 0.0), 1),))
+        rep = classify_continuity(u)
+        assert rep.unsampled == [0] and list(rep.samples) == [1]
+        assert rep.verdict == "continuous"
 
 
 class TestProper:
@@ -311,7 +320,6 @@ class TestPatternGeometry:
         forms = (AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, 1.0), 0.0))
         dom = ((AffineForm((0.0, 1.0), 0.0), 1),)  # t > 0
         assert list(regions(forms, dom, 2)) == [(1, 1), (-1, 1), (-1, -1)]
-        assert list(regions(forms, dom, 2, fixed=(-1, 0))) == [(-1, 1), (-1, -1)]
         assert list(regions(forms, dom, 2, values=(1, 0, -1))) == [
             (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)
         ]
@@ -396,7 +404,7 @@ class TestDomain:
             X,
             (AffineForm((1.0,), 0.0),),
             (((1,), Const(1.0)),),
-            ("direct",),
+            "direct",
         )
         with pytest.raises(BranchLookupError):
             u.evaluate((-1.0,))
@@ -459,7 +467,7 @@ def batch_case(draw):
         if draw(st.integers(0, 5)) == 0:
             pat = (None,) + pat[1:]
         table.append((pat, draw(EXPRS)))
-    u = PiecewiseFn(XY, tuple(lines), tuple(table), ("direct",) * len(lines))
+    u = PiecewiseFn(XY, tuple(lines), tuple(table), "direct")
     return u, points
 
 
@@ -477,7 +485,7 @@ def _form_expr(f: AffineForm, names) -> BinOp:
 def online_case(draw):
     """A function of one variable (one or two singular points) or two
     (one to three lines through two anchors, some axis-parallel, so some
-    adjacent patterns keep a 0) with a policy per form; a table over the
+    adjacent patterns keep a 0) with one on-line policy; a table over the
     on-line patterns too, some missing, some wildcards, and, for a domain
     edge, none where the first form is negative; maybe a source built
     from abs/sgn of the forms.  Points lie on the lines, at crossings and
@@ -505,7 +513,7 @@ def online_case(draw):
         points += draw(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), max_size=4))
         # l(p) may overflow or be no number: only the scalar path judges those
         points += [(1e308, -1e308), (math.inf, 1.0), (math.nan, 0.0)]
-    policies = tuple(draw(st.sampled_from(("direct", "specular", "branch"))) for _ in lines)
+    policy = draw(st.sampled_from(("direct", "specular", "branch")))
     half = draw(st.booleans())
     table = []
     for pat in itertools.product((1, 0, -1), repeat=len(lines)):
@@ -519,7 +527,7 @@ def online_case(draw):
         source = functools.reduce(lambda a, b: BinOp("+", a, b), [
             BinOp("*", Call(draw(st.sampled_from(("abs", "sgn"))), _form_expr(f, names)), draw(exprs))
             for f in lines])
-    u = PiecewiseFn(names, tuple(lines), tuple(table), policies, source=source,
+    u = PiecewiseFn(names, tuple(lines), tuple(table), policy, source=source,
                     domain=((lines[0], 1),) if half else ())
     return u, points
 
@@ -576,7 +584,7 @@ class TestBatchEvaluation:
         pts = np.array([[3.0, 3.0, 1.0, 0.0], [6.0, 1.0, 2.0, 7.0]])  # on a line, or both
         for u in (table_fn, partial_field(table_fn, 0), partial_field(table_fn, 1)):
             values, covered = u.evaluate_many(pts)
-            assert covered.all(), u.policies
+            assert covered.all(), u.policy
             assert values.tolist() == [u.evaluate(p) for p in pts.T.tolist()]
         h = heaviside(0.25)
         values, covered = h.evaluate_many([[0.0, 1.0]])

@@ -58,7 +58,7 @@ class TestSpherePoints:
             (AffineForm((1.0, 0.0), 0.0),),
             [((1,), Const(1.0)), ((0,), Const(0.3)), ((-1,), Const(0.0))],
             XY,
-            policies=("branch",),
+            policy="branch",
         )
         with pytest.raises(CenterMismatch):
             sphere_points(u, (0.0, 0.0))
