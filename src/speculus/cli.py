@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
+    EvalDomainError,
     ExprError,
     ParseError,
     as_affine,
@@ -54,9 +55,11 @@ from .piecewise import (
     PiecewiseFn,
     a_combine,
     evaluate_at,
+    finite_abs,
     from_branches,
     from_expression,
     is_proper,
+    pattern_groups,
 )
 from .quad import QuadratureError
 from .specular import (
@@ -457,7 +460,8 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     """The (n, 6) sample table x, t, u, ux, ut, residual: grid rows (t
     outer, x inner) then on-line supplements sorted by (form index,
     parameter, side in -1, 0, +1).  Each column is evaluated over all points
-    at once and copied in whole; the entries the batch does not cover are
+    at once, the fields on u's lines from one ``pattern_groups`` of the
+    points, and copied in whole; the entries the batch does not cover are
     then evaluated point by point, row by row and within a row column by
     column, so errors surface as in a scalar pass."""
     ux, ut = partial_field(u, 0), partial_field(u, 1)
@@ -491,11 +495,12 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
 
     grid = (np.tile(xs, len(ts)), np.repeat(ts, len(xs)))
     cols = [np.concatenate(c) for c in zip(grid, np.reshape(online, (-1, 2)).T)]
-    columns = [(*fld.evaluate_many(cols), functools.partial(_safe_eval, fld))
+    groups = pattern_groups(u.forms, cols)
+    columns = [(*fld.evaluate_batch(cols, (), True, groups)[None], functools.partial(_safe_eval, fld))
                for fld in (u, ux, ut)]
     if prob.kind == "transport":
         partials = [(values, covered) for values, covered, _ in columns[1:]]
-        columns.append((*transport_operator_many(u, cols, partials),
+        columns.append((*transport_operator_many(u, cols, partials, groups),
                         functools.partial(transport_operator, u)))
     else:
         W = wave_operator_fields(u)[2]
@@ -506,7 +511,7 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
                 r -= _safe_eval(f, p)
             return r
 
-        values, covered = W.evaluate_many(cols)
+        values, covered = W.evaluate_batch(cols, (), True, groups if W.forms == u.forms else None)[None]
         if f is not None:
             fv, fc = f.evaluate_many(cols)
             values, covered = values - fv, covered & fc
@@ -526,7 +531,7 @@ def write_csv(table: np.ndarray, out_path: str) -> None:
     pattern of a column (-0.0 and 0.0 stay apart), and its text is indexed
     back into every cell that holds it."""
     if not np.isfinite(table).all():
-        raise ProblemFileError("non-finite value in sample table")
+        raise EvalDomainError("non-finite value in sample table")
     columns = []
     for col in table.T:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
@@ -638,7 +643,7 @@ def _run_checks(prob: Problem, out) -> int:
             xs = _linspace(lo, g.x_range[1], 33)
             if psi is None:
                 pairs = zip(evaluate_at(u, [(x, 0.0) for x in xs]), evaluate_at(phi, [(x,) for x in xs]))
-                worst = max(abs(a - b) for a, b in pairs)
+                worst = max(finite_abs(a - b) for a, b in pairs)
                 ok = worst <= 1e-10
                 print(f"initial.value = {fmt(worst)}", file=out)
             else:

@@ -171,11 +171,11 @@ def _coerce(x) -> Expr:
 
 
 def _const_val(e: Expr):
-    if isinstance(e, Const):
+    if type(e) is BinOp:
+        return None
+    if type(e) is Const:
         return e.value
-    if isinstance(e, Neg) and isinstance(e.operand, Const):
-        return -e.operand.value
-    return None
+    return -e.operand.value if type(e) is Neg and type(e.operand) is Const else None
 
 
 # Smart constructors used by derived expressions (diff, pin_signs,
@@ -437,9 +437,21 @@ def format_expr(e: Expr) -> str:
 # Evaluation
 
 def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
+    if type(e) is BinOp:
+        a = eval_expr(e.left, bindings)
+        b = eval_expr(e.right, bindings)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if b == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+    if type(e) is Const:
         return e.value
-    if isinstance(e, Var):
+    if type(e) is Var:
         try:
             return float(bindings[e.name])
         except KeyError:
@@ -452,18 +464,6 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
             return v ** e.exponent
         except OverflowError:
             raise EvalDomainError(f"overflow in {v}^{e.exponent}") from None
-    if isinstance(e, BinOp):
-        a = eval_expr(e.left, bindings)
-        b = eval_expr(e.right, bindings)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
     if isinstance(e, Call):
         v = eval_expr(e.arg, bindings)
         if e.func == "abs":
@@ -532,19 +532,7 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
 def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray):
     """The values of e as an array, or as a scalar where e depends on no
     column (a Const is its Python float, and numpy broadcasts it)."""
-    n = len(bad)
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.name not in cols:
-            bad[:] = True
-            return np.zeros(n)
-        return np.asarray(cols[e.name], dtype=float)
-    if isinstance(e, Neg):
-        return -_eval_array(e.operand, cols, bad)
-    if isinstance(e, Pow):
-        return _each(pow, _eval_array(e.base, cols, bad), bad, e.exponent)
-    if isinstance(e, BinOp):
+    if type(e) is BinOp:
         a = _eval_array(e.left, cols, bad)
         b = _eval_array(e.right, cols, bad)
         if e.op == "+":
@@ -556,6 +544,18 @@ def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray):
         zero = b == 0.0
         bad |= zero
         return a / np.where(zero, 1.0, b)
+    if type(e) is Const:
+        return e.value
+    n = len(bad)
+    if type(e) is Var:
+        if e.name not in cols:
+            bad[:] = True
+            return np.zeros(n)
+        return np.asarray(cols[e.name], dtype=float)
+    if isinstance(e, Neg):
+        return -_eval_array(e.operand, cols, bad)
+    if isinstance(e, Pow):
+        return _each(pow, _eval_array(e.base, cols, bad), bad, e.exponent)
     if isinstance(e, Call):
         v = _eval_array(e.arg, cols, bad)
         if e.func == "abs":
@@ -624,16 +624,7 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     if memo is not None and id(e) in memo:
         return memo[id(e)][1]
-    if isinstance(e, Const):
-        d = ZERO
-    elif isinstance(e, Var):
-        d = ONE if e.name == var else ZERO
-    elif isinstance(e, Neg):
-        d = neg(diff(e.operand, var, memo))
-    elif isinstance(e, Pow):
-        d = ZERO if e.exponent == 0 else mul(
-            mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), diff(e.base, var, memo))
-    elif isinstance(e, BinOp):
+    if type(e) is BinOp:
         da, db = diff(e.left, var, memo), diff(e.right, var, memo)
         if e.op == "+":
             d = add(da, db)
@@ -643,6 +634,15 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
             d = add(mul(da, e.right), mul(e.left, db))
         else:
             d = div(sub(mul(da, e.right), mul(e.left, db)), powi(e.right, 2))
+    elif type(e) is Const:
+        d = ZERO
+    elif type(e) is Var:
+        d = ONE if e.name == var else ZERO
+    elif isinstance(e, Neg):
+        d = neg(diff(e.operand, var, memo))
+    elif isinstance(e, Pow):
+        d = ZERO if e.exponent == 0 else mul(
+            mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), diff(e.base, var, memo))
     elif isinstance(e, Call):
         dg = diff(e.arg, var, memo)
         if e.func == "abs":

@@ -36,10 +36,11 @@ along an axis, each through a node of sign patterns: a branch tree, a pair
 of limits to A-combine, or an error; ``limit_slope`` differentiates the
 node of a limit, and is every one-sided slope of ``specular``.
 ``evaluate_batch`` gives the value and the limits along given axes at many
-points, on lines too, from one ``pattern_groups`` call (one stable sort of
-the points by their sign columns, cut where the pattern changes) and one
-``eval_array`` pass per distinct tree, and reports the points it covered,
-bitwise as the scalar methods.  It never raises: the checks call the scalar
+points, on lines too, from the ``pattern_groups`` of the points (a stable
+sort of one base-3 code per point, cut where the code changes), which
+every field on the same lines shares, and one ``eval_array`` pass per
+distinct non-constant tree, and reports the points it covered, bitwise as
+the scalar methods.  It never raises: the checks call the scalar
 methods at the other points in the order of a scalar pass (line by line;
 per point the value, then each axis), so the first error is the one a
 scalar pass raises.
@@ -58,6 +59,7 @@ import numpy as np
 from .expr import (
     ONE,
     AffineForm,
+    EvalDomainError,
     Expr,
     add,
     affine_arguments,
@@ -130,6 +132,13 @@ def tol_jump(*values: float) -> float:
     return 1e-9 * sum(map(abs, values), 1.0)
 
 
+def finite_abs(v: float) -> float:
+    """|v| of a residual; a non-finite v raises, so that it never passes a check."""
+    if not math.isfinite(v):
+        raise EvalDomainError(f"non-finite residual {v}")
+    return abs(v)
+
+
 def a_combine(alpha: float, beta: float) -> float:
     """A(alpha, beta) = tan((arctan alpha + arctan beta) / 2) (the F2 form);
     arguments sorted so the result is bitwise symmetric."""
@@ -155,6 +164,52 @@ def proper_leaf(left: Expr, right: Expr) -> Expr:
 def _proper_partials(left: Expr, right: Expr) -> tuple:
     lift = add(ONE, powi(proper_leaf(left, right), 2))
     return tuple(div(lift, mul(Const(2.0), add(ONE, powi(a, 2)))) for a in (left, right))
+
+
+def sign_matrix(forms: Sequence[AffineForm], cols: Sequence[np.ndarray],
+                bad: Optional[np.ndarray] = None) -> np.ndarray:
+    """``_sign`` of each form at every point (cols: one coordinate array per
+    variable) as the rows of an int8 matrix.  Each l(p) and the scale of
+    ``_sign`` are summed left to right from elementwise products, which for
+    one or two terms is bitwise the correctly rounded ``fsum`` of
+    ``AffineForm.value`` (``A @ P`` may fuse or reorder the sums).  An entry
+    is 0 where l(p) is not finite, and every entry is 0 for more than two
+    variables; those rows are set in bad, if given, for the scalar path."""
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    out = np.zeros((len(cols[0]) if cols else 0, len(forms)), dtype=np.int8)
+    bad = np.zeros(len(out), dtype=bool) if bad is None else bad
+    if len(cols) > 2:
+        bad[:] = True
+        return out
+    with np.errstate(all="ignore"):
+        for k, f in enumerate(forms):
+            terms = [c * x for c, x in zip(f.coeffs, cols)]
+            v = sum(terms[1:], terms[0]) - f.offset
+            scale = 1e-12 * (1.0 + abs(f.offset) + sum(np.abs(t) for t in terms))
+            out[:, k] = (v > scale).astype(np.int8) - (v < -scale)
+            bad |= ~np.isfinite(v)
+    return out
+
+
+def pattern_groups(forms: Sequence[AffineForm], cols: Sequence[np.ndarray]) -> list:
+    """[(pattern, point indices)] for each sign pattern of the forms among
+    the points (the bad ones of ``sign_matrix`` left out), each once and its
+    indices ascending, in ``np.lexsort`` order: a stable sort of one base-3
+    code per point, the last form most significant, cut where the code
+    changes.  Codes are int16 (sorted by radix) while 3^m fits, else int64,
+    renumbered in order every 20 forms so that they never overflow."""
+    bad = np.zeros(len(cols[0]), dtype=bool)
+    signs = sign_matrix(forms, cols, bad)
+    rows = np.flatnonzero(~bad)
+    codes = np.zeros(len(rows), dtype=np.int16 if 3 ** len(forms) <= 32768 else np.int64)
+    for j, column in enumerate(signs[rows].T[::-1]):
+        if j % 20 == 19:
+            codes = np.unique(codes, return_inverse=True)[1]
+        codes = codes * 3 + (column + 1)
+    order = np.argsort(codes, kind="stable")
+    rows, codes = rows[order], codes[order]
+    cuts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    return [(tuple(signs[idx[0]].tolist()), idx) for idx in np.split(rows, cuts)] if len(rows) else []
 
 
 @dataclass(frozen=True)
@@ -188,46 +243,6 @@ class PiecewiseFn:
 
     def sign_vector(self, p: Sequence[float]) -> Pattern:
         return tuple([_sign(f, p) for f in self.forms])
-
-    def sign_matrix(self, cols: Sequence[np.ndarray], bad: Optional[np.ndarray] = None) -> np.ndarray:
-        """The sign_vector of every point as the rows of an int8 matrix;
-        cols holds one coordinate array per variable.  Each l(p) and the
-        scale of ``_sign`` are summed left to right from elementwise
-        products, which for one or two terms is bitwise the correctly
-        rounded ``fsum`` of ``AffineForm.value`` (``A @ P`` may fuse or
-        reorder the sums).  An entry is 0 where l(p) is not finite, and
-        every entry is 0 for more than two variables; those rows are set in
-        bad, if given, so that those points take the scalar path."""
-        cols = [np.asarray(c, dtype=float) for c in cols]
-        out = np.zeros((len(cols[0]) if cols else 0, len(self.forms)), dtype=np.int8)
-        bad = np.zeros(len(out), dtype=bool) if bad is None else bad
-        if self.d > 2:
-            bad[:] = True
-            return out
-        with np.errstate(all="ignore"):
-            for k, f in enumerate(self.forms):
-                terms = [c * x for c, x in zip(f.coeffs, cols)]
-                v = sum(terms[1:], terms[0]) - f.offset
-                scale = 1e-12 * (1.0 + abs(f.offset) + sum(np.abs(t) for t in terms))
-                out[:, k] = (v > scale).astype(np.int8) - (v < -scale)
-                bad |= ~np.isfinite(v)
-        return out
-
-    def pattern_groups(self, cols: Sequence[np.ndarray]):
-        """(pattern, point indices) for each sign pattern among the points,
-        each pattern once and its indices ascending; the bad points of
-        ``sign_matrix`` are left out.  One stable sort of the good rows by
-        their sign columns puts each pattern's rows next to each other in
-        ascending order, and a group ends where the next row differs."""
-        bad = np.zeros(len(cols[0]), dtype=bool)
-        signs = self.sign_matrix(cols, bad)
-        rows = np.flatnonzero(~bad)
-        if self.forms:
-            rows = rows[np.lexsort(signs[rows].T)]
-        sorted_signs = signs[rows]
-        cuts = np.flatnonzero((sorted_signs[1:] != sorted_signs[:-1]).any(axis=1)) + 1
-        for idx in np.split(rows, cuts) if len(rows) else ():
-            yield tuple(signs[idx[0]].tolist()), idx
 
     def match(self, s: Pattern) -> Optional[Expr]:
         if not self.branches and self.source is not None:  # a formula: no table
@@ -335,21 +350,22 @@ class PiecewiseFn:
         return self.evaluate_batch(cols)[None]
 
     def evaluate_batch(self, cols: Sequence[np.ndarray], axes: Sequence[int] = (),
-                       value: bool = True) -> dict:
+                       value: bool = True, groups: Optional[list] = None) -> dict:
         """The value (key None, unless value is false) and the left and
         right limits along each axis (keys (axis, -1) and (axis, +1)) at
         many points (cols: one coordinate array per variable), each as
-        (values, covered).  One
-        ``pattern_groups`` call routes every request of a sign pattern to its
-        node, each distinct branch tree takes one ``eval_array`` pass over
-        all the points routed to it, and a pair takes ``proper_value`` per
-        point through ``math``.  A covered point has finite l(p) and a value
-        bitwise that of ``evaluate``/``one_sided_value``; the scalar methods
-        take the others and raise the errors.  Nothing here raises."""
+        (values, covered).  The ``pattern_groups`` of the forms at cols
+        (groups, if the caller has them) route each request to its node;
+        each distinct branch tree takes one ``eval_array`` pass over all the
+        points routed to it (a constant is filled in), and a pair takes
+        ``proper_value`` per point through ``math``.  A covered point has
+        finite l(p) and a value bitwise that of ``evaluate``/
+        ``one_sided_value``; the scalar methods take the others and raise
+        the errors.  Nothing here raises."""
         cols = [np.asarray(c, dtype=float) for c in cols]
         keys = ([None] if value else []) + [(axis, d) for axis in axes for d in (-1, 1)]
         plan, trees = [], {}
-        for s, idx in self.pattern_groups(cols):
+        for s, idx in pattern_groups(self.forms, cols) if groups is None else groups:
             for key in keys:
                 node = self._value_node(s) if key is None else self._limit_node(s, *key)
                 plan.append((key, idx, node))
@@ -358,7 +374,8 @@ class PiecewiseFn:
         for k, (rhs, parts) in trees.items():
             idx = parts[0] if len(parts) == 1 else np.flatnonzero(np.bincount(np.concatenate(parts)))
             bad = np.zeros(len(idx), dtype=bool)
-            done[k] = idx, eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad), bad
+            done[k] = idx, (np.full(len(idx), rhs.value) if type(rhs) is Const else
+                            eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad)), bad
         n = len(cols[0])
         out = {key: (np.zeros(n), np.zeros(n, dtype=bool)) for key in keys}
         for key, idx, node in plan:
@@ -420,14 +437,9 @@ def from_expression(e: Expr, vars: Sequence[str], domain: Sequence = ()) -> Piec
     return PiecewiseFn(vars, forms, branches, "direct", source=e, domain=tuple(domain))
 
 
-def from_branches(
-    forms: Sequence[AffineForm],
-    table: Sequence,
-    vars: Sequence[str],
-    policy: str = "specular",
-    domain: Sequence = (),
-    source: Optional[Expr] = None,
-) -> PiecewiseFn:
+def from_branches(forms: Sequence[AffineForm], table: Sequence, vars: Sequence[str],
+                  policy: str = "specular", domain: Sequence = (),
+                  source: Optional[Expr] = None) -> PiecewiseFn:
     vars = tuple(vars)
     forms = tuple(forms)
     branches = []
@@ -439,14 +451,7 @@ def from_branches(
             if q not in (-1, 0, 1, None):
                 raise CoverageError(f"bad pattern entry {q!r}")
         branches.append((pat, rhs))
-    u = PiecewiseFn(
-        vars,
-        forms,
-        tuple(branches),
-        policy,
-        source=source,
-        domain=tuple(domain),
-    )
+    u = PiecewiseFn(vars, forms, tuple(branches), policy, source=source, domain=tuple(domain))
     for pat in regions(forms, u.domain, len(vars)):
         if u.match(pat) is None:
             raise CoverageError(f"no branch covers open-region sign vector {pat}")
@@ -551,19 +556,34 @@ def _edge_samples(forms: tuple, domain: tuple, d: int) -> tuple:
     return tuple(out)
 
 
-def evaluate_at(u: PiecewiseFn, pts: list):
-    """u.evaluate at each point, in order: one ``evaluate_many`` batch, and
-    ``evaluate`` at a point it leaves, once the iteration reaches it."""
-    values, covered = u.evaluate_many(np.array(pts, dtype=float).reshape(-1, u.d).T)
+def evaluate_at(u: PiecewiseFn, pts: list, groups: Optional[list] = None):
+    """u.evaluate at each point, in order: one ``evaluate_batch`` (on the
+    given groups of u's forms at the points), and ``evaluate`` at a point
+    it leaves, once the iteration reaches it."""
+    values, covered = u.evaluate_batch(columns(pts, u.d), (), True, groups)[None]
     for p, v, ok in zip(pts, values.tolist(), covered.tolist()):
         yield v if ok else u.evaluate(p)
 
 
-def _line_batch(u: PiecewiseFn, lines: list, axes, value: bool = True) -> dict:
-    """``evaluate_batch`` at the points of all lines, as Python lists."""
-    cols = np.array([p for pts in lines for p in pts], dtype=float).reshape(-1, u.d).T
+def columns(pts: list, d: int) -> np.ndarray:
+    """The d-dimensional points as one coordinate array per variable."""
+    return np.array(pts, dtype=float).reshape(-1, d).T
+
+
+@functools.lru_cache(maxsize=1024)
+def _edge_groups(forms: tuple, domain: tuple, d: int) -> tuple:
+    """The points of ``_edge_samples`` as read-only ``columns`` and their
+    ``pattern_groups``, shared by every field on the same lines."""
+    cols = columns([p for pts in _edge_samples(forms, domain, d) for p in pts], d)
+    cols.flags.writeable = False
+    return cols, pattern_groups(forms, cols)
+
+
+def _line_batch(u: PiecewiseFn, axes, value: bool = True) -> dict:
+    """``evaluate_batch`` at the edge samples of u's lines, as Python lists."""
+    cols, groups = _edge_groups(u.forms, u.domain, u.d)
     return {key: (v.tolist(), ok.tolist())
-            for key, (v, ok) in u.evaluate_batch(cols, axes, value).items()}
+            for key, (v, ok) in u.evaluate_batch(cols, axes, value, groups).items()}
 
 
 def _limits(u: PiecewiseFn, batch: dict, i: int, p, axis: int) -> tuple:
@@ -581,7 +601,7 @@ def _limits(u: PiecewiseFn, batch: dict, i: int, p, axis: int) -> tuple:
 def classify_continuity(u: PiecewiseFn) -> ContinuityReport:
     lines = _edge_samples(u.forms, u.domain, u.d)
     axes = sorted({u.forms[k].primary_axis() for k, pts in enumerate(lines) if pts})
-    return _continuity(u, lines, _line_batch(u, lines, axes, value=False))
+    return _continuity(u, lines, _line_batch(u, axes, value=False))
 
 
 def _continuity(u: PiecewiseFn, lines: list, batch: dict) -> ContinuityReport:
@@ -619,7 +639,7 @@ def is_proper(u: PiecewiseFn):
     if u._proper is not None:
         return u._proper
     lines = _edge_samples(u.forms, u.domain, u.d)
-    batch = _line_batch(u, lines, range(u.d))
+    batch = _line_batch(u, range(u.d))
     cont = _continuity(u, lines, batch)
     (stored_values, covered), at = batch[None], itertools.count()
     violations = []
@@ -689,13 +709,8 @@ def _merge_domain(da, db) -> tuple:
     return tuple(out)
 
 
-def pw_compose_affine(
-    h: PiecewiseFn,
-    coeffs: Sequence[float],
-    const: float,
-    vars2: Sequence[str],
-    domain: Sequence = (),
-) -> PiecewiseFn:
+def pw_compose_affine(h: PiecewiseFn, coeffs: Sequence[float], const: float,
+                      vars2: Sequence[str], domain: Sequence = ()) -> PiecewiseFn:
     """h(a.p + c) for 1D h: a PiecewiseFn over vars2 whose forms are the
     pullbacks of h's singular points."""
     if h.d != 1:

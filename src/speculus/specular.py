@@ -28,9 +28,11 @@ from .piecewise import (
     _faces,
     a_combine,
     classify_continuity,
+    columns,
     evaluate_at,
     is_proper,
     merge_forms,
+    pattern_groups,
     proper_leaf,
     proper_value,
     regions,
@@ -268,8 +270,9 @@ def s2_membership(u: PiecewiseFn) -> S2Report:
     # witness per cell; every field has the forms and domain of u
     pts = [p for line in _edge_samples(u.forms, u.domain, 2) for p in line]
     pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
+    groups = pattern_groups(u.forms, columns(pts, 2))
     residual = 0.0
-    for a, b in zip(evaluate_at(second[(0, 1)], pts), evaluate_at(second[(1, 0)], pts)):
+    for a, b in zip(*(evaluate_at(second[key], pts, groups) for key in ((0, 1), (1, 0)))):
         residual = max(residual, abs(a - b))
 
     firsts_ok = all(first_proper.values())

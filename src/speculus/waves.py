@@ -49,9 +49,12 @@ from .piecewise import (
     _sign,
     a_combine,
     classify_continuity,
+    columns,
     evaluate_at,
+    finite_abs,
     is_proper,
     merge_forms,
+    pattern_groups,
     pw_add,
     pw_compose_affine,
     pw_hold,
@@ -478,17 +481,19 @@ def wave_residual(u: PiecewiseFn, f: Optional[PiecewiseFn], points) -> ResidualR
     line the difference field is extended properly: the A-combination of
     its one-sided values (matching how the force stores its own on-line
     values); the per-axis operator values are also reported so on-line
-    diagonal entries like A(2, 0) are visible."""
+    diagonal entries like A(2, 0) are visible.  The fields on u's lines
+    share one ``pattern_groups`` of the points."""
     wtt, wxx, W = wave_operator_fields(u)
     points = [tuple(p) for p in points]
+    groups = pattern_groups(u.forms, columns(points, 2))
+    ops = [evaluate_at(fld, points, groups if fld.forms == u.forms else None) for fld in (W, wtt, wxx)]
     forces = evaluate_at(f, points) if f is not None else itertools.repeat(0.0)
     rows = []
     worst = 0.0
-    for p, val, fval, tt, xx in zip(points, evaluate_at(W, points), forces,
-                                    evaluate_at(wtt, points), evaluate_at(wxx, points)):
+    for p, val, fval, tt, xx in zip(points, ops[0], forces, *ops[1:]):
         resid = val - fval
         rows.append((p, val, fval, resid, tt, xx))
-        worst = max(worst, abs(resid))
+        worst = max(worst, finite_abs(resid))
     return ResidualReport(rows, worst)
 
 
@@ -497,24 +502,29 @@ def transport_operator(u: PiecewiseFn, p) -> float:
     return specular_partial(u, p, 1) + specular_partial(u, p, 0)
 
 
-def transport_operator_many(u: PiecewiseFn, cols, partials=None) -> tuple:
+def transport_operator_many(u: PiecewiseFn, cols, partials=None, groups=None) -> tuple:
     """``transport_operator`` at many points, as (values, covered) with the
     contract of ``PiecewiseFn.evaluate_many``.  Off the lines both one-sided
     slopes along an axis are the partial field's value d there, so the
     specular partial is A(d, d), run through ``math`` once per distinct bit
     pattern of the (d_t, d_x) pair (-0.0 and 0.0 stay apart) and indexed
     back into every point that holds it.  partials: the (values, covered)
-    of ``partial_field(u, 0)`` and ``(u, 1)`` at cols, if the caller has
-    them."""
+    of ``partial_field(u, 0)`` and ``(u, 1)`` at cols, and groups: the
+    ``pattern_groups`` of u's forms at cols, if the caller has them; a
+    point is off the lines when its pattern has no 0."""
+    groups = pattern_groups(u.forms, cols) if groups is None else groups
     if partials is None:
-        partials = [partial_field(u, axis).evaluate_many(cols) for axis in (0, 1)]
+        partials = [partial_field(u, axis).evaluate_batch(cols, (), True, groups)[None]
+                    for axis in (0, 1)]
     (dx, cx), (dt, ct) = partials
     pairs = np.column_stack([dt, dx])
     _, first, inverse = np.unique(pairs.view(np.dtype((np.void, 16))).ravel(),
                                   return_index=True, return_inverse=True)
     distinct = [a_combine(a, a) + a_combine(b, b) for a, b in pairs[first].tolist()]
     values = np.array(distinct, dtype=float)[inverse]
-    off_lines = (u.sign_matrix(cols) != 0).all(axis=1)
+    off_lines = np.zeros(len(values), dtype=bool)
+    for s, idx in groups:
+        off_lines[idx] = 0 not in s
     return values, cx & ct & np.isfinite(dx) & np.isfinite(dt) & off_lines
 
 
@@ -527,7 +537,7 @@ def transport_residual(u: PiecewiseFn, points) -> ResidualReport:
         if not ok:
             val = transport_operator(u, p)
         rows.append((p, val, 0.0, val, math.nan, math.nan))
-        worst = max(worst, abs(val))
+        worst = max(worst, finite_abs(val))
     return ResidualReport(rows, worst)
 
 
@@ -552,7 +562,7 @@ def hypothesis_h_check(u: PiecewiseFn) -> HypothesisHReport:
             continue
         res, tol = _criterion(pair1, pair2)
         rows.append((tuple(p), res, ""))
-        if abs(res) > tol:
+        if finite_abs(res) > tol:
             failures.append(tuple(p))
     return HypothesisHReport(rows, failures)
 
@@ -564,18 +574,19 @@ def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: Piecewise
     finite, and raises their errors."""
     xs = [(float(x),) for x in xs]
     points = [(x, 0.0) for (x,) in xs]
+    cols = columns(points, 2)
+    groups = pattern_groups(u.forms, cols)
     psis = evaluate_at(psi, xs)
-    batch = partial_field(u, 1).evaluate_batch(np.reshape(points, (-1, 2)).T, (1,), value=False)
-    slopes, covered = batch[1, 1]
+    slopes, covered = partial_field(u, 1).evaluate_batch(cols, (1,), False, groups)[1, 1]
     covered &= np.isfinite(slopes)
     worst_u = worst_v = 0.0
-    for p, u0, phi0, slope, ok in zip(points, evaluate_at(u, points), evaluate_at(phi, xs),
+    for p, u0, phi0, slope, ok in zip(points, evaluate_at(u, points, groups), evaluate_at(phi, xs),
                                       slopes.tolist(), covered.tolist()):
-        worst_u = max(worst_u, abs(u0 - phi0))
         alpha = slope if ok else semi_derivative_one_sided(u, p, 1, +1)
-        worst_v = max(worst_v, abs(alpha - next(psis)))
+        worst_u = max(worst_u, finite_abs(u0 - phi0))
+        worst_v = max(worst_v, finite_abs(alpha - next(psis)))
     return worst_u, worst_v
 
 
 def boundary_residual(u: PiecewiseFn, ts) -> float:
-    return max(abs(v) for v in evaluate_at(u, [(0.0, float(t)) for t in ts]))
+    return max(map(finite_abs, evaluate_at(u, [(0.0, float(t)) for t in ts])))

@@ -267,6 +267,18 @@ def test_forced_solutions_match_oracle(a, values, b, d):
     assert_residuals_match(sol, phi, psi, f, [p for p in GRID if sol.in_domain(p)], XS)
 
 
+def test_residual_on_merged_lines_matches_oracle():
+    """Two lines of u within 1e-9 of each other are one line of the wave
+    operator W, so W groups the points by its own forms, not by u's."""
+    forms = (AffineForm((1.0, -1.0), 0.0), AffineForm((1.0, -1.0), 1e-12))
+    table = [((1, 1), parse("x*t + t^2", XT)), ((-1, -1), parse("x^2*t", XT)),
+             ((1, -1), parse("x*t", XT)), ((-1, 1), parse("x*t", XT))]
+    u = from_branches(forms, table, XT)
+    assert len(wave_operator_fields(u)[2].forms) == 1
+    points = GRID + [(0.5, 0.5), (1.0, 1.0)]
+    assert outcome(wave_residual, u, None, points) == outcome(wave_residual_scalar, u, None, points)
+
+
 # ---------------------------------------------------------------------------
 # Branches that raise at on-line samples
 
@@ -486,36 +498,41 @@ def _count_batch_work(monkeypatch) -> dict:
     """Count pattern_groups calls and record the tree of every eval_array
     call the piecewise engine makes."""
     work = {"pattern_groups": 0, "eval_array": []}
-    real_groups, real_eval = PiecewiseFn.pattern_groups, piecewise.eval_array
+    real_groups, real_eval = piecewise.pattern_groups, piecewise.eval_array
 
-    def groups(self, cols):
+    def groups(forms, cols):
         work["pattern_groups"] += 1
-        return real_groups(self, cols)
+        return real_groups(forms, cols)
 
     def eval_array(e, cols, bad):
         work["eval_array"].append(e)
         return real_eval(e, cols, bad)
 
-    monkeypatch.setattr(PiecewiseFn, "pattern_groups", groups)
+    monkeypatch.setattr(piecewise, "pattern_groups", groups)
     monkeypatch.setattr(piecewise, "eval_array", eval_array)
     return work
 
 
 @pytest.mark.parametrize("name", ["corner2d", "counterexample", "halfline", "table2d"])
 def test_is_proper_is_one_batch(name, monkeypatch):
-    """is_proper on a function and on each of its derivative fields groups
-    its points by sign pattern once and evaluates each branch tree it
-    touches at most once."""
+    """is_proper on a function and on each of its six derivative fields,
+    which all lie on its lines, groups the edge samples by sign pattern
+    once in all (the groups are kept with the samples), and each field
+    walks each non-constant branch tree it touches at most once; a
+    constant one is filled without a walk."""
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
     u = prob.u if prob.kind is None else solve_problem(prob)
     fields = [u] + [partial_field(u, axis) for axis in range(u.d)]
     fields += [specular_field(fields[1 + j], i) for i in range(u.d) for j in range(u.d)]
+    assert len(fields) == 7 and all(fld.forms == u.forms for fld in fields)
     work = _count_batch_work(monkeypatch)
+    piecewise._edge_groups.cache_clear()
     for fld in fields:
-        work["pattern_groups"], work["eval_array"] = 0, []
+        work["eval_array"] = []
         is_proper(fld)
-        assert work["pattern_groups"] == 1
-        assert 0 < len(work["eval_array"]) == len({id(e) for e in work["eval_array"]})
+        assert len(work["eval_array"]) == len({id(e) for e in work["eval_array"]})
+        assert not any(type(e) is Const for e in work["eval_array"])
+    assert work["pattern_groups"] == 1
 
 
 @pytest.mark.parametrize("name, calls", [("corner2d", 47), ("zero", 2)])

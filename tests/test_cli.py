@@ -37,7 +37,7 @@ from speculus.cli import (
 import speculus.piecewise as piecewise
 import speculus.specular as specular
 import speculus.waves as waves
-from speculus.expr import Expr, ExprError
+from speculus.expr import EvalDomainError, Expr, ExprError
 from speculus.piecewise import PiecewiseFn
 from speculus.specular import partial_field
 from speculus.waves import hypothesis_h_check, transport_operator, transport_operator_many
@@ -406,6 +406,20 @@ class TestSolveCSV:
         assert code == EXIT_MATH_DOMAIN
         assert err.startswith("math-domain error: quadrature panel") and err.count("\n") == 1
 
+    def test_non_finite_sample_exit_3(self, tmp_path, capsys):
+        """phi = 1e308 x^3 overflows, and every residual row is NaN: check
+        and solve both stop with one math-domain line, and no CSV is left
+        (check printed residual.max = 0.0 and passed; solve exited 2)."""
+        path = tmp_path / "nan.prob"
+        path.write_text(f"[problem]\nkind = wave\nphi = 1{'0' * 308}*x*x*x\npsi = 0\n"
+                        "[grid]\nx_range = -2, 2\nt_range = 0, 1\nnx = 3\nnt = 2\n")
+        assert run(["check", str(path)]) == (EXIT_MATH_DOMAIN, "")
+        assert capsys.readouterr().err == "math-domain error: non-finite residual nan\n"
+        csv = tmp_path / "o.csv"
+        assert run(["solve", str(path), "--out", str(csv)]) == (EXIT_MATH_DOMAIN, "")
+        assert capsys.readouterr().err == "math-domain error: non-finite value in sample table\n"
+        assert not csv.exists()
+
     def test_discontinuous_displacement_exit_4(self, tmp_path, capsys):
         p = tmp_path / "jump.prob"
         p.write_text("[problem]\nkind = wave\nphi = sgn(x)\npsi = 0\n")
@@ -480,7 +494,7 @@ def write_csv_rowwise(rows, out_path):
     for row in rows:
         for v in row:
             if not math.isfinite(v):
-                raise ProblemFileError("non-finite value in sample table")
+                raise EvalDomainError("non-finite value in sample table")
         lines.append(",".join(fmt(v) for v in row))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -516,7 +530,7 @@ def csv_bytes(writer, table):
         path = Path(tmp) / "o.csv"
         try:
             writer(table, str(path))
-        except ProblemFileError as exc:
+        except EvalDomainError as exc:
             return str(exc), path.exists()
         return path.read_bytes()
 
@@ -626,13 +640,30 @@ def test_transport_solve_evaluates_each_field_once(monkeypatch):
     calls = []
     real = PiecewiseFn.evaluate_batch
 
-    def counted(self, cols, axes=()):
+    def counted(self, cols, *args):
         calls.append(id(self))
-        return real(self, cols, axes)
+        return real(self, cols, *args)
 
     monkeypatch.setattr(PiecewiseFn, "evaluate_batch", counted)
     cli._solution_rows(sol, prob)
     assert len(calls) == len(set(calls)) == 3
+
+
+def test_transport_solve_groups_its_points_once(monkeypatch):
+    """u, ux, ut and the residual column of a transport table share one
+    sign matrix of the sample points (4 before: one per column); the
+    residual's off-line points are the groups whose pattern has no 0."""
+    prob = load_problem(str(PROBLEMS / "transport_abs.prob"))
+    sol = cli.solve_problem(prob)
+    sizes, real = [], piecewise.sign_matrix
+
+    def counted(forms, cols, *args):
+        sizes.append(len(cols[0]))
+        return real(forms, cols, *args)
+
+    monkeypatch.setattr(piecewise, "sign_matrix", counted)
+    cli._solution_rows(sol, prob)
+    assert len(sizes) == 1 and sizes[0] > prob.grid.nx * prob.grid.nt
 
 
 def test_transport_101_a_combines_each_distinct_pair_once(tmp_path, monkeypatch):
@@ -648,10 +679,10 @@ def test_transport_101_a_combines_each_distinct_pair_once(tmp_path, monkeypatch)
     pairs, calls = set(), []
     real_many, real_combine = cli.transport_operator_many, waves.a_combine
 
-    def spied(u, cols, partials):
+    def spied(u, cols, partials, *groups):
         (dx, _), (dt, _) = partials
         pairs.update(zip(dt.view(np.int64).tolist(), dx.view(np.int64).tolist()))
-        return real_many(u, cols, partials)
+        return real_many(u, cols, partials, *groups)
 
     monkeypatch.setattr(cli, "transport_operator_many", spied)
     monkeypatch.setattr(waves, "a_combine", lambda a, b: calls.append((a, b)) or real_combine(a, b))

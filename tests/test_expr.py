@@ -341,6 +341,16 @@ class TestEval:
         eval_array(e, {"x": np.array([-math.inf, 1.0])}, bad)
         assert bad.tolist() == [True, False]  # the batch leaves it to eval_expr
 
+    @pytest.mark.parametrize("node", [2.0, "x", None, BinOp("+", Var("x"), 2.0)])
+    @pytest.mark.parametrize("walk", ["eval_expr", "eval_array", "diff"])
+    def test_non_expr_node_raises_type_error(self, walk, node):
+        """Each walk tests its node types in turn and ends in TypeError."""
+        calls = {"eval_expr": lambda e: eval_expr(e, {"x": 1.0}),
+                 "eval_array": lambda e: eval_array(e, {"x": np.ones(2)}, np.zeros(2, dtype=bool)),
+                 "diff": lambda e: diff(e, "x")}
+        with pytest.raises(TypeError, match="not an Expr node"):
+            calls[walk](node)
+
     def test_q_function(self):
         e = parse("(1/2)*x*abs(x)", X)
         assert eval_expr(e, {"x": -2.0}) == -2.0

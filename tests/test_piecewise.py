@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import speculus.piecewise as piecewise
 from speculus.expr import (
     FUNCTIONS,
     AffineForm,
@@ -35,11 +36,13 @@ from speculus.piecewise import (
     from_branches,
     from_expression,
     is_proper,
+    pattern_groups,
     pw_add,
     pw_compose_affine,
     pw_scale,
     pw_select,
     regions,
+    sign_matrix,
 )
 from speculus.specular import a_combine
 
@@ -597,7 +600,7 @@ class TestBatchEvaluation:
     def test_evaluate_many_matches_scalar(self, case):
         u, points = case
         cols = np.array(points, dtype=float).T
-        for row, p in zip(u.sign_matrix(cols).tolist(), points):
+        for row, p in zip(sign_matrix(u.forms, cols).tolist(), points):
             assert tuple(row) == u.sign_vector(p), p
         values, covered = u.evaluate_many(cols)
         for p, v, ok in zip(points, values.tolist(), covered.tolist()):
@@ -651,16 +654,22 @@ def group_oracle(signs, bad):
 
 class TestPatternGroups:
     """``pattern_groups`` equals a dict grouping of the sign rows: each
-    pattern once, its indices ascending, and the bad rows left out."""
+    pattern once, its indices ascending, and the bad rows left out; the
+    groups list the rows in the order of ``np.lexsort`` of the sign
+    columns (int16 codes up to 9 forms, int64 codes renumbered every 20
+    forms past that)."""
 
     @staticmethod
-    def check(u, cols, signs, bad):
-        groups = [(s, idx.tolist()) for s, idx in u.pattern_groups(cols)]
+    def check(forms, cols, signs, bad):
+        groups = [(s, idx.tolist()) for s, idx in pattern_groups(forms, cols)]
         assert len({s for s, _ in groups}) == len(groups)
         assert all(idx == sorted(idx) for _, idx in groups)
         assert dict(groups) == group_oracle(signs, bad)
+        rows = np.flatnonzero(~bad)
+        order = rows[np.lexsort(signs[rows].T)] if len(forms) else rows
+        assert [i for _, idx in groups for i in idx] == order.tolist()
 
-    @pytest.mark.parametrize("m", range(7))
+    @pytest.mark.parametrize("m", [*range(7), 9, 10, 12, 41])
     @pytest.mark.parametrize("n", [1, 2, 7, 300, 10000])
     def test_random_sign_matrices(self, m, n, monkeypatch):
         rng = np.random.default_rng(100 * m + n)
@@ -670,15 +679,14 @@ class TestPatternGroups:
             signs = signs[rng.integers(0, max(1, n // 50), n)]
         bad = rng.random(n) < 0.2  # rows whose l(p) is not finite
 
-        def sign_matrix(self, cols, into=None):
+        def fake_sign_matrix(forms, cols, into=None):
             if into is not None:
                 into |= bad
             return signs.copy()
 
-        monkeypatch.setattr(PiecewiseFn, "sign_matrix", sign_matrix)
+        monkeypatch.setattr(piecewise, "sign_matrix", fake_sign_matrix)
         forms = tuple(AffineForm((1.0, float(k)), 0.0) for k in range(m))
-        u = from_branches(forms, [((None,) * m, Const(0.0))], XY)
-        self.check(u, [np.zeros(n), np.zeros(n)], signs, bad)
+        self.check(forms, [np.zeros(n), np.zeros(n)], signs, bad)
 
     def test_non_finite_points_are_left_out(self, table_fn):
         rng = np.random.default_rng(3)
@@ -687,6 +695,27 @@ class TestPatternGroups:
         for c in cols:
             c[rng.random(2000) < 0.1] = rng.choice([math.inf, -math.inf, math.nan])
         bad = np.zeros(2000, dtype=bool)
-        signs = table_fn.sign_matrix(cols, bad)
+        signs = sign_matrix(table_fn.forms, cols, bad)
         assert 0 < bad.sum() < 2000 and (signs == 0).any()
-        self.check(table_fn, cols, signs, bad)
+        self.check(table_fn.forms, cols, signs, bad)
+
+    @given(batch_case())
+    @settings(max_examples=100, deadline=None)
+    def test_given_groups_change_no_bit(self, case):
+        """evaluate_batch on the groups a caller computed for the same
+        forms and points returns what it computes by itself, bit for bit."""
+        u, points = case
+        cols = np.array(points, dtype=float).T
+        own = u.evaluate_batch(cols, range(u.d))
+        given_ = u.evaluate_batch(cols, range(u.d), True, pattern_groups(u.forms, cols))
+        assert own.keys() == given_.keys()
+        for key, (values, covered) in own.items():
+            assert values.view(np.int64).tolist() == given_[key][0].view(np.int64).tolist()
+            assert covered.tolist() == given_[key][1].tolist()
+
+    def test_constant_branch_keeps_negative_zero(self):
+        """A Const branch is filled, not walked: -0.0 stays -0.0."""
+        u = from_branches((AffineForm((1.0,), 0.0),), [((1,), Const(-0.0)), ((-1,), Const(2.0))], X)
+        values, covered = u.evaluate_many([[1.0, -1.0, 0.0]])
+        assert covered.all() and math.copysign(1.0, values[0]) == -1.0
+        assert list(map(repr, values.tolist())) == [repr(u.evaluate((x,))) for x in (1.0, -1.0, 0.0)]
