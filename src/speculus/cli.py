@@ -23,8 +23,9 @@ the on-line offset ``delta``; ``[check]`` holds ``checks = ...`` drawn from
 {residual, s2, proper, hypothesis-h, boundary, initial}.
 
 Exit codes: 0 success, 1 check failure, 2 parse error (including a branch
-table that leaves a non-empty region uncovered), 3 math-domain error
-(including a point outside the function's domain, a non-finite or
+table that leaves a non-empty region uncovered, a ``--point`` that is not
+finite numbers, and a file that cannot be read or written), 3 math-domain
+error (including a point outside the function's domain, a non-finite or
 overflowing value and a quadrature panel that fails to converge), 4 solver
 precondition failure.
 """
@@ -369,11 +370,14 @@ def form_str(form, vars) -> str:
 def cmd_deriv(path: str, point_str: str, axis: str, out=sys.stdout) -> int:
     prob = load_problem(path)
     u = prob.u if prob.u is not None else solve_problem(prob)
-    point = tuple(float(p.strip()) for p in point_str.split(","))
+    try:
+        point = tuple(float(p.strip()) for p in point_str.split(","))
+    except ValueError as exc:
+        raise ProblemFileError(f"point {point_str!r}: {exc}") from None
+    if not all(map(math.isfinite, point)):
+        raise ProblemFileError(f"point {point_str!r} has a coordinate that is not finite")
     if len(point) != u.d:
-        raise ProblemFileError(
-            f"point has {len(point)} coordinates but the function has {u.d}"
-        )
+        raise ProblemFileError(f"point has {len(point)} coordinates but the function has {u.d}")
     if axis not in u.vars:
         raise ProblemFileError(f"axis {axis!r} not among variables {u.vars}")
     k = u.vars.index(axis)
@@ -527,19 +531,23 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
 
 
 def write_csv(table: np.ndarray, out_path: str) -> None:
-    """Write the sample table as CSV: ``fmt`` runs once per distinct bit
-    pattern of a column (-0.0 and 0.0 stay apart), and its text is indexed
-    back into every cell that holds it."""
+    """Write the sample table as CSV: ``repr`` (the text of ``fmt``) runs
+    once per distinct bit pattern of a column (-0.0 and 0.0 stay apart), and
+    its text is indexed back into every cell that holds it.  A path that
+    cannot be opened for writing is a ProblemFileError."""
     if not np.isfinite(table).all():
         raise EvalDomainError("non-finite value in sample table")
     columns = []
     for col in table.T:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        texts = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         columns.append(texts[inverse].tolist())
     lines = ["x,t,u,ux,ut,residual", *map(",".join, zip(*columns))]
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ProblemFileError(f"cannot write {out_path}: {exc}") from exc
 
 
 def cmd_solve(path: str, out_csv: str, out=sys.stdout) -> int:

@@ -3,22 +3,22 @@
 1D integrals split the interval at singular points and integrate each
 smooth closed piece with adaptive 15-point Gauss-Legendre panels (dyadic
 refinement to the one tolerance ``QUAD_TOL``, absolute+relative, within
-``MAX_DEPTH`` halvings; no call overrides them).  The dependence-triangle
-integral, the integral along one of its characteristic edges and the
-Green's-identity verifier split at the closed-form crossings of the
-singular lines (``_edge_breaks``, on the real line too).  A curved boundary
-of the Green verifier is integrated along its graphs, with no derivative
-of them.
+``MAX_DEPTH`` halvings; no call overrides them).  ``adaptive_panel``
+refines breadth first, two halves of every live panel per call of a batch
+integrand, bitwise as depth-first refinement would: every panel sum is
+``half * fsum(w * f)``, a split panel's value is ``left + right``, and an
+error is the one depth-first evaluation meets first.  Characteristic edges
+and the Green's-identity verifier split at the closed-form crossings of
+the singular lines (``_edge_breaks``); the verifier's iterated integral
+runs its outer and inner panels in lockstep, one engine call per outer
+round, and a curved boundary is integrated along its graphs.
 
-``adaptive_panel`` refines breadth first: each round evaluates the two
-halves of every live panel with one call of a batch integrand, which for
-a ``PiecewiseFn`` is ``evaluate_many`` plus ``evaluate`` at the points it
-leaves uncovered.  An iterated integral runs its outer and inner
-integrals in lockstep: the 30 outer nodes of a round give all their inner
-pieces, which go through one engine call.  The result is bitwise that of
-depth-first refinement: every panel sum is ``half * fsum(w * f)``, a
-split panel's value is ``left + right`` in the same tree, and an error is
-the one depth-first evaluation meets first.
+The dependence triangle is integrated cell by cell (``clip_cells``), so a
+crossing of two lines inside it is a cell vertex, not a kink inside a
+panel: on a cell f is one branch, and each triangle of the cell's fan
+takes an 8 x 8 Gauss-Legendre rule on the Duffy-collapsed square (Duffy,
+SIAM J. Numer. Anal. 19, 1982), split four ways depth first until its
+children agree with it to ``QUAD_TOL`` as a panel's halves must.
 """
 
 from __future__ import annotations
@@ -29,10 +29,35 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .piecewise import PiecewiseFn, is_proper, merge_forms
+from .expr import AffineForm, eval_array, eval_expr
+from .piecewise import BranchLookupError, PiecewiseFn, is_proper, merge_forms
 from .specular import specular_field, specular_partial
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# Gauss-Legendre nodes and weights on [-1, 1]: ``leggauss(15)`` and
+# ``leggauss(8)`` of ``numpy.polynomial.legendre``, bit for bit
+_GL_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854])
+_GL_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
+_GL8_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL8_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+
+# the Duffy map (u, v) -> A + u (B - A) + u v (C - B) of the unit square onto
+# a triangle ABC has Jacobian u |det(B - A, C - B)|: its 64 nodes as the
+# factors of B - A and C - B, and their weights with the factor u
+_DUFFY_U = np.repeat(0.5 * (_GL8_NODES + 1.0), 8)
+_DUFFY_UV = _DUFFY_U * np.tile(0.5 * (_GL8_NODES + 1.0), 8)
+_DUFFY_W = 0.25 * np.repeat(_GL8_WEIGHTS, 8) * np.tile(_GL8_WEIGHTS, 8) * _DUFFY_U
 
 QUAD_TOL = 1e-10
 MAX_DEPTH = 30
@@ -266,55 +291,111 @@ def antiderivative_check(f: PiecewiseFn, F: PiecewiseFn, a: float, b: float) -> 
 # ---------------------------------------------------------------------------
 # Dependence triangle
 
-@dataclass(frozen=True)
-class DependenceTriangle:
-    apex: tuple  # (x0, t0), t0 > 0
+def _clip(poly, form: AffineForm, sign: int):
+    """Sutherland-Hodgman clip of the list poly keeping sign * l(p) >= 0."""
+    out = []
+    for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+        vc, vn = sign * form.value(cur), sign * form.value(nxt)
+        if vc >= 0.0:
+            out.append(cur)
+        if (vc > 0.0 and vn < 0.0) or (vc < 0.0 and vn > 0.0):
+            s = vc / (vc - vn)
+            out.append((cur[0] + s * (nxt[0] - cur[0]), cur[1] + s * (nxt[1] - cur[1])))
+    return out
 
-    def __post_init__(self):
-        if self.apex[1] <= 0.0:
-            raise QuadratureError("dependence triangle needs t0 > 0")
 
-    @property
-    def base(self) -> tuple:
-        x0, t0 = self.apex
-        return (x0 - t0, x0 + t0)
+def _area(poly) -> float:
+    return 0.5 * abs(math.fsum(p[0] * q[1] - q[0] * p[1] for p, q in zip(poly, poly[1:] + poly[:1])))
 
-    def inner_interval(self, s: float) -> tuple:
-        x0, t0 = self.apex
-        return (x0 - t0 + s, x0 + t0 - s)
+
+def clip_cells(forms, polygon) -> list:
+    """(pattern, polygon) for each open sign pattern of the forms whose part
+    of the convex polygon keeps three vertices or more, in
+    ``itertools.product((1, -1), ...)`` order.  The polygon is clipped by
+    each form in turn (``_clip``), so a cell is bitwise what clipping by its
+    pattern gives."""
+    cells = [((), list(polygon))]
+    for form in forms:
+        cells = [(pat + (s,), part) for pat, poly in cells for s in (1, -1)
+                 if len(part := _clip(poly, form, s)) >= 3]
+    return cells
+
+
+def _refined(g, tris: np.ndarray) -> list:
+    """The integrals of g over the triangles (A, B, C) of the (n, 3, 2)
+    array tris, depth first: each takes the 8 x 8 Duffy rule, one call
+    g(X, T) at all the nodes of a batch, and splits four ways at its edge
+    midpoints until its children's sum agrees with it as a panel's halves
+    must in ``adaptive_panel`` (QUAD_TOL, within MAX_DEPTH splits)."""
+    def sums(tris):
+        a, b, c = (tris[:, k, :, None] for k in range(3))
+        points = a + _DUFFY_U * (b - a) + _DUFFY_UV * (c - b)
+        values = g(points[:, 0].ravel(), points[:, 1].ravel()).reshape(len(tris), -1)
+        (e1, e2), (h1, h2) = (b - a)[..., 0].T, (c - b)[..., 0].T
+        return (np.abs(e1 * h2 - e2 * h1) * (values @ _DUFFY_W)).tolist()
+
+    tol, max_depth = QUAD_TOL, MAX_DEPTH  # read once, not per triangle
+    out, stack = [], list(zip(tris, sums(tris), [0] * len(tris)))[::-1]
+    while stack:
+        (a, b, c), whole, depth = stack.pop()
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        kids = np.array([(a, ab, ca), (ab, b, bc), (ca, bc, c), (bc, ca, ab)])
+        parts = sums(kids)
+        better = math.fsum(parts)
+        if abs(better - whole) <= tol * (1.0 + abs(better)):
+            out.append(better)
+        elif depth >= max_depth:
+            corners = tuple(map(tuple, np.array([a, b, c]).tolist()))
+            raise QuadratureError(f"quadrature triangle {corners} failed to converge "
+                                  f"(estimate gap {abs(better - whole):.3e})", panel=corners)
+        else:
+            stack += zip(kids[::-1], parts[::-1], [depth + 1] * 4)
+    return out
+
+
+def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
+    """Integral of f over the dependence triangle (x0 - t0, 0), (x0 + t0,
+    0), (x0, t0), t0 > 0: on each of its ``clip_cells`` f is one branch,
+    taken at the nodes by ``eval_array``, and the cell's fan from its first
+    vertex is ``_refined``.  The points ``eval_array`` sets aside go through
+    ``eval_expr`` in order, so an error is the first met cell by cell, and
+    in rule order within one batch."""
+    if f.d != 2:
+        raise QuadratureError("integrate_triangle expects a 2D function")
+    if t0 <= 0.0:
+        raise QuadratureError("dependence triangle needs t0 > 0")
+    total = []
+    for pat, poly in clip_cells(f.forms, [(x0 - t0, 0.0), (x0 + t0, 0.0), (x0, t0)]):
+        if _area(poly) == 0.0:  # a cell of rounding only, where f may have no branch
+            continue
+        if (rhs := f.match(pat)) is None:
+            raise BranchLookupError(f"no branch for sign vector {pat} in the dependence "
+                                    f"triangle of ({x0}, {t0})")
+
+        def g(X, T, rhs=rhs):
+            bad = np.zeros(len(X), dtype=bool)
+            values = eval_array(rhs, dict(zip(f.vars, (X, T))), bad)
+            for i in np.flatnonzero(bad).tolist():
+                values[i] = eval_expr(rhs, dict(zip(f.vars, (X[i], T[i]))))
+            return values
+
+        total += _refined(g, np.array([(poly[0], p, q) for p, q in zip(poly[1:], poly[2:])]))
+    return math.fsum(total)
 
 
 def path_crossings(forms, x0: float, t0: float, sigma: float) -> list:
-    """(s, k) for each 2D form k whose line the characteristic y = x0 +
-    sigma * (t0 - s) crosses at a time 0 < s < t0: where a1*(x0 + sigma*(t0
-    - s)) + a2*s = b.  A line parallel to the path is never crossed."""
+    """The times 0 < s < t0 at which the characteristic y = x0 + sigma *
+    (t0 - s) crosses the line of a 2D form: where a1*(x0 + sigma*(t0 - s))
+    + a2*s = b.  A line parallel to the path is never crossed."""
     out = []
-    for k, form in enumerate(forms):
+    for form in forms:
         (a1, a2), b = form.coeffs, form.offset
         denom = a2 - a1 * sigma
         if denom != 0.0:
             s = (b - a1 * (x0 + sigma * t0)) / denom
             if 0.0 < s < t0:
-                out.append((s, k))
+                out.append(s)
     return out
-
-
-def triangle_nodes(f: PiecewiseFn, x0: float, t0: float) -> tuple:
-    """The split points of the iterated integral over the dependence
-    triangle of (x0, t0), as (outer, inner_nodes): outer s in [0, t0] is
-    split wherever a singular line of f enters or leaves the inner
-    interval, that is where it crosses one of the two characteristic edges
-    (``path_crossings``; a horizontal line crosses both at once), and
-    inner_nodes(s) splits the inner interval [x0-t0+s, x0+t0-s] at the
-    line crossings themselves."""
-    tri = DependenceTriangle((x0, t0))
-    events = {0.0, t0}.union(s for sigma in (1.0, -1.0)
-                             for s, _ in path_crossings(f.forms, x0, t0, sigma))
-
-    def inner_nodes(s: float) -> list:
-        return _edge_breaks(f.forms, (None, s), *tri.inner_interval(s))
-
-    return sorted(events), inner_nodes
 
 
 def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float) -> float:
@@ -323,17 +404,8 @@ def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float) 
     its ``path_crossings``; 0 for t0 <= 0."""
     if t0 <= 0.0:
         return 0.0
-    nodes = [0.0] + sorted({s for s, _ in path_crossings(f.forms, x0, t0, sigma)}) + [t0]
+    nodes = [0.0] + sorted(set(path_crossings(f.forms, x0, t0, sigma))) + [t0]
     return _integrate(lambda S, _: _point_values([f], [x0 + sigma * (t0 - S), S]), nodes)
-
-
-def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
-    """Iterated integral of f over the dependence triangle of (x0, t0):
-    outer s in [0, t0], inner y in [x0-t0+s, x0+t0-s], split at
-    ``triangle_nodes``."""
-    if f.d != 2:
-        raise QuadratureError("integrate_triangle expects a 2D function")
-    return _iterated(lambda Y, S: _point_values([f], [Y, S]), *triangle_nodes(f, x0, t0))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from .piecewise import (
     regions,
     tol_jump,
 )
-from .quad import characteristic_integral, integrate_1d, integrate_triangle
+from .quad import _area, characteristic_integral, clip_cells, integrate_1d, integrate_triangle
 from .specular import (
     partial_field,
     semi_derivative_one_sided,
@@ -249,36 +249,6 @@ def _piecewise_constant_values(f: PiecewiseFn):
     return vals
 
 
-def _clip(poly, form: AffineForm, sign: int):
-    """Sutherland-Hodgman clip keeping sign * l(p) >= 0."""
-    if not poly:
-        return []
-    out = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        vc = sign * form.value(cur)
-        vn = sign * form.value(nxt)
-        if vc >= 0.0:
-            out.append(cur)
-        if (vc > 0.0 and vn < 0.0) or (vc < 0.0 and vn > 0.0):
-            s = vc / (vc - vn)
-            out.append((cur[0] + s * (nxt[0] - cur[0]), cur[1] + s * (nxt[1] - cur[1])))
-    return out
-
-
-def _area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    return 0.5 * abs(
-        math.fsum(
-            poly[i][0] * poly[(i + 1) % len(poly)][1]
-            - poly[(i + 1) % len(poly)][0] * poly[i][1]
-            for i in range(len(poly))
-        )
-    )
-
-
 def _shrunk_candidates(cons, mu: float) -> list:
     """The crossings of the edge lines of the polygon sign * l(p) >= mu (over
     the signed forms) with each other and with the axes that lie in it.  The
@@ -313,17 +283,11 @@ def _fit_center(cons):
 
 def _duhamel_exact(f: PiecewiseFn, values, x0: float, t0: float) -> float:
     """0.5 * iint_triangle f for piecewise-constant f, by polygon clipping."""
-    tri = [(x0 - t0, 0.0), (x0 + t0, 0.0), (x0, t0)]
+    cells = dict(clip_cells(f.forms, [(x0 - t0, 0.0), (x0 + t0, 0.0), (x0, t0)]))
     total = 0.0
     for pat, v in values.items():
-        if v == 0.0:
-            continue
-        poly = tri
-        for form, s in zip(f.forms, pat):
-            poly = _clip(poly, form, s)
-            if len(poly) < 3:
-                break
-        total += v * _area(poly)
+        if v != 0.0 and pat in cells:
+            total += v * _area(cells[pat])
     return 0.5 * total
 
 

@@ -175,6 +175,17 @@ class TestDeriv:
         code, _ = run(["deriv", str(p), "--point", "-4", "--axis", "x"])
         assert code == EXIT_MATH_DOMAIN
 
+    @pytest.mark.parametrize("point, message", [
+        ("abc,1", "point 'abc,1': could not convert string to float: 'abc'"),
+        ("nan,0", "point 'nan,0' has a coordinate that is not finite"),
+        ("inf,0", "point 'inf,0' has a coordinate that is not finite"),
+        ("1,2,3", "point has 3 coordinates but the function has 2"),
+    ])
+    def test_bad_point_exit_2(self, point, message, capsys):
+        code, out = run(["deriv", str(PROBLEMS / "corner2d.prob"), f"--point={point}", "--axis", "x"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_point_outside_domain_exit_3(self, capsys):
         # the half-line solution lives on x > 0
         code, _ = run(["deriv", str(PROBLEMS / "halfline.prob"), "--point=-1,1", "--axis", "x"])
@@ -395,6 +406,14 @@ class TestSolveCSV:
         assert capsys.readouterr().err == f"math-domain error: {message}\n"
         assert not csv.exists()
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "no" / "dir" / "x.csv"
+        code, out = run(["solve", str(PROBLEMS / "zero.prob"), "--out", str(csv)])
+        assert (code, out) == (EXIT_PARSE, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {csv}: ") and err.count("\n") == 1
+        assert not csv.parent.exists()
+
     def test_quadrature_failure_exit_3(self, tmp_path, capsys):
         # sin(1/x) has no symbolic antiderivative, and its quadrature from 0
         # does not converge near 0
@@ -568,8 +587,7 @@ class TestWriteCsv:
         path = tmp_path / "zero.prob"
         path.write_text(re.sub(r"(?m)^(nx|nt) = \d+$", r"\1 = 101", text), encoding="utf-8")
         calls = []
-        real = cli.fmt
-        monkeypatch.setattr(cli, "fmt", lambda v: calls.append(v) or real(v))
+        monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
         out = io.StringIO()
         assert cmd_solve(str(path), str(tmp_path / "o.csv"), out=out) == EXIT_OK
         assert out.getvalue().startswith("wrote 10201 rows")

@@ -15,7 +15,6 @@ from speculus.piecewise import PiecewiseFn, from_expression
 from speculus.quad import (
     MAX_DEPTH,
     QUAD_TOL,
-    DependenceTriangle,
     QuadratureError,
     TypeIIIRegion,
     _edge_breaks,
@@ -24,7 +23,6 @@ from speculus.quad import (
     green_check,
     integrate_1d,
     integrate_triangle,
-    triangle_nodes,
 )
 
 X = ("x",)
@@ -81,14 +79,11 @@ class TestAntiderivativeCheck:
 
 
 class TestDependenceTriangle:
-    def test_geometry(self):
-        tri = DependenceTriangle((2.0, 1.0))
-        assert tri.base == (1.0, 3.0)
-        assert tri.inner_interval(0.5) == (1.5, 2.5)
-
     def test_rejects_nonpositive_height(self):
-        with pytest.raises(QuadratureError):
-            DependenceTriangle((0.0, 0.0))
+        f = from_expression(parse("1 + 0*x + 0*t", XT), XT)
+        for t0 in (0.0, -1.0):
+            with pytest.raises(QuadratureError, match="dependence triangle needs t0 > 0"):
+                integrate_triangle(f, 0.0, t0)
 
     def test_constant_force_area(self):
         f = from_expression(parse("1 + 0*x + 0*t", XT), XT)
@@ -268,9 +263,51 @@ def _oracle_1d(f, a, b):
     return sign * _pieces_sum(f, [a, b])
 
 
-def _oracle_triangle(f, x0, t0):
-    outer, inner_nodes = triangle_nodes(f, x0, t0)
-    return _pieces_sum(lambda s: _pieces_sum(lambda y: f.evaluate((y, s)), inner_nodes(s)), outer)
+def _exact_clip(poly, line, sign):
+    """The part of the convex polygon (exact rational vertices) where sign *
+    (a x + b t + c) >= 0, line = (a, b, c)."""
+    a, b, c = line
+    side = [sign * (a * x + b * t + c) for x, t in poly]
+    out = []
+    for i, (p, v) in enumerate(zip(poly, side)):
+        q, w = poly[(i + 1) % len(poly)], side[(i + 1) % len(poly)]
+        if v >= 0:
+            out.append(p)
+        if v * w < 0:
+            out.append(tuple(pc + v / (v - w) * (qc - pc) for pc, qc in zip(p, q)))
+    return out
+
+
+def _exact_triangle(terms, x0, t0):
+    """The exact integral over the dependence triangle of (x0, t0) of the sum
+    of coef * kink(a*(x - px) + b*(t - pt)) * (p*(x - x0 + t) + k)^n over
+    the terms (coef, kink, (a, b, px, pt), (p, k, n)), plus t^2:
+    sympy integrates each branch, a polynomial, over each exactly clipped
+    cell of the terms' lines, fanned into triangles."""
+    sympy = pytest.importorskip("sympy")
+    x, t, r, q = sympy.symbols("x t r q")
+    R = sympy.Rational
+    lines = [(R(a), R(b), -R(a) * R(px) - R(b) * R(pt)) for _, _, (a, b, px, pt), _ in terms]
+    apex = (R(x0), R(t0))
+    total = R(0)
+    for signs in itertools.product((1, -1), repeat=len(terms)):
+        poly = [(apex[0] - apex[1], R(0)), (apex[0] + apex[1], R(0)), apex]
+        for line, sign in zip(lines, signs):
+            poly = _exact_clip(poly, line, sign)
+        branch = t ** 2
+        for (coef, kink, _, factor), (a, b, c), sign in zip(terms, lines, signs):
+            jump = sign * (a * x + b * t + c) if kink == "abs" else sign
+            p, k, n = factor
+            branch += R(coef) * jump * (R(p) * (x - apex[0] + t) + R(k)) ** n
+        for B, C in zip(poly[1:], poly[2:]):  # no triangle when the cell is empty
+            A = poly[0]
+            at = {x: A[0] + r * (B[0] - A[0]) + q * (C[0] - A[0]),
+                  t: A[1] + r * (B[1] - A[1]) + q * (C[1] - A[1])}
+            det = abs((B[0] - A[0]) * (C[1] - A[1]) - (B[1] - A[1]) * (C[0] - A[0]))
+            # the integral of r^i q^j over r, q >= 0, r + q <= 1 is i! j! / (i + j + 2)!
+            total += det * sum(c * R(math.factorial(i) * math.factorial(j), math.factorial(i + j + 2))
+                               for (i, j), c in sympy.Poly(branch.subs(at), r, q).terms())
+    return float(total)
 
 
 def _outcome(thunk):
@@ -286,7 +323,7 @@ def _n(v):
 
 
 DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -3), (3, 2)]
-LEAF = Opaque(math.atan, (Var("t"),))
+LEAF = Opaque(lambda t: t * t, (Var("t"),))
 
 
 def _factor(draw, arg):
@@ -307,20 +344,25 @@ def _with_leaf(f, leaf):
 @st.composite
 def triangle_case(draw):
     """1-3 abs/sgn lines through interior points of a dependence triangle,
-    some far from the origin, with exp/cos/sqrt factors, plus an Opaque
-    leaf in every branch."""
+    some far from the origin, each times a polynomial of degree 0-2, plus
+    an Opaque leaf t^2 in every branch; the terms as ``_exact_triangle``
+    takes them."""
     x0 = draw(st.sampled_from([0.0, 0.5, -3.25, 250.0, -10000.5]))
     t0 = draw(st.sampled_from([0.25, 1.0, 1.5]))
-    terms = []
+    terms, texts = [], []
     for _ in range(draw(st.integers(1, 3))):
         a, b = draw(st.sampled_from(DIRECTIONS))
         px = x0 + draw(st.sampled_from([-0.375, -0.125, 0.0, 0.25])) * t0
         pt = draw(st.sampled_from([0.25, 0.375, 0.5])) * t0
         kink = draw(st.sampled_from(["abs", "sgn"]))
         coef = draw(st.sampled_from([-1.5, 0.5, 2.0]))
-        terms.append(f"{_n(coef)}*{kink}({a}*(x - {_n(px)}) + {b}*(t - {_n(pt)}))"
-                     f"*{_factor(draw, f'x - {_n(x0)} + t')}")
-    return _with_leaf(from_expression(parse(" + ".join(terms), XT), XT), LEAF), x0, t0
+        p, k = draw(st.sampled_from([0.5, -0.25, 1.0])), draw(st.sampled_from([0.75, -1.0]))
+        n = draw(st.integers(0, 2))
+        terms.append((coef, kink, (a, b, px, pt), (p, k, n)))
+        texts.append(f"{_n(coef)}*{kink}({a}*(x - {_n(px)}) + {b}*(t - {_n(pt)}))"
+                     f"*({_n(p)}*(x - {_n(x0)} + t) + {_n(k)})^{n}")
+    f = from_expression(parse(" + ".join(texts), XT), XT)
+    return _with_leaf(f, LEAF), terms, x0, t0
 
 
 @st.composite
@@ -343,11 +385,10 @@ def line_case(draw):
 class TestBitIdentity:
     @given(triangle_case())
     @settings(max_examples=25, deadline=None)
-    def test_triangle_equals_depth_first(self, case):
-        f, x0, t0 = case
-        got = _outcome(lambda: integrate_triangle(f, x0, t0))
-        assert isinstance(got, float), got
-        assert got == _outcome(lambda: _oracle_triangle(f, x0, t0))
+    def test_triangle_equals_exact_cells(self, case):
+        f, terms, x0, t0 = case
+        want = _exact_triangle(terms, x0, t0)
+        assert abs(integrate_triangle(f, x0, t0) - want) <= QUAD_TOL * (1.0 + abs(want))
 
     @given(line_case())
     @settings(max_examples=25, deadline=None)
@@ -366,6 +407,15 @@ class TestBitIdentity:
             3.5315233348552533, 6.8329405613030545, 3.3014172264478012, True)
 
 
+class TestRuleTables:
+    @pytest.mark.parametrize("n, nodes, weights", [
+        (15, quad._GL_NODES, quad._GL_WEIGHTS), (8, quad._GL8_NODES, quad._GL8_WEIGHTS)])
+    def test_literals_are_leggauss(self, n, nodes, weights):
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.tolist() == want_nodes.tolist()
+        assert weights.tolist() == want_weights.tolist()
+
+
 class TestQuadratureErrors:
     def test_nonconvergent_panel(self, monkeypatch):
         step = lambda x: 1.0 if x > 0.3 else 0.0
@@ -379,6 +429,16 @@ class TestQuadratureErrors:
         assert str(exc) == str(want.value)
         assert exc.panel == want.value.panel == (0.25, 0.3125)
 
+    def test_nonconvergent_triangle(self, monkeypatch):
+        """A jump hidden in an Opaque leaf never converges: the triangle at
+        MAX_DEPTH raises QuadratureError with its corners."""
+        step = Opaque(lambda x: 1e6 if x > 0.3 else 0.0, (Var("x"),))
+        f = _with_leaf(from_expression(parse("0*x + 0*t", XT), XT), step)
+        monkeypatch.setattr(quad, "MAX_DEPTH", 3)
+        with pytest.raises(QuadratureError, match=r"^quadrature triangle .* failed to converge") as got:
+            integrate_triangle(f, 0.0, 1.0)
+        assert len(got.value.panel) == 3
+
     def test_nonconvergent_integral_raises(self):
         tall_step = lambda x: 1e6 if x > 0.3 else 0.0
         with pytest.raises(QuadratureError) as got:
@@ -388,28 +448,27 @@ class TestQuadratureErrors:
             "QuadratureError", str(got.value))
 
     @pytest.mark.parametrize("text, x0, message", [
-        ("sqrt(x + 0.5) + t", 0.0, "sqrt of negative value -0.4820608668424723"),
+        ("sqrt(x + 0.5) + t", 0.0, "sqrt of negative value -0.46068408037178277"),
         ("sqrt(0.3 - x)*abs(x + t - 0.2) + t", 0.0,
-         "sqrt of negative value -0.006630662862077585"),
+         "sqrt of negative value -0.08507674201109572"),
         ("sqrt(0.3 - x)*abs(x + t - 0.2) + t", 0.1,
-         "sqrt of negative value -0.02070996334355696"),
+         "sqrt of negative value -0.10880012151527935"),
     ])
     def test_first_domain_error_of_depth_first_order(self, text, x0, message):
         f = from_expression(parse(text, XT), XT)
         with pytest.raises(EvalDomainError) as got:
             integrate_triangle(f, x0, 1.0)
-        assert str(got.value) == message  # pinned from the depth-first implementation
-        assert _outcome(lambda: _oracle_triangle(f, x0, 1.0)) == ("EvalDomainError", message)
+        assert str(got.value) == message  # pinned: the first cell, then rule order
 
 
 class TestBatching:
     def test_off_line_triangle_needs_no_scalar_evaluation(self, monkeypatch):
-        """Every node of this triangle lies off the lines, so the batch
-        covers all of them: no ``evaluate`` call, and one
-        ``evaluate_many`` call per round of the inner engine."""
+        """Each cell of the triangle takes its one branch at the rule's
+        points with ``eval_array``, a few hundred points per call: no
+        ``evaluate`` call, and no ``evaluate_many`` call."""
         f = from_expression(parse("abs(x - t + 0.25)*exp(0.5*x) + sgn(x + 2*t - 0.5)", XT), XT)
-        want = _oracle_triangle(f, 0.0, 1.0)
-        counts = {"evaluate": 0, "evaluate_many": 0, "rounds": 0, "points": 0}
+        want = integrate_triangle(f, 0.0, 1.0)
+        counts = {"evaluate": 0, "evaluate_many": 0, "batches": 0, "points": 0}
 
         def counted(name):
             real = getattr(PiecewiseFn, name)
@@ -421,24 +480,14 @@ class TestBatching:
 
         for name in ("evaluate", "evaluate_many"):
             monkeypatch.setattr(PiecewiseFn, name, counted(name))
-        engine, nesting = quad.adaptive_panel, []
+        real_array = quad.eval_array
 
-        def traced(g, panels, *args, **kwargs):
-            inner = bool(nesting)
+        def eval_array(e, cols, bad):
+            counts["batches"] += 1
+            counts["points"] = max(counts["points"], len(bad))
+            return real_array(e, cols, bad)
 
-            def g_counted(X, owner):
-                if inner:
-                    counts["rounds"] += 1
-                    counts["points"] += X.size
-                return g(X, owner)
-            nesting.append(1)
-            try:
-                return engine(g_counted, panels, *args, **kwargs)
-            finally:
-                nesting.pop()
-
-        monkeypatch.setattr(quad, "adaptive_panel", traced)
+        monkeypatch.setattr(quad, "eval_array", eval_array)
         assert integrate_triangle(f, 0.0, 1.0) == want
-        assert counts["evaluate"] == 0
-        assert counts["evaluate_many"] == counts["rounds"] > 0
-        assert counts["points"] >= 100 * counts["rounds"]
+        assert counts["evaluate"] == counts["evaluate_many"] == 0
+        assert counts["batches"] > 0 and counts["points"] <= 4 * 64

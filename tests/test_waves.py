@@ -10,11 +10,14 @@ those printed values.  The adjacent passing tests pin the corrected values.
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from speculus.expr import AffineForm, Const, Opaque, affine_arguments, diff, eval_expr, parse
+from speculus.cli import load_problem
+from speculus.expr import (
+    AffineForm, Const, Opaque, affine_arguments, diff, eval_expr, format_expr, parse)
 from speculus.piecewise import (
     from_branches,
     from_expression,
@@ -22,7 +25,7 @@ from speculus.piecewise import (
     pw_compose_affine,
     pw_scale,
 )
-from speculus.quad import integrate_1d, integrate_triangle
+from speculus.quad import QUAD_TOL, integrate_1d, integrate_triangle
 from speculus.specular import (
     a_combine,
     partial_field,
@@ -35,6 +38,7 @@ from speculus.waves import (
     FORM_T,
     _duhamel_exact,
     _fit_center,
+    _piecewise_constant_values,
     SolverPrecondition,
     antiderivative_pw,
     boundary_residual,
@@ -466,6 +470,31 @@ class TestDuhamel:
         # (0.5, 0.9) and (0, 1.4) tie on x + t = 1.4; the larger x wins
         cone = [(AffineForm((1.0, -1.0), 0.5), -1), (AffineForm((1.0, 1.0), 0.5), 1)] + dom
         assert _fit_center(cone)[0] == pytest.approx((0.5, 0.9))
+
+    def test_exact_area_and_fit_unchanged(self):
+        """``_duhamel_exact`` clips through ``quad.clip_cells``: its values and
+        the fitted branches of fixture ``counterexample`` are bit for bit
+        those of the per-pattern clip in ``waves`` before it (pinned)."""
+        f = load_problem(str(Path(__file__).resolve().parents[1] / "problems/counterexample.prob")).f
+        values = _piecewise_constant_values(f)
+        points = ((0.3, 0.7), (-1.25, 2.0), (2.5, 0.125), (0.0, 1.0), (-0.4, 0.4))
+        assert [_duhamel_exact(f, values, *p) for p in points] == [
+            -0.10500000000000001, 1.25, -0.0078125, 0.0, 0.08000000000000002]
+        assert [(pat, format_expr(rhs)) for pat, rhs in duhamel_term(f).branches] == [
+            ((1, 1), "-0.405 + -0.8999999999999998 * (t - 0.9) + -0.5 * (t - 0.9)^2"),
+            ((-1, 1), "-0.44999999999999996 * x + -0.5000000000000002 * (x * (t - 0.9))"),
+            ((-1, -1), "0.405 + 0.8999999999999998 * (t - 0.9) + 0.5 * (t - 0.9)^2"),
+        ]
+
+    @pytest.mark.parametrize("t", [1.801, 1.802])
+    def test_triangle_where_two_lines_cross_inside(self, t):
+        """The lines of f cross at (0.4, 0.4), inside the dependence
+        triangle of (-1, t); the cell rule matches the clipped areas to
+        QUAD_TOL (the outer split at edge crossings alone was off by 4.4e-7
+        at t = 1.801)."""
+        f = from_expression(parse("sgn(x - 0.5*t - 0.2)*sgn(x + 0.5*t - 0.6)", VARS_XT), VARS_XT)
+        want = _duhamel_exact(f, _piecewise_constant_values(f), -1.0, t)
+        assert abs(0.5 * integrate_triangle(f, -1.0, t) - want) <= QUAD_TOL * (1.0 + abs(want))
 
     @pytest.mark.xfail(
         strict=True,
