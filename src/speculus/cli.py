@@ -223,24 +223,32 @@ def _parse_grid(sections: dict) -> Grid:
     sec = sections.get("grid")
     if sec is None:
         return g
+    def number(key, text, kind=float):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise ProblemFileError(f"[grid] {key}: {exc}") from None
+        if not math.isfinite(value):
+            raise ProblemFileError(f"[grid] {key} has a value that is not finite")
+        return value
     def pair(key, cur):
         if key not in sec.values:
             return cur
         parts = [p.strip() for p in sec.values[key].split(",")]
         if len(parts) != 2:
             raise ProblemFileError(f"[grid] {key} needs 'a, b'")
-        a, b = float(parts[0]), float(parts[1])
+        a, b = number(key, parts[0]), number(key, parts[1])
         if not b > a:
             raise ProblemFileError(f"[grid] {key}: need a < b")
         return (a, b)
     g.x_range = pair("x_range", g.x_range)
     g.t_range = pair("t_range", g.t_range)
     if "nx" in sec.values:
-        g.nx = int(sec.values["nx"])
+        g.nx = number("nx", sec.values["nx"], int)
     if "nt" in sec.values:
-        g.nt = int(sec.values["nt"])
+        g.nt = number("nt", sec.values["nt"], int)
     if "delta" in sec.values:
-        g.delta = float(sec.values["delta"])
+        g.delta = number("delta", sec.values["delta"])
     if g.nx < 2 or g.nt < 2:
         raise ProblemFileError("[grid] nx and nt must be >= 2")
     if not g.delta > 0:

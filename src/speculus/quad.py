@@ -17,8 +17,11 @@ The dependence triangle is integrated cell by cell (``clip_cells``), so a
 crossing of two lines inside it is a cell vertex, not a kink inside a
 panel: on a cell f is one branch, and each triangle of the cell's fan
 takes an 8 x 8 Gauss-Legendre rule on the Duffy-collapsed square (Duffy,
-SIAM J. Numer. Anal. 19, 1982), split four ways depth first until its
-children agree with it to ``QUAD_TOL`` as a panel's halves must.
+SIAM J. Numer. Anal. 19, 1982), split four ways until its children agree
+with it to ``QUAD_TOL`` as a panel's halves must.  A cell is refined in
+rounds, one batch call per round for every live triangle (up to
+ROUND_PANELS // 8, depth-first order first), and ``einsum`` sums each row
+by itself, so a triangle's value does not depend on the batch it shares.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ _DUFFY_W = 0.25 * np.repeat(_GL8_WEIGHTS, 8) * np.tile(_GL8_WEIGHTS, 8) * _DUFFY
 
 QUAD_TOL = 1e-10
 MAX_DEPTH = 30
-# panels refined per round, leftmost first: an integrand that converges
+# panels refined per round, depth-first order first (triangles: an eighth as
+# many, 4 * 64 points each against 2 * 15): an integrand that converges
 # nowhere fails after about MAX_DEPTH rounds instead of doubling its live
 # panels every round
 ROUND_PANELS = 1024
@@ -264,6 +268,8 @@ def adaptive_panel(g, panels):
 def integrate_1d(f, a: float, b: float) -> float:
     """Integral of f over [a, b]; f is a 1D PiecewiseFn, split at its
     singular points, or a plain callable, integrated over [a, b] whole."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise QuadratureError(f"integration bounds [{a}, {b}] are not finite")
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
@@ -323,33 +329,37 @@ def clip_cells(forms, polygon) -> list:
 
 def _refined(g, tris: np.ndarray) -> list:
     """The integrals of g over the triangles (A, B, C) of the (n, 3, 2)
-    array tris, depth first: each takes the 8 x 8 Duffy rule, one call
-    g(X, T) at all the nodes of a batch, and splits four ways at its edge
-    midpoints until its children's sum agrees with it as a panel's halves
-    must in ``adaptive_panel`` (QUAD_TOL, within MAX_DEPTH splits)."""
+    array tris by the 8 x 8 Duffy rule, split four ways at the edge midpoints
+    under ``adaptive_panel``'s test, in rounds: one call g(X, T) at the
+    children of the first ROUND_PANELS // 8 live triangles in depth-first
+    order, and at those of their wholes not yet taken (all, in the first)."""
     def sums(tris):
         a, b, c = (tris[:, k, :, None] for k in range(3))
         points = a + _DUFFY_U * (b - a) + _DUFFY_UV * (c - b)
         values = g(points[:, 0].ravel(), points[:, 1].ravel()).reshape(len(tris), -1)
         (e1, e2), (h1, h2) = (b - a)[..., 0].T, (c - b)[..., 0].T
-        return (np.abs(e1 * h2 - e2 * h1) * (values @ _DUFFY_W)).tolist()
+        return (np.abs(e1 * h2 - e2 * h1) * np.einsum("ij,j->i", values, _DUFFY_W)).tolist()
 
-    tol, max_depth = QUAD_TOL, MAX_DEPTH  # read once, not per triangle
-    out, stack = [], list(zip(tris, sums(tris), [0] * len(tris)))[::-1]
-    while stack:
-        (a, b, c), whole, depth = stack.pop()
-        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-        kids = np.array([(a, ab, ca), (ab, b, bc), (ca, bc, c), (bc, ca, ab)])
-        parts = sums(kids)
-        better = math.fsum(parts)
-        if abs(better - whole) <= tol * (1.0 + abs(better)):
-            out.append(better)
-        elif depth >= max_depth:
-            corners = tuple(map(tuple, np.array([a, b, c]).tolist()))
-            raise QuadratureError(f"quadrature triangle {corners} failed to converge "
-                                  f"(estimate gap {abs(better - whole):.3e})", panel=corners)
-        else:
-            stack += zip(kids[::-1], parts[::-1], [depth + 1] * 4)
+    out, wholes, depth = [], [], [0] * len(tris)
+    while len(tris):
+        head = tris[:ROUND_PANELS // 8]
+        ends = np.concatenate([head, 0.5 * (head + head[:, [1, 2, 0]])], axis=1)  # A B C AB BC CA
+        kids = ends[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [4, 5, 3]]].reshape(-1, 3, 2)
+        rows = sums(np.concatenate([head[len(wholes):], kids]))  # wholes not yet taken
+        wholes, parts, live = wholes + rows[:-len(kids)], rows[-len(kids):], []
+        for i, whole in enumerate(wholes[:len(head)]):
+            better = math.fsum(parts[4 * i:4 * i + 4])
+            if abs(better - whole) <= QUAD_TOL * (1.0 + abs(better)):
+                out.append(better)
+            elif depth[i] < MAX_DEPTH:
+                live += range(4 * i, 4 * i + 4)
+            else:
+                corners = tuple(map(tuple, head[i].tolist()))
+                raise QuadratureError(f"quadrature triangle {corners} failed to converge "
+                                      f"(estimate gap {abs(better - whole):.3e})", panel=corners)
+        tris = np.concatenate([kids[live], tris[len(head):]])
+        wholes, depth = ([parts[k] for k in live] + wholes[len(head):],
+                         [depth[k // 4] + 1 for k in live] + depth[len(head):])
     return out
 
 
@@ -357,12 +367,16 @@ def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
     """Integral of f over the dependence triangle (x0 - t0, 0), (x0 + t0,
     0), (x0, t0), t0 > 0: on each of its ``clip_cells`` f is one branch,
     taken at the nodes by ``eval_array``, and the cell's fan from its first
-    vertex is ``_refined``.  The points ``eval_array`` sets aside go through
-    ``eval_expr`` in order, so an error is the first met cell by cell, and
-    in rule order within one batch."""
+    vertex is ``_refined``, one ``eval_array`` call per round.  The points
+    ``eval_array`` sets aside go through ``eval_expr`` in order, so an error
+    is the first met cell by cell, round by round, and in rule order within
+    one batch.  The cells' values are summed by ``math.fsum``, so the order
+    in which their triangles pass does not change the total."""
     if f.d != 2:
         raise QuadratureError("integrate_triangle expects a 2D function")
-    if t0 <= 0.0:
+    if not (math.isfinite(x0) and math.isfinite(t0)):
+        raise QuadratureError(f"dependence triangle of ({x0}, {t0}) is not finite")
+    if not t0 > 0.0:
         raise QuadratureError("dependence triangle needs t0 > 0")
     total = []
     for pat, poly in clip_cells(f.forms, [(x0 - t0, 0.0), (x0 + t0, 0.0), (x0, t0)]):
@@ -402,6 +416,8 @@ def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float) 
     """int_0^t0 f(x0 + sigma * (t0 - s), s) ds for 2D f, along the
     characteristic edge of the dependence triangle of (x0, t0), split at
     its ``path_crossings``; 0 for t0 <= 0."""
+    if not (math.isfinite(x0) and math.isfinite(t0)):
+        raise QuadratureError(f"characteristic path from ({x0}, {t0}) is not finite")
     if t0 <= 0.0:
         return 0.0
     nodes = [0.0] + sorted(set(path_crossings(f.forms, x0, t0, sigma))) + [t0]

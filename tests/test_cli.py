@@ -129,6 +129,26 @@ class TestProblemFileParsing:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: no branch covers")
 
+    @pytest.mark.parametrize("grid, message", [
+        ("x_range = abc, 1", "[grid] x_range: could not convert string to float: 'abc'"),
+        ("nx = 3.5", "[grid] nx: invalid literal for int() with base 10: '3.5'"),
+        ("x_range = -inf, 1", "[grid] x_range has a value that is not finite"),
+        ("x_range = 0, 1e400", "[grid] x_range has a value that is not finite"),
+        ("t_range = nan, 1", "[grid] t_range has a value that is not finite"),
+        ("delta = inf", "[grid] delta has a value that is not finite"),
+    ])
+    def test_malformed_grid_exit_2(self, grid, message, tmp_path, capsys):
+        """An unparsable or non-finite grid value is a parse error with one
+        line (it was a traceback, or a Duhamel quadrature that never
+        converged, exit 3)."""
+        p = tmp_path / "grid.prob"
+        p.write_text("[problem]\nkind = wave-nonhomogeneous\nphi = 0\npsi = 0\n"
+                     f"f = x*t + abs(x - 0.5*t)\n[grid]\n{grid}\n")
+        for argv in (["check", str(p)], ["solve", str(p), "--out", str(tmp_path / "o.csv")]):
+            assert run(argv) == (EXIT_PARSE, "")
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_file_exit_2(self):
         code, _ = run(["check", "no/such/file.prob"])
         assert code == EXIT_PARSE

@@ -46,6 +46,15 @@ class TestIntegrate1D:
     def test_plain_callable(self):
         assert integrate_1d(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("a, b", [
+        (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (math.inf, 0.0)])
+    def test_rejects_non_finite_bounds(self, a, b):
+        f = from_expression(parse("abs(x)", X), X)
+        for g in (f, math.sin):
+            with pytest.raises(QuadratureError) as got:
+                integrate_1d(g, a, b)
+            assert str(got.value) == f"integration bounds [{a}, {b}] are not finite"
+
     def test_singular_points(self):
         f = from_expression(parse("abs(x - 1) + abs(2*x + 3)", X), X)
         assert _edge_breaks(f.forms, (None,), -5.0, 5.0) == pytest.approx([-5.0, -1.5, 1.0, 5.0])
@@ -84,6 +93,24 @@ class TestDependenceTriangle:
         for t0 in (0.0, -1.0):
             with pytest.raises(QuadratureError, match="dependence triangle needs t0 > 0"):
                 integrate_triangle(f, 0.0, t0)
+
+    @pytest.mark.parametrize("x0, t0", [
+        (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (math.inf, 1.0), (-math.inf, 1.0)])
+    def test_rejects_non_finite_apex(self, x0, t0):
+        """A NaN triangle clips to no cell and gave 0.0; an infinite one
+        refined to MAX_DEPTH with an estimate gap of nan."""
+        f = from_expression(parse("abs(x - t) + 1", XT), XT)
+        with pytest.raises(QuadratureError) as got:
+            integrate_triangle(f, x0, t0)
+        assert str(got.value) == f"dependence triangle of ({x0}, {t0}) is not finite"
+
+    @pytest.mark.parametrize("x0, t0", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0)])
+    def test_characteristic_rejects_non_finite_apex(self, x0, t0):
+        """(inf, 1) gave 0.9999999999999999: f evaluates to 1 at x = inf."""
+        f = from_expression(parse("abs(x - t) + 1", XT), XT)
+        with pytest.raises(QuadratureError) as got:
+            quad.characteristic_integral(f, 1.0, x0, t0)
+        assert str(got.value) == f"characteristic path from ({x0}, {t0}) is not finite"
 
     def test_constant_force_area(self):
         f = from_expression(parse("1 + 0*x + 0*t", XT), XT)
@@ -464,11 +491,17 @@ class TestQuadratureErrors:
 class TestBatching:
     def test_off_line_triangle_needs_no_scalar_evaluation(self, monkeypatch):
         """Each cell of the triangle takes its one branch at the rule's
-        points with ``eval_array``, a few hundred points per call: no
-        ``evaluate`` call, and no ``evaluate_many`` call."""
-        f = from_expression(parse("abs(x - t + 0.25)*exp(0.5*x) + sgn(x + 2*t - 0.5)", XT), XT)
+        points with ``eval_array``: no ``evaluate`` call, no
+        ``evaluate_many`` call, and one ``eval_array`` call per cell and
+        round.  The first takes the 64 nodes of each fan triangle and of its
+        four children; each later one the four children of the triangles
+        still live, so it is no larger than four times the children before.
+        sqrt(x + 1.1) is steep enough near x = -1 to need a second round."""
+        f = from_expression(
+            parse("abs(x - t + 0.25)*exp(0.5*x) + sgn(x + 2*t - 0.5)*sqrt(x + 1.1)", XT), XT)
         want = integrate_triangle(f, 0.0, 1.0)
-        counts = {"evaluate": 0, "evaluate_many": 0, "batches": 0, "points": 0}
+        counts = {"evaluate": 0, "evaluate_many": 0}
+        cells = []  # per _refined call: its fan triangles and its batch sizes
 
         def counted(name):
             real = getattr(PiecewiseFn, name)
@@ -480,14 +513,76 @@ class TestBatching:
 
         for name in ("evaluate", "evaluate_many"):
             monkeypatch.setattr(PiecewiseFn, name, counted(name))
-        real_array = quad.eval_array
+        real_array, real_refined = quad.eval_array, quad._refined
 
         def eval_array(e, cols, bad):
-            counts["batches"] += 1
-            counts["points"] = max(counts["points"], len(bad))
+            cells[-1][1].append(len(bad))
             return real_array(e, cols, bad)
 
+        def refined(g, tris):
+            cells.append((len(tris), []))
+            return real_refined(g, tris)
+
         monkeypatch.setattr(quad, "eval_array", eval_array)
+        monkeypatch.setattr(quad, "_refined", refined)
         assert integrate_triangle(f, 0.0, 1.0) == want
         assert counts["evaluate"] == counts["evaluate_many"] == 0
-        assert counts["batches"] > 0 and counts["points"] <= 4 * 64
+        assert len(cells) == 4 and any(len(batches) > 1 for _, batches in cells)
+        for fan, (first, *later) in cells:
+            assert first == 5 * 64 * fan
+            kids = 4 * fan
+            for points in later:
+                assert points % (4 * 64) == 0 and 0 < points <= 4 * 64 * kids
+                kids = points // 64
+
+    def test_exact_rule_takes_one_call_per_cell(self, monkeypatch):
+        """On a cell where the rule is exact (a cubic branch) every triangle
+        passes at its first split: one ``eval_array`` call per cell."""
+        f = from_expression(parse("abs(x - t + 0.25)*x^2 + sgn(x + 2*t - 0.5)*t", XT), XT)
+        calls = []
+        real_array = quad.eval_array
+        monkeypatch.setattr(quad, "eval_array", lambda e, cols, bad: calls.append(len(bad))
+                            or real_array(e, cols, bad))
+        integrate_triangle(f, 0.0, 1.0)
+        cells = quad.clip_cells(f.forms, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        assert calls == [5 * 64 * (len(poly) - 2) for _, poly in cells]
+
+    def test_nonintegrable_line_fails_in_bounded_rounds(self, monkeypatch):
+        """1/(x - 0.3) never converges along x = 0.3.  Refining whole levels
+        would double the live triangles there each level toward MAX_DEPTH;
+        rounds of at most ROUND_PANELS // 8, depth-first order first, meet the
+        triangle the depth-first walk fails at (pinned from it)."""
+        f = from_expression(parse("1/(x - 0.3) + t", XT), XT)
+        batches = []
+        real_array = quad.eval_array
+        monkeypatch.setattr(quad, "eval_array", lambda e, cols, bad: batches.append(len(bad))
+                            or real_array(e, cols, bad))
+        with pytest.raises(QuadratureError) as got:
+            integrate_triangle(f, 0.0, 1.0)
+        assert str(got.value) == (
+            "quadrature triangle ((0.2999999988824129, 0.0), (0.30000000074505806, 0.0), "
+            "(0.2999999998137355, 9.313225746154785e-10)) failed to converge "
+            "(estimate gap 4.462e-09)")
+        assert max(batches) <= 4 * 64 * (quad.ROUND_PANELS // 8)
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(abs(x - 0.25*t))", "sqrt(abs(x - 0.25*t)) + sqrt(abs(x + t - 0.5))"])
+    def test_small_rounds_give_the_same_total(self, text, monkeypatch):
+        """Rounds that take a few live triangles at a time, of mixed depths,
+        give bit for bit the total of the default rounds."""
+        f = from_expression(parse(text, XT), XT)
+        want = integrate_triangle(f, 0.0, 1.0)
+        monkeypatch.setattr(quad, "ROUND_PANELS", 24)  # 3 triangles a round
+        assert integrate_triangle(f, 0.0, 1.0) == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_values_do_not_depend_on_the_batch(self, seed):
+        """Refining several triangles together gives, bit for bit, the
+        values each gives refined alone, however deep each one goes (row
+        sums by a matrix-vector product fail this on most seeds)."""
+        g = lambda X, T: np.exp(3.0 * X) - X * np.cos(5.0 * T) + np.sqrt(X + 1.05)
+        tris = np.random.default_rng(seed).uniform(-1.0, 1.0, (32, 3, 2))
+        together = quad._refined(g, tris)
+        alone = [v for tri in tris for v in quad._refined(g, tri[None])]
+        assert len(together) > len(tris)  # some go past their first split
+        assert sorted(together) == sorted(alone)
