@@ -169,6 +169,8 @@ def _build_branch_table(sec: Section) -> PiecewiseFn:
         if aff is None or all(c == 0.0 for c in aff[0]):
             raise ProblemFileError(f"[{sec.name}] form {chunk!r} is not affine")
         form, scale = normalize_affine(aff[0], aff[1])
+        if any(form.same_as(g) for g in forms):
+            raise ProblemFileError(f"[{sec.name}] form {chunk!r} repeats an earlier form")
         forms.append(form)
         flips.append(-1 if scale < 0 else 1)
     if not forms:
@@ -679,6 +681,9 @@ def cmd_check(path: str, out=sys.stdout) -> int:
     prob = load_problem(path)
     if prob.kind is None:
         # bare function file: report continuity / proper status
+        if prob.u.d > 2:
+            raise ProblemFileError(f"check takes a function of one or two variables, "
+                                   f"not of {', '.join(prob.u.vars)}")
         good, rep = is_proper(prob.u)
         print(f"continuity.verdict = {rep.continuity.verdict}", file=out)
         print(f"proper.u = {str(good).lower()}", file=out)

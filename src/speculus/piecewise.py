@@ -242,6 +242,10 @@ class PiecewiseFn:
     # -- basic queries ------------------------------------------------------
 
     def sign_vector(self, p: Sequence[float]) -> Pattern:
+        """The sign of each form at p; no sign places a coordinate that is
+        not finite, so it raises."""
+        if not all(map(math.isfinite, p)):
+            raise EvalDomainError(f"non-finite point {tuple(p)}")
         return tuple([_sign(f, p) for f in self.forms])
 
     def match(self, s: Pattern) -> Optional[Expr]:

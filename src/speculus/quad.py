@@ -1,32 +1,31 @@
 """Integration aware of affine singular structure.
 
-1D integrals split the interval at singular points and integrate each
-smooth closed piece with adaptive 15-point Gauss-Legendre panels (dyadic
-refinement to the one tolerance ``QUAD_TOL``, absolute+relative, within
-``MAX_DEPTH`` halvings; no call overrides them).  ``adaptive_panel``
-refines breadth first, two halves of every live panel per call of a batch
-integrand, bitwise as depth-first refinement would: every panel sum is
-``half * fsum(w * f)``, a split panel's value is ``left + right``, and an
-error is the one depth-first evaluation meets first.  Characteristic edges
-and the Green's-identity verifier split at the closed-form crossings of
-the singular lines (``_edge_breaks``); the verifier's iterated integral
-runs its outer and inner panels in lockstep, one engine call per outer
-round, and a curved boundary is integrated along its graphs.
+One adaptive engine, ``adaptive_panel``, refines every integral: intervals
+under 15-point Gauss-Legendre panels split in halves, and triangles under an
+8 x 8 Gauss-Legendre rule on the Duffy-collapsed square (Duffy, SIAM J.
+Numer. Anal. 19, 1982) split in quarters.  It refines in rounds of one
+batch call each, depth-first order first, to the one tolerance
+``QUAD_TOL`` (absolute+relative) within ``MAX_DEPTH`` splits; no call
+overrides them.  Values are rebuilt bottom up, children added left to
+right, so a 1D value is bitwise what depth-first recursion returns:
+``half * fsum(w * f)`` per panel and ``left + right`` per split.  An
+integrand error is raised where a round meets it.
 
-The dependence triangle is integrated cell by cell (``clip_cells``), so a
-crossing of two lines inside it is a cell vertex, not a kink inside a
-panel: on a cell f is one branch, and each triangle of the cell's fan
-takes an 8 x 8 Gauss-Legendre rule on the Duffy-collapsed square (Duffy,
-SIAM J. Numer. Anal. 19, 1982), split four ways until its children agree
-with it to ``QUAD_TOL`` as a panel's halves must.  A cell is refined in
-rounds, one batch call per round for every live triangle (up to
-ROUND_PANELS // 8, depth-first order first), and ``einsum`` sums each row
-by itself, so a triangle's value does not depend on the batch it shares.
+1D integrals split the interval at singular points first.  Characteristic
+edges and the Green's-identity verifier split at the closed-form crossings
+of the singular lines (``_edge_breaks``); the verifier's iterated integral
+takes one inner integral per outer node, and a curved boundary is
+integrated along its graphs.  The dependence triangle is integrated cell by
+cell (``clip_cells``), so a crossing of two lines inside it is a cell
+vertex, not a kink inside a triangle: on a cell f is one branch, and the
+cell's fan triangles go through the engine together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -77,192 +76,102 @@ class QuadratureError(Exception):
         self.panel = panel
 
 
-def _lazy_fsum(values, failure=None):
-    """What ``math.fsum`` returns or raises over a generator that yields
-    values and then raises failure (None: it yields them all).  fsum takes
-    one term at a time, so only an intermediate overflow among values comes
-    before failure; inf - inf is reported at the end of a sum."""
-    if failure is None:
-        return math.fsum(values)
-    try:
-        math.fsum(values)
-    except ValueError:
-        pass
-    raise failure
-
-
 def _point_values(fns, cols):
     """fns[0] - fns[1] - ... at every point, for PiecewiseFns of one or two
     variables; cols holds one (n, 15) array or one number per variable.
     ``evaluate_many`` covers what it can, and ``evaluate`` takes the other
-    points in row order, each function in turn at a point.  Returns
-    (values, failure): failure is None, or (flat index, exception) at the
-    first point where ``evaluate`` raises, whatever it raises (the engine
-    raises it again in depth-first order); later points are left out."""
+    points in row order, each function in turn at a point, so the first
+    error it raises is the first in that order."""
     shape = next(np.shape(c) for c in cols if np.ndim(c))
     parts = [f.evaluate_many([np.broadcast_to(c, shape).ravel() for c in cols]) for f in fns]
-    failure = None
     for i in np.flatnonzero(~np.logical_and.reduce([c for _, c in parts])).tolist():
         p = tuple(c.flat[i] if np.ndim(c) else c for c in cols)
-        try:
-            for f, (values, covered) in zip(fns, parts):
-                if not covered[i]:
-                    values[i] = f.evaluate(p)
-        except Exception as exc:
-            failure = (i, exc)
-            break
+        for f, (values, covered) in zip(fns, parts):
+            if not covered[i]:
+                values[i] = f.evaluate(p)
     total = parts[0][0]
     for values, _ in parts[1:]:
         total = total - values
-    return total.reshape(shape), failure
+    return total.reshape(shape)
 
 
-def _callable_values(f, X):
-    """f at every entry of X in row order, as ``_point_values`` returns."""
-    values = np.zeros(X.shape)
-    for i, x in enumerate(X.flat):
-        try:
-            values.flat[i] = f(x)
-        except Exception as exc:
-            return values, (i, exc)
-    return values, None
-
-
-def _row_sums(values, half, failure):
-    """half[r] * fsum(w * values[r]) for each row up to the first that
-    raises, as (sums, exception or None).  A failing point (flat index,
-    exception) ends its row's sum there."""
-    stop, exc = failure if failure is not None else (values.size, None)
-    last = stop // values.shape[1]
-    terms = (_GL_WEIGHTS * values[:last + 1]).tolist()
-    sums = []
-    for r, h in enumerate(half.tolist()):
-        try:
-            if r == last:
-                _lazy_fsum(terms[r][:stop % values.shape[1]], exc)
-            sums.append(h * math.fsum(terms[r]))
-        except Exception as raised:
-            return sums, raised
-    return sums, None
+def _halves(panel):
+    mid = 0.5 * (panel[0] + panel[1])
+    return (panel[0], mid), (mid, panel[1])
 
 
 def _integrate(g, nodes) -> float:
-    """The fsum of the engine's integrals of g over the pieces between nodes."""
-    return _lazy_fsum(*adaptive_panel(g, list(zip(nodes, nodes[1:]))))
+    """The fsum of the GL15 integrals of g over the pieces between nodes;
+    g takes an (n, 15) array of nodes, one panel per row."""
+    def sums(panels):
+        a, b = np.array(panels).T
+        half = 0.5 * (b - a)
+        terms = (_GL_WEIGHTS * g((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES)).tolist()
+        return [h * math.fsum(row) for h, row in zip(half.tolist(), terms)]
+
+    pieces = [(a, b) for a, b in zip(nodes, nodes[1:]) if a != b]
+    return math.fsum(adaptive_panel(sums, _halves, pieces, ROUND_PANELS,
+                                    lambda p: f"panel [{p[0]}, {p[1]}]"))
 
 
 def _iterated(h, outer_nodes, inner_nodes) -> float:
     """Iterated integral of h(y, s): outer over the pieces between
-    outer_nodes, inner over the pieces between inner_nodes(s).  h(Y, S)
-    takes (n, 15) arrays of inner and outer coordinates and returns
-    (values, failure) as ``_point_values`` does.  The inner pieces of all
-    nodes of an outer round go through one engine call."""
-
-    def outer(S, _):
-        s_nodes = S.ravel()
-        pieces, first = [], []
-        for s in s_nodes:
-            first.append(len(pieces))
-            nodes = inner_nodes(s)
-            pieces += zip(nodes, nodes[1:])
-        first.append(len(pieces))
-        at = np.repeat(s_nodes, np.diff(first))
-        values, exc = adaptive_panel(
-            lambda Y, own: h(Y, np.broadcast_to(at[own][:, None], Y.shape)), pieces)
-        out = np.zeros(len(s_nodes))
-        for i, (p, q) in enumerate(zip(first, first[1:])):
-            try:
-                out[i] = _lazy_fsum(values[p:q], exc if len(values) < q else None)
-            except Exception as raised:
-                return out.reshape(S.shape), (i, raised)
-        return out.reshape(S.shape), None
+    outer_nodes, inner over the pieces between inner_nodes(s).  h(Y, s)
+    takes an (n, 15) array of inner coordinates and one outer coordinate."""
+    def outer(S):
+        return np.array([_integrate(lambda Y: h(Y, s), inner_nodes(s))
+                         for s in S.flat]).reshape(S.shape)
 
     return _integrate(outer, outer_nodes)
 
 
-def adaptive_panel(g, panels):
-    """Adaptive GL15 over each (lo, hi) in panels; assumes the integrand is
-    smooth in each open interval.
+def adaptive_panel(sums, split, cells, per_round, label) -> list:
+    """The adaptive integrals over cells, each by a rule whose values
+    sums(list of cells) returns, refined into the children split(cell)
+    gives in order.
 
-    g(X, owner) is the batch integrand: X is an (n, 15) array of nodes, one
-    panel or panel half per row, and owner[r] the index in panels of the
-    panel row r refines.  It returns (values, failure) as
-    ``_point_values`` does.  Each round takes the live panels in
-    depth-first order (at most ROUND_PANELS of them), sums each row as
-    ``half * fsum(w * v)``, and tests every panel as depth-first recursion
-    does: a panel whose halves agree with its whole to QUAD_TOL keeps
-    their sum, one at MAX_DEPTH fails, any other splits in two.  Values
-    are then rebuilt bottom up as left + right.
-
-    Returns (values, failure): failure is None, or the exception that
-    depth-first refinement of the panels in order raises first, and values
-    then holds the panels before the one that raised."""
-    # one entry per tree node; kid is the index of the left child (the
-    # right one follows it) or -1, and whole is None until evaluated
-    lo, hi, whole, depth, owner, kid = [], [], [], [], [], []
-
-    def node(a, b, w, d, j):
-        lo.append(a)
-        hi.append(b)
-        whole.append(w)
-        depth.append(d)
-        owner.append(j)
-        kid.append(-1)
-        return len(lo) - 1
-
-    tol, max_depth = QUAD_TOL, MAX_DEPTH  # read once, not per panel
-    roots = [node(a, b, None, 0, j) if a != b else None for j, (a, b) in enumerate(panels)]
-    live = [n for n in roots if n is not None]
-    failure = None
+    Each round takes the first per_round live cells in depth-first order
+    and makes one sums call at their wholes not yet taken (in the first
+    round, all of them) and then at their children.  A cell whose children,
+    added left to right, agree with its whole to QUAD_TOL keeps their sum;
+    one at MAX_DEPTH raises QuadratureError, named label(cell); any other
+    is refined.  A refined cell's value is then rebuilt bottom up, its
+    children added left to right, so with two halves each value is bitwise
+    what depth-first recursion returns.  An error of sums is raised where
+    it is met: round by round, and in batch order within one."""
+    # one entry per tree node: its cell, depth, value (None until taken) and
+    # the range of its children's entries (None while it has none)
+    cell, depth, value, kid = list(cells), [0] * len(cells), [None] * len(cells), [None] * len(cells)
+    tol, max_depth = QUAD_TOL, MAX_DEPTH  # read once, not per cell
+    live = list(range(len(cells)))
     while live:
-        batch, rest = live[:ROUND_PANELS], live[ROUND_PANELS:]
-        rows = []
-        for n in batch:
-            if whole[n] is None:
-                rows.append((lo[n], hi[n], owner[n]))
-            else:
-                mid = 0.5 * (lo[n] + hi[n])
-                rows += [(lo[n], mid, owner[n]), (mid, hi[n], owner[n])]
-        a, b, row_owner = (np.array(c) for c in zip(*rows))
-        half = 0.5 * (b - a)
-        values, bad = g((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES, row_owner)
-        sums, exc = _row_sums(values, half, bad)
-        live, r = [], 0
-        for n in batch:
-            need = 1 if whole[n] is None else 2
-            if r + need > len(sums):
-                failure = (owner[n], exc)
-                break
-            if need == 1:
-                whole[n] = sums[r]
-                live.append(n)
-                r += 1
-                continue
-            left, right = sums[r], sums[r + 1]
-            r += 2
-            better = left + right
-            if abs(better - whole[n]) <= tol * (1.0 + abs(better)):
-                whole[n] = better
+        batch, live = live[:per_round], live[per_round:]
+        fresh = [n for n in batch if value[n] is None]
+        kids = [split(cell[n]) for n in batch]
+        rows = sums([cell[n] for n in fresh] + [c for cs in kids for c in cs])
+        for n, v in zip(fresh, rows):
+            value[n] = v
+        r, refined = len(fresh), []
+        for n, cs in zip(batch, kids):
+            parts, r = rows[r:r + len(cs)], r + len(cs)
+            better = functools.reduce(operator.add, parts)
+            if abs(better - value[n]) <= tol * (1.0 + abs(better)):
+                value[n] = better
             elif depth[n] >= max_depth:
-                failure = (owner[n], QuadratureError(
-                    f"quadrature panel [{lo[n]}, {hi[n]}] failed to converge "
-                    f"(estimate gap {abs(better - whole[n]):.3e})",
-                    panel=(lo[n], hi[n]),
-                ))
-                break
+                raise QuadratureError(f"quadrature {label(cell[n])} failed to converge "
+                                      f"(estimate gap {abs(better - value[n]):.3e})", panel=cell[n])
             else:
-                mid = 0.5 * (lo[n] + hi[n])
-                kid[n] = node(lo[n], mid, left, depth[n] + 1, owner[n])
-                node(mid, hi[n], right, depth[n] + 1, owner[n])
-                live += [kid[n], kid[n] + 1]
-        else:
-            live += rest
-    for n in reversed(range(len(lo))):
-        if kid[n] >= 0:
-            whole[n] = whole[kid[n]] + whole[kid[n] + 1]
-    count = len(panels) if failure is None else failure[0]
-    values = [0.0 if roots[j] is None else whole[roots[j]] for j in range(count)]
-    return values, None if failure is None else failure[1]
+                kid[n] = range(len(cell), len(cell) + len(cs))
+                refined += kid[n]
+                cell += cs
+                depth += [depth[n] + 1] * len(cs)
+                value += parts
+                kid += [None] * len(cs)
+        live = refined + live
+    for n in reversed(range(len(cell))):
+        if kid[n] is not None:
+            value[n] = functools.reduce(operator.add, [value[k] for k in kid[n]])
+    return value[:len(cells)]
 
 
 def integrate_1d(f, a: float, b: float) -> float:
@@ -277,10 +186,10 @@ def integrate_1d(f, a: float, b: float) -> float:
         if f.d != 1:
             raise QuadratureError("integrate_1d expects a 1D function")
         nodes = _edge_breaks(f.forms, (None,), a, b)
-        g = lambda X, _: _point_values([f], [X])
+        g = lambda X: _point_values([f], [X])
     else:
         nodes = [a, b]
-        g = lambda X, _: _callable_values(f, X)
+        g = lambda X: np.fromiter(map(f, X.flat), float, X.size).reshape(X.shape)
     return sign * _integrate(g, nodes)
 
 
@@ -327,51 +236,33 @@ def clip_cells(forms, polygon) -> list:
     return cells
 
 
-def _refined(g, tris: np.ndarray) -> list:
-    """The integrals of g over the triangles (A, B, C) of the (n, 3, 2)
-    array tris by the 8 x 8 Duffy rule, split four ways at the edge midpoints
-    under ``adaptive_panel``'s test, in rounds: one call g(X, T) at the
-    children of the first ROUND_PANELS // 8 live triangles in depth-first
-    order, and at those of their wholes not yet taken (all, in the first)."""
-    def sums(tris):
-        a, b, c = (tris[:, k, :, None] for k in range(3))
-        points = a + _DUFFY_U * (b - a) + _DUFFY_UV * (c - b)
-        values = g(points[:, 0].ravel(), points[:, 1].ravel()).reshape(len(tris), -1)
-        (e1, e2), (h1, h2) = (b - a)[..., 0].T, (c - b)[..., 0].T
-        return (np.abs(e1 * h2 - e2 * h1) * np.einsum("ij,j->i", values, _DUFFY_W)).tolist()
+def _quarters(tri):
+    """The four triangles of tri = (A, B, C) split at its edge midpoints."""
+    a, b, c = tri
+    ab, bc, ca = ((0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])) for p, q in ((a, b), (b, c), (c, a)))
+    return (a, ab, ca), (ab, b, bc), (ca, bc, c), (bc, ca, ab)
 
-    out, wholes, depth = [], [], [0] * len(tris)
-    while len(tris):
-        head = tris[:ROUND_PANELS // 8]
-        ends = np.concatenate([head, 0.5 * (head + head[:, [1, 2, 0]])], axis=1)  # A B C AB BC CA
-        kids = ends[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [4, 5, 3]]].reshape(-1, 3, 2)
-        rows = sums(np.concatenate([head[len(wholes):], kids]))  # wholes not yet taken
-        wholes, parts, live = wholes + rows[:-len(kids)], rows[-len(kids):], []
-        for i, whole in enumerate(wholes[:len(head)]):
-            better = math.fsum(parts[4 * i:4 * i + 4])
-            if abs(better - whole) <= QUAD_TOL * (1.0 + abs(better)):
-                out.append(better)
-            elif depth[i] < MAX_DEPTH:
-                live += range(4 * i, 4 * i + 4)
-            else:
-                corners = tuple(map(tuple, head[i].tolist()))
-                raise QuadratureError(f"quadrature triangle {corners} failed to converge "
-                                      f"(estimate gap {abs(better - whole):.3e})", panel=corners)
-        tris = np.concatenate([kids[live], tris[len(head):]])
-        wholes, depth = ([parts[k] for k in live] + wholes[len(head):],
-                         [depth[k // 4] + 1 for k in live] + depth[len(head):])
-    return out
+
+def _duffy_sums(g, tris) -> list:
+    """The 8 x 8 Duffy rule's values on the triangles (A, B, C) of the list
+    tris, from one call g(X, T) at all their nodes.  ``einsum`` sums each
+    row by itself, so a value does not depend on the triangles beside it."""
+    t = np.array(tris)
+    a, b, c = (t[:, k, :, None] for k in range(3))
+    points = a + _DUFFY_U * (b - a) + _DUFFY_UV * (c - b)
+    values = g(points[:, 0].ravel(), points[:, 1].ravel()).reshape(len(t), -1)
+    (e1, e2), (h1, h2) = (b - a)[..., 0].T, (c - b)[..., 0].T
+    return (np.abs(e1 * h2 - e2 * h1) * np.einsum("ij,j->i", values, _DUFFY_W)).tolist()
 
 
 def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
     """Integral of f over the dependence triangle (x0 - t0, 0), (x0 + t0,
     0), (x0, t0), t0 > 0: on each of its ``clip_cells`` f is one branch,
     taken at the nodes by ``eval_array``, and the cell's fan from its first
-    vertex is ``_refined``, one ``eval_array`` call per round.  The points
-    ``eval_array`` sets aside go through ``eval_expr`` in order, so an error
-    is the first met cell by cell, round by round, and in rule order within
-    one batch.  The cells' values are summed by ``math.fsum``, so the order
-    in which their triangles pass does not change the total."""
+    vertex goes through ``adaptive_panel`` with the Duffy rule, split in
+    quarters.  The points ``eval_array`` sets aside go through ``eval_expr``
+    in order, so an error is the first met cell by cell, round by round,
+    and in batch order within one round."""
     if f.d != 2:
         raise QuadratureError("integrate_triangle expects a 2D function")
     if not (math.isfinite(x0) and math.isfinite(t0)):
@@ -393,7 +284,10 @@ def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
                 values[i] = eval_expr(rhs, dict(zip(f.vars, (X[i], T[i]))))
             return values
 
-        total += _refined(g, np.array([(poly[0], p, q) for p, q in zip(poly[1:], poly[2:])]))
+        v = [(float(x), float(t)) for x, t in poly]  # a failing triangle's name prints floats
+        total += adaptive_panel(functools.partial(_duffy_sums, g), _quarters,
+                                [(v[0], p, q) for p, q in zip(v[1:], v[2:])],
+                                ROUND_PANELS // 8, lambda tri: f"triangle {tri}")
     return math.fsum(total)
 
 
@@ -421,7 +315,7 @@ def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float) 
     if t0 <= 0.0:
         return 0.0
     nodes = [0.0] + sorted(set(path_crossings(f.forms, x0, t0, sigma))) + [t0]
-    return _integrate(lambda S, _: _point_values([f], [x0 + sigma * (t0 - S), S]), nodes)
+    return _integrate(lambda S: _point_values([f], [x0 + sigma * (t0 - S), S]), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +375,8 @@ def _edge_breaks(forms, at: tuple, lo: float, hi: float) -> list:
 
 def _edge_integral(f: PiecewiseFn, at: tuple, lo: float, hi: float) -> float:
     """The integral of f from lo to hi along the free coordinate of at."""
-    def g(X, _):
-        return _point_values([f], [X if v is None else v for v in at])
-
-    return _integrate(g, _edge_breaks(f.forms, at, lo, hi))
+    return _integrate(lambda X: _point_values([f], [X if v is None else v for v in at]),
+                      _edge_breaks(f.forms, at, lo, hi))
 
 
 def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion):
@@ -522,7 +414,7 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion):
     def column_nodes(x: float) -> list:
         return _edge_breaks(forms, (x, None), R.omega1(x), R.omega2(x))
 
-    lhs = _iterated(lambda Y, X: _point_values([FP, FQ], [X, Y]), sorted(xcuts), column_nodes)
+    lhs = _iterated(lambda Y, x: _point_values([FP, FQ], [x, Y]), sorted(xcuts), column_nodes)
 
     # rhs: counterclockwise boundary integral of P dy + Q dx
     if R.rectangle is not None:

@@ -122,6 +122,31 @@ class TestProblemFileParsing:
         assert code == EXIT_PARSE
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("forms, repeat", [("x; 2*x", "2*x"), ("x; -x + 0*y", "-x + 0*y")])
+    def test_repeated_form_exit_2(self, forms, repeat, tmp_path, capsys):
+        """A form that repeats an earlier one, flipped or scaled, is an
+        error: each copy's edge samples lie on the other and were dropped,
+        so the jump between ++ and -- was never sampled (exit 0,
+        continuous and proper)."""
+        p = tmp_path / "repeat.prob"
+        p.write_text(f"[problem]\nu = @g\n[g]\nvars = x, y\nforms = {forms}\n"
+                     "branch = ++ : 1\nbranch = -- : -1\n")
+        assert run(["check", str(p)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"error: [g] form {repeat!r} repeats an earlier form\n"
+
+    def test_bare_function_of_three_variables(self, tmp_path, capsys):
+        """check samples the lines of a bare function in one or two
+        variables; three died with a ValueError traceback (exit 1).  deriv
+        takes any number."""
+        p = tmp_path / "three.prob"
+        p.write_text("[problem]\nu = abs(x) + abs(y - t)\n")
+        assert run(["check", str(p)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == (
+            "error: check takes a function of one or two variables, not of x, y, t\n")
+        out = io.StringIO()
+        assert cmd_deriv(str(p), "1,2,3", "y", out=out) == EXIT_OK
+        assert float(kv(out.getvalue())["specular"]) == pytest.approx(-1.0)
+
     def test_uncovered_region_far_from_origin_exit_2(self, tmp_path, capsys):
         p = tmp_path / "far.prob"
         p.write_text("[problem]\nu = @g\n[g]\nvars = x\nforms = x - 20000\nbranch = - : 0\n")

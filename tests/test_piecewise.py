@@ -18,6 +18,7 @@ from speculus.expr import (
     BinOp,
     Call,
     Const,
+    EvalDomainError,
     Neg,
     Opaque,
     Pow,
@@ -44,7 +45,7 @@ from speculus.piecewise import (
     regions,
     sign_matrix,
 )
-from speculus.specular import a_combine
+from speculus.specular import a_combine, semi_derivatives
 
 X = ("x",)
 XY = ("x", "y")
@@ -213,6 +214,18 @@ class TestEvaluation:
         )
         assert g.evaluate((0.0,)) == 0.0
 
+    @pytest.mark.parametrize("p", [(math.inf, 0.5), (-math.inf, 0.5), (0.5, math.nan)])
+    def test_non_finite_point_raises(self, p):
+        """No sign places a coordinate that is not finite: (inf, 0.5) gave 0
+        on x = t, so the on-line value 1.0 where the value is inf, and one
+        sided limits (-inf, inf).  The batch leaves such points uncovered."""
+        f = from_expression(parse("abs(x - t) + 1", ("x", "t")), ("x", "t"))
+        for method in (f.evaluate, lambda p: f.one_sided_limits(p, 0),
+                       lambda p: semi_derivatives(f, p, 1)):
+            with pytest.raises(EvalDomainError, match=r"^non-finite point \("):
+                method(p)
+        _, covered = f.evaluate_many([np.array([c]) for c in p])
+        assert not covered.any()
 
 class TestOneSidedLimits:
     def test_heaviside(self):
@@ -561,7 +574,8 @@ class TestBatchEvaluation:
                 for p, v, ok, fin in zip(points, values.tolist(), covered.tolist(), finite):
                     try:
                         s = u.sign_vector(p)
-                    except (OverflowError, ValueError):  # fsum of an overflow or of inf - inf
+                    # fsum of an overflow or of inf - inf, or a coordinate not finite
+                    except (OverflowError, ValueError, EvalDomainError):
                         assert not ok, p
                         continue
                     want = _scalar(u.one_sided_value, p, s, axis, direction)

@@ -1,6 +1,7 @@
 """Integration layer: singular-aware 1D quadrature, FTC checks, dependence
 triangle, Green-identity verifier."""
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -446,15 +447,13 @@ class TestRuleTables:
 class TestQuadratureErrors:
     def test_nonconvergent_panel(self, monkeypatch):
         step = lambda x: 1.0 if x > 0.3 else 0.0
-        panels = [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
         monkeypatch.setattr(quad, "MAX_DEPTH", 4)
-        values, exc = adaptive_panel(lambda X, _: ((X > 0.3) * 1.0, None), panels)
-        assert values == [_recursive(step, -1.0, 0.0, max_depth=4)]
+        with pytest.raises(QuadratureError) as got:
+            quad._integrate(lambda X: (X > 0.3) * 1.0, [-1.0, 0.0, 1.0, 2.0])
         with pytest.raises(QuadratureError) as want:
             _recursive(step, 0.0, 1.0, max_depth=4)
-        assert isinstance(exc, QuadratureError)
-        assert str(exc) == str(want.value)
-        assert exc.panel == want.value.panel == (0.25, 0.3125)
+        assert str(got.value) == str(want.value)
+        assert got.value.panel == want.value.panel == (0.25, 0.3125)
 
     def test_nonconvergent_triangle(self, monkeypatch):
         """A jump hidden in an Opaque leaf never converges: the triangle at
@@ -501,7 +500,7 @@ class TestBatching:
             parse("abs(x - t + 0.25)*exp(0.5*x) + sgn(x + 2*t - 0.5)*sqrt(x + 1.1)", XT), XT)
         want = integrate_triangle(f, 0.0, 1.0)
         counts = {"evaluate": 0, "evaluate_many": 0}
-        cells = []  # per _refined call: its fan triangles and its batch sizes
+        cells = []  # per adaptive_panel call: its fan triangles and its batch sizes
 
         def counted(name):
             real = getattr(PiecewiseFn, name)
@@ -513,18 +512,18 @@ class TestBatching:
 
         for name in ("evaluate", "evaluate_many"):
             monkeypatch.setattr(PiecewiseFn, name, counted(name))
-        real_array, real_refined = quad.eval_array, quad._refined
+        real_array, real_panel = quad.eval_array, quad.adaptive_panel
 
         def eval_array(e, cols, bad):
             cells[-1][1].append(len(bad))
             return real_array(e, cols, bad)
 
-        def refined(g, tris):
-            cells.append((len(tris), []))
-            return real_refined(g, tris)
+        def panel(sums, split, fan, *args):
+            cells.append((len(fan), []))
+            return real_panel(sums, split, fan, *args)
 
         monkeypatch.setattr(quad, "eval_array", eval_array)
-        monkeypatch.setattr(quad, "_refined", refined)
+        monkeypatch.setattr(quad, "adaptive_panel", panel)
         assert integrate_triangle(f, 0.0, 1.0) == want
         assert counts["evaluate"] == counts["evaluate_many"] == 0
         assert len(cells) == 4 and any(len(batches) > 1 for _, batches in cells)
@@ -581,8 +580,60 @@ class TestBatching:
         values each gives refined alone, however deep each one goes (row
         sums by a matrix-vector product fail this on most seeds)."""
         g = lambda X, T: np.exp(3.0 * X) - X * np.cos(5.0 * T) + np.sqrt(X + 1.05)
-        tris = np.random.default_rng(seed).uniform(-1.0, 1.0, (32, 3, 2))
-        together = quad._refined(g, tris)
-        alone = [v for tri in tris for v in quad._refined(g, tri[None])]
-        assert len(together) > len(tris)  # some go past their first split
-        assert sorted(together) == sorted(alone)
+        tris = [tuple(map(tuple, tri)) for tri in
+                np.random.default_rng(seed).uniform(-1.0, 1.0, (32, 3, 2)).tolist()]
+        splits = []
+
+        def split(tri):
+            splits.append(tri)
+            return quad._quarters(tri)
+
+        def refine(*tris):
+            return adaptive_panel(functools.partial(quad._duffy_sums, g), split, list(tris),
+                                  quad.ROUND_PANELS // 8, str)
+
+        together = refine(*tris)
+        assert len(splits) > len(tris)  # some go past their first split
+        assert together == [v for tri in tris for v in refine(tri)]
+
+
+class TestOneEngine:
+    def test_intervals_and_triangles_share_the_engine(self, monkeypatch):
+        """Both go through the module-level ``adaptive_panel``: intervals
+        split in halves, triangles in quarters."""
+        arity = []
+        real = quad.adaptive_panel
+
+        def spy(sums, split, cells, *args):
+            arity.append(len(split(cells[0])))
+            return real(sums, split, cells, *args)
+
+        monkeypatch.setattr(quad, "adaptive_panel", spy)
+        assert integrate_1d(_pw("abs(x)", X), -1.0, 2.0) == pytest.approx(2.5, abs=1e-10)
+        assert integrate_triangle(_pw("x^2 + t", XT), 0.0, 1.0) == pytest.approx(0.5, abs=1e-10)
+        assert arity == [2, 4]
+
+    def test_exact_rule_takes_one_call_per_integral(self, monkeypatch):
+        """GL15 is exact on a piecewise cubic, so every piece passes at its
+        first split: one ``evaluate_many`` call takes the wholes of the three
+        pieces with their halves."""
+        f = _pw("abs(x)*x^2 + sgn(x - 1)*x", X)
+        calls = []
+        real = PiecewiseFn.evaluate_many
+        monkeypatch.setattr(PiecewiseFn, "evaluate_many",
+                            lambda self, cols: calls.append(len(cols[0])) or real(self, cols))
+        assert integrate_1d(f, -1.0, 2.0) == pytest.approx(5.75, abs=1e-10)
+        assert calls == [3 * 3 * 15]
+
+    def test_integrand_error_of_the_round_that_meets_it(self):
+        """f raises at 0.0625, the middle node of [0, 0.125], and at 0.625,
+        that of [0.5, 0.75].  Depth-first recursion meets [0, 0.125] first,
+        refining [0, 0.25] before it turns to [0.5, 1]; rounds meet [0.5,
+        0.75] a round earlier, as a child of [0.5, 1]."""
+        def f(x):
+            if x in (0.0625, 0.625):
+                raise ValueError(f"no value at {x}")
+            return (x > 0.1) + (x > 0.7)
+
+        assert _outcome(lambda: _oracle_1d(f, 0.0, 1.0)) == ("ValueError", "no value at 0.0625")
+        assert _outcome(lambda: integrate_1d(f, 0.0, 1.0)) == ("ValueError", "no value at 0.625")
