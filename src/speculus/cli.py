@@ -93,7 +93,10 @@ EXIT_PARSE = 2
 EXIT_MATH_DOMAIN = 3
 EXIT_PRECONDITION = 4
 
-KINDS = ("transport", "wave", "wave-halfline", "wave-nonhomogeneous")
+# each solver kind's data, in the order its solver takes them
+KIND_DATA = {"transport": ("h",), "wave": ("phi", "psi"), "wave-halfline": ("phi", "psi"),
+             "wave-nonhomogeneous": ("phi", "psi", "f")}
+KINDS = tuple(KIND_DATA)
 CHECK_NAMES = ("residual", "s2", "proper", "hypothesis-h", "boundary", "initial")
 
 
@@ -147,6 +150,8 @@ def _parse_vars(s: str) -> tuple:
     names = tuple(v.strip() for v in s.split(",") if v.strip())
     if not names:
         raise ProblemFileError("empty vars list")
+    if len(set(names)) < len(names):
+        raise ProblemFileError(f"vars {', '.join(names)} repeats a name")
     return names
 
 
@@ -301,48 +306,38 @@ def load_problem(path: str) -> Problem:
     prob = Problem(kind, None, grid=_parse_grid(sections), checks=_parse_checks(sections))
 
     if "u" in prob_sec.values:
-        value = prob_sec.values["u"]
-        if value.strip().startswith("@"):
-            prob.u = _resolve_data(sections, value, ())
-        else:
-            if "vars" in prob_sec.values:
-                uvars = _parse_vars(prob_sec.values["vars"])
-            else:
-                probe = parse(value, ("x", "y", "t"))
-                uvars = tuple(v for v in ("x", "y", "t") if v in free_vars(probe)) or ("x",)
-            prob.u = from_expression(parse(value, uvars), uvars)
+        value, uvars = prob_sec.values["u"], ()
+        if "vars" in prob_sec.values:
+            uvars = _parse_vars(prob_sec.values["vars"])
+        elif not value.strip().startswith("@"):
+            free = free_vars(parse(value, ("x", "y", "t")))
+            uvars = tuple(v for v in ("x", "y", "t") if v in free) or ("x",)
+        prob.u = _resolve_data(sections, value, uvars)
 
-    if kind == "transport":
-        if "h" not in prob_sec.values:
-            raise ProblemFileError("transport needs h = <initial data>")
-        prob.h = _resolve_data(sections, prob_sec.values["h"], ("x",))
-    elif kind in ("wave", "wave-halfline", "wave-nonhomogeneous"):
-        if "phi" not in prob_sec.values or "psi" not in prob_sec.values:
-            raise ProblemFileError(f"{kind} needs phi = ... and psi = ...")
-        prob.phi = _resolve_data(sections, prob_sec.values["phi"], ("x",))
-        prob.psi = _resolve_data(sections, prob_sec.values["psi"], ("x",))
-        if kind == "wave-nonhomogeneous":
-            if "f" not in prob_sec.values:
-                raise ProblemFileError("wave-nonhomogeneous needs f = <force>")
-            f = _resolve_data(sections, prob_sec.values["f"], ("x", "t"))
-            # the force lives on t > 0; restrict so classification and
-            # properness are judged on the physical domain
-            prob.f = replace(f, domain=((FORM_T, 1),))
-    elif kind is None and prob.u is None:
+    for name in KIND_DATA.get(kind, ()):
+        if name not in prob_sec.values:
+            raise ProblemFileError(f"{kind} needs {name} = ...")
+        force = name == "f"
+        fn = _resolve_data(sections, prob_sec.values[name], ("x", "t") if force else ("x",))
+        if (fn.vars != ("x", "t")) if force else (fn.d != 1):
+            need = "x, t" if force else "one variable"
+            raise ProblemFileError(f"{name} must be a function of {need}, not of {', '.join(fn.vars)}")
+        # the force lives on t > 0; restrict so classification and
+        # properness are judged on the physical domain
+        setattr(prob, name, replace(fn, domain=((FORM_T, 1),)) if force else fn)
+    if kind is None and prob.u is None:
         raise ProblemFileError("[problem] needs either kind = ... or u = ...")
     return prob
 
 
 def solve_problem(prob: Problem) -> PiecewiseFn:
-    if prob.kind == "transport":
-        return solve_transport(prob.h)
-    if prob.kind == "wave":
-        return solve_wave_homogeneous(prob.phi, prob.psi)
-    if prob.kind == "wave-halfline":
-        return solve_wave_halfline(prob.phi, prob.psi)
-    if prob.kind == "wave-nonhomogeneous":
-        return solve_wave_nonhomogeneous(prob.phi, prob.psi, prob.f)
-    raise ProblemFileError("problem file has no solver kind")
+    if prob.kind is None:
+        raise ProblemFileError("problem file has no solver kind")
+    # looked up at each call, so that a rebound module-level solver is used
+    solver = {"transport": solve_transport, "wave": solve_wave_homogeneous,
+              "wave-halfline": solve_wave_halfline,
+              "wave-nonhomogeneous": solve_wave_nonhomogeneous}[prob.kind]
+    return solver(*(getattr(prob, name) for name in KIND_DATA[prob.kind]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ set {abs, sgn, exp, sqrt, sin, cos}.  ``elu`` is accepted by the parser as
 sugar for ``g*(1+sgn(g))/2 + (exp(g)-1)*(1-sgn(g))/2``.  All nonsmoothness
 must enter through abs/sgn of affine arguments; that restriction is what
 lets the rest of the package enumerate singular hyperplanes exactly.
+Trees come from ``parse`` or from the smart constructors (``add``, ``sub``,
+``mul``, ``div``, ``neg``, ``powi``); nodes define no arithmetic operators.
 
 An ``Opaque`` leaf stands for a value with no closed form (a quadrature,
 or the A-combination of two slopes): a Python function applied to the
@@ -84,35 +86,7 @@ FUNCTIONS = ("abs", "sgn", "exp", "sqrt", "sin", "cos")
 
 @dataclass(frozen=True)
 class Expr:
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, n):
-        return powi(self, n)
-
-    def __neg__(self):
-        return neg(self)
+    pass
 
 
 @dataclass(frozen=True)
@@ -160,14 +134,6 @@ class Opaque(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-
-def _coerce(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, float)):
-        return Const(float(x))
-    raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
 def _const_val(e: Expr):

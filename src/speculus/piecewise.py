@@ -542,6 +542,8 @@ def _edge_samples(forms: tuple, domain: tuple, d: int) -> tuple:
     for k, f in enumerate(forms):
         if d == 1:
             pts = [(f.offset / f.coeffs[0],)]
+        elif d > 2:
+            raise PiecewiseError(f"edge samples need a function of one or two variables, not {d}")
         else:
             # p(t) = foot + t * (-b, a), foot the point nearest the origin
             (a, b), n2 = f.coeffs, f.coeffs[0] ** 2 + f.coeffs[1] ** 2

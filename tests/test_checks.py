@@ -17,7 +17,7 @@ import speculus.piecewise as piecewise
 import speculus.specular as specular
 import speculus.waves as waves
 from speculus.cli import _check_points, cmd_check, load_problem, solve_problem
-from speculus.expr import AffineForm, Call, Const, Opaque, Var, affine_arguments, parse
+from speculus.expr import AffineForm, Call, Const, Opaque, Var, affine_arguments, div, parse
 from speculus.piecewise import (
     ContinuityReport,
     PiecewiseFn,
@@ -290,12 +290,12 @@ LINE_Y = AffineForm((0.0, 1.0), 0.5)
 def _sqrt_leaf(a):
     """sqrt of a as an Opaque leaf, which raises ValueError below 0 as an
     Opaque leaf may, with its partial 1 / (2 sqrt)."""
-    return Opaque(math.sqrt, (a,), lambda b: (Const(0.5) / _sqrt_leaf(b),))
+    return Opaque(math.sqrt, (a,), lambda b: (div(Const(0.5), _sqrt_leaf(b)),))
 
 
 def _log_leaf(a):
     """log of a as an Opaque leaf (ValueError at or below 0), with its partial 1 / a."""
-    return Opaque(math.log, (a,), lambda b: (Const(1.0) / b,))
+    return Opaque(math.log, (a,), lambda b: (div(Const(1.0), b),))
 
 
 def _raising_fields():

@@ -147,6 +147,46 @@ class TestProblemFileParsing:
         assert cmd_deriv(str(p), "1,2,3", "y", out=out) == EXIT_OK
         assert float(kv(out.getvalue())["specular"]) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("data, table, message", [
+        # a transposed force was solved as a function of (t, x): exit 0
+        ("kind = wave-nonhomogeneous\nphi = 0\npsi = 0\nf = @g", "vars = t, x\nforms = x - 0.5",
+         "f must be a function of x, t, not of t, x"),
+        # a force of one variable died in _meet with a ValueError (exit 1)
+        ("kind = wave-nonhomogeneous\nphi = 0\npsi = 0\nf = @g", "vars = x\nforms = x - 0.5",
+         "f must be a function of x, t, not of x"),
+        # a solver precondition on the displacement derivative (exit 4)
+        ("kind = wave\nphi = @g\npsi = 0", "vars = x, y\nforms = x - y",
+         "phi must be a function of one variable, not of x, y"),
+        ("kind = wave-halfline\nphi = 0\npsi = @g", "vars = x, y\nforms = y",
+         "psi must be a function of one variable, not of x, y"),
+        # "transport data must be 1D" (exit 4)
+        ("kind = transport\nh = @g", "vars = x, t\nforms = x - t",
+         "h must be a function of one variable, not of x, t"),
+    ])
+    def test_data_variables_exit_2(self, data, table, message, tmp_path, capsys):
+        p = tmp_path / "data.prob"
+        p.write_text(f"[problem]\n{data}\n[g]\n{table}\nbranch = + : 1\nbranch = - : 0\n")
+        for argv in (["check", str(p)], ["solve", str(p), "--out", str(tmp_path / "o.csv")]):
+            assert run(argv) == (EXIT_PARSE, "")
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_one_variable_data_under_any_name(self, tmp_path):
+        p = tmp_path / "s.prob"
+        p.write_text("[problem]\nkind = transport\nh = @g\n"
+                     "[g]\nvars = s\nforms = s\nbranch = + : s\nbranch = - : -s\n")
+        out = io.StringIO()
+        assert cmd_check(str(p), out=out) == EXIT_OK
+        assert out.getvalue() == "residual.max = 0.0\nresidual.pass = true\nall.pass = true\n"
+
+    def test_repeated_variable_name_exit_2(self, tmp_path, capsys):
+        """vars = x, x read the form x as x + x and bound x to the second
+        coordinate: |x| was reported piecewise-continuous, exit 0."""
+        p = tmp_path / "xx.prob"
+        p.write_text("[problem]\nu = @g\n[g]\nvars = x, x\nforms = x\nbranch = + : x\nbranch = - : -x\n")
+        assert run(["check", str(p)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == "error: vars x, x repeats a name\n"
+
     def test_uncovered_region_far_from_origin_exit_2(self, tmp_path, capsys):
         p = tmp_path / "far.prob"
         p.write_text("[problem]\nu = @g\n[g]\nvars = x\nforms = x - 20000\nbranch = - : 0\n")

@@ -378,7 +378,7 @@ class TestEval:
     def test_opaque_with_constant_argument(self):
         leaf = opaque(math.hypot, (Var("x"), Const(-2.0)))
         assert isinstance(leaf, Opaque)
-        self.assert_batch_is_scalar(leaf * parse("sgn(3)", X), [0.0, -1.5, 3.0, -0.0])
+        self.assert_batch_is_scalar(mul(leaf, parse("sgn(3)", X)), [0.0, -1.5, 3.0, -0.0])
 
     def test_power_overflow_sets_bad(self):
         e = parse("x^2 - 2^3*x", X)
@@ -577,7 +577,7 @@ class TestOpaque:
 
     def test_eval(self):
         assert eval_expr(self.leaf(), {"x": 4.0, "y": 4.0}) == 5.0
-        assert eval_expr(2 * self.leaf() + 1, {"x": 1.0, "y": -3.0}) == 7.0
+        assert eval_expr(add(mul(Const(2.0), self.leaf()), Const(1.0)), {"x": 1.0, "y": -3.0}) == 7.0
 
     def test_free_vars(self):
         assert free_vars(self.leaf()) == {"x", "y"}
@@ -595,19 +595,19 @@ class TestOpaque:
 
     def test_format(self):
         assert format_expr(self.leaf()) == "hypot(x - 1, y)"
-        assert format_expr(-self.leaf()) == "-hypot(x - 1, y)"
+        assert format_expr(neg(self.leaf())) == "-hypot(x - 1, y)"
 
     def test_diff_raises(self):
         with pytest.raises(NotSymbolic):
             diff(self.leaf(), "x")
         # also when the leaf sits inside a larger tree
         with pytest.raises(NotSymbolic):
-            diff(parse("x^2", XY) + 3 * self.leaf(), "y")
+            diff(add(parse("x^2", XY), mul(Const(3.0), self.leaf())), "y")
 
     @staticmethod
     def hypot_partials(a, b):
         h = opaque(math.hypot, (a, b), TestOpaque.hypot_partials)
-        return a / h, b / h
+        return div(a, h), div(b, h)
 
     def test_diff_chain_rule_through_partials(self):
         # d/dx hypot(x - 1, x*y) = ((x - 1) + x*y*y) / hypot
@@ -638,7 +638,7 @@ class TestOpaque:
         leaf = opaque(math.exp, (Var("x"),))
         assert poly_coeffs(leaf, "x") is None
         assert antiderivative(leaf, "x") is None
-        assert antiderivative(parse("x", X) + leaf, "x") is None
+        assert antiderivative(add(parse("x", X), leaf), "x") is None
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +816,7 @@ class TestSignPinner:
         assert str(got.value) == str(want.value)
 
     def test_opaque_leaf_is_not_pinned(self):
-        e = opaque(math.hypot, (Var("x"), Var("y"))) + Call("abs", Var("x"))
+        e = add(opaque(math.hypot, (Var("x"), Var("y"))), Call("abs", Var("x")))
         with pytest.raises(TypeError, match="not an Expr node"):
             pin_signs(e, XY, [(AffineForm((1.0, 0.0), 0.0), 1)])
 

@@ -2,6 +2,8 @@
 runtime dependency can come back unnoticed."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,3 +21,14 @@ def test_absolute_imports_are_stdlib_numpy_or_speculus():
                 found += [(path.name, node.module)]
     assert found
     assert [(f, m) for f, m in found if m.split(".")[0] not in ALLOWED] == []
+
+
+def test_cli_and_quad_do_not_load_numpy_polynomial():
+    """quad carries its Gauss-Legendre nodes as constants, so a CLI process
+    never imports numpy.polynomial."""
+    code = ("import sys, speculus.cli, speculus.quad; "
+            "print('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

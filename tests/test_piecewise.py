@@ -270,6 +270,16 @@ class TestContinuity:
         assert rep.unsampled == [0] and list(rep.samples) == [1]
         assert rep.verdict == "continuous"
 
+    @pytest.mark.parametrize("check", [classify_continuity, is_proper])
+    def test_three_variables_raise_one_line(self, check):
+        """The edge samples lie on lines in one or two variables; three
+        raised a ValueError from unpacking the coefficients."""
+        xyt = ("x", "y", "t")
+        u = from_expression(parse("abs(x) + abs(y - t)", xyt), xyt)
+        with pytest.raises(piecewise.PiecewiseError) as info:
+            check(u)
+        assert str(info.value) == "edge samples need a function of one or two variables, not 3"
+
 
 class TestProper:
     def test_sgn_proper(self):
