@@ -22,6 +22,9 @@ Pattern characters: ``+`` ``-`` ``0`` per form, ``*`` for wildcard.
 the on-line offset ``delta``; ``[check]`` holds ``checks = ...`` drawn from
 {residual, s2, proper, hypothesis-h, boundary, initial}.
 
+The commands print their reports to ``out``; the default, None, prints
+to whatever ``sys.stdout`` is at the call.
+
 Exit codes: 0 success, 1 check failure, 2 parse error (including a branch
 table that leaves a non-empty region uncovered, a ``--point`` that is not
 finite numbers, and a file that cannot be read or written), 3 math-domain
@@ -60,6 +63,7 @@ from .piecewise import (
     from_branches,
     from_expression,
     is_proper,
+    line_values,
     pattern_groups,
 )
 from .quad import QuadratureError
@@ -372,7 +376,7 @@ def form_str(form, vars) -> str:
 # ---------------------------------------------------------------------------
 # deriv
 
-def cmd_deriv(path: str, point_str: str, axis: str, out=sys.stdout) -> int:
+def cmd_deriv(path: str, point_str: str, axis: str, out=None) -> int:
     prob = load_problem(path)
     u = prob.u if prob.u is not None else solve_problem(prob)
     try:
@@ -402,19 +406,11 @@ def cmd_deriv(path: str, point_str: str, axis: str, out=sys.stdout) -> int:
             return EXIT_OK
         print(f"criterion_residual = {fmt(data.criterion_residual)}", file=out)
         if data.normal is not None:
-            print(
-                "normal = ("
-                + ", ".join(fmt(c) for c in data.normal)
-                + ")",
-                file=out,
-            )
+            print(f"normal = ({', '.join(map(fmt, data.normal))})", file=out)
         else:
             print(f"weak_planes = {len(data.planes)}", file=out)
             for c1, c2, c0 in data.planes:
-                print(
-                    f"plane: z = {fmt(c1)}*{u.vars[0]} + {fmt(c2)}*{u.vars[1]} + {fmt(c0)}",
-                    file=out,
-                )
+                print(f"plane: z = {fmt(c1)}*{u.vars[0]} + {fmt(c2)}*{u.vars[1]} + {fmt(c0)}", file=out)
     return EXIT_OK
 
 
@@ -465,51 +461,57 @@ def _grid_segment(form, g: Grid):
     return nhat, p0, d, lo + shrink, hi - shrink
 
 
+def _online_points(u: PiecewiseFn, g: Grid) -> tuple:
+    """The on-line supplements as an x and a t array, form by form: at
+    ``max(nx, nt)`` parameters along its line's part inside the grid box,
+    the point moved by -delta, 0 and +delta along the unit normal, unless
+    l(p) (``line_values``) puts it within 2 delta of the domain's edge or
+    of another form's line."""
+    ns, margin = max(g.nx, g.nt), 2 * g.delta
+    sides = np.array([-1.0, 0.0, 1.0]) * g.delta
+    xs, ts = [np.zeros(0)], [np.zeros(0)]
+    for form in u.forms:
+        if (segment := _grid_segment(form, g)) is None:
+            continue
+        nhat, p0, d, lo, hi = segment
+        s = lo + (hi - lo) * np.arange(ns) / (ns - 1)
+        base = [p0[0] + s * d[0], p0[1] + s * d[1]]
+        keep = np.ones(ns, dtype=bool)
+        for f, sign in u.domain:
+            keep &= sign * line_values(f, base)[0] > margin
+        for other in u.forms:
+            if other is not form:
+                keep &= ~(np.abs(line_values(other, base)[0]) <= margin)
+        xs.append((base[0][keep, None] + sides * nhat[0]).ravel())
+        ts.append((base[1][keep, None] + sides * nhat[1]).ravel())
+    return np.concatenate(xs), np.concatenate(ts)
+
+
 def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     """The (n, 6) sample table x, t, u, ux, ut, residual: grid rows (t
-    outer, x inner) then on-line supplements sorted by (form index,
-    parameter, side in -1, 0, +1).  Each column is evaluated over all points
-    at once, the fields on u's lines from one ``pattern_groups`` of the
-    points, and copied in whole; the entries the batch does not cover are
-    then evaluated point by point, row by row and within a row column by
-    column, so errors surface as in a scalar pass."""
+    outer, x inner) then the ``_online_points`` supplements.  Each column
+    is evaluated over all points at once, the fields on u's lines from one
+    ``pattern_groups`` of the points, and copied in whole; for ``transport``
+    the batches of ux and ut also carry their own-axis limits, from which
+    the residual column takes the operator on the lines.  The entries the
+    batches do not cover are then evaluated point by point, row by row and
+    within a row column by column, so errors surface as in a scalar pass."""
     ux, ut = partial_field(u, 0), partial_field(u, 1)
     f = prob.f
 
     g = prob.grid
     xs = np.array(_linspace(*g.x_range, g.nx))
     ts = np.array(_linspace(*g.t_range, g.nt))
-
-    # on-line supplements: for each singular form, points along the part of
-    # its zero line inside the grid box, each with a straddling +-delta pair
-    online = []
-    ns = max(g.nx, g.nt)
-    for form in u.forms:
-        if (segment := _grid_segment(form, g)) is None:
-            continue
-        nhat, p0, d, lo, hi = segment
-        for s in _linspace(lo, hi, ns):
-            base = p0 + s * d
-            # skip parameters whose straddling pair would leave the domain
-            # or land within delta of another singular line
-            if not u.in_domain(tuple(base), margin=2 * g.delta):
-                continue
-            if any(
-                g2 is not form and abs(g2.value(base)) <= 2 * g.delta
-                for g2 in u.forms
-            ):
-                continue
-            for side in (-1, 0, 1):
-                online.append(base + side * g.delta * nhat)
-
     grid = (np.tile(xs, len(ts)), np.repeat(ts, len(xs)))
-    cols = [np.concatenate(c) for c in zip(grid, np.reshape(online, (-1, 2)).T)]
+    cols = [np.concatenate([c, extra]) for c, extra in zip(grid, _online_points(u, g))]
     groups = pattern_groups(u.forms, cols)
-    columns = [(*fld.evaluate_batch(cols, (), True, groups)[None], functools.partial(_safe_eval, fld))
-               for fld in (u, ux, ut)]
-    if prob.kind == "transport":
-        partials = [(values, covered) for values, covered, _ in columns[1:]]
-        columns.append((*transport_operator_many(u, cols, partials, groups),
+    transport = prob.kind == "transport"
+    axes = ((), (0,), (1,)) if transport else ((), (), ())
+    batches = [fld.evaluate_batch(cols, a, True, groups) for fld, a in zip((u, ux, ut), axes)]
+    columns = [(*batch[None], functools.partial(_safe_eval, fld))
+               for batch, fld in zip(batches, (u, ux, ut))]
+    if transport:
+        columns.append((*transport_operator_many(u, cols, batches[1:], groups),
                         functools.partial(transport_operator, u)))
     else:
         W = wave_operator_fields(u)[2]
@@ -555,7 +557,7 @@ def write_csv(table: np.ndarray, out_path: str) -> None:
         raise ProblemFileError(f"cannot write {out_path}: {exc}") from exc
 
 
-def cmd_solve(path: str, out_csv: str, out=sys.stdout) -> int:
+def cmd_solve(path: str, out_csv: str, out=None) -> int:
     prob = load_problem(path)
     if prob.kind is None:
         raise ProblemFileError("solve needs a problem with kind = ...")
@@ -566,12 +568,8 @@ def cmd_solve(path: str, out_csv: str, out=sys.stdout) -> int:
     rep = s2_membership(u)
     if rep.verdict != "S2":
         names = ", ".join(form_str(g, u.vars) for g in rep.failure_forms)
-        print(
-            f"warning: solution is not S2 (verdict {rep.verdict}"
-            + (f"; failing on {names}" if names else "")
-            + ")",
-            file=out,
-        )
+        print(f"warning: solution is not S2 (verdict {rep.verdict}"
+              + (f"; failing on {names}" if names else "") + ")", file=out)
     return EXIT_OK
 
 
@@ -672,7 +670,7 @@ def _run_checks(prob: Problem, out) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAIL
 
 
-def cmd_check(path: str, out=sys.stdout) -> int:
+def cmd_check(path: str, out=None) -> int:
     prob = load_problem(path)
     if prob.kind is None:
         # bare function file: report continuity / proper status

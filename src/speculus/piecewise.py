@@ -38,12 +38,13 @@ node of a limit, and is every one-sided slope of ``specular``.
 ``evaluate_batch`` gives the value and the limits along given axes at many
 points, on lines too, from the ``pattern_groups`` of the points (a stable
 sort of one base-3 code per point, cut where the code changes), which
-every field on the same lines shares, and one ``eval_array`` pass per
-distinct non-constant tree, and reports the points it covered, bitwise as
-the scalar methods.  It never raises: the checks call the scalar
-methods at the other points in the order of a scalar pass (line by line;
-per point the value, then each axis), so the first error is the one a
-scalar pass raises.
+every field on the same lines shares: one ``eval_array`` pass per distinct
+non-constant tree over the groups routed to it, read back by offset, and
+``proper_values`` for each pair.  It reports the points it covered,
+bitwise as the scalar methods, and never raises: the checks call the
+scalar methods at the other points in the order of a scalar pass (line by
+line; per point the value, then each axis), so the first error is the one
+a scalar pass raises.
 """
 
 from __future__ import annotations
@@ -154,6 +155,19 @@ def proper_value(left: float, right: float) -> float:
     return a_combine(left, right)
 
 
+def proper_values(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``proper_value`` entry by entry, bitwise: the zero-sum test, the
+    sort and the half-sum are the same IEEE operations (inf + -inf gives
+    nan without a warning), and atan and tan run through ``math``."""
+    with np.errstate(invalid="ignore"):
+        live, order = ~(np.abs(left + right) <= TOL_ZERO), left <= right
+    lo, hi = (np.array(list(map(math.atan, np.where(order, a, b)[live].tolist())))
+              for a, b in ((left, right), (right, left)))
+    out = np.zeros(len(live))
+    out[live] = list(map(math.tan, (0.5 * (lo + hi)).tolist()))
+    return out
+
+
 def proper_leaf(left: Expr, right: Expr) -> Expr:
     """``proper_value`` of two expressions as an Opaque leaf (a Const when
     neither has a free variable) with the partials of A = tan((arctan a +
@@ -166,13 +180,20 @@ def _proper_partials(left: Expr, right: Expr) -> tuple:
     return tuple(div(lift, mul(Const(2.0), add(ONE, powi(a, 2)))) for a in (left, right))
 
 
+def line_values(f: AffineForm, cols: Sequence[np.ndarray]) -> tuple:
+    """(l(p), [c * x]) at every point (cols: one coordinate array per
+    variable): the products summed left to right, then the offset taken
+    off, which for one or two terms is bitwise ``AffineForm.value``."""
+    terms = [c * x for c, x in zip(f.coeffs, cols)]
+    return sum(terms[1:], terms[0]) - f.offset, terms
+
+
 def sign_matrix(forms: Sequence[AffineForm], cols: Sequence[np.ndarray],
                 bad: Optional[np.ndarray] = None) -> np.ndarray:
     """``_sign`` of each form at every point (cols: one coordinate array per
-    variable) as the rows of an int8 matrix.  Each l(p) and the scale of
-    ``_sign`` are summed left to right from elementwise products, which for
-    one or two terms is bitwise the correctly rounded ``fsum`` of
-    ``AffineForm.value`` (``A @ P`` may fuse or reorder the sums).  An entry
+    variable) as the rows of an int8 matrix.  Each l(p) is ``line_values``
+    and the scale of ``_sign`` is summed left to right from the same
+    products (``A @ P`` may fuse or reorder the sums).  An entry
     is 0 where l(p) is not finite, and every entry is 0 for more than two
     variables; those rows are set in bad, if given, for the scalar path."""
     cols = [np.asarray(c, dtype=float) for c in cols]
@@ -183,8 +204,7 @@ def sign_matrix(forms: Sequence[AffineForm], cols: Sequence[np.ndarray],
         return out
     with np.errstate(all="ignore"):
         for k, f in enumerate(forms):
-            terms = [c * x for c, x in zip(f.coeffs, cols)]
-            v = sum(terms[1:], terms[0]) - f.offset
+            v, terms = line_values(f, cols)
             scale = 1e-12 * (1.0 + abs(f.offset) + sum(np.abs(t) for t in terms))
             out[:, k] = (v > scale).astype(np.int8) - (v < -scale)
             bad |= ~np.isfinite(v)
@@ -359,13 +379,13 @@ class PiecewiseFn:
         right limits along each axis (keys (axis, -1) and (axis, +1)) at
         many points (cols: one coordinate array per variable), each as
         (values, covered).  The ``pattern_groups`` of the forms at cols
-        (groups, if the caller has them) route each request to its node;
-        each distinct branch tree takes one ``eval_array`` pass over all the
-        points routed to it (a constant is filled in), and a pair takes
-        ``proper_value`` per point through ``math``.  A covered point has
-        finite l(p) and a value bitwise that of ``evaluate``/
-        ``one_sided_value``; the scalar methods take the others and raise
-        the errors.  Nothing here raises."""
+        (groups, if the caller has them) route each request to its node.
+        Each distinct branch tree takes one ``eval_array`` pass over the
+        concatenation of the distinct groups routed to it (a constant is
+        filled in), each request reads its group's slice back, and a pair
+        takes ``proper_values``.  A covered point has finite l(p) and a
+        value bitwise that of ``evaluate``/``one_sided_value``; the scalar
+        methods take the others and raise the errors.  Nothing here raises."""
         cols = [np.asarray(c, dtype=float) for c in cols]
         keys = ([None] if value else []) + [(axis, d) for axis in axes for d in (-1, 1)]
         plan, trees = [], {}
@@ -376,10 +396,11 @@ class PiecewiseFn:
                 _route(node, idx, trees)
         done = {}
         for k, (rhs, parts) in trees.items():
-            idx = parts[0] if len(parts) == 1 else np.flatnonzero(np.bincount(np.concatenate(parts)))
+            offsets = dict(zip(parts, itertools.accumulate((len(i) for i in parts.values()), initial=0)))
+            idx = np.concatenate(list(parts.values()))
             bad = np.zeros(len(idx), dtype=bool)
-            done[k] = idx, (np.full(len(idx), rhs.value) if type(rhs) is Const else
-                            eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad)), bad
+            done[k] = offsets, (np.full(len(idx), rhs.value) if type(rhs) is Const else
+                                eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad)), bad
         n = len(cols[0])
         out = {key: (np.zeros(n), np.zeros(n, dtype=bool)) for key in keys}
         for key, idx, node in plan:
@@ -408,23 +429,25 @@ class PiecewiseFn:
 
 
 def _route(node, idx: np.ndarray, trees: dict) -> None:
-    """Add the point indices to each branch tree of the node, keyed by id."""
+    """Add the group's point indices to each branch tree of the node: trees
+    are keyed by id, and each keeps its distinct groups by id, in order."""
     if isinstance(node, tuple):
         for m in node:
             _route(m, idx, trees)
     elif isinstance(node, Expr):
-        trees.setdefault(id(node), (node, []))[1].append(idx)
+        trees.setdefault(id(node), (node, {}))[1].setdefault(id(idx), idx)
 
 
 def _node_values(node, idx: np.ndarray, done: dict) -> tuple:
-    """(values, covered) of a node at the point indices, from the evaluated trees."""
+    """(values, covered) of a node at a group's point indices: a tree's
+    slice at the group's offset, or ``proper_values`` of a pair."""
     if isinstance(node, tuple):
         (a, oa), (b, ob) = (_node_values(m, idx, done) for m in node)
-        return np.array([proper_value(x, y) for x, y in zip(a.tolist(), b.tolist())]), oa & ob
+        return proper_values(a, b), oa & ob
     if not isinstance(node, Expr):
         return np.zeros(len(idx)), np.zeros(len(idx), dtype=bool)
-    at, values, bad = done[id(node)]  # the tree's sorted point indices, values, failures
-    pos = slice(None) if idx is at else np.searchsorted(at, idx)
+    offsets, values, bad = done[id(node)]
+    pos = slice(offsets[id(idx)], offsets[id(idx)] + len(idx))
     return values[pos], ~bad[pos]
 
 
@@ -676,12 +699,10 @@ def merge_forms(groups: Sequence[Sequence[AffineForm]]) -> list:
     return out
 
 
-def restrict_pattern(u: PiecewiseFn, union_forms: Sequence[AffineForm], pattern: Pattern) -> Pattern:
-    return tuple(pattern[find_form(union_forms, f)] for f in u.forms)
-
-
-def _branch_for(u: PiecewiseFn, union_forms, pattern) -> Expr:
-    s = restrict_pattern(u, union_forms, pattern)
+def _branch_for(u: PiecewiseFn, places: list, pattern: Pattern) -> Expr:
+    """u's branch at a sign pattern of a union of forms; places: the index
+    of each of u's forms in the union, found once per summand."""
+    s = tuple(pattern[k] for k in places)
     rhs = u.match(s)
     if rhs is None:
         raise BranchLookupError(f"no branch of summand for restricted pattern {s}")
@@ -694,10 +715,9 @@ def pw_add(u: PiecewiseFn, v: PiecewiseFn, cv: float = 1.0) -> PiecewiseFn:
         raise PiecewiseError("variable mismatch in pw_add")
     forms = merge_forms([u.forms, v.forms])
     domain = _merge_domain(u.domain, v.domain)
-    branches = [
-        (pat, add(_branch_for(u, forms, pat), mul(Const(cv), _branch_for(v, forms, pat))))
-        for pat in regions(forms, domain, u.d)
-    ]
+    pu, pv = ([find_form(forms, f) for f in w.forms] for w in (u, v))
+    branches = [(pat, add(_branch_for(u, pu, pat), mul(Const(cv), _branch_for(v, pv, pat))))
+                for pat in regions(forms, domain, u.d)]
     return PiecewiseFn(u.vars, tuple(forms), tuple(branches), "specular", domain=domain)
 
 
@@ -752,10 +772,8 @@ def pw_select(form: AffineForm, pos: PiecewiseFn, neg: PiecewiseFn) -> Piecewise
     forms = merge_forms([[form], pos.forms, neg.forms])
     domain = _merge_domain(pos.domain, neg.domain)
     sel = find_form(forms, form)
-    branches = [
-        (pat, _branch_for(pos if pat[sel] > 0 else neg, forms, pat))
-        for pat in regions(forms, domain, pos.d)
-    ]
+    sides = [(w, [find_form(forms, f) for f in w.forms]) for w in (pos, neg)]
+    branches = [(pat, _branch_for(*sides[pat[sel] < 0], pat)) for pat in regions(forms, domain, pos.d)]
     return PiecewiseFn(pos.vars, tuple(forms), tuple(branches), "specular", domain=domain)
 
 

@@ -56,13 +56,15 @@ def _center_and_pairs(u: PiecewiseFn, a, pairs=None):
     if u.d != 2:
         raise TangentError("tangent geometry is 2D only")
     pair1, pair2 = pairs or (semi_derivatives(u, a, 0), semi_derivatives(u, a, 1))
-    lim1 = u.one_sided_limits(a, 0)
-    lim2 = u.one_sided_limits(a, 1)
-    if abs(lim1.mid - lim2.mid) > tol_jump(lim1.mid, lim2.mid):
-        raise CenterMismatch(
-            f"u[a]_(1) = {lim1.mid} differs from u[a]_(2) = {lim2.mid}"
-        )
-    return (a[0], a[1], lim1.mid), pair1, pair2
+    mid1 = _check_center(u.one_sided_limits(a, 0).mid, u.one_sided_limits(a, 1).mid)
+    return (a[0], a[1], mid1), pair1, pair2
+
+
+def _check_center(mid1: float, mid2: float) -> float:
+    """u[a]_(1), once it agrees with u[a]_(2); else CenterMismatch."""
+    if abs(mid1 - mid2) > tol_jump(mid1, mid2):
+        raise CenterMismatch(f"u[a]_(1) = {mid1} differs from u[a]_(2) = {mid2}")
+    return mid1
 
 
 def _sphere_points(anchor, pair1, pair2):

@@ -44,6 +44,7 @@ from .expr import (
 from .piecewise import (
     BranchLookupError,
     PiecewiseFn,
+    _edge_groups,
     _edge_samples,
     _meet,
     _sign,
@@ -65,6 +66,7 @@ from .piecewise import (
 )
 from .quad import _area, characteristic_integral, clip_cells, integrate_1d, integrate_triangle
 from .specular import (
+    SemiDerivativePair,
     partial_field,
     semi_derivative_one_sided,
     semi_derivatives,
@@ -72,7 +74,7 @@ from .specular import (
     specular_partial,
     specularly_differentiable_1d,
 )
-from .tangent2d import CenterMismatch, _center_and_pairs, _criterion
+from .tangent2d import CenterMismatch, _center_and_pairs, _check_center, _criterion
 
 VARS_XT = ("x", "t")
 FORM_X = AffineForm((1.0, 0.0), 0.0)
@@ -468,28 +470,35 @@ def transport_operator(u: PiecewiseFn, p) -> float:
 
 def transport_operator_many(u: PiecewiseFn, cols, partials=None, groups=None) -> tuple:
     """``transport_operator`` at many points, as (values, covered) with the
-    contract of ``PiecewiseFn.evaluate_many``.  Off the lines both one-sided
-    slopes along an axis are the partial field's value d there, so the
-    specular partial is A(d, d), run through ``math`` once per distinct bit
-    pattern of the (d_t, d_x) pair (-0.0 and 0.0 stay apart) and indexed
-    back into every point that holds it.  partials: the (values, covered)
-    of ``partial_field(u, 0)`` and ``(u, 1)`` at cols, and groups: the
-    ``pattern_groups`` of u's forms at cols, if the caller has them; a
-    point is off the lines when its pattern has no 0."""
+    contract of ``PiecewiseFn.evaluate_many``: A(right_t, left_t) +
+    A(right_x, left_x) of the ``_slopes`` table, run through ``math`` once
+    per distinct bit pattern of its four entries (-0.0 and 0.0 stay apart)
+    and indexed back into every point that holds it.  partials and groups
+    (the ``pattern_groups`` of u's forms at cols) as the caller has them."""
     groups = pattern_groups(u.forms, cols) if groups is None else groups
-    if partials is None:
-        partials = [partial_field(u, axis).evaluate_batch(cols, (), True, groups)[None]
-                    for axis in (0, 1)]
-    (dx, cx), (dt, ct) = partials
-    pairs = np.column_stack([dt, dx])
-    _, first, inverse = np.unique(pairs.view(np.dtype((np.void, 16))).ravel(),
+    table, covered = _slopes(u, cols, groups, partials)
+    _, first, inverse = np.unique(table.view(np.dtype((np.void, 32))).ravel(),
                                   return_index=True, return_inverse=True)
-    distinct = [a_combine(a, a) + a_combine(b, b) for a, b in pairs[first].tolist()]
-    values = np.array(distinct, dtype=float)[inverse]
-    off_lines = np.zeros(len(values), dtype=bool)
+    distinct = [a_combine(rt, lt) + a_combine(rx, lx) for rx, lx, rt, lt in table[first].tolist()]
+    return np.array(distinct, dtype=float)[inverse], covered
+
+
+def _slopes(u: PiecewiseFn, cols, groups: list, partials=None) -> tuple:
+    """(table, covered): the right and left semi-derivatives of u along x,
+    then t, as the own-axis limits of its partial fields (partials: their
+    ``evaluate_batch`` at cols with axes (0,) and (1,)).  A point is covered
+    where all four are covered and finite and no axis runs along its line,
+    since there a field's limit is not the semi-derivative."""
+    if partials is None:
+        partials = [partial_field(u, axis).evaluate_batch(cols, (axis,), False, groups) for axis in (0, 1)]
+    entries = [partials[axis][axis, d] for axis in (0, 1) for d in (1, -1)]
+    table = np.column_stack([values for values, _ in entries])
+    covered = np.isfinite(table).all(axis=1)
     for s, idx in groups:
-        off_lines[idx] = 0 not in s
-    return values, cx & ct & np.isfinite(dx) & np.isfinite(dt) & off_lines
+        covered[idx] &= all(0.0 not in u.forms[k].coeffs for k, q in enumerate(s) if q == 0)
+    for _, ok in entries:
+        covered &= ok
+    return table, covered
 
 
 def transport_residual(u: PiecewiseFn, points) -> ResidualReport:
@@ -514,12 +523,25 @@ class HypothesisHReport:
 def hypothesis_h_check(u: PiecewiseFn) -> HypothesisHReport:
     """Evaluate the strong-tangent criterion of v = u_t - u_x at the edge
     samples of its lines; hypothesis (H) demands a strong specular tangent
-    there."""
+    there.  v's ``_slopes`` and its limits along both axes come from batches
+    at the cached ``_edge_groups``; ``_center_and_pairs`` takes the points
+    they leave, in order, and raises their errors."""
     v = pw_add(partial_field(u, 1), partial_field(u, 0), -1.0)
+    cols, groups = _edge_groups(v.forms, v.domain, v.d)
+    slopes, good = _slopes(v, cols, groups)
+    limits = v.evaluate_batch(cols, (0, 1), False, groups)
+    mids = [(0.5 * (limits[axis, -1][0] + limits[axis, 1][0])).tolist() for axis in (0, 1)]
+    for _, ok in limits.values():
+        good &= ok
     rows, failures = [], []
-    for p in (p for line in _edge_samples(v.forms, v.domain, v.d) for p in line):
+    points = (p for line in _edge_samples(v.forms, v.domain, v.d) for p in line)
+    for p, (a1, b1, a2, b2), mid1, mid2, ok in zip(points, slopes.tolist(), *mids, good.tolist()):
         try:
-            _, pair1, pair2 = _center_and_pairs(v, p)
+            if ok:
+                _check_center(mid1, mid2)
+                pair1, pair2 = SemiDerivativePair(a1, b1, 0), SemiDerivativePair(a2, b2, 1)
+            else:
+                _, pair1, pair2 = _center_and_pairs(v, p)
         except CenterMismatch as e:
             rows.append((tuple(p), None, f"center mismatch: {e}"))
             failures.append(tuple(p))

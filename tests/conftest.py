@@ -4,8 +4,10 @@ across the suite.  Session-scoped so expensive solves run once."""
 import pytest
 
 from speculus.expr import AffineForm, Const, parse
-from speculus.piecewise import from_branches, from_expression
+from speculus.piecewise import _edge_samples, from_branches, from_expression, pw_add
 from speculus.expr import affine_arguments
+from speculus.specular import partial_field
+from speculus.tangent2d import CenterMismatch, _center_and_pairs, _criterion
 from speculus.waves import (
     FORM_T,
     solve_wave_halfline,
@@ -108,3 +110,30 @@ def printed_counterexample_u():
         policy="branch",
         domain=((FORM_T, 1),),
     )
+
+
+def _scalar_h_rows(u):
+    """The rows of ``hypothesis_h_check`` by the scalar path alone:
+    ``_center_and_pairs`` of v = u_t - u_x at each edge sample of v's
+    lines, in order, with each residual and float as its repr."""
+    v = pw_add(partial_field(u, 1), partial_field(u, 0), -1.0)
+    rows = []
+    for p in (p for line in _edge_samples(v.forms, v.domain, v.d) for p in line):
+        try:
+            _, pair1, pair2 = _center_and_pairs(v, p)
+        except CenterMismatch as e:
+            rows.append((tuple(p), None, f"center mismatch: {e}"))
+        else:
+            rows.append((tuple(p), repr(_criterion(pair1, pair2)[0]), ""))
+    return rows
+
+
+@pytest.fixture(scope="session")
+def scalar_h_rows():
+    return _scalar_h_rows
+
+
+@pytest.fixture(scope="session")
+def h_rows():
+    """The rows of a ``hypothesis_h_check`` report in the form of ``scalar_h_rows``."""
+    return lambda rep: [(p, None if r is None else repr(r), note) for p, r, note in rep.rows]

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from speculus.cli import (
 import speculus.piecewise as piecewise
 import speculus.specular as specular
 import speculus.waves as waves
-from speculus.expr import EvalDomainError, Expr, ExprError
+from speculus.expr import AffineForm, EvalDomainError, Expr, ExprError, normalize_affine, parse
 from speculus.piecewise import PiecewiseFn
 from speculus.specular import partial_field
 from speculus.waves import hypothesis_h_check, transport_operator, transport_operator_many
@@ -330,18 +331,20 @@ class TestSemiDerivativeWork:
         assert len(calls) == 4  # 6 when the tangent code recomputed both pairs
 
     @pytest.mark.parametrize("name, count", [
-        pytest.param("halfline", 72, id="halfline-288"),
-        pytest.param("wave_fullline", 48, id="wave_fullline-144"),
-        pytest.param("counterexample", 24, id="counterexample-144"),
+        pytest.param("halfline", 18, id="halfline-288"),
+        pytest.param("wave_fullline", 12, id="wave_fullline-144"),
+        pytest.param("counterexample", 6, id="counterexample-144"),
     ])
     def test_hypothesis_h_check(self, name, count, monkeypatch):
-        """Two pairs per edge sample.  The id holds the count of the
-        box-sampled check with the pairs computed twice."""
+        """No scalar semi-derivative at any edge sample: the pairs come from
+        the batches of v's partial fields.  The id holds the count of the
+        box-sampled check with the pairs computed twice (then 72, 48 and 24
+        calls, two pairs per edge sample)."""
         u = cli.solve_problem(load_problem(str(PROBLEMS / f"{name}.prob")))
         calls = count_semi_derivatives(monkeypatch)
         rep = hypothesis_h_check(u)
-        assert len(calls) == count
-        assert len(calls) == 4 * len(rep.rows)
+        assert calls == []
+        assert len(rep.rows) == count
 
     def test_other_axis_raises_after_the_report(self, tmp_path, capsys):
         # the x pair exists at (1, 0); the right y slope of y*sqrt(y) divides by 0
@@ -771,20 +774,20 @@ def test_transport_solve_groups_its_points_once(monkeypatch):
 
 def test_transport_101_a_combines_each_distinct_pair_once(tmp_path, monkeypatch):
     """On a seeded transport problem at 101 x 101, the residual column runs
-    ``a_combine`` twice (A(d_t, d_t) and A(d_x, d_x)) per distinct bit
-    pattern of the (d_t, d_x) pair, not per row."""
+    ``a_combine`` twice (along t and along x) per distinct bit pattern of
+    the four own-axis limits of the partial fields, not per row."""
     rng = np.random.default_rng(11)
     kinks = " + ".join(f"{c}*abs(x - {a})" for c, a in zip(rng.choice([-1.5, 0.5, 2.0], 2),
                                                            rng.choice([-1.0, 0.0, 1.5], 2, replace=False)))
     path = tmp_path / "transport.prob"
     path.write_text(f"[problem]\nkind = transport\nh = {kinks} + 0.25*x^2 - 0.5*x\n"
                     "[grid]\nx_range = -3, 3\nt_range = 0, 2\nnx = 101\nnt = 101\n")
-    pairs, calls = set(), []
+    quads, calls = set(), []
     real_many, real_combine = cli.transport_operator_many, waves.a_combine
 
     def spied(u, cols, partials, *groups):
-        (dx, _), (dt, _) = partials
-        pairs.update(zip(dt.view(np.int64).tolist(), dx.view(np.int64).tolist()))
+        limits = [partials[axis][axis, d][0].view(np.int64).tolist() for axis in (1, 0) for d in (1, -1)]
+        quads.update(zip(*limits))
         return real_many(u, cols, partials, *groups)
 
     monkeypatch.setattr(cli, "transport_operator_many", spied)
@@ -792,8 +795,159 @@ def test_transport_101_a_combines_each_distinct_pair_once(tmp_path, monkeypatch)
     out = io.StringIO()
     assert cmd_solve(str(path), str(tmp_path / "o.csv"), out=out) == EXIT_OK
     rows = int(out.getvalue().split()[1])
-    assert rows > 101 * 101 > 5 * len(pairs)
-    assert len(calls) == 2 * len(pairs)
+    assert rows > 101 * 101 > 5 * len(quads)
+    assert len(calls) == 2 * len(quads)
+
+
+def test_run_returns_the_report(monkeypatch):
+    """The commands print to the ``sys.stdout`` of the call, so ``run``
+    reads the report."""
+    monkeypatch.chdir(REPO)
+    want = io.StringIO()
+    assert cmd_check("problems/zero.prob", out=want) == EXIT_OK
+    assert run(["check", "problems/zero.prob"]) == (EXIT_OK, want.getvalue())
+    assert want.getvalue().startswith("residual.max = ") and want.getvalue().endswith("all.pass = true\n")
+
+
+def online_reference(u, g):
+    """The on-line supplements by the per-parameter loop that ``solve``
+    once ran: per form and parameter, the domain and other-line tests on
+    ``in_domain`` and ``AffineForm.value``, then the -delta, 0, +delta
+    points."""
+    points, ns = [], max(g.nx, g.nt)
+    for form in u.forms:
+        if (segment := cli._grid_segment(form, g)) is None:
+            continue
+        nhat, p0, d, lo, hi = segment
+        for s in cli._linspace(lo, hi, ns):
+            base = p0 + s * d
+            if not u.in_domain(tuple(base), margin=2 * g.delta):
+                continue
+            if any(h is not form and abs(h.value(base)) <= 2 * g.delta for h in u.forms):
+                continue
+            points += [base + side * g.delta * nhat for side in (-1, 0, 1)]
+    return np.reshape(points, (-1, 2)).T
+
+
+def shifted(text: str, dx: float) -> str:
+    """A wave or transport problem moved by (dx, 0): its data at x - dx, its x range by dx."""
+    data = re.compile(r"(?m)^(phi|psi|h) = (.*)$")
+    text = data.sub(lambda m: m.group(1) + " = " + re.sub(r"\bx\b", f"(x - {dx})", m.group(2)), text)
+    return re.sub(r"(?m)^x_range = (.*), (.*)$",
+                  lambda m: f"x_range = {float(m.group(1)) + dx}, {float(m.group(2)) + dx}", text)
+
+
+class TestOnlinePoints:
+    """``_online_points`` equals the per-parameter loop bit for bit: the
+    same points, in the same order, with the same -delta, 0, +delta
+    triples."""
+
+    @staticmethod
+    def assert_matches(u, g):
+        got = cli._online_points(u, g)
+        want = online_reference(u, g)
+        assert [c.view(np.int64).tolist() for c in got] == [c.view(np.int64).tolist() for c in want]
+        return len(want[0])
+
+    @pytest.mark.parametrize("name", ["halfline", "wave_fullline", "counterexample", "transport_abs"])
+    @pytest.mark.parametrize("n", [None, 101])
+    @pytest.mark.parametrize("dx", [0.0, 1e4])
+    def test_fixtures(self, name, n, dx, tmp_path):
+        text = (PROBLEMS / f"{name}.prob").read_text(encoding="utf-8")
+        if n:
+            text = re.sub(r"(?m)^(nx|nt) = \d+$", rf"\1 = {n}", text)
+        if dx and name in ("wave_fullline", "transport_abs"):  # data given as formulas
+            text = shifted(text, dx)
+        path = tmp_path / "p.prob"
+        path.write_text(text, encoding="utf-8")
+        prob = load_problem(str(path))
+        u = cli.solve_problem(prob)
+        assert self.assert_matches(u, prob.grid) > 0
+
+    def test_half_line_domain(self):
+        """A domain line cuts the supplements: u lives on x > 0.5."""
+        xt = ("x", "t")
+        u = piecewise.from_expression(parse("abs(x - t) + abs(x + 2*t - 1)", xt), xt,
+                                      domain=((AffineForm((1.0, 0.0), 0.5), 1),))
+        g = cli.Grid((-1.0, 3.0), (0.0, 2.0), 41, 21, 1e-3)
+        assert 0 < self.assert_matches(u, g) < 2 * 3 * 41
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_lines(self, data):
+        """Lines a*(x - shift) + b*t + c = 0, a domain side among them."""
+        coef = st.floats(-3.0, 3.0, allow_subnormal=False)
+        lines = data.draw(st.lists(st.tuples(st.sampled_from((0.0, 1.0, -0.5, 2.0)), coef, coef)
+                                   .filter(lambda line: line[:2] != (0.0, 0.0)), min_size=1, max_size=5))
+        shift = data.draw(st.sampled_from((0.0, 1e4)))
+        forms = [normalize_affine((a, b), c - a * shift)[0] for a, b, c in lines]
+        domain = tuple((f, 1) for f in forms[4:])
+        u = PiecewiseFn(("x", "t"), tuple(forms[:4]), (), "specular", domain=domain)
+        nx, nt = data.draw(st.integers(2, 40)), data.draw(st.integers(2, 40))
+        delta = data.draw(st.sampled_from((1e-6, 1e-3, 0.05)))
+        self.assert_matches(u, cli.Grid((shift - 2.0, shift + 3.0), (0.0, 2.0), nx, nt, delta))
+
+    def test_no_per_parameter_work(self, monkeypatch):
+        """No ``in_domain`` or ``AffineForm.value`` call, where the loop
+        made them per parameter."""
+        prob = load_problem(str(PROBLEMS / "halfline.prob"))
+        u, calls = cli.solve_problem(prob), []
+        for cls, name in ((PiecewiseFn, "in_domain"), (AffineForm, "value")):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        assert len(cli._online_points(u, prob.grid)[0]) > 0
+        assert calls == []
+
+
+class TestNoScalarWork:
+    """``solve`` on the solver fixtures at 101 x 101 takes the transport
+    residual with no scalar ``transport_operator`` (135 calls on
+    transport_abs before the batch covered the lines), and
+    ``evaluate_batch`` reads its trees without ``np.searchsorted``; the CSV
+    bytes are those of ``TestReference``."""
+
+    @pytest.mark.parametrize("name", ["halfline", "wave_fullline", "counterexample", "transport_abs"])
+    def test_solve_101(self, name, tmp_path, monkeypatch):
+        text = (PROBLEMS / f"{name}.prob").read_text(encoding="utf-8")
+        path = tmp_path / "p.prob"
+        path.write_text(re.sub(r"(?m)^(nx|nt) = \d+$", r"\1 = 101", text), encoding="utf-8")
+        calls = []
+
+        def spy(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "transport_operator", spy("transport_operator", transport_operator))
+        monkeypatch.setattr(np, "searchsorted", spy("searchsorted", np.searchsorted))
+        csv = tmp_path / "out.csv"
+        assert cmd_solve(str(path), str(csv), out=io.StringIO()) == EXIT_OK
+        assert calls == []
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == REFERENCE[f"solve101:{name}"]["csv_sha256"]
+
+
+class TestTransportOnLines:
+    def test_transport_abs_101_on_line_rows(self):
+        """At the on-line rows of transport_abs at 101 x 101 the batch
+        covers every point, bitwise ``transport_operator``."""
+        prob = load_problem(str(PROBLEMS / "transport_abs.prob"))
+        u, g = cli.solve_problem(prob), replace(prob.grid, nx=101, nt=101)
+        cols = list(cli._online_points(u, g))
+        points = [tuple(p) for p in np.array(cols).T.tolist()]
+        assert sum(0 in u.sign_vector(p) for p in points) == len(points) // 3 > 0
+        values, covered = transport_operator_many(u, cols)
+        assert covered.all()
+        want = np.array([transport_operator(u, p) for p in points])
+        assert values.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_line_along_an_axis_stays_uncovered(self):
+        """On t = 1 the x limits of u_x stay on the line, where the field's
+        value is not u's semi-derivative: the scalar path takes the point."""
+        xt = ("x", "t")
+        u = piecewise.from_expression(parse("abs(x - t) + x*(sgn(t - 1) + 2)", xt), xt)
+        points = [(0.3, 1.0), (0.5, 0.5), (2.0, 0.25)]
+        values, covered = transport_operator_many(u, np.array(points).T)
+        assert covered.tolist() == [False, True, True]
+        assert values[1:].tolist() == [transport_operator(u, p) for p in points[1:]]
+        assert transport_operator(u, points[0]) != values[0]
 
 
 def test_main_builds_the_argument_parser_once(monkeypatch):

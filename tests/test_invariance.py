@@ -82,6 +82,22 @@ def test_line_sums_move_unchanged(tmp_path_factory, terms):
         assert check_report(tmp_path, moved(expr, how)) == want, how
 
 
+def test_hypothesis_h_rows_match_scalar(scalar_h_rows, h_rows):
+    """The rows of ``hypothesis_h_check`` from its batches equal those of
+    the scalar ``_center_and_pairs`` on the problems above, moved or not."""
+    exprs = [fixture_u("corner2d"), fixture_u("table2d"), "sgn(x - 2) + abs(y)",
+             "(-3)*sgn((-3)*x + (-0.3))", "sgn(x)*(sgn(y) - sgn(y - 0.001))",
+             "(2.5)*abs((0.7)*x + (-1)*y + (1.7)) + (-1)*sgn((1)*x + (2.5)*y + (-0.3))"]
+    notes = 0
+    for expr in exprs:
+        for text in (expr, moved(expr, SHIFT), moved(expr, SCALE)):
+            u, fresh = (from_expression(parse(text, XY), XY) for _ in range(2))
+            rows = h_rows(hypothesis_h_check(u))
+            assert rows == scalar_h_rows(fresh), text
+            notes += sum(note != "" for _, _, note in rows)
+    assert notes > 0
+
+
 def test_short_edge_is_sampled():
     """sgn(x)*(sgn(y) - sgn(y - 0.001)) jumps across x = 0 only on its
     0.001-long edge; the samples there find the jump, and those off it do
@@ -95,7 +111,7 @@ def test_short_edge_is_sampled():
     assert rep.verdict == "not-piecewise-continuous"
 
 
-def test_shifted_wave_fullline(tmp_path):
+def test_shifted_wave_fullline(tmp_path, scalar_h_rows, h_rows):
     """wave_fullline moved to x in [9997, 10003]: the same check report,
     S1-only on the moved line, hypothesis (H) tested at as many points, and
     as many on-line residual points."""
@@ -121,6 +137,7 @@ def test_shifted_wave_fullline(tmp_path):
     assert [form_str(g, u1.vars) for g in s1.failure_forms] == ["x + t = 10001.0"]
     h0, h1 = hypothesis_h_check(u0), hypothesis_h_check(u1)
     assert len(h1.rows) == len(h0.rows) > 0 and not h1.failures
+    assert h_rows(h1) == scalar_h_rows(solve_problem(far))
 
     def on_line(u, prob):
         return [p for p in _check_points(u, prob) if 0 in u.sign_vector(p)]

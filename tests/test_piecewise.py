@@ -4,6 +4,7 @@ field algebra."""
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from speculus.piecewise import (
     BranchLookupError,
     CoverageError,
     EDGE_POINTS,
+    TOL_ZERO,
     PiecewiseFn,
     _edge_samples,
     _faces,
@@ -38,6 +40,8 @@ from speculus.piecewise import (
     from_expression,
     is_proper,
     pattern_groups,
+    proper_value,
+    proper_values,
     pw_add,
     pw_compose_affine,
     pw_scale,
@@ -665,6 +669,43 @@ class TestBatchEvaluation:
         assert values.tolist() == [6.0] and covered.all()
         values, covered = table_fn.evaluate_many([[], []])
         assert len(values) == len(covered) == 0
+
+
+class TestProperValues:
+    """``proper_values`` is ``proper_value`` entry by entry, bit for bit."""
+
+    SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5, -0.3,
+               TOL_ZERO, -TOL_ZERO, 0.5 * TOL_ZERO, 1e7, -1e7)
+
+    def test_matches_scalar_bitwise(self):
+        pairs = [(a, b) for a in self.SPECIAL for b in self.SPECIAL]
+        # sums just inside, at and just past the zero-sum tolerance
+        for edge in (TOL_ZERO, -TOL_ZERO):
+            for step in (-1.0, 0.0, 1.0):
+                near = np.nextafter(edge, step * math.inf) if step else edge
+                pairs += [(near, 0.0), (0.0, near), (0.75 + near, -0.75), (-3.0, 3.0 + near)]
+        # slopes near 1e7, where A(v, v) = tan(atan v) loses about |v| * 2e-16
+        rng = np.random.default_rng(7)
+        big = rng.uniform(1e7 - 50.0, 1e7 + 50.0, 40)
+        pairs += list(zip(big.tolist(), big.tolist())) + list(zip(big.tolist(), (-big[::-1]).tolist()))
+        pairs += [(v, -v) for v in big.tolist()] + [(-v, v + 1e-9) for v in big.tolist()]
+        # pairs where numpy's arctan and tan would give another value
+        base = len(pairs)
+        for a, b in rng.uniform(-5.0, 5.0, (4000, 2)).tolist():
+            if np.tan(0.5 * (np.arctan(min(a, b)) + np.arctan(max(a, b)))) != proper_value(a, b):
+                pairs.append((a, b))
+        assert len(pairs) > base + 10
+        left, right = (np.array(c) for c in zip(*pairs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = proper_values(left, right)
+        want = np.array([proper_value(a, b) for a, b in pairs])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        # both sides of the zero-sum test and a nan are exercised
+        assert (want == 0.0).sum() > 20 and (want != 0.0).sum() > 100 and np.isnan(want).any()
+
+    def test_empty(self):
+        assert proper_values(np.zeros(0), np.zeros(0)).tolist() == []
 
 
 def group_oracle(signs, bad):

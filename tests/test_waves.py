@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speculus.cli import load_problem
+from speculus.cli import load_problem, solve_problem
 from speculus.expr import (
     AffineForm, Const, Opaque, affine_arguments, diff, eval_expr, format_expr, parse)
 from speculus.piecewise import (
@@ -112,20 +112,23 @@ class TestTransport:
         assert values.tolist() == [transport_operator(u, p) for p in pts]
 
     def test_batched_operator_keeps_every_bit_of_each_pair(self):
-        """The A-combination runs once per distinct (d_t, d_x) bit pattern:
-        -0.0 next to 0.0, repeated pairs, infinities and nan still give the
-        per-point sum bit for bit."""
+        """The A-combination runs once per distinct bit pattern of the four
+        limits (right and left along t, then along x): -0.0 next to 0.0,
+        repeated quadruples, infinities and nan still give the per-point
+        sum bit for bit."""
         u = solve_transport(from_expression(parse("abs(x)", VARS_X), VARS_X))
         special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5]
-        pairs = [(a, b) for a in special for b in special] * 3
-        pairs += [(-0.0, -0.0), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)] * 2
-        dt, dx = (np.array(c) for c in zip(*pairs))
-        ok = np.ones(len(pairs), dtype=bool)
-        cols = np.zeros((2, len(pairs)))
-        values, _ = transport_operator_many(u, cols, [(dx, ok), (dt, ok)])
-        want = np.array([a_combine(a, a) + a_combine(b, b) for a, b in pairs])
+        quads = [(a, b, a, b) for a in special for b in special] * 3
+        quads += [(a, a, b, b) for a in special for b in special]
+        quads += [(-0.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, -0.0), (-0.0, -0.0, 0.0, -0.0)] * 2
+        rt, lt, rx, lx = (np.array(c) for c in zip(*quads))
+        ok = np.ones(len(quads), dtype=bool)
+        cols = np.zeros((2, len(quads)))
+        partials = [{(0, -1): (lx, ok), (0, 1): (rx, ok)}, {(1, -1): (lt, ok), (1, 1): (rt, ok)}]
+        values, _ = transport_operator_many(u, cols, partials)
+        want = np.array([a_combine(a, b) + a_combine(c, d) for a, b, c, d in quads])
         assert values.view(np.int64).tolist() == want.view(np.int64).tolist()
-        # the zero pairs tell -0.0 and 0.0 apart
+        # the zero quadruples tell -0.0 and 0.0 apart
         assert {repr(v) for v in values[-4:].tolist()} == {"-0.0", "0.0"}
 
     def test_batch_differentiates_nothing_once_partials_exist(self, monkeypatch):
@@ -140,11 +143,12 @@ class TestTransport:
         for name, mod in list(sys.modules.items()):
             if name.startswith("speculus") and getattr(mod, "diff", None) is diff:
                 monkeypatch.setattr(mod, "diff", counted)
-        values, covered = transport_operator_many(u, np.array([[-1.0, 0.5, 2.0], [0.5, 0.5, 1.0]]))
+        points = [(-1.0, 0.5), (0.5, 0.5), (2.0, 1.0)]  # (0.5, 0.5) is on x = t
+        values, covered = transport_operator_many(u, np.array(points).T)
         assert calls == []
-        assert covered.tolist() == [True, False, True]  # (0.5, 0.5) is on x = t
-        assert values[covered].tolist() == [transport_operator(u, (-1.0, 0.5)),
-                                             transport_operator(u, (2.0, 1.0))]
+        assert covered.all()
+        assert values.view(np.int64).tolist() == np.array(
+            [transport_operator(u, p) for p in points]).view(np.int64).tolist()
 
 
 class TestAntiderivative:
@@ -288,6 +292,27 @@ class TestHalflineExample:
         rep = hypothesis_h_check(halfline_sol)
         assert rep.rows
         assert rep.failures == []
+
+
+class TestHypothesisHBatch:
+    """The rows of ``hypothesis_h_check`` from its batches equal those of
+    the scalar ``_center_and_pairs`` at every edge sample, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["halfline", "wave_fullline", "counterexample", "transport_abs"])
+    def test_fixtures(self, name, scalar_h_rows, h_rows):
+        path = str(Path(__file__).resolve().parents[1] / "problems" / f"{name}.prob")
+        u, fresh = (solve_problem(load_problem(path)) for _ in range(2))
+        assert h_rows(hypothesis_h_check(u)) == scalar_h_rows(fresh)
+
+    def test_center_mismatch_note(self, scalar_h_rows, h_rows):
+        """On x = 0 the x limits of v = -(1 + sgn(x)) average to -1, and its
+        t limits stay on the line at A(0, -2): a mismatch, taken by the
+        scalar path, since the t axis runs along the line."""
+        u = from_expression(parse("abs(x) + x", VARS_XT), VARS_XT)
+        rep = hypothesis_h_check(u)
+        assert h_rows(rep) == scalar_h_rows(from_expression(parse("abs(x) + x", VARS_XT), VARS_XT))
+        assert rep.rows and all(note.startswith("center mismatch: u[a]_(1) = -1.0 differs") for _, _, note in rep.rows)
+        assert len(rep.failures) == len(rep.rows)
 
 
 class TestClassicalReduction:
