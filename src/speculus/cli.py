@@ -406,11 +406,19 @@ def cmd_deriv(path: str, point_str: str, axis: str, out=None) -> int:
             return EXIT_OK
         print(f"criterion_residual = {fmt(data.criterion_residual)}", file=out)
         if data.normal is not None:
-            print(f"normal = ({', '.join(map(fmt, data.normal))})", file=out)
+            print(
+                "normal = ("
+                + ", ".join(fmt(c) for c in data.normal)
+                + ")",
+                file=out,
+            )
         else:
             print(f"weak_planes = {len(data.planes)}", file=out)
             for c1, c2, c0 in data.planes:
-                print(f"plane: z = {fmt(c1)}*{u.vars[0]} + {fmt(c2)}*{u.vars[1]} + {fmt(c0)}", file=out)
+                print(
+                    f"plane: z = {fmt(c1)}*{u.vars[0]} + {fmt(c2)}*{u.vars[1]} + {fmt(c0)}",
+                    file=out,
+                )
     return EXIT_OK
 
 
@@ -568,8 +576,12 @@ def cmd_solve(path: str, out_csv: str, out=None) -> int:
     rep = s2_membership(u)
     if rep.verdict != "S2":
         names = ", ".join(form_str(g, u.vars) for g in rep.failure_forms)
-        print(f"warning: solution is not S2 (verdict {rep.verdict}"
-              + (f"; failing on {names}" if names else "") + ")", file=out)
+        print(
+            f"warning: solution is not S2 (verdict {rep.verdict}"
+            + (f"; failing on {names}" if names else "")
+            + ")",
+            file=out,
+        )
     return EXIT_OK
 
 

@@ -158,8 +158,9 @@ def proper_value(left: float, right: float) -> float:
 def proper_values(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``proper_value`` entry by entry, bitwise: the zero-sum test, the
     sort and the half-sum are the same IEEE operations (inf + -inf gives
-    nan without a warning), and atan and tan run through ``math``."""
-    with np.errstate(invalid="ignore"):
+    nan and an overflow gives inf, without a warning), and atan and tan run
+    through ``math``."""
+    with np.errstate(invalid="ignore", over="ignore"):
         live, order = ~(np.abs(left + right) <= TOL_ZERO), left <= right
     lo, hi = (np.array(list(map(math.atan, np.where(order, a, b)[live].tolist())))
               for a, b in ((left, right), (right, left)))

@@ -493,11 +493,9 @@ def _slopes(u: PiecewiseFn, cols, groups: list, partials=None) -> tuple:
         partials = [partial_field(u, axis).evaluate_batch(cols, (axis,), False, groups) for axis in (0, 1)]
     entries = [partials[axis][axis, d] for axis in (0, 1) for d in (1, -1)]
     table = np.column_stack([values for values, _ in entries])
-    covered = np.isfinite(table).all(axis=1)
+    covered = np.isfinite(table).all(axis=1) & np.logical_and.reduce([ok for _, ok in entries])
     for s, idx in groups:
         covered[idx] &= all(0.0 not in u.forms[k].coeffs for k, q in enumerate(s) if q == 0)
-    for _, ok in entries:
-        covered &= ok
     return table, covered
 
 
@@ -531,8 +529,7 @@ def hypothesis_h_check(u: PiecewiseFn) -> HypothesisHReport:
     slopes, good = _slopes(v, cols, groups)
     limits = v.evaluate_batch(cols, (0, 1), False, groups)
     mids = [(0.5 * (limits[axis, -1][0] + limits[axis, 1][0])).tolist() for axis in (0, 1)]
-    for _, ok in limits.values():
-        good &= ok
+    good &= np.logical_and.reduce([ok for _, ok in limits.values()])
     rows, failures = [], []
     points = (p for line in _edge_samples(v.forms, v.domain, v.d) for p in line)
     for p, (a1, b1, a2, b2), mid1, mid2, ok in zip(points, slopes.tolist(), *mids, good.tolist()):

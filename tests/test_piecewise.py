@@ -675,7 +675,7 @@ class TestProperValues:
     """``proper_values`` is ``proper_value`` entry by entry, bit for bit."""
 
     SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5, -0.3,
-               TOL_ZERO, -TOL_ZERO, 0.5 * TOL_ZERO, 1e7, -1e7)
+               TOL_ZERO, -TOL_ZERO, 0.5 * TOL_ZERO, 1e7, -1e7, 1e308, -1e308)
 
     def test_matches_scalar_bitwise(self):
         pairs = [(a, b) for a in self.SPECIAL for b in self.SPECIAL]

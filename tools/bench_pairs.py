@@ -13,8 +13,7 @@ which leaves nothing behind in the repository.  The results go to
 ``BENCH_<pr>.json`` at the root of the repository, with the keys
 ``command``, ``parent``, ``change``, ``order``, ``seeds``, ``machine`` and
 ``runs``; each run holds ``workload``, ``seed``, ``pair``, ``side`` and the
-``result`` object that ``run.py`` prints last.  A summary of the medians goes
-to stderr.
+``result`` object that ``run.py`` prints last.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
+COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0"
 ORDER = "alternating pairs: pair 0 runs the parent first, pair 1 the change first, and so on"
 
 
@@ -45,36 +43,20 @@ def spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"{text!r} is not WORKLOAD:SEED:PAIRS") from None
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One ``run.py`` run in the checkout at root: its last stdout line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", "20", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summary(runs: list) -> None:
-    """Per workload and seed: the median headline metric of each side and the pairs won."""
-    for key in sorted({(r["workload"], r["seed"]) for r in runs}):
-        mine = [r for r in runs if (r["workload"], r["seed"]) == key]
-        metric = "rows_per_s" if key[0] == "grid" else "ops_per_s"
-        value = {(r["pair"], r["side"]): r["result"]["metrics"][metric]["value"] for r in mine}
-        pairs = sorted({p for p, _ in value})
-        medians = [statistics.median(value[p, side] for p in pairs) for side in ("parent", "change")]
-        won = sum(value[p, "change"] > value[p, "parent"] for p in pairs)
-        failed = sum(r["result"]["failed"] for r in mine)
-        print(f"{key[0]} seed {key[1]}: {metric} {medians[0]:.6g} -> {medians[1]:.6g} "
-              f"({medians[1] / medians[0] - 1:+.1%}), {won}/{len(pairs)} pairs won, "
-              f"failed {failed}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the commit to compare against")
     ap.add_argument("--pr", required=True, help="the number in the file name BENCH_<pr>.json")
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("specs", nargs="+", type=spec, metavar="WORKLOAD:SEED:PAIRS")
     args = ap.parse_args(argv)
 
@@ -92,13 +74,13 @@ def main(argv=None) -> int:
         for workload, seed, n_pairs in args.specs:
             for pair in range(n_pairs):
                 for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-                    result = run_once(roots[side], workload, seed, args.seconds)
+                    result = run_once(roots[side], workload, seed)
                     runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
                                  "result": result})
                     print(f"{workload} seed {seed} pair {pair} {side}: failed {result['failed']}",
                           file=sys.stderr)
     record = {
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND,
         "parent": parent,
         "change": "the commit that adds this file",
         "order": ORDER,
@@ -108,7 +90,6 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    summary(runs)
     return 0
 
 
