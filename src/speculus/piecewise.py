@@ -41,10 +41,8 @@ sort of one base-3 code per point, cut where the code changes), which
 every field on the same lines shares: one ``eval_array`` pass per distinct
 non-constant tree over the groups routed to it, read back by offset, and
 ``proper_values`` for each pair.  It reports the points it covered,
-bitwise as the scalar methods, and never raises: the checks call the
-scalar methods at the other points in the order of a scalar pass (line by
-line; per point the value, then each axis), so the first error is the one
-a scalar pass raises.
+bitwise as the scalar methods, and never raises; ``filled`` is the one
+rule by which every batch site takes the other points.
 """
 
 from __future__ import annotations
@@ -385,8 +383,8 @@ class PiecewiseFn:
         concatenation of the distinct groups routed to it (a constant is
         filled in), each request reads its group's slice back, and a pair
         takes ``proper_values``.  A covered point has finite l(p) and a
-        value bitwise that of ``evaluate``/``one_sided_value``; the scalar
-        methods take the others and raise the errors.  Nothing here raises."""
+        value bitwise that of ``evaluate``/``one_sided_value``; ``filled``
+        takes the others and raises the errors.  Nothing here raises."""
         cols = [np.asarray(c, dtype=float) for c in cols]
         keys = ([None] if value else []) + [(axis, d) for axis in axes for d in (-1, 1)]
         plan, trees = [], {}
@@ -586,15 +584,6 @@ def _edge_samples(forms: tuple, domain: tuple, d: int) -> tuple:
     return tuple(out)
 
 
-def evaluate_at(u: PiecewiseFn, pts: list, groups: Optional[list] = None):
-    """u.evaluate at each point, in order: one ``evaluate_batch`` (on the
-    given groups of u's forms at the points), and ``evaluate`` at a point
-    it leaves, once the iteration reaches it."""
-    values, covered = u.evaluate_batch(columns(pts, u.d), (), True, groups)[None]
-    for p, v, ok in zip(pts, values.tolist(), covered.tolist()):
-        yield v if ok else u.evaluate(p)
-
-
 def columns(pts: list, d: int) -> np.ndarray:
     """The d-dimensional points as one coordinate array per variable."""
     return np.array(pts, dtype=float).reshape(-1, d).T
@@ -609,20 +598,35 @@ def _edge_groups(forms: tuple, domain: tuple, d: int) -> tuple:
     return cols, pattern_groups(forms, cols)
 
 
-def _line_batch(u: PiecewiseFn, axes, value: bool = True) -> dict:
-    """``evaluate_batch`` at the edge samples of u's lines, as Python lists."""
-    cols, groups = _edge_groups(u.forms, u.domain, u.d)
-    return {key: (v.tolist(), ok.tolist())
-            for key, (v, ok) in u.evaluate_batch(cols, axes, value, groups).items()}
+def filled(cols: Sequence[np.ndarray], columns: Sequence[tuple]) -> list:
+    """The values of each column, its uncovered entries filled in place.
+    A column is a (values, covered, scalar) triple over the points of cols
+    (one coordinate array per variable), as a batch (``evaluate_batch``,
+    ``transport_operator_many``, ``eval_array``'s ~bad) gives it, with the
+    scalar method that defines its value at a point.  This is the one rule
+    for the points a batch leaves: each uncovered entry is scalar(point),
+    the point a tuple of Python floats, taken row by row and within a row
+    column by column, so the values and the first error raised are those
+    of a point-by-point pass.  Nothing uncovered, no scalar call."""
+    out = [values for values, _, _ in columns]
+    if all(covered.all() for _, covered, _ in columns):
+        return out
+    holes = ~np.column_stack([covered for _, covered, _ in columns])
+    for i in np.flatnonzero(holes.any(axis=1)).tolist():
+        p = tuple([float(c[i]) for c in cols])
+        for j in np.flatnonzero(holes[i]).tolist():
+            out[j][i] = columns[j][2](p)
+    return out
 
 
-def _limits(u: PiecewiseFn, batch: dict, i: int, p, axis: int) -> tuple:
-    """(left, right) along the axis at the batch's i-th point p, else ``one_sided_limits``."""
-    (left, lc), (right, rc) = batch[axis, -1], batch[axis, 1]
-    if lc[i] and rc[i]:
-        return left[i], right[i]
-    lim = u.one_sided_limits(p, axis)
-    return lim.left, lim.right
+def _limit_columns(u: PiecewiseFn, lines: tuple, batch: dict, primary: bool) -> list:
+    """The ``filled`` columns of a batch's limits at the edge samples of the
+    lines, along each of its axes, asked only where the sample's line has
+    that primary axis (primary true) or another one."""
+    along = np.repeat([f.primary_axis() for f in u.forms], list(map(len, lines)))
+    return [(values, covered | ((along == key[0]) != primary),
+             lambda p, key=key: u.one_sided_value(p, u.sign_vector(p), *key))
+            for key, (values, covered) in batch.items() if key is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -630,21 +634,25 @@ def _limits(u: PiecewiseFn, batch: dict, i: int, p, axis: int) -> tuple:
 
 def classify_continuity(u: PiecewiseFn) -> ContinuityReport:
     lines = _edge_samples(u.forms, u.domain, u.d)
+    cols, groups = _edge_groups(u.forms, u.domain, u.d)
     axes = sorted({u.forms[k].primary_axis() for k, pts in enumerate(lines) if pts})
-    return _continuity(u, lines, _line_batch(u, axes, value=False))
+    return _continuity(u, lines, cols, u.evaluate_batch(cols, axes, False, groups))
 
 
-def _continuity(u: PiecewiseFn, lines: list, batch: dict) -> ContinuityReport:
-    """The report from the limits along each form's primary axis at its samples."""
+def _continuity(u: PiecewiseFn, lines: list, cols, batch: dict) -> ContinuityReport:
+    """The report from the limits along each form's primary axis at its
+    samples, the points the batch leaves ``filled``."""
     jump, indet, unsampled = [], [], []
     samples: dict = {}
+    limits = dict(zip(filter(None, batch), (v.tolist() for v in filled(
+        cols, _limit_columns(u, lines, batch, True)))))
     at = itertools.count()
     for k, pts in enumerate(lines):
         if not pts:
             unsampled.append(k)
             continue
-        axis = u.forms[k].primary_axis()
-        rows = [(p, *_limits(u, batch, next(at), p, axis)) for p in pts]
+        left, right = (limits[u.forms[k].primary_axis(), d] for d in (-1, 1))
+        rows = [(p, left[i], right[i]) for p, i in zip(pts, at)]
         n_jump = sum(abs(left - right) > tol_jump(left, right) for _, left, right in rows)
         samples[k] = rows
         if n_jump == len(rows):
@@ -663,23 +671,25 @@ def _continuity(u: PiecewiseFn, lines: list, batch: dict) -> ContinuityReport:
 def is_proper(u: PiecewiseFn):
     """Stored values at the edge samples against the A-combination of the
     limits along each axis (along the primary one, those of the report),
-    from one batch for the whole check; the scalar methods take what it
-    left, per point the value first, then each other axis.  Run once per
-    function: the (ok, report) pair is kept, and callers only read it."""
+    from one batch for the whole check; the points it leaves are
+    ``filled``, per point the value first, then each other axis.  Run once
+    per function: the (ok, report) pair is kept, and callers only read it."""
     if u._proper is not None:
         return u._proper
     lines = _edge_samples(u.forms, u.domain, u.d)
-    batch = _line_batch(u, range(u.d))
-    cont = _continuity(u, lines, batch)
-    (stored_values, covered), at = batch[None], itertools.count()
+    cols, groups = _edge_groups(u.forms, u.domain, u.d)
+    batch = u.evaluate_batch(cols, range(u.d), True, groups)
+    cont = _continuity(u, lines, cols, batch)
+    stored_values, *limits = (v.tolist() for v in filled(
+        cols, [(*batch[None], u.evaluate)] + _limit_columns(u, lines, batch, False)))
+    at = itertools.count()
     violations = []
     for k, rows in cont.samples.items():
         primary = u.forms[k].primary_axis()
-        for p, a, b in rows:
-            i = next(at)
-            stored = stored_values[i] if covered[i] else u.evaluate(p)
+        for (p, a, b), i in zip(rows, at):
+            stored = stored_values[i]
             for axis in range(u.d):
-                left, right = (a, b) if axis == primary else _limits(u, batch, i, p, axis)
+                left, right = (a, b) if axis == primary else (limits[2 * axis][i], limits[2 * axis + 1][i])
                 expected = proper_value(left, right)
                 if abs(stored - expected) > tol_jump(left, right):
                     violations.append((k, p, axis, stored, expected))

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expr import AffineForm, eval_array, eval_expr
-from .piecewise import BranchLookupError, PiecewiseFn, is_proper, merge_forms
+from .piecewise import BranchLookupError, PiecewiseFn, filled, is_proper, merge_forms
 from .specular import specular_field, specular_partial
 
 # Gauss-Legendre nodes and weights on [-1, 1]: ``leggauss(15)`` and
@@ -79,18 +79,12 @@ class QuadratureError(Exception):
 def _point_values(fns, cols):
     """fns[0] - fns[1] - ... at every point, for PiecewiseFns of one or two
     variables; cols holds one (n, 15) array or one number per variable.
-    ``evaluate_many`` covers what it can, and ``evaluate`` takes the other
-    points in row order, each function in turn at a point, so the first
-    error it raises is the first in that order."""
+    ``evaluate_many`` covers what it can, and the points it leaves are
+    ``filled``, one column per function."""
     shape = next(np.shape(c) for c in cols if np.ndim(c))
-    parts = [f.evaluate_many([np.broadcast_to(c, shape).ravel() for c in cols]) for f in fns]
-    for i in np.flatnonzero(~np.logical_and.reduce([c for _, c in parts])).tolist():
-        p = tuple(c.flat[i] if np.ndim(c) else c for c in cols)
-        for f, (values, covered) in zip(fns, parts):
-            if not covered[i]:
-                values[i] = f.evaluate(p)
-    total = parts[0][0]
-    for values, _ in parts[1:]:
+    flat = [np.broadcast_to(c, shape).ravel() for c in cols]
+    total, *rest = filled(flat, [(*f.evaluate_many(flat), f.evaluate) for f in fns])
+    for values in rest:
         total = total - values
     return total.reshape(shape)
 
@@ -260,9 +254,9 @@ def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
     0), (x0, t0), t0 > 0: on each of its ``clip_cells`` f is one branch,
     taken at the nodes by ``eval_array``, and the cell's fan from its first
     vertex goes through ``adaptive_panel`` with the Duffy rule, split in
-    quarters.  The points ``eval_array`` sets aside go through ``eval_expr``
-    in order, so an error is the first met cell by cell, round by round,
-    and in batch order within one round."""
+    quarters.  The points ``eval_array`` sets aside are ``filled`` through
+    ``eval_expr``, so an error is the first met cell by cell, round by
+    round, and in batch order within one round."""
     if f.d != 2:
         raise QuadratureError("integrate_triangle expects a 2D function")
     if not (math.isfinite(x0) and math.isfinite(t0)):
@@ -280,9 +274,7 @@ def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
         def g(X, T, rhs=rhs):
             bad = np.zeros(len(X), dtype=bool)
             values = eval_array(rhs, dict(zip(f.vars, (X, T))), bad)
-            for i in np.flatnonzero(bad).tolist():
-                values[i] = eval_expr(rhs, dict(zip(f.vars, (X[i], T[i]))))
-            return values
+            return filled((X, T), [(values, ~bad, lambda p: eval_expr(rhs, dict(zip(f.vars, p))))])[0]
 
         v = [(float(x), float(t)) for x, t in poly]  # a failing triangle's name prints floats
         total += adaptive_panel(functools.partial(_duffy_sums, g), _quarters,

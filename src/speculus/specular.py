@@ -29,12 +29,11 @@ from .piecewise import (
     a_combine,
     classify_continuity,
     columns,
-    evaluate_at,
+    filled,
     is_proper,
     merge_forms,
     pattern_groups,
     proper_leaf,
-    proper_value,
     regions,
     tol_jump,
 )
@@ -203,17 +202,10 @@ def specularly_differentiable_1d(u: PiecewiseFn) -> bool:
 
 def ftc_condition_check(f: PiecewiseFn) -> bool:
     """1D: stored value at each singular point equals A(f(x], f[x)) (or 0
-    in the zero-sum case)."""
+    in the zero-sum case), which is ``is_proper`` at the roots."""
     if f.d != 1:
         raise SpecularError("ftc_condition_check expects a 1D function")
-    for form in f.forms:
-        x = form.offset / form.coeffs[0]
-        lim = f.one_sided_limits((x,), 0)
-        expected = proper_value(lim.left, lim.right)
-        stored = f.evaluate((x,))
-        if abs(stored - expected) > tol_jump(lim.left, lim.right):
-            return False
-    return True
+    return is_proper(f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +262,11 @@ def s2_membership(u: PiecewiseFn) -> S2Report:
     # witness per cell; every field has the forms and domain of u
     pts = [p for line in _edge_samples(u.forms, u.domain, 2) for p in line]
     pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
-    groups = pattern_groups(u.forms, columns(pts, 2))
-    residual = 0.0
-    for a, b in zip(*(evaluate_at(second[key], pts, groups) for key in ((0, 1), (1, 0)))):
-        residual = max(residual, abs(a - b))
+    cols = columns(pts, 2)
+    groups = pattern_groups(u.forms, cols)
+    a, b = filled(cols, [(*second[key].evaluate_batch(cols, (), True, groups)[None], second[key].evaluate)
+                         for key in ((0, 1), (1, 0))])
+    residual = max([0.0, *abs(a - b).tolist()])
 
     firsts_ok = all(first_proper.values())
     seconds_ok = all(second_proper.values()) and all(mixed_continuous.values())

@@ -51,7 +51,7 @@ from .piecewise import (
     a_combine,
     classify_continuity,
     columns,
-    evaluate_at,
+    filled,
     finite_abs,
     is_proper,
     merge_forms,
@@ -448,19 +448,19 @@ def wave_residual(u: PiecewiseFn, f: Optional[PiecewiseFn], points) -> ResidualR
     its one-sided values (matching how the force stores its own on-line
     values); the per-axis operator values are also reported so on-line
     diagonal entries like A(2, 0) are visible.  The fields on u's lines
-    share one ``pattern_groups`` of the points."""
+    share one ``pattern_groups`` of the points, and the points the batches
+    leave are ``filled`` in the order (W, f, wtt, wxx)."""
     wtt, wxx, W = wave_operator_fields(u)
     points = [tuple(p) for p in points]
-    groups = pattern_groups(u.forms, columns(points, 2))
-    ops = [evaluate_at(fld, points, groups if fld.forms == u.forms else None) for fld in (W, wtt, wxx)]
-    forces = evaluate_at(f, points) if f is not None else itertools.repeat(0.0)
-    rows = []
-    worst = 0.0
-    for p, val, fval, tt, xx in zip(points, ops[0], forces, *ops[1:]):
-        resid = val - fval
-        rows.append((p, val, fval, resid, tt, xx))
-        worst = max(worst, finite_abs(resid))
-    return ResidualReport(rows, worst)
+    cols = columns(points, 2)
+    groups = pattern_groups(u.forms, cols)
+    ops = [(*fld.evaluate_batch(cols, (), True, groups if fld.forms == u.forms else None)[None], fld.evaluate)
+           for fld in (W, wtt, wxx)]
+    force = ((*f.evaluate_many(cols), f.evaluate) if f is not None
+             else (np.zeros(len(points)), np.ones(len(points), dtype=bool), None))
+    rows = [(p, val, fval, val - fval, tt, xx) for p, val, fval, tt, xx
+            in zip(points, *(v.tolist() for v in filled(cols, [ops[0], force, *ops[1:]])))]
+    return ResidualReport(rows, max((finite_abs(row[3]) for row in rows), default=0.0))
 
 
 def transport_operator(u: PiecewiseFn, p) -> float:
@@ -501,15 +501,10 @@ def _slopes(u: PiecewiseFn, cols, groups: list, partials=None) -> tuple:
 
 def transport_residual(u: PiecewiseFn, points) -> ResidualReport:
     points = [tuple(p) for p in points]
-    values, covered = transport_operator_many(u, np.reshape(points, (-1, 2)).T)
-    rows = []
-    worst = 0.0
-    for p, val, ok in zip(points, values.tolist(), covered.tolist()):
-        if not ok:
-            val = transport_operator(u, p)
-        rows.append((p, val, 0.0, val, math.nan, math.nan))
-        worst = max(worst, finite_abs(val))
-    return ResidualReport(rows, worst)
+    cols = columns(points, 2)
+    values = filled(cols, [(*transport_operator_many(u, cols), partial(transport_operator, u))])[0].tolist()
+    rows = [(p, val, 0.0, val, math.nan, math.nan) for p, val in zip(points, values)]
+    return ResidualReport(rows, max(map(finite_abs, values), default=0.0))
 
 
 @dataclass
@@ -550,26 +545,31 @@ def hypothesis_h_check(u: PiecewiseFn) -> HypothesisHReport:
     return HypothesisHReport(rows, failures)
 
 
-def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: PiecewiseFn, xs) -> tuple:
-    """Max |u(x,0) - phi(x)| and |right t-slope at (x,0) - psi(x)|.  The
-    slopes are the right t-limits of ``partial_field(u, 1)`` from one batch;
-    ``semi_derivative_one_sided`` takes the points it leaves or finds not
-    finite, and raises their errors."""
-    xs = [(float(x),) for x in xs]
-    points = [(x, 0.0) for (x,) in xs]
-    cols = columns(points, 2)
+def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: Optional[PiecewiseFn],
+                                xs) -> tuple:
+    """Max |u(x,0) - phi(x)| and |right t-slope at (x,0) - psi(x)| (None
+    without psi).  The slopes are the right t-limits of ``partial_field(u,
+    1)`` from one batch, finite where covered, and their scalar is
+    ``semi_derivative_one_sided``; the points the batches leave are
+    ``filled`` in the order (u, phi, slope, psi)."""
+    cols = columns([(float(x), 0.0) for x in xs], 2)
     groups = pattern_groups(u.forms, cols)
-    psis = evaluate_at(psi, xs)
-    slopes, covered = partial_field(u, 1).evaluate_batch(cols, (1,), False, groups)[1, 1]
-    covered &= np.isfinite(slopes)
-    worst_u = worst_v = 0.0
-    for p, u0, phi0, slope, ok in zip(points, evaluate_at(u, points, groups), evaluate_at(phi, xs),
-                                      slopes.tolist(), covered.tolist()):
-        alpha = slope if ok else semi_derivative_one_sided(u, p, 1, +1)
-        worst_u = max(worst_u, finite_abs(u0 - phi0))
-        worst_v = max(worst_v, finite_abs(alpha - next(psis)))
-    return worst_u, worst_v
+
+    def at_x(g: PiecewiseFn) -> tuple:
+        return (*g.evaluate_many(cols[:1]), lambda p: g.evaluate(p[:1]))
+
+    parts = [(*u.evaluate_batch(cols, (), True, groups)[None], u.evaluate), at_x(phi)]
+    if psi is not None:
+        slopes, covered = partial_field(u, 1).evaluate_batch(cols, (1,), False, groups)[1, 1]
+        parts += [(slopes, covered & np.isfinite(slopes), lambda p: semi_derivative_one_sided(u, p, 1, +1)),
+                  at_x(psi)]
+    values = filled(cols, parts)
+    diffs = np.column_stack([a - b for a, b in zip(values[::2], values[1::2])])
+    # finite_abs row by row, so that a non-finite residual raises as in a scalar pass
+    worst = np.reshape(list(map(finite_abs, diffs.ravel().tolist())), diffs.shape).max(axis=0, initial=0.0)
+    return worst[0].item(), worst[1].item() if psi is not None else None
 
 
 def boundary_residual(u: PiecewiseFn, ts) -> float:
-    return max(map(finite_abs, evaluate_at(u, [(0.0, float(t)) for t in ts])))
+    cols = columns([(0.0, float(t)) for t in ts], 2)
+    return max(map(finite_abs, filled(cols, [(*u.evaluate_many(cols), u.evaluate)])[0].tolist()))
