@@ -1,15 +1,17 @@
 """Integration aware of affine singular structure.
 
-One adaptive engine, ``adaptive_panel``, refines every integral: intervals
-under 15-point Gauss-Legendre panels split in halves, and triangles under an
-8 x 8 Gauss-Legendre rule on the Duffy-collapsed square (Duffy, SIAM J.
-Numer. Anal. 19, 1982) split in quarters.  It refines in rounds of one
-batch call each, depth-first order first, to the one tolerance
-``QUAD_TOL`` (absolute+relative) within ``MAX_DEPTH`` splits; no call
-overrides them.  Values are rebuilt bottom up, children added left to
-right, so a 1D value is bitwise what depth-first recursion returns:
-``half * fsum(w * f)`` per panel and ``left + right`` per split.  An
-integrand error is raised where a round meets it.
+One adaptive engine, ``adaptive_panel``, refines every integral.  It takes
+two Gauss rules on each cell: on an interval the 15-point Gauss-Legendre
+value against a 7-point estimate, and on a triangle a 10 x 10
+Gauss-Legendre rule on the Duffy-collapsed square (Duffy, SIAM J. Numer.
+Anal. 19, 1982) against the 8 x 8 one.  A cell whose two agree to
+``QUAD_TOL`` (absolute+relative) keeps its value; any other is split,
+intervals in halves and triangles in quarters, within ``MAX_DEPTH``
+splits; no call overrides them.  It refines in rounds of one batch call
+each, depth-first order first, and an integral is the ``fsum`` of its
+kept values, so it depends neither on the rounds nor on the cells refined
+beside it.  An integrand error or a non-finite rule value is raised where
+a round meets it.
 
 1D integrals split the interval at singular points first.  Characteristic
 edges and the Green's-identity verifier split at the closed-form crossings
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,38 +36,53 @@ from .expr import AffineForm, eval_array, eval_expr
 from .piecewise import BranchLookupError, PiecewiseFn, filled, is_proper, merge_forms
 from .specular import specular_field, specular_partial
 
-# Gauss-Legendre nodes and weights on [-1, 1]: ``leggauss(15)`` and
-# ``leggauss(8)`` of ``numpy.polynomial.legendre``, bit for bit
-_GL_NODES = np.array([
-    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
-    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+# Gauss-Legendre nodes and weights on [-1, 1]: ``leggauss(n)`` of
+# ``numpy.polynomial.legendre`` for n = 15, 10, 8 and 7, bit for bit
+_GL_NODES = np.array([-0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
     0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
     0.8482065834104272, 0.9372733924007058, 0.9879925180204854])
-_GL_WEIGHTS = np.array([
-    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
-    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
-    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
-_GL8_NODES = np.array([
-    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
-    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
-_GL8_WEIGHTS = np.array([
-    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
-    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+_GL_WEIGHTS = np.array([0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622, 0.1984314853271116,
+    0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+    0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
+_GL10_NODES = np.array([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122, 0.4333953941292472,
+    0.6794095682990244, 0.8650633666889845, 0.9739065285171717])
+_GL10_WEIGHTS = np.array([0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528, 0.2692667193099965,
+    0.219086362515982, 0.1494513491505804, 0.06667134430868814])
+_GL8_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+    0.9602898564975362])
+_GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+    0.10122853629037706])
+_GL7_NODES = np.array([-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586])
+_GL7_WEIGHTS = np.array([0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+    0.4179591836734693, 0.3818300505051187, 0.27970539148927687, 0.12948496616886973])
 
-# the Duffy map (u, v) -> A + u (B - A) + u v (C - B) of the unit square onto
-# a triangle ABC has Jacobian u |det(B - A, C - B)|: its 64 nodes as the
-# factors of B - A and C - B, and their weights with the factor u
-_DUFFY_U = np.repeat(0.5 * (_GL8_NODES + 1.0), 8)
-_DUFFY_UV = _DUFFY_U * np.tile(0.5 * (_GL8_NODES + 1.0), 8)
-_DUFFY_W = 0.25 * np.repeat(_GL8_WEIGHTS, 8) * np.tile(_GL8_WEIGHTS, 8) * _DUFFY_U
+
+def _duffy(nodes, weights):
+    """The product rule on the square mapped onto a triangle ABC by (u, v) ->
+    A + u (B - A) + u v (C - B), with Jacobian u |det(B - A, C - B)|: its
+    nodes' factors u of B - A and u v of C - B, and its weights times u."""
+    n, s = len(nodes), 0.5 * (nodes + 1.0)
+    u = np.repeat(s, n)
+    return u, u * np.tile(s, n), 0.25 * np.repeat(weights, n) * np.tile(weights, n) * u
+
+
+# estimate nodes first, then the rule's: 7 + 15 on an interval, 64 + 100 on a triangle
+_LINE_NODES, _LINE_WEIGHTS = np.concatenate((_GL7_NODES, _GL_NODES)), (_GL7_WEIGHTS, _GL_WEIGHTS)
+_DUFFY_U, _DUFFY_UV, _DUFFY_W = zip(_duffy(_GL8_NODES, _GL8_WEIGHTS), _duffy(_GL10_NODES, _GL10_WEIGHTS))
+_DUFFY_U, _DUFFY_UV = np.concatenate(_DUFFY_U), np.concatenate(_DUFFY_UV)
 
 QUAD_TOL = 1e-10
 MAX_DEPTH = 30
-# panels refined per round, depth-first order first (triangles: an eighth as
-# many, 4 * 64 points each against 2 * 15): an integrand that converges
-# nowhere fails after about MAX_DEPTH rounds instead of doubling its live
-# panels every round
+# cells per round, depth-first order first (triangles: an eighth as many, 164
+# points each against 22), so an integrand that converges nowhere fails after
+# about MAX_DEPTH rounds instead of doubling its live cells every round
 ROUND_PANELS = 1024
 
 
@@ -78,7 +94,7 @@ class QuadratureError(Exception):
 
 def _point_values(fns, cols):
     """fns[0] - fns[1] - ... at every point, for PiecewiseFns of one or two
-    variables; cols holds one (n, 15) array or one number per variable.
+    variables; cols holds one (n, 22) array or one number per variable.
     ``evaluate_many`` covers what it can, and the points it leaves are
     ``filled``, one column per function."""
     shape = next(np.shape(c) for c in cols if np.ndim(c))
@@ -94,78 +110,61 @@ def _halves(panel):
     return (panel[0], mid), (mid, panel[1])
 
 
+def _pairs(values, scale, weights):
+    """(value, estimate) of each row of values, at a cell's estimate nodes
+    and then its rule's, times the row's scale; weights holds the two sets
+    in the same order.  ``einsum`` sums each row by itself, so a value does
+    not depend on the rows beside it."""
+    n = len(weights[0])
+    return zip((scale * np.einsum("ij,j->i", values[:, n:], weights[1])).tolist(),
+               (scale * np.einsum("ij,j->i", values[:, :n], weights[0])).tolist())
+
+
 def _integrate(g, nodes) -> float:
-    """The fsum of the GL15 integrals of g over the pieces between nodes;
-    g takes an (n, 15) array of nodes, one panel per row."""
+    """The integral of g over the pieces between nodes; g takes an (n, 22)
+    array of points, one panel per row."""
     def sums(panels):
         a, b = np.array(panels).T
         half = 0.5 * (b - a)
-        terms = (_GL_WEIGHTS * g((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES)).tolist()
-        return [h * math.fsum(row) for h, row in zip(half.tolist(), terms)]
+        return _pairs(g((0.5 * (a + b))[:, None] + half[:, None] * _LINE_NODES), half,
+                      _LINE_WEIGHTS)
 
     pieces = [(a, b) for a, b in zip(nodes, nodes[1:]) if a != b]
     return math.fsum(adaptive_panel(sums, _halves, pieces, ROUND_PANELS,
                                     lambda p: f"panel [{p[0]}, {p[1]}]"))
 
 
-def _iterated(h, outer_nodes, inner_nodes) -> float:
-    """Iterated integral of h(y, s): outer over the pieces between
-    outer_nodes, inner over the pieces between inner_nodes(s).  h(Y, s)
-    takes an (n, 15) array of inner coordinates and one outer coordinate."""
-    def outer(S):
-        return np.array([_integrate(lambda Y: h(Y, s), inner_nodes(s))
-                         for s in S.flat]).reshape(S.shape)
-
-    return _integrate(outer, outer_nodes)
-
-
 def adaptive_panel(sums, split, cells, per_round, label) -> list:
-    """The adaptive integrals over cells, each by a rule whose values
-    sums(list of cells) returns, refined into the children split(cell)
-    gives in order.
+    """The integral over each of cells: the ``fsum`` of the values of its
+    accepted pieces.  sums(list of cells) gives each cell's (value,
+    estimate) from two rules on it alone; split(cell) its children in order.
 
-    Each round takes the first per_round live cells in depth-first order
-    and makes one sums call at their wholes not yet taken (in the first
-    round, all of them) and then at their children.  A cell whose children,
-    added left to right, agree with its whole to QUAD_TOL keeps their sum;
-    one at MAX_DEPTH raises QuadratureError, named label(cell); any other
-    is refined.  A refined cell's value is then rebuilt bottom up, its
-    children added left to right, so with two halves each value is bitwise
-    what depth-first recursion returns.  An error of sums is raised where
-    it is met: round by round, and in batch order within one."""
-    # one entry per tree node: its cell, depth, value (None until taken) and
-    # the range of its children's entries (None while it has none)
-    cell, depth, value, kid = list(cells), [0] * len(cells), [None] * len(cells), [None] * len(cells)
+    Each round makes one sums call at the first per_round live cells in
+    depth-first order.  A cell whose value and estimate agree to QUAD_TOL
+    is accepted; a non-finite value or estimate, or a cell at MAX_DEPTH,
+    raises QuadratureError named label(cell); any other cell is split.  An
+    error of sums is raised where it is met: round by round, and in batch
+    order within one."""
     tol, max_depth = QUAD_TOL, MAX_DEPTH  # read once, not per cell
-    live = list(range(len(cells)))
+    pieces = [[] for _ in cells]
+    live = [(cell, 0, k) for k, cell in enumerate(cells)]  # cell, depth, input index
     while live:
         batch, live = live[:per_round], live[per_round:]
-        fresh = [n for n in batch if value[n] is None]
-        kids = [split(cell[n]) for n in batch]
-        rows = sums([cell[n] for n in fresh] + [c for cs in kids for c in cs])
-        for n, v in zip(fresh, rows):
-            value[n] = v
-        r, refined = len(fresh), []
-        for n, cs in zip(batch, kids):
-            parts, r = rows[r:r + len(cs)], r + len(cs)
-            better = functools.reduce(operator.add, parts)
-            if abs(better - value[n]) <= tol * (1.0 + abs(better)):
-                value[n] = better
-            elif depth[n] >= max_depth:
-                raise QuadratureError(f"quadrature {label(cell[n])} failed to converge "
-                                      f"(estimate gap {abs(better - value[n]):.3e})", panel=cell[n])
+        refined = []
+        for (cell, depth, k), (value, estimate) in zip(batch, sums([c for c, _, _ in batch])):
+            gap = abs(value - estimate)
+            if not math.isfinite(gap):
+                raise QuadratureError(f"quadrature {label(cell)} has a non-finite rule value "
+                                      f"({value}, estimate {estimate})", panel=cell)
+            if gap <= tol * (1.0 + abs(value)):
+                pieces[k].append(value)
+            elif depth >= max_depth:
+                raise QuadratureError(f"quadrature {label(cell)} failed to converge "
+                                      f"(estimate gap {gap:.3e})", panel=cell)
             else:
-                kid[n] = range(len(cell), len(cell) + len(cs))
-                refined += kid[n]
-                cell += cs
-                depth += [depth[n] + 1] * len(cs)
-                value += parts
-                kid += [None] * len(cs)
+                refined += [(c, depth + 1, k) for c in split(cell)]
         live = refined + live
-    for n in reversed(range(len(cell))):
-        if kid[n] is not None:
-            value[n] = functools.reduce(operator.add, [value[k] for k in kid[n]])
-    return value[:len(cells)]
+    return [math.fsum(p) for p in pieces]
 
 
 def integrate_1d(f, a: float, b: float) -> float:
@@ -237,23 +236,22 @@ def _quarters(tri):
     return (a, ab, ca), (ab, b, bc), (ca, bc, c), (bc, ca, ab)
 
 
-def _duffy_sums(g, tris) -> list:
-    """The 8 x 8 Duffy rule's values on the triangles (A, B, C) of the list
-    tris, from one call g(X, T) at all their nodes.  ``einsum`` sums each
-    row by itself, so a value does not depend on the triangles beside it."""
+def _duffy_sums(g, tris):
+    """The (value, estimate) pairs of the Duffy rules on the triangles (A,
+    B, C) of the list tris, from one call g(X, T) at all their nodes."""
     t = np.array(tris)
     a, b, c = (t[:, k, :, None] for k in range(3))
     points = a + _DUFFY_U * (b - a) + _DUFFY_UV * (c - b)
     values = g(points[:, 0].ravel(), points[:, 1].ravel()).reshape(len(t), -1)
     (e1, e2), (h1, h2) = (b - a)[..., 0].T, (c - b)[..., 0].T
-    return (np.abs(e1 * h2 - e2 * h1) * np.einsum("ij,j->i", values, _DUFFY_W)).tolist()
+    return _pairs(values, np.abs(e1 * h2 - e2 * h1), _DUFFY_W)
 
 
 def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
     """Integral of f over the dependence triangle (x0 - t0, 0), (x0 + t0,
     0), (x0, t0), t0 > 0: on each of its ``clip_cells`` f is one branch,
     taken at the nodes by ``eval_array``, and the cell's fan from its first
-    vertex goes through ``adaptive_panel`` with the Duffy rule, split in
+    vertex goes through ``adaptive_panel`` with the Duffy rules, split in
     quarters.  The points ``eval_array`` sets aside are ``filled`` through
     ``eval_expr``, so an error is the first met cell by cell, round by
     round, and in batch order within one round."""
@@ -340,9 +338,8 @@ class TypeIIIRegion:
             x = self.a + (self.b - self.a) * i / (n + 1)
             for j in range(1, n + 1):
                 y = self.omega1(x) + (self.omega2(x) - self.omega1(x)) * j / (n + 1)
-                if not (self.c - tol <= y <= self.d + tol):
-                    return False
-                if not (self.omega3(y) - tol <= x <= self.omega4(y) + tol):
+                if not (self.c - tol <= y <= self.d + tol
+                        and self.omega3(y) - tol <= x <= self.omega4(y) + tol):
                     return False
         return True
 
@@ -380,10 +377,8 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion):
     curl form).  Returns (lhs, rhs, gap, class_ok) where class_ok records
     whether the specular fields of P and Q are proper (the S^1 hypothesis);
     the computation proceeds either way."""
-    FP = specular_field(P, 0)
-    FQ = specular_field(Q, 1)
-    ok_p, _ = is_proper(FP)
-    ok_q, _ = is_proper(FQ)
+    FP, FQ = specular_field(P, 0), specular_field(Q, 1)
+    ok_p, ok_q = is_proper(FP)[0], is_proper(FQ)[0]
     class_ok = ok_p and ok_q
 
     forms = merge_forms([P.forms, Q.forms])
@@ -403,10 +398,12 @@ def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion):
                 if R.a < x < R.b:
                     xcuts.add(x)
 
-    def column_nodes(x: float) -> list:
-        return _edge_breaks(forms, (x, None), R.omega1(x), R.omega2(x))
+    def columns(X):  # the inner integral over y at each outer node x
+        return np.array([_integrate(lambda Y: _point_values([FP, FQ], [x, Y]),
+                                    _edge_breaks(forms, (x, None), R.omega1(x), R.omega2(x)))
+                         for x in X.flat]).reshape(X.shape)
 
-    lhs = _iterated(lambda Y, x: _point_values([FP, FQ], [x, Y]), sorted(xcuts), column_nodes)
+    lhs = _integrate(columns, sorted(xcuts))
 
     # rhs: counterclockwise boundary integral of P dy + Q dx
     if R.rectangle is not None:

@@ -513,6 +513,18 @@ class TestSolveCSV:
         assert code == EXIT_MATH_DOMAIN
         assert err.startswith("math-domain error: quadrature panel") and err.count("\n") == 1
 
+    def test_non_finite_quadrature_exit_3(self, tmp_path, capsys):
+        """1e308 x^3 - 1e308 x^3 is inf - inf, NaN, for x > 1, and psi has no
+        symbolic antiderivative: the first quadrature panel past x = 1 fails
+        at once with one math-domain line."""
+        big = f"1{'0' * 308}*x*x*x"
+        p = tmp_path / "nan.prob"
+        p.write_text(f"[problem]\nkind = wave\nphi = 0\npsi = ({big} - {big})*sin(x)\n"
+                     "[grid]\nx_range = 0.5, 1\nt_range = 0, 1\nnx = 2\nnt = 2\n")
+        assert run(["solve", str(p), "--out", str(tmp_path / "o.csv")]) == (EXIT_MATH_DOMAIN, "")
+        assert capsys.readouterr().err == ("math-domain error: quadrature panel [0.0, 1.5] has a "
+                                           "non-finite rule value (nan, estimate nan)\n")
+
     def test_non_finite_sample_exit_3(self, tmp_path, capsys):
         """phi = 1e308 x^3 overflows, and every residual row is NaN: check
         and solve both stop with one math-domain line, and no CSV is left

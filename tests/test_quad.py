@@ -243,52 +243,37 @@ class TestGreenCheck:
 
 
 # ---------------------------------------------------------------------------
-# Bit identity with depth-first, point-by-point quadrature
-
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+# Values against oracles that share no code with the engine
 
 
-def _gl15(f, a, b):
-    mid = 0.5 * (a + b)
+def _gauss(f, a, b, n):
+    """The n-point Gauss-Legendre value of the integral of f over [a, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
-    return half * math.fsum(w * f(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
+    return half * math.fsum(w * f(0.5 * (a + b) + half * x) for x, w in zip(nodes, weights))
 
 
-def _recursive(f, a, b, tol=QUAD_TOL, max_depth=MAX_DEPTH):
-    """Adaptive GL15 by depth-first recursion, one point at a time: the
-    oracle the breadth-first engine must equal bit for bit."""
-    if a == b:
-        return 0.0
-
-    def rec(lo, hi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        left = _gl15(f, lo, mid)
-        right = _gl15(f, mid, hi)
-        better = left + right
-        if abs(better - whole) <= tol * (1.0 + abs(better)):
-            return better
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature panel [{lo}, {hi}] failed to converge "
-                f"(estimate gap {abs(better - whole):.3e})",
-                panel=(lo, hi),
-            )
-        return rec(lo, mid, left, depth + 1) + rec(mid, hi, right, depth + 1)
-
-    return rec(a, b, _gl15(f, a, b), 0)
+def _duffy_rule(g, tri, n):
+    """The n x n Gauss-Legendre value of the integral of g(x, t) over the
+    triangle tri = (A, B, C), on the square collapsed onto it by (u, v) ->
+    A + u (B - A) + u v (C - B), whose Jacobian is u |det(B - A, C - B)|."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    (ax, at), (bx, bt), (cx, ct) = tri
+    det = abs((bx - ax) * (ct - bt) - (bt - at) * (cx - bx))
+    terms = []
+    for u, wu in zip(0.5 * (nodes + 1.0), weights):
+        for v, wv in zip(0.5 * (nodes + 1.0), weights):
+            x, t = ax + u * (bx - ax) + u * v * (cx - bx), at + u * (bt - at) + u * v * (ct - bt)
+            terms.append(0.25 * wu * wv * u * g(x, t))
+    return det * math.fsum(terms)
 
 
-def _pieces_sum(f, nodes):
-    return math.fsum(_recursive(f, lo, hi) for lo, hi in zip(nodes, nodes[1:]))
-
-
-def _oracle_1d(f, a, b):
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    if isinstance(f, PiecewiseFn):
-        return sign * _pieces_sum(lambda x: f.evaluate((x,)), _edge_breaks(f.forms, (None,), a, b))
-    return sign * _pieces_sum(f, [a, b])
+def _mp_integral(f, points):
+    """mpmath's quad at 30 digits of f from points[0] to points[-1], split
+    at the points between (where f may jump or kink)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.quad(f, [mpmath.mpf(p) for p in points]))
 
 
 def _exact_clip(poly, line, sign):
@@ -338,14 +323,6 @@ def _exact_triangle(terms, x0, t0):
     return float(total)
 
 
-def _outcome(thunk):
-    """The value, or the type and message of what was raised."""
-    try:
-        return thunk()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
 def _n(v):
     return f"({v!r})"
 
@@ -354,10 +331,10 @@ DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -3), (3, 2)]
 LEAF = Opaque(lambda t: t * t, (Var("t"),))
 
 
-def _factor(draw, arg):
-    p, q = draw(st.sampled_from([0.5, -0.25, 1.0])), draw(st.sampled_from([0.75, -1.0]))
-    lin = f"{_n(p)}*({arg}) + {_n(q)}"
-    return draw(st.sampled_from(["1", f"exp({lin})", f"cos({lin})", f"sqrt(1 + ({lin})^2)"]))
+# a factor's text around its linear argument, and its value at an mpmath number
+FACTORS = {"one": ("1", lambda mp, v: 1), "exp": ("exp({})", lambda mp, v: mp.exp(v)),
+           "cos": ("cos({})", lambda mp, v: mp.cos(v)),
+           "sqrt": ("sqrt(1 + ({})^2)", lambda mp, v: mp.sqrt(1 + v * v))}
 
 
 def _with_leaf(f, leaf):
@@ -397,17 +374,27 @@ def triangle_case(draw):
 def line_case(draw):
     """A 1D integrand with 1-3 abs/sgn kinks inside [a, b] (some far from
     the origin, either orientation) and an Opaque leaf; the same function
-    as a plain callable, which is integrated without splitting."""
+    at an mpmath number, and its kinks."""
     c = draw(st.sampled_from([0.0, 37.5, -5000.25]))
     w = draw(st.sampled_from([0.5, 2.0]))
-    terms = []
+    texts, terms = [], []
     for _ in range(draw(st.integers(1, 3))):
         d = c + draw(st.sampled_from([-0.75, -0.25, 0.125, 0.5])) * w
         kink = draw(st.sampled_from(["abs", "sgn"]))
-        terms.append(f"{kink}(x - {_n(d)})*{_factor(draw, f'x - {_n(c)}')}")
-    f = _with_leaf(from_expression(parse(" + ".join(terms), X), X), Opaque(math.atan, (Var("x"),)))
+        p, q = draw(st.sampled_from([0.5, -0.25, 1.0])), draw(st.sampled_from([0.75, -1.0]))
+        text, factor = FACTORS[draw(st.sampled_from(sorted(FACTORS)))]
+        texts.append(f"{kink}(x - {_n(d)})*" + text.format(f"{_n(p)}*(x - {_n(c)}) + {_n(q)}"))
+        terms.append((abs if kink == "abs" else (lambda v: (v > 0) - (v < 0)), d, factor, p, q, c))
+    f = _with_leaf(from_expression(parse(" + ".join(texts), X), X), Opaque(math.atan, (Var("x"),)))
+
+    def exact(x):
+        import mpmath
+
+        return mpmath.atan(x) + sum(kink(x - d) * factor(mpmath, p * (x - c) + q)
+                                    for kink, d, factor, p, q, c in terms)
+
     a, b = c - w, c + w
-    return f, *((b, a) if draw(st.booleans()) else (a, b))
+    return f, exact, sorted({d for _, d, *_ in terms}), *((b, a) if draw(st.booleans()) else (a, b))
 
 
 class TestBitIdentity:
@@ -420,24 +407,58 @@ class TestBitIdentity:
 
     @given(line_case())
     @settings(max_examples=25, deadline=None)
-    def test_1d_equals_depth_first(self, case):
-        f, a, b = case
-        assert integrate_1d(f, a, b) == _oracle_1d(f, a, b)
-        g = lambda x: f.evaluate((x,))
-        assert _outcome(lambda: integrate_1d(g, a, b)) == _outcome(lambda: _oracle_1d(g, a, b))
+    def test_1d_matches_mpmath(self, case):
+        """Split at its kinks, the integral agrees with mpmath's to QUAD_TOL.
+        So does the same function as a plain callable, integrated whole: its
+        kinks sit at dyadic fractions of [a, b], so halving meets each one at
+        a panel end (test_nonconvergent_integral_raises has a jump that it
+        never meets)."""
+        f, exact, kinks, a, b = case
+        want = math.copysign(1.0, b - a) * _mp_integral(exact, [min(a, b), *kinks, max(a, b)])
+        mpf = pytest.importorskip("mpmath").mpf
+        for g in (f, lambda x: float(exact(mpf(x)))):
+            assert abs(integrate_1d(g, a, b) - want) <= QUAD_TOL * (1.0 + abs(want))
 
-    def test_green_check_equals_depth_first(self):
+    def test_green_check_matches_mpmath(self):
+        """Both sides against mpmath at 30 digits.  The boundary integrals
+        split where P's lines cross the sides.  Off the lines the integrand
+        of the left side is sgn(x - y) + sgn(x + 2y - 0.3) e^x - sgn(y - 0.2)
+        cos x, whose integral over y is linear in where each sign flips;
+        its integral over x splits where those points leave [c, d]."""
+        mp = pytest.importorskip("mpmath")
         P = _pw("abs(x - y) + sgn(x + 2*y - 0.3)*exp(x)")
         Q = _pw("abs(y - 0.2)*cos(x)")
-        R = TypeIIIRegion.from_rectangle(-1.0, 1.5, -0.5, 1.0)
-        # pinned from the depth-first implementation
-        assert green_check(P, Q, R) == (
-            3.5315233348552533, 6.8329405613030545, 3.3014172264478012, True)
+        a, b, c, d = -1.0, 1.5, -0.5, 1.0
+        lhs, rhs, gap, class_ok = green_check(P, Q, TypeIIIRegion.from_rectangle(a, b, c, d))
+
+        def within(lo, hi, *cuts):
+            return [lo, *sorted(v for v in cuts if lo < v < hi), hi]
+
+        sgn = lambda v: (v > 0) - (v < 0)
+        p = lambda x, y: abs(x - y) + sgn(x + 2 * y - 0.3) * mp.exp(x)
+        q = lambda x, y: abs(y - 0.2) * mp.cos(x)
+        rhs_want = math.fsum([
+            _mp_integral(lambda x: q(x, c), [a, b]),
+            _mp_integral(lambda y: p(b, y), within(c, d, b, (0.3 - b) / 2)),
+            -_mp_integral(lambda x: q(x, d), [a, b]),
+            -_mp_integral(lambda y: p(a, y), within(c, d, a, (0.3 - a) / 2))])
+
+        def signs_over_y(r):  # the integral of sgn(y - r) over [c, d]
+            m = min(max(r, c), d)
+            return (d - m) - (m - c)
+
+        lhs_want = _mp_integral(
+            lambda x: -signs_over_y(x) + mp.exp(x) * signs_over_y((0.3 - x) / 2)
+            - mp.cos(x) * signs_over_y(0.2), within(a, b, c, d, 0.3 - 2 * c, 0.3 - 2 * d))
+        for got, want in ((lhs, lhs_want), (rhs, rhs_want)):
+            assert abs(got - want) <= QUAD_TOL * (1.0 + abs(want))
+        assert gap == abs(lhs - rhs) and class_ok
 
 
 class TestRuleTables:
     @pytest.mark.parametrize("n, nodes, weights", [
-        (15, quad._GL_NODES, quad._GL_WEIGHTS), (8, quad._GL8_NODES, quad._GL8_WEIGHTS)])
+        (15, quad._GL_NODES, quad._GL_WEIGHTS), (8, quad._GL8_NODES, quad._GL8_WEIGHTS),
+        (10, quad._GL10_NODES, quad._GL10_WEIGHTS), (7, quad._GL7_NODES, quad._GL7_WEIGHTS)])
     def test_literals_are_leggauss(self, n, nodes, weights):
         want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
         assert nodes.tolist() == want_nodes.tolist()
@@ -446,14 +467,16 @@ class TestRuleTables:
 
 class TestQuadratureErrors:
     def test_nonconvergent_panel(self, monkeypatch):
+        """At MAX_DEPTH = 4 the step at 0.3 fails on the panel of width 1/16
+        around it, with the gap between its 15- and 7-point values there."""
         step = lambda x: 1.0 if x > 0.3 else 0.0
         monkeypatch.setattr(quad, "MAX_DEPTH", 4)
         with pytest.raises(QuadratureError) as got:
             quad._integrate(lambda X: (X > 0.3) * 1.0, [-1.0, 0.0, 1.0, 2.0])
-        with pytest.raises(QuadratureError) as want:
-            _recursive(step, 0.0, 1.0, max_depth=4)
-        assert str(got.value) == str(want.value)
-        assert got.value.panel == want.value.panel == (0.25, 0.3125)
+        gap = abs(_gauss(step, 0.25, 0.3125, 15) - _gauss(step, 0.25, 0.3125, 7))
+        assert str(got.value) == (f"quadrature panel [0.25, 0.3125] failed to converge "
+                                  f"(estimate gap {gap:.3e})")
+        assert got.value.panel == (0.25, 0.3125)
 
     def test_nonconvergent_triangle(self, monkeypatch):
         """A jump hidden in an Opaque leaf never converges: the triangle at
@@ -467,11 +490,31 @@ class TestQuadratureErrors:
 
     def test_nonconvergent_integral_raises(self):
         tall_step = lambda x: 1e6 if x > 0.3 else 0.0
-        with pytest.raises(QuadratureError) as got:
+        with pytest.raises(QuadratureError, match=r"^quadrature panel .* failed to converge") as got:
             integrate_1d(tall_step, 0.0, 1.0)
-        assert got.value.panel is not None
-        assert _outcome(lambda: _oracle_1d(tall_step, 0.0, 1.0)) == (
-            "QuadratureError", str(got.value))
+        lo, hi = got.value.panel
+        assert lo < 0.3 < hi and hi - lo == 2.0 ** -MAX_DEPTH
+
+    @pytest.mark.parametrize("g, value", [
+        (lambda x: math.nan, "nan"), (lambda x: math.inf if x > 0.3 else 0.0, "inf")])
+    def test_non_finite_rule_value_fails_at_once(self, g, value):
+        """A NaN or infinite integrand value fails in the round that meets
+        it, naming the cell and its rule values, instead of refining to
+        MAX_DEPTH: one panel of 22 points here."""
+        points = []
+        with pytest.raises(QuadratureError) as got:
+            integrate_1d(lambda x: points.append(x) or g(x), 0.0, 1.0)
+        assert str(got.value) == (f"quadrature panel [0.0, 1.0] has a non-finite rule value "
+                                  f"({value}, estimate {value})")
+        assert got.value.panel == (0.0, 1.0) and len(points) == 22
+
+    def test_non_finite_opaque_leaf_fails_at_once(self):
+        f = _with_leaf(from_expression(parse("0*x + 0*t", XT), XT),
+                       Opaque(lambda x: math.nan, (Var("x"),)))
+        with pytest.raises(QuadratureError) as got:
+            integrate_triangle(f, 0.0, 1.0)
+        assert str(got.value) == ("quadrature triangle ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)) "
+                                  "has a non-finite rule value (nan, estimate nan)")
 
     @pytest.mark.parametrize("text, x0, message", [
         ("sqrt(x + 0.5) + t", 0.0, "sqrt of negative value -0.46068408037178277"),
@@ -489,12 +532,12 @@ class TestQuadratureErrors:
 
 class TestBatching:
     def test_off_line_triangle_needs_no_scalar_evaluation(self, monkeypatch):
-        """Each cell of the triangle takes its one branch at the rule's
+        """Each cell of the triangle takes its one branch at the rules'
         points with ``eval_array``: no ``evaluate`` call, no
         ``evaluate_many`` call, and one ``eval_array`` call per cell and
-        round.  The first takes the 64 nodes of each fan triangle and of its
-        four children; each later one the four children of the triangles
-        still live, so it is no larger than four times the children before.
+        round.  The first takes the 64 + 100 nodes of each fan triangle;
+        each later one those of the four children of the triangles split
+        in the round before, so it is no larger than four times that round.
         sqrt(x + 1.1) is steep enough near x = -1 to need a second round."""
         f = from_expression(
             parse("abs(x - t + 0.25)*exp(0.5*x) + sgn(x + 2*t - 0.5)*sqrt(x + 1.1)", XT), XT)
@@ -528,15 +571,14 @@ class TestBatching:
         assert counts["evaluate"] == counts["evaluate_many"] == 0
         assert len(cells) == 4 and any(len(batches) > 1 for _, batches in cells)
         for fan, (first, *later) in cells:
-            assert first == 5 * 64 * fan
-            kids = 4 * fan
-            for points in later:
-                assert points % (4 * 64) == 0 and 0 < points <= 4 * 64 * kids
-                kids = points // 64
+            assert first == 164 * fan
+            for before, points in zip([first, *later], later):
+                assert points % (4 * 164) == 0 and 0 < points <= 4 * before
 
     def test_exact_rule_takes_one_call_per_cell(self, monkeypatch):
-        """On a cell where the rule is exact (a cubic branch) every triangle
-        passes at its first split: one ``eval_array`` call per cell."""
+        """On a cell where both rules are exact (a cubic branch) every
+        triangle is accepted whole: one ``eval_array`` call per cell, at the
+        64 + 100 nodes of each fan triangle."""
         f = from_expression(parse("abs(x - t + 0.25)*x^2 + sgn(x + 2*t - 0.5)*t", XT), XT)
         calls = []
         real_array = quad.eval_array
@@ -544,13 +586,14 @@ class TestBatching:
                             or real_array(e, cols, bad))
         integrate_triangle(f, 0.0, 1.0)
         cells = quad.clip_cells(f.forms, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        assert calls == [5 * 64 * (len(poly) - 2) for _, poly in cells]
+        assert calls == [164 * (len(poly) - 2) for _, poly in cells]
 
     def test_nonintegrable_line_fails_in_bounded_rounds(self, monkeypatch):
         """1/(x - 0.3) never converges along x = 0.3.  Refining whole levels
         would double the live triangles there each level toward MAX_DEPTH;
-        rounds of at most ROUND_PANELS // 8, depth-first order first, meet the
-        triangle the depth-first walk fails at (pinned from it)."""
+        rounds of at most ROUND_PANELS // 8, depth-first order first, fail at
+        the first triangle at MAX_DEPTH in depth-first order: the one on the
+        base, at x = 0.3, with the gap of its two Duffy rules."""
         f = from_expression(parse("1/(x - 0.3) + t", XT), XT)
         batches = []
         real_array = quad.eval_array
@@ -558,17 +601,20 @@ class TestBatching:
                             or real_array(e, cols, bad))
         with pytest.raises(QuadratureError) as got:
             integrate_triangle(f, 0.0, 1.0)
-        assert str(got.value) == (
-            "quadrature triangle ((0.2999999988824129, 0.0), (0.30000000074505806, 0.0), "
-            "(0.2999999998137355, 9.313225746154785e-10)) failed to converge "
-            "(estimate gap 4.462e-09)")
-        assert max(batches) <= 4 * 64 * (quad.ROUND_PANELS // 8)
+        tri = ((0.2999999988824129, 0.0), (0.30000000074505806, 0.0),
+               (0.2999999998137355, 9.313225746154785e-10))
+        g = lambda x, t: 1.0 / (x - 0.3) + t
+        gap = abs(_duffy_rule(g, tri, 10) - _duffy_rule(g, tri, 8))
+        assert str(got.value) == f"quadrature triangle {tri} failed to converge (estimate gap {gap:.3e})"
+        assert max(batches) <= 164 * (quad.ROUND_PANELS // 8)
 
     @pytest.mark.parametrize("text", [
         "sqrt(abs(x - 0.25*t))", "sqrt(abs(x - 0.25*t)) + sqrt(abs(x + t - 0.5))"])
     def test_small_rounds_give_the_same_total(self, text, monkeypatch):
         """Rounds that take a few live triangles at a time, of mixed depths,
-        give bit for bit the total of the default rounds."""
+        give bit for bit the total of the default rounds: each triangle's
+        rule values do not depend on the batch, and ``fsum`` adds them in
+        any order."""
         f = from_expression(parse(text, XT), XT)
         want = integrate_triangle(f, 0.0, 1.0)
         monkeypatch.setattr(quad, "ROUND_PANELS", 24)  # 3 triangles a round
@@ -593,7 +639,7 @@ class TestBatching:
                                   quad.ROUND_PANELS // 8, str)
 
         together = refine(*tris)
-        assert len(splits) > len(tris)  # some go past their first split
+        assert set(splits) - set(tris)  # some go past their first split
         assert together == [v for tri in tris for v in refine(tri)]
 
 
@@ -614,26 +660,27 @@ class TestOneEngine:
         assert arity == [2, 4]
 
     def test_exact_rule_takes_one_call_per_integral(self, monkeypatch):
-        """GL15 is exact on a piecewise cubic, so every piece passes at its
-        first split: one ``evaluate_many`` call takes the wholes of the three
-        pieces with their halves."""
+        """Both Gauss rules are exact on a piecewise cubic, so every piece
+        is accepted whole: one ``evaluate_many`` call takes the 7 + 15
+        points of each of the three pieces."""
         f = _pw("abs(x)*x^2 + sgn(x - 1)*x", X)
         calls = []
         real = PiecewiseFn.evaluate_many
         monkeypatch.setattr(PiecewiseFn, "evaluate_many",
                             lambda self, cols: calls.append(len(cols[0])) or real(self, cols))
         assert integrate_1d(f, -1.0, 2.0) == pytest.approx(5.75, abs=1e-10)
-        assert calls == [3 * 3 * 15]
+        assert calls == [3 * 22]
 
     def test_integrand_error_of_the_round_that_meets_it(self):
         """f raises at 0.0625, the middle node of [0, 0.125], and at 0.625,
-        that of [0.5, 0.75].  Depth-first recursion meets [0, 0.125] first,
-        refining [0, 0.25] before it turns to [0.5, 1]; rounds meet [0.5,
-        0.75] a round earlier, as a child of [0.5, 1]."""
+        that of [0.5, 0.75].  Depth-first recursion would meet [0, 0.125]
+        first, refining [0, 0.25] before it turns to [0.5, 1]; rounds take
+        [0, 0.25] and [0.5, 0.75] together in the third round and [0,
+        0.125] in the fourth, so the third round's error is raised."""
         def f(x):
             if x in (0.0625, 0.625):
                 raise ValueError(f"no value at {x}")
-            return (x > 0.1) + (x > 0.7)
+            return float(x > 0.1) + float(x > 0.7)  # numpy bools would add as "or"
 
-        assert _outcome(lambda: _oracle_1d(f, 0.0, 1.0)) == ("ValueError", "no value at 0.0625")
-        assert _outcome(lambda: integrate_1d(f, 0.0, 1.0)) == ("ValueError", "no value at 0.625")
+        with pytest.raises(ValueError, match=r"^no value at 0\.625$"):
+            integrate_1d(f, 0.0, 1.0)
