@@ -57,13 +57,13 @@ from .piecewise import (
     BranchLookupError,
     CoverageError,
     PiecewiseFn,
+    Points,
     a_combine,
     filled,
     from_branches,
     from_expression,
     is_proper,
     line_values,
-    pattern_groups,
 )
 from .quad import QuadratureError
 from .specular import (
@@ -497,8 +497,8 @@ def _online_points(u: PiecewiseFn, g: Grid) -> tuple:
 def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     """The (n, 6) sample table x, t, u, ux, ut, residual: grid rows (t
     outer, x inner) then the ``_online_points`` supplements.  Each column
-    is evaluated over all points at once, the fields on u's lines from one
-    ``pattern_groups`` of the points, and copied in whole; for ``transport``
+    is evaluated over all points at once, on one ``Points``, whose groups
+    the fields on u's lines share, and copied in whole; for ``transport``
     the batches of ux and ut also carry their own-axis limits, from which
     the residual column takes the operator on the lines.  The entries the
     batches do not cover are ``filled``, with ``_safe_eval`` as the scalar
@@ -510,15 +510,14 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     xs = np.array(_linspace(*g.x_range, g.nx))
     ts = np.array(_linspace(*g.t_range, g.nt))
     grid = (np.tile(xs, len(ts)), np.repeat(ts, len(xs)))
-    cols = [np.concatenate([c, extra]) for c, extra in zip(grid, _online_points(u, g))]
-    groups = pattern_groups(u.forms, cols)
+    cols = Points(np.concatenate([c, extra]) for c, extra in zip(grid, _online_points(u, g)))
     transport = prob.kind == "transport"
     axes = ((), (0,), (1,)) if transport else ((), (), ())
-    batches = [fld.evaluate_batch(cols, a, True, groups) for fld, a in zip((u, ux, ut), axes)]
+    batches = [fld.evaluate_batch(cols, a) for fld, a in zip((u, ux, ut), axes)]
     columns = [(*batch[None], functools.partial(_safe_eval, fld))
                for batch, fld in zip(batches, (u, ux, ut))]
     if transport:
-        columns.append((*transport_operator_many(u, cols, batches[1:], groups),
+        columns.append((*transport_operator_many(u, cols, batches[1:]),
                         functools.partial(transport_operator, u)))
     else:
         W = wave_operator_fields(u)[2]
@@ -529,7 +528,7 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
                 r -= _safe_eval(f, p)
             return r
 
-        values, covered = W.evaluate_batch(cols, (), True, groups if W.forms == u.forms else None)[None]
+        values, covered = W.evaluate_many(cols)
         if f is not None:
             fv, fc = f.evaluate_many(cols)
             values, covered = values - fv, covered & fc

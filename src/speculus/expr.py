@@ -575,7 +575,7 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if isinstance(e, BinOp):
         a = subst(e.left, mapping)
         b = subst(e.right, mapping)
-        return {"+": add, "-": sub, "*": mul, "/": div}[e.op](a, b)
+        return _BINOPS[e.op](a, b)
     if isinstance(e, Call):
         return Call(e.func, subst(e.arg, mapping))
     if isinstance(e, Opaque):
@@ -783,9 +783,10 @@ def pin_signs(
     abs/sgn argument is pinned, then resolved through as_affine and
     normalize_affine: a constant one folds, any other takes the sign of the
     first assigned form ``same_as`` its form (flipped back when stored with
-    flipped orientation).  With ``partial=True`` unassigned abs/sgn nodes
-    are left in place (used for limits along a form that stays identically
-    zero).
+    flipped orientation).  An ``Opaque`` leaf is rebuilt through ``opaque``
+    from its pinned arguments, as ``subst`` does.  With ``partial=True``
+    unassigned abs/sgn nodes are left in place (used for limits along a
+    form that stays identically zero).
 
     ``memo`` (id(node) -> (node, entry), for one ``vars``) keeps what
     depends on no sign: each such subtree pinned, and the pinned argument,
@@ -838,6 +839,9 @@ def pin_signs(
         elif isinstance(n, Call):
             a, free = pin(n.arg)
             out = Call(n.func, a)
+        elif isinstance(n, Opaque):
+            args = [pin(a) for a in n.args]
+            out, free = opaque(n.fn, (a for a, _ in args), n.grads), all(f for _, f in args)
         else:
             raise TypeError(f"not an Expr node: {n!r}")
         if free:

@@ -37,10 +37,10 @@ of limits to A-combine, or an error; ``limit_slope`` differentiates the
 node of a limit, and is every one-sided slope of ``specular``.
 ``evaluate_batch`` gives the value and the limits along given axes at many
 points, on lines too, from the ``pattern_groups`` of the points (a stable
-sort of one base-3 code per point, cut where the code changes), which
-every field on the same lines shares: one ``eval_array`` pass per distinct
-non-constant tree over the groups routed to it, read back by offset, and
-``proper_values`` for each pair.  It reports the points it covered,
+sort of one base-3 code per point, cut where the code changes), which a
+``Points`` keeps for every field on the same lines: one ``eval_array`` pass
+per distinct non-constant tree over the groups routed to it, read back by
+offset, and ``proper_values`` for each pair.  It reports the points it covered,
 bitwise as the scalar methods, and never raises; ``filled`` is the one
 rule by which every batch site takes the other points.
 """
@@ -231,6 +231,27 @@ def pattern_groups(forms: Sequence[AffineForm], cols: Sequence[np.ndarray]) -> l
     return [(tuple(signs[idx[0]].tolist()), idx) for idx in np.split(rows, cuts)] if len(rows) else []
 
 
+class Points(tuple):
+    """A point set: one read-only float array per variable, which keeps the
+    ``pattern_groups`` of each forms tuple that asks, so the fields on the
+    same lines route it once.  ``Points`` of a Points is that Points."""
+
+    def __new__(cls, cols: Sequence) -> Points:
+        if isinstance(cols, Points):
+            return cols
+        self = super().__new__(cls, (np.asarray(c, dtype=float).view() for c in cols))
+        for c in self:
+            c.flags.writeable = False
+        self._groups = {}
+        return self
+
+    def groups(self, forms: tuple) -> list:
+        """``pattern_groups(forms, self)``, made on first request and kept."""
+        if forms not in self._groups:
+            self._groups[forms] = pattern_groups(forms, self)
+        return self._groups[forms]
+
+
 @dataclass(frozen=True)
 class PiecewiseFn:
     vars: tuple
@@ -373,22 +394,22 @@ class PiecewiseFn:
         return self.evaluate_batch(cols)[None]
 
     def evaluate_batch(self, cols: Sequence[np.ndarray], axes: Sequence[int] = (),
-                       value: bool = True, groups: Optional[list] = None) -> dict:
+                       value: bool = True) -> dict:
         """The value (key None, unless value is false) and the left and
         right limits along each axis (keys (axis, -1) and (axis, +1)) at
-        many points (cols: one coordinate array per variable), each as
-        (values, covered).  The ``pattern_groups`` of the forms at cols
-        (groups, if the caller has them) route each request to its node.
+        many points (cols: a ``Points``, or one coordinate array per
+        variable, wrapped in one), each as (values, covered).  The groups
+        the Points keeps for the forms route each request to its node.
         Each distinct branch tree takes one ``eval_array`` pass over the
         concatenation of the distinct groups routed to it (a constant is
         filled in), each request reads its group's slice back, and a pair
         takes ``proper_values``.  A covered point has finite l(p) and a
         value bitwise that of ``evaluate``/``one_sided_value``; ``filled``
         takes the others and raises the errors.  Nothing here raises."""
-        cols = [np.asarray(c, dtype=float) for c in cols]
+        cols = Points(cols)
         keys = ([None] if value else []) + [(axis, d) for axis in axes for d in (-1, 1)]
         plan, trees = [], {}
-        for s, idx in pattern_groups(self.forms, cols) if groups is None else groups:
+        for s, idx in cols.groups(self.forms):
             for key in keys:
                 node = self._value_node(s) if key is None else self._limit_node(s, *key)
                 plan.append((key, idx, node))
@@ -584,18 +605,16 @@ def _edge_samples(forms: tuple, domain: tuple, d: int) -> tuple:
     return tuple(out)
 
 
-def columns(pts: list, d: int) -> np.ndarray:
-    """The d-dimensional points as one coordinate array per variable."""
-    return np.array(pts, dtype=float).reshape(-1, d).T
+def columns(pts: list, d: int) -> Points:
+    """The d-dimensional points as a ``Points``."""
+    return Points(np.array(pts, dtype=float).reshape(-1, d).T)
 
 
 @functools.lru_cache(maxsize=1024)
-def _edge_groups(forms: tuple, domain: tuple, d: int) -> tuple:
-    """The points of ``_edge_samples`` as read-only ``columns`` and their
-    ``pattern_groups``, shared by every field on the same lines."""
-    cols = columns([p for pts in _edge_samples(forms, domain, d) for p in pts], d)
-    cols.flags.writeable = False
-    return cols, pattern_groups(forms, cols)
+def _edge_points(forms: tuple, domain: tuple, d: int) -> Points:
+    """The points of ``_edge_samples`` as one ``Points``, shared with the
+    groups it keeps by every field on the same lines."""
+    return columns([p for pts in _edge_samples(forms, domain, d) for p in pts], d)
 
 
 def filled(cols: Sequence[np.ndarray], columns: Sequence[tuple]) -> list:
@@ -634,9 +653,9 @@ def _limit_columns(u: PiecewiseFn, lines: tuple, batch: dict, primary: bool) -> 
 
 def classify_continuity(u: PiecewiseFn) -> ContinuityReport:
     lines = _edge_samples(u.forms, u.domain, u.d)
-    cols, groups = _edge_groups(u.forms, u.domain, u.d)
+    cols = _edge_points(u.forms, u.domain, u.d)
     axes = sorted({u.forms[k].primary_axis() for k, pts in enumerate(lines) if pts})
-    return _continuity(u, lines, cols, u.evaluate_batch(cols, axes, False, groups))
+    return _continuity(u, lines, cols, u.evaluate_batch(cols, axes, False))
 
 
 def _continuity(u: PiecewiseFn, lines: list, cols, batch: dict) -> ContinuityReport:
@@ -677,8 +696,8 @@ def is_proper(u: PiecewiseFn):
     if u._proper is not None:
         return u._proper
     lines = _edge_samples(u.forms, u.domain, u.d)
-    cols, groups = _edge_groups(u.forms, u.domain, u.d)
-    batch = u.evaluate_batch(cols, range(u.d), True, groups)
+    cols = _edge_points(u.forms, u.domain, u.d)
+    batch = u.evaluate_batch(cols, range(u.d), True)
     cont = _continuity(u, lines, cols, batch)
     stored_values, *limits = (v.tolist() for v in filled(
         cols, [(*batch[None], u.evaluate)] + _limit_columns(u, lines, batch, False)))
@@ -701,9 +720,9 @@ def is_proper(u: PiecewiseFn):
 # ---------------------------------------------------------------------------
 # Algebra on piecewise functions (used by the wave solvers)
 
-def merge_forms(groups: Sequence[Sequence[AffineForm]]) -> list:
+def merge_forms(lists: Sequence[Sequence[AffineForm]]) -> list:
     out: list = []
-    for forms in groups:
+    for forms in lists:
         for f in forms:
             if find_form(out, f) < 0:
                 out.append(f)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expr import AffineForm, eval_array, eval_expr
-from .piecewise import BranchLookupError, PiecewiseFn, filled, is_proper, merge_forms
+from .piecewise import BranchLookupError, PiecewiseFn, Points, filled, is_proper, merge_forms
 from .specular import specular_field, specular_partial
 
 # Gauss-Legendre nodes and weights on [-1, 1]: ``leggauss(n)`` of
@@ -95,10 +95,10 @@ class QuadratureError(Exception):
 def _point_values(fns, cols):
     """fns[0] - fns[1] - ... at every point, for PiecewiseFns of one or two
     variables; cols holds one (n, 22) array or one number per variable.
-    ``evaluate_many`` covers what it can, and the points it leaves are
-    ``filled``, one column per function."""
+    ``evaluate_many`` covers what it can on one ``Points``, and the points
+    it leaves are ``filled``, one column per function."""
     shape = next(np.shape(c) for c in cols if np.ndim(c))
-    flat = [np.broadcast_to(c, shape).ravel() for c in cols]
+    flat = Points(np.broadcast_to(c, shape).ravel() for c in cols)
     total, *rest = filled(flat, [(*f.evaluate_many(flat), f.evaluate) for f in fns])
     for values in rest:
         total = total - values

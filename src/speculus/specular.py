@@ -32,7 +32,6 @@ from .piecewise import (
     filled,
     is_proper,
     merge_forms,
-    pattern_groups,
     proper_leaf,
     regions,
     tol_jump,
@@ -263,8 +262,7 @@ def s2_membership(u: PiecewiseFn) -> S2Report:
     pts = [p for line in _edge_samples(u.forms, u.domain, 2) for p in line]
     pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
     cols = columns(pts, 2)
-    groups = pattern_groups(u.forms, cols)
-    a, b = filled(cols, [(*second[key].evaluate_batch(cols, (), True, groups)[None], second[key].evaluate)
+    a, b = filled(cols, [(*second[key].evaluate_many(cols), second[key].evaluate)
                          for key in ((0, 1), (1, 0))])
     residual = max([0.0, *abs(a - b).tolist()])
 

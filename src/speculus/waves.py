@@ -44,8 +44,8 @@ from .expr import (
 from .piecewise import (
     BranchLookupError,
     PiecewiseFn,
-    _edge_groups,
-    _edge_samples,
+    Points,
+    _edge_points,
     _meet,
     _sign,
     a_combine,
@@ -55,7 +55,6 @@ from .piecewise import (
     finite_abs,
     is_proper,
     merge_forms,
-    pattern_groups,
     pw_add,
     pw_compose_affine,
     pw_hold,
@@ -74,7 +73,7 @@ from .specular import (
     specular_partial,
     specularly_differentiable_1d,
 )
-from .tangent2d import CenterMismatch, _center_and_pairs, _check_center, _criterion
+from .tangent2d import CenterMismatch, _check_center, _criterion
 
 VARS_XT = ("x", "t")
 FORM_X = AffineForm((1.0, 0.0), 0.0)
@@ -447,15 +446,13 @@ def wave_residual(u: PiecewiseFn, f: Optional[PiecewiseFn], points) -> ResidualR
     line the difference field is extended properly: the A-combination of
     its one-sided values (matching how the force stores its own on-line
     values); the per-axis operator values are also reported so on-line
-    diagonal entries like A(2, 0) are visible.  The fields on u's lines
-    share one ``pattern_groups`` of the points, and the points the batches
-    leave are ``filled`` in the order (W, f, wtt, wxx)."""
+    diagonal entries like A(2, 0) are visible.  The fields are evaluated
+    on one ``Points``, so those on the same lines share its groups, and the
+    points the batches leave are ``filled`` in the order (W, f, wtt, wxx)."""
     wtt, wxx, W = wave_operator_fields(u)
     points = [tuple(p) for p in points]
     cols = columns(points, 2)
-    groups = pattern_groups(u.forms, cols)
-    ops = [(*fld.evaluate_batch(cols, (), True, groups if fld.forms == u.forms else None)[None], fld.evaluate)
-           for fld in (W, wtt, wxx)]
+    ops = [(*fld.evaluate_many(cols), fld.evaluate) for fld in (W, wtt, wxx)]
     force = ((*f.evaluate_many(cols), f.evaluate) if f is not None
              else (np.zeros(len(points)), np.ones(len(points), dtype=bool), None))
     rows = [(p, val, fval, val - fval, tt, xx) for p, val, fval, tt, xx
@@ -468,33 +465,32 @@ def transport_operator(u: PiecewiseFn, p) -> float:
     return specular_partial(u, p, 1) + specular_partial(u, p, 0)
 
 
-def transport_operator_many(u: PiecewiseFn, cols, partials=None, groups=None) -> tuple:
+def transport_operator_many(u: PiecewiseFn, cols, partials=None) -> tuple:
     """``transport_operator`` at many points, as (values, covered) with the
     contract of ``PiecewiseFn.evaluate_many``: A(right_t, left_t) +
     A(right_x, left_x) of the ``_slopes`` table, run through ``math`` once
     per distinct bit pattern of its four entries (-0.0 and 0.0 stay apart)
-    and indexed back into every point that holds it.  partials and groups
-    (the ``pattern_groups`` of u's forms at cols) as the caller has them."""
-    groups = pattern_groups(u.forms, cols) if groups is None else groups
-    table, covered = _slopes(u, cols, groups, partials)
+    and indexed back into every point that holds it.  cols as a ``Points``,
+    and partials as the caller has them."""
+    table, covered = _slopes(u, Points(cols), partials)
     _, first, inverse = np.unique(table.view(np.dtype((np.void, 32))).ravel(),
                                   return_index=True, return_inverse=True)
     distinct = [a_combine(rt, lt) + a_combine(rx, lx) for rx, lx, rt, lt in table[first].tolist()]
     return np.array(distinct, dtype=float)[inverse], covered
 
 
-def _slopes(u: PiecewiseFn, cols, groups: list, partials=None) -> tuple:
+def _slopes(u: PiecewiseFn, cols: Points, partials=None) -> tuple:
     """(table, covered): the right and left semi-derivatives of u along x,
     then t, as the own-axis limits of its partial fields (partials: their
     ``evaluate_batch`` at cols with axes (0,) and (1,)).  A point is covered
     where all four are covered and finite and no axis runs along its line,
     since there a field's limit is not the semi-derivative."""
     if partials is None:
-        partials = [partial_field(u, axis).evaluate_batch(cols, (axis,), False, groups) for axis in (0, 1)]
+        partials = [partial_field(u, axis).evaluate_batch(cols, (axis,), False) for axis in (0, 1)]
     entries = [partials[axis][axis, d] for axis in (0, 1) for d in (1, -1)]
     table = np.column_stack([values for values, _ in entries])
     covered = np.isfinite(table).all(axis=1) & np.logical_and.reduce([ok for _, ok in entries])
-    for s, idx in groups:
+    for s, idx in cols.groups(u.forms):
         covered[idx] &= all(0.0 not in u.forms[k].coeffs for k, q in enumerate(s) if q == 0)
     return table, covered
 
@@ -516,32 +512,29 @@ class HypothesisHReport:
 def hypothesis_h_check(u: PiecewiseFn) -> HypothesisHReport:
     """Evaluate the strong-tangent criterion of v = u_t - u_x at the edge
     samples of its lines; hypothesis (H) demands a strong specular tangent
-    there.  v's ``_slopes`` and its limits along both axes come from batches
-    at the cached ``_edge_groups``; ``_center_and_pairs`` takes the points
-    they leave, in order, and raises their errors."""
+    there.  v's ``_slopes`` and the mids of its limits along x and t come
+    from batches on the cached edge ``Points``; the points they leave are
+    ``filled`` by ``semi_derivative_one_sided`` and ``one_sided_limits``."""
     v = pw_add(partial_field(u, 1), partial_field(u, 0), -1.0)
-    cols, groups = _edge_groups(v.forms, v.domain, v.d)
-    slopes, good = _slopes(v, cols, groups)
-    limits = v.evaluate_batch(cols, (0, 1), False, groups)
-    mids = [(0.5 * (limits[axis, -1][0] + limits[axis, 1][0])).tolist() for axis in (0, 1)]
-    good &= np.logical_and.reduce([ok for _, ok in limits.values()])
+    cols = _edge_points(v.forms, v.domain, v.d)
+    table, good = _slopes(v, cols)
+    limits = v.evaluate_batch(cols, (0, 1), False)
+    slopes = [(table[:, j], good, partial(semi_derivative_one_sided, v, axis=axis, direction=d))
+              for j, (axis, d) in enumerate(itertools.product((0, 1), (1, -1)))]
+    mids = [(0.5 * (limits[axis, -1][0] + limits[axis, 1][0]), limits[axis, -1][1] & limits[axis, 1][1],
+             lambda p, axis=axis: v.one_sided_limits(p, axis).mid) for axis in (0, 1)]
     rows, failures = [], []
-    points = (p for line in _edge_samples(v.forms, v.domain, v.d) for p in line)
-    for p, (a1, b1, a2, b2), mid1, mid2, ok in zip(points, slopes.tolist(), *mids, good.tolist()):
+    for x, t, a1, b1, a2, b2, mid1, mid2 in zip(*(c.tolist() for c in (*cols, *filled(cols, slopes + mids)))):
         try:
-            if ok:
-                _check_center(mid1, mid2)
-                pair1, pair2 = SemiDerivativePair(a1, b1, 0), SemiDerivativePair(a2, b2, 1)
-            else:
-                _, pair1, pair2 = _center_and_pairs(v, p)
+            _check_center(mid1, mid2)
         except CenterMismatch as e:
-            rows.append((tuple(p), None, f"center mismatch: {e}"))
-            failures.append(tuple(p))
+            rows.append(((x, t), None, f"center mismatch: {e}"))
+            failures.append((x, t))
             continue
-        res, tol = _criterion(pair1, pair2)
-        rows.append((tuple(p), res, ""))
+        res, tol = _criterion(SemiDerivativePair(a1, b1, 0), SemiDerivativePair(a2, b2, 1))
+        rows.append(((x, t), res, ""))
         if finite_abs(res) > tol:
-            failures.append(tuple(p))
+            failures.append((x, t))
     return HypothesisHReport(rows, failures)
 
 
@@ -553,14 +546,14 @@ def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: Optional[
     ``semi_derivative_one_sided``; the points the batches leave are
     ``filled`` in the order (u, phi, slope, psi)."""
     cols = columns([(float(x), 0.0) for x in xs], 2)
-    groups = pattern_groups(u.forms, cols)
+    line = Points(cols[:1])
 
     def at_x(g: PiecewiseFn) -> tuple:
-        return (*g.evaluate_many(cols[:1]), lambda p: g.evaluate(p[:1]))
+        return (*g.evaluate_many(line), lambda p: g.evaluate(p[:1]))
 
-    parts = [(*u.evaluate_batch(cols, (), True, groups)[None], u.evaluate), at_x(phi)]
+    parts = [(*u.evaluate_many(cols), u.evaluate), at_x(phi)]
     if psi is not None:
-        slopes, covered = partial_field(u, 1).evaluate_batch(cols, (1,), False, groups)[1, 1]
+        slopes, covered = partial_field(u, 1).evaluate_batch(cols, (1,), False)[1, 1]
         parts += [(slopes, covered & np.isfinite(slopes), lambda p: semi_derivative_one_sided(u, p, 1, +1)),
                   at_x(psi)]
     values = filled(cols, parts)

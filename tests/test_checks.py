@@ -526,13 +526,35 @@ def test_is_proper_is_one_batch(name, monkeypatch):
     fields += [specular_field(fields[1 + j], i) for i in range(u.d) for j in range(u.d)]
     assert len(fields) == 7 and all(fld.forms == u.forms for fld in fields)
     work = _count_batch_work(monkeypatch)
-    piecewise._edge_groups.cache_clear()
+    piecewise._edge_points.cache_clear()
     for fld in fields:
         work["eval_array"] = []
         is_proper(fld)
         assert len(work["eval_array"]) == len({id(e) for e in work["eval_array"]})
         assert not any(type(e) is Const for e in work["eval_array"])
     assert work["pattern_groups"] == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("name", ["counterexample", "halfline", "transport_abs", "wave_fullline", "zero"])
+def test_commands_group_each_point_set_once(name, command, monkeypatch, tmp_path):
+    """solve and check of each solver fixture call pattern_groups at most
+    once per (point set, forms): the fields on the same lines share the
+    groups of the ``Points`` they are evaluated on."""
+    seen, real = [], piecewise.pattern_groups
+
+    def spy(forms, cols):
+        seen.append((forms, tuple(c.tobytes() for c in cols)))
+        return real(forms, cols)
+
+    monkeypatch.setattr(piecewise, "pattern_groups", spy)
+    piecewise._edge_points.cache_clear()
+    path = str(PROBLEMS / f"{name}.prob")
+    if command == "solve":
+        assert cli.cmd_solve(path, str(tmp_path / "out.csv"), out=io.StringIO()) == cli.EXIT_OK
+    else:
+        cmd_check(path, out=io.StringIO())
+    assert seen and len(seen) == len(set(seen))
 
 
 @pytest.mark.parametrize("name, calls", [("corner2d", 47), ("zero", 2)])

@@ -5,6 +5,7 @@ which this file keeps as its oracle."""
 
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -815,10 +816,18 @@ class TestSignPinner:
             pin_signs(e, XY, assignment)
         assert str(got.value) == str(want.value)
 
-    def test_opaque_leaf_is_not_pinned(self):
-        e = add(opaque(math.hypot, (Var("x"), Var("y"))), Call("abs", Var("x")))
-        with pytest.raises(TypeError, match="not an Expr node"):
-            pin_signs(e, XY, [(AffineForm((1.0, 0.0), 0.0), 1)])
+    def test_opaque_leaf_is_pinned_through_its_arguments(self):
+        """An Opaque leaf is rebuilt from its pinned arguments, so a
+        function whose source holds one evaluates on its line too."""
+        e = add(opaque(math.hypot, (Call("abs", Var("x")), Var("y"))), Call("abs", Var("x")))
+        pinned = pin_signs(e, XY, [(AffineForm((1.0, 0.0), 0.0), -1)])
+        assert eval_expr(pinned, {"x": -3.0, "y": 4.0}) == math.hypot(3.0, 4.0) + 3.0
+        minus_x = mul(Const(-1.0), Var("x"))
+        assert pinned == add(opaque(math.hypot, (minus_x, Var("y"))), minus_x)
+        u = from_expression(parse("sgn(x)", X), X)
+        u = replace(u, source=add(u.source, Opaque(math.atan, (Var("x"),))))
+        assert u.evaluate((0.5,)) == 1.0 + math.atan(0.5)
+        assert u.evaluate((0.0,)) == 0.0
 
 
 def fixture_formulas():

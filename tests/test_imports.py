@@ -32,3 +32,21 @@ def test_cli_and_quad_do_not_load_numpy_polynomial():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_only_piecewise_groups_points():
+    """Point sets own their sign-pattern routing: no module but piecewise
+    names ``pattern_groups``, and no function takes groups from a caller."""
+    named, params = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name != "piecewise.py" and (
+                    isinstance(node, ast.Name) and node.id == "pattern_groups"
+                    or isinstance(node, ast.Attribute) and node.attr == "pattern_groups"
+                    or isinstance(node, ast.alias) and node.name == "pattern_groups"):
+                named.append(path.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params += [(path.name, getattr(node, "name", "<lambda>"))
+                           for a in args.posonlyargs + args.args + args.kwonlyargs if a.arg == "groups"]
+    assert named == [] and params == []

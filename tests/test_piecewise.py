@@ -33,6 +33,7 @@ from speculus.piecewise import (
     EDGE_POINTS,
     TOL_ZERO,
     PiecewiseFn,
+    Points,
     _edge_samples,
     _faces,
     classify_continuity,
@@ -766,17 +767,27 @@ class TestPatternGroups:
 
     @given(batch_case())
     @settings(max_examples=100, deadline=None)
-    def test_given_groups_change_no_bit(self, case):
-        """evaluate_batch on the groups a caller computed for the same
-        forms and points returns what it computes by itself, bit for bit."""
+    def test_fields_on_one_points_share_its_groups(self, case):
+        """Fields on the same forms (an equal tuple too) evaluated on one
+        ``Points`` give the bits they give on fresh columns, and the Points
+        calls ``pattern_groups`` once per forms tuple."""
         u, points = case
-        cols = np.array(points, dtype=float).T
-        own = u.evaluate_batch(cols, range(u.d))
-        given_ = u.evaluate_batch(cols, range(u.d), True, pattern_groups(u.forms, cols))
-        assert own.keys() == given_.keys()
-        for key, (values, covered) in own.items():
-            assert values.view(np.int64).tolist() == given_[key][0].view(np.int64).tolist()
-            assert covered.tolist() == given_[key][1].tolist()
+        same = tuple(AffineForm(f.coeffs, f.offset) for f in u.forms)
+        other = normalize_affine((1.0, 1.0), -0.5)[0]
+        fields = [u, pw_scale(-2.0, u), replace(u, policy="specular"), replace(u, forms=same),
+                  PiecewiseFn(XY, (other,), (((1,), Var("x")), ((-1,), Var("y"))), "specular")]
+        asked, real = [], piecewise.pattern_groups
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(piecewise, "pattern_groups", lambda forms, cols: asked.append(forms) or real(forms, cols))
+            pts = Points(np.array(points, dtype=float).T)
+            shared = [fld.evaluate_batch(pts, range(2)) for fld in fields]
+        assert asked == [u.forms, (other,)]
+        for fld, got in zip(fields, shared):
+            fresh = fld.evaluate_batch(np.array(points, dtype=float).T, range(2))
+            assert got.keys() == fresh.keys()
+            for key, (values, covered) in fresh.items():
+                assert values.view(np.int64).tolist() == got[key][0].view(np.int64).tolist()
+                assert covered.tolist() == got[key][1].tolist()
 
     def test_constant_branch_keeps_negative_zero(self):
         """A Const branch is filled, not walked: -0.0 stays -0.0."""
