@@ -160,10 +160,9 @@ def proper_values(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     through ``math``."""
     with np.errstate(invalid="ignore", over="ignore"):
         live, order = ~(np.abs(left + right) <= TOL_ZERO), left <= right
-    lo, hi = (np.array(list(map(math.atan, np.where(order, a, b)[live].tolist())))
-              for a, b in ((left, right), (right, left)))
+    lo, hi = (np.where(order, a, b)[live].tolist() for a, b in ((left, right), (right, left)))
     out = np.zeros(len(live))
-    out[live] = list(map(math.tan, (0.5 * (lo + hi)).tolist()))
+    out[live] = [math.tan(0.5 * (math.atan(x) + math.atan(y))) for x, y in zip(lo, hi)]
     return out
 
 
@@ -699,19 +698,17 @@ def is_proper(u: PiecewiseFn):
     cols = _edge_points(u.forms, u.domain, u.d)
     batch = u.evaluate_batch(cols, range(u.d), True)
     cont = _continuity(u, lines, cols, batch)
-    stored_values, *limits = (v.tolist() for v in filled(
-        cols, [(*batch[None], u.evaluate)] + _limit_columns(u, lines, batch, False)))
-    at = itertools.count()
-    violations = []
-    for k, rows in cont.samples.items():
-        primary = u.forms[k].primary_axis()
-        for (p, a, b), i in zip(rows, at):
-            stored = stored_values[i]
-            for axis in range(u.d):
-                left, right = (a, b) if axis == primary else (limits[2 * axis][i], limits[2 * axis + 1][i])
-                expected = proper_value(left, right)
-                if abs(stored - expected) > tol_jump(left, right):
-                    violations.append((k, p, axis, stored, expected))
+    # the limit columns come back in the batch's arrays, which _continuity
+    # already filled along each sample's primary axis: one (axes x samples)
+    # table for each side
+    stored, *limits = filled(cols, [(*batch[None], u.evaluate)] + _limit_columns(u, lines, batch, False))
+    left, right = np.array(limits[0::2]), np.array(limits[1::2])
+    expected = proper_values(left.ravel(), right.ravel()).reshape(left.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = np.abs(stored - expected) > tol_jump(left, right)
+    where = [(k, p) for k, rows in cont.samples.items() for p, _, _ in rows]
+    violations = [(*where[i], axis, stored[i].item(), expected[axis, i].item())
+                  for i, axis in np.argwhere(bad.T).tolist()]
     ok = cont.verdict != "not-piecewise-continuous" and not violations
     object.__setattr__(u, "_proper", (ok, ProperReport(ok, cont, violations)))
     return u._proper

@@ -8,7 +8,8 @@ plane through all four exists iff the strong criterion
 
 vanishes (alpha_i, beta_i the semi-derivative slopes); then the plane's
 normal is (dS_x u, dS_y u, -1).  Otherwise each 3-element subset of the
-four points spans a weak tangent plane.
+four points spans a weak tangent plane.  ``tangent_data`` is the one entry:
+it returns all of this at a point as a ``TangentData``.
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ class CenterMismatch(TangentError):
     """u[a]_(1) != u[a]_(2): the common anchor height does not exist."""
 
 
-class NoStrongTangent(TangentError):
-    def __init__(self, residual: float, would_be_normal):
-        super().__init__(
-            f"strong tangent criterion fails (residual {residual:.6g})"
-        )
-        self.residual = residual
-        self.would_be_normal = would_be_normal
-
-
 @dataclass
 class TangentData:
     anchor: tuple                 # (a1, a2, u[a])
@@ -49,15 +41,6 @@ class TangentData:
     normal: Optional[tuple]       # present iff residual within tol
     planes: list                  # (c1, c2, c0) with z = c1 x + c2 y + c0
     degenerate_triples: list
-
-
-def _center_and_pairs(u: PiecewiseFn, a, pairs=None):
-    """The anchor and the semi-derivative pairs along both axes at a (or the given pairs)."""
-    if u.d != 2:
-        raise TangentError("tangent geometry is 2D only")
-    pair1, pair2 = pairs or (semi_derivatives(u, a, 0), semi_derivatives(u, a, 1))
-    mid1 = _check_center(u.one_sided_limits(a, 0).mid, u.one_sided_limits(a, 1).mid)
-    return (a[0], a[1], mid1), pair1, pair2
 
 
 def _check_center(mid1: float, mid2: float) -> float:
@@ -88,43 +71,18 @@ def _criterion(pair1, pair2) -> tuple:
     return res, tol_jump(a1, b1, a2, b2)
 
 
-def sphere_points(u: PiecewiseFn, a):
-    """The four unit-sphere intersection points of the two phototangents,
-    translated by the anchor a_bar."""
-    return _sphere_points(*_center_and_pairs(u, a))
-
-
-def strong_criterion_residual(u: PiecewiseFn, a) -> float:
-    _, pair1, pair2 = _center_and_pairs(u, a)
-    return _criterion(pair1, pair2)[0]
-
-
-def _line_directions(points):
-    """Direction vectors of the lines l1 (through p1, q1) and l2."""
-    p1, q1, p2, q2 = points
-    return p1 - q1, p2 - q2
-
-
 def _normal(pair1, pair2, points):
-    res, tol = _criterion(pair1, pair2)
+    """(dS_x u, dS_y u, -1) where the strong criterion holds, verified
+    parallel to l1 x l2, the lines through p1, q1 and p2, q2."""
     n = (a_combine(pair1.right, pair1.left), a_combine(pair2.right, pair2.left), -1.0)
-    if abs(res) > tol:
-        raise NoStrongTangent(res, n)
-    d1, d2 = _line_directions(points)
-    cross = np.cross(d1, d2)
+    p1, q1, p2, q2 = points
+    cross = np.cross(p1 - q1, p2 - q2)
     nv = np.array(n)
     # parallelism: cross x n = 0
     mism = np.linalg.norm(np.cross(cross, nv)) / (np.linalg.norm(cross) * np.linalg.norm(nv))
     if mism > 1e-9:
         raise TangentError(f"normal not parallel to l1 x l2 (mismatch {mism:.3e})")
     return n
-
-
-def specular_normal(u: PiecewiseFn, a):
-    """(dS_x u, dS_y u, -1) when the strong tangent plane exists; verified
-    against the cross product of the l1/l2 directions."""
-    anchor, pair1, pair2 = _center_and_pairs(u, a)
-    return _normal(pair1, pair2, _sphere_points(anchor, pair1, pair2))
 
 
 def _plane_through(points3):
@@ -142,8 +100,11 @@ def _plane_through(points3):
     return (float(c[0]), float(c[1]), float(c[2]))
 
 
-def _weak_planes(pair1, pair2, points):
-    res, tol = _criterion(pair1, pair2)
+def _weak_planes(points, strong: bool):
+    """One plane per 3-element subset of the points (the plane that omits
+    each point in turn), deduplicated, and the omitted indices whose
+    triple is vertical; all four coincide when the criterion holds, so a
+    strong point keeps the first."""
     planes, degenerate = [], []
     for omit in range(4):
         triple = [points[k] for k in range(4) if k != omit]
@@ -153,23 +114,22 @@ def _weak_planes(pair1, pair2, points):
             continue
         if not any(all(abs(x - y) <= tol_jump(x) for x, y in zip(pl, q)) for q in planes):
             planes.append(pl)
-    if abs(res) <= tol and len(planes) > 1:
+    if strong and len(planes) > 1:
         planes = planes[:1]
     return planes, degenerate
 
 
-def weak_tangent_planes(u: PiecewiseFn, a):
-    """One plane per 3-element subset of {p1, q1, p2, q2} (the plane that
-    omits each point in turn), deduplicated; all four coincide exactly when
-    the strong criterion holds."""
-    anchor, pair1, pair2 = _center_and_pairs(u, a)
-    return _weak_planes(pair1, pair2, _sphere_points(anchor, pair1, pair2))
-
-
 def tangent_data(u: PiecewiseFn, a, pairs=None) -> TangentData:
-    anchor, pair1, pair2 = _center_and_pairs(u, a, pairs)
+    """The tangent geometry of u at a, from the semi-derivative pairs along
+    both axes (computed unless given), then the anchor, which raises
+    CenterMismatch when the two axes' mids disagree."""
+    if u.d != 2:
+        raise TangentError("tangent geometry is 2D only")
+    pair1, pair2 = pairs or (semi_derivatives(u, a, 0), semi_derivatives(u, a, 1))
+    anchor = (a[0], a[1], _check_center(u.one_sided_limits(a, 0).mid, u.one_sided_limits(a, 1).mid))
     points = _sphere_points(anchor, pair1, pair2)
     res, tol = _criterion(pair1, pair2)
-    normal = _normal(pair1, pair2, points) if abs(res) <= tol else None
-    planes, degenerate = _weak_planes(pair1, pair2, points)
+    strong = abs(res) <= tol
+    normal = _normal(pair1, pair2, points) if strong else None
+    planes, degenerate = _weak_planes(points, strong)
     return TangentData(anchor, (pair1, pair2), points, res, normal, planes, degenerate)

@@ -178,20 +178,20 @@ def solve_transport(h: PiecewiseFn) -> PiecewiseFn:
     return pw_compose_affine(h, (1.0, -1.0), 0.0, VARS_XT)
 
 
-def _dalembert_field(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
-    Psi = antiderivative_pw(psi)
-    A = pw_compose_affine(phi, (1.0, 1.0), 0.0, VARS_XT)
-    B = pw_compose_affine(phi, (1.0, -1.0), 0.0, VARS_XT)
-    C = pw_compose_affine(Psi, (1.0, 1.0), 0.0, VARS_XT)
-    D = pw_compose_affine(Psi, (1.0, -1.0), 0.0, VARS_XT)
-    return pw_scale(0.5, pw_add(pw_add(A, B), pw_add(C, D, -1.0)))
+def _dalembert_field(phi: PiecewiseFn, Psi: PiecewiseFn, back=(1.0, -1.0), sign: float = 1.0,
+                     domain: tuple = ()) -> PiecewiseFn:
+    """(phi(x+t) + sign*phi(b) + Psi(x+t) - Psi(b)) / 2 with b = back.(x, t):
+    d'Alembert's sum, and with back (-1, 1) and sign -1 its odd reflection."""
+    A, B, C, D = (pw_compose_affine(h, c, 0.0, VARS_XT, domain=domain)
+                  for h, c in ((phi, (1.0, 1.0)), (phi, back), (Psi, (1.0, 1.0)), (Psi, back)))
+    return pw_scale(0.5, pw_add(pw_add(A, B, sign), pw_add(C, D, -1.0)))
 
 
 def solve_wave_homogeneous(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
     bad = check_displacement(phi) + check_velocity(psi)
     if bad:
         raise SolverPrecondition("; ".join(bad))
-    return _dalembert_field(phi, psi)
+    return _dalembert_field(phi, antiderivative_pw(psi))
 
 
 def solve_wave_halfline(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
@@ -202,14 +202,8 @@ def solve_wave_halfline(phi: PiecewiseFn, psi: PiecewiseFn) -> PiecewiseFn:
         raise SolverPrecondition("; ".join(bad))
     dom = ((FORM_X, 1), (FORM_T, 1))
     Psi = antiderivative_pw(psi)
-    A = pw_compose_affine(phi, (1.0, 1.0), 0.0, VARS_XT, domain=dom)
-    B = pw_compose_affine(phi, (1.0, -1.0), 0.0, VARS_XT, domain=dom)
-    Arf = pw_compose_affine(phi, (-1.0, 1.0), 0.0, VARS_XT, domain=dom)  # phi(t-x)
-    C = pw_compose_affine(Psi, (1.0, 1.0), 0.0, VARS_XT, domain=dom)
-    D = pw_compose_affine(Psi, (1.0, -1.0), 0.0, VARS_XT, domain=dom)
-    Crf = pw_compose_affine(Psi, (-1.0, 1.0), 0.0, VARS_XT, domain=dom)  # Psi(t-x)
-    u_right = pw_scale(0.5, pw_add(pw_add(A, B), pw_add(C, D, -1.0)))
-    u_left = pw_scale(0.5, pw_add(pw_add(A, Arf, -1.0), pw_add(C, Crf, -1.0)))
+    u_right = _dalembert_field(phi, Psi, domain=dom)
+    u_left = _dalembert_field(phi, Psi, (-1.0, 1.0), -1.0, dom)
     return pw_select(FORM_X_MINUS_T, u_right, u_left)
 
 
@@ -222,7 +216,7 @@ def solve_wave_nonhomogeneous(
         bad.append("force is not proper")
     if bad:
         raise SolverPrecondition("; ".join(bad))
-    return pw_add(_dalembert_field(phi, psi), duhamel_term(f))
+    return pw_add(_dalembert_field(phi, antiderivative_pw(psi)), duhamel_term(f))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from speculus.expr import AffineForm, Const, parse
 from speculus.piecewise import _edge_samples, from_branches, from_expression, pw_add
 from speculus.expr import affine_arguments
-from speculus.specular import partial_field
-from speculus.tangent2d import CenterMismatch, _center_and_pairs, _criterion
+from speculus.specular import partial_field, semi_derivatives
+from speculus.tangent2d import CenterMismatch, _check_center, _criterion
 from speculus.waves import (
     FORM_T,
     solve_wave_halfline,
@@ -114,13 +114,15 @@ def printed_counterexample_u():
 
 def _scalar_h_rows(u):
     """The rows of ``hypothesis_h_check`` by the scalar path alone:
-    ``_center_and_pairs`` of v = u_t - u_x at each edge sample of v's
-    lines, in order, with each residual and float as its repr."""
+    the semi-derivative pairs of v = u_t - u_x along x and t, then
+    ``_check_center`` of its mids, at each edge sample of v's lines, in
+    order, with each residual and float as its repr."""
     v = pw_add(partial_field(u, 1), partial_field(u, 0), -1.0)
     rows = []
     for p in (p for line in _edge_samples(v.forms, v.domain, v.d) for p in line):
         try:
-            _, pair1, pair2 = _center_and_pairs(v, p)
+            pair1, pair2 = semi_derivatives(v, p, 0), semi_derivatives(v, p, 1)
+            _check_center(v.one_sided_limits(p, 0).mid, v.one_sided_limits(p, 1).mid)
         except CenterMismatch as e:
             rows.append((tuple(p), None, f"center mismatch: {e}"))
         else:

@@ -30,13 +30,7 @@ from speculus.specular import (
     specular_field,
     specular_partial,
 )
-from speculus.tangent2d import (
-    NoStrongTangent,
-    specular_normal,
-    sphere_points,
-    strong_criterion_residual,
-    weak_tangent_planes,
-)
+from speculus.tangent2d import tangent_data
 from speculus.waves import (
     boundary_residual,
     duhamel_term,
@@ -90,13 +84,14 @@ def test_criterion_02_specular_field_table(table_fn):
 
 
 def test_criterion_03_tangent_geometry(corner_fn, saddle_fn):
-    p1, q1, p2, q2 = sphere_points(corner_fn, (0.0, 0.0))
+    corner = tangent_data(corner_fn, (0.0, 0.0))
+    p1, q1, p2, q2 = corner.points
     for got, want in zip(
         (p1, q1, p2, q2),
         ((1 / SQ2, 0, 1 / SQ2), (-1, 0, 0), (0, 1 / SQ5, 2 / SQ5), (0, -1 / SQ2, 1 / SQ2)),
     ):
         assert np.allclose(got, want, atol=1e-12)
-    planes, _ = weak_tangent_planes(corner_fn, (0.0, 0.0))
+    planes = corner.planes
     printed = [
         (SQ2 - 1, -(SQ10 - SQ5 - 2), SQ2 - 1),
         (SQ2 - 1, -(SQ2 - 1), SQ2 - 1),
@@ -108,15 +103,12 @@ def test_criterion_03_tangent_geometry(corner_fn, saddle_fn):
         assert any(
             all(abs(g - w) <= 1e-9 for g, w in zip(got, want)) for got in planes
         ), want
-    assert strong_criterion_residual(saddle_fn, (0.0, 0.0)) == pytest.approx(
+    assert tangent_data(saddle_fn, (0.0, 0.0)).criterion_residual == pytest.approx(
         4 * (1 + SQ5), abs=1e-12
     )
     # the printed residual omits the trailing -3; either way it is nonzero
-    assert strong_criterion_residual(corner_fn, (0.0, 0.0)) == pytest.approx(
-        SQ5 - 2 * SQ2 - 3, abs=1e-12
-    )
-    with pytest.raises(NoStrongTangent):
-        specular_normal(corner_fn, (0.0, 0.0))
+    assert corner.criterion_residual == pytest.approx(SQ5 - 2 * SQ2 - 3, abs=1e-12)
+    assert corner.normal is None
 
 
 def test_criterion_04_ftc_suite():
@@ -237,11 +229,9 @@ def test_criterion_07_classical_reduction():
         assert specular_partial(u, (x, y), 0) == pytest.approx(
             2 * x * y + math.cos(x), rel=1e-12, abs=1e-12
         )
-        assert strong_criterion_residual(u, (x, y)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        n = specular_normal(u, (x, y))
-        assert np.allclose(n, (2 * x * y + math.cos(x), x * x, -1.0), atol=1e-12)
+        data = tangent_data(u, (x, y))
+        assert data.criterion_residual == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(data.normal, (2 * x * y + math.cos(x), x * x, -1.0), atol=1e-12)
 
 
 def test_criterion_08_green_verifier():

@@ -535,6 +535,28 @@ def test_is_proper_is_one_batch(name, monkeypatch):
     assert work["pattern_groups"] == 1
 
 
+@pytest.mark.parametrize("name", ["corner2d", "counterexample", "halfline", "table2d"])
+def test_is_proper_makes_no_scalar_proper_value(name, monkeypatch):
+    """is_proper compares every sample and axis at once, so on a function,
+    its six derivative fields and a jump whose on-line value is not the
+    A-combination it calls the scalar proper_value nowhere (a loop over
+    samples and axes made one call each), and reports as the oracle does.
+    The jump crosses both axes, so its violations come sample by sample,
+    each along x, then along y."""
+    prob = load_problem(str(PROBLEMS / f"{name}.prob"))
+    u = prob.u if prob.kind is None else solve_problem(prob)
+    fields = [u] + [partial_field(u, axis) for axis in range(u.d)]
+    fields += [specular_field(fields[1 + j], i) for i in range(u.d) for j in range(u.d)]
+    fields.append(from_branches((AffineForm((1.0, -1.0), 0.0),), [((1,), Const(1.0)), ((0,), Const(0.3)),
+                                                                 ((-1,), Const(0.0))], XY, policy="branch"))
+    calls = []
+    monkeypatch.setattr(piecewise, "proper_value", lambda *args: calls.append(args) or proper_value(*args))
+    got = [outcome(is_proper, fld) for fld in fields]
+    assert calls == [] and "violations=[(0, " in got[-1][1]
+    monkeypatch.undo()
+    assert got == [outcome(is_proper_scalar, fld) for fld in fields]
+
+
 @pytest.mark.parametrize("command", ["solve", "check"])
 @pytest.mark.parametrize("name", ["counterexample", "halfline", "transport_abs", "wave_fullline", "zero"])
 def test_commands_group_each_point_set_once(name, command, monkeypatch, tmp_path):

@@ -255,6 +255,17 @@ class TestDeriv:
         assert float(pairs["specular"]) == pytest.approx(12.0)
         assert "normal" in pairs
 
+    def test_center_mismatch_prints_no_tangent(self, tmp_path):
+        # a jump of 2 across x = 0: the mid along x is 1, but along y the
+        # on-line value is the specular A-combination of the limits 2 and 0
+        p = tmp_path / "jump.prob"
+        p.write_text("[problem]\nu = @g\n[g]\nvars = x, y\nforms = x\n"
+                     "branch = + : 2\nbranch = - : 0\npolicy = specular\n")
+        code, out = run(["deriv", str(p), "--point", "0,0.5", "--axis", "x"])
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            "tangent = none (u[a]_(1) = 1.0 differs from u[a]_(2) = 0.6180339887498948)")
+
     def test_math_domain_exit_3(self, tmp_path):
         p = tmp_path / "dom.prob"
         p.write_text("[problem]\nu = sqrt(x)\nvars = x\n")

@@ -84,7 +84,7 @@ def test_line_sums_move_unchanged(tmp_path_factory, terms):
 
 def test_hypothesis_h_rows_match_scalar(scalar_h_rows, h_rows):
     """The rows of ``hypothesis_h_check`` from its batches equal those of
-    the scalar ``_center_and_pairs`` on the problems above, moved or not."""
+    the scalar oracle ``scalar_h_rows`` on the problems above, moved or not."""
     exprs = [fixture_u("corner2d"), fixture_u("table2d"), "sgn(x - 2) + abs(y)",
              "(-3)*sgn((-3)*x + (-0.3))", "sgn(x)*(sgn(y) - sgn(y - 0.001))",
              "(2.5)*abs((0.7)*x + (-1)*y + (1.7)) + (-1)*sgn((1)*x + (2.5)*y + (-0.3))"]

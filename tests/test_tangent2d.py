@@ -1,5 +1,6 @@
-"""Tangent geometry of 2D piecewise-smooth functions: sphere points, strong
-criterion, specular normal, weak tangent planes."""
+"""Tangent geometry of 2D piecewise-smooth functions through its one entry,
+``tangent_data``: sphere points, strong criterion, specular normal, weak
+tangent planes."""
 
 import math
 
@@ -8,15 +9,9 @@ import pytest
 
 from speculus.expr import AffineForm, Const, parse
 from speculus.piecewise import from_branches, from_expression
-from speculus.tangent2d import (
-    CenterMismatch,
-    NoStrongTangent,
-    sphere_points,
-    specular_normal,
-    strong_criterion_residual,
-    tangent_data,
-    weak_tangent_planes,
-)
+from speculus.specular import a_combine
+import speculus.tangent2d as tangent2d
+from speculus.tangent2d import CenterMismatch, tangent_data
 
 XY = ("x", "y")
 SQ2, SQ5, SQ10 = math.sqrt(2), math.sqrt(5), math.sqrt(10)
@@ -30,7 +25,7 @@ def assert_close_vec(got, want, tol):
 
 class TestSpherePoints:
     def test_corner_four_points(self, corner_fn):
-        p1, q1, p2, q2 = sphere_points(corner_fn, (0.0, 0.0))
+        p1, q1, p2, q2 = tangent_data(corner_fn, (0.0, 0.0)).points
         assert_close_vec(p1, (1 / SQ2, 0.0, 1 / SQ2), 1e-12)
         assert_close_vec(q1, (-1.0, 0.0, 0.0), 1e-12)
         assert_close_vec(p2, (0.0, 1 / SQ5, 2 / SQ5), 1e-12)
@@ -45,8 +40,10 @@ class TestSpherePoints:
             (table_fn, (1.0, -1.0)),
         ]
         for u, a in cases:
+            data = tangent_data(u, a)
             anchor = np.array([a[0], a[1], u.one_sided_limits(a, 0).mid])
-            for p in sphere_points(u, a):
+            assert data.anchor == tuple(anchor.tolist())
+            for p in data.points:
                 assert np.linalg.norm(np.asarray(p) - anchor) == pytest.approx(
                     1.0, abs=1e-12
                 )
@@ -61,27 +58,27 @@ class TestSpherePoints:
             policy="branch",
         )
         with pytest.raises(CenterMismatch):
-            sphere_points(u, (0.0, 0.0))
+            tangent_data(u, (0.0, 0.0))
 
 
 class TestStrongCriterion:
     def test_corner_residual_value(self, corner_fn):
-        res = strong_criterion_residual(corner_fn, (0.0, 0.0))
+        res = tangent_data(corner_fn, (0.0, 0.0)).criterion_residual
         assert res == pytest.approx(SQ5 - 2 * SQ2 - 3, abs=1e-12)
 
     def test_saddle_residual_value(self, saddle_fn):
-        res = strong_criterion_residual(saddle_fn, (0.0, 0.0))
+        res = tangent_data(saddle_fn, (0.0, 0.0)).criterion_residual
         assert res == pytest.approx(4 * (1 + SQ5), abs=1e-12)
 
     def test_smooth_residual_zero(self):
         u = from_expression(parse("x^2 - x*y + 3*y", XY), XY)
         for a in ((0.0, 0.0), (1.0, -2.0), (0.5, 0.25)):
-            assert strong_criterion_residual(u, a) == pytest.approx(0.0, abs=1e-12)
+            assert tangent_data(u, a).criterion_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_kink_residual_zero(self):
         # equal jumps in both variables keep the criterion balanced
         u = from_expression(parse("abs(x) + abs(y)", XY), XY)
-        assert strong_criterion_residual(u, (0.0, 0.0)) == pytest.approx(
+        assert tangent_data(u, (0.0, 0.0)).criterion_residual == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -90,21 +87,20 @@ class TestSpecularNormal:
     def test_smooth_matches_gradient(self):
         u = from_expression(parse("x^2 - x*y + 3*y", XY), XY)
         for x, y in ((0.0, 0.0), (1.0, -2.0), (0.5, 0.25)):
-            n = specular_normal(u, (x, y))
+            n = tangent_data(u, (x, y)).normal
             assert_close_vec(n, (2 * x - y, -x + 3, -1.0), 1e-12)
 
     def test_symmetric_kink_normal(self):
         u = from_expression(parse("abs(x) + abs(y)", XY), XY)
-        n = specular_normal(u, (0.0, 0.0))
+        n = tangent_data(u, (0.0, 0.0)).normal
         assert_close_vec(n, (0.0, 0.0, -1.0), 1e-12)
 
-    def test_corner_raises_with_would_be_normal(self, corner_fn):
-        with pytest.raises(NoStrongTangent) as exc:
-            specular_normal(corner_fn, (0.0, 0.0))
-        assert exc.value.residual == pytest.approx(SQ5 - 2 * SQ2 - 3, abs=1e-12)
-        assert_close_vec(
-            exc.value.would_be_normal, (SQ2 - 1, SQ10 - 3, -1.0), 1e-12
-        )
+    def test_corner_has_no_normal_but_a_would_be_one(self, corner_fn):
+        data = tangent_data(corner_fn, (0.0, 0.0))
+        assert data.normal is None
+        assert data.criterion_residual == pytest.approx(SQ5 - 2 * SQ2 - 3, abs=1e-12)
+        would_be = (*(a_combine(p.right, p.left) for p in data.pairs), -1.0)
+        assert_close_vec(would_be, (SQ2 - 1, SQ10 - 3, -1.0), 1e-12)
 
 
 class TestWeakPlanes:
@@ -116,25 +112,24 @@ class TestWeakPlanes:
     ]
 
     def test_corner_reproduces_all_four(self, corner_fn):
-        planes, degenerate = weak_tangent_planes(corner_fn, (0.0, 0.0))
-        assert not degenerate
-        assert len(planes) == 4
+        data = tangent_data(corner_fn, (0.0, 0.0))
+        assert not data.degenerate_triples
+        assert len(data.planes) == 4
         for want in self.PRINTED:
             assert any(
                 all(abs(g - w) <= 1e-9 for g, w in zip(got, want))
-                for got in planes
+                for got in data.planes
             ), want
 
     def test_none_perpendicular_to_specular_normal(self, corner_fn):
         # the point of the example: no weak plane has normal
         # (sqrt(2)-1, sqrt(10)-3, -1)
-        planes, _ = weak_tangent_planes(corner_fn, (0.0, 0.0))
-        for c1, c2, _c0 in planes:
+        for c1, c2, _c0 in tangent_data(corner_fn, (0.0, 0.0)).planes:
             assert abs(c1 - (SQ2 - 1)) > 1e-6 or abs(c2 - (SQ10 - 3)) > 1e-6
 
     def test_smooth_collapses_to_tangent_plane(self):
         u = from_expression(parse("x^2 - x*y + 3*y", XY), XY)
-        planes, _ = weak_tangent_planes(u, (1.0, -2.0))
+        planes = tangent_data(u, (1.0, -2.0)).planes
         assert len(planes) == 1
         c1, c2, c0 = planes[0]
         # z = u(a) + ux (x - 1) + uy (y + 2)
@@ -147,9 +142,9 @@ class TestWeakPlanes:
         slopes = []
         for X in (0.0, 5000.0, 20000.0):
             u = from_expression(parse(f"abs(x - {X!r}) + abs(y)", XY), XY)
-            planes, degenerate = weak_tangent_planes(u, (X, 1.0))
-            assert not degenerate and len(planes) == 4, X
-            slopes.append([(c1, c2) for c1, c2, _c0 in planes])
+            data = tangent_data(u, (X, 1.0))
+            assert not data.degenerate_triples and len(data.planes) == 4, X
+            slopes.append([(c1, c2) for c1, c2, _c0 in data.planes])
         for other in slopes[1:]:
             for got, want in zip(other, slopes[0]):
                 assert_close_vec(got, want, 1e-6)
@@ -173,3 +168,13 @@ class TestTangentData:
         assert data.normal is not None
         assert data.criterion_residual == pytest.approx(0.0, abs=1e-12)
         assert len(data.planes) == 1
+
+    def test_criterion_runs_once_per_call(self, corner_fn, monkeypatch):
+        # the normal and the weak planes read the verdict tangent_data takes
+        calls = []
+        real = tangent2d._criterion
+        monkeypatch.setattr(tangent2d, "_criterion", lambda *pairs: calls.append(pairs) or real(*pairs))
+        smooth = from_expression(parse("sin(x)*cos(y)", XY), XY)
+        assert tangent_data(corner_fn, (0.0, 0.0)).normal is None
+        assert tangent_data(smooth, (0.5, -0.3)).normal is not None
+        assert len(calls) == 2

@@ -296,7 +296,7 @@ class TestHalflineExample:
 
 class TestHypothesisHBatch:
     """The rows of ``hypothesis_h_check`` from its batches equal those of
-    the scalar ``_center_and_pairs`` at every edge sample, bit for bit."""
+    the scalar oracle ``scalar_h_rows`` at every edge sample, bit for bit."""
 
     @pytest.mark.parametrize("name", ["halfline", "wave_fullline", "counterexample", "transport_abs"])
     def test_fixtures(self, name, scalar_h_rows, h_rows):
