@@ -100,7 +100,6 @@ EXIT_PRECONDITION = 4
 KIND_DATA = {"transport": ("h",), "wave": ("phi", "psi"), "wave-halfline": ("phi", "psi"),
              "wave-nonhomogeneous": ("phi", "psi", "f")}
 KINDS = tuple(KIND_DATA)
-CHECK_NAMES = ("residual", "s2", "proper", "hypothesis-h", "boundary", "initial")
 
 
 class ProblemFileError(Exception):
@@ -276,7 +275,7 @@ def _parse_checks(sections: dict) -> list:
             item = item.strip().replace("_", "-")
             if not item:
                 continue
-            if item not in CHECK_NAMES:
+            if item not in CHECKS:
                 raise ProblemFileError(f"unknown check {item!r}")
             if item not in names:
                 names.append(item)
@@ -595,75 +594,66 @@ def _check_points(u: PiecewiseFn, prob: Problem):
     return pts
 
 
-def _run_checks(prob: Problem, out) -> int:
-    u = solve_problem(prob)
-    checks = prob.checks or ["residual"]
-    all_ok = True
-    g = prob.grid
+def _residual(u: PiecewiseFn, prob: Problem):
+    pts = _check_points(u, prob)
+    rep = transport_residual(u, pts) if prob.kind == "transport" else wave_residual(u, prob.f, pts)
+    return [("max", rep.max_abs)], True
 
-    for name in checks:
-        if name == "residual":
-            pts = _check_points(u, prob)
-            if prob.kind == "transport":
-                rep = transport_residual(u, pts)
-            else:
-                rep = wave_residual(u, prob.f, pts)
-            ok = rep.max_abs <= 1e-8
-            print(f"residual.max = {fmt(rep.max_abs)}", file=out)
-            print(f"residual.pass = {str(ok).lower()}", file=out)
-        elif name == "s2":
-            rep = s2_membership(u)
-            ok = rep.verdict == "S2"
-            print(f"s2.verdict = {rep.verdict}", file=out)
-            if rep.failure_forms:
-                names = "; ".join(form_str(q, u.vars) for q in rep.failure_forms)
-                print(f"s2.failure_forms = {names}", file=out)
-            print(f"s2.pass = {str(ok).lower()}", file=out)
-        elif name == "proper":
-            ok = True
-            for label, fld in (
-                ("u", u),
-                ("ux", partial_field(u, 0)),
-                ("ut", partial_field(u, 1)),
-            ):
-                good, rep = is_proper(fld)
-                ok = ok and good
-                print(f"proper.{label} = {str(good).lower()}", file=out)
-            print(f"proper.pass = {str(ok).lower()}", file=out)
-        elif name == "hypothesis-h":
-            rep = hypothesis_h_check(u)
-            ok = not rep.failures
-            worst = max((abs(r[1]) for r in rep.rows if r[1] is not None), default=0.0)
-            print(f"hypothesis-h.max = {fmt(worst)}", file=out)
-            if rep.failures:
-                print(f"hypothesis-h.failures = {len(rep.failures)}", file=out)
-            print(f"hypothesis-h.pass = {str(ok).lower()}", file=out)
-        elif name == "boundary":
-            if prob.kind != "wave-halfline":
-                print("boundary.pass = true  # not applicable", file=out)
-                continue
-            ts = _linspace(max(g.t_range[0], 1e-6), g.t_range[1], 33)
-            worst = boundary_residual(u, ts)
-            ok = worst <= 1e-10
-            print(f"boundary.max = {fmt(worst)}", file=out)
-            print(f"boundary.pass = {str(ok).lower()}", file=out)
-        elif name == "initial":
-            phi, psi = (prob.h, None) if prob.kind == "transport" else (prob.phi, prob.psi)
-            lo = g.x_range[0]
-            if prob.kind == "wave-halfline":
-                lo = max(lo, 0.0)
-            xs = _linspace(lo, g.x_range[1], 33)
-            val, slope = initial_conditions_residual(u, phi, psi, xs)
-            ok = val <= 1e-10 and (slope is None or slope <= 1e-8)
-            print(f"initial.value = {fmt(val)}", file=out)
-            if slope is not None:
-                print(f"initial.velocity = {fmt(slope)}", file=out)
-            print(f"initial.pass = {str(ok).lower()}", file=out)
-        else:  # pragma: no cover - _parse_checks validates names
-            raise ProblemFileError(f"unknown check {name!r}")
-        all_ok = all_ok and ok
-    print(f"all.pass = {str(all_ok).lower()}", file=out)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAIL
+
+def _s2(u: PiecewiseFn, prob: Problem):
+    rep = s2_membership(u)
+    lines = [("verdict", rep.verdict)]
+    if rep.failure_forms:
+        lines.append(("failure_forms", "; ".join(form_str(q, u.vars) for q in rep.failure_forms)))
+    return lines, rep.verdict == "S2"
+
+
+def _proper(u: PiecewiseFn, prob: Problem):
+    lines = [(label, is_proper(fld)[0])
+             for label, fld in (("u", u), ("ux", partial_field(u, 0)), ("ut", partial_field(u, 1)))]
+    return lines, all(good for _, good in lines)
+
+
+def _hypothesis_h(u: PiecewiseFn, prob: Problem):
+    rep = hypothesis_h_check(u)
+    lines = [("max", max((abs(r[1]) for r in rep.rows if r[1] is not None), default=0.0))]
+    if rep.failures:
+        lines.append(("failures", len(rep.failures)))
+    return lines, not rep.failures
+
+
+def _boundary(u: PiecewiseFn, prob: Problem):
+    if prob.kind != "wave-halfline":
+        return None
+    g = prob.grid
+    return [("max", boundary_residual(u, _linspace(max(g.t_range[0], 1e-6), g.t_range[1], 33)))], True
+
+
+def _initial(u: PiecewiseFn, prob: Problem):
+    g = prob.grid
+    phi, psi = (prob.h, None) if prob.kind == "transport" else (prob.phi, prob.psi)
+    lo = max(g.x_range[0], 0.0) if prob.kind == "wave-halfline" else g.x_range[0]
+    value, velocity = initial_conditions_residual(u, phi, psi, _linspace(lo, g.x_range[1], 33))
+    lines = [("value", value)]
+    if velocity is not None:
+        lines.append(("velocity", velocity))
+    return lines, True
+
+
+# each check of a solver problem: a function of (u, problem) that returns
+# its report lines as (key, value) pairs and its own verdict, or None where
+# it does not apply
+CHECKS = {"residual": _residual, "s2": _s2, "proper": _proper, "hypothesis-h": _hypothesis_h,
+          "boundary": _boundary, "initial": _initial}
+# a report line with a threshold passes when its value is <= it (NaN fails)
+THRESHOLDS = {"residual.max": 1e-8, "boundary.max": 1e-10,
+              "initial.value": 1e-10, "initial.velocity": 1e-8}
+
+
+def _print_line(key: str, value, out) -> None:
+    """``key = value``: floats by ``fmt``, bools as true/false."""
+    text = fmt(value) if isinstance(value, float) else str(value)
+    print(f"{key} = {text.lower() if isinstance(value, bool) else text}", file=out)
 
 
 def cmd_check(path: str, out=None) -> int:
@@ -674,12 +664,27 @@ def cmd_check(path: str, out=None) -> int:
             raise ProblemFileError(f"check takes a function of one or two variables, "
                                    f"not of {', '.join(prob.u.vars)}")
         good, rep = is_proper(prob.u)
-        print(f"continuity.verdict = {rep.continuity.verdict}", file=out)
-        print(f"proper.u = {str(good).lower()}", file=out)
-        ok = rep.continuity.verdict != "not-piecewise-continuous"
-        print(f"all.pass = {str(ok).lower()}", file=out)
-        return EXIT_OK if ok else EXIT_CHECK_FAIL
-    return _run_checks(prob, out)
+        _print_line("continuity.verdict", rep.continuity.verdict, out)
+        _print_line("proper.u", good, out)
+        all_ok = rep.continuity.verdict != "not-piecewise-continuous"
+    else:
+        u = solve_problem(prob)
+        all_ok = True
+        for name in prob.checks or ["residual"]:
+            record = CHECKS[name](u, prob)
+            if record is None:
+                print(f"{name}.pass = true  # not applicable", file=out)
+                continue
+            lines, ok = record
+            for key, value in lines:
+                line = f"{name}.{key}"
+                _print_line(line, value, out)
+                if line in THRESHOLDS:
+                    ok = ok and bool(value <= THRESHOLDS[line])
+            _print_line(f"{name}.pass", ok, out)
+            all_ok = all_ok and ok
+    _print_line("all.pass", all_ok, out)
+    return EXIT_OK if all_ok else EXIT_CHECK_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap_d = sub.add_parser("deriv", help="semi/specular derivatives at a point")
     ap_d.add_argument("file")
-    ap_d.add_argument("--point", required=True, help="x or x,y")
+    ap_d.add_argument("--point", required=True,
+                      help="x or x,y; a negative first coordinate takes the = form, --point=-1,0.5")
     ap_d.add_argument("--axis", required=True, choices=["x", "y", "t"])
 
     ap_s = sub.add_parser("solve", help="solve and export a sampled field as CSV")

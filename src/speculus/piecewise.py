@@ -114,7 +114,6 @@ class ContinuityReport:
 
 @dataclass
 class ProperReport:
-    ok: bool
     continuity: ContinuityReport
     violations: list       # (form index, point, axis, stored, expected)
 
@@ -710,7 +709,7 @@ def is_proper(u: PiecewiseFn):
     violations = [(*where[i], axis, stored[i].item(), expected[axis, i].item())
                   for i, axis in np.argwhere(bad.T).tolist()]
     ok = cont.verdict != "not-piecewise-continuous" and not violations
-    object.__setattr__(u, "_proper", (ok, ProperReport(ok, cont, violations)))
+    object.__setattr__(u, "_proper", (ok, ProperReport(cont, violations)))
     return u._proper
 
 

@@ -213,48 +213,28 @@ def ftc_condition_check(f: PiecewiseFn) -> bool:
 @dataclass
 class S2Report:
     verdict: str                 # S2 | S1-only | S0-only | fails
-    u_continuity: str
-    first_proper: dict           # axis -> bool
-    second_proper: dict          # (i, j) -> bool for field dS_i (u_xj)
-    mixed_continuous: dict       # (i, j) -> bool for the two mixed fields
     symmetry_residual: float
     failure_forms: list          # AffineForms implicated in the failure
-    notes: list
 
 
 def s2_membership(u: PiecewiseFn) -> S2Report:
     if u.d != 2:
         raise SpecularError("s2_membership expects a 2D function")
-    notes: list = []
     cont = classify_continuity(u)
     if cont.verdict != "continuous":
-        ok, _ = is_proper(u)
         bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
-        verdict = "S0-only" if ok else "fails"
-        notes.append("u itself is not continuous")
-        return S2Report(verdict, cont.verdict, {}, {}, {}, math.inf, bad, notes)
+        return S2Report("S0-only" if is_proper(u)[0] else "fails", math.inf, bad)
 
-    fields = {0: partial_field(u, 0), 1: partial_field(u, 1)}
-    first_proper, failure_forms = {}, []
-    for axis, fld in fields.items():
-        ok, rep = is_proper(fld)
-        first_proper[axis] = ok
-        if not ok:
-            failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
-
+    fields = (partial_field(u, 0), partial_field(u, 1))
+    firsts = [is_proper(fld) for fld in fields]
     second = {(i, j): specular_field(fields[j], i) for i in (0, 1) for j in (0, 1)}
-    second_proper, second_cont = {}, {}
-    for key, fld in second.items():
-        ok, rep = is_proper(fld)
-        second_proper[key], second_cont[key] = ok, rep.continuity
-        if not ok:
-            failure_forms.extend(u.forms[k] for k, *_ in rep.violations)
-
-    mixed_continuous = {}
+    seconds = [is_proper(fld) for fld in second.values()]
+    failure_forms = [u.forms[k] for ok, rep in firsts + seconds if not ok for k, *_ in rep.violations]
+    firsts_ok, seconds_ok = all(ok for ok, _ in firsts), all(ok for ok, _ in seconds)
     for key in ((0, 1), (1, 0)):
-        rep = second_cont[key]
-        mixed_continuous[key] = rep.verdict == "continuous"
-        if not mixed_continuous[key]:
+        rep = is_proper(second[key])[1].continuity
+        if rep.verdict != "continuous":
+            seconds_ok = False
             failure_forms.extend(second[key].forms[k] for k in rep.jump_forms + rep.indeterminate)
 
     # symmetry residual dS_x u_y vs dS_y u_x at the edge samples and one
@@ -266,14 +246,10 @@ def s2_membership(u: PiecewiseFn) -> S2Report:
                          for key in ((0, 1), (1, 0))])
     residual = max([0.0, *abs(a - b).tolist()])
 
-    firsts_ok = all(first_proper.values())
-    seconds_ok = all(second_proper.values()) and all(mixed_continuous.values())
     if firsts_ok and seconds_ok:
         verdict = "S2"
     elif firsts_ok:
         verdict = "S1-only"
     else:
-        ok_u, _ = is_proper(u)
-        verdict = "S0-only" if ok_u else "fails"
-    return S2Report(verdict, cont.verdict, first_proper, second_proper,
-                    mixed_continuous, residual, merge_forms([failure_forms]), notes)
+        verdict = "S0-only" if is_proper(u)[0] else "fails"
+    return S2Report(verdict, residual, merge_forms([failure_forms]))

@@ -98,18 +98,16 @@ def is_proper_scalar(u):
                 if abs(stored - expected) > tol_jump(lim.left, lim.right):
                     violations.append((k, p, axis, stored, expected))
     ok = cont.verdict != "not-piecewise-continuous" and not violations
-    return ok, ProperReport(ok, cont, violations)
+    return ok, ProperReport(cont, violations)
 
 
 def s2_scalar(u):
-    notes = []
     cont = classify_scalar(u)
     if cont.verdict != "continuous":
         ok, _ = is_proper_scalar(u)
         bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
         verdict = "S0-only" if ok else "fails"
-        notes.append("u itself is not continuous")
-        return S2Report(verdict, cont.verdict, {}, {}, {}, math.inf, bad, notes)
+        return S2Report(verdict, math.inf, bad)
 
     fields = {0: partial_field(u, 0), 1: partial_field(u, 1)}
     first_proper, failure_forms = {}, []
@@ -149,8 +147,7 @@ def s2_scalar(u):
     else:
         ok_u, _ = is_proper_scalar(u)
         verdict = "S0-only" if ok_u else "fails"
-    return S2Report(verdict, cont.verdict, first_proper, second_proper,
-                    mixed_continuous, residual, merge_forms([failure_forms]), notes)
+    return S2Report(verdict, residual, merge_forms([failure_forms]))
 
 
 def wave_residual_scalar(u, f, points):

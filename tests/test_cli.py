@@ -616,6 +616,37 @@ class TestCheck:
         assert code == EXIT_OK
         assert pairs["continuity.verdict"] == "continuous"
 
+    def test_hypothesis_h_failures_line(self, tmp_path):
+        """A failing hypothesis (H) prints its failure count between its
+        max and its pass line; no fixture reaches that line."""
+        path = tmp_path / "h.prob"
+        path.write_text("[problem]\nkind = wave-nonhomogeneous\nphi = x\npsi = x*abs(x)\n"
+                        "f = sgn(x - t)\n[check]\nchecks = hypothesis-h\n", encoding="utf-8")
+        out = io.StringIO()
+        assert cmd_check(str(path), out=out) == EXIT_CHECK_FAIL
+        assert out.getvalue() == ("hypothesis-h.max = 4.0\nhypothesis-h.failures = 3\n"
+                                  "hypothesis-h.pass = false\nall.pass = false\n")
+
+    @pytest.mark.parametrize("key", ["residual.max", "boundary.max", "initial.value", "initial.velocity"])
+    @pytest.mark.parametrize("offset", ["at", "above", "nan"])
+    def test_threshold_boundary(self, key, offset, monkeypatch):
+        """A numeric line passes when its value is <= its threshold: at the
+        threshold it passes, one float above it and at NaN it fails."""
+        limit = cli.THRESHOLDS[key]
+        value = {"at": limit, "above": math.nextafter(limit, math.inf), "nan": math.nan}[offset]
+        fakes = {"residual.max": ("wave_residual", lambda *a: waves.ResidualReport([], value)),
+                 "boundary.max": ("boundary_residual", lambda *a: value),
+                 "initial.value": ("initial_conditions_residual", lambda *a: (value, 0.0)),
+                 "initial.velocity": ("initial_conditions_residual", lambda *a: (0.0, value))}
+        monkeypatch.setattr(cli, *fakes[key])
+        out = io.StringIO()
+        code = cmd_check(f"{PROBLEMS}/halfline.prob", out=out)
+        pairs = kv(out.getvalue())
+        passed = offset == "at"
+        assert pairs[key] == fmt(value)
+        assert pairs[key.split(".")[0] + ".pass"] == str(passed).lower()
+        assert code == (EXIT_OK if passed else EXIT_CHECK_FAIL)
+
 
 def write_csv_rowwise(rows, out_path):
     """The row-by-row CSV writer that ``write_csv`` replaced: one ``fmt``
