@@ -28,15 +28,10 @@ from .piecewise import (
     is_proper,
 )
 from .specular import (
-    Phototangent,
     S2Report,
     SemiDerivativePair,
     a_combine,
-    a_combine_f1,
-    ftc_condition_check,
-    odd_reflection_check,
     partial_field,
-    phototangent,
     s2_membership,
     semi_derivatives,
     specular_field,

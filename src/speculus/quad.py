@@ -13,11 +13,9 @@ kept values, so it depends neither on the rounds nor on the cells refined
 beside it.  An integrand error or a non-finite rule value is raised where
 a round meets it.
 
-1D integrals split the interval at singular points first.  Characteristic
-edges and the Green's-identity verifier split at the closed-form crossings
-of the singular lines (``_edge_breaks``); the verifier's iterated integral
-takes one inner integral per outer node, and a curved boundary is
-integrated along its graphs.  The dependence triangle is integrated cell by
+1D integrals split the interval at singular points first (``_edge_breaks``),
+and a characteristic edge at the closed-form crossings of the singular
+lines (``path_crossings``).  The dependence triangle is integrated cell by
 cell (``clip_cells``), so a crossing of two lines inside it is a cell
 vertex, not a kink inside a triangle: on a cell f is one branch, and the
 cell's fan triangles go through the engine together.
@@ -27,14 +25,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .expr import AffineForm, eval_array, eval_expr
-from .piecewise import BranchLookupError, PiecewiseFn, Points, filled, is_proper, merge_forms
-from .specular import specular_field, specular_partial
+from .piecewise import BranchLookupError, PiecewiseFn, Points, filled
 
 # Gauss-Legendre nodes and weights on [-1, 1]: ``leggauss(n)`` of
 # ``numpy.polynomial.legendre`` for n = 15, 10, 8 and 7, bit for bit
@@ -167,6 +162,24 @@ def adaptive_panel(sums, split, cells, per_round, label) -> list:
     return [math.fsum(p) for p in pieces]
 
 
+def _edge_breaks(forms, at: tuple, lo: float, hi: float) -> list:
+    """lo, the crossings of the forms' zero lines strictly inside the
+    segment lo..hi of the line through the coordinates at, whose one None
+    is the free coordinate (sorted, 1e-12 apart), hi."""
+    free, cuts = at.index(None), []
+    fixed = [(k, v) for k, v in enumerate(at) if v is not None]
+    for form in forms:
+        cf = form.coeffs[free]
+        if cf != 0.0:
+            r = form.offset
+            for k, v in fixed:
+                r -= form.coeffs[k] * v
+            r /= cf
+            if lo < r < hi and not any(abs(r - q) < 1e-12 for q in cuts):
+                cuts.append(r)
+    return [lo] + sorted(cuts) + [hi]
+
+
 def integrate_1d(f, a: float, b: float) -> float:
     """Integral of f over [a, b]; f is a 1D PiecewiseFn, split at its
     singular points, or a plain callable, integrated over [a, b] whole."""
@@ -184,16 +197,6 @@ def integrate_1d(f, a: float, b: float) -> float:
         nodes = [a, b]
         g = lambda X: np.fromiter(map(f, X.flat), float, X.size).reshape(X.shape)
     return sign * _integrate(g, nodes)
-
-
-def antiderivative_check(f: PiecewiseFn, F: PiecewiseFn, a: float, b: float) -> float:
-    """|int_a^b f - (F(b)-F(a))| plus the worst mismatch between the
-    specular derivative of F and f at the singular points of f."""
-    res = abs(integrate_1d(f, a, b) - (F.evaluate((b,)) - F.evaluate((a,))))
-    for form in f.forms:
-        s = form.offset / form.coeffs[0]
-        res = max(res, abs(specular_partial(F, (s,), 0) - f.evaluate((s,))))
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -307,121 +310,3 @@ def characteristic_integral(f: PiecewiseFn, sigma: float, x0: float, t0: float) 
     nodes = [0.0] + sorted(set(path_crossings(f.forms, x0, t0, sigma))) + [t0]
     return _integrate(lambda S: _point_values([f], [x0 + sigma * (t0 - S), S]), nodes)
 
-
-# ---------------------------------------------------------------------------
-# Type III regions and the Green's-identity verifier
-
-@dataclass(frozen=True)
-class TypeIIIRegion:
-    """A region that is simultaneously type I (between graphs over x) and
-    type II (between graphs over y); boundary traversed counterclockwise."""
-
-    a: float
-    b: float
-    omega1: Callable[[float], float]  # lower boundary y = omega1(x)
-    omega2: Callable[[float], float]  # upper boundary
-    c: float
-    d: float
-    omega3: Callable[[float], float]  # left boundary x = omega3(y)
-    omega4: Callable[[float], float]  # right boundary
-    rectangle: Optional[tuple] = None  # (a, b, c, d) when axis-aligned
-
-    @classmethod
-    def from_rectangle(cls, a: float, b: float, c: float, d: float) -> "TypeIIIRegion":
-        return cls(a, b, lambda x: c, lambda x: d, c, d,
-                   lambda y: a, lambda y: b, rectangle=(a, b, c, d))
-
-    def spot_check(self) -> bool:
-        """The two views describe the same set, to 1e-9, on a 7 x 7 sample grid."""
-        n, tol = 7, 1e-9
-        for i in range(1, n + 1):
-            x = self.a + (self.b - self.a) * i / (n + 1)
-            for j in range(1, n + 1):
-                y = self.omega1(x) + (self.omega2(x) - self.omega1(x)) * j / (n + 1)
-                if not (self.c - tol <= y <= self.d + tol
-                        and self.omega3(y) - tol <= x <= self.omega4(y) + tol):
-                    return False
-        return True
-
-
-def _edge_breaks(forms, at: tuple, lo: float, hi: float) -> list:
-    """lo, the crossings of the forms' zero lines strictly inside the
-    segment lo..hi of the line through the coordinates at, whose one None
-    is the free coordinate (sorted, 1e-12 apart), hi."""
-    free, cuts = at.index(None), []
-    fixed = [(k, v) for k, v in enumerate(at) if v is not None]
-    for form in forms:
-        cf = form.coeffs[free]
-        if cf != 0.0:
-            r = form.offset
-            for k, v in fixed:
-                r -= form.coeffs[k] * v
-            r /= cf
-            if lo < r < hi and not any(abs(r - q) < 1e-12 for q in cuts):
-                cuts.append(r)
-    return [lo] + sorted(cuts) + [hi]
-
-
-def _edge_integral(f: PiecewiseFn, at: tuple, lo: float, hi: float) -> float:
-    """The integral of f from lo to hi along the free coordinate of at."""
-    return _integrate(lambda X: _point_values([f], [X if v is None else v for v in at]),
-                      _edge_breaks(f.forms, at, lo, hi))
-
-
-def green_check(P: PiecewiseFn, Q: PiecewiseFn, R: TypeIIIRegion):
-    """Verify the specular Green identity
-
-        iint_R (dS_x P - dS_y Q) dx dy  =  oint_{dR} P dy + Q dx
-
-    (the pairing as stated for the specular calculus, not the classical
-    curl form).  Returns (lhs, rhs, gap, class_ok) where class_ok records
-    whether the specular fields of P and Q are proper (the S^1 hypothesis);
-    the computation proceeds either way."""
-    FP, FQ = specular_field(P, 0), specular_field(Q, 1)
-    ok_p, ok_q = is_proper(FP)[0], is_proper(FQ)[0]
-    class_ok = ok_p and ok_q
-
-    forms = merge_forms([P.forms, Q.forms])
-
-    # lhs: type I iterated integral with x-splits where lines cross the strip
-    xcuts = {R.a, R.b}
-    for form in forms:
-        a1, a2 = form.coeffs
-        if a2 == 0.0:
-            x = form.offset / a1
-            if R.a < x < R.b:
-                xcuts.add(x)
-        elif a1 != 0.0 and R.rectangle is not None:
-            _, _, c, d = R.rectangle
-            for yv in (c, d):
-                x = (form.offset - a2 * yv) / a1
-                if R.a < x < R.b:
-                    xcuts.add(x)
-
-    def columns(X):  # the inner integral over y at each outer node x
-        return np.array([_integrate(lambda Y: _point_values([FP, FQ], [x, Y]),
-                                    _edge_breaks(forms, (x, None), R.omega1(x), R.omega2(x)))
-                         for x in X.flat]).reshape(X.shape)
-
-    lhs = _integrate(columns, sorted(xcuts))
-
-    # rhs: counterclockwise boundary integral of P dy + Q dx
-    if R.rectangle is not None:
-        a, b, c, d = R.rectangle
-        rhs = math.fsum([
-            _edge_integral(Q, (None, c), a, b),        # bottom, left to right
-            _edge_integral(P, (b, None), c, d),        # right, upward
-            -_edge_integral(Q, (None, d), a, b),       # top, right to left
-            -_edge_integral(P, (a, None), c, d),       # left, downward
-        ])
-    else:
-        # general type III boundary: Q dx along the type I graphs (the
-        # sides x = a, b add nothing to it) and P dy along the type II
-        # graphs (nor do y = c, d)
-        rhs = (
-            integrate_1d(lambda x: Q.evaluate((x, R.omega1(x))), R.a, R.b)
-            - integrate_1d(lambda x: Q.evaluate((x, R.omega2(x))), R.a, R.b)
-            + integrate_1d(lambda y: P.evaluate((R.omega4(y), y)), R.c, R.d)
-            - integrate_1d(lambda y: P.evaluate((R.omega3(y), y)), R.c, R.d)
-        )
-    return lhs, rhs, abs(lhs - rhs), class_ok

@@ -1,5 +1,5 @@
-"""Specular derivatives: the A-combination, semi-derivatives, derivative
-fields, phototangents, FTC conditions and S^2 membership.
+"""Specular derivatives: semi-derivatives, derivative fields and S^2
+membership.
 
 The specular derivative at a point combines the right/left semi-derivative
 slopes alpha, beta through
@@ -7,9 +7,9 @@ slopes alpha, beta through
     F1:  A(a, b) = (a*b - 1 + sqrt((a^2+1)(b^2+1))) / (a + b)     (a+b != 0)
     F2:  A(a, b) = tan((arctan a + arctan b) / 2)
 
-F2 is total (returns 0 when b = -a) and is the computational definition;
-F1 is retained as a cross-check oracle.  Geometrically A is the slope of
-the bisector direction between the two tangent rays.
+F2 is total (returns 0 when b = -a) and is the computational definition
+(``piecewise.a_combine``).  Geometrically A is the slope of the bisector
+direction between the two tangent rays.
 
 Every one-sided slope is ``PiecewiseFn.limit_slope``: the ``diff`` of what
 u takes on that side, the adjacent branch or the ``proper_leaf`` of the
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import Neg, Var, eval_expr, normalize_affine, subst
+from .expr import eval_expr
 from .piecewise import (
     PiecewiseFn,
     _edge_samples,
@@ -34,31 +34,11 @@ from .piecewise import (
     merge_forms,
     proper_leaf,
     regions,
-    tol_jump,
 )
 
 
 class SpecularError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# A-combination (F2 is ``piecewise.a_combine``)
-
-def a_combine_f1(alpha: float, beta: float) -> float:
-    """F1 evaluation.  The printed numerator cancels catastrophically when
-    alpha + beta is small with alpha*beta < 1; in that regime we use the
-    algebraically identical rationalized form
-        A = (alpha + beta) / (sqrt((a^2+1)(b^2+1)) + 1 - a*b)
-    obtained by multiplying through the conjugate (the difference of the
-    two numerators is exactly (alpha+beta)^2)."""
-    s = alpha + beta
-    if s == 0.0:
-        raise ZeroDivisionError("F1 undefined at beta = -alpha")
-    root = math.sqrt((alpha * alpha + 1.0) * (beta * beta + 1.0))
-    if alpha * beta < 1.0:
-        return s / (root + 1.0 - alpha * beta)
-    return (alpha * beta - 1.0 + root) / s
 
 
 # ---------------------------------------------------------------------------
@@ -124,87 +104,6 @@ def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
     branches = tuple((pat, u.limit_slope(pat, axis, +1)) for pat in regions(u.forms, u.domain, u.d))
     return u.derived.setdefault(
         key, PiecewiseFn(u.vars, u.forms, branches, "specular", domain=u.domain))
-
-
-# ---------------------------------------------------------------------------
-# Odd reflection
-
-def reflect_axis(u: PiecewiseFn, axis: int) -> PiecewiseFn:
-    """The function p -> u(p with the given coordinate negated)."""
-    var = u.vars[axis]
-    mapping = {var: Neg(Var(var))}
-
-    def flip(f):
-        # the reflected line, and the sign of l(reflected p) across it
-        coeffs = tuple(-c if i == axis else c for i, c in enumerate(f.coeffs))
-        form, scale = normalize_affine(coeffs, -f.offset)
-        return form, (1 if scale > 0 else -1)
-
-    flipped = [flip(f) for f in u.forms]
-    branches = tuple(
-        (tuple(None if q is None else q * t for q, (_, t) in zip(pat, flipped)),
-         subst(rhs, mapping))
-        for pat, rhs in u.branches
-    )
-    domain = tuple((g, s * t) for f, s in u.domain for g, t in [flip(f)])
-    src = subst(u.source, mapping) if u.source is not None else None
-    return PiecewiseFn(u.vars, tuple(g for g, _ in flipped), branches, u.policy,
-                       source=src, domain=domain)
-
-
-def odd_reflection_check(u: PiecewiseFn, p, axis: int) -> float:
-    """|dS_i[u o reflect](p) + dS_i u(p~)| with p~ the reflected point."""
-    refl = reflect_axis(u, axis)
-    q = list(p)
-    q[axis] = -q[axis]
-    return abs(specular_partial(refl, p, axis) + specular_partial(u, tuple(q), axis))
-
-
-# ---------------------------------------------------------------------------
-# Phototangent
-
-@dataclass(frozen=True)
-class Phototangent:
-    anchor: float
-    alpha: float   # right slope
-    beta: float    # left slope
-    left: float    # u(x]
-    right: float   # u[x)
-    center: float  # u[x]
-    continuous: bool
-
-    def __call__(self, y: float) -> float:
-        if y > self.anchor:
-            return self.right + self.alpha * (y - self.anchor)
-        if y < self.anchor:
-            return self.left + self.beta * (y - self.anchor)
-        return self.center
-
-
-def phototangent(u: PiecewiseFn, x: float) -> Phototangent:
-    if u.d != 1:
-        raise SpecularError("phototangent is defined for 1D functions")
-    pair = semi_derivatives(u, (x,), 0)
-    lim = u.one_sided_limits((x,), 0)
-    tol = tol_jump(lim.left, lim.right)
-    cont = abs(lim.left - lim.right) <= tol and abs(lim.mid - lim.left) <= tol
-    return Phototangent(x, pair.right, pair.left, lim.left, lim.right, lim.mid, cont)
-
-
-def specularly_differentiable_1d(u: PiecewiseFn) -> bool:
-    """Phototangent continuity at every singular point (the Lemma's test)."""
-    return all(phototangent(u, f.offset / f.coeffs[0]).continuous for f in u.forms)
-
-
-# ---------------------------------------------------------------------------
-# FTC condition
-
-def ftc_condition_check(f: PiecewiseFn) -> bool:
-    """1D: stored value at each singular point equals A(f(x], f[x)) (or 0
-    in the zero-sum case), which is ``is_proper`` at the roots."""
-    if f.d != 1:
-        raise SpecularError("ftc_condition_check expects a 1D function")
-    return is_proper(f)[0]
 
 
 # ---------------------------------------------------------------------------

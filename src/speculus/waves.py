@@ -61,17 +61,14 @@ from .piecewise import (
     pw_scale,
     pw_select,
     regions,
-    tol_jump,
 )
 from .quad import _area, characteristic_integral, clip_cells, integrate_1d, integrate_triangle
 from .specular import (
     SemiDerivativePair,
     partial_field,
     semi_derivative_one_sided,
-    semi_derivatives,
     specular_field,
     specular_partial,
-    specularly_differentiable_1d,
 )
 from .tangent2d import CenterMismatch, _check_center, _criterion
 
@@ -88,8 +85,8 @@ class SolverPrecondition(Exception):
 # ---------------------------------------------------------------------------
 # 1D data-class checks
 
-def _roots(fn: PiecewiseFn) -> list:
-    return sorted(f.offset / f.coeffs[0] for f in fn.forms)
+def _roots(forms) -> list:
+    return sorted(f.offset / f.coeffs[0] for f in forms)
 
 
 def check_displacement(phi: PiecewiseFn) -> list:
@@ -100,11 +97,9 @@ def check_displacement(phi: PiecewiseFn) -> list:
     if classify_continuity(phi).verdict != "continuous":
         problems.append("initial displacement is discontinuous")
         return problems
-    for r in _roots(phi):
-        pair = semi_derivatives(phi, (r,), 0)
-        if abs(pair.right - pair.left) > tol_jump(pair.right, pair.left):
-            problems.append(f"displacement derivative jumps at x={r}")
     d1 = partial_field(phi, 0)
+    jumps = [phi.forms[k] for k in classify_continuity(d1).jump_forms]
+    problems += [f"displacement derivative jumps at x={r}" for r in _roots(jumps)]
     ok, _ = is_proper(specular_field(d1, 0))
     if not ok:
         problems.append("second specular field of the displacement is not proper")
@@ -121,7 +116,7 @@ def check_velocity(psi: PiecewiseFn) -> list:
 def antiderivative_pw(psi: PiecewiseFn) -> PiecewiseFn:
     if psi.d != 1:
         raise SolverPrecondition("antiderivative_pw expects 1D data")
-    roots = _roots(psi)
+    roots = _roots(psi.forms)
     n = len(roots)
     var = psi.vars[0]
 
@@ -173,7 +168,7 @@ def antiderivative_pw(psi: PiecewiseFn) -> PiecewiseFn:
 def solve_transport(h: PiecewiseFn) -> PiecewiseFn:
     if h.d != 1:
         raise SolverPrecondition("transport data must be 1D")
-    if not specularly_differentiable_1d(h):
+    if classify_continuity(h).verdict != "continuous":
         raise SolverPrecondition("transport data is not specularly differentiable")
     return pw_compose_affine(h, (1.0, -1.0), 0.0, VARS_XT)
 

@@ -21,10 +21,9 @@ import pytest
 from speculus.cli import EXIT_CHECK_FAIL, EXIT_OK, cmd_check, cmd_solve, load_problem
 from speculus.expr import parse
 from speculus.piecewise import classify_continuity, from_expression
-from speculus.quad import TypeIIIRegion, antiderivative_check, green_check, integrate_1d
+from speculus.quad import integrate_1d
 from speculus.specular import (
     a_combine,
-    a_combine_f1,
     partial_field,
     s2_membership,
     specular_field,
@@ -38,6 +37,8 @@ from speculus.waves import (
     solve_wave_homogeneous,
     wave_residual,
 )
+
+from paper_checks import TypeIIIRegion, a_combine_f1, antiderivative_check, green_check
 
 X = ("x",)
 XY = ("x", "y")

@@ -557,6 +557,19 @@ class TestSolveCSV:
         assert capsys.readouterr().err == (
             "solver precondition failed: initial displacement is discontinuous\n")
 
+    def test_transport_jump_at_an_infinite_slope_exit_4(self, tmp_path, capsys):
+        """Data with a jump is refused by its continuity verdict, even where
+        a slope at the kink is infinite: its semi-derivatives there divide
+        by zero, and a check through them exits 3."""
+        p = tmp_path / "jump.prob"
+        p.write_text("[problem]\nkind = transport\nh = 3*sqrt(abs(x - 1)) - 2*sgn(x - 1)\n")
+        csv = tmp_path / "o.csv"
+        for argv in (["check", str(p)], ["solve", str(p), "--out", str(csv)]):
+            assert run(argv) == (EXIT_PRECONDITION, "")
+            assert capsys.readouterr().err == (
+                "solver precondition failed: transport data is not specularly differentiable\n")
+        assert not csv.exists()
+
     def test_precondition_exit_4(self, tmp_path):
         p = tmp_path / "bad.prob"
         # phi(0) != 0 violates half-line compatibility

@@ -50,3 +50,16 @@ def test_only_piecewise_groups_points():
                 params += [(path.name, getattr(node, "name", "<lambda>"))
                            for a in args.posonlyargs + args.args + args.kwonlyargs if a.arg == "groups"]
     assert named == [] and params == []
+
+
+def test_quad_does_not_import_specular():
+    """quad sits below specular: no import of quad names a ``specular``
+    module.  The verifiers that needed specular fields live beside the
+    tests, in ``paper_checks.py``."""
+    names = []
+    for node in ast.walk(ast.parse((SRC / "quad.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert [n for n in names if "specular" in n.split(".")] == []

@@ -1,5 +1,7 @@
-"""Specular calculus: A-combination, semi/specular derivatives, fields,
-phototangents, S2 membership."""
+"""Specular calculus: A-combination (against the F1 oracle of
+``paper_checks``), semi/specular derivatives, fields, the continuity
+verdict of 1D data, the fundamental-theorem condition, odd reflection, S2
+membership."""
 
 import math
 from collections import Counter
@@ -44,18 +46,15 @@ from speculus.piecewise import (
 )
 from speculus.specular import (
     a_combine,
-    a_combine_f1,
-    ftc_condition_check,
-    odd_reflection_check,
     partial_field,
-    phototangent,
     s2_membership,
     semi_derivatives,
     specular_field,
     specular_partial,
-    specularly_differentiable_1d,
 )
 from speculus.waves import solve_wave_homogeneous, wave_residual
+
+from paper_checks import a_combine_f1, odd_reflection_check
 
 X = ("x",)
 XY = ("x", "y")
@@ -207,42 +206,22 @@ class TestSpecularField:
         assert d2.evaluate((0.0,)) == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
 
-class TestPhototangent:
-    def test_three_piece_shape(self):
-        u = from_expression(parse("abs(x)", X), X)
-        pht = phototangent(u, 0.0)
-        assert pht(1.5) == pytest.approx(1.5)
-        assert pht(-2.0) == pytest.approx(2.0)
-        assert pht(0.0) == pytest.approx(0.0)
-        assert pht.continuous
-
-    def test_linearity(self):
-        u = from_expression(parse("abs(x)", X), X)
-        v = from_expression(parse("(1/2)*x*abs(x)", X), X)
-        from speculus.piecewise import pw_add, pw_scale
-
-        w = pw_add(pw_scale(2.0, u), pw_scale(-3.0, v))
-        pw, pu, pv = phototangent(w, 0.0), phototangent(u, 0.0), phototangent(v, 0.0)
-        for y in (-1.0, -0.25, 0.0, 0.4, 2.0):
-            assert pw(y) == pytest.approx(2 * pu(y) - 3 * pv(y), abs=1e-12)
-
-    def test_differentiability_flags(self):
-        assert specularly_differentiable_1d(
-            from_expression(parse("abs(x)", X), X)
-        )
-        heav = from_expression(parse("(1 + sgn(x))/2", X), X)
-        assert not specularly_differentiable_1d(heav)
-
-
 class TestFTCAndReflection:
+    def test_differentiability_flags(self):
+        """The transport precondition: 1D data is specularly differentiable
+        where it is continuous."""
+        assert classify_continuity(from_expression(parse("abs(x)", X), X)).verdict == "continuous"
+        heav = from_expression(parse("(1 + sgn(x))/2", X), X)
+        assert classify_continuity(heav).verdict != "continuous"
+
     def test_sgn_satisfies_ftc_condition(self):
         f = from_expression(parse("sgn(x)", X), X)
-        assert ftc_condition_check(f)
+        assert is_proper(f)[0]
 
     def test_heaviside_fails_ftc_condition(self):
         f = from_expression(parse("(1 + sgn(x))/2", X), X)
         # direct policy stores 1/2 at 0, but A(0,1) = sqrt(2)-1
-        assert not ftc_condition_check(f)
+        assert not is_proper(f)[0]
 
     def test_odd_reflection(self):
         u = from_expression(parse("abs(x) + x^2", X), X)

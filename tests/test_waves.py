@@ -29,7 +29,6 @@ from speculus.quad import QUAD_TOL, integrate_1d, integrate_triangle
 from speculus.specular import (
     a_combine,
     partial_field,
-    reflect_axis,
     semi_derivative_one_sided,
     semi_derivatives,
     specular_field,
@@ -55,6 +54,8 @@ from speculus.waves import (
     transport_residual,
     wave_residual,
 )
+
+from paper_checks import reflect_axis
 
 VARS_X = ("x",)
 VARS_XT = ("x", "t")
