@@ -64,6 +64,7 @@ from .piecewise import (
     from_expression,
     is_proper,
     line_values,
+    safe_eval,
 )
 from .quad import QuadratureError
 from .specular import (
@@ -427,23 +428,6 @@ def _linspace(a: float, b: float, n: int):
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _safe_eval(field: PiecewiseFn, p) -> float:
-    """Evaluate, falling back to the one-sided limit at points where the
-    other side lies outside the domain (grid corners of half-line problems)."""
-    try:
-        return field.evaluate(p)
-    except BranchLookupError:
-        s = field.sign_vector(p)
-        zeros = [k for k, t in enumerate(s) if t == 0]
-        axis = field.forms[zeros[0]].primary_axis() if zeros else 0
-        for direction in (1, -1):
-            try:
-                return field.one_sided_value(p, s, axis, direction)
-            except BranchLookupError:
-                continue
-        raise
-
-
 def _grid_segment(form, g: Grid):
     """(unit normal, point p0 nearest the origin, unit direction d, lo, hi)
     of the zero line of a 2D form, where p0 + s * d for s in [lo, hi] is
@@ -500,7 +484,7 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     the fields on u's lines share, and copied in whole; for ``transport``
     the batches of ux and ut also carry their own-axis limits, from which
     the residual column takes the operator on the lines.  The entries the
-    batches do not cover are ``filled``, with ``_safe_eval`` as the scalar
+    batches do not cover are ``filled``, with ``safe_eval`` as the scalar
     of the fields."""
     ux, ut = partial_field(u, 0), partial_field(u, 1)
     f = prob.f
@@ -513,7 +497,7 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     transport = prob.kind == "transport"
     axes = ((), (0,), (1,)) if transport else ((), (), ())
     batches = [fld.evaluate_batch(cols, a) for fld, a in zip((u, ux, ut), axes)]
-    columns = [(*batch[None], functools.partial(_safe_eval, fld))
+    columns = [(*batch[None], functools.partial(safe_eval, fld))
                for batch, fld in zip(batches, (u, ux, ut))]
     if transport:
         columns.append((*transport_operator_many(u, cols, batches[1:]),
@@ -522,9 +506,9 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
         W = wave_operator_fields(u)[2]
 
         def residual_at(p):
-            r = _safe_eval(W, p)
+            r = safe_eval(W, p)
             if f is not None:
-                r -= _safe_eval(f, p)
+                r -= safe_eval(f, p)
             return r
 
         values, covered = W.evaluate_many(cols)

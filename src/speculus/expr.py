@@ -459,7 +459,7 @@ def _each(fn: Callable[..., float], v, bad: np.ndarray, *extra) -> np.ndarray:
     every point) as a Python float; fn is mapped directly, so a C callable
     such as ``pow`` runs with no Python frame per entry.  An entry where fn
     raises OverflowError or ValueError is set in bad."""
-    vals = np.broadcast_to(v, bad.shape).tolist()
+    vals = v.tolist() if np.ndim(v) else [float(v)] * len(bad)
     try:
         return np.fromiter(map(fn, vals, *map(itertools.repeat, extra)), float, count=len(vals))
     except (OverflowError, ValueError):
@@ -485,11 +485,11 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
     differ from libm in the last bit on a few percent of inputs.  A Const
     takes part as its Python float, which numpy broadcasts; values are
     spread to one per point only at the root and for the arguments of an
-    Opaque leaf, which is called point by point.  Where eval_expr would
-    raise (a zero divisor, a negative sqrt argument, an overflow, an
-    exception in an Opaque leaf) the point is set in bad instead, and its
-    value is meaningless; nothing raises.  numpy's error state is set once,
-    around the whole walk."""
+    Opaque leaf, called point by point until one fails.  Where eval_expr
+    would raise (a zero divisor, a negative sqrt argument, an overflow, an
+    Opaque leaf's exception, which sets every later point too) the point is
+    set in bad instead, and its value is meaningless; nothing raises.
+    numpy's error state is set once, around the whole walk."""
     with np.errstate(all="ignore"):
         out = _eval_array(e, cols, bad)
     return np.full(len(bad), out) if np.ndim(out) == 0 else out
@@ -534,13 +534,15 @@ def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray):
             return np.sqrt(np.where(negative, 0.0, v))
         return _each(_MATH[e.func], v, bad)
     if isinstance(e, Opaque):
-        args = [np.broadcast_to(_eval_array(a, cols, bad), n).tolist() for a in e.args]
+        args = [v.tolist() if np.ndim(v) else [float(v)] * n
+                for v in [_eval_array(a, cols, bad) for a in e.args]]
         out = np.zeros(n)
         for i in np.flatnonzero(~bad).tolist():
             try:
                 out[i] = float(e.fn(*(a[i] for a in args)))
-            except Exception:  # the scalar path raises it again
-                bad[i] = True
+            except Exception:  # the scalar path raises it again, at i or before
+                bad[i:] = True
+                break
         return out
     raise TypeError(f"not an Expr node: {e!r}")
 

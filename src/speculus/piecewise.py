@@ -636,6 +636,23 @@ def filled(cols: Sequence[np.ndarray], columns: Sequence[tuple]) -> list:
     return out
 
 
+def safe_eval(field: PiecewiseFn, p) -> float:
+    """field.evaluate(p), or a one-sided limit where one side lies outside the
+    domain (half-line problems): the scalar of solution and residual columns."""
+    try:
+        return field.evaluate(p)
+    except BranchLookupError:
+        s = field.sign_vector(p)
+        zeros = [k for k, t in enumerate(s) if t == 0]
+        axis = field.forms[zeros[0]].primary_axis() if zeros else 0
+        for direction in (1, -1):
+            try:
+                return field.one_sided_value(p, s, axis, direction)
+            except BranchLookupError:
+                continue
+        raise
+
+
 def _limit_columns(u: PiecewiseFn, lines: tuple, batch: dict, primary: bool) -> list:
     """The ``filled`` columns of a batch's limits at the edge samples of the
     lines, along each of its axes, asked only where the sample's line has

@@ -15,10 +15,10 @@ a round meets it.
 
 1D integrals split the interval at singular points first (``_edge_breaks``),
 and a characteristic edge at the closed-form crossings of the singular
-lines (``path_crossings``).  The dependence triangle is integrated cell by
-cell (``clip_cells``), so a crossing of two lines inside it is a cell
-vertex, not a kink inside a triangle: on a cell f is one branch, and the
-cell's fan triangles go through the engine together.
+lines (``path_crossings``).  The dependence triangle is cut into cells
+(``clip_cells``), so a crossing of two lines inside it is a cell vertex,
+not a kink inside a triangle.  On a cell f is one branch, and the fan
+triangles of all cells go through one engine call, each over its cell's branch.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _pairs(values, scale, weights):
 def _integrate(g, nodes) -> float:
     """The integral of g over the pieces between nodes; g takes an (n, 22)
     array of points, one panel per row."""
-    def sums(panels):
+    def sums(panels, _):
         a, b = np.array(panels).T
         half = 0.5 * (b - a)
         return _pairs(g((0.5 * (a + b))[:, None] + half[:, None] * _LINE_NODES), half,
@@ -131,8 +131,8 @@ def _integrate(g, nodes) -> float:
 
 def adaptive_panel(sums, split, cells, per_round, label) -> list:
     """The integral over each of cells: the ``fsum`` of the values of its
-    accepted pieces.  sums(list of cells) gives each cell's (value,
-    estimate) from two rules on it alone; split(cell) its children in order.
+    accepted pieces.  sums(cells, their input indices) gives each cell's
+    (value, estimate) from two rules on it alone; split(cell) its children in order.
 
     Each round makes one sums call at the first per_round live cells in
     depth-first order.  A cell whose value and estimate agree to QUAD_TOL
@@ -145,8 +145,8 @@ def adaptive_panel(sums, split, cells, per_round, label) -> list:
     live = [(cell, 0, k) for k, cell in enumerate(cells)]  # cell, depth, input index
     while live:
         batch, live = live[:per_round], live[per_round:]
-        refined = []
-        for (cell, depth, k), (value, estimate) in zip(batch, sums([c for c, _, _ in batch])):
+        rules, refined = sums([c for c, _, _ in batch], [k for _, _, k in batch]), []
+        for (cell, depth, k), (value, estimate) in zip(batch, rules):
             gap = abs(value - estimate)
             if not math.isfinite(gap):
                 raise QuadratureError(f"quadrature {label(cell)} has a non-finite rule value "
@@ -204,9 +204,10 @@ def integrate_1d(f, a: float, b: float) -> float:
 
 def _clip(poly, form: AffineForm, sign: int):
     """Sutherland-Hodgman clip of the list poly keeping sign * l(p) >= 0."""
+    (a, b), c = form.coeffs, form.offset
+    vals = [sign * (a * x + b * t - c) for x, t in poly]  # bitwise form.value, as in line_values
     out = []
-    for cur, nxt in zip(poly, poly[1:] + poly[:1]):
-        vc, vn = sign * form.value(cur), sign * form.value(nxt)
+    for cur, nxt, vc, vn in zip(poly, poly[1:] + poly[:1], vals, vals[1:] + vals[:1]):
         if vc >= 0.0:
             out.append(cur)
         if (vc > 0.0 and vn < 0.0) or (vc < 0.0 and vn > 0.0):
@@ -239,49 +240,54 @@ def _quarters(tri):
     return (a, ab, ca), (ab, b, bc), (ca, bc, c), (bc, ca, ab)
 
 
-def _duffy_sums(g, tris):
+def _duffy_sums(g, tris, keys):
     """The (value, estimate) pairs of the Duffy rules on the triangles (A,
-    B, C) of the list tris, from one call g(X, T) at all their nodes."""
-    t = np.array(tris)
+    B, C) of the list tris, from one call g(X, T, keys) at all their nodes."""
+    t = np.array(tris).T  # coordinate, vertex, triangle
     a, b, c = (t[:, k, :, None] for k in range(3))
-    points = a + _DUFFY_U * (b - a) + _DUFFY_UV * (c - b)
-    values = g(points[:, 0].ravel(), points[:, 1].ravel()).reshape(len(t), -1)
-    (e1, e2), (h1, h2) = (b - a)[..., 0].T, (c - b)[..., 0].T
+    X, T = a + _DUFFY_U * (b - a) + _DUFFY_UV * (c - b)
+    values = g(X.ravel(), T.ravel(), keys).reshape(len(tris), -1)
+    (e1, e2), (h1, h2) = (b - a)[..., 0], (c - b)[..., 0]
     return _pairs(values, np.abs(e1 * h2 - e2 * h1), _DUFFY_W)
 
 
 def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
     """Integral of f over the dependence triangle (x0 - t0, 0), (x0 + t0,
-    0), (x0, t0), t0 > 0: on each of its ``clip_cells`` f is one branch,
-    taken at the nodes by ``eval_array``, and the cell's fan from its first
-    vertex goes through ``adaptive_panel`` with the Duffy rules, split in
-    quarters.  The points ``eval_array`` sets aside are ``filled`` through
-    ``eval_expr``, so an error is the first met cell by cell, round by
-    round, and in batch order within one round."""
+    0), (x0, t0), t0 > 0: the fans of all its ``clip_cells``, on each of
+    which f is one branch, go through one ``adaptive_panel`` call with the
+    Duffy rules, split in quarters.  Each round takes each branch at its
+    rows with one ``eval_array`` call and ``filled`` the points it sets
+    aside, so an error is the first met round by round, then in batch order."""
     if f.d != 2:
         raise QuadratureError("integrate_triangle expects a 2D function")
     if not (math.isfinite(x0) and math.isfinite(t0)):
         raise QuadratureError(f"dependence triangle of ({x0}, {t0}) is not finite")
     if not t0 > 0.0:
         raise QuadratureError("dependence triangle needs t0 > 0")
-    total = []
+    fan, branch = [], []  # the fan triangles of every cell, and the branch of each
     for pat, poly in clip_cells(f.forms, [(x0 - t0, 0.0), (x0 + t0, 0.0), (x0, t0)]):
         if _area(poly) == 0.0:  # a cell of rounding only, where f may have no branch
             continue
         if (rhs := f.match(pat)) is None:
             raise BranchLookupError(f"no branch for sign vector {pat} in the dependence "
                                     f"triangle of ({x0}, {t0})")
-
-        def g(X, T, rhs=rhs):
-            bad = np.zeros(len(X), dtype=bool)
-            values = eval_array(rhs, dict(zip(f.vars, (X, T))), bad)
-            return filled((X, T), [(values, ~bad, lambda p: eval_expr(rhs, dict(zip(f.vars, p))))])[0]
-
         v = [(float(x), float(t)) for x, t in poly]  # a failing triangle's name prints floats
-        total += adaptive_panel(functools.partial(_duffy_sums, g), _quarters,
-                                [(v[0], p, q) for p, q in zip(v[1:], v[2:])],
-                                ROUND_PANELS // 8, lambda tri: f"triangle {tri}")
-    return math.fsum(total)
+        fan += [(v[0], p, q) for p, q in zip(v[1:], v[2:])]
+        branch += [rhs] * (len(v) - 2)
+
+    def on_branch(rhs, X, T):
+        bad = np.zeros(len(X), dtype=bool)
+        values = eval_array(rhs, dict(zip(f.vars, (X, T))), bad)
+        return filled((X, T), [(values, ~bad, lambda p: eval_expr(rhs, dict(zip(f.vars, p))))])[0]
+
+    def g(X, T, keys):  # depth-first order keeps each cell's rows together in a batch
+        m, of_row = len(X) // len(keys), [branch[k] for k in keys]
+        starts = [i for i in range(len(keys)) if i == 0 or of_row[i] is not of_row[i - 1]]
+        return np.concatenate([on_branch(of_row[lo], X[lo * m:hi * m], T[lo * m:hi * m])
+                               for lo, hi in zip(starts, starts[1:] + [len(keys)])])
+
+    return math.fsum(adaptive_panel(functools.partial(_duffy_sums, g), _quarters, fan,
+                                    ROUND_PANELS // 8, lambda tri: f"triangle {tri}"))
 
 
 def path_crossings(forms, x0: float, t0: float, sigma: float) -> list:

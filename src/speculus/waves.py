@@ -61,6 +61,7 @@ from .piecewise import (
     pw_scale,
     pw_select,
     regions,
+    safe_eval,
 )
 from .quad import _area, characteristic_integral, clip_cells, integrate_1d, integrate_triangle
 from .specular import (
@@ -436,13 +437,13 @@ def wave_residual(u: PiecewiseFn, f: Optional[PiecewiseFn], points) -> ResidualR
     its one-sided values (matching how the force stores its own on-line
     values); the per-axis operator values are also reported so on-line
     diagonal entries like A(2, 0) are visible.  The fields are evaluated
-    on one ``Points``, so those on the same lines share its groups, and the
-    points the batches leave are ``filled`` in the order (W, f, wtt, wxx)."""
+    on one ``Points``, so those on the same lines share its groups; the
+    points they leave are ``safe_eval``-``filled`` in the order (W, f, wtt, wxx)."""
     wtt, wxx, W = wave_operator_fields(u)
     points = [tuple(p) for p in points]
     cols = columns(points, 2)
-    ops = [(*fld.evaluate_many(cols), fld.evaluate) for fld in (W, wtt, wxx)]
-    force = ((*f.evaluate_many(cols), f.evaluate) if f is not None
+    ops = [(*fld.evaluate_many(cols), partial(safe_eval, fld)) for fld in (W, wtt, wxx)]
+    force = ((*f.evaluate_many(cols), partial(safe_eval, f)) if f is not None
              else (np.zeros(len(points)), np.ones(len(points), dtype=bool), None))
     rows = [(p, val, fval, val - fval, tt, xx) for p, val, fval, tt, xx
             in zip(points, *(v.tolist() for v in filled(cols, [ops[0], force, *ops[1:]])))]
@@ -554,4 +555,4 @@ def initial_conditions_residual(u: PiecewiseFn, phi: PiecewiseFn, psi: Optional[
 
 def boundary_residual(u: PiecewiseFn, ts) -> float:
     cols = columns([(0.0, float(t)) for t in ts], 2)
-    return max(map(finite_abs, filled(cols, [(*u.evaluate_many(cols), u.evaluate)])[0].tolist()))
+    return max(map(finite_abs, filled(cols, [(*u.evaluate_many(cols), partial(safe_eval, u))])[0].tolist()))

@@ -39,7 +39,7 @@ import speculus.piecewise as piecewise
 import speculus.specular as specular
 import speculus.waves as waves
 from speculus.expr import AffineForm, EvalDomainError, Expr, ExprError, normalize_affine, parse
-from speculus.piecewise import PiecewiseFn
+from speculus.piecewise import PiecewiseFn, safe_eval
 from speculus.specular import partial_field
 from speculus.waves import hypothesis_h_check, transport_operator, transport_operator_many
 
@@ -588,6 +588,19 @@ class TestCheck:
         assert code == EXIT_OK
         assert pairs["all.pass"] == "true"
 
+    @pytest.mark.parametrize("check", ["boundary", "residual"])
+    def test_halfline_check_where_a_characteristic_meets_the_boundary(self, tmp_path, check):
+        """x + t = 2 and x - t = -2 cross at (0, 2) on the domain edge, where
+        u has no branch on the side x < 0: the check takes the one-sided
+        value there, as the CSV's residual column does."""
+        path = tmp_path / "edge.prob"
+        path.write_text("[problem]\nkind = wave-halfline\nphi = (x-1)*abs(x-1) + 1\n"
+                        "psi = abs(x-2) - 2\n[grid]\nx_range = 0, 4\nt_range = 0, 2\n"
+                        f"[check]\nchecks = {check}\n")
+        code, text = run(["check", str(path)])
+        assert code == EXIT_OK
+        assert kv(text) == {f"{check}.max": "0.0", f"{check}.pass": "true", "all.pass": "true"}
+
     def test_halfline_checks_pass(self):
         out = io.StringIO()
         code = cmd_check(f"{PROBLEMS}/halfline.prob", out=out)
@@ -770,7 +783,7 @@ class TestHoleOrder:
         u, g = cli.solve_problem(prob), prob.grid
         points = [(x, t) for t in cli._linspace(*g.t_range, g.nt)
                   for x in cli._linspace(*g.x_range, g.nx)]
-        columns = [lambda p, fld=fld: cli._safe_eval(fld, p)
+        columns = [lambda p, fld=fld: safe_eval(fld, p)
                    for fld in (u, partial_field(u, 0), partial_field(u, 1))]
         columns.append(lambda p: transport_operator(u, p))
         cells = ([(p, fn) for p in points for fn in columns] if row_major

@@ -52,7 +52,7 @@ from speculus.expr import (
     subst,
 )
 from speculus.expr import NonAffineSingularity
-from speculus.piecewise import from_expression
+from speculus.piecewise import filled, from_expression
 
 
 XY = ("x", "y")
@@ -386,6 +386,29 @@ class TestEval:
         with pytest.raises(EvalDomainError, match="overflow"):
             eval_expr(e, {"x": 1e200})
         self.assert_batch_is_scalar(e, [1e200, 3.0, -1e200, 1e-200, -0.0])
+
+    def test_failing_leaf_stops_its_batch(self):
+        """An Opaque leaf that fails at 2 and at 4 is called no further in
+        the batch after 2, which sets every later point in bad; ``filled``
+        then meets the failure at 2 first and raises its message, as a
+        point-by-point pass does."""
+        calls = []
+
+        def leaf(x):
+            calls.append(x)
+            if x in (2.0, 4.0):
+                raise ValueError(f"no value at {x}")
+            return -x
+
+        e = add(Var("x"), Opaque(leaf, (Var("x"),)))
+        xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        bad = np.zeros(len(xs), dtype=bool)
+        values = eval_array(e, {"x": xs}, bad)
+        assert calls == [1.0, 2.0] and bad.tolist() == [False, True, True, True, True]
+        calls.clear()
+        with pytest.raises(ValueError, match=r"^no value at 2\.0$"):
+            filled((xs,), [(values, ~bad, lambda p: eval_expr(e, {"x": p[0]}))])
+        assert calls == [2.0]
 
 
 class TestFormatRoundTrip:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from speculus import quad
-from speculus.expr import EvalDomainError, Opaque, Var, add, parse
+from speculus.expr import (AffineForm, EvalDomainError, Opaque, Var, add, eval_array, eval_expr,
+                           normalize_affine, parse)
 from speculus.piecewise import PiecewiseFn, from_expression
 from speculus.quad import (
     MAX_DEPTH,
@@ -526,23 +527,24 @@ class TestQuadratureErrors:
         f = from_expression(parse(text, XT), XT)
         with pytest.raises(EvalDomainError) as got:
             integrate_triangle(f, x0, 1.0)
-        assert str(got.value) == message  # pinned: the first cell, then rule order
+        assert str(got.value) == message  # pinned: the first round, then batch order
 
 
 class TestBatching:
     def test_off_line_triangle_needs_no_scalar_evaluation(self, monkeypatch):
-        """Each cell of the triangle takes its one branch at the rules'
-        points with ``eval_array``: no ``evaluate`` call, no
-        ``evaluate_many`` call, and one ``eval_array`` call per cell and
-        round.  The first takes the 64 + 100 nodes of each fan triangle;
-        each later one those of the four children of the triangles split
-        in the round before, so it is no larger than four times that round.
-        sqrt(x + 1.1) is steep enough near x = -1 to need a second round."""
+        """The fan triangles of all four cells go through one
+        ``adaptive_panel`` call, and each round takes each branch at its
+        rows' points with one ``eval_array`` call: no ``evaluate`` call, no
+        ``evaluate_many`` call.  The first round takes the 64 + 100 nodes of
+        each fan triangle; each later one those of the four children of the
+        triangles split in the round before, so it is no larger than four
+        times that round.  sqrt(x + 1.1) is steep enough near x = -1 to need
+        a second round."""
         f = from_expression(
             parse("abs(x - t + 0.25)*exp(0.5*x) + sgn(x + 2*t - 0.5)*sqrt(x + 1.1)", XT), XT)
         want = integrate_triangle(f, 0.0, 1.0)
         counts = {"evaluate": 0, "evaluate_many": 0}
-        cells = []  # per adaptive_panel call: its fan triangles and its batch sizes
+        fans, rounds = [], []  # per adaptive_panel call its fan; per round its branches' sizes
 
         def counted(name):
             real = getattr(PiecewiseFn, name)
@@ -554,25 +556,34 @@ class TestBatching:
 
         for name in ("evaluate", "evaluate_many"):
             monkeypatch.setattr(PiecewiseFn, name, counted(name))
-        real_array, real_panel = quad.eval_array, quad.adaptive_panel
+        real_array, real_panel, real_sums = quad.eval_array, quad.adaptive_panel, quad._duffy_sums
 
         def eval_array(e, cols, bad):
-            cells[-1][1].append(len(bad))
+            rounds[-1].append((e, len(bad)))
             return real_array(e, cols, bad)
 
         def panel(sums, split, fan, *args):
-            cells.append((len(fan), []))
+            fans.append(len(fan))
             return real_panel(sums, split, fan, *args)
+
+        def sums(g, tris, keys):
+            rounds.append([])
+            return real_sums(g, tris, keys)
 
         monkeypatch.setattr(quad, "eval_array", eval_array)
         monkeypatch.setattr(quad, "adaptive_panel", panel)
+        monkeypatch.setattr(quad, "_duffy_sums", sums)
         assert integrate_triangle(f, 0.0, 1.0) == want
         assert counts["evaluate"] == counts["evaluate_many"] == 0
-        assert len(cells) == 4 and any(len(batches) > 1 for _, batches in cells)
-        for fan, (first, *later) in cells:
-            assert first == 164 * fan
-            for before, points in zip([first, *later], later):
-                assert points % (4 * 164) == 0 and 0 < points <= 4 * before
+        cells = quad.clip_cells(f.forms, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        assert len(cells) == 4 and fans == [sum(len(poly) - 2 for _, poly in cells)]
+        assert len(rounds) > 1
+        first, *later = [sum(n for _, n in calls) for calls in rounds]
+        assert first == 164 * fans[0]
+        for branches in rounds:  # one call per branch and round
+            assert len({id(e) for e, _ in branches}) == len(branches)
+        for before, points in zip([first, *later], later):
+            assert points % (4 * 164) == 0 and 0 < points <= 4 * before
 
     def test_exact_rule_takes_one_call_per_cell(self, monkeypatch):
         """On a cell where both rules are exact (a cubic branch) every
@@ -634,12 +645,114 @@ class TestBatching:
             return quad._quarters(tri)
 
         def refine(*tris):
-            return adaptive_panel(functools.partial(quad._duffy_sums, g), split, list(tris),
+            return adaptive_panel(functools.partial(quad._duffy_sums, lambda X, T, _: g(X, T)),
+                                  split, list(tris),
                                   quad.ROUND_PANELS // 8, str)
 
         together = refine(*tris)
         assert set(splits) - set(tris)  # some go past their first split
         assert together == [v for tri in tris for v in refine(tri)]
+
+
+def _cell_by_cell(f, x0, t0):
+    """The dependence-triangle integral with one ``adaptive_panel`` call per
+    cell: the cell's fan alone, its branch by ``eval_array`` and, at the
+    points that leaves, ``eval_expr``."""
+    total = []
+    for pat, poly in quad.clip_cells(f.forms, [(x0 - t0, 0.0), (x0 + t0, 0.0), (x0, t0)]):
+        if quad._area(poly) == 0.0:
+            continue
+
+        def g(X, T, _, rhs=f.match(pat)):
+            x, t = X.ravel(), T.ravel()
+            bad = np.zeros(len(x), dtype=bool)
+            values = eval_array(rhs, {"x": x, "t": t}, bad)
+            for i in np.flatnonzero(bad).tolist():
+                values[i] = eval_expr(rhs, {"x": float(x[i]), "t": float(t[i])})
+            return values.reshape(X.shape)
+
+        v = [(float(x), float(t)) for x, t in poly]
+        total += adaptive_panel(functools.partial(quad._duffy_sums, g), quad._quarters,
+                                [(v[0], p, q) for p, q in zip(v[1:], v[2:])],
+                                quad.ROUND_PANELS // 8, str)
+    return math.fsum(total)
+
+
+@st.composite
+def joint_case(draw):
+    """1-3 abs/sgn lines through a dependence triangle, each times an exp,
+    cos or sqrt factor, plus the Opaque leaf t^2: (f, x0, t0)."""
+    x0 = draw(st.sampled_from([0.0, 0.5, -3.25, 250.0]))
+    t0 = draw(st.sampled_from([0.25, 1.0, 1.5]))
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.sampled_from(DIRECTIONS))
+        px = x0 + draw(st.sampled_from([-0.375, -0.125, 0.0, 0.25])) * t0
+        pt = draw(st.sampled_from([0.25, 0.375, 0.5])) * t0
+        kink = draw(st.sampled_from(["abs", "sgn"]))
+        factor = FACTORS[draw(st.sampled_from(["exp", "cos", "sqrt"]))][0]
+        p, k = draw(st.sampled_from([0.5, -0.25, 2.0])), draw(st.sampled_from([0.75, -1.0]))
+        texts.append(f"{kink}({a}*(x - {_n(px)}) + {b}*(t - {_n(pt)}))*"
+                     + factor.format(f"{_n(p)}*(x - {_n(x0)} + t) + {_n(k)}"))
+    return _with_leaf(from_expression(parse(" + ".join(texts), XT), XT), LEAF), x0, t0
+
+
+class TestJointCall:
+    @given(joint_case())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_cell_by_cell(self, case):
+        """One engine call for all cells gives, bit for bit, the fsum of the
+        cells integrated one call each, at any round size."""
+        f, x0, t0 = case
+        for panels in (16, 80, quad.ROUND_PANELS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quad, "ROUND_PANELS", panels)
+                assert integrate_triangle(f, x0, t0) == _cell_by_cell(f, x0, t0), panels
+
+    def test_error_of_the_earlier_round_across_cells(self, monkeypatch):
+        """The cell x > 0 comes first, and its step at x = 0.3 never
+        converges, so it fails at MAX_DEPTH = 2, in the third round; the
+        cell x < 0 meets sqrt of a negative value in the first.  Cell by
+        cell the first cell's error came first; in one call the first
+        round's is raised."""
+        step = Opaque(lambda x: 1e6 if x > 0.3 else 0.0, (Var("x"),))
+        f = _with_leaf(from_expression(parse("abs(x) + sqrt(x + 0.5)", XT), XT), step)
+        monkeypatch.setattr(quad, "MAX_DEPTH", 2)
+        with pytest.raises(QuadratureError, match="failed to converge"):
+            _cell_by_cell(f, 0.0, 1.0)
+        with pytest.raises(EvalDomainError, match="^sqrt of negative value"):
+            integrate_triangle(f, 0.0, 1.0)
+
+
+def _clip_by_value(poly, form, sign):
+    """Sutherland-Hodgman clip keeping sign * l(p) >= 0, each l(p) by
+    ``AffineForm.value`` (an ``fsum``), twice per vertex."""
+    out = []
+    for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+        vc, vn = sign * form.value(cur), sign * form.value(nxt)
+        if vc >= 0.0:
+            out.append(cur)
+        if (vc > 0.0 and vn < 0.0) or (vc < 0.0 and vn > 0.0):
+            s = vc / (vc - vn)
+            out.append((cur[0] + s * (nxt[0] - cur[0]), cur[1] + s * (nxt[1] - cur[1])))
+    return out
+
+
+COORD = st.floats(-1e4, 1e4, allow_subnormal=False)
+COEF = st.floats(-8.0, 8.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)  # a finite form
+
+
+@given(st.lists(st.tuples(COORD, COORD), min_size=3, max_size=7),
+       st.tuples(COEF, COEF).filter(any), st.integers(0, 6), st.sampled_from((1, -1)))
+@settings(max_examples=300, deadline=None)
+def test_clip_by_plain_arithmetic_matches_form_value(poly, coeffs, on, sign):
+    """``_clip`` takes each l(p) once, as a * x + b * t - c, and clips
+    bitwise as ``AffineForm.value`` does, also where the line goes through
+    a vertex (the form through vertex ``on``, when there is one)."""
+    form = normalize_affine(coeffs, 0.0)[0]
+    if on < len(poly):
+        form = AffineForm(form.coeffs, form.coeffs[0] * poly[on][0] + form.coeffs[1] * poly[on][1])
+    assert quad._clip(poly, form, sign) == _clip_by_value(poly, form, sign)
 
 
 class TestOneEngine:
