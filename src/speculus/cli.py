@@ -59,7 +59,9 @@ from .piecewise import (
     PiecewiseFn,
     Points,
     a_combine,
+    columns,
     filled,
+    finite_abs,
     from_branches,
     from_expression,
     is_proper,
@@ -80,15 +82,11 @@ from .waves import (
     boundary_residual,
     hypothesis_h_check,
     initial_conditions_residual,
+    residual_column,
     solve_transport,
     solve_wave_halfline,
     solve_wave_homogeneous,
     solve_wave_nonhomogeneous,
-    transport_operator,
-    transport_operator_many,
-    transport_residual,
-    wave_operator_fields,
-    wave_residual,
 )
 
 EXIT_OK = 0
@@ -481,14 +479,12 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     """The (n, 6) sample table x, t, u, ux, ut, residual: grid rows (t
     outer, x inner) then the ``_online_points`` supplements.  Each column
     is evaluated over all points at once, on one ``Points``, whose groups
-    the fields on u's lines share, and copied in whole; for ``transport``
-    the batches of ux and ut also carry their own-axis limits, from which
-    the residual column takes the operator on the lines.  The entries the
-    batches do not cover are ``filled``, with ``safe_eval`` as the scalar
-    of the fields."""
+    the fields on u's lines share, and copied in whole.  The residual is
+    ``residual_column``; for ``transport`` the batches of ux and ut also
+    carry their own-axis limits, from which it takes the operator on the
+    lines.  The entries the batches do not cover are ``filled``, with
+    ``safe_eval`` as the scalar of the fields."""
     ux, ut = partial_field(u, 0), partial_field(u, 1)
-    f = prob.f
-
     g = prob.grid
     xs = np.array(_linspace(*g.x_range, g.nx))
     ts = np.array(_linspace(*g.t_range, g.nt))
@@ -497,27 +493,9 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     transport = prob.kind == "transport"
     axes = ((), (0,), (1,)) if transport else ((), (), ())
     batches = [fld.evaluate_batch(cols, a) for fld, a in zip((u, ux, ut), axes)]
-    columns = [(*batch[None], functools.partial(safe_eval, fld))
-               for batch, fld in zip(batches, (u, ux, ut))]
-    if transport:
-        columns.append((*transport_operator_many(u, cols, batches[1:]),
-                        functools.partial(transport_operator, u)))
-    else:
-        W = wave_operator_fields(u)[2]
-
-        def residual_at(p):
-            r = safe_eval(W, p)
-            if f is not None:
-                r -= safe_eval(f, p)
-            return r
-
-        values, covered = W.evaluate_many(cols)
-        if f is not None:
-            fv, fc = f.evaluate_many(cols)
-            values, covered = values - fv, covered & fc
-        columns.append((values, covered, residual_at))
-
-    return np.column_stack([*cols, *filled(cols, columns)])
+    table = [(*batch[None], functools.partial(safe_eval, fld)) for batch, fld in zip(batches, (u, ux, ut))]
+    table.append(residual_column(u, prob.kind, prob.f, cols, batches[1:] if transport else None))
+    return np.column_stack([*cols, *filled(cols, table)])
 
 
 def write_csv(table: np.ndarray, out_path: str) -> None:
@@ -579,9 +557,9 @@ def _check_points(u: PiecewiseFn, prob: Problem):
 
 
 def _residual(u: PiecewiseFn, prob: Problem):
-    pts = _check_points(u, prob)
-    rep = transport_residual(u, pts) if prob.kind == "transport" else wave_residual(u, prob.f, pts)
-    return [("max", rep.max_abs)], True
+    cols = columns(_check_points(u, prob), 2)
+    values = filled(cols, [residual_column(u, prob.kind, prob.f, cols)])[0]
+    return [("max", max(map(finite_abs, values.tolist()), default=0.0))], True
 
 
 def _s2(u: PiecewiseFn, prob: Problem):

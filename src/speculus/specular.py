@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from .expr import eval_expr
 from .piecewise import (
     PiecewiseFn,
-    _edge_samples,
-    _faces,
     a_combine,
     classify_continuity,
-    columns,
-    filled,
     is_proper,
     merge_forms,
     proper_leaf,
@@ -112,17 +108,21 @@ def partial_field(u: PiecewiseFn, axis: int) -> PiecewiseFn:
 @dataclass
 class S2Report:
     verdict: str                 # S2 | S1-only | S0-only | fails
-    symmetry_residual: float
     failure_forms: list          # AffineForms implicated in the failure
 
 
 def s2_membership(u: PiecewiseFn) -> S2Report:
+    """The S^2 verdict of a 2D u and the lines it fails on: u continuous,
+    its two partial fields proper, their four specular fields proper and
+    the two mixed ones continuous.  Each field is judged at the edge
+    samples of its own lines (``classify_continuity``, ``is_proper``); no
+    other point is evaluated."""
     if u.d != 2:
         raise SpecularError("s2_membership expects a 2D function")
     cont = classify_continuity(u)
     if cont.verdict != "continuous":
         bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
-        return S2Report("S0-only" if is_proper(u)[0] else "fails", math.inf, bad)
+        return S2Report("S0-only" if is_proper(u)[0] else "fails", bad)
 
     fields = (partial_field(u, 0), partial_field(u, 1))
     firsts = [is_proper(fld) for fld in fields]
@@ -136,19 +136,10 @@ def s2_membership(u: PiecewiseFn) -> S2Report:
             seconds_ok = False
             failure_forms.extend(second[key].forms[k] for k in rep.jump_forms + rep.indeterminate)
 
-    # symmetry residual dS_x u_y vs dS_y u_x at the edge samples and one
-    # witness per cell; every field has the forms and domain of u
-    pts = [p for line in _edge_samples(u.forms, u.domain, 2) for p in line]
-    pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
-    cols = columns(pts, 2)
-    a, b = filled(cols, [(*second[key].evaluate_many(cols), second[key].evaluate)
-                         for key in ((0, 1), (1, 0))])
-    residual = max([0.0, *abs(a - b).tolist()])
-
     if firsts_ok and seconds_ok:
         verdict = "S2"
     elif firsts_ok:
         verdict = "S1-only"
     else:
         verdict = "S0-only" if is_proper(u)[0] else "fails"
-    return S2Report(verdict, residual, merge_forms([failure_forms]))
+    return S2Report(verdict, merge_forms([failure_forms]))

@@ -12,6 +12,10 @@ partials (the velocity's branch; the Leibniz rule for the Duhamel term,
 taken on a line as the limit from the region) make the derivative fields
 of every solution expressions to second order, with no difference
 quotient.
+
+The checks of a solution live here too.  ``residual_column`` is the one
+PDE residual: ``solve`` writes it as the CSV's residual column and ``check
+residual`` prints its largest magnitude.
 """
 
 from __future__ import annotations
@@ -416,12 +420,6 @@ def duhamel_term(f: PiecewiseFn) -> PiecewiseFn:
 # ---------------------------------------------------------------------------
 # Verification reports
 
-@dataclass
-class ResidualReport:
-    rows: list       # (point, operator_value, f_value, residual, d2t, d2x)
-    max_abs: float
-
-
 def wave_operator_fields(u: PiecewiseFn):
     """(dS_t u_t, dS_x u_x, their difference) as piecewise fields."""
     wtt = specular_field(partial_field(u, 1), 1)
@@ -429,25 +427,23 @@ def wave_operator_fields(u: PiecewiseFn):
     return wtt, wxx, pw_add(wtt, wxx, -1.0)
 
 
-def wave_residual(u: PiecewiseFn, f: Optional[PiecewiseFn], points) -> ResidualReport:
-    """PDE residual dS_t u_t - dS_x u_x - f at the given points.
-
-    Off the singular lines the operator is evaluated branchwise.  On a
-    line the difference field is extended properly: the A-combination of
-    its one-sided values (matching how the force stores its own on-line
-    values); the per-axis operator values are also reported so on-line
-    diagonal entries like A(2, 0) are visible.  The fields are evaluated
-    on one ``Points``, so those on the same lines share its groups; the
-    points they leave are ``safe_eval``-``filled`` in the order (W, f, wtt, wxx)."""
-    wtt, wxx, W = wave_operator_fields(u)
-    points = [tuple(p) for p in points]
-    cols = columns(points, 2)
-    ops = [(*fld.evaluate_many(cols), partial(safe_eval, fld)) for fld in (W, wtt, wxx)]
-    force = ((*f.evaluate_many(cols), partial(safe_eval, f)) if f is not None
-             else (np.zeros(len(points)), np.ones(len(points), dtype=bool), None))
-    rows = [(p, val, fval, val - fval, tt, xx) for p, val, fval, tt, xx
-            in zip(points, *(v.tolist() for v in filled(cols, [ops[0], force, *ops[1:]])))]
-    return ResidualReport(rows, max((finite_abs(row[3]) for row in rows), default=0.0))
+def residual_column(u: PiecewiseFn, kind: str, f: Optional[PiecewiseFn], cols: Points,
+                    partials=None) -> tuple:
+    """The PDE residual of u at cols as the (values, covered, scalar) column
+    that ``filled`` takes, for the CSV and for ``check residual``.  For
+    ``transport`` it is dS_t u + dS_x u (``transport_operator_many``, given
+    the partials it takes).  For a wave kind it is W - f, W = dS_t u_t -
+    dS_x u_x, which on a line is the A-combination of its one-sided values,
+    as f stores its own; covered where W and f both are, with the scalar
+    ``safe_eval`` of W minus that of f."""
+    if kind == "transport":
+        return (*transport_operator_many(u, cols, partials), partial(transport_operator, u))
+    W = wave_operator_fields(u)[2]
+    values, covered = W.evaluate_many(cols)
+    if f is None:
+        return values, covered, partial(safe_eval, W)
+    fv, fc = f.evaluate_many(cols)
+    return values - fv, covered & fc, lambda p: safe_eval(W, p) - safe_eval(f, p)
 
 
 def transport_operator(u: PiecewiseFn, p) -> float:
@@ -483,14 +479,6 @@ def _slopes(u: PiecewiseFn, cols: Points, partials=None) -> tuple:
     for s, idx in cols.groups(u.forms):
         covered[idx] &= all(0.0 not in u.forms[k].coeffs for k, q in enumerate(s) if q == 0)
     return table, covered
-
-
-def transport_residual(u: PiecewiseFn, points) -> ResidualReport:
-    points = [tuple(p) for p in points]
-    cols = columns(points, 2)
-    values = filled(cols, [(*transport_operator_many(u, cols), partial(transport_operator, u))])[0].tolist()
-    rows = [(p, val, 0.0, val, math.nan, math.nan) for p, val in zip(points, values)]
-    return ResidualReport(rows, max(map(finite_abs, values), default=0.0))
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Verifiers of the paper's criteria that no command runs: the F1 form of
-the A-combination, odd reflection, the fundamental-theorem check and the
-specular Green identity.  They call the package's own quadrature
-(``_integrate``, ``_point_values``, ``_edge_breaks``, ``integrate_1d``)
-and specular fields, so each criterion still tests the engine."""
+the A-combination, odd reflection, the PDE residual at chosen points, the
+symmetry of the mixed specular partials, the fundamental-theorem check and
+the specular Green identity.  They call the package's own quadrature
+(``_integrate``, ``_point_values``, ``_edge_breaks``, ``integrate_1d``),
+residual column and specular fields, so each criterion still tests the
+engine."""
 
 import math
 from dataclasses import dataclass
@@ -11,9 +13,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from speculus.expr import Neg, Var, normalize_affine, subst
-from speculus.piecewise import PiecewiseFn, is_proper, merge_forms
+from speculus.piecewise import (
+    PiecewiseFn,
+    _edge_samples,
+    _faces,
+    columns,
+    filled,
+    finite_abs,
+    is_proper,
+    merge_forms,
+)
 from speculus.quad import _edge_breaks, _integrate, _point_values, integrate_1d
-from speculus.specular import specular_field, specular_partial
+from speculus.specular import partial_field, specular_field, specular_partial
+from speculus.waves import residual_column
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +79,30 @@ def odd_reflection_check(u: PiecewiseFn, p, axis: int) -> float:
     q = list(p)
     q[axis] = -q[axis]
     return abs(specular_partial(refl, p, axis) + specular_partial(u, tuple(q), axis))
+
+
+# ---------------------------------------------------------------------------
+# The PDE residual and the mixed partials
+
+def residual_max(u: PiecewiseFn, f: Optional[PiecewiseFn], points, kind: str = "wave") -> float:
+    """The largest |residual| of the solution u at the points, as ``check
+    residual`` takes it at its own: ``residual_column`` ``filled`` there."""
+    cols = columns(points, 2)
+    values = filled(cols, [residual_column(u, kind, f, cols)])[0]
+    return max(map(finite_abs, values.tolist()), default=0.0)
+
+
+def mixed_partial_residual(u: PiecewiseFn) -> float:
+    """max |dS_x u_y - dS_y u_x| of a 2D u at the edge samples of its lines
+    and one witness per cell: the symmetry of the mixed specular partials."""
+    second = {(i, j): specular_field(partial_field(u, j), i) for i, j in ((0, 1), (1, 0))}
+    # every field has the forms and domain of u
+    pts = [p for line in _edge_samples(u.forms, u.domain, 2) for p in line]
+    pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
+    cols = columns(pts, 2)
+    a, b = filled(cols, [(*second[key].evaluate_many(cols), second[key].evaluate)
+                         for key in ((0, 1), (1, 0))])
+    return max([0.0, *abs(a - b).tolist()])
 
 
 # ---------------------------------------------------------------------------

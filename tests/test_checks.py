@@ -23,7 +23,6 @@ from speculus.piecewise import (
     PiecewiseFn,
     ProperReport,
     _edge_samples,
-    _faces,
     classify_continuity,
     from_branches,
     from_expression,
@@ -36,15 +35,15 @@ from speculus.specular import S2Report, partial_field, s2_membership, specular_f
 from speculus.specular import semi_derivative_one_sided
 from speculus.waves import (
     FORM_T,
-    ResidualReport,
     initial_conditions_residual,
     solve_transport,
     solve_wave_halfline,
     solve_wave_homogeneous,
     solve_wave_nonhomogeneous,
     wave_operator_fields,
-    wave_residual,
 )
+
+from paper_checks import residual_max
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 X, XY, XT = ("x",), ("x", "y"), ("x", "t")
@@ -107,7 +106,7 @@ def s2_scalar(u):
         ok, _ = is_proper_scalar(u)
         bad = [u.forms[k] for k in cont.jump_forms + cont.indeterminate]
         verdict = "S0-only" if ok else "fails"
-        return S2Report(verdict, math.inf, bad)
+        return S2Report(verdict, bad)
 
     fields = {0: partial_field(u, 0), 1: partial_field(u, 1)}
     first_proper, failure_forms = {}, []
@@ -132,12 +131,6 @@ def s2_scalar(u):
         if not mixed_continuous[key]:
             failure_forms.extend(second[key].forms[k] for k in rep.jump_forms + rep.indeterminate)
 
-    pts = [p for line in edge_samples(u) for p in line]
-    pts += [p for pat, p in _faces(u.forms, u.domain, 2).items() if 0 not in pat]
-    residual = 0.0
-    for p in pts:
-        residual = max(residual, abs(second[(0, 1)].evaluate(p) - second[(1, 0)].evaluate(p)))
-
     firsts_ok = all(first_proper.values())
     seconds_ok = all(second_proper.values()) and all(mixed_continuous.values())
     if firsts_ok and seconds_ok:
@@ -147,20 +140,15 @@ def s2_scalar(u):
     else:
         ok_u, _ = is_proper_scalar(u)
         verdict = "S0-only" if ok_u else "fails"
-    return S2Report(verdict, residual, merge_forms([failure_forms]))
+    return S2Report(verdict, merge_forms([failure_forms]))
 
 
 def wave_residual_scalar(u, f, points):
-    wtt, wxx, W = wave_operator_fields(u)
-    rows = []
+    W = wave_operator_fields(u)[2]
     worst = 0.0
     for p in points:
-        val = W.evaluate(p)
-        fval = f.evaluate(p) if f is not None else 0.0
-        resid = val - fval
-        rows.append((tuple(p), val, fval, resid, wtt.evaluate(p), wxx.evaluate(p)))
-        worst = max(worst, abs(resid))
-    return ResidualReport(rows, worst)
+        worst = max(worst, abs(W.evaluate(p) - (f.evaluate(p) if f is not None else 0.0)))
+    return worst
 
 
 def initial_scalar(u, phi, psi, xs):
@@ -194,8 +182,8 @@ def assert_checks_match(u):
 
 
 def assert_residuals_match(u, phi, psi, f, points, xs):
-    """wave_residual and initial_conditions_residual equal their oracles."""
-    assert outcome(wave_residual, u, f, points) == outcome(wave_residual_scalar, u, f, points)
+    """The wave residual and initial_conditions_residual equal their oracles."""
+    assert outcome(residual_max, u, f, points) == outcome(wave_residual_scalar, u, f, points)
     assert (outcome(initial_conditions_residual, u, phi, psi, xs)
             == outcome(initial_scalar, u, phi, psi, xs))
 
@@ -273,7 +261,7 @@ def test_residual_on_merged_lines_matches_oracle():
     u = from_branches(forms, table, XT)
     assert len(wave_operator_fields(u)[2].forms) == 1
     points = GRID + [(0.5, 0.5), (1.0, 1.0)]
-    assert outcome(wave_residual, u, None, points) == outcome(wave_residual_scalar, u, None, points)
+    assert outcome(residual_max, u, None, points) == outcome(wave_residual_scalar, u, None, points)
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +577,16 @@ def test_s2_eval_array_counters(name, calls, monkeypatch):
 
 
 @pytest.mark.parametrize("name, batches", [
-    ("counterexample", [6] * 7 + [9, 9]),
-    ("halfline", [18] * 7 + [24, 24]),
+    ("counterexample", [6] * 7),
+    ("halfline", [18] * 7),
 ])
 def test_s2_sample_counts(name, batches, monkeypatch):
     """s2_membership batches its checks of u and of the six derivative
     fields at the edge samples (3 on each edge of a line inside t > 0:
     counterexample has two lines with one edge each, halfline four lines
-    with two, two, one and one), then the symmetry residual of the two
-    mixed fields there and at one witness per cell (3 and 6 cells).  The
-    box sampler took 34 and 68 points per field and 59 and 93 for the
-    residual."""
+    with two, two, one and one), and nothing more: the symmetry residual
+    of the two mixed fields, which no command read, added two batches of
+    9 and 24 points.  The box sampler took 34 and 68 points per field."""
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
     u = solve_problem(prob)
     sizes, real = [], PiecewiseFn.evaluate_batch
@@ -611,3 +598,39 @@ def test_s2_sample_counts(name, batches, monkeypatch):
     monkeypatch.setattr(PiecewiseFn, "evaluate_batch", counted)
     s2_membership(u)
     assert sizes == batches
+
+
+def _spy_batches(monkeypatch) -> list:
+    """Record the (field, points) of every ``evaluate_batch`` call."""
+    calls, real = [], PiecewiseFn.evaluate_batch
+
+    def spied(self, cols, *args):
+        calls.append((self, cols))
+        return real(self, cols, *args)
+
+    monkeypatch.setattr(PiecewiseFn, "evaluate_batch", spied)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["counterexample", "halfline", "corner2d"])
+def test_s2_evaluates_only_edge_points(name, monkeypatch):
+    """s2_membership evaluates each field at the cached edge samples of its
+    own lines and nowhere else (it once also evaluated the mixed fields at
+    a fresh point set of edge samples and cell witnesses)."""
+    prob = load_problem(str(PROBLEMS / f"{name}.prob"))
+    u = prob.u if prob.kind is None else solve_problem(prob)
+    calls = _spy_batches(monkeypatch)
+    s2_membership(u)
+    assert calls and all(cols is piecewise._edge_points(fld.forms, fld.domain, fld.d) for fld, cols in calls)
+
+
+def test_residual_check_evaluates_w_and_f(monkeypatch):
+    """check residual of a forced wave evaluates two fields at its points,
+    W = dS_t u_t - dS_x u_x and f, on one point set (four before: wtt and
+    wxx as well, for report rows that no command printed)."""
+    prob = load_problem(str(PROBLEMS / "counterexample.prob"))
+    u = solve_problem(prob)
+    calls = _spy_batches(monkeypatch)
+    assert cli._residual(u, prob) == ([("max", 0.0)], True)
+    assert [fld for fld, _ in calls] == [wave_operator_fields(u)[2], prob.f]
+    assert calls[0][1] is calls[1][1]

@@ -660,11 +660,13 @@ class TestCheck:
         threshold it passes, one float above it and at NaN it fails."""
         limit = cli.THRESHOLDS[key]
         value = {"at": limit, "above": math.nextafter(limit, math.inf), "nan": math.nan}[offset]
-        fakes = {"residual.max": ("wave_residual", lambda *a: waves.ResidualReport([], value)),
-                 "boundary.max": ("boundary_residual", lambda *a: value),
-                 "initial.value": ("initial_conditions_residual", lambda *a: (value, 0.0)),
-                 "initial.velocity": ("initial_conditions_residual", lambda *a: (0.0, value))}
-        monkeypatch.setattr(cli, *fakes[key])
+        column = (np.array([value]), np.array([True]), None)
+        fakes = {"residual.max": [("residual_column", lambda *a: column), ("finite_abs", abs)],
+                 "boundary.max": [("boundary_residual", lambda *a: value)],
+                 "initial.value": [("initial_conditions_residual", lambda *a: (value, 0.0))],
+                 "initial.velocity": [("initial_conditions_residual", lambda *a: (0.0, value))]}
+        for fake in fakes[key]:
+            monkeypatch.setattr(cli, *fake)
         out = io.StringIO()
         code = cmd_check(f"{PROBLEMS}/halfline.prob", out=out)
         pairs = kv(out.getvalue())
@@ -672,6 +674,22 @@ class TestCheck:
         assert pairs[key] == fmt(value)
         assert pairs[key.split(".")[0] + ".pass"] == str(passed).lower()
         assert code == (EXIT_OK if passed else EXIT_CHECK_FAIL)
+
+
+def test_s2_warning_error_keeps_the_csv(tmp_path, monkeypatch, capsys):
+    """solve's S^2 warning runs after the CSV is written: a math-domain
+    error inside it exits 3 with one stderr line, and the CSV stays."""
+    def fails(u):
+        raise EvalDomainError("sqrt of negative value -1.0")
+
+    monkeypatch.setattr(cli, "s2_membership", fails)
+    csv = tmp_path / "o.csv"
+    code, out = run(["solve", str(PROBLEMS / "halfline.prob"), "--out", str(csv)])
+    assert code == EXIT_MATH_DOMAIN
+    assert capsys.readouterr().err == "math-domain error: sqrt of negative value -1.0\n"
+    want = REFERENCE["solve:halfline"]
+    assert out == f"wrote {want['rows']} rows to {csv}\n"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == want["csv_sha256"]
 
 
 def write_csv_rowwise(rows, out_path):
@@ -863,14 +881,14 @@ def test_transport_101_a_combines_each_distinct_pair_once(tmp_path, monkeypatch)
     path.write_text(f"[problem]\nkind = transport\nh = {kinks} + 0.25*x^2 - 0.5*x\n"
                     "[grid]\nx_range = -3, 3\nt_range = 0, 2\nnx = 101\nnt = 101\n")
     quads, calls = set(), []
-    real_many, real_combine = cli.transport_operator_many, waves.a_combine
+    real_many, real_combine = waves.transport_operator_many, waves.a_combine
 
     def spied(u, cols, partials, *groups):
         limits = [partials[axis][axis, d][0].view(np.int64).tolist() for axis in (1, 0) for d in (1, -1)]
         quads.update(zip(*limits))
         return real_many(u, cols, partials, *groups)
 
-    monkeypatch.setattr(cli, "transport_operator_many", spied)
+    monkeypatch.setattr(waves, "transport_operator_many", spied)
     monkeypatch.setattr(waves, "a_combine", lambda a, b: calls.append((a, b)) or real_combine(a, b))
     out = io.StringIO()
     assert cmd_solve(str(path), str(tmp_path / "o.csv"), out=out) == EXIT_OK
@@ -996,7 +1014,7 @@ class TestNoScalarWork:
         def spy(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "transport_operator", spy("transport_operator", transport_operator))
+        monkeypatch.setattr(waves, "transport_operator", spy("transport_operator", transport_operator))
         monkeypatch.setattr(np, "searchsorted", spy("searchsorted", np.searchsorted))
         csv = tmp_path / "out.csv"
         assert cmd_solve(str(path), str(csv), out=io.StringIO()) == EXIT_OK

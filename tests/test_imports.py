@@ -63,3 +63,13 @@ def test_quad_does_not_import_specular():
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names]
     assert [n for n in names if "specular" in n.split(".")] == []
+
+
+def test_residual_is_defined_in_waves():
+    """``waves.residual_column`` is the one PDE residual of ``solve`` and
+    ``check``: cli.py names none of the operators it is built from."""
+    operators = {"wave_operator_fields", "transport_operator", "transport_operator_many"}
+    named = [getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+             for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    assert named and operators.isdisjoint(named)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import speculus.expr as expr
 import speculus.piecewise as piecewise
-from speculus.cli import _check_points, load_problem, solve_problem
+from speculus.cli import _residual, load_problem, solve_problem
 from speculus.expr import (
     ONE,
     ZERO,
@@ -52,9 +52,9 @@ from speculus.specular import (
     specular_field,
     specular_partial,
 )
-from speculus.waves import solve_wave_homogeneous, wave_residual
+from speculus.waves import solve_wave_homogeneous
 
-from paper_checks import a_combine_f1, odd_reflection_check
+from paper_checks import a_combine_f1, mixed_partial_residual, odd_reflection_check
 
 X = ("x",)
 XY = ("x", "y")
@@ -236,13 +236,13 @@ class TestS2Membership:
         )
         rep = s2_membership(u)
         assert rep.verdict == "S2"
-        assert rep.symmetry_residual <= 1e-9
+        assert mixed_partial_residual(u) <= 1e-9
 
     def test_smooth_is_s2(self):
         u = from_expression(parse("x^2*y - y^3", XY), XY)
         rep = s2_membership(u)
         assert rep.verdict == "S2"
-        assert rep.symmetry_residual <= 1e-12
+        assert mixed_partial_residual(u) <= 1e-12
 
     def test_regularity_chain_heaviside_not_s1(self):
         # 2D embedding of the Heaviside jump: not even continuous
@@ -388,8 +388,8 @@ def test_proper_leaf_partials_match_sympy(a, b):
 
 
 def test_diff_visits_each_node_once_per_field(monkeypatch):
-    """s2_membership and wave_residual on fixture halfline differentiate
-    each node object at most once per field and variable: 1134 node visits,
+    """s2_membership and the residual check on fixture halfline differentiate
+    each node object at most once per field and variable: 1376 node visits,
     where the memo-free recursion made 3376."""
     prob, u = fixture_function("halfline")
     visits, real = [], expr.diff
@@ -402,7 +402,7 @@ def test_diff_visits_each_node_once_per_field(monkeypatch):
     monkeypatch.setattr(expr, "diff", counted)
     monkeypatch.setattr(piecewise, "diff", counted)
     s2_membership(u)
-    wave_residual(u, prob.f, _check_points(u, prob))
+    _residual(u, prob)
     owner, stack = {}, [u]
     while stack:
         fld = stack.pop()
