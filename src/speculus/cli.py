@@ -59,9 +59,7 @@ from .piecewise import (
     PiecewiseFn,
     Points,
     a_combine,
-    columns,
     filled,
-    finite_abs,
     from_branches,
     from_expression,
     is_proper,
@@ -83,6 +81,7 @@ from .waves import (
     hypothesis_h_check,
     initial_conditions_residual,
     residual_column,
+    residual_max,
     solve_transport,
     solve_wave_halfline,
     solve_wave_homogeneous,
@@ -493,7 +492,8 @@ def _solution_rows(u: PiecewiseFn, prob: Problem) -> np.ndarray:
     transport = prob.kind == "transport"
     axes = ((), (0,), (1,)) if transport else ((), (), ())
     batches = [fld.evaluate_batch(cols, a) for fld, a in zip((u, ux, ut), axes)]
-    table = [(*batch[None], functools.partial(safe_eval, fld)) for batch, fld in zip(batches, (u, ux, ut))]
+    table = [(*batch[None], functools.partial(safe_eval, fld))
+             for batch, fld in zip(batches, (u, ux, ut))]
     table.append(residual_column(u, prob.kind, prob.f, cols, batches[1:] if transport else None))
     return np.column_stack([*cols, *filled(cols, table)])
 
@@ -557,9 +557,7 @@ def _check_points(u: PiecewiseFn, prob: Problem):
 
 
 def _residual(u: PiecewiseFn, prob: Problem):
-    cols = columns(_check_points(u, prob), 2)
-    values = filled(cols, [residual_column(u, prob.kind, prob.f, cols)])[0]
-    return [("max", max(map(finite_abs, values.tolist()), default=0.0))], True
+    return [("max", residual_max(u, prob.kind, prob.f, _check_points(u, prob)))], True
 
 
 def _s2(u: PiecewiseFn, prob: Problem):

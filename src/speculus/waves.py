@@ -429,13 +429,11 @@ def wave_operator_fields(u: PiecewiseFn):
 
 def residual_column(u: PiecewiseFn, kind: str, f: Optional[PiecewiseFn], cols: Points,
                     partials=None) -> tuple:
-    """The PDE residual of u at cols as the (values, covered, scalar) column
-    that ``filled`` takes, for the CSV and for ``check residual``.  For
-    ``transport`` it is dS_t u + dS_x u (``transport_operator_many``, given
-    the partials it takes).  For a wave kind it is W - f, W = dS_t u_t -
-    dS_x u_x, which on a line is the A-combination of its one-sided values,
-    as f stores its own; covered where W and f both are, with the scalar
-    ``safe_eval`` of W minus that of f."""
+    """The PDE residual of u at cols, as the (values, covered, scalar)
+    column that ``filled`` takes: dS_t u + dS_x u for ``transport``
+    (``transport_operator_many``, given the partials it takes); for a wave
+    kind W - f, W = dS_t u_t - dS_x u_x, which on a line is the A-combination
+    of its one-sided values as f stores its own, covered where both are."""
     if kind == "transport":
         return (*transport_operator_many(u, cols, partials), partial(transport_operator, u))
     W = wave_operator_fields(u)[2]
@@ -444,6 +442,13 @@ def residual_column(u: PiecewiseFn, kind: str, f: Optional[PiecewiseFn], cols: P
         return values, covered, partial(safe_eval, W)
     fv, fc = f.evaluate_many(cols)
     return values - fv, covered & fc, lambda p: safe_eval(W, p) - safe_eval(f, p)
+
+
+def residual_max(u: PiecewiseFn, kind: str, f: Optional[PiecewiseFn], points) -> float:
+    """The largest |residual| of u at the points, as ``check residual``
+    prints it: ``residual_column`` ``filled`` there."""
+    cols = columns(points, 2)
+    return max(map(finite_abs, filled(cols, [residual_column(u, kind, f, cols)])[0].tolist()), default=0.0)
 
 
 def transport_operator(u: PiecewiseFn, p) -> float:

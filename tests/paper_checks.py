@@ -1,10 +1,9 @@
 """Verifiers of the paper's criteria that no command runs: the F1 form of
-the A-combination, odd reflection, the PDE residual at chosen points, the
-symmetry of the mixed specular partials, the fundamental-theorem check and
-the specular Green identity.  They call the package's own quadrature
-(``_integrate``, ``_point_values``, ``_edge_breaks``, ``integrate_1d``),
-residual column and specular fields, so each criterion still tests the
-engine."""
+the A-combination, odd reflection, the symmetry of the mixed specular
+partials, the fundamental-theorem check and the specular Green identity.
+They call the package's own quadrature (``_integrate``, ``_point_values``,
+``_edge_breaks``, ``integrate_1d``) and specular fields, so each criterion
+still tests the engine."""
 
 import math
 from dataclasses import dataclass
@@ -19,13 +18,11 @@ from speculus.piecewise import (
     _faces,
     columns,
     filled,
-    finite_abs,
     is_proper,
     merge_forms,
 )
 from speculus.quad import _edge_breaks, _integrate, _point_values, integrate_1d
 from speculus.specular import partial_field, specular_field, specular_partial
-from speculus.waves import residual_column
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +79,7 @@ def odd_reflection_check(u: PiecewiseFn, p, axis: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The PDE residual and the mixed partials
-
-def residual_max(u: PiecewiseFn, f: Optional[PiecewiseFn], points, kind: str = "wave") -> float:
-    """The largest |residual| of the solution u at the points, as ``check
-    residual`` takes it at its own: ``residual_column`` ``filled`` there."""
-    cols = columns(points, 2)
-    values = filled(cols, [residual_column(u, kind, f, cols)])[0]
-    return max(map(finite_abs, values.tolist()), default=0.0)
-
+# The mixed partials
 
 def mixed_partial_residual(u: PiecewiseFn) -> float:
     """max |dS_x u_y - dS_y u_x| of a 2D u at the edge samples of its lines

@@ -34,6 +34,7 @@ from speculus.waves import (
     boundary_residual,
     duhamel_term,
     initial_conditions_residual,
+    residual_max,
     solve_wave_homogeneous,
     wave_operator_fields,
 )
@@ -44,7 +45,6 @@ from paper_checks import (
     antiderivative_check,
     green_check,
     mixed_partial_residual,
-    residual_max,
 )
 
 X = ("x",)
@@ -155,7 +155,7 @@ def test_criterion_05_halfline_wave(halfline_data, halfline_sol):
         (2.0, 0.5), (0.3, 0.2), (0.5, 1.0), (0.2, 1.8),
         (0.8, 0.2), (0.2, 0.8), (0.3, 1.3), (0.7, 0.7), (0.3, 0.3),
     ]
-    assert residual_max(halfline_sol, None, pts) <= 1e-9
+    assert residual_max(halfline_sol, "wave", None, pts) <= 1e-9
     golden = a_combine(2.0, 0.0)
     assert golden == pytest.approx((SQ5 - 1) / 2, abs=1e-12)
     wtt, wxx, _ = wave_operator_fields(halfline_sol)
@@ -181,8 +181,8 @@ def test_criterion_06_nonhomogeneous_counterexample(
     assert abs(lim.right - lim.left) == pytest.approx(0.5, abs=1e-12)
     # residual of the printed form against the printed force: five cases
     pts = [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-2.0, 1.0)]
-    assert residual_max(printed_counterexample_u, f, pts) <= 1e-9
-    assert residual_max(counterexample_sol, f, pts) <= 1e-9
+    assert residual_max(printed_counterexample_u, "wave", f, pts) <= 1e-9
+    assert residual_max(counterexample_sol, "wave", f, pts) <= 1e-9
     # S2 membership fails with both characteristic lines named
     for u in (printed_counterexample_u, counterexample_sol):
         rep = s2_membership(u)

@@ -24,6 +24,9 @@ from speculus.piecewise import (
     ProperReport,
     _edge_samples,
     classify_continuity,
+    columns,
+    filled,
+    finite_abs,
     from_branches,
     from_expression,
     is_proper,
@@ -36,14 +39,14 @@ from speculus.specular import semi_derivative_one_sided
 from speculus.waves import (
     FORM_T,
     initial_conditions_residual,
+    residual_column,
+    residual_max,
     solve_transport,
     solve_wave_halfline,
     solve_wave_homogeneous,
     solve_wave_nonhomogeneous,
     wave_operator_fields,
 )
-
-from paper_checks import residual_max
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 X, XY, XT = ("x",), ("x", "y"), ("x", "t")
@@ -143,12 +146,16 @@ def s2_scalar(u):
     return S2Report(verdict, merge_forms([failure_forms]))
 
 
+def wave_residual(u, f, points):
+    """The wave residual at each point: ``residual_column`` ``filled``, as
+    ``solve`` writes it to the CSV."""
+    cols = columns(points, 2)
+    return filled(cols, [residual_column(u, "wave", f, cols)])[0].tolist()
+
+
 def wave_residual_scalar(u, f, points):
     W = wave_operator_fields(u)[2]
-    worst = 0.0
-    for p in points:
-        worst = max(worst, abs(W.evaluate(p) - (f.evaluate(p) if f is not None else 0.0)))
-    return worst
+    return [W.evaluate(p) - (f.evaluate(p) if f is not None else 0.0) for p in points]
 
 
 def initial_scalar(u, phi, psi, xs):
@@ -182,8 +189,13 @@ def assert_checks_match(u):
 
 
 def assert_residuals_match(u, phi, psi, f, points, xs):
-    """The wave residual and initial_conditions_residual equal their oracles."""
-    assert outcome(residual_max, u, f, points) == outcome(wave_residual_scalar, u, f, points)
+    """The wave residual at each point, its max and initial_conditions_residual
+    equal their oracles."""
+    want = outcome(wave_residual_scalar, u, f, points)
+    assert outcome(wave_residual, u, f, points) == want
+    if want[0] == "ok":
+        assert outcome(residual_max, u, "wave", f, points) == outcome(
+            lambda: max(map(finite_abs, wave_residual_scalar(u, f, points)), default=0.0))
     assert (outcome(initial_conditions_residual, u, phi, psi, xs)
             == outcome(initial_scalar, u, phi, psi, xs))
 
@@ -261,7 +273,7 @@ def test_residual_on_merged_lines_matches_oracle():
     u = from_branches(forms, table, XT)
     assert len(wave_operator_fields(u)[2].forms) == 1
     points = GRID + [(0.5, 0.5), (1.0, 1.0)]
-    assert outcome(residual_max, u, None, points) == outcome(wave_residual_scalar, u, None, points)
+    assert outcome(wave_residual, u, None, points) == outcome(wave_residual_scalar, u, None, points)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +596,7 @@ def test_s2_sample_counts(name, batches, monkeypatch):
     """s2_membership batches its checks of u and of the six derivative
     fields at the edge samples (3 on each edge of a line inside t > 0:
     counterexample has two lines with one edge each, halfline four lines
-    with two, two, one and one), and nothing more: the symmetry residual
-    of the two mixed fields, which no command read, added two batches of
-    9 and 24 points.  The box sampler took 34 and 68 points per field."""
+    with two, two, one and one), and nothing more."""
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
     u = solve_problem(prob)
     sizes, real = [], PiecewiseFn.evaluate_batch
@@ -615,8 +625,7 @@ def _spy_batches(monkeypatch) -> list:
 @pytest.mark.parametrize("name", ["counterexample", "halfline", "corner2d"])
 def test_s2_evaluates_only_edge_points(name, monkeypatch):
     """s2_membership evaluates each field at the cached edge samples of its
-    own lines and nowhere else (it once also evaluated the mixed fields at
-    a fresh point set of edge samples and cell witnesses)."""
+    own lines and nowhere else."""
     prob = load_problem(str(PROBLEMS / f"{name}.prob"))
     u = prob.u if prob.kind is None else solve_problem(prob)
     calls = _spy_batches(monkeypatch)
@@ -626,8 +635,7 @@ def test_s2_evaluates_only_edge_points(name, monkeypatch):
 
 def test_residual_check_evaluates_w_and_f(monkeypatch):
     """check residual of a forced wave evaluates two fields at its points,
-    W = dS_t u_t - dS_x u_x and f, on one point set (four before: wtt and
-    wxx as well, for report rows that no command printed)."""
+    W = dS_t u_t - dS_x u_x and f, on one point set."""
     prob = load_problem(str(PROBLEMS / "counterexample.prob"))
     u = solve_problem(prob)
     calls = _spy_batches(monkeypatch)

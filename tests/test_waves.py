@@ -45,6 +45,7 @@ from speculus.waves import (
     duhamel_term,
     hypothesis_h_check,
     initial_conditions_residual,
+    residual_max,
     solve_transport,
     solve_wave_halfline,
     solve_wave_homogeneous,
@@ -54,7 +55,7 @@ from speculus.waves import (
     wave_operator_fields,
 )
 
-from paper_checks import reflect_axis, residual_max
+from paper_checks import reflect_axis
 
 VARS_X = ("x",)
 VARS_XT = ("x", "t")
@@ -82,7 +83,7 @@ class TestTransport:
         h = from_expression(parse("abs(x)", VARS_X), VARS_X)
         sol = solve_transport(h)
         pts = [(2.0, 0.5), (-1.0, 3.0), (1.0, 1.0), (0.5, 0.5), (-2.0, 1.0)]
-        assert residual_max(sol, None, pts, "transport") <= 1e-9
+        assert residual_max(sol, "transport", None, pts) <= 1e-9
 
     def test_jump_data_rejected(self):
         h = from_expression(parse("sgn(x)", VARS_X), VARS_X)
@@ -267,7 +268,7 @@ class TestHalflineExample:
             (0.7, 0.7),    # on t = x, x + t > 1
             (0.3, 0.3),    # on t = x, x + t < 1
         ]
-        assert residual_max(halfline_sol, None, pts) <= 1e-9
+        assert residual_max(halfline_sol, "wave", None, pts) <= 1e-9
 
     def test_on_line_operator_value_is_a20(self, halfline_sol):
         golden = a_combine(2.0, 0.0)
@@ -341,7 +342,7 @@ class TestClassicalReduction:
         phi = from_expression(parse("sin(x)", VARS_X), VARS_X)
         psi = from_expression(parse("cos(x)", VARS_X), VARS_X)
         sol = solve_wave_homogeneous(phi, psi)
-        assert residual_max(sol, None, [(0.3, 0.7), (-1.0, 1.5), (2.0, 0.2)]) <= 1e-7  # numeric second fields of a smooth branch
+        assert residual_max(sol, "wave", None, [(0.3, 0.7), (-1.0, 1.5), (2.0, 0.2)]) <= 1e-7  # numeric second fields of a smooth branch
 
 
 class TestDuhamel:
@@ -586,7 +587,7 @@ class TestCounterexampleSolution:
 
     def test_solver_residual_five_cases(self, counterexample_sol, counterexample_data):
         _, _, f = counterexample_data
-        assert residual_max(counterexample_sol, f, self._five_case_points()) <= 1e-9
+        assert residual_max(counterexample_sol, "wave", f, self._five_case_points()) <= 1e-9
 
     def test_printed_u_residual_five_cases(
         self, printed_counterexample_u, counterexample_data
@@ -595,7 +596,7 @@ class TestCounterexampleSolution:
         # xt/2 restricted to the middle sector is invisible to the on-line
         # combination semantics (a uniqueness failure of the formulation)
         _, _, f = counterexample_data
-        assert residual_max(printed_counterexample_u, f, self._five_case_points()) <= 1e-9
+        assert residual_max(printed_counterexample_u, "wave", f, self._five_case_points()) <= 1e-9
 
 
 class TestFinitePropagation:
