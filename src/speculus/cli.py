@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -57,6 +58,7 @@ from .piecewise import (
     BranchLookupError,
     CoverageError,
     PiecewiseFn,
+    PointQuery,
     Points,
     a_combine,
     filled,
@@ -386,7 +388,8 @@ def cmd_deriv(path: str, point_str: str, axis: str, out=None) -> int:
     if axis not in u.vars:
         raise ProblemFileError(f"axis {axis!r} not among variables {u.vars}")
     k = u.vars.index(axis)
-    pair = semi_derivatives(u, point, k)
+    q = PointQuery(u, point)  # one pass over the point: each tree evaluated once
+    pair = semi_derivatives(u, q, k)
     value = a_combine(pair.right, pair.left)
     print(f"point = {', '.join(fmt(c) for c in point)}", file=out)
     print(f"axis = {axis}", file=out)
@@ -394,9 +397,9 @@ def cmd_deriv(path: str, point_str: str, axis: str, out=None) -> int:
     print(f"beta = {fmt(pair.left)}", file=out)
     print(f"specular = {fmt(value)}", file=out)
     if u.d == 2:
-        pairs = [pair if j == k else semi_derivatives(u, point, j) for j in (0, 1)]
+        pairs = [pair if j == k else semi_derivatives(u, q, j) for j in (0, 1)]
         try:
-            data = tangent_data(u, point, pairs)
+            data = tangent_data(u, q, pairs)
         except CenterMismatch as exc:
             print(f"tangent = none ({exc})", file=out)
             return EXIT_OK
@@ -660,8 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap_d = sub.add_parser("deriv", help="semi/specular derivatives at a point")
     ap_d.add_argument("file")
-    ap_d.add_argument("--point", required=True,
-                      help="x or x,y; a negative first coordinate takes the = form, --point=-1,0.5")
+    ap_d.add_argument("--point", required=True, help="x or x,y")
     ap_d.add_argument("--axis", required=True, choices=["x", "y", "t"])
 
     ap_s = sub.add_parser("solve", help="solve and export a sampled field as CSV")
@@ -678,6 +680,12 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --point -1,0.5 as --point=-1,0.5: argparse takes a value that starts
+    # with '-' for an option unless it is one number
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--point={argv[i]}"]
     args = _PARSER.parse_args(argv)
     try:
         if args.command == "deriv":

@@ -353,14 +353,6 @@ class PiecewiseFn:
             return tuple(self._limit_node(sv, axis, d) for d in (-1, 1))
         return BranchLookupError(f"no adjacent branch for sign vector {sv}")
 
-    def _node_value(self, node, p: Sequence[float]) -> float:
-        """A node at p: its branch, ``proper_value`` of a pair, or its error."""
-        if isinstance(node, Exception):
-            raise node
-        if isinstance(node, tuple):
-            return proper_value(*(self._node_value(m, p) for m in node))
-        return eval_expr(node, dict(zip(self.vars, p)))
-
     def limit_slope(self, s: Pattern, axis: int, direction: int) -> Expr:
         """The derivative along the axis of what u takes on the given side at
         sign vector s (``_limit_node``: the adjacent branch, or the
@@ -385,7 +377,7 @@ class PiecewiseFn:
             what = ("branch" if 0 not in s else "branch or source" if self.policy == "direct"
                     else "on-line branch")
             raise BranchLookupError(f"no {what} for sign vector {s} at {tuple(p)}")
-        return self._node_value(node, p)
+        return _node_value(node, dict(zip(self.vars, p)), {})
 
     def evaluate_many(self, cols: Sequence[np.ndarray]) -> tuple:
         """``evaluate`` at many points: the (values, covered) of ``evaluate_batch``."""
@@ -443,7 +435,46 @@ class PiecewiseFn:
     def one_sided_value(self, p, s, axis: int, direction: int) -> float:
         """The limit of u at p (sign vector s) approached along the axis from
         the given side."""
-        return self._node_value(self._limit_node(s, axis, direction), p)
+        return _node_value(self._limit_node(s, axis, direction), dict(zip(self.vars, p)), {})
+
+
+class PointQuery(tuple):
+    """A point kept for one scalar query of u (a ``deriv``): its sign vector
+    is taken once, and each tree and limit read at it is evaluated once.
+    ``PointQuery`` of u and a query of u is that query."""
+
+    def __new__(cls, u: PiecewiseFn, p: Sequence[float]) -> PointQuery:
+        if isinstance(p, PointQuery) and p.u is u:
+            return p
+        self = super().__new__(cls, p)
+        self.u, self.s = u, u.sign_vector(self)
+        self._env, self._trees, self._limits = dict(zip(u.vars, self)), {}, {}
+        return self
+
+    def limit(self, axis: int, direction: int) -> float:
+        """``one_sided_value``, kept by the adjacent sign vector (its node)."""
+        sv = self.u.adjacent_sign_vector(self.s, axis, direction)
+        if sv not in self._limits:
+            self._limits[sv] = _node_value(self.u._limit_node(self.s, axis, direction),
+                                           self._env, self._trees)
+        return self._limits[sv]
+
+    def slope(self, axis: int, direction: int) -> float:
+        """The value of ``limit_slope``."""
+        return _node_value(self.u.limit_slope(self.s, axis, direction), self._env, self._trees)
+
+
+def _node_value(node, env: dict, memo: dict) -> float:
+    """A node at the point of env: its branch, ``proper_value`` of a pair,
+    or its error.  memo keeps each tree by id, with its value, so a tree is
+    evaluated once per memo."""
+    if isinstance(node, Exception):
+        raise node
+    if isinstance(node, tuple):
+        return proper_value(*(_node_value(m, env, memo) for m in node))
+    if id(node) not in memo:
+        memo[id(node)] = node, eval_expr(node, env)
+    return memo[id(node)][1]
 
 
 def _route(node, idx: np.ndarray, trees: dict) -> None:

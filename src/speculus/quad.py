@@ -7,10 +7,10 @@ Gauss-Legendre rule on the Duffy-collapsed square (Duffy, SIAM J. Numer.
 Anal. 19, 1982) against the 8 x 8 one.  A cell whose two agree to
 ``QUAD_TOL`` (absolute+relative) keeps its value; any other is split,
 intervals in halves and triangles in quarters, within ``MAX_DEPTH``
-splits; no call overrides them.  It refines in rounds of one batch call
-each, depth-first order first, and an integral is the ``fsum`` of its
-kept values, so it depends neither on the rounds nor on the cells refined
-beside it.  An integrand error or a non-finite rule value is raised where
+splits and ``CELL_BUDGET`` cells a call; no call overrides them.  It
+refines in rounds of one batch call each, depth-first order first, and an
+integral is the ``fsum`` of its kept values, so it depends neither on the
+rounds nor on the cells refined beside it.  An integrand error or a non-finite rule value is raised where
 a round meets it.
 
 1D integrals split the interval at singular points first (``_edge_breaks``),
@@ -75,6 +75,10 @@ _DUFFY_U, _DUFFY_UV = np.concatenate(_DUFFY_U), np.concatenate(_DUFFY_UV)
 
 QUAD_TOL = 1e-10
 MAX_DEPTH = 30
+# cells one engine call may evaluate: along a line singularity, or for an
+# oscillating integrand, cells converge within MAX_DEPTH, but their number
+# grows like 2^depth or 4^depth
+CELL_BUDGET = 16384
 # cells per round, depth-first order first (triangles: an eighth as many, 164
 # points each against 22), so an integrand that converges nowhere fails after
 # about MAX_DEPTH rounds instead of doubling its live cells every round
@@ -137,14 +141,20 @@ def adaptive_panel(sums, split, cells, per_round, label) -> list:
     Each round makes one sums call at the first per_round live cells in
     depth-first order.  A cell whose value and estimate agree to QUAD_TOL
     is accepted; a non-finite value or estimate, or a cell at MAX_DEPTH,
-    raises QuadratureError named label(cell); any other cell is split.  An
-    error of sums is raised where it is met: round by round, and in batch
-    order within one."""
-    tol, max_depth = QUAD_TOL, MAX_DEPTH  # read once, not per cell
-    pieces = [[] for _ in cells]
+    raises QuadratureError named label(cell); any other cell is split.  A
+    round that would take the call past CELL_BUDGET cells raises instead,
+    named by the input cell of its first.  An error of sums is raised where
+    it is met: round by round, and in batch order within one."""
+    tol, max_depth, budget = QUAD_TOL, MAX_DEPTH, CELL_BUDGET  # read once, not per cell
+    pieces, left = [[] for _ in cells], budget
     live = [(cell, 0, k) for k, cell in enumerate(cells)]  # cell, depth, input index
     while live:
         batch, live = live[:per_round], live[per_round:]
+        left -= len(batch)
+        if left < 0:
+            first = cells[batch[0][2]]
+            raise QuadratureError(f"quadrature {label(first)} needs more than {budget} cells",
+                                  panel=first)
         rules, refined = sums([c for c, _, _ in batch], [k for _, _, k in batch]), []
         for (cell, depth, k), (value, estimate) in zip(batch, rules):
             gap = abs(value - estimate)

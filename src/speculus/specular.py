@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import eval_expr
 from .piecewise import (
     PiecewiseFn,
+    PointQuery,
     a_combine,
     classify_continuity,
     is_proper,
@@ -49,8 +49,9 @@ class SemiDerivativePair:
 
 def semi_derivative_one_sided(u: PiecewiseFn, p, axis: int, direction: int) -> float:
     """Just one of alpha/beta: the slope (``limit_slope``) of that side at p;
-    usable at domain-boundary points where the other side has no branch."""
-    val = eval_expr(u.limit_slope(u.sign_vector(p), axis, direction), dict(zip(u.vars, p)))
+    usable at domain-boundary points where the other side has no branch.
+    p may be a ``PointQuery`` of u, which keeps the values it reads."""
+    val = PointQuery(u, p).slope(axis, direction)
     if not math.isfinite(val):
         raise SpecularError(f"non-finite semi-derivative at {tuple(p)} axis {axis}")
     return val

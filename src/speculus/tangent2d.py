@@ -9,18 +9,20 @@ plane through all four exists iff the strong criterion
 vanishes (alpha_i, beta_i the semi-derivative slopes); then the plane's
 normal is (dS_x u, dS_y u, -1).  Otherwise each 3-element subset of the
 four points spans a weak tangent plane.  ``tangent_data`` is the one entry:
-it returns all of this at a point as a ``TangentData``.
+it returns all of this at a point as a ``TangentData``, from one pass over
+the point (a ``PointQuery``); the weak planes are computed on first access.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .piecewise import PiecewiseFn, tol_jump
+from .piecewise import PiecewiseFn, PointQuery, tol_jump
 from .specular import a_combine, semi_derivatives
 
 
@@ -34,13 +36,21 @@ class CenterMismatch(TangentError):
 
 @dataclass
 class TangentData:
+    """The tangent geometry at one point.  ``planes`` and
+    ``degenerate_triples`` (``_weak_planes``) are computed on first access:
+    ``deriv`` prints the planes only where the strong criterion fails."""
     anchor: tuple                 # (a1, a2, u[a])
     pairs: tuple                  # (SemiDerivativePair axis 0, axis 1)
     points: tuple                 # (p1, q1, p2, q2) as np arrays
     criterion_residual: float
     normal: Optional[tuple]       # present iff residual within tol
-    planes: list                  # (c1, c2, c0) with z = c1 x + c2 y + c0
-    degenerate_triples: list
+
+    @functools.cached_property
+    def _weak(self) -> tuple:
+        return _weak_planes(self.points, self.normal is not None)
+
+    planes = property(lambda self: self._weak[0])  # (c1, c2, c0) with z = c1 x + c2 y + c0
+    degenerate_triples = property(lambda self: self._weak[1])
 
 
 def _check_center(mid1: float, mid2: float) -> float:
@@ -71,15 +81,21 @@ def _criterion(pair1, pair2) -> tuple:
     return res, tol_jump(a1, b1, a2, b2)
 
 
+def _cross(a, b) -> tuple:
+    """a x b on floats, in ``np.cross``'s order of operations: its bits."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def _normal(pair1, pair2, points):
     """(dS_x u, dS_y u, -1) where the strong criterion holds, verified
     parallel to l1 x l2, the lines through p1, q1 and p2, q2."""
     n = (a_combine(pair1.right, pair1.left), a_combine(pair2.right, pair2.left), -1.0)
     p1, q1, p2, q2 = points
-    cross = np.cross(p1 - q1, p2 - q2)
-    nv = np.array(n)
+    cross = _cross((p1 - q1).tolist(), (p2 - q2).tolist())
     # parallelism: cross x n = 0
-    mism = np.linalg.norm(np.cross(cross, nv)) / (np.linalg.norm(cross) * np.linalg.norm(nv))
+    mism = np.linalg.norm(_cross(cross, n)) / (np.linalg.norm(cross) * np.linalg.norm(n))
     if mism > 1e-9:
         raise TangentError(f"normal not parallel to l1 x l2 (mismatch {mism:.3e})")
     return n
@@ -122,14 +138,15 @@ def _weak_planes(points, strong: bool):
 def tangent_data(u: PiecewiseFn, a, pairs=None) -> TangentData:
     """The tangent geometry of u at a, from the semi-derivative pairs along
     both axes (computed unless given), then the anchor, which raises
-    CenterMismatch when the two axes' mids disagree."""
+    CenterMismatch when the two axes' mids disagree; all read from one
+    ``PointQuery`` of a (a itself when it is one)."""
     if u.d != 2:
         raise TangentError("tangent geometry is 2D only")
-    pair1, pair2 = pairs or (semi_derivatives(u, a, 0), semi_derivatives(u, a, 1))
-    anchor = (a[0], a[1], _check_center(u.one_sided_limits(a, 0).mid, u.one_sided_limits(a, 1).mid))
+    q = PointQuery(u, a)
+    pair1, pair2 = pairs or (semi_derivatives(u, q, 0), semi_derivatives(u, q, 1))
+    mid1, mid2 = (0.5 * (q.limit(axis, -1) + q.limit(axis, +1)) for axis in (0, 1))
+    anchor = (a[0], a[1], _check_center(mid1, mid2))
     points = _sphere_points(anchor, pair1, pair2)
     res, tol = _criterion(pair1, pair2)
-    strong = abs(res) <= tol
-    normal = _normal(pair1, pair2, points) if strong else None
-    planes, degenerate = _weak_planes(points, strong)
-    return TangentData(anchor, (pair1, pair2), points, res, normal, planes, degenerate)
+    normal = _normal(pair1, pair2, points) if abs(res) <= tol else None
+    return TangentData(anchor, (pair1, pair2), points, res, normal)

@@ -36,6 +36,7 @@ from speculus.cli import (
     parse_problem_file,
 )
 import speculus.piecewise as piecewise
+import speculus.quad as quad
 import speculus.specular as specular
 import speculus.waves as waves
 from speculus.expr import AffineForm, EvalDomainError, Expr, ExprError, normalize_affine, parse
@@ -266,11 +267,28 @@ class TestDeriv:
         assert out.splitlines()[-1] == (
             "tangent = none (u[a]_(1) = 1.0 differs from u[a]_(2) = 0.6180339887498948)")
 
-    def test_math_domain_exit_3(self, tmp_path):
+    def test_math_domain_exit_3(self, tmp_path, capsys):
         p = tmp_path / "dom.prob"
         p.write_text("[problem]\nu = sqrt(x)\nvars = x\n")
-        code, _ = run(["deriv", str(p), "--point", "-4", "--axis", "x"])
-        assert code == EXIT_MATH_DOMAIN
+        for point in (["--point", "-4"], ["--point=-4"]):
+            code, _ = run(["deriv", str(p), *point, "--axis", "x"])
+            assert code == EXIT_MATH_DOMAIN
+            assert capsys.readouterr().err == "math-domain error: sqrt of negative value -4.0\n"
+
+    @pytest.mark.parametrize("name, point", [
+        ("corner2d", "-1,0.5"), ("corner2d", "-.5,-2"), ("table2d", "-1e-3,7"), ("halfline", "-1,1")])
+    def test_negative_first_coordinate_takes_either_spelling(self, name, point, capsys):
+        """``--point -1,0.5`` is the report of ``--point=-1,0.5``, with the
+        flag before or after --axis (argparse alone reads -1,0.5 as an
+        option and exits 2 with its usage message)."""
+        path = str(PROBLEMS / f"{name}.prob")
+        code, out = run(["deriv", path, f"--point={point}", "--axis", "x"])
+        err = capsys.readouterr().err
+        assert out or err.count("\n") == 1  # halfline lives on x > 0: a one-line error
+        for argv in (["deriv", path, "--point", point, "--axis", "x"],
+                     ["deriv", path, "--axis", "x", "--point", point]):
+            assert run(argv) == (code, out)
+            assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("point, message", [
         ("abc,1", "point 'abc,1': could not convert string to float: 'abc'"),
@@ -369,6 +387,96 @@ class TestSemiDerivativeWork:
             assert out.getvalue() == report
             assert run(["deriv", str(p), "--point", "1,0", "--axis", axis])[0] == EXIT_MATH_DOMAIN
             assert capsys.readouterr().err == "math-domain error: division by zero\n"
+
+
+class TestOnePass:
+    """A deriv query is one pass over its point (a ``PointQuery``): one sign
+    vector, each tree evaluated once, and weak planes only where printed."""
+
+    SPECULAR_JUMP = ("[problem]\nu = @g\n[g]\nvars = x, y\nforms = x\n"
+                     "branch = + : 2\nbranch = - : 0.5\npolicy = specular\n")
+
+    @pytest.mark.parametrize("name, point", [
+        ("table2d", "4,1"),    # off both lines
+        ("table2d", "3,1"),    # on x = 3
+        ("table2d", "1,2"),    # on 2x - y = 0
+        ("table2d", "3,6"),    # where the two lines cross
+        ("corner2d", "0,0"),   # on both lines, weak
+        ("jump", "0,0.5"),     # on a specular line: the y limits are pairs
+    ])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_each_tree_once(self, name, point, axis, tmp_path, monkeypatch):
+        """Top-level scalar evaluations.  Without the query a 2D deriv took
+        6 sign vectors, and evaluated a branch at an off-line point 4 times."""
+        path = PROBLEMS / f"{name}.prob"
+        if name == "jump":
+            path = tmp_path / "jump.prob"
+            path.write_text(self.SPECULAR_JUMP)
+        signs, trees = [], []
+        real_sign, real_eval = PiecewiseFn.sign_vector, piecewise.eval_expr
+        monkeypatch.setattr(PiecewiseFn, "sign_vector",
+                            lambda self, p: signs.append(p) or real_sign(self, p))
+        monkeypatch.setattr(piecewise, "eval_expr", lambda e, env: trees.append(e) or real_eval(e, env))
+        out = io.StringIO()
+        assert cmd_deriv(str(path), point, axis, out=out) == EXIT_OK
+        assert "criterion_residual" in out.getvalue() or "tangent = none" in out.getvalue()
+        assert len(signs) == 1
+        assert trees and len({id(e) for e in trees}) == len(trees)
+
+    def test_strong_point_makes_no_solve(self, monkeypatch):
+        """At a strong point deriv prints the normal, and no weak plane is
+        solved for; at a weak one each of the four triples is."""
+        calls, real = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or real(*args))
+        for name, point, solves, printed in (("table2d", "4,1", 0, "normal"),
+                                             ("corner2d", "1,1", 0, "normal"),
+                                             ("corner2d", "0,0", 4, "weak_planes")):
+            out = io.StringIO()
+            assert cmd_deriv(str(PROBLEMS / f"{name}.prob"), point, "x", out=out) == EXIT_OK
+            assert printed in kv(out.getvalue())
+            assert len(calls) == solves
+            calls.clear()
+
+
+class TestCellBudget:
+    """Two forced-wave solves whose quadrature ran for minutes: each engine
+    call now stops at ``CELL_BUDGET`` cells, and the command exits 3 with
+    one line.  The work is pinned by cells counted under a budget of 1 024:
+    7 102 and 5 591 cells over the whole command (at the default budget
+    they take 0.7 s and 4.6 s on a 2-core x86_64 VM)."""
+
+    @pytest.mark.parametrize("data, stdout, message", [
+        # a dependence triangle whose edge lies 1.4e-6 from the pole line x + t = 0;
+        # the batch's leaf gives up at its budget, and filled meets the first error
+        ("psi = 3*(x^1/sin(x))*sgn(0*x)\nf = x/(x + t)^3 - sgn(3*x + 0*t)", "",
+         "math-domain error: division by zero"),
+        # a smooth force that oscillates ever faster: the CSV is written, and
+        # the S2 warning's edge samples out to x = 10 run out of cells
+        ("psi = abs(x - 7)\nf = sin(cos((x - t)^3))", "wrote 20 rows to <out>\n",
+         "math-domain error: quadrature triangle ((5.0, 0.0), (7.0, 0.0), (6.0, 1.0)) "
+         "needs more than 1024 cells"),
+    ])
+    def test_slow_solve_ends_at_the_budget(self, data, stdout, message, tmp_path, monkeypatch, capsys):
+        path, csv = tmp_path / "slow.prob", tmp_path / "out.csv"
+        path.write_text(f"[problem]\nkind = wave-nonhomogeneous\nphi = x\n{data}\n"
+                        "[grid]\nx_range = -2, 2\nt_range = 0, 1\nnx = 5\nnt = 4\n")
+        calls, real = [], quad.adaptive_panel
+
+        def counted(sums, *rest):
+            calls.append(0)
+
+            def tally(cells, keys):
+                calls[-1] += len(cells)
+                return sums(cells, keys)
+            return real(tally, *rest)
+
+        monkeypatch.setattr(quad, "adaptive_panel", counted)
+        monkeypatch.setattr(quad, "CELL_BUDGET", 1024)
+        code, out = run(["solve", str(path), "--out", str(csv)])
+        assert (code, out.replace(str(csv), "<out>")) == (EXIT_MATH_DOMAIN, stdout)
+        assert capsys.readouterr().err == message + "\n"
+        assert max(calls) <= 1024 and max(calls) > 1024 - 128  # a call ran out: its next round did not fit
+        assert sum(calls) <= 8 * 1024
 
 
 @pytest.mark.parametrize("case", sorted(DERIV_REFERENCE))

@@ -1,13 +1,18 @@
 """The package imports only the standard library, numpy and itself, so no
-runtime dependency can come back unnoticed."""
+runtime dependency can come back unnoticed; the tests import nothing else
+that the ``test`` extra does not declare."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "speculus"
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "speculus"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "speculus"}
 
 
@@ -21,6 +26,33 @@ def test_absolute_imports_are_stdlib_numpy_or_speculus():
                 found += [(path.name, node.module)]
     assert found
     assert [(f, m) for f, m in found if m.split(".")[0] not in ALLOWED] == []
+
+
+def test_tests_import_only_declared_modules():
+    """Every third-party module that a test imports, by an import statement
+    or by ``pytest.importorskip``, is numpy or is declared in the ``test``
+    extra of ``pyproject.toml``: an oracle test is not skipped for want of a
+    module that an install of the extra leaves out."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(TESTS.parent / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group() for req in extra}
+    found = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+                found.add(node.args[0].value)
+    local = {path.stem for path in TESTS.glob("*.py")}
+    third = {m.split(".")[0] for m in found} - ALLOWED - local
+    assert {"sympy", "mpmath"} <= third
+    assert third - declared == set()
 
 
 def test_cli_and_quad_do_not_load_numpy_polynomial():

@@ -488,6 +488,30 @@ class TestQuadratureErrors:
             integrate_triangle(f, 0.0, 1.0)
         assert len(got.value.panel) == 3
 
+    @pytest.mark.parametrize("budget, cells, raises", [(quad.CELL_BUDGET, 2523, False),
+                                                       (2048, 2019, True)])
+    def test_cell_budget(self, budget, cells, raises, monkeypatch):
+        """sqrt(|x - t/4|) converges along its line in 2 523 cells, within
+        CELL_BUDGET.  Under a budget of 2 048 the round that would pass it
+        raises instead, named by the fan triangle it began from, after
+        evaluating no more cells than the budget."""
+        f = from_expression(parse("sqrt(abs(x - 0.25*t))", XT), XT)
+        fan, seen = [], []
+        real_panel, real_sums = quad.adaptive_panel, quad._duffy_sums
+        monkeypatch.setattr(quad, "adaptive_panel", lambda sums, split, cells, *rest:
+                            fan.extend(cells) or real_panel(sums, split, cells, *rest))
+        monkeypatch.setattr(quad, "_duffy_sums", lambda g, tris, keys: seen.append(len(tris))
+                            or real_sums(g, tris, keys))
+        monkeypatch.setattr(quad, "CELL_BUDGET", budget)
+        if raises:
+            with pytest.raises(QuadratureError) as got:
+                integrate_triangle(f, 0.0, 1.0)
+            assert got.value.panel in fan
+            assert str(got.value) == f"quadrature triangle {got.value.panel} needs more than 2048 cells"
+        else:
+            integrate_triangle(f, 0.0, 1.0)
+        assert sum(seen) == cells
+
     def test_nonconvergent_integral_raises(self):
         tall_step = lambda x: 1e6 if x > 0.3 else 0.0
         with pytest.raises(QuadratureError, match=r"^quadrature panel .* failed to converge") as got:

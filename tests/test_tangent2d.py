@@ -178,3 +178,31 @@ class TestTangentData:
         assert tangent_data(corner_fn, (0.0, 0.0)).normal is None
         assert tangent_data(smooth, (0.5, -0.3)).normal is not None
         assert len(calls) == 2
+
+
+class TestLazyPlanes:
+    @pytest.mark.parametrize("text, a", [
+        ("(1/2)*(x + abs(x)) + (1/2)*y + (3/2)*abs(y)", (0.0, 0.0)),  # weak: four planes
+        ("abs(2*x - y) + abs(x - 3)", (3.0, 1.0)),                      # weak, on x = 3
+        ("x^2 - x*y + 3*y", (1.0, -2.0)),                               # strong, smooth
+        ("abs(x) + abs(y)", (0.0, 0.0)),                                # strong, on both lines
+    ])
+    def test_planes_on_first_access_are_those_of_the_points(self, text, a):
+        """``planes`` and ``degenerate_triples``, computed on first access,
+        are ``_weak_planes`` of the sphere points and the strong verdict."""
+        data = tangent_data(from_expression(parse(text, XY), XY), a)
+        assert "_weak" not in vars(data)
+        planes, degenerate = tangent2d._weak_planes(data.points, data.normal is not None)
+        assert data.planes == planes and data.degenerate_triples == degenerate
+        assert data.planes is data.planes
+
+
+def test_float_cross_is_np_cross_bit_for_bit():
+    """``_cross`` runs np.cross's operations on floats: the same bits on
+    seeded vectors of mixed magnitudes, so the parallelism test of the
+    normal, which takes np.linalg.norm of them, is unchanged."""
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-8, 8, size=(2, 1))
+        got = np.array(tangent2d._cross(a.tolist(), b.tolist()))
+        assert got.view(np.int64).tolist() == np.cross(a, b).view(np.int64).tolist()
