@@ -20,7 +20,11 @@ as an ``Expr``; ``diff`` then applies the chain rule, and raises
 evaluates at many points and is bitwise the same wherever it does not flag
 a point.  It sends exp, sin, cos and integer powers through ``math`` and
 Python ``**``, because numpy's versions differ from libm in the last bit
-on some inputs.
+on some inputs.  Given a formula's source, its ``singular_record`` and a
+sign pattern per point, it is bitwise ``eval_expr`` of the branch that
+``pin_signs`` makes at each point's pattern, without making it: each
+abs/sgn node reads its form's sign, and the smart constructors' folds are
+taken point by point where the signs make a Const 0.
 
 ``pin_signs`` defines the branch of a formula for one sign assignment: the
 tree rebuilt bottom-up through the smart constructors, each abs/sgn node
@@ -475,7 +479,8 @@ def _each(fn: Callable[..., float], v, bad: np.ndarray, *extra) -> np.ndarray:
 _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
-def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.ndarray:
+def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray,
+               signs: Optional[tuple] = None) -> np.ndarray:
     """eval_expr at many points at once: cols maps each variable to a float
     array, and the result is bitwise what eval_expr gives point by point.
 
@@ -489,27 +494,47 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray) -> np.n
     would raise (a zero divisor, a negative sqrt argument, an overflow, an
     Opaque leaf's exception, which sets every later point too) the point is
     set in bad instead, and its value is meaningless; nothing raises.
-    numpy's error state is set once, around the whole walk."""
+    numpy's error state is set once, around the whole walk.
+
+    With signs, a (record, matrix) pair, e is a formula's source with the
+    ``singular_record`` record, each row of the matrix is the sign pattern
+    of its point (one float column per form, no zero), and the result at
+    each point is bitwise eval_expr of ``pin_signs`` of e at its row's
+    pattern: each abs/sgn node reads its form's sign column, and the
+    folds of the smart constructors are taken where they apply.  A point
+    where that pin or that branch would raise is set in bad."""
     with np.errstate(all="ignore"):
-        out = _eval_array(e, cols, bad)
+        out = _eval_array(e, cols, bad) if signs is None else _eval_pinned(e, cols, bad, *signs)[0]
     return np.full(len(bad), out) if np.ndim(out) == 0 else out
+
+
+def _arith(op: str, a, b, bad: np.ndarray):
+    """a op b as numpy computes it, a zero divisor set in bad."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    zero = b == 0.0
+    bad |= zero
+    return a / np.where(zero, 1.0, b)
+
+
+def _call(func: str, v, bad: np.ndarray):
+    """exp, sin, cos or sqrt of the values v."""
+    if func == "sqrt":
+        negative = v < 0.0
+        bad |= negative
+        return np.sqrt(np.where(negative, 0.0, v))
+    return _each(_MATH[func], v, bad)
 
 
 def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray):
     """The values of e as an array, or as a scalar where e depends on no
     column (a Const is its Python float, and numpy broadcasts it)."""
     if type(e) is BinOp:
-        a = _eval_array(e.left, cols, bad)
-        b = _eval_array(e.right, cols, bad)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        zero = b == 0.0
-        bad |= zero
-        return a / np.where(zero, 1.0, b)
+        return _arith(e.op, _eval_array(e.left, cols, bad), _eval_array(e.right, cols, bad), bad)
     if type(e) is Const:
         return e.value
     n = len(bad)
@@ -528,11 +553,7 @@ def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray):
             return np.abs(v)
         if e.func == "sgn":
             return np.greater(v, 0.0).astype(float) - np.less(v, 0.0)
-        if e.func == "sqrt":
-            negative = v < 0.0
-            bad |= negative
-            return np.sqrt(np.where(negative, 0.0, v))
-        return _each(_MATH[e.func], v, bad)
+        return _call(e.func, v, bad)
     if isinstance(e, Opaque):
         args = [v.tolist() if np.ndim(v) else [float(v)] * n
                 for v in [_eval_array(a, cols, bad) for a in e.args]]
@@ -545,6 +566,88 @@ def _eval_array(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray):
                 break
         return out
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _eval_pinned(e: Expr, cols: Mapping[str, np.ndarray], bad: np.ndarray, record: dict,
+                 signs: np.ndarray) -> tuple:
+    """(values, const) of the branch ``pin_signs`` makes of the source node e
+    at each row's signs: const is True or False where that branch has a
+    Const here at every row or at none, else a mask of the rows where it
+    does.  Only a Const folds a smart constructor, so const is what the
+    parents need to take the same folds.  Every subtree is evaluated but an
+    abs/sgn node's argument that the branch drops (of a sgn, or constant),
+    where a pin cannot fail, so a pin that would raise sets its rows in bad."""
+    if type(e) is BinOp:
+        a, ca = _eval_pinned(e.left, cols, bad, record, signs)
+        b, cb = _eval_pinned(e.right, cols, bad, record, signs)
+        if ca is False and cb is False:  # no Const, no fold
+            return _arith(e.op, a, b, bad), False
+        return _fold(e.op, a, ca, b, cb, bad)
+    if type(e) is Const:
+        return e.value, True
+    if type(e) is Var:
+        return _eval_array(e, cols, bad), False
+    if isinstance(e, Neg):
+        v, const = _eval_pinned(e.operand, cols, bad, record, signs)
+        return -v, const
+    if isinstance(e, Pow):
+        v, const = _eval_pinned(e.base, cols, bad, record, signs)
+        if e.exponent == 0:  # powi's ONE
+            return 1.0, True
+        return _each(pow, v, bad, e.exponent), const  # a Const's overflow raises in the pin too
+    if isinstance(e, Call):
+        if e.func in ("abs", "sgn"):
+            _, k, flip = record[id(e)]
+            if k is None:
+                return flip, True
+            sigma = signs[:, k] if flip > 0 else -signs[:, k]
+            if e.func == "sgn":
+                return sigma, True
+            return sigma * _eval_pinned(e.arg, cols, bad, record, signs)[0], False
+        return _call(e.func, _eval_pinned(e.arg, cols, bad, record, signs)[0], bad), False
+    raise TypeError(f"not a source node: {e!r}")
+
+
+def _zeros(v, const):
+    """Where v is a Const 0 of the branch: False, True, or a row mask."""
+    if const is False:
+        return False
+    if type(v) is float:  # a Const of every branch
+        return v == 0.0
+    z = v == 0.0 if const is True else np.logical_and(const, v == 0.0)
+    return z if z.any() else False
+
+
+def _uniform(mask):
+    """A const mask as True or False where every row agrees."""
+    if np.ndim(mask) == 0:
+        return bool(mask)
+    return True if mask.all() else mask if mask.any() else False
+
+
+def _fold(op: str, a, ca, b, cb, bad: np.ndarray) -> tuple:
+    """(a op b, const) as the smart constructor of op builds it row by row
+    from (values, const) operands: two Consts fold to the same operation, a
+    Const 0 beside a non-Const folds (0 + b to b, 0 - b to -b, a - 0 to a,
+    0 * b and 0 / b to 0), and a Const divisor 0 raises in the pin.  A
+    Const 1 folds too, to the same bits."""
+    za, zb = _zeros(a, ca), _zeros(b, cb)
+    const = (False if ca is False or cb is False else True if ca is True and cb is True
+             else _uniform(np.logical_and(ca, cb)))
+    if za is False and zb is False:
+        return _arith(op, a, b, bad), const
+    lone_a = np.logical_and(za, np.logical_not(cb))  # a Const 0 beside a non-Const
+    lone_b = np.logical_and(zb, np.logical_not(ca))
+    if op == "+":
+        return np.where(lone_a, b, np.where(lone_b, a, a + b)), const
+    if op == "-":
+        return np.where(lone_b, a, np.where(lone_a, -b, a - b)), const
+    if op == "*":
+        lone = lone_a | lone_b
+        return np.where(lone, 0.0, a * b), _uniform(np.logical_or(const, lone))
+    bad |= (b == 0.0) & ~lone_a  # a Const divisor 0 raises, any other divides
+    return (np.where(lone_a, 0.0, a / np.where(b == 0.0, 1.0, b)),
+            _uniform(np.logical_or(const, lone_a)))
 
 
 def free_vars(e: Expr) -> set[str]:
@@ -730,36 +833,63 @@ def as_affine(e: Expr, vars: Sequence[str]):
     return None
 
 
-def _singular_args(e: Expr) -> Iterable[Expr]:
+def _singular_nodes(e: Expr) -> Iterable[Expr]:
+    """The abs/sgn nodes of e, outer first, and its Opaque leaves, whose
+    arguments are not searched."""
     if isinstance(e, Call):
         if e.func in ("abs", "sgn"):
-            yield e.arg
-        yield from _singular_args(e.arg)
+            yield e
+        yield from _singular_nodes(e.arg)
     elif isinstance(e, Neg):
-        yield from _singular_args(e.operand)
+        yield from _singular_nodes(e.operand)
     elif isinstance(e, Pow):
-        yield from _singular_args(e.base)
+        yield from _singular_nodes(e.base)
     elif isinstance(e, BinOp):
-        yield from _singular_args(e.left)
-        yield from _singular_args(e.right)
+        yield from _singular_nodes(e.left)
+        yield from _singular_nodes(e.right)
+    elif isinstance(e, Opaque):
+        yield e
+
+
+def singular_record(e: Expr, vars: Sequence[str]) -> tuple:
+    """(forms, record): all normalized affine forms under abs/sgn,
+    deduplicated in order of first appearance, and what ``pin_signs``
+    resolves each abs/sgn node to under an assignment to those forms, as
+    id(node) -> (node, k, flip): the node takes the sign of form k times
+    flip (the orientation of its argument against the form), or, with k
+    None, is the constant flip.  The record is None when e has an Opaque
+    leaf (``pin_signs`` folds such a leaf by its arguments' free variables,
+    which the record does not follow)."""
+    forms: list[AffineForm] = []
+    record: Optional[dict] = {}
+    for node in _singular_nodes(e):
+        if isinstance(node, Opaque):
+            record = None
+            continue
+        aff = as_affine(node.arg, vars)
+        if aff is None:
+            raise NonAffineSingularity(
+                f"abs/sgn argument {format_expr(node.arg)!r} is not affine in {list(vars)}"
+            )
+        if not any(c != 0.0 for c in aff[0]):  # constant argument, no singular set
+            v = aff[1]
+            entry = (node, None, float((v > 0.0) - (v < 0.0)) if node.func == "sgn" else abs(v))
+        else:
+            form, scale = normalize_affine(*aff)
+            k = find_form(forms, form)
+            if k < 0:
+                k = len(forms)
+                forms.append(form)
+            entry = (node, k, 1.0 if scale > 0 else -1.0)
+        if record is not None:
+            record[id(node)] = entry
+    return forms, record
 
 
 def affine_arguments(e: Expr, vars: Sequence[str]) -> list[AffineForm]:
     """All normalized affine forms under abs/sgn, deduplicated in order of
     first appearance."""
-    forms: list[AffineForm] = []
-    for arg in _singular_args(e):
-        aff = as_affine(arg, vars)
-        if aff is None:
-            raise NonAffineSingularity(
-                f"abs/sgn argument {format_expr(arg)!r} is not affine in {list(vars)}"
-            )
-        if not any(c != 0.0 for c in aff[0]):
-            continue  # constant argument, no singular set
-        form, _ = normalize_affine(*aff)
-        if not any(form.same_as(f) for f in forms):
-            forms.append(form)
-    return forms
+    return singular_record(e, vars)[0]
 
 
 def find_form(forms: Sequence[AffineForm], f: AffineForm) -> int:

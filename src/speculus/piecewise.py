@@ -9,7 +9,11 @@ table without a wildcard is looked up in a dict built on first use (the
 first of duplicate patterns kept); a table with one is scanned in order.
 A function parsed from a formula keeps no table: its branch for a sign
 vector is the source with those signs pinned (``pin_signs``), made the
-first time ``match`` or ``branch`` asks for it and kept.
+first time ``match`` or ``branch`` asks for it and kept.  The branch is
+the definition, and the scalar path and the points on a line read it; a
+batch reads the points off every line from the source itself, each
+abs/sgn node signed by the point's pattern as its ``singular_record``
+says, which gives the pinned branch's bits without pinning it.
 
 On-line values (points where some form vanishes) follow one policy per
 function:
@@ -39,8 +43,9 @@ node of a limit, and is every one-sided slope of ``specular``.
 points, on lines too, from the ``pattern_groups`` of the points (a stable
 sort of one base-3 code per point, cut where the code changes), which a
 ``Points`` keeps for every field on the same lines: one ``eval_array`` pass
-per distinct non-constant tree over the groups routed to it, read back by
-offset, and ``proper_values`` for each pair.  It reports the points it covered,
+per distinct non-constant tree over the groups routed to it (a formula's
+off-line groups to its source, with their patterns as sign columns), read
+back by offset, and ``proper_values`` for each pair.  It reports the points it covered,
 bitwise as the scalar methods, and never raises; ``filled`` is the one
 rule by which every batch site takes the other points.
 """
@@ -61,7 +66,6 @@ from .expr import (
     EvalDomainError,
     Expr,
     add,
-    affine_arguments,
     diff,
     div,
     eval_array,
@@ -72,6 +76,7 @@ from .expr import (
     opaque,
     pin_signs,
     powi,
+    singular_record,
     subst,
     Const,
     Var,
@@ -258,6 +263,9 @@ class PiecewiseFn:
     policy: str                  # on-line values: 'direct', 'specular' or 'branch'
     source: Optional[Expr] = None
     domain: tuple = ()           # ((AffineForm, sign), ...): sign*l(p) > 0 required
+    # a formula's (source, ``singular_record`` of it): with it a batch takes
+    # the points off every line from the source, by their sign patterns
+    record: Optional[tuple] = field(default=None, compare=False, repr=False)
     # derivative fields built from this function, keyed by (kind, axis); a
     # copy made by ``replace`` starts empty, equality and hashing ignore it
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -316,6 +324,11 @@ class PiecewiseFn:
             self._pins[s] = pin_signs(self.source, self.vars, list(zip(self.forms, s)),
                                       partial, self._pin_memo)
         return self._pins[s]
+
+    def sourced(self) -> bool:
+        """Whether a batch takes the points off every line from the source:
+        a formula (no table) whose record is of its source."""
+        return not self.branches and self.record is not None and self.record[0] is self.source
 
     def in_domain(self, p: Sequence[float], margin: float = 0.0) -> bool:
         return all(s * f.value(p) > margin for f, s in self.domain)
@@ -398,10 +411,15 @@ class PiecewiseFn:
         takes the others and raises the errors.  Nothing here raises."""
         cols = Points(cols)
         keys = ([None] if value else []) + [(axis, d) for axis in axes for d in (-1, 1)]
-        plan, trees = [], {}
+        plan, trees, patterns = [], {}, {}
+        sourced = self.sourced()
         for s, idx in cols.groups(self.forms):
+            off = sourced and 0 not in s  # every key's branch is the pin at s
+            if off:
+                patterns[id(idx)] = s
             for key in keys:
-                node = self._value_node(s) if key is None else self._limit_node(s, *key)
+                node = (self.source if off else self._value_node(s) if key is None
+                        else self._limit_node(s, *key))
                 plan.append((key, idx, node))
                 _route(node, idx, trees)
         done = {}
@@ -409,8 +427,13 @@ class PiecewiseFn:
             offsets = dict(zip(parts, itertools.accumulate((len(i) for i in parts.values()), initial=0)))
             idx = np.concatenate(list(parts.values()))
             bad = np.zeros(len(idx), dtype=bool)
+            signs = None
+            if sourced and rhs is self.source:  # a pinned tree is rebuilt, never the source
+                rows = np.array([patterns[i] for i in parts], dtype=float)
+                signs = self.record[1], np.repeat(rows, [len(i) for i in parts.values()], axis=0)
             done[k] = offsets, (np.full(len(idx), rhs.value) if type(rhs) is Const else
-                                eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad)), bad
+                                eval_array(rhs, dict(zip(self.vars, (c[idx] for c in cols))), bad,
+                                           signs)), bad
         n = len(cols[0])
         out = {key: (np.zeros(n), np.zeros(n, dtype=bool)) for key in keys}
         for key, idx, node in plan:
@@ -418,9 +441,10 @@ class PiecewiseFn:
         return out
 
     def one_sided_limits(self, p: Sequence[float], axis: int) -> OneSidedLimits:
-        s = self.sign_vector(p)
-        left = self.one_sided_value(p, s, axis, -1)
-        right = self.one_sided_value(p, s, axis, +1)
+        """Both limits along the axis, left first, through one ``PointQuery``:
+        off every line of the axis the two sides are one tree, read once."""
+        q = PointQuery(self, p)
+        left, right = q.limit(axis, -1), q.limit(axis, +1)
         return OneSidedLimits(left, right, 0.5 * (left + right), axis)
 
     def adjacent_sign_vector(self, s: Pattern, axis: int, direction: int) -> Pattern:
@@ -506,11 +530,14 @@ def _node_values(node, idx: np.ndarray, done: dict) -> tuple:
 def from_expression(e: Expr, vars: Sequence[str], domain: Sequence = ()) -> PiecewiseFn:
     """The function of a formula.  With abs/sgn forms it keeps no table:
     ``match`` and ``branch`` pin the source at a sign vector when first
-    asked.  Without, its one branch is the formula as parsed."""
+    asked, and a batch takes the points off every line from the source and
+    its ``singular_record``.  Without, its one branch is the formula as
+    parsed."""
     vars = tuple(vars)
-    forms = tuple(affine_arguments(e, vars))
+    forms, record = singular_record(e, vars)
     branches = () if forms else (((), e),)
-    return PiecewiseFn(vars, forms, branches, "direct", source=e, domain=tuple(domain))
+    return PiecewiseFn(vars, tuple(forms), branches, "direct", source=e, domain=tuple(domain),
+                       record=None if record is None else (e, record))
 
 
 def from_branches(forms: Sequence[AffineForm], table: Sequence, vars: Sequence[str],
@@ -798,7 +825,9 @@ def pw_add(u: PiecewiseFn, v: PiecewiseFn, cv: float = 1.0) -> PiecewiseFn:
 def pw_scale(c: float, u: PiecewiseFn) -> PiecewiseFn:
     branches = tuple((pat, mul(Const(c), rhs)) for pat, rhs in u.branches)
     src = mul(Const(c), u.source) if u.source is not None else None
-    return replace(u, branches=branches, source=src)
+    # the scaled source holds the same abs/sgn nodes, so the record stays true
+    record = None if u.record is None or u.record[0] is not u.source else (src, u.record[1])
+    return replace(u, branches=branches, source=src, record=record)
 
 
 def _merge_domain(da, db) -> tuple:

@@ -18,7 +18,10 @@ and a characteristic edge at the closed-form crossings of the singular
 lines (``path_crossings``).  The dependence triangle is cut into cells
 (``clip_cells``), so a crossing of two lines inside it is a cell vertex,
 not a kink inside a triangle.  On a cell f is one branch, and the fan
-triangles of all cells go through one engine call, each over its cell's branch.
+triangles of all cells go through one engine call, each over its cell's
+branch: a formula's source signed by the cell's pattern, in one
+``eval_array`` call a round, or a table's branch, one call per run of rows
+on it.
 """
 
 from __future__ import annotations
@@ -265,36 +268,54 @@ def integrate_triangle(f: PiecewiseFn, x0: float, t0: float) -> float:
     """Integral of f over the dependence triangle (x0 - t0, 0), (x0 + t0,
     0), (x0, t0), t0 > 0: the fans of all its ``clip_cells``, on each of
     which f is one branch, go through one ``adaptive_panel`` call with the
-    Duffy rules, split in quarters.  Each round takes each branch at its
-    rows with one ``eval_array`` call and ``filled`` the points it sets
-    aside, so an error is the first met round by round, then in batch order."""
+    Duffy rules, split in quarters.  Each round takes a formula's source
+    at all its rows with one ``eval_array`` call, each row signed by its
+    cell's pattern, and a table's branch at the rows of each run of cells
+    on it with one call; the points a round sets aside are ``filled`` by
+    their cell's branch, so an error is the first met round by round, then
+    in batch order.  A table's cell with no branch raises before any
+    round; a formula pins its cells, in the same order, only once a round
+    sets points aside, so a pin that raises is raised first there."""
     if f.d != 2:
         raise QuadratureError("integrate_triangle expects a 2D function")
     if not (math.isfinite(x0) and math.isfinite(t0)):
         raise QuadratureError(f"dependence triangle of ({x0}, {t0}) is not finite")
     if not t0 > 0.0:
         raise QuadratureError("dependence triangle needs t0 > 0")
-    fan, branch = [], []  # the fan triangles of every cell, and the branch of each
+    sourced = f.sourced()
+    fan, cell, cells = [], [], []  # the fan triangles, the cell of each, and (pattern, tree) of each cell
     for pat, poly in clip_cells(f.forms, [(x0 - t0, 0.0), (x0 + t0, 0.0), (x0, t0)]):
         if _area(poly) == 0.0:  # a cell of rounding only, where f may have no branch
             continue
-        if (rhs := f.match(pat)) is None:
+        rhs = f.source if sourced else f.match(pat)
+        if rhs is None:
             raise BranchLookupError(f"no branch for sign vector {pat} in the dependence "
                                     f"triangle of ({x0}, {t0})")
         v = [(float(x), float(t)) for x, t in poly]  # a failing triangle's name prints floats
         fan += [(v[0], p, q) for p, q in zip(v[1:], v[2:])]
-        branch += [rhs] * (len(v) - 2)
-
-    def on_branch(rhs, X, T):
-        bad = np.zeros(len(X), dtype=bool)
-        values = eval_array(rhs, dict(zip(f.vars, (X, T))), bad)
-        return filled((X, T), [(values, ~bad, lambda p: eval_expr(rhs, dict(zip(f.vars, p))))])[0]
+        cell += [len(cells)] * (len(v) - 2)
+        cells.append((pat, rhs))
 
     def g(X, T, keys):  # depth-first order keeps each cell's rows together in a batch
-        m, of_row = len(X) // len(keys), [branch[k] for k in keys]
-        starts = [i for i in range(len(keys)) if i == 0 or of_row[i] is not of_row[i - 1]]
-        return np.concatenate([on_branch(of_row[lo], X[lo * m:hi * m], T[lo * m:hi * m])
-                               for lo, hi in zip(starts, starts[1:] + [len(keys)])])
+        m, of_row = len(X) // len(keys), [cell[k] for k in keys]
+        bad = np.zeros(len(X), dtype=bool)
+        tree = of_row if sourced else [id(cells[c][1]) for c in of_row]  # runs of cells or branches
+        starts = [i for i in range(len(keys)) if i == 0 or tree[i] != tree[i - 1]]
+        runs = [(slice(lo * m, hi * m), of_row[lo]) for lo, hi in zip(starts, starts[1:] + [len(keys)])]
+        if sourced:
+            signs = np.repeat(np.array([cells[c][0] for c in of_row], dtype=float), m, axis=0)
+            values = eval_array(f.source, dict(zip(f.vars, (X, T))), bad, (f.record[1], signs))
+        else:
+            values = np.concatenate([eval_array(cells[c][1], dict(zip(f.vars, (X[rows], T[rows]))),
+                                                bad[rows]) for rows, c in runs])
+        if not bad.any():
+            return values
+        if sourced and cells[0][1] is f.source:  # pin every cell once, in order, as a table is looked up
+            cells[:] = [(pat, f.match(pat)) for pat, _ in cells]
+        for rows, c in runs:  # the points left, by their cell's branch
+            scalar = lambda p, rhs=cells[c][1]: eval_expr(rhs, dict(zip(f.vars, p)))
+            filled((X[rows], T[rows]), [(values[rows], ~bad[rows], scalar)])
+        return values
 
     return math.fsum(adaptive_panel(functools.partial(_duffy_sums, g), _quarters, fan,
                                     ROUND_PANELS // 8, lambda tri: f"triangle {tri}"))

@@ -501,9 +501,9 @@ def _count_batch_work(monkeypatch) -> dict:
         work["pattern_groups"] += 1
         return real_groups(forms, cols)
 
-    def eval_array(e, cols, bad):
+    def eval_array(e, cols, bad, signs=None):
         work["eval_array"].append(e)
-        return real_eval(e, cols, bad)
+        return real_eval(e, cols, bad, signs)
 
     monkeypatch.setattr(piecewise, "pattern_groups", groups)
     monkeypatch.setattr(piecewise, "eval_array", eval_array)

@@ -713,6 +713,104 @@ class TestBatchEvaluation:
         assert len(values) == len(covered) == 0
 
 
+def _affine(draw, names):
+    """A literal affine argument: coefficient times variable terms and a
+    constant, some leading with a negative coefficient (the form flips),
+    some with terms that fold away or round off."""
+    terms = [BinOp("*", Const(draw(st.sampled_from((1.0, -1.0, 2.0, -0.5, 3.0)))), Var(n))
+             for n in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))]
+    extra = draw(st.sampled_from(("none", "zero", "big", "zero-var")))
+    if extra == "zero":
+        terms.append(Neg(Const(0.0)))
+    elif extra == "big":  # (l + 1e17) - 1e17 rounds l to a multiple of 16
+        terms = [BinOp("-", BinOp("+", terms[0], Const(1e17)), Const(1e17))] + terms[1:]
+    elif extra == "zero-var":
+        terms.append(BinOp("*", Const(0.0), Var(names[-1])))
+    terms.append(Const(draw(st.sampled_from((0.0, 0.5, -1.0, 2.0)))))
+    return functools.reduce(lambda a, b: BinOp(draw(st.sampled_from("+-")), a, b), terms)
+
+
+@st.composite
+def signed_formula(draw):
+    """A formula over x, y built from abs/sgn of affine arguments, Consts
+    (0 and -0 among them), variables, + - * /, integer powers (0 among
+    them), negation and exp, sin, cos, sqrt: the folds of the smart
+    constructors on Consts the signs make (1 + sgn(l) is 0 on one side)
+    included; and points off its lines, with signed zero coordinates."""
+    singular = st.builds(lambda func, data: Call(func, _affine(data.draw, XY)),
+                         st.sampled_from(("abs", "sgn")), st.data())
+    # 1 + sgn(l), sgn(l) - 1, ...: a Const 0 of the branches on one side
+    vanishing = st.builds(lambda op, c, data: BinOp(op, Const(c), Call("sgn", _affine(data.draw, XY))),
+                          st.sampled_from("+-"), st.sampled_from((1.0, -1.0)), st.data())
+    leaf = st.one_of(singular, vanishing, st.sampled_from([Var("x"), Var("y")]),
+                     st.sampled_from((0.0, 1.0, -1.0, 2.5)).map(Const), st.just(Neg(Const(0.0))))
+    binop = lambda children: st.tuples(st.sampled_from("+-*/"), children, children).map(lambda a: BinOp(*a))
+    grow = lambda children: st.one_of(
+        binop(children), binop(children),
+        st.tuples(children, st.integers(0, 3)).map(lambda a: Pow(*a)),
+        children.map(Neg),
+        st.tuples(st.sampled_from(("exp", "sin", "cos", "sqrt")), children).map(lambda a: Call(*a)))
+    e = draw(st.recursive(leaf, grow, max_leaves=6))
+    coord = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0)), st.floats(-4, 4))
+    return e, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+
+
+class TestSourceBatch:
+    @given(signed_formula())
+    @settings(max_examples=400, deadline=None)
+    def test_batch_is_the_pinned_branch(self, case):
+        """At a point off every line the batch of a formula, from its source
+        signed by the point's pattern, is bit for bit (-0.0 included) the
+        value of its pinned branch, or leaves the point."""
+        e, points = case
+        u = from_expression(e, XY)
+        points = [p for p in points if u.forms and 0 not in u.sign_vector(p)]
+        if not points:
+            return
+        values, covered = u.evaluate_many(np.array(points).T)
+        for p, v, ok in zip(points, values.tolist(), covered.tolist()):
+            want = _scalar(lambda: eval_expr(u.match(u.sign_vector(p)), dict(zip(XY, p))))
+            assert not ok or repr(v) == want, (p, repr(v), want)
+
+    @pytest.mark.parametrize("text, p", [
+        ("(sgn(x) - 1)*y", (2.0, -2.0)),      # 0*y folds to 0, not -0
+        ("y + (1 - sgn(x))", (2.0, -0.0)),    # y + 0 folds to y, not 0
+        ("0 - sgn(x)*y", (2.0, 0.0)),         # 0 - y folds to -y, not 0
+        ("(1 + sgn(x))/y", (-2.0, 0.0)),      # 0/y folds to 0, y = 0 too
+        ("x*0 - 0*sgn(y)", (-1.0, 1.0)),      # literal Consts fold too
+    ])
+    def test_folds_of_the_pin_are_kept(self, text, p):
+        """Where a Const the signs make (or a literal one) folds the pinned
+        branch, the batch folds too and covers the point: the raw source
+        gives another zero, or raises."""
+        u = from_expression(parse(text, XY), XY)
+        values, covered = u.evaluate_many(np.array([p]).T)
+        want = repr(eval_expr(u.match(u.sign_vector(p)), dict(zip(XY, p))))
+        assert covered.all() and repr(values.tolist()[0]) == want == repr(u.evaluate(p))
+        assert _scalar(eval_expr, u.source, dict(zip(XY, p))) != want
+
+    def test_no_pin_on_the_happy_path(self, monkeypatch):
+        """Off every line a formula's batch pins nothing; a pattern whose pin
+        raises leaves its points, and the scalar path raises it."""
+        calls, real = [], piecewise.pin_signs
+        monkeypatch.setattr(piecewise, "pin_signs", lambda *args: calls.append(args) or real(*args))
+        u = from_expression(parse("1/(sgn(x) + 1) + abs(y - 1)", XY), XY)
+        values, covered = u.evaluate_many([[1.0, -1.0, 2.0], [0.0, 3.0, 5.0]])
+        assert covered.tolist() == [True, False, True] and calls == []
+        assert values[[0, 2]].tolist() == [u.evaluate((1.0, 0.0)), u.evaluate((2.0, 5.0))]
+        with pytest.raises(EvalDomainError, match="^division by constant zero$"):
+            u.evaluate((-1.0, 3.0))
+
+    def test_a_copy_keeps_its_record_only_for_its_source(self):
+        """``pw_scale`` keeps the record (its source holds the same nodes);
+        a copy with another source takes the per-branch path."""
+        u = from_expression(parse("sgn((x + 100000000000000000) - 100000000000000000)", X), X)
+        assert u.sourced() and pw_scale(2.0, u).sourced()
+        assert pw_scale(2.0, u).evaluate_many([[1.0, -1.0]])[0].tolist() == [2.0, -2.0]
+        assert not replace(u, source=parse("sgn(x)", X)).sourced()
+        assert replace(u, domain=((u.forms[0], 1),)).sourced()
+
+
 class TestProperValues:
     """``proper_values`` is ``proper_value`` entry by entry, bit for bit."""
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from speculus import quad
 from speculus.expr import (AffineForm, EvalDomainError, Opaque, Var, add, eval_array, eval_expr,
                            normalize_affine, parse)
-from speculus.piecewise import PiecewiseFn, from_expression
+from speculus.piecewise import PiecewiseFn, from_branches, from_expression
 from speculus.quad import (
     MAX_DEPTH,
     QUAD_TOL,
@@ -554,12 +554,45 @@ class TestQuadratureErrors:
         assert str(got.value) == message  # pinned: the first round, then batch order
 
 
+class TestSourceSigns:
+    """A formula's batch signs each abs/sgn node by the point's pattern, as
+    its pinned branch does, not by the rounded value of its argument."""
+
+    @pytest.mark.parametrize("text, points, want, total", [
+        # the argument rounds to 0 at every point, the pattern does not
+        ("sgn((x + 100000000000000000) - 100000000000000000)", (1.0, -1.0, 2.5),
+         [1.0, -1.0, 1.0], 0.9999999999999999),
+        # the argument rounds to the wrong side near x = 1
+        ("sgn(1000000*x - 999999*x - 1)", (1 + 1e-11, 1 - 1e-11, 1 + 3e-11),
+         [1.0, -1.0, 1.0], -0.9999999999999999),
+    ])
+    def test_signs_come_from_the_pattern(self, text, points, want, total):
+        f = from_expression(parse(text, X), X)
+        assert [f.evaluate((p,)) for p in points] == want
+        values, covered = f.evaluate_many([np.array(points)])
+        assert covered.all() and values.tolist() == want
+        assert [eval_expr(f.source, {"x": p}) for p in points] != want  # the raw signs
+        assert integrate_1d(f, -1.0, 2.0) == total
+
+    @pytest.mark.parametrize("text", [
+        "1/(sgn(x) + 1) + t",
+        # a domain error in the first cell's rows, a failing pin in the second
+        "sqrt(x - 0.6) + 1/(sgn(x - 0.5) + 1) + t",
+    ])
+    def test_failing_pin_raises_first(self, text):
+        """A pin that raises is raised before the points a round leaves are
+        computed, as a table's missing branch is raised before any round."""
+        f = from_expression(parse(text, XT), XT)
+        with pytest.raises(EvalDomainError, match="^division by constant zero$"):
+            integrate_triangle(f, 0.0, 1.0)
+
+
 class TestBatching:
     def test_off_line_triangle_needs_no_scalar_evaluation(self, monkeypatch):
         """The fan triangles of all four cells go through one
-        ``adaptive_panel`` call, and each round takes each branch at its
-        rows' points with one ``eval_array`` call: no ``evaluate`` call, no
-        ``evaluate_many`` call.  The first round takes the 64 + 100 nodes of
+        ``adaptive_panel`` call, and each round takes the formula's source
+        at all its rows' points with one ``eval_array`` call: no
+        ``evaluate`` call, no ``evaluate_many`` call.  The first round takes the 64 + 100 nodes of
         each fan triangle; each later one those of the four children of the
         triangles split in the round before, so it is no larger than four
         times that round.  sqrt(x + 1.1) is steep enough near x = -1 to need
@@ -582,9 +615,9 @@ class TestBatching:
             monkeypatch.setattr(PiecewiseFn, name, counted(name))
         real_array, real_panel, real_sums = quad.eval_array, quad.adaptive_panel, quad._duffy_sums
 
-        def eval_array(e, cols, bad):
+        def eval_array(e, cols, bad, signs=None):
             rounds[-1].append((e, len(bad)))
-            return real_array(e, cols, bad)
+            return real_array(e, cols, bad, signs)
 
         def panel(sums, split, fan, *args):
             fans.append(len(fan))
@@ -609,18 +642,26 @@ class TestBatching:
         for before, points in zip([first, *later], later):
             assert points % (4 * 164) == 0 and 0 < points <= 4 * before
 
-    def test_exact_rule_takes_one_call_per_cell(self, monkeypatch):
+    def test_exact_rule_takes_one_call_per_round(self, monkeypatch):
         """On a cell where both rules are exact (a cubic branch) every
-        triangle is accepted whole: one ``eval_array`` call per cell, at the
-        64 + 100 nodes of each fan triangle."""
+        triangle is accepted whole, in one round.  A formula takes that round
+        with one ``eval_array`` call of its source at the 64 + 100 nodes of
+        every fan triangle, each signed by its cell, and pins nothing; the
+        same function as a table takes one call per cell (a run of rows on
+        one branch), with the same total."""
         f = from_expression(parse("abs(x - t + 0.25)*x^2 + sgn(x + 2*t - 0.5)*t", XT), XT)
+        cells = quad.clip_cells(f.forms, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        table = from_branches(f.forms, [(pat, f.match(pat)) for pat, _ in cells], XT, policy="direct")
+        f = from_expression(f.source, XT)  # no pin made yet
         calls = []
         real_array = quad.eval_array
-        monkeypatch.setattr(quad, "eval_array", lambda e, cols, bad: calls.append(len(bad))
-                            or real_array(e, cols, bad))
-        integrate_triangle(f, 0.0, 1.0)
-        cells = quad.clip_cells(f.forms, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        assert calls == [164 * (len(poly) - 2) for _, poly in cells]
+        monkeypatch.setattr(quad, "eval_array", lambda e, cols, bad, signs=None: calls.append(
+            (e, len(bad))) or real_array(e, cols, bad, signs))
+        want = integrate_triangle(f, 0.0, 1.0)
+        assert calls == [(f.source, 164 * sum(len(poly) - 2 for _, poly in cells))] and not f._pins
+        calls.clear()
+        assert integrate_triangle(table, 0.0, 1.0) == want
+        assert calls == [(table.match(pat), 164 * (len(poly) - 2)) for pat, poly in cells]
 
     def test_nonintegrable_line_fails_in_bounded_rounds(self, monkeypatch):
         """1/(x - 0.3) never converges along x = 0.3.  Refining whole levels
@@ -631,8 +672,8 @@ class TestBatching:
         f = from_expression(parse("1/(x - 0.3) + t", XT), XT)
         batches = []
         real_array = quad.eval_array
-        monkeypatch.setattr(quad, "eval_array", lambda e, cols, bad: batches.append(len(bad))
-                            or real_array(e, cols, bad))
+        monkeypatch.setattr(quad, "eval_array", lambda e, cols, bad, signs=None: batches.append(len(bad))
+                            or real_array(e, cols, bad, signs))
         with pytest.raises(QuadratureError) as got:
             integrate_triangle(f, 0.0, 1.0)
         tri = ((0.2999999988824129, 0.0), (0.30000000074505806, 0.0),

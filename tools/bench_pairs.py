@@ -13,7 +13,11 @@ which leaves nothing behind in the repository.  The results go to
 ``BENCH_<pr>.json`` at the root of the repository, with the keys
 ``command``, ``parent``, ``change``, ``order``, ``seeds``, ``machine`` and
 ``runs``; each run holds ``workload``, ``seed``, ``pair``, ``side`` and the
-``result`` object that ``run.py`` prints last.
+``result`` object that ``run.py`` prints last.  When all runs are done, a
+summary goes to stderr: for each workload and seed, the median of each
+end-to-end metric on each side, their change/parent ratio, and the median
+number of operations attempted, next to which a peak RSS reads (memory
+that grows with the operations a run completes moves with it).
 """
 
 from __future__ import annotations
@@ -53,6 +57,27 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def summary(runs: list) -> str:
+    """For each workload and seed: each end-to-end metric's median per side
+    and the change/parent ratio, then the median ``attempted`` per side."""
+    lines, groups = [], {}
+    for run in runs:
+        groups.setdefault((run["workload"], run["seed"]), {}).setdefault(run["side"], []).append(
+            run["result"])
+    for (workload, seed), sides in groups.items():
+        lines.append(f"{workload} seed {seed}: median of {len(sides.get('change', []))} runs a side")
+        lines.append(f"  {'metric':<12} {'parent':>12} {'change':>12} {'ratio':>7}")
+        names = list(next(iter(sides.values()))[0]["metrics"])
+        rows = [(name, [[r["metrics"][name]["value"] for r in sides.get(side, [])]
+                        for side in ("parent", "change")]) for name in names]
+        rows.append(("attempted", [[r["attempted"] for r in sides.get(side, [])]
+                                   for side in ("parent", "change")]))
+        for name, (parent, change) in rows:
+            p, c = (float(np.median(v)) if v else float("nan") for v in (parent, change))
+            lines.append(f"  {name:<12} {p:>12.5g} {c:>12.5g} {c / p if p else float('nan'):>7.3f}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the commit to compare against")
@@ -90,6 +115,7 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(summary(runs), file=sys.stderr)
     return 0
 
 
